@@ -318,7 +318,35 @@ def render(report, fmt):
 
 def _parse_x(text):
     from fractions import Fraction
-    return tuple(Fraction(t) for t in text.split(","))
+    x = tuple(Fraction(t) for t in text.split(","))
+    if len(x) != 4:
+        raise argparse.ArgumentTypeError(
+            f"expected 4 comma-separated rationals, got {len(x)}")
+    return x
+
+
+def _nonzero_int(text):
+    lam = int(text)
+    if lam == 0:
+        raise argparse.ArgumentTypeError("must be nonzero")
+    return lam
+
+
+# the case-parameter options by argparse name, and who takes them
+OVERRIDE_FLAGS = {"p": "-p", "n": "-n", "lam": "--lam", "weil_x": "--weil-x"}
+OVERRIDES = {"gross-periods": ("p", "n"), "positivity": ("lam", "weil_x")}
+
+
+def _override_error(args):
+    """Why the parameter options do not fit the subcommand, or None."""
+    allowed = OVERRIDES.get(args.subcommand, ())
+    stray = [flag for name, flag in OVERRIDE_FLAGS.items()
+             if getattr(args, name) is not None and name not in allowed]
+    if stray:
+        return f"{args.subcommand} does not take {', '.join(stray)}"
+    if (args.p is None) != (args.n is None):
+        return "-p and -n must be given together"
+    return None
 
 
 def main(argv=None) -> int:
@@ -334,15 +362,20 @@ def main(argv=None) -> int:
                         help="rewrite fixtures, printing a diff summary")
     parser.add_argument("--timing", action="store_true",
                         help="include runtime_ms in case records")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallelism degree (results are ordered and "
-                        "deterministic regardless)")
-    parser.add_argument("--lam", type=int, default=None)
-    parser.add_argument("--weil-x", type=_parse_x, default=None)
-    parser.add_argument("-p", type=int, default=None)
-    parser.add_argument("-n", type=int, default=None)
+    parser.add_argument("--lam", type=_nonzero_int, default=None,
+                        help="positivity only: lambda of the antiweil cases")
+    parser.add_argument("--weil-x", type=_parse_x, default=None,
+                        help="positivity only: x as 4 comma-separated "
+                        "rationals")
+    parser.add_argument("-p", type=int, default=None,
+                        help="gross-periods only, with -n")
+    parser.add_argument("-n", type=int, default=None,
+                        help="gross-periods only, with -p")
     try:
         args = parser.parse_args(argv)
+        problem = _override_error(args)
+        if problem:
+            parser.error(problem)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

@@ -1,17 +1,23 @@
 """
 Exact arithmetic in multiquadratic extensions Q(sqrt(d_1), ..., sqrt(d_k)).
 
-An element is stored as a map from generator subsets S of {0..k-1} to rational
-coefficients: the coefficient of prod_{i in S} sqrt(d_i).  The Galois group is
-(Z/2)^k acting by sign flips on the generators, which is all the field theory
-the case sweeps need: every algebraic number that shows up (roots of unity of
-order dividing 8, sqrt(a), sqrt(D), sqrt(D')) lives in such a field.
+An element is stored as integer numerators over one common denominator:
+``nums[m] / den`` is the coefficient of prod_{i in m} sqrt(d_i), where the
+bitmask m selects the generators.  The form is canonical (den > 0,
+gcd(nums, den) = 1, zero has den 1), so equality is a comparison of ints.
+Each field precomputes its product table, (i, j) -> (i ^ j, prod_{b in
+i & j} d_b), and a product of two elements is integer arithmetic plus one
+gcd normalisation.  The Galois group is (Z/2)^k acting by sign flips on
+the generators, which is all the field theory the case sweeps need: every
+algebraic number that shows up (roots of unity of order dividing 8,
+sqrt(a), sqrt(D), sqrt(D')) lives in such a field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 
 
 class DependentGenerators(ValueError):
@@ -64,6 +70,25 @@ class MultiQuadField:
         self.subsets = [frozenset(s)
                         for r in range(self.k + 1)
                         for s in combinations(range(self.k), r)]
+        n = self.degree
+        # generator subset <-> bitmask; subsets is also the repr term order
+        self._mask = {s: sum(1 << i for i in s) for s in self.subsets}
+        self._subset = [frozenset()] * n
+        for s, m in self._mask.items():
+            self._subset[m] = s
+        self._order = [self._mask[s] for s in self.subsets]
+        self._radical = ["*".join(f"sqrt({self.gens[i]})" for i in sorted(s))
+                         for s in self._subset]
+        # square[m] = prod_{b in m} d_b; sqrt(m) * sqrt(m') = square[m & m']
+        # * sqrt(m ^ m')
+        square = [1] * n
+        for m in range(1, n):
+            low = m & -m
+            square[m] = square[m ^ low] * self.gens[low.bit_length() - 1]
+        self._table = tuple(tuple((i ^ j, square[i & j]) for j in range(n))
+                            for i in range(n))
+        self._zero = _new(self, [0] * n, 1)
+        self._one = _new(self, [1] + [0] * (n - 1), 1)
 
     def __eq__(self, other):
         return isinstance(other, MultiQuadField) and self.gens == other.gens
@@ -77,22 +102,28 @@ class MultiQuadField:
         return "QQ(" + ", ".join(f"sqrt({d})" for d in self.gens) + ")"
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, {})
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return FieldElement(self, {frozenset(): Fraction(1)})
+        return self._one
 
     def rational(self, q) -> "FieldElement":
-        return FieldElement(self, {frozenset(): Fraction(q)})
+        if q.__class__ is int:
+            return _new(self, [q] + [0] * (self.degree - 1), 1)
+        if q.__class__ is not Fraction:
+            q = Fraction(q)
+        return _new(self, [q.numerator] + [0] * (self.degree - 1),
+                    q.denominator)
 
     def sqrt_gen(self, d: int) -> "FieldElement":
         """The element sqrt(d) for a single generator d."""
-        i = self.gens.index(d)
-        return FieldElement(self, {frozenset([i]): Fraction(1)})
+        return self.monomial([self.gens.index(d)])
 
     def monomial(self, indices) -> "FieldElement":
         """prod_{i in indices} sqrt(d_i) by generator index."""
-        return FieldElement(self, {frozenset(indices): Fraction(1)})
+        nums = [0] * self.degree
+        nums[self._mask[frozenset(indices)]] = 1
+        return _new(self, nums, 1)
 
     def galois_group(self) -> list["GaloisElement"]:
         return [GaloisElement(signs) for signs in product((1, -1), repeat=self.k)]
@@ -109,15 +140,17 @@ def field_create(gens) -> MultiQuadField:
     return MultiQuadField(gens)
 
 
-QQ = MultiQuadField(())
-
-
 class GaloisElement:
     """A sign vector in {+1,-1}^k; acts by sqrt(d_i) -> signs[i]*sqrt(d_i)."""
 
     def __init__(self, signs):
         self.signs = tuple(int(s) for s in signs)
         assert all(s in (1, -1) for s in self.signs)
+        # the sign of each monomial, indexed by generator bitmask
+        mask_signs = [1]
+        for s in self.signs:
+            mask_signs += [s * t for t in mask_signs]
+        self._mask_signs = mask_signs
 
     def __mul__(self, other: "GaloisElement") -> "GaloisElement":
         return GaloisElement(tuple(a * b for a, b in zip(self.signs, other.signs)))
@@ -147,46 +180,156 @@ def complex_conjugation(field: MultiQuadField) -> GaloisElement:
 
 
 def apply_galois(g: GaloisElement, e: "FieldElement") -> "FieldElement":
-    coords = {s: c * g.subset_sign(s) for s, c in e.coords.items()}
-    return FieldElement(e.field, coords)
+    return _new(e.field, [s * x for s, x in zip(g._mask_signs, e.nums)],
+                e.den)
+
+
+# ---------------------------------------------------------------------------
+# integer kernels on numerator lists
+# ---------------------------------------------------------------------------
+
+def _new(field, nums, den) -> "FieldElement":
+    """An element from numerators already in canonical form."""
+    e = object.__new__(FieldElement)
+    e.field = field
+    e.nums = nums
+    e.den = den
+    e._hash = None
+    return e
+
+
+def _norm(field, nums, den) -> "FieldElement":
+    """An element from numerators over a positive denominator."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    return _new(field, nums, den)
+
+
+def _ratio(field, num: int, den: int) -> "FieldElement":
+    """The rational num/den (den != 0) as an element."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return _new(field, [num // g] + [0] * (field.degree - 1), den // g)
+
+
+def _mul_nums(field, a, b):
+    """Numerators of the product of two numerator lists."""
+    if len(a) == 1:
+        return [a[0] * b[0]]
+    out = [0] * len(a)
+    table = field._table
+    for i, x in enumerate(a):
+        if x:
+            for (k, c), y in zip(table[i], b):
+                if y:
+                    out[k] += x * y * c
+    return out
+
+
+def _dot(field, xs, ys) -> "FieldElement":
+    """sum_t xs[t] * ys[t], accumulated as integer numerators over a
+    running common denominator and normalised once."""
+    table = field._table
+    acc = [0] * field.degree
+    den = 1
+    for x, y in zip(xs, ys):
+        a = x.nums
+        b = y.nums
+        if not any(a) or not any(b):
+            continue
+        d = x.den * y.den
+        scale = 1
+        if d != den:
+            g = gcd(den, d)
+            grow = d // g
+            if grow != 1:
+                acc = [u * grow for u in acc]
+            scale = den // g
+            den *= grow
+        for i, u in enumerate(a):
+            if u:
+                u *= scale
+                for (k, c), v in zip(table[i], b):
+                    if v:
+                        acc[k] += u * v * c
+    return _norm(field, acc, den)
+
+
+def _axpy(field, a, f, b) -> "FieldElement":
+    """a - f * b with one normalisation."""
+    fb = _mul_nums(field, f.nums, b.nums)
+    d = f.den * b.den
+    if a.den == d:
+        return _norm(field, [x - y for x, y in zip(a.nums, fb)], d)
+    return _norm(field, [x * d - y * a.den for x, y in zip(a.nums, fb)],
+                 a.den * d)
 
 
 class FieldElement:
-    """An element of a MultiQuadField; immutable."""
+    """An element of a MultiQuadField; immutable.
 
-    __slots__ = ("field", "coords", "_hash")
+    ``nums`` (one int per generator bitmask) over ``den`` is the storage;
+    ``coords`` is a read-only view {generator subset: Fraction}."""
+
+    __slots__ = ("field", "nums", "den", "_hash")
 
     def __init__(self, field: MultiQuadField, coords: dict):
+        fracs = [(field._mask[frozenset(s)], Fraction(c))
+                 for s, c in coords.items()]
+        den = lcm(1, *(c.denominator for _, c in fracs))
+        nums = [0] * field.degree
+        for m, c in fracs:
+            nums[m] += c.numerator * (den // c.denominator)
+        g = gcd(den, *nums)
         self.field = field
-        self.coords = {s: Fraction(c) for s, c in coords.items() if c != 0}
+        self.nums = [x // g for x in nums]
+        self.den = den // g
         self._hash = None
 
     # -- constructors -----------------------------------------------------
+    @classmethod
+    def from_nums(cls, field: MultiQuadField, nums, den: int = 1):
+        """The element sum_m nums[m] / den * sqrt(m), den != 0."""
+        if den < 0:
+            nums, den = [-x for x in nums], -den
+        return _norm(field, list(nums), den)
+
     @staticmethod
     def coerce(field: MultiQuadField, x) -> "FieldElement":
         if isinstance(x, FieldElement):
-            if x.field != field:
+            if x.field is not field and x.field != field:
                 raise ValueError("field mismatch")
             return x
         return field.rational(x)
 
     # -- basics -----------------------------------------------------------
+    @property
+    def coords(self) -> dict:
+        """{generator subset: nonzero Fraction coefficient}."""
+        subset = self.field._subset
+        return {subset[m]: Fraction(x, self.den)
+                for m, x in enumerate(self.nums) if x}
+
     def is_zero(self) -> bool:
-        return not self.coords
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(not s for s in self.coords)
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coords.get(frozenset(), Fraction(0))
+        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.rational(other)
         return (isinstance(other, FieldElement)
-                and self.field == other.field and self.coords == other.coords)
+                and self.nums == other.nums and self.den == other.den
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
         if self._hash is None:
@@ -195,73 +338,79 @@ class FieldElement:
         return self._hash
 
     def __repr__(self):
-        if not self.coords:
-            return "0"
+        nums, den = self.nums, self.den
         parts = []
-        for s in sorted(self.coords, key=lambda t: (len(t), sorted(t))):
-            c = self.coords[s]
-            if not s:
-                parts.append(str(c))
+        for m in self.field._order:
+            x = nums[m]
+            if not x:
+                continue
+            g = gcd(x, den)
+            c = str(x // g) if den == g else f"{x // g}/{den // g}"
+            if not m:
+                parts.append(c)
+            elif x == den:
+                parts.append(self.field._radical[m])
             else:
-                rad = "*".join(f"sqrt({self.field.gens[i]})" for i in sorted(s))
-                parts.append(f"{c}*{rad}" if c != 1 else rad)
-        return " + ".join(parts)
+                parts.append(f"{c}*{self.field._radical[m]}")
+        return " + ".join(parts) if parts else "0"
 
     # -- ring operations --------------------------------------------------
     def __add__(self, other):
         other = FieldElement.coerce(self.field, other)
-        coords = dict(self.coords)
-        for s, c in other.coords.items():
-            coords[s] = coords.get(s, Fraction(0)) + c
-        return FieldElement(self.field, coords)
+        a, da = self.nums, self.den
+        b, db = other.nums, other.den
+        if da == db:
+            return _norm(self.field, [x + y for x, y in zip(a, b)], da)
+        return _norm(self.field, [x * db + y * da for x, y in zip(a, b)],
+                     da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, {s: -c for s, c in self.coords.items()})
+        return _new(self.field, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
-        return self + (-FieldElement.coerce(self.field, other))
+        other = FieldElement.coerce(self.field, other)
+        a, da = self.nums, self.den
+        b, db = other.nums, other.den
+        if da == db:
+            return _norm(self.field, [x - y for x, y in zip(a, b)], da)
+        return _norm(self.field, [x * db - y * da for x, y in zip(a, b)],
+                     da * db)
 
     def __rsub__(self, other):
         return FieldElement.coerce(self.field, other) - self
 
     def __mul__(self, other):
         other = FieldElement.coerce(self.field, other)
-        gens = self.field.gens
-        coords: dict = {}
-        for s1, c1 in self.coords.items():
-            for s2, c2 in other.coords.items():
-                common = s1 & s2
-                factor = Fraction(1)
-                for i in common:
-                    factor *= gens[i]
-                key = s1 ^ s2
-                coords[key] = coords.get(key, Fraction(0)) + c1 * c2 * factor
-        return FieldElement(self.field, coords)
+        return _norm(self.field, _mul_nums(self.field, self.nums, other.nums),
+                     self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("field element is zero")
-        # rationalize one generator at a time:
-        # e * conj_i(e) has no sqrt(d_i) component.
-        num = self.field.one()
-        cur = self
-        for i in range(self.field.k):
-            if any(i in s for s in cur.coords):
-                flip = GaloisElement(tuple(-1 if j == i else 1
-                                           for j in range(self.field.k)))
-                conj = apply_galois(flip, cur)
-                num = num * conj
-                cur = cur * conj
-        q = cur.as_fraction()
-        return num * self.field.rational(Fraction(1, 1) / q)
+        # rationalize one generator at a time: x * conj_i(x) has no
+        # sqrt(d_i) component, so num ends as x_nums^{-1} times a rational
+        field = self.field
+        num = None
+        cur = self.nums
+        for i in range(field.k):
+            bit = 1 << i
+            if any(x for m, x in enumerate(cur) if m & bit):
+                conj = [-x if m & bit else x for m, x in enumerate(cur)]
+                num = conj if num is None else _mul_nums(field, num, conj)
+                cur = _mul_nums(field, cur, conj)
+        if num is None:
+            num = [1] + [0] * (field.degree - 1)
+        q = cur[0]
+        if q < 0:
+            num, q = [-x for x in num], -q
+        return _norm(field, [x * self.den for x in num], q)
 
     def __truediv__(self, other):
-        other = FieldElement.coerce(self.field, other)
-        return self * other.inverse()
+        return self * FieldElement.coerce(self.field, other).inverse()
 
     def __rtruediv__(self, other):
         return FieldElement.coerce(self.field, other) * self.inverse()
@@ -271,9 +420,22 @@ class FieldElement:
         return apply_galois(complex_conjugation(self.field), self)
 
 
+QQ = MultiQuadField(())
+
+
 # ---------------------------------------------------------------------------
 # exact matrices over a MultiQuadField
 # ---------------------------------------------------------------------------
+
+def _matrix(field, rows) -> "ExactMatrix":
+    """An ExactMatrix from rows of elements of ``field``, unchecked."""
+    m = object.__new__(ExactMatrix)
+    m.field = field
+    m.entries = rows
+    m.rows = len(rows)
+    m.cols = len(rows[0]) if rows else 0
+    return m
+
 
 class ExactMatrix:
     """Dense matrix with FieldElement entries; immutable by convention."""
@@ -305,57 +467,53 @@ class ExactMatrix:
 
     def __add__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        return ExactMatrix(self.field, [
-            [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-            for i in range(self.rows)])
+        return _matrix(self.field, [[p + q for p, q in zip(r1, r2)]
+                                    for r1, r2 in zip(self.entries,
+                                                      other.entries)])
 
     def __sub__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        return ExactMatrix(self.field, [
-            [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-            for i in range(self.rows)])
+        return _matrix(self.field, [[p - q for p, q in zip(r1, r2)]
+                                    for r1, r2 in zip(self.entries,
+                                                      other.entries)])
 
     def __neg__(self):
-        return ExactMatrix(self.field,
-                           [[-e for e in row] for row in self.entries])
+        return _matrix(self.field, [[-e for e in row] for row in self.entries])
 
     def scale(self, c) -> "ExactMatrix":
         c = FieldElement.coerce(self.field, c)
-        return ExactMatrix(self.field,
-                           [[c * e for e in row] for row in self.entries])
+        return _matrix(self.field,
+                       [[c * e for e in row] for row in self.entries])
 
     def __mul__(self, other):
+        field = self.field
         if isinstance(other, ExactMatrix):
             assert self.cols == other.rows
-            z = self.field.zero()
-            return ExactMatrix(self.field, [
-                [sum((self.entries[i][t] * other.entries[t][j]
-                      for t in range(self.cols)), z)
-                 for j in range(other.cols)]
-                for i in range(self.rows)])
+            cols = list(zip(*other.entries))
+            return _matrix(field, [[_dot(field, row, col) for col in cols]
+                                   for row in self.entries])
         # vector (list of FieldElements / ints)
-        vec = [FieldElement.coerce(self.field, v) for v in other]
+        vec = [FieldElement.coerce(field, v) for v in other]
         assert len(vec) == self.cols
-        z = self.field.zero()
-        return [sum((self.entries[i][j] * vec[j] for j in range(self.cols)), z)
-                for i in range(self.rows)]
+        return [_dot(field, row, vec) for row in self.entries]
 
     def apply(self, vec):
         return self * vec
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.field, [[self.entries[i][j]
-                                         for i in range(self.rows)]
-                                        for j in range(self.cols)])
+        return _matrix(self.field, [list(col) for col in zip(*self.entries)])
 
     def galois(self, g: GaloisElement) -> "ExactMatrix":
-        return ExactMatrix(self.field, [[apply_galois(g, e) for e in row]
-                                        for row in self.entries])
+        return _matrix(self.field, [[apply_galois(g, e) for e in row]
+                                    for row in self.entries])
 
     # -- elimination ------------------------------------------------------
     def rref(self):
         """Reduced row echelon form; deterministic pivoting (leftmost
         nonzero column, smallest row index).  Returns (matrix, pivot cols)."""
+        if self.field.degree == 1:
+            return self._rref_rational()
+        field = self.field
         m = [row[:] for row in self.entries]
         pivots = []
         r = 0
@@ -369,16 +527,62 @@ class ExactMatrix:
                 continue
             m[r], m[pr] = m[pr], m[r]
             inv = m[r][c].inverse()
-            m[r] = [inv * e for e in m[r]]
+            m[r] = [e if e.is_zero() else inv * e for e in m[r]]
+            prow = m[r]
             for i in range(self.rows):
                 if i != r and not m[i][c].is_zero():
                     f = m[i][c]
-                    m[i] = [m[i][j] - f * m[r][j] for j in range(self.cols)]
+                    m[i] = [a if b.is_zero() else _axpy(field, a, f, b)
+                            for a, b in zip(m[i], prow)]
             pivots.append(c)
             r += 1
             if r == self.rows:
                 break
-        return ExactMatrix(self.field, m), pivots
+        return _matrix(field, m), pivots
+
+    def _rref_rational(self):
+        """rref over QQ: fraction-free integer Gauss-Jordan on rows scaled
+        to integers, each row kept primitive (Bareiss 1968 keeps entries
+        integral the same way); the reduced rows, unique, are built last."""
+        field = self.field
+        rows = []
+        for row in self.entries:
+            den = lcm(1, *(e.den for e in row))
+            ints = [e.nums[0] * (den // e.den) for e in row]
+            g = gcd(*ints)
+            rows.append([x // g for x in ints] if g > 1 else ints)
+        pivots = []
+        r = 0
+        for c in range(self.cols):
+            pr = None
+            for i in range(r, self.rows):
+                if rows[i][c]:
+                    pr = i
+                    break
+            if pr is None:
+                continue
+            rows[r], rows[pr] = rows[pr], rows[r]
+            prow = rows[r]
+            p = prow[c]
+            for i in range(self.rows):
+                f = rows[i][c]
+                if f and i != r:
+                    new = [p * x - f * y for x, y in zip(rows[i], prow)]
+                    g = gcd(*new)
+                    rows[i] = [x // g for x in new] if g > 1 else new
+            pivots.append(c)
+            r += 1
+            if r == self.rows:
+                break
+        zero = field.zero()
+        out = []
+        for i, row in enumerate(rows):
+            if i < r:
+                p = row[pivots[i]]
+                out.append([_ratio(field, x, p) if x else zero for x in row])
+            else:
+                out.append([zero] * self.cols)
+        return _matrix(field, out), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -401,8 +605,8 @@ class ExactMatrix:
         """One solution of self * x = rhs, or None if inconsistent."""
         rhs = [FieldElement.coerce(self.field, v) for v in rhs]
         assert len(rhs) == self.rows
-        aug = ExactMatrix(self.field, [self.entries[i] + [rhs[i]]
-                                       for i in range(self.rows)])
+        aug = _matrix(self.field, [self.entries[i] + [rhs[i]]
+                                   for i in range(self.rows)])
         red, pivots = aug.rref()
         if self.cols in pivots:
             return None
@@ -431,31 +635,33 @@ class ExactMatrix:
             for i in range(c + 1, self.rows):
                 if not m[i][c].is_zero():
                     f = m[i][c] * inv
-                    m[i] = [m[i][j] - f * m[c][j] for j in range(self.cols)]
+                    m[i] = [_axpy(self.field, a, f, b)
+                            for a, b in zip(m[i], m[c])]
         return d
 
 
 def _eigenvalue_candidates(field: MultiQuadField):
     """Finite trial set: coefficients in {±1, ±1/2} supported on at most two
     generator subsets.  Contains every root of unity of order dividing 8
-    expressible in the field, and all ±sqrt(d) monomials."""
-    halves = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
-    seen = set()
+    expressible in the field, and all ±sqrt(d) monomials.  No candidate
+    repeats: supports or coefficients differ."""
+    halves = ((1, 1), (-1, 1), (1, 2), (-1, 2))
+    n = field.degree
+    masks = field._order
     out = []
-
-    def push(e: FieldElement):
-        if e not in seen:
-            seen.add(e)
-            out.append(e)
-
-    subs = field.subsets
-    for s in subs:
-        for c in (Fraction(1), Fraction(-1)):
-            push(FieldElement(field, {s: c}))
-    for s1, s2 in combinations(subs, 2):
-        for c1 in halves:
-            for c2 in halves:
-                push(FieldElement(field, {s1: c1, s2: c2}))
+    for m in masks:
+        for c in (1, -1):
+            nums = [0] * n
+            nums[m] = c
+            out.append(_new(field, nums, 1))
+    for m1, m2 in combinations(masks, 2):
+        for c1, d1 in halves:
+            for c2, d2 in halves:
+                den = max(d1, d2)
+                nums = [0] * n
+                nums[m1] = c1 * den // d1
+                nums[m2] = c2 * den // d2
+                out.append(_new(field, nums, den))
     return out
 
 

@@ -172,26 +172,6 @@ def wedge2_module(w: WeightModule) -> WeightModule:
     return WeightModule(labels, acts, w.triples)
 
 
-def end_module(w: WeightModule) -> WeightModule:
-    """End(V) = V ⊗ V* with l.f = l∘f - f∘l."""
-    n = w.dim
-    labels = [f"E{i}{j}" for i in range(n) for j in range(n)]
-    acts = []
-    for name, a in w.actions.items():
-        out = _zeros(n * n, n * n)
-        for i in range(n):
-            for j in range(n):
-                col = i * n + j
-                for i2 in range(n):
-                    if a[i2][i]:
-                        out[i2 * n + j][col] += a[i2][i]
-                for j2 in range(n):
-                    if a[j][j2]:
-                        out[i * n + j2][col] -= a[j][j2]
-        acts.append((name, out))
-    return WeightModule(labels, acts, w.triples)
-
-
 def invariant_space(w: WeightModule):
     """Basis of { v : g.v = 0 for every generator }, exactly."""
     stacked = []

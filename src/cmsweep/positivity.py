@@ -24,7 +24,6 @@ from .fields import (ExactMatrix, FieldElement, apply_galois,
 
 GAUSS = field_create([-1])
 _CONJ = complex_conjugation(GAUSS)
-_IM_KEY = frozenset([0])
 
 
 def gauss(re, im=0) -> FieldElement:
@@ -38,24 +37,15 @@ def g_conj(e: FieldElement) -> FieldElement:
 
 
 def g_re(e: FieldElement) -> Fraction:
-    return e.coords.get(frozenset(), Fraction(0))
+    return Fraction(e.nums[0], e.den)
 
 
 def g_im(e: FieldElement) -> Fraction:
-    return e.coords.get(_IM_KEY, Fraction(0))
+    return Fraction(e.nums[1], e.den)
 
 
 def g_float(e: FieldElement) -> complex:
     return complex(g_re(e), g_im(e))
-
-
-def real_sign(e: FieldElement) -> int:
-    """Sign of a real element (imaginary part must vanish).  All values in
-    scope are rational; irrational totally real elements would go through
-    a guarded numeric evaluation."""
-    assert g_im(e) == 0, "sign of a non-real element requested"
-    r = g_re(e)
-    return 0 if r == 0 else (1 if r > 0 else -1)
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,16 @@ def _flip_generator(field: MultiQuadField, idx: int) -> GaloisElement:
 def _field_lift(small: MultiQuadField, big: MultiQuadField):
     """Inclusion of a multiquadratic field whose generators all occur among
     the generators of a bigger one."""
-    index_map = {t: big.gens.index(d) for t, d in enumerate(small.gens)}
+    # big-field bitmask of each small-field monomial
+    bit = [1 << big.gens.index(d) for d in small.gens]
+    mask_map = [sum(b for t, b in enumerate(bit) if m >> t & 1)
+                for m in range(small.degree)]
 
     def lift(e: FieldElement) -> FieldElement:
-        coords = {frozenset(index_map[i] for i in s): c
-                  for s, c in e.coords.items()}
-        return FieldElement(big, coords)
+        nums = [0] * big.degree
+        for m, x in zip(mask_map, e.nums):
+            nums[m] = x
+        return FieldElement.from_nums(big, nums, e.den)
 
     return lift
 

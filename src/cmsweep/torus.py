@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd
+from math import gcd, lcm
 
 from .fields import (QQ, ExactMatrix, FieldElement, MultiQuadField,
                      apply_galois, eigen_decompose, field_create)
@@ -247,13 +247,6 @@ def divisor_test(lat: IntLattice):
     return False, None
 
 
-def invariant_tensor_check(delta: IntLattice, exponents) -> bool:
-    """Membership of the exponent vector certifies the corresponding
-    character monomial is fixed by the subtorus cut out by delta."""
-    assert delta.ambient_rank == 4
-    return delta.contains(list(exponents))
-
-
 # ---------------------------------------------------------------------------
 # Galois descent of eigenline sums (finite route)
 # ---------------------------------------------------------------------------
@@ -266,9 +259,11 @@ def rational_intersection(field: MultiQuadField, vectors):
     ann = vmat.kernel()  # each a gives the equation sum_j a_j w_j = 0
     rows = []
     for a in ann:
-        for s in field.subsets:
-            row = [QQ.rational(aj.coords.get(s, Fraction(0))) for aj in a]
-            rows.append(row)
+        # one equation per monomial; scaling a row leaves the kernel alone
+        den = lcm(*(aj.den for aj in a))
+        for m in range(field.degree):
+            rows.append([QQ.rational(aj.nums[m] * (den // aj.den))
+                         for aj in a])
     if not rows:
         rows = [[QQ.zero()] * n]
     ker = ExactMatrix(QQ, rows).kernel()
@@ -413,19 +408,6 @@ def _charpoly_2x2_str(c: ExactMatrix) -> str:
     return f"t^2 - ({tr!r})*t + ({det!r})"
 
 
-def _line_to_int(vec):
-    """Scale a rational vector to a primitive integer vector."""
-    fr = [Fraction(x) for x in vec]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return [x // g for x in ints] if g else ints
-
-
 @dataclass
 class MixedFamily:
     """W(x1:x2) = span{u, w} with u = x1*a + x2*b and w forced linear in
@@ -561,13 +543,6 @@ def _hpoly_mul(p, q):
         for b, qb in enumerate(q):
             out[a + b] += pa * qb
     return out
-
-
-def _hpoly_sub(p, q):
-    n = max(len(p), len(q))
-    p = list(p) + [Fraction(0)] * (n - len(p))
-    q = list(q) + [Fraction(0)] * (n - len(q))
-    return [a - b for a, b in zip(p, q)]
 
 
 def _det3_linear(rows):

@@ -73,3 +73,54 @@ def test_all_subcommands_listed():
         "sweep-dim1", "sweep-order4", "sweep-klein4", "sweep-a4",
         "d4-cmtypes", "rep-classify", "antiweil-verify", "positivity",
         "gross-periods", "verify-all"}
+
+
+def test_verify_all_rejects_overrides(capsys):
+    # overrides used to skip the fixture diff of all nine sections
+    assert main(["verify-all", "-p", "1", "-n", "4"]) == 2
+    assert "verify-all does not take -p, -n" in capsys.readouterr().err
+
+
+def test_p_without_n_is_usage_error(capsys):
+    assert main(["gross-periods", "-p", "2"]) == 2
+    assert "-p and -n must be given together" in capsys.readouterr().err
+
+
+def test_n_without_p_is_usage_error(capsys):
+    assert main(["gross-periods", "-n", "3"]) == 2
+    assert "-p and -n must be given together" in capsys.readouterr().err
+
+
+def test_periods_options_only_on_gross_periods(capsys):
+    assert main(["positivity", "-p", "1", "-n", "4"]) == 2
+    assert "positivity does not take -p, -n" in capsys.readouterr().err
+
+
+def test_positivity_options_only_on_positivity(capsys):
+    assert main(["gross-periods", "--lam", "1"]) == 2
+    assert "gross-periods does not take --lam" in capsys.readouterr().err
+    assert main(["sweep-dim1", "--weil-x", "1,2,0,0"]) == 2
+    assert "sweep-dim1 does not take --weil-x" in capsys.readouterr().err
+
+
+def test_lam_zero_is_usage_error(capsys):
+    assert main(["positivity", "--lam", "0"]) == 2
+    assert "must be nonzero" in capsys.readouterr().err
+
+
+def test_weil_x_arity_is_usage_error(capsys):
+    assert main(["positivity", "--weil-x", "1,2"]) == 2
+    assert "expected 4 comma-separated rationals, got 2" in \
+        capsys.readouterr().err
+
+
+def test_positivity_overrides_run(capsys):
+    assert main(["positivity", "--lam", "2", "--weil-x", "1,2,0,0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["notes"] == ["positivity: parameter overrides, "
+                               "fixture skipped"]
+
+
+def test_jobs_option_is_gone(capsys):
+    assert main(["sweep-dim1", "--jobs", "2"]) == 2
+    capsys.readouterr()
