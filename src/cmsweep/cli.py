@@ -12,7 +12,9 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from importlib import resources
+from pathlib import Path
 
 from . import __version__
 
@@ -166,7 +168,7 @@ def _check(case_id, ok, certificate, table):
             "certificate": certificate, "table": table}
 
 
-def _run_positivity(lam=None, weil_x=None):
+def _run_positivity(weil_x=None):
     from . import positivity as pos
     records = []
     v = pos.diagonal_feasibility(pos.deg4_imaginary_system())
@@ -178,11 +180,8 @@ def _run_positivity(lam=None, weil_x=None):
         "verdict": "INFEASIBLE" if w is not None else "FAIL",
         "certificate": {"zero_witness": [str(c) for c in (w or [])]},
         "table": "positivity"})
-    for tag, lam_val in (("neg", -1), ("pos", 1)):
-        lv = lam if lam is not None else lam_val
-        if (lv > 0) != (lam_val > 0):
-            lv = lam_val
-        v = pos.antiweil_lambda_positive(lv)
+    for tag, lam in (("neg", -1), ("pos", 1)):
+        v = pos.antiweil_lambda_positive(lam)
         records.append({"case_id": f"antiweil-imaginary-lam-{tag}",
                         "verdict": v.status, "certificate": v.certificate,
                         "table": "positivity"})
@@ -223,6 +222,16 @@ def _run_gross_periods(p=None, n=None):
     return records
 
 
+def _error_certificate(exc):
+    """The message, class and innermost cmsweep frame of an exception
+    raised under run_cases (so at least one frame is in this package)."""
+    package = Path(__file__).resolve().parent
+    *_, frame = (f for f in traceback.extract_tb(exc.__traceback__)
+                 if Path(f.filename).resolve().parent == package)
+    return {"message": str(exc), "type": type(exc).__name__,
+            "where": f"{Path(frame.filename).name}:{frame.lineno}"}
+
+
 def run_cases(sub, args):
     if sub in SWEEPS:
         return _run_sweep(sub)
@@ -233,7 +242,7 @@ def run_cases(sub, args):
     if sub == "antiweil-verify":
         return _run_antiweil_verify()
     if sub == "positivity":
-        return _run_positivity(lam=args.lam, weil_x=args.weil_x)
+        return _run_positivity(weil_x=args.weil_x)
     if sub == "gross-periods":
         return _run_gross_periods(p=args.p, n=args.n)
     raise ValueError(sub)
@@ -245,8 +254,7 @@ def run_cases(sub, args):
 
 def _fixture_file(args, sub):
     if args.fixtures:
-        import pathlib
-        return pathlib.Path(args.fixtures) / f"{sub}.json"
+        return Path(args.fixtures) / f"{sub}.json"
     return resources.files("cmsweep") / "fixtures" / f"{sub}.json"
 
 
@@ -254,29 +262,64 @@ def _canonical(cases):
     return json.dumps(cases, sort_keys=True, indent=2) + "\n"
 
 
+def _first_difference(want, got, path=""):
+    """The first key path at which two JSON values differ, or None."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key in sorted(set(want) | set(got)):
+            sub = f"{path}.{key}" if path else key
+            if key not in want or key not in got:
+                return sub
+            diff = _first_difference(want[key], got[key], sub)
+            if diff is not None:
+                return diff
+        return None
+    if isinstance(want, list) and isinstance(got, list):
+        for i, (a, b) in enumerate(zip(want, got)):
+            diff = _first_difference(a, b, f"{path}[{i}]")
+            if diff is not None:
+                return diff
+        if len(want) != len(got):
+            return f"{path}[{min(len(want), len(got))}]"
+        return None
+    return None if want == got else path
+
+
 def compare_with_fixture(args, sub, cases):
-    """Returns (passed, failed, note)."""
+    """Returns (passed, failed, note).  A case passes when its case_id is
+    unique on both sides and its record equals the fixture's; the note
+    names every other case and is empty when all pass."""
     path = _fixture_file(args, sub)
     try:
         golden = json.loads(path.read_text())
     except (FileNotFoundError, OSError):
         return 0, len(cases), f"fixture missing: {sub}.json"
+    want_ids = [c["case_id"] for c in golden]
+    got_ids = [c["case_id"] for c in cases]
+    duplicate = sorted({k for ids in (want_ids, got_ids) for k in ids
+                        if ids.count(k) > 1})
+    missing = [k for k in want_ids if k not in got_ids]
+    extra = [k for k in got_ids if k not in want_ids]
     by_id = {c["case_id"]: c for c in golden}
-    passed = failed = 0
+    passed = 0
+    mismatched = []
     for c in cases:
-        if by_id.get(c["case_id"]) == c:
+        k = c["case_id"]
+        if k in duplicate or k in extra:
+            continue
+        diff = _first_difference(by_id[k], c)
+        if diff is None:
             passed += 1
         else:
-            failed += 1
-    if len(golden) != len(cases):
-        failed += abs(len(golden) - len(cases))
-    return passed, failed, ""
+            mismatched.append(f"{k} at {diff}")
+    failed = len(cases) - passed + len(missing)
+    problems = [f"{what} {', '.join(ids)}" for what, ids in (
+        ("mismatched", mismatched), ("missing", missing),
+        ("extra", extra), ("duplicate case_id", duplicate)) if ids]
+    return passed, failed, f"{sub}: {'; '.join(problems)}" if problems else ""
 
 
 def bless_fixture(args, sub, cases):
-    import pathlib
-    path = _fixture_file(args, sub)
-    path = pathlib.Path(str(path))
+    path = Path(str(_fixture_file(args, sub)))
     path.parent.mkdir(parents=True, exist_ok=True)
     old = None
     if path.exists():
@@ -325,16 +368,9 @@ def _parse_x(text):
     return x
 
 
-def _nonzero_int(text):
-    lam = int(text)
-    if lam == 0:
-        raise argparse.ArgumentTypeError("must be nonzero")
-    return lam
-
-
 # the case-parameter options by argparse name, and who takes them
-OVERRIDE_FLAGS = {"p": "-p", "n": "-n", "lam": "--lam", "weil_x": "--weil-x"}
-OVERRIDES = {"gross-periods": ("p", "n"), "positivity": ("lam", "weil_x")}
+OVERRIDE_FLAGS = {"p": "-p", "n": "-n", "weil_x": "--weil-x"}
+OVERRIDES = {"gross-periods": ("p", "n"), "positivity": ("weil_x",)}
 
 
 def _override_error(args):
@@ -362,8 +398,6 @@ def main(argv=None) -> int:
                         help="rewrite fixtures, printing a diff summary")
     parser.add_argument("--timing", action="store_true",
                         help="include runtime_ms in case records")
-    parser.add_argument("--lam", type=_nonzero_int, default=None,
-                        help="positivity only: lambda of the antiweil cases")
     parser.add_argument("--weil-x", type=_parse_x, default=None,
                         help="positivity only: x as 4 comma-separated "
                         "rationals")
@@ -382,8 +416,7 @@ def main(argv=None) -> int:
     subs = list(SWEEPS) + ["d4-cmtypes", "rep-classify", "antiweil-verify",
                            "positivity", "gross-periods"] \
         if args.subcommand == "verify-all" else [args.subcommand]
-    overridden = any(v is not None
-                     for v in (args.lam, args.weil_x, args.p, args.n))
+    overridden = any(v is not None for v in (args.weil_x, args.p, args.n))
 
     sections = []
     total_pass = total_fail = 0
@@ -394,7 +427,7 @@ def main(argv=None) -> int:
             cases = run_cases(sub, args)
         except Exception as exc:  # surfaced as a failing case
             cases = [{"case_id": f"{sub}:error", "verdict": "ERROR",
-                      "certificate": {"message": str(exc)}, "table": sub}]
+                      "certificate": _error_certificate(exc), "table": sub}]
         ms = int((time.monotonic() - t0) * 1000)
         if args.bless:
             notes.append(bless_fixture(args, sub, cases))

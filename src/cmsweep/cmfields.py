@@ -14,6 +14,23 @@ from dataclasses import dataclass
 from itertools import combinations
 
 
+def closure(gens, mul, identity) -> frozenset:
+    """The subgroup of a finite group generated by gens, by breadth-first
+    products on both sides."""
+    elems = {identity}
+    frontier = list(gens)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            if g not in elems:
+                elems.add(g)
+                for h in list(elems):
+                    nxt.append(mul(g, h))
+                    nxt.append(mul(h, g))
+        frontier = nxt
+    return frozenset(elems)
+
+
 class CMFieldModel:
     """A finite group with a chosen central involution tau."""
 
@@ -39,22 +56,8 @@ class CMFieldModel:
         gens_pool = list(self.elements)
         for r in (1, 2, 3):
             for gens in combinations(gens_pool, r):
-                found.add(self._closure(gens))
+                found.add(closure(gens, self.mul, self.identity))
         return sorted(found, key=lambda s: (len(s), sorted(map(self.order_key, s))))
-
-    def _closure(self, gens):
-        elems = {self.identity}
-        frontier = list(gens)
-        while frontier:
-            nxt = []
-            for g in frontier:
-                if g not in elems:
-                    elems.add(g)
-                    for h in list(elems):
-                        nxt.append(self.mul(g, h))
-                        nxt.append(self.mul(h, g))
-            frontier = nxt
-        return frozenset(elems)
 
 
 # --- concrete models -------------------------------------------------------

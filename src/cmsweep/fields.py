@@ -615,6 +615,20 @@ class ExactMatrix:
             x[pc] = red.entries[r][self.cols]
         return x
 
+    def inverse(self) -> "ExactMatrix":
+        """M^-1 from one rref of [M | I]; ZeroDivisionError if M is
+        singular."""
+        assert self.rows == self.cols
+        n = self.rows
+        zero, one = self.field.zero(), self.field.one()
+        aug = _matrix(self.field, [row + [one if i == j else zero
+                                          for j in range(n)]
+                                   for i, row in enumerate(self.entries)])
+        red, pivots = aug.rref()
+        if pivots != list(range(n)):
+            raise ZeroDivisionError("matrix is singular")
+        return _matrix(self.field, [row[n:] for row in red.entries])
+
     def det(self) -> FieldElement:
         assert self.rows == self.cols
         m = [row[:] for row in self.entries]

@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .fields import QQ, ExactMatrix
+
 
 def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     """Row HNF: positive pivots, entries above each pivot reduced into
@@ -216,8 +218,10 @@ def saturate(l: IntLattice) -> IntLattice:
     r = len(factors)
     # U*B*V = S  =>  B = U^-1 * S * V^-1; rows of B span same as rows of
     # S * V^-1, i.e. d_i * (row_i of V^-1).  Saturation = rows of V^-1.
-    vinv = _int_inverse(v)
-    return IntLattice(l.ambient_rank, vinv[:r])
+    vinv = ExactMatrix(QQ, v).inverse().entries
+    assert all(e.den == 1 for row in vinv for e in row)  # V is unimodular
+    return IntLattice(l.ambient_rank,
+                      [[e.nums[0] for e in row] for row in vinv[:r]])
 
 
 def saturation_index(l: IntLattice) -> int:
@@ -229,30 +233,6 @@ def saturation_index(l: IntLattice) -> int:
     for d in factors:
         idx *= d
     return idx
-
-
-def _int_inverse(mat):
-    """Inverse of a unimodular integer matrix, exactly."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pr = next(i for i in range(c, n) if a[i][c] != 0)
-        a[c], a[pr] = a[pr], a[c]
-        inv[c], inv[pr] = inv[pr], inv[c]
-        f = a[c][c]
-        a[c] = [x / f for x in a[c]]
-        inv[c] = [x / f for x in inv[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                g = a[i][c]
-                a[i] = [x - g * y for x, y in zip(a[i], a[c])]
-                inv[i] = [x - g * y for x, y in zip(inv[i], inv[c])]
-    out = []
-    for row in inv:
-        assert all(x.denominator == 1 for x in row)
-        out.append([int(x) for x in row])
-    return out
 
 
 def rational_span_intersect(vectors, ambient_rank: int) -> IntLattice:

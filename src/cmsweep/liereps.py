@@ -338,26 +338,6 @@ def classify_dim4_faithful():
 # top-wedge layer identities
 # ---------------------------------------------------------------------------
 
-def _det(mat):
-    m = [[Fraction(x) for x in row] for row in mat]
-    n = len(m)
-    sign = 1
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        det *= m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c] / m[c][c]
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * det
-
-
 def _random_unimodular(n, rng, steps=8):
     m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for _ in range(steps):
@@ -385,7 +365,7 @@ def weil_wedge_fixed_by_block_sl(block_dims, samples=20, seed=0,
     for blist in runs:
         assert len(blist) == len(block_dims)
         # top wedge of an n x n block is multiplication by its determinant
-        if any(_det(b) != 1 for b in blist):
+        if any(ExactMatrix(QQ, b).det() != 1 for b in blist):
             return False
     return True
 

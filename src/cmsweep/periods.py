@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .fields import QQ, ExactMatrix
+
 DEFAULT_BASIS = ("b", "2*pi*i")
 
 
@@ -68,27 +70,7 @@ def trdeg_lower_bound(ms) -> int:
         return 0
     basis = ms[0].basis
     assert all(m.basis == basis for m in ms)
-    rows = [[Fraction(e) for e in m.exponents] for m in ms]
-    return _rational_rank(rows)
-
-
-def _rational_rank(rows) -> int:
-    rows = [r[:] for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows))
-                      if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / pr[col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
-        rank += 1
-    return rank
+    return ExactMatrix(QQ, [m.exponents for m in ms]).rank()
 
 
 def twisted_membership(ms, k: int) -> bool:

@@ -44,10 +44,6 @@ def g_im(e: FieldElement) -> Fraction:
     return Fraction(e.nums[1], e.den)
 
 
-def g_float(e: FieldElement) -> complex:
-    return complex(g_re(e), g_im(e))
-
-
 # ---------------------------------------------------------------------------
 # sign-monomial diagonal systems
 # ---------------------------------------------------------------------------
@@ -319,14 +315,13 @@ _FAMILY_GRAM = ((0, 0, 0, 1),
                 (1, 0, 0, 0))
 
 
-def weil_family_check(x, float_samples=100, seed=0) -> dict:
+def weil_family_check(x) -> dict:
     """Decide whether the 4-vector x of Gaussian rationals cuts out a
     polarized member of the weight-1 family: (i) S(x) = x0 x3~ + x1 x1~ +
     x2 x2~ + x3 x0~ < 0; (ii) the 3-dimensional orthogonal subspace
     x0 y3 - x1 y2 - x2 y1 + x3 y0 = 0; (iii) the induced Hermitian form
     is positive definite (leading principal minors); (iv) the reduced
-    discriminant condition when x1 != 0; plus a floating-point sampling
-    oracle."""
+    discriminant condition when x1 != 0."""
     x = [e if isinstance(e, FieldElement) else gauss(e) for e in x]
     assert len(x) == 4
     if all(e.is_zero() for e in x):
@@ -379,25 +374,6 @@ def weil_family_check(x, float_samples=100, seed=0) -> dict:
         assert g_im(disc) == 0
         report["discriminant"] = str(g_re(disc))
         report["discriminant_negative"] = g_re(disc) < 0
-
-    # floating-point sampling oracle on the subspace
-    if float_samples:
-        import numpy as np
-        rng = np.random.default_rng(seed)
-        bf = np.array([[g_float(e) for e in b] for b in basis])
-        hf = np.array(_FAMILY_GRAM, dtype=float)
-        agree = True
-        for _ in range(float_samples):
-            c = rng.normal(size=3) + 1j * rng.normal(size=3)
-            v = c @ bf
-            q = (v @ hf @ np.conj(v)).real
-            if positive_definite and q <= 1e-12:
-                agree = False
-            if not positive_definite and q < -1e-12:
-                # indefinite forms must eventually show a violation; a
-                # single nonnegative sample is not disagreement
-                pass
-        report["float_oracle_agrees"] = agree
 
     report["status"] = "IN_FAMILY" if positive_definite else "NOT_IN_FAMILY"
     return report

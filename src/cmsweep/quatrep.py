@@ -19,6 +19,8 @@ from itertools import product as iproduct
 from .fields import (QQ, DependentGenerators, ExactMatrix, FieldElement,
                      GaloisElement, MultiQuadField, apply_galois,
                      field_create)
+from .liereps import (WeightModule, invariant_space, tensor_module,
+                      wedge2_module)
 
 
 def _flip_generator(field: MultiQuadField, idx: int) -> GaloisElement:
@@ -347,18 +349,6 @@ GALOIS_LIE_TABLE = {
 }
 
 
-def _mat_inverse(m: ExactMatrix) -> ExactMatrix:
-    n = m.rows
-    cols = []
-    for t in range(n):
-        rhs = [m.field.one() if i == t else m.field.zero() for i in range(n)]
-        sol = m.solve(rhs)
-        assert sol is not None
-        cols.append(sol)
-    return ExactMatrix(m.field, [[cols[j][i] for j in range(n)]
-                                 for i in range(n)])
-
-
 class AntiWeilRep:
     """The 8-dimensional rational representation of E(a,1)^o determined by
     the weight-basis tables, realized concretely: V ⊗ F has the f-basis
@@ -407,7 +397,7 @@ class AntiWeilRep:
             tuple(f"w{l}" for l in WEIGHT_LABELS)
         self.B = ExactMatrix(F, [[cols[j][i] for j in range(8)]
                                  for i in range(8)])
-        self.B_inv = _mat_inverse(self.B)
+        self.B_inv = self.B.inverse()
 
         # action matrices, f-coordinates
         self.mu = {}
@@ -649,18 +639,14 @@ class AntiWeilRep:
         span = ExactMatrix(Fq, [[gens[n][t] for n in GENERATOR_NAMES]
                                 for t in range(8)])
         lift = _field_lift(Fq, F)
-        zero_rows = [[F.zero()] * 8 for _ in range(8)]
         rational_mats = {}
         for name, idx in self.RATIONAL_UNITS:
             target = [Fq.one() if t == idx else Fq.zero() for t in range(8)]
             sol = span.solve(target)
             assert sol is not None
-            acc = ExactMatrix(F, [row[:] for row in zero_rows])
+            acc = ExactMatrix(F, [[F.zero()] * 8 for _ in range(8)])
             for c, gname in zip(sol, GENERATOR_NAMES):
-                scaled = self.mu[gname].scale(lift(c))
-                acc = ExactMatrix(F, [[p + q for p, q in zip(r1, r2)]
-                                      for r1, r2 in zip(acc.entries,
-                                                        scaled.entries)])
+                acc = acc + self.mu[gname].scale(lift(c))
             rational_mats[name] = acc
 
         cols = []
@@ -676,7 +662,7 @@ class AntiWeilRep:
             cols.append(c)
         U = ExactMatrix(F, [[cols[j][i] for j in range(8)]
                             for i in range(8)])
-        U_inv = _mat_inverse(U)
+        U_inv = U.inverse()
         out = {}
         for name, mat in list(rational_mats.items()) + [("J", self.J)]:
             ru = U_inv * mat * U
@@ -712,47 +698,27 @@ def verify_irreducibility(rep: AntiWeilRep) -> bool:
 # degree-2 invariants of the rational model (kernel computations)
 # ---------------------------------------------------------------------------
 
+def _rational_module(rep: AntiWeilRep) -> WeightModule:
+    """V over Q with the rational units and J of one rational_model()
+    call as its generator actions."""
+    model = rep.rational_model()
+    names = [n for n, _ in AntiWeilRep.RATIONAL_UNITS] + ["J"]
+    return WeightModule(range(8), [(n, model[n]) for n in names], [])
+
+
 def invariant_endomorphisms_dim(rep: AntiWeilRep) -> int:
     """dim of { T in End(V) : [mu(l), T] = 0 for all l, [J, T] = 0 },
-    computed over Q in the rational model.  Expected 2 (the quadratic
-    field acting)."""
-    model = rep.rational_model()
-    mats = [model[n] for n, _ in AntiWeilRep.RATIONAL_UNITS] + [model["J"]]
-    rows = []
-    for m in mats:
-        # [m, T] = 0: 64 equations linear in T's 64 entries
-        for i in range(8):
-            for j in range(8):
-                coeff = [Fraction(0)] * 64
-                for t in range(8):
-                    coeff[8 * t + j] += Fraction(m[i][t])
-                    coeff[8 * i + t] -= Fraction(m[t][j])
-                rows.append([QQ.rational(c) for c in coeff])
-    ker = ExactMatrix(QQ, rows).kernel()
-    return len(ker)
+    computed over Q in the rational model as the invariants of V ⊗ V*,
+    where m ⊗ 1 + 1 ⊗ (-m^T) acts as T -> [m, T].  Expected 2 (the
+    quadratic field acting)."""
+    w = _rational_module(rep)
+    dual = WeightModule(range(8), [(n, [[-x for x in col] for col in zip(*m)])
+                                   for n, m in w.actions.items()], [])
+    return len(invariant_space(tensor_module(w, dual)))
 
 
 def invariant_wedge2_dim(rep: AntiWeilRep) -> int:
     """dim of the wedge-square invariants under the six generators and
     the centered quadratic action (which kills no symplectic line);
     expected 1, the line of the symplectic form."""
-    from itertools import combinations
-    model = rep.rational_model()
-    pairs = list(combinations(range(8), 2))
-    index = {p: t for t, p in enumerate(pairs)}
-    mats = [model[n] for n, _ in AntiWeilRep.RATIONAL_UNITS] + [model["J"]]
-    rows = []
-    for m in mats:
-        act = [[Fraction(0)] * len(pairs) for _ in range(len(pairs))]
-        for (i, j), col in index.items():
-            for i2 in range(8):
-                if m[i2][i] and i2 != j:
-                    p, sign = ((i2, j), 1) if i2 < j else ((j, i2), -1)
-                    act[index[p]][col] += sign * Fraction(m[i2][i])
-            for j2 in range(8):
-                if m[j2][j] and j2 != i:
-                    p, sign = ((i, j2), 1) if i < j2 else ((j2, i), -1)
-                    act[index[p]][col] += sign * Fraction(m[j2][j])
-        rows.extend([[QQ.rational(c) for c in row] for row in act])
-    ker = ExactMatrix(QQ, rows).kernel()
-    return len(ker)
+    return len(invariant_space(wedge2_module(_rational_module(rep))))

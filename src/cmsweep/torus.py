@@ -24,8 +24,10 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 
-from .fields import (QQ, ExactMatrix, FieldElement, MultiQuadField,
-                     apply_galois, eigen_decompose, field_create)
+from .cmfields import closure
+from .fields import (QQ, DoesNotSplit, ExactMatrix, FieldElement,
+                     MultiQuadField, apply_galois, eigen_decompose,
+                     field_create)
 from .intlat import IntLattice, rational_span_intersect
 
 # ---------------------------------------------------------------------------
@@ -123,19 +125,9 @@ class SignedGroup:
     """A finite set of GenPermMatrix closed under product, containing -I."""
 
     def __init__(self, generators):
-        gens = list(generators) + [GenPermMatrix(MINUS_I4)]
-        elems = {GenPermMatrix(IDENTITY4)}
-        frontier = list(gens)
-        while frontier:
-            new = []
-            for a in frontier:
-                if a not in elems:
-                    elems.add(a)
-                    for b in list(elems):
-                        new.append(a * b)
-                        new.append(b * a)
-            frontier = new
-        self.elements = frozenset(elems)
+        self.elements = closure(list(generators) + [GenPermMatrix(MINUS_I4)],
+                                GenPermMatrix.__mul__,
+                                GenPermMatrix(IDENTITY4))
 
     def image_in_s4(self):
         return frozenset(forgetful_map(m) for m in self.elements)
@@ -147,21 +139,6 @@ class SignedGroup:
 
 def _compose(p, q):
     return tuple(p[q[i]] for i in range(4))
-
-
-def _closure(gens):
-    elems = {tuple(range(4))}
-    frontier = list(gens)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            if a not in elems:
-                elems.add(a)
-                for b in list(elems):
-                    nxt.append(_compose(a, b))
-                    nxt.append(_compose(b, a))
-        frontier = nxt
-    return frozenset(elems)
 
 
 def _is_transitive(group):
@@ -189,11 +166,12 @@ def _perm_order(p):
 def all_subgroups_s4():
     """All subgroups of S4 (every subgroup of S4 is 2-generated)."""
     elems = [tuple(p) for p in permutations(range(4))]
-    subs = {frozenset([tuple(range(4))])}
+    ident = tuple(range(4))
+    subs = {frozenset([ident])}
     for a in elems:
-        subs.add(_closure([a]))
+        subs.add(closure([a], _compose, ident))
         for b in elems:
-            subs.add(_closure([a, b]))
+            subs.add(closure([a, b], _compose, ident))
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
@@ -388,18 +366,13 @@ def _restrict(m, basis, field):
 
 
 def _eigenlines_2x2(c: ExactMatrix):
-    """Eigenlines of a 2x2 matrix over its field; [] when the
-    characteristic polynomial has no root there."""
-    lines = []
-    ident = ExactMatrix.identity(c.field, 2)
-    from .fields import _eigenvalue_candidates
-    for lam in _eigenvalue_candidates(c.field):
-        ker = (c - ident.scale(lam)).kernel()
-        for v in ker:
-            lines.append((lam, v))
-        if len(lines) >= 2:
-            break
-    return lines
+    """Eigenlines of a semisimple 2x2 matrix over its field; [] when the
+    matrix does not split there."""
+    try:
+        found = eigen_decompose(c)
+    except DoesNotSplit:
+        return []
+    return [(lam, v) for lam, ker in found for v in ker]
 
 
 def _charpoly_2x2_str(c: ExactMatrix) -> str:

@@ -1,7 +1,11 @@
 """End-to-end driver checks: exit codes, fixture comparison, determinism."""
 
+import inspect
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,15 +101,15 @@ def test_periods_options_only_on_gross_periods(capsys):
 
 
 def test_positivity_options_only_on_positivity(capsys):
-    assert main(["gross-periods", "--lam", "1"]) == 2
-    assert "gross-periods does not take --lam" in capsys.readouterr().err
     assert main(["sweep-dim1", "--weil-x", "1,2,0,0"]) == 2
     assert "sweep-dim1 does not take --weil-x" in capsys.readouterr().err
 
 
-def test_lam_zero_is_usage_error(capsys):
-    assert main(["positivity", "--lam", "0"]) == 2
-    assert "must be nonzero" in capsys.readouterr().err
+def test_lam_option_is_gone(capsys):
+    # each antiweil case fixes its own sign of lambda, so --lam never
+    # changed a record
+    assert main(["positivity", "--lam", "2"]) == 2
+    capsys.readouterr()
 
 
 def test_weil_x_arity_is_usage_error(capsys):
@@ -115,7 +119,7 @@ def test_weil_x_arity_is_usage_error(capsys):
 
 
 def test_positivity_overrides_run(capsys):
-    assert main(["positivity", "--lam", "2", "--weil-x", "1,2,0,0"]) == 0
+    assert main(["positivity", "--weil-x", "1,2,0,0"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["notes"] == ["positivity: parameter overrides, "
                                "fixture skipped"]
@@ -124,3 +128,85 @@ def test_positivity_overrides_run(capsys):
 def test_jobs_option_is_gone(capsys):
     assert main(["sweep-dim1", "--jobs", "2"]) == 2
     capsys.readouterr()
+
+
+def _copy_fixtures(tmp_path):
+    for f in FIXDIR.glob("*.json"):
+        shutil.copy(f, tmp_path / f.name)
+    return json.loads((tmp_path / "sweep-dim1.json").read_text())
+
+
+def _run_dim1(tmp_path, data, capsys):
+    (tmp_path / "sweep-dim1.json").write_text(json.dumps(data))
+    rc = main(["sweep-dim1", "--fixtures", str(tmp_path)])
+    return rc, json.loads(capsys.readouterr().out)
+
+
+def test_passing_run_has_no_notes(capsys):
+    assert main(["sweep-dim1"]) == 0
+    assert "notes" not in json.loads(capsys.readouterr().out)
+
+
+def test_mismatch_note_names_case_and_key(tmp_path, capsys):
+    data = _copy_fixtures(tmp_path)
+    case_id = data[0]["case_id"]
+    key = sorted(data[0]["certificate"])[0]
+    data[0]["certificate"][key] = "tampered"
+    rc, report = _run_dim1(tmp_path, data, capsys)
+    assert rc == 1
+    assert report["summary"] == {"passed": 11, "failed": 1}
+    assert report["notes"] == [
+        f"sweep-dim1: mismatched {case_id} at certificate.{key}"]
+
+
+def test_missing_and_extra_cases_are_named(tmp_path, capsys):
+    data = _copy_fixtures(tmp_path)
+    gone = data.pop(3)["case_id"]
+    data.append(dict(data[0], case_id="not-a-case"))
+    rc, report = _run_dim1(tmp_path, data, capsys)
+    assert rc == 1
+    assert report["summary"] == {"passed": 11, "failed": 2}
+    assert report["notes"] == [
+        f"sweep-dim1: missing not-a-case; extra {gone}"]
+
+
+def test_duplicate_case_id_fails(tmp_path, capsys):
+    data = _copy_fixtures(tmp_path)
+    case_id = data[1]["case_id"]
+    data.append(data[1])
+    rc, report = _run_dim1(tmp_path, data, capsys)
+    assert rc == 1
+    assert report["summary"] == {"passed": 11, "failed": 1}
+    assert report["notes"] == [
+        f"sweep-dim1: duplicate case_id {case_id}"]
+
+
+def test_error_record_names_type_and_frame(monkeypatch, capsys):
+    from cmsweep import periods
+    # a bare assert inside the package: the message alone is empty
+    monkeypatch.setattr(periods, "gross_matrix",
+                        lambda p, n: periods.PeriodMonomial((p, n), 0))
+    lines, start = inspect.getsourcelines(periods.PeriodMonomial.__post_init__)
+    line = start + next(i for i, text in enumerate(lines)
+                        if "assert self.coefficient" in text)
+    assert main(["gross-periods"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    (case,) = report["sections"][0]["cases"]
+    assert case["case_id"] == "gross-periods:error"
+    assert case["verdict"] == "ERROR"
+    assert case["certificate"] == {"message": "", "type": "AssertionError",
+                                   "where": f"periods.py:{line}"}
+
+
+def test_verify_all_imports_neither_numpy_nor_sympy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cmsweep.cli",
+         "verify-all"], env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0
+    imported = {line.rsplit("|", 1)[-1].strip().split(".")[0]
+                for line in run.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "cmsweep" in imported
+    assert not imported & {"numpy", "sympy"}

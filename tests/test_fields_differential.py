@@ -194,3 +194,45 @@ def test_qq_rref_matches_generic(m):
 ])
 def test_qq_rref_edge_shapes(m):
     _check_qq_rref([[Fraction(x) for x in row] for row in m])
+
+
+def square_matrices(field, n):
+    entry = coord_dicts(field).map(lambda c: FieldElement(field, c))
+    return st.lists(st.lists(entry, min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_inverse_matches_oracle(data):
+    field = data.draw(towers())
+    n = data.draw(st.integers(1, 4))
+    m = ExactMatrix(field, data.draw(square_matrices(field, n)))
+    ident = ExactMatrix.identity(field, n)
+    aug = [row + irow for row, irow in zip(m.entries, ident.entries)]
+    want, pivots = oracle.rref(_oracle_rows(field, aug))
+    if pivots != list(range(n)):
+        with pytest.raises(ZeroDivisionError):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert m * inv == ident
+    assert [[e.coords for e in row] for row in inv.entries] == \
+        [[e.coords for e in row[n:]] for row in want]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_singular_inverse_raises(data):
+    field = data.draw(towers())
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(square_matrices(field, n))[:n - 1]
+    # the last row is a field combination of the others (zero when n = 1)
+    coeffs = [FieldElement(field, data.draw(coord_dicts(field)))
+              for _ in rows]
+    last = [sum((c * row[j] for c, row in zip(coeffs, rows)), field.zero())
+            for j in range(n)]
+    at = data.draw(st.integers(0, n - 1))
+    m = ExactMatrix(field, rows[:at] + [last] + rows[at:])
+    with pytest.raises(ZeroDivisionError):
+        m.inverse()

@@ -16,6 +16,7 @@ from cmsweep.positivity import (DiagonalPositivitySystem, Monomial,
                                 deg4_imaginary_system, diagonal_feasibility,
                                 gauss, weil_family_check,
                                 zero_witness_real_case)
+from positivity_oracle import float_oracle_agrees
 
 
 def test_deg4_imaginary_infeasible_with_certificate():
@@ -89,7 +90,7 @@ def test_weil_family_member():
     assert rep["s_value"] == "-2"
     assert rep["s_negative"] and rep["positive_definite"]
     assert rep["minors"] == ["1", "1", "2"]
-    assert rep["float_oracle_agrees"]
+    assert float_oracle_agrees((1, 0, 0, -1), rep)
 
 
 def test_weil_family_nonmember():
@@ -115,7 +116,7 @@ def test_weil_family_random_agreement_with_float_oracle():
                   for _ in range(4))
         if all(e.is_zero() for e in x):
             continue
-        rep = weil_family_check(x, float_samples=40, seed=checked)
+        rep = weil_family_check(x)
         if rep["status"] == "IN_FAMILY":
-            assert rep["float_oracle_agrees"]
+            assert float_oracle_agrees(x, rep, samples=40, seed=checked)
         checked += 1
