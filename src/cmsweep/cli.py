@@ -397,7 +397,7 @@ def main(argv=None) -> int:
     parser.add_argument("--bless", action="store_true",
                         help="rewrite fixtures, printing a diff summary")
     parser.add_argument("--timing", action="store_true",
-                        help="include runtime_ms in case records")
+                        help="include runtime_ms in each section")
     parser.add_argument("--weil-x", type=_parse_x, default=None,
                         help="positivity only: x as 4 comma-separated "
                         "rationals")

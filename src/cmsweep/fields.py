@@ -497,9 +497,6 @@ class ExactMatrix:
         assert len(vec) == self.cols
         return [_dot(field, row, vec) for row in self.entries]
 
-    def apply(self, vec):
-        return self * vec
-
     def transpose(self) -> "ExactMatrix":
         return _matrix(self.field, [list(col) for col in zip(*self.entries)])
 

@@ -118,10 +118,6 @@ class QuaternionAlgebra:
         z[t] = self.field.one()
         return tuple(z)
 
-    def from_coeffs(self, coeffs):
-        assert len(coeffs) == self.dim
-        return tuple(FieldElement.coerce(self.field, c) for c in coeffs)
-
     def add(self, x, y):
         return tuple(p + q for p, q in zip(x, y))
 

@@ -19,7 +19,7 @@ two +-1 coordinates), rank collapse, or failure of Galois descent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
@@ -108,11 +108,6 @@ class GenPermMatrix:
         return f"GenPermMatrix({list(map(list, self.rows))})"
 
 
-def forgetful_map(m: GenPermMatrix):
-    """Underlying permutation (flip every -1 entry to 1)."""
-    return m.permutation
-
-
 def signed_lift(perm, signs) -> GenPermMatrix:
     """The matrix sending e_j to signs[j] * e_perm[j]."""
     rows = [[0] * 4 for _ in range(4)]
@@ -130,7 +125,8 @@ class SignedGroup:
                                 GenPermMatrix(IDENTITY4))
 
     def image_in_s4(self):
-        return frozenset(forgetful_map(m) for m in self.elements)
+        """Underlying permutations (every -1 entry flipped to 1)."""
+        return frozenset(m.permutation for m in self.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +221,11 @@ def divisor_test(lat: IntLattice):
     return False, None
 
 
+def _is_stable(lat: IntLattice, matrices) -> bool:
+    return all(lat.contains(mat_apply(m, row))
+               for m in matrices for row in lat.basis)
+
+
 # ---------------------------------------------------------------------------
 # Galois descent of eigenline sums (finite route)
 # ---------------------------------------------------------------------------
@@ -251,7 +252,8 @@ def rational_intersection(field: MultiQuadField, vectors):
 def stable_subspaces_finite(ms, target_rank, field):
     """All Galois-stable sums of eigenlines of ms[0] of total dimension
     target_rank that are stable under the remaining matrices, descended
-    to Q.  ms[0] must have distinct eigenvalues over the field."""
+    to Q.  ms[0] must have distinct eigenvalues over the field.  Returns
+    the sorted eigenvalue reprs of ms[0] and the list of results."""
     m0 = ExactMatrix.from_int(field, ms[0])
     eig = eigen_decompose(m0)
     lines = []
@@ -291,19 +293,17 @@ def stable_subspaces_finite(ms, target_rank, field):
                 "basis": rat,
                 "lattice": rational_span_intersect(rat, m0.rows),
             })
-    return results
+    return sorted(repr(lam) for lam, _ in lines), results
 
 
 def finite_route_verdict(case_id, ms, field, table=""):
     """Run the finite descent route on matrices with a distinct-eigenvalue
     first element and classify the outcome."""
-    cands = stable_subspaces_finite(ms, 2, field)
+    eigenvalues, cands = stable_subspaces_finite(ms, 2, field)
     if not cands:
-        m0 = ExactMatrix.from_int(field, ms[0])
-        eig = eigen_decompose(m0)
         return CaseVerdict(case_id, REJECTED_NO_DESCENT, {
             "field": list(field.gens),
-            "eigenvalues": sorted(repr(l) for l, _ in eig),
+            "eigenvalues": eigenvalues,
             "reason": "no Galois-stable rank-2 eigenline sum descends to Q",
         }, table)
     rejected = []
@@ -402,13 +402,7 @@ class MixedFamily:
 
     def stable_at(self, x1: int, x2: int) -> bool:
         lat = self.lattice_at(x1, x2)
-        if lat.rank != 2:
-            return False
-        for m in self.matrices:
-            for row in lat.basis:
-                if not lat.contains(mat_apply(m, row)):
-                    return False
-        return True
+        return lat.rank == 2 and _is_stable(lat, self.matrices)
 
     def witness_point(self):
         """First small integer parameter point whose saturated lattice
@@ -604,47 +598,48 @@ def _divisors(n):
     return sorted(out)
 
 
+def constrained_points(fam: MixedFamily, extra):
+    """Impose the matrices in `extra` on the family.  Returns the cubic
+    constraints they put on (x1 : x2) and, for each rational root whose
+    lattice has rank 2 and is kept stable by every matrix of the family
+    and of `extra`, the pair ((x1, x2), lattice).  With no constraint
+    every point of the family is stable, and the list is None."""
+    polys = [p for m3 in extra for p in family_constraints(fam, m3)]
+    if not polys:
+        return polys, None
+    matrices = fam.matrices + list(extra)
+    points = []
+    for x1, x2 in _rational_projective_roots(polys):
+        lat = fam.lattice_at(x1, x2)
+        if lat.rank == 2 and _is_stable(lat, matrices):  # else spurious
+            points.append(((x1, x2), lat))
+    return polys, points
+
+
 def constrained_family_verdict(case_id, fam: MixedFamily, extra, table=""):
     """Impose the matrices in `extra` on a surviving one-parameter family
     and classify the residual parameter points."""
-    polys = []
-    for m3 in extra:
-        polys.extend(family_constraints(fam, m3))
-    if not polys:
+    polys, points = constrained_points(fam, extra)
+    if points is None:  # the witness point defeats the divisor test
         point, lat = fam.witness_point()
         assert point is not None
-        return CaseVerdict(case_id, SURVIVES_D4, {
-            "witness_point": list(point),
-            "witness_lattice": [list(r) for r in lat.basis],
-        }, table)
-    roots = _rational_projective_roots(polys)
-    if not roots:
+        points = [(point, lat)]
+    elif not points:
         return CaseVerdict(case_id, REJECTED_RANK, {
             "reason": "stability constraints have no rational parameter point",
             "constraints": [_hpoly_str(p) for p in polys[:4]],
         }, table)
-    all_matrices = fam.matrices + list(extra)
     rejected = []
-    for x1, x2 in roots:
-        lat = fam.lattice_at(x1, x2)
-        stable = all(lat.contains(mat_apply(m, row))
-                     for m in all_matrices for row in lat.basis)
-        if not stable:
-            continue  # spurious root of a minor subset
+    for point, lat in points:
         flag, witness = divisor_test(lat)
         if not flag:
             return CaseVerdict(case_id, SURVIVES_D4, {
-                "witness_point": [x1, x2],
+                "witness_point": list(point),
                 "witness_lattice": [list(r) for r in lat.basis],
             }, table)
-        rejected.append({"point": [x1, x2],
+        rejected.append({"point": list(point),
                          "lattice": [list(r) for r in lat.basis],
                          "witness": list(witness)})
-    if not rejected:
-        return CaseVerdict(case_id, REJECTED_RANK, {
-            "reason": "no stable rational parameter point",
-            "constraints": [_hpoly_str(p) for p in polys[:4]],
-        }, table)
     return CaseVerdict(case_id, REJECTED_DIVISOR_TEST,
                        {"candidates": rejected}, table)
 
@@ -664,7 +659,7 @@ def _hpoly_str(p) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def finite_candidates_verdict(case_id, cands, matrices, table=""):
+def finite_candidates_verdict(case_id, cands, table=""):
     rejected = []
     for lat in cands:
         flag, witness = divisor_test(lat)
@@ -682,20 +677,15 @@ def pair_case_verdict(case_id, m1, m2, table=""):
     if kind == "none":
         return CaseVerdict(case_id, REJECTED_RANK, payload, table)
     if kind == "finite":
-        return finite_candidates_verdict(case_id, payload, [m1, m2], table)
-    point, lat = payload.witness_point()
-    assert point is not None
-    return CaseVerdict(case_id, SURVIVES_D4, {
-        "witness_point": list(point),
-        "witness_lattice": [list(r) for r in lat.basis],
-    }, table)
+        return finite_candidates_verdict(case_id, payload, table)
+    return constrained_family_verdict(case_id, payload, [], table)
 
 
 def pure_plane_verdict(case_id, m1, table=""):
     """The two eigenplanes of a real-type lift, both divisor-rejected."""
     cands = [rational_span_intersect(_eigenplane(m1, -1), 4),
              rational_span_intersect(_eigenplane(m1, 1), 4)]
-    return finite_candidates_verdict(case_id, cands, [m1], table)
+    return finite_candidates_verdict(case_id, cands, table)
 
 
 # ---------------------------------------------------------------------------
@@ -853,79 +843,49 @@ def sweep_a4():
 
 
 # ---------------------------------------------------------------------------
-# spec-facing stable_subspaces with symbolic constraint reporting
+# spec-facing stable_subspaces on the sweeps' exact path
 # ---------------------------------------------------------------------------
 
 @dataclass
 class StableFamily:
-    kind: str                      # "finite" | "parametric"
-    generators: tuple              # lattice rows or symbolic generator strings
-    constraints: tuple = ()        # sympy polynomials (parametric kind)
-    lattice: IntLattice | None = None
+    kind: str                          # "finite" | "parametric"
+    lattice: IntLattice | None = None  # finite kind
+    family: MixedFamily | None = None  # parametric kind
 
 
 def stable_subspaces(ms, target_rank, field=None):
     """Rank-`target_rank` subspaces stable under all of ms, as
     StableFamily records.  Only subspaces spanned by eigenvectors of
     *different* eigenvalues are in scope (pure eigenplanes are handled
-    separately by the sweeps).  Distinct-eigenvalue first matrix: finite
-    Galois-descent families.  Involutive first matrix: the mixed
-    parametric family with elimination constraints; [] when a definite
-    constraint forces the parameters to zero."""
-    assert target_rank == 2
-    import sympy
+    separately by the sweeps).
 
-    first = ms[0]
+    A first matrix with distinct eigenvalues goes through Galois descent
+    over `field` (default Q(sqrt(-1), sqrt(2))).  An involutive first
+    matrix goes through pair_analysis with ms[1], then through the
+    rational roots of the constraints that ms[2:] impose.  The result is
+    finite lattices, or one parametric record whose MixedFamily all of
+    ms keep stable at every point.  A single involutive matrix raises
+    ValueError: the mixed line needs a second matrix."""
+    if target_rank != 2:
+        raise ValueError("only rank-2 subspaces are in scope")
     try:
-        _square_sign(first)
-        involutive = True
+        _square_sign(ms[0])
     except ValueError:
-        involutive = False
-    if not involutive:
         if field is None:
-            field = field_create([-1, 2])
-        res = stable_subspaces_finite(ms, 2, field)
-        return [StableFamily("finite",
-                             tuple(tuple(r) for r in f["lattice"].basis),
-                             lattice=f["lattice"]) for f in res]
-
-    x1, x2, y1, y2 = sympy.symbols("x1 x2 y1 y2")
-    vm = _eigenplane(first, -1)
-    vp = _eigenplane(first, 1)
-    u = [x1 * Fraction(vm[0][j]) + x2 * Fraction(vm[1][j]) for j in range(4)]
-    w = [y1 * Fraction(vp[0][j]) + y2 * Fraction(vp[1][j]) for j in range(4)]
-    constraints = set()
-    degenerate = False
-    for m in ms[1:]:
-        for src in (u, w):
-            img = [sum(Fraction(m[i][j]) * src[j] for j in range(4))
-                   for i in range(4)]
-            mat = sympy.Matrix([u, w, img])
-            for cols in combinations(range(4), 3):
-                minor = sympy.expand(mat[:, list(cols)].det())
-                if minor == 0:
-                    continue
-                for fac, _mult in sympy.factor_list(minor)[1]:
-                    syms = fac.free_symbols
-                    if {x1, x2} & syms and {y1, y2} & syms:
-                        constraints.add(sympy.Poly(fac, x1, x2, y1, y2))
-                    elif len(syms) == 2 and _definite_quadratic(fac, syms):
-                        degenerate = True
-    if degenerate:
+            field = field_create(ORDER4_FIELD)
+        _, res = stable_subspaces_finite(ms, 2, field)
+        return [StableFamily("finite", f["lattice"]) for f in res]
+    if len(ms) < 2:
+        raise ValueError("an involutive first matrix needs a second "
+                         "matrix to fix the mixed line")
+    kind, found = pair_analysis(ms[0], ms[1])
+    if kind == "none":
         return []
-    gens = (tuple(str(c) for c in u), tuple(str(c) for c in w))
-    return [StableFamily("parametric", gens,
-                         tuple(sorted(constraints, key=str)))]
-
-
-def _definite_quadratic(expr, syms):
-    """True for a definite binary quadratic form (only rational zero is 0)."""
-    import sympy
-    a, b = sorted(syms, key=str)
-    p = sympy.Poly(expr, a, b)
-    if p.total_degree() != 2 or not p.is_homogeneous:
-        return False
-    ca = p.coeff_monomial(a ** 2)
-    cb = p.coeff_monomial(b ** 2)
-    cab = p.coeff_monomial(a * b)
-    return cab ** 2 - 4 * ca * cb < 0
+    if kind == "finite":
+        return [StableFamily("finite", lat) for lat in found
+                if _is_stable(lat, ms[2:])]
+    _, points = constrained_points(found, ms[2:])
+    if points is None:
+        return [StableFamily("parametric",
+                             family=replace(found, matrices=list(ms)))]
+    return [StableFamily("finite", lat) for _, lat in points]

@@ -21,6 +21,15 @@ def test_verify_all_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_timing_goes_on_each_section(capsys):
+    assert main(["verify-all", "--timing", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["summary"] == {"passed": 90, "failed": 0}
+    for section in report["sections"]:
+        assert type(section["runtime_ms"]) is int
+        assert all("runtime_ms" not in case for case in section["cases"])
+
+
 def test_single_sweep_json_output(capsys):
     assert main(["sweep-dim1", "--format", "json"]) == 0
     out = capsys.readouterr().out

@@ -1,7 +1,9 @@
 """The signed-permutation sweeps: verdict tables, witnesses, stable
 subspace families, and sign-flip symmetry."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,13 +11,17 @@ from cmsweep.fields import ExactMatrix, eigen_decompose, field_create
 from cmsweep.intlat import IntLattice
 from cmsweep.torus import (ORDER4_FIELD, REJECTED_DIVISOR_TEST,
                            REJECTED_NO_DESCENT, REJECTED_RANK, SURVIVES_D4,
-                           A4_Q, A4_QP, GenPermMatrix, M1, M2, P0, P2, P3,
-                           P4, SignedGroup, all_subgroups_s4,
+                           A4_Q, A4_QP, GenPermMatrix, M1, M2, P0, P1, P2,
+                           P3, P4, PP0, PP1, PP2, Q1, Q2, Q3, QP1, QP2, QP3,
+                           QQ0, QQ1, QQ2, R0, R1, R2, R3, R4, R5, R6, R7,
+                           SignedGroup, all_subgroups_s4,
                            divisor_test, finite_route_verdict, mat_neg,
                            pair_analysis, signed_lift, stable_subspaces,
                            sweep_a4, sweep_dim1, sweep_klein4, sweep_order4,
                            transitive_subgroups_s4, _one_flip_lifts,
                            _order4_lifts)
+
+FIXDIR = Path(__file__).resolve().parents[1] / "src" / "cmsweep" / "fixtures"
 
 
 def _verdicts(cases):
@@ -134,8 +140,68 @@ def test_stable_subspaces_examples():
                     ((1, 0, 1, 0), (0, 1, 0, 1))]
     fams = stable_subspaces([P0, P2], 2)
     assert len(fams) == 1 and fams[0].kind == "parametric"
-    assert fams[0].constraints  # the surviving family carries a relation
+    assert all(fams[0].family.stable_at(x1, x2)
+               for x1, x2 in ((1, 0), (0, 1), (1, 2), (2, -3), (5, 7)))
     assert stable_subspaces([P0, P4], 2) == []
+
+
+def test_stable_subspaces_needs_second_involutive_matrix():
+    with pytest.raises(ValueError):
+        stable_subspaces([P0], 2)
+
+
+def _fixture(sub):
+    return json.loads((FIXDIR / f"{sub}.json").read_text())
+
+
+# the matrices of every sweep case that is not a pure-plane case
+STABLE_CASES = {
+    **{cid: ([m], field_create(ORDER4_FIELD)) for cid, m in _order4_lifts()},
+    **{cid: ([m], field_create([-1])) for cid, m in _one_flip_lifts()},
+    "klein4-p0-p1": ([P0, P1], None),
+    "klein4-p0-p2": ([P0, P2], None),
+    "klein4-p0-p3": ([P0, P3], None),
+    "klein4-p0-p4": ([P0, P4], None),
+    "klein4-p0-p2-q1": ([P0, P2, Q1], None),
+    "klein4-p0-p2-q2": ([P0, P2, Q2], None),
+    "klein4-p0-p2-q3": ([P0, P2, Q3], None),
+    "klein4-p0-p3-q1p": ([P0, P3, QP1], None),
+    "klein4-p0-p3-q2p": ([P0, P3, QP2], None),
+    "klein4-p0-p3-q3p": ([P0, P3, QP3], None),
+    "klein4-pp0-qq0": ([PP0, QQ0], None),
+    "klein4-pp0-qq1": ([PP0, QQ1], None),
+    "klein4-pp1-qq0": ([PP1, QQ0], None),
+    "klein4-pp1-qq2": ([PP1, QQ2], None),
+    "klein4-pp2-qq2": ([PP2, QQ2], None),
+    "klein4-pp2-qq1": ([PP2, QQ1], None),
+    **{f"a4-p0-{tag}-r{i}": ([P0, q, r], None)
+       for tag, q in (("q", A4_Q), ("qp", A4_QP))
+       for i, r in enumerate((R0, R1, R2, R3, R4, R5, R6, R7))},
+}
+
+
+def test_stable_subspaces_agree_with_fixtures():
+    records = [rec for sub in ("sweep-order4", "sweep-klein4", "sweep-a4")
+               for rec in _fixture(sub)
+               if not rec["case_id"].endswith("pure-planes")]
+    assert sorted(r["case_id"] for r in records) == sorted(STABLE_CASES)
+    for rec in records:
+        ms, field = STABLE_CASES[rec["case_id"]]
+        fams = stable_subspaces(ms, 2, field)
+        verdict, cert = rec["verdict"], rec["certificate"]
+        if verdict in (REJECTED_RANK, REJECTED_NO_DESCENT):
+            assert fams == [], rec["case_id"]
+        elif verdict == REJECTED_DIVISOR_TEST:
+            assert all(f.kind == "finite" for f in fams)
+            assert sorted([list(r) for r in f.lattice.basis] for f in fams) \
+                == sorted(c["lattice"] for c in cert["candidates"]), \
+                rec["case_id"]
+        else:
+            assert verdict == SURVIVES_D4
+            (fam,) = fams
+            assert fam.kind == "parametric"
+            lat = fam.family.lattice_at(*cert["witness_point"])
+            assert [list(r) for r in lat.basis] == cert["witness_lattice"]
 
 
 def test_pair_analysis_kinds():
