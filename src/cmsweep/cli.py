@@ -125,22 +125,28 @@ def _flat(x):
 
 
 def _run_antiweil_verify():
-    from .quatrep import (GALOIS_LIE_TABLE, build_antiweil_rep, e_a1_triples,
-                          invariant_endomorphisms_dim, invariant_wedge2_dim,
-                          sl2_triple, conjugation_relation,
+    from .quatrep import (GALOIS_LIE_TABLE, algebra_associativity,
+                          build_antiweil_rep, invariant_endomorphisms_dim,
+                          invariant_wedge2_dim, sl2_triple,
+                          conjugation_relation, unit_table_text,
                           verify_e_a1_brackets)
-    records = []
+    rep = build_antiweil_rep(-1, -2, -3)
+    _, D, a = rep.params
+    triples = algebra_associativity()
+    records = [_check("algebra-associativity",
+                      triples == {"4": 4 ** 3, "8": 8 ** 3},
+                      {"triples": triples, "table": unit_table_text()},
+                      "quatrep")]
     tri = sl2_triple(-3, -1)
     records.append(_check("sl2-triple-brackets", tri.verify_brackets(),
                           {"a": -3, "lam": -1}, "quatrep"))
     records.append(_check("sl2-conjugation-relation",
                           conjugation_relation(-3, -1)
                           and conjugation_relation(2, -1), {}, "quatrep"))
-    alg, gens = e_a1_triples(-2, -3)
+    alg, gens, _ = rep.e_a1
     records.append(_check("algebra-brackets-15",
                           verify_e_a1_brackets(alg, gens),
-                          {"D": -2, "a": -3}, "quatrep"))
-    rep = build_antiweil_rep(-1, -2, -3)
+                          {"D": D, "a": a}, "quatrep"))
     records.append(_check("matrix-brackets", rep.verify_matrix_brackets(),
                           {}, "quatrep"))
     ok, fails = rep.verify_galois_equivariance()

@@ -427,6 +427,43 @@ QQ = MultiQuadField(())
 # exact matrices over a MultiQuadField
 # ---------------------------------------------------------------------------
 
+def integer_rref(rows, ncols):
+    """Fraction-free Gauss-Jordan, in place, on a list of integer rows of
+    length ncols, each kept primitive (Bareiss 1968 keeps entries integral
+    the same way).  Pivoting is deterministic: leftmost nonzero column,
+    smallest row index.  Returns the pivot columns; afterwards row i <
+    len(pivots) is nonzero at pivots[i] and zero at every other pivot
+    column, and the rows after them are zero."""
+    for i, row in enumerate(rows):
+        g = gcd(*row)
+        if g > 1:
+            rows[i] = [x // g for x in row]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        pr = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                new = [p * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def _matrix(field, rows) -> "ExactMatrix":
     """An ExactMatrix from rows of elements of ``field``, unchecked."""
     m = object.__new__(ExactMatrix)
@@ -538,43 +575,18 @@ class ExactMatrix:
         return _matrix(field, m), pivots
 
     def _rref_rational(self):
-        """rref over QQ: fraction-free integer Gauss-Jordan on rows scaled
-        to integers, each row kept primitive (Bareiss 1968 keeps entries
-        integral the same way); the reduced rows, unique, are built last."""
+        """rref over QQ: each row scaled to integers, then integer_rref;
+        the reduced rows, unique, are built last."""
         field = self.field
         rows = []
         for row in self.entries:
             den = lcm(1, *(e.den for e in row))
-            ints = [e.nums[0] * (den // e.den) for e in row]
-            g = gcd(*ints)
-            rows.append([x // g for x in ints] if g > 1 else ints)
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if rows[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            prow = rows[r]
-            p = prow[c]
-            for i in range(self.rows):
-                f = rows[i][c]
-                if f and i != r:
-                    new = [p * x - f * y for x, y in zip(rows[i], prow)]
-                    g = gcd(*new)
-                    rows[i] = [x // g for x in new] if g > 1 else new
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
+            rows.append([e.nums[0] * (den // e.den) for e in row])
+        pivots = integer_rref(rows, self.cols)
         zero = field.zero()
         out = []
         for i, row in enumerate(rows):
-            if i < r:
+            if i < len(pivots):
                 p = row[pivots[i]]
                 out.append([_ratio(field, x, p) if x else zero for x in row])
             else:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from .fields import QQ, ExactMatrix
+from .fields import QQ, ExactMatrix, integer_rref
 
 # ---------------------------------------------------------------------------
 # plain Fraction matrix helpers
@@ -173,12 +174,30 @@ def wedge2_module(w: WeightModule) -> WeightModule:
 
 
 def invariant_space(w: WeightModule):
-    """Basis of { v : g.v = 0 for every generator }, exactly."""
-    stacked = []
+    """Basis of { v : g.v = 0 for every generator }, exactly.  The nonzero
+    rows of the stacked actions, each cleared of denominators, go through
+    integer_rref; each basis vector sets one free variable to 1."""
+    rows = []
     for name in w.generator_names():
-        stacked.extend(w.actions[name])
-    mat = ExactMatrix(QQ, [[QQ.rational(x) for x in row] for row in stacked])
-    return [[x.as_fraction() for x in v] for v in mat.kernel()]
+        for row in w.actions[name]:
+            nonzero = [(j, x) for j, x in enumerate(row) if x]
+            if nonzero:
+                den = lcm(*(x.denominator for _, x in nonzero))
+                ints = [0] * w.dim
+                for j, x in nonzero:
+                    ints[j] = x.numerator * (den // x.denominator)
+                rows.append(ints)
+    pivots = integer_rref(rows, w.dim)
+    zero, one = Fraction(0), Fraction(1)
+    basis = []
+    for fc in sorted(set(range(w.dim)) - set(pivots)):
+        v = [zero] * w.dim
+        v[fc] = one
+        for row, pc in zip(rows, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], row[pc])
+        basis.append(v)
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
 
 from .fields import (QQ, DependentGenerators, ExactMatrix, FieldElement,
@@ -88,10 +89,85 @@ def sqrt_in(field: MultiQuadField, r) -> FieldElement:
 # quaternion algebras (optionally extended by a central J with J^2 = D)
 # ---------------------------------------------------------------------------
 
+UNIT_NAMES = ("1", "i", "j", "k", "J", "Ji", "Jj", "Jk")
+
+# Q_p * Q_q = sign * a^ea * b^eb * Q_t for the units 1, i, j, k, as
+# (sign, (ea, eb), t).
+_QUATERNION_UNITS = (
+    ((1, (0, 0), 0), (1, (0, 0), 1), (1, (0, 0), 2), (1, (0, 0), 3)),
+    ((1, (0, 0), 1), (1, (1, 0), 0), (1, (0, 0), 3), (1, (1, 0), 2)),
+    ((1, (0, 0), 2), (-1, (0, 0), 3), (1, (0, 1), 0), (-1, (0, 1), 1)),
+    ((1, (0, 0), 3), (-1, (1, 0), 2), (1, (0, 1), 1), (-1, (1, 1), 0)),
+)
+
+
+def _doubled(p, q):
+    """(J^ep Q_s)(J^eq Q_t) = J^(ep+eq) Q_s Q_t, with J^2 = D central."""
+    sign, (ea, eb), t = _QUATERNION_UNITS[p % 4][q % 4]
+    ep, eq = p // 4, q // 4
+    return sign, (ea, eb, ep * eq), 4 * ((ep + eq) % 2) + t
+
+
+# The units of the J-doubled algebra, index 4e + t for J^e Q_t:
+# e_p * e_q = sign * a^ea * b^eb * D^eD * e_t as (sign, (ea, eb, eD), t).
+# The 4-dimensional algebra is its top-left 4x4 block.
+UNIT_TABLE = tuple(tuple(_doubled(p, q) for q in range(8)) for p in range(8))
+
+
+def unit_table_associativity(table) -> int:
+    """Prove (e_p e_q) e_r = e_p (e_q e_r) for every basis triple of a unit
+    table whose products are signed monomials in central parameters,
+    (sign, exponent vector, unit index).  Both sides are again signed
+    monomials, so comparing signs, exponent vectors and units proves the
+    identity for every value of the parameters, and by bilinearity for all
+    elements.  Returns the number of triples; raises ValueError at the
+    first triple that fails."""
+    n = len(table)
+
+    def times(mono, r):
+        sign, exps, p = mono
+        s, e, t = table[p][r]
+        return sign * s, tuple(x + y for x, y in zip(exps, e)), t
+
+    for p, q, r in iproduct(range(n), repeat=3):
+        sign, exps, t = table[q][r]
+        s, e, u = table[p][t]
+        right = (sign * s, tuple(x + y for x, y in zip(exps, e)), u)
+        if times(table[p][q], r) != right:
+            raise ValueError(f"unit table not associative at {(p, q, r)}")
+    return n ** 3
+
+
+_ASSOCIATIVITY = {}
+
+
+def algebra_associativity() -> dict:
+    """Triples proven associative in the 4- and 8-dimensional algebras,
+    {"4": 64, "8": 512}.  The proof does not depend on (a, b, D), so it
+    runs once per process, at the first call."""
+    if not _ASSOCIATIVITY:
+        for n in (4, 8):
+            block = tuple(row[:n] for row in UNIT_TABLE[:n])
+            _ASSOCIATIVITY[str(n)] = unit_table_associativity(block)
+    return dict(_ASSOCIATIVITY)
+
+
+def unit_table_text() -> list:
+    """UNIT_TABLE as rows of strings such as "-ab*1" (sign, monomial in a,
+    b, D, then the unit), for certificates."""
+    def text(sign, exps, t):
+        mono = "".join(v if e == 1 else f"{v}^{e}"
+                       for v, e in zip("abD", exps) if e) or "1"
+        return f"{'+' if sign > 0 else '-'}{mono}*{UNIT_NAMES[t]}"
+    return [[text(*entry) for entry in row] for row in UNIT_TABLE]
+
+
 class QuaternionAlgebra:
     """Basis {1, i, j, k} with i^2 = a, j^2 = b, ij = -ji = k; when D is
     given, the algebra is doubled by a central J with J^2 = D (basis
-    1, i, j, k, J, Ji, Jj, Jk).  Elements are coefficient tuples."""
+    1, i, j, k, J, Ji, Jj, Jk).  Elements are coefficient tuples.  The
+    product evaluates UNIT_TABLE, proven associative by
+    algebra_associativity, at (a, b, D)."""
 
     def __init__(self, field: MultiQuadField, a, b, D=None):
         self.field = field
@@ -99,16 +175,22 @@ class QuaternionAlgebra:
         self.b = FieldElement.coerce(field, b)
         self.D = None if D is None else FieldElement.coerce(field, D)
         self.dim = 4 if D is None else 8
-        one = field.one()
-        ab = self.a * self.b
-        # unit_table[p][q] = (coefficient, unit index) for q_p * q_q
-        self._units = [
-            [(one, 0), (one, 1), (one, 2), (one, 3)],
-            [(one, 1), (self.a, 0), (one, 3), (self.a, 2)],
-            [(one, 2), (-one, 3), (self.b, 0), (-self.b, 1)],
-            [(one, 3), (-self.a, 2), (self.b, 1), (-ab, 0)],
-        ]
-        self._check_associative()
+        algebra_associativity()
+        monomials = {}
+
+        def coefficient(sign, exps):
+            if exps not in monomials:
+                c = field.one()
+                for x, e in zip((self.a, self.b, self.D), exps):
+                    for _ in range(e):
+                        c = c * x
+                monomials[exps] = c
+            return monomials[exps] if sign > 0 else -monomials[exps]
+
+        # _table[p][q] = (coefficient, unit index) for e_p * e_q
+        self._table = [[(coefficient(sign, exps), t)
+                        for sign, exps, t in row[:self.dim]]
+                       for row in UNIT_TABLE[:self.dim]]
 
     def zero(self):
         return tuple(self.field.zero() for _ in range(self.dim))
@@ -130,22 +212,12 @@ class QuaternionAlgebra:
 
     def mul(self, x, y):
         out = [self.field.zero()] * self.dim
-        n_units = 4
-        for p in range(self.dim):
-            if x[p].is_zero():
+        for xp, row in zip(x, self._table):
+            if xp.is_zero():
                 continue
-            ep, qp = divmod(p, n_units) if self.dim == 8 else (0, p)
-            for q in range(self.dim):
-                if y[q].is_zero():
-                    continue
-                eq, qq = divmod(q, n_units) if self.dim == 8 else (0, q)
-                coeff, unit = self._units[qp][qq]
-                c = x[p] * y[q] * coeff
-                e = ep + eq
-                if e == 2:
-                    c = c * self.D
-                    e = 0
-                out[e * n_units + unit] = out[e * n_units + unit] + c
+            for yq, (coeff, t) in zip(y, row):
+                if not yq.is_zero():
+                    out[t] = out[t] + xp * yq * coeff
         return tuple(out)
 
     def bracket(self, x, y):
@@ -159,18 +231,6 @@ class QuaternionAlgebra:
 
     def equal(self, x, y):
         return self.is_zero(self.sub(x, y))
-
-    def _check_associative(self):
-        for p in range(self.dim):
-            ep = self.basis_element(p)
-            for q in range(self.dim):
-                eq = self.basis_element(q)
-                pq = self.mul(ep, eq)
-                for r in range(self.dim):
-                    er = self.basis_element(r)
-                    lhs = self.mul(pq, er)
-                    rhs = self.mul(ep, self.mul(eq, er))
-                    assert self.equal(lhs, rhs), "associativity failure"
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +410,8 @@ class AntiWeilRep:
     the weight-basis tables, realized concretely: V ⊗ F has the f-basis
     f_1..f_4 (the sigma-eigenspace of the imaginary quadratic action) and
     f-bar_1..f-bar_4 = g2(f); all matrices are over F = Q(sqrt D', sqrt D,
-    sqrt a) in the f-coordinates."""
+    sqrt a) in the f-coordinates.  The explicit algebra elements (e_a1)
+    and the rational model are built once per rep, on first use."""
 
     def __init__(self, Dp, D, a):
         for val in (Dp, D, a):
@@ -430,6 +491,17 @@ class AntiWeilRep:
             G[c][r] = -val
         self.gram_vw = ExactMatrix(F, G)
         self.gram = self.B_inv.transpose() * self.gram_vw * self.B_inv
+        self._model = None
+
+    @cached_property
+    def e_a1(self):
+        """e_a1_triples(D, a) and the 8x6 matrix whose columns are the six
+        generators in the algebra basis: (alg, gens, span)."""
+        _, D, a = self.params
+        alg, gens = e_a1_triples(D, a)
+        span = ExactMatrix(alg.field, [[gens[n][t] for n in GENERATOR_NAMES]
+                                       for t in range(8)])
+        return alg, gens, span
 
     # -- Galois machinery ---------------------------------------------------
 
@@ -472,12 +544,10 @@ class AntiWeilRep:
         """Recompute the Galois action on the six generators from the
         explicit quaternion elements and express it back in the
         generator basis; returns the table in the hardcoded format."""
-        Dp, D, a = self.params
-        alg, gens = e_a1_triples(D, a)
-        # coordinates of the six generators as an F'-basis of the span
+        _, D, a = self.params
+        alg, gens, span = self.e_a1
+        # coordinates in the six generators, an F'-basis of their span
         Fq = alg.field
-        span = ExactMatrix(Fq, [[gens[n][t] for n in GENERATOR_NAMES]
-                                for t in range(8)])
         table = {}
         for tag, root in (("g1", D), ("g3", a)):
             _, r0 = squarefree_split(root)
@@ -627,23 +697,31 @@ class AntiWeilRep:
         sqrt(D') action, in a Q-basis of V (u_t = f_t + fbar_t,
         u'_t = sqrt(D')(f_t - fbar_t)); all entries must be rational,
         certifying descent to Q.  The six sl(2) generators themselves are
-        genuinely irrational combinations and do not descend."""
+        genuinely irrational combinations and do not descend.  Built once
+        per rep; each call returns its own copy of the matrices."""
+        if self._model is None:
+            self._model = self._build_rational_model()
+        return {name: [row[:] for row in mat]
+                for name, mat in self._model.items()}
+
+    def _build_rational_model(self):
         F = self.field
-        Dp, D, a = self.params
-        alg, gens = e_a1_triples(D, a)
+        alg, _, span = self.e_a1
         Fq = alg.field
-        span = ExactMatrix(Fq, [[gens[n][t] for n in GENERATOR_NAMES]
-                                for t in range(8)])
         lift = _field_lift(Fq, F)
-        rational_mats = {}
-        for name, idx in self.RATIONAL_UNITS:
+        coeffs = []
+        for _, idx in self.RATIONAL_UNITS:
             target = [Fq.one() if t == idx else Fq.zero() for t in range(8)]
             sol = span.solve(target)
             assert sol is not None
-            acc = ExactMatrix(F, [[F.zero()] * 8 for _ in range(8)])
-            for c, gname in zip(sol, GENERATOR_NAMES):
-                acc = acc + self.mu[gname].scale(lift(c))
-            rational_mats[name] = acc
+            coeffs.append([lift(c) for c in sol])
+        # row u of coeffs * (the mu as flattened rows) is sum_g c_ug mu_g
+        mus = ExactMatrix(F, [[e for row in self.mu[g].entries for e in row]
+                              for g in GENERATOR_NAMES])
+        flat = (ExactMatrix(F, coeffs) * mus).entries
+        rational_mats = {
+            name: ExactMatrix(F, [row[8 * r:8 * r + 8] for r in range(8)])
+            for (name, _), row in zip(self.RATIONAL_UNITS, flat)}
 
         cols = []
         for t in range(4):

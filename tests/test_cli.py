@@ -24,7 +24,7 @@ def test_verify_all_passes(capsys):
 def test_timing_goes_on_each_section(capsys):
     assert main(["verify-all", "--timing", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["summary"] == {"passed": 90, "failed": 0}
+    assert report["summary"] == {"passed": 91, "failed": 0}
     for section in report["sections"]:
         assert type(section["runtime_ms"]) is int
         assert all("runtime_ms" not in case for case in section["cases"])
@@ -205,6 +205,27 @@ def test_error_record_names_type_and_frame(monkeypatch, capsys):
     assert case["verdict"] == "ERROR"
     assert case["certificate"] == {"message": "", "type": "AssertionError",
                                    "where": f"periods.py:{line}"}
+
+
+def test_antiweil_verify_builds_the_extended_algebra_once(monkeypatch,
+                                                         capsys):
+    from cmsweep import quatrep
+    dims = []
+    init = quatrep.QuaternionAlgebra.__init__
+
+    def counting(self, field, a, b, D=None):
+        dims.append(4 if D is None else 8)
+        init(self, field, a, b, D)
+
+    monkeypatch.setattr(quatrep.QuaternionAlgebra, "__init__", counting)
+    assert main(["antiweil-verify"]) == 0
+    cases = json.loads(capsys.readouterr().out)["sections"][0]["cases"]
+    assert dims.count(8) == 1
+    assert cases[0]["case_id"] == "algebra-associativity"
+    assert cases[0]["certificate"]["triples"] == {"4": 64, "8": 512}
+    assert [c["case_id"] for c in cases[1:4]] == [
+        "sl2-triple-brackets", "sl2-conjugation-relation",
+        "algebra-brackets-15"]
 
 
 def test_verify_all_imports_neither_numpy_nor_sympy():

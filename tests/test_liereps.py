@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cmsweep.liereps import (classify_dim4_faithful, external_product,
-                             invariant_space, search_dim, sl2_irrep,
-                             sp4_basis, sp4_standard_module, tensor_module,
-                             wedge2_module, weil_layer_identity,
+from cmsweep.fields import QQ, ExactMatrix
+from cmsweep.liereps import (WeightModule, classify_dim4_faithful,
+                             external_product, invariant_space, search_dim,
+                             sl2_irrep, sp4_basis, sp4_standard_module,
+                             tensor_module, wedge2_module,
+                             weil_layer_identity,
                              weil_wedge_fixed_by_block_sl, weyl_dim)
 
 
@@ -97,3 +100,45 @@ def test_weil_layer_identity_all_divisor_chains():
 def test_weil_layer_identity_rejects_bad_input():
     with pytest.raises(AssertionError):
         weil_layer_identity(3, 2, 8)
+
+
+def test_invariant_space_of_zero_actions_is_everything():
+    zero = [[Fraction(0)] * 3 for _ in range(3)]
+    for actions in ([("a", zero), ("b", zero)], []):
+        w = WeightModule(["e0", "e1", "e2"], actions, [])
+        assert invariant_space(w) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def _element_built_invariant_space(w):
+    """The kernel of the stacked actions as one QQ ExactMatrix built cell
+    by cell, the way invariant_space computed it before it took integer
+    rows."""
+    stacked = [row for name in w.generator_names() for row in w.actions[name]]
+    mat = ExactMatrix(QQ, [[QQ.rational(x) for x in row] for row in stacked])
+    return [[x.as_fraction() for x in v] for v in mat.kernel()]
+
+
+@st.composite
+def fraction_modules(draw):
+    """Modules with 1-3 generators of random Fraction matrices: mixed
+    denominators, sparse rows and whole zero rows."""
+    dim = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+    row = st.one_of(st.just([Fraction(0)] * dim),
+                    st.lists(entry, min_size=dim, max_size=dim))
+    mats = draw(st.lists(st.lists(row, min_size=dim, max_size=dim),
+                         min_size=1, max_size=3))
+    return WeightModule([f"e{i}" for i in range(dim)],
+                        [(f"g{t}", m) for t, m in enumerate(mats)], [])
+
+
+@given(fraction_modules())
+@settings(max_examples=150, deadline=None)
+def test_invariant_space_matches_element_built_kernel(w):
+    got = invariant_space(w)
+    assert got == _element_built_invariant_space(w)
+    for v in got:
+        assert all(type(x) is Fraction for x in v)
+        _assert_annihilated(w, v)

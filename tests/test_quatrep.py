@@ -2,16 +2,23 @@
 representation: bracket tables, Galois equivariance, symplectic form,
 irreducibility, and rational descent."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from cmsweep.fields import DependentGenerators, apply_galois
+from cmsweep import quatrep
+from cmsweep.fields import QQ, DependentGenerators, apply_galois, field_create
 from cmsweep.quatrep import (AntiWeilRep, GALOIS_EIGEN_TABLE,
                              GALOIS_LIE_TABLE, GENERATOR_NAMES, REP_TABLE,
-                             WEIGHT_LABELS, build_antiweil_rep,
-                             conjugation_relation, e_a1_triples, sl2_triple,
+                             UNIT_TABLE, WEIGHT_LABELS, QuaternionAlgebra,
+                             algebra_associativity, build_antiweil_rep,
+                             conjugation_relation, e_a1_triples,
+                             invariant_endomorphisms_dim,
+                             invariant_wedge2_dim, sl2_triple,
                              squarefree_split, sqrt_gens,
+                             unit_table_associativity, unit_table_text,
                              verify_e_a1_brackets, verify_galois_equivariance,
                              verify_irreducibility, verify_symplectic)
 
@@ -142,7 +149,118 @@ def test_rational_model(rep):
 
 
 def test_invariant_dimensions(rep):
-    from cmsweep.quatrep import (invariant_endomorphisms_dim,
-                                 invariant_wedge2_dim)
     assert invariant_endomorphisms_dim(rep) == 2
     assert invariant_wedge2_dim(rep) == 1
+
+
+# -- the unit table and its associativity proof -----------------------------
+
+def test_unit_table_proven_for_both_dimensions():
+    assert algebra_associativity() == {"4": 64, "8": 512}
+    text = unit_table_text()
+    assert text[3][3] == "-ab*1" and text[7][7] == "-abD*1"
+    assert text[4] == ["+1*J", "+1*Ji", "+1*Jj", "+1*Jk",
+                       "+D*1", "+D*i", "+D*j", "+D*k"]
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_every_flipped_sign_fails_the_proof(n):
+    for p, q in product(range(n), repeat=2):
+        table = [list(row[:n]) for row in UNIT_TABLE[:n]]
+        sign, exps, t = table[p][q]
+        table[p][q] = (-sign, exps, t)
+        with pytest.raises(ValueError, match="not associative"):
+            unit_table_associativity(table)
+
+
+def test_wrong_exponent_fails_the_proof():
+    table = [list(row) for row in UNIT_TABLE]
+    sign, (ea, eb, eD), t = table[6][6]          # Jj * Jj = b D
+    table[6][6] = (sign, (ea, eb, 0), t)
+    with pytest.raises(ValueError, match="not associative"):
+        unit_table_associativity(table)
+
+
+def _associative_by_products(alg):
+    """Reference: (e_p e_q) e_r = e_p (e_q e_r) by field products for
+    every basis triple, as QuaternionAlgebra once checked on each
+    construction."""
+    e = [alg.basis_element(t) for t in range(alg.dim)]
+    return all(alg.equal(alg.mul(alg.mul(e[p], e[q]), e[r]),
+                         alg.mul(e[p], alg.mul(e[q], e[r])))
+               for p, q, r in product(range(alg.dim), repeat=3))
+
+
+def _defining_relations(alg):
+    """i^2 = a, j^2 = b, ij = -ji = k; J central with J^2 = D."""
+    e = [alg.basis_element(t) for t in range(alg.dim)]
+    one, i, j, k = e[:4]
+    ok = alg.equal(alg.mul(i, i), alg.scale(alg.a, one))
+    ok &= alg.equal(alg.mul(j, j), alg.scale(alg.b, one))
+    ok &= alg.equal(alg.mul(i, j), k)
+    ok &= alg.equal(alg.mul(j, i), alg.scale(-1, k))
+    if alg.dim == 8:
+        J = e[4]
+        ok &= alg.equal(alg.mul(J, J), alg.scale(alg.D, one))
+        ok &= all(alg.equal(alg.mul(J, x), alg.mul(x, J)) for x in e)
+        ok &= all(alg.equal(alg.mul(J, e[t]), e[4 + t]) for t in range(4))
+    return ok
+
+
+def _algebra(gens, a, b, D):
+    field = field_create(gens) if gens else QQ
+    if gens:
+        a = field.sqrt_gen(gens[0]) + field.rational(a)
+    return QuaternionAlgebra(field, a, b, D)
+
+
+@pytest.mark.parametrize("gens,a,b,D", [
+    ((), -3, -1, None),
+    ((), Fraction(2, 3), Fraction(-5, 7), None),
+    ((-2,), 1, Fraction(1, 3), None),
+    ((), Fraction(-1, 2), 3, Fraction(5, 4)),
+    ((), -3, 1, -2),
+    ((-2, -3), Fraction(3, 5), Fraction(-7, 2), -7),
+])
+def test_table_product_matches_brute_force_reference(gens, a, b, D):
+    alg = _algebra(gens, a, b, D)
+    assert alg.dim == (4 if D is None else 8)
+    assert _associative_by_products(alg)
+    assert _defining_relations(alg)
+    # and on general elements, not only basis triples
+    F = alg.field
+    x, y, z = (tuple(F.rational(Fraction(s * (t + 1), t + 2))
+                     for t in range(alg.dim)) for s in (1, -2, 3))
+    x = alg.add(x, alg.scale(alg.a, y))
+    assert alg.equal(alg.mul(alg.mul(x, y), z), alg.mul(x, alg.mul(y, z)))
+
+
+# -- one build per rep --------------------------------------------------------
+
+def _counting(calls, name, fn):
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def test_rep_builds_e_a1_and_rational_model_once(monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(quatrep, "e_a1_triples",
+                        _counting(calls, "e_a1", quatrep.e_a1_triples))
+    monkeypatch.setattr(AntiWeilRep, "_build_rational_model",
+                        _counting(calls, "model",
+                                  AntiWeilRep._build_rational_model))
+    rep = build_antiweil_rep(-1, -2, -3)
+    assert calls == {}
+    assert rep.regenerate_galois_lie_table() == GALOIS_LIE_TABLE
+    assert invariant_endomorphisms_dim(rep) == 2
+    assert invariant_wedge2_dim(rep) == 1
+    first = rep.rational_model()
+    first["gram"][0][0] += 1        # a caller's copy, not the rep's model
+    second, third = rep.rational_model(), rep.rational_model()
+    assert second == third and second != first
+    assert calls == {"e_a1": 1, "model": 1}
+    # a second rep of the same parameters builds its own
+    build_antiweil_rep(-1, -2, -3).rational_model()
+    assert calls == {"e_a1": 2, "model": 2}
