@@ -301,9 +301,6 @@ def e_a1_triples(D, a):
     sa_inv = sqrt_in(field, a).inverse()
     pref = (field.rational(2) * sD).inverse()
     i, j, k = alg.basis_element(1), alg.basis_element(2), alg.basis_element(3)
-    Ji = alg.basis_element(5)
-    Jj = alg.basis_element(6)
-    Jk = alg.basis_element(7)
 
     def with_J(vec):
         """J * vec for a vec supported on {i, j, k}."""
@@ -312,7 +309,6 @@ def e_a1_triples(D, a):
             out[4 + t] = vec[t]
         return tuple(out)
 
-    del Ji, Jj, Jk
     half = field.rational(Fraction(1, 2))
     jk_plus = alg.add(j, alg.scale(sa_inv, k))     # j + k/sqrt(a)
     jk_minus = alg.sub(j, alg.scale(sa_inv, k))    # j - k/sqrt(a)
@@ -405,6 +401,13 @@ GALOIS_LIE_TABLE = {
 }
 
 
+def _split_scalar(field: MultiQuadField, c) -> ExactMatrix:
+    """diag(c I_4, -c I_4): c on the first block of four coordinates, -c on
+    the second."""
+    return ExactMatrix(field, [[(c if r < 4 else -c) if r == s else field.zero()
+                                for s in range(8)] for r in range(8)])
+
+
 class AntiWeilRep:
     """The 8-dimensional rational representation of E(a,1)^o determined by
     the weight-basis tables, realized concretely: V ⊗ F has the f-basis
@@ -473,11 +476,7 @@ class AntiWeilRep:
 
         # the imaginary quadratic generator sqrt(D') acts by sDp on V_sigma
         # and -sDp on V_sigma-bar
-        J = [[F.zero()] * 8 for _ in range(8)]
-        for t in range(4):
-            J[t][t] = self.sDp
-            J[4 + t][4 + t] = -self.sDp
-        self.J = ExactMatrix(F, J)
+        self.J = _split_scalar(F, self.sDp)
 
         # symplectic Gram matrix in the v/w basis, then in f-coordinates
         M = -self.sDp
@@ -505,14 +504,14 @@ class AntiWeilRep:
 
     # -- Galois machinery ---------------------------------------------------
 
-    def galois_on_vector(self, tag, vec):
-        """Semilinear Galois action on f-coordinate vectors: conjugate
-        coefficients; the sqrt(D')-flipping generator also swaps the
-        f and f-bar blocks."""
+    def galois_act(self, tag, m: ExactMatrix) -> ExactMatrix:
+        """Semilinear Galois action on the columns of m, f-coordinate
+        vectors: conjugate the entries; a generator flipping sqrt(D') also
+        swaps the f and f-bar row blocks."""
         g = self.galois[tag]
-        out = [apply_galois(g, c) for c in vec]
+        out = m.galois(g)
         if g.signs[self._gen_index["g2"]] == -1:
-            out = out[4:] + out[:4]
+            out = ExactMatrix(self.field, out.entries[4:] + out.entries[:4])
         return out
 
     # -- verification -------------------------------------------------------
@@ -534,10 +533,9 @@ class AntiWeilRep:
             br("h2", "y2") == mu["y2"].scale(-two),
             br("x2", "y2") == mu["h2"],
         ]
-        zeromat = ExactMatrix(F, [[F.zero()] * 8 for _ in range(8)])
         for p in ("h1", "x1", "y1"):
             for q in ("h2", "x2", "y2"):
-                checks.append(br(p, q) == zeromat)
+                checks.append(mu[p] * mu[q] == mu[q] * mu[p])
         return all(checks)
 
     def regenerate_galois_lie_table(self):
@@ -567,23 +565,20 @@ class AntiWeilRep:
 
     def verify_galois_equivariance(self):
         """g^{-1} mu(l) (g v) = mu(g^{-1} l) v for the three Galois
-        generators, six Lie generators and eight basis vectors."""
+        generators, six Lie generators and eight basis vectors, as the 18
+        matrix identities g(mu(l) P) = mu(g^{-1} l) with P = g(I).
+        failures lists (tag, name, t) for each column t where they differ."""
+        identity = ExactMatrix.identity(self.field, 8)
         failures = []
-        count = 0
-        for tag in ("g1", "g2", "g3"):
+        for tag in self.galois:
+            P = self.galois_act(tag, identity)
             for name in GENERATOR_NAMES:
                 sign, target = GALOIS_LIE_TABLE[tag][name]
-                rhs_mat = self.mu[target].scale(self.field.rational(sign))
-                for t in range(8):
-                    vec = [self.field.one() if s == t else self.field.zero()
-                           for s in range(8)]
-                    gv = self.galois_on_vector(tag, vec)
-                    lhs = self.galois_on_vector(tag, self.mu[name] * gv)
-                    rhs = rhs_mat * vec
-                    count += 1
-                    if any(not (p - q).is_zero() for p, q in zip(lhs, rhs)):
-                        failures.append((tag, name, t))
-        assert count == 144
+                lhs = self.galois_act(tag, self.mu[name] * P)
+                rhs = self.mu[target].scale(self.field.rational(sign))
+                failures += [(tag, name, t) for t in range(8)
+                             if any(p[t] != q[t] for p, q in
+                                    zip(lhs.entries, rhs.entries))]
         return (not failures), failures
 
     def phi(self, u, v):
@@ -597,36 +592,24 @@ class AntiWeilRep:
         checks["antisymmetric"] = \
             self.gram.transpose() == self.gram.scale(F.rational(-1))
         checks["nondegenerate"] = not self.gram.det().is_zero()
-        # (i) Galois descent
-        ok = True
-        basis = [[F.one() if s == t else F.zero() for s in range(8)]
-                 for t in range(8)]
-        for tag in ("g1", "g2", "g3"):
-            g = self.galois[tag]
-            for u in basis:
-                for v in basis:
-                    lhs = self.phi(self.galois_on_vector(tag, u),
-                                   self.galois_on_vector(tag, v))
-                    rhs = apply_galois(g, self.phi(u, v))
-                    if not (lhs - rhs).is_zero():
-                        ok = False
-        checks["descent"] = ok
+        # (i) Galois descent: phi(g u, g v) = g(phi(u, v)) on all pairs of
+        # basis vectors is P^T G P = g(G) with P = g(I)
+        identity = ExactMatrix.identity(F, 8)
+        checks["descent"] = all(
+            P.transpose() * self.gram * P == self.gram.galois(self.galois[tag])
+            for tag in self.galois
+            for P in [self.galois_act(tag, identity)])
         # (ii) infinitesimal invariance
         checks["infinitesimal"] = all(
-            (self.mu[n].transpose() * self.gram
-             + self.gram * self.mu[n])
-            == ExactMatrix(F, [[F.zero()] * 8 for _ in range(8)])
+            self.mu[n].transpose() * self.gram == -(self.gram * self.mu[n])
             for n in GENERATOR_NAMES)
         # (iii) adjointness of the quadratic generator: phi(Jv, w) =
-        # phi(v, conj(J) w) with conj(J) = -J
-        checks["k_adjoint"] = \
-            (self.J.transpose() * self.gram) \
-            == (self.gram * self.J.scale(F.rational(-1)))
-        # (iv) central invariance: k + conj(k) = 0 means k = c sqrt(D'),
-        # and phi(kv, w) + phi(v, kw) = 0 is (iii) restated
-        checks["central_invariance"] = \
-            (self.J.transpose() * self.gram + self.gram * self.J) \
-            == ExactMatrix(F, [[F.zero()] * 8 for _ in range(8)])
+        # phi(v, conj(J) w) with conj(J) = -J.  (iv) central invariance:
+        # k + conj(k) = 0 means k = c sqrt(D'), and phi(kv, w) + phi(v, kw)
+        # = 0 is the same equation; the record keeps both keys.
+        adjoint = self.J.transpose() * self.gram == -(self.gram * self.J)
+        checks["k_adjoint"] = adjoint
+        checks["central_invariance"] = adjoint
         # isotropy of the eigenspaces (v/w Gram blocks vanish)
         iso = all(self.gram_vw.entries[r][c].is_zero()
                   for r in range(4) for c in range(4))
@@ -643,46 +626,22 @@ class AntiWeilRep:
 
     def verify_irreducibility(self):
         """Weight-line patterns: a proper invariant subspace must be
-        spanned by p_l v_l + q_l w_l per weight; stability under the
-        sqrt(D') action forces p_l q_l = 0, and none of the 16 resulting
-        side patterns is Galois stable."""
-        F = self.field
-
-        def vw_vector(label, side):
-            t = self.basis_labels.index(side + label)
-            return self.B * [F.one() if s == t else F.zero()
-                             for s in range(8)]
-
-        # mixed p, q nonzero: the J image leaves the line
-        for p, q in ((1, 1), (1, -1), (2, 3)):
-            v = vw_vector("1,1", "v")
-            w = vw_vector("1,1", "w")
-            mixed = [F.rational(p) * a + F.rational(q) * b
-                     for a, b in zip(v, w)]
-            jm = self.J * mixed
-            if ExactMatrix(F, [mixed, jm]).rank() != 2:
-                return False
-        for p, q in ((1, 0), (0, 1)):
-            v = vw_vector("1,1", "v")
-            w = vw_vector("1,1", "w")
-            pure = [F.rational(p) * a + F.rational(q) * b
-                    for a, b in zip(v, w)]
-            jp = self.J * pure
-            if ExactMatrix(F, [pure, jp]).rank() != 1:
-                return False
-
-        # the 16 pure side patterns all fail Galois stability
-        for sides in iproduct("vw", repeat=4):
-            span_vecs = [vw_vector(label, side)
-                         for label, side in zip(WEIGHT_LABELS, sides)]
-            span = ExactMatrix(F, span_vecs)
-            stable = True
-            for tag in ("g1", "g2", "g3"):
-                for vec in span_vecs:
-                    img = self.galois_on_vector(tag, vec)
-                    if ExactMatrix(F, span.entries + [img]).rank() != 4:
-                        stable = False
-            if stable:
+        spanned by p_l v_l + q_l w_l per weight.  In the v/w basis the
+        sqrt(D') action is B^-1 J B = diag(sqrt(D') I_4, -sqrt(D') I_4),
+        so such a line is J-stable only when p_l q_l = 0.  The span of a
+        side pattern S (v_l or w_l for each l) is stable under g exactly
+        when C_g = B^-1 g(B), the matrix of g in the v/w basis, has
+        C_g[r][t] = 0 for every t in S and r not in S; none of the 16
+        patterns is stable under all three generators."""
+        if self.B_inv * self.J * self.B != _split_scalar(self.field, self.sDp):
+            return False
+        zero = [[[c.is_zero() for c in row]
+                 for row in (self.B_inv * self.galois_act(tag, self.B)).entries]
+                for tag in self.galois]
+        for sides in iproduct((0, 4), repeat=4):
+            span = {side + t for t, side in enumerate(sides)}
+            if all(z[r][t] for z in zero for t in span
+                   for r in range(8) if r not in span):
                 return False
         return True
 

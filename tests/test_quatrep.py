@@ -2,14 +2,20 @@
 representation: bracket tables, Galois equivariance, symplectic form,
 irreducibility, and rational descent."""
 
+import os
+import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from cmsweep import quatrep
-from cmsweep.fields import QQ, DependentGenerators, apply_galois, field_create
+from cmsweep.fields import (QQ, DependentGenerators, ExactMatrix,
+                            GaloisElement, apply_galois, field_create)
 from cmsweep.quatrep import (AntiWeilRep, GALOIS_EIGEN_TABLE,
                              GALOIS_LIE_TABLE, GENERATOR_NAMES, REP_TABLE,
                              UNIT_TABLE, WEIGHT_LABELS, QuaternionAlgebra,
@@ -86,11 +92,20 @@ def test_weight_action_examples(rep):
 def test_galois_eigen_example(rep):
     # g3 (the sqrt(a)-flip) sends v_{1,-1} to -v_{-1,1}
     assert GALOIS_EIGEN_TABLE["g3"]["1,-1"] == (-1, "v", "-1,1")
-    src = _column(rep.B, rep.basis_labels.index("v1,-1"))
-    want = [e.scale(Fraction(-1)) if hasattr(e, "scale") else -e
-            for e in _column(rep.B, rep.basis_labels.index("v-1,1"))]
-    got = rep.galois_on_vector("g3", src)
-    assert all((p - q).is_zero() for p, q in zip(got, want))
+    # every entry is a column of C_g = B^-1 g(B), the matrix of g in the
+    # v/w basis; g w_l = g g2 v_l = g2 (g v_l), and g2 swaps v_m and w_m
+    F = rep.field
+    index = rep.basis_labels.index
+    other = {"v": "w", "w": "v"}
+    assert set(GALOIS_EIGEN_TABLE) == set(rep.galois)
+    for tag, table in GALOIS_EIGEN_TABLE.items():
+        assert set(table) == set(WEIGHT_LABELS)
+        want = [[F.zero()] * 8 for _ in range(8)]
+        for label, (sign, side, target) in table.items():
+            want[index(side + target)][index("v" + label)] = F.rational(sign)
+            want[index(other[side] + target)][index("w" + label)] = \
+                F.rational(sign)
+        assert rep.B_inv * rep.galois_act(tag, rep.B) == ExactMatrix(F, want)
 
 
 def test_galois_lie_example():
@@ -264,3 +279,144 @@ def test_rep_builds_e_a1_and_rational_model_once(monkeypatch):
     # a second rep of the same parameters builds its own
     build_antiweil_rep(-1, -2, -3).rational_model()
     assert calls == {"e_a1": 2, "model": 2}
+
+
+# -- the Galois checks against their per-vector references ------------------
+
+def _galois_on_vector(rep, tag, vec):
+    """Reference semilinear action on one f-coordinate vector."""
+    g = rep.galois[tag]
+    out = [apply_galois(g, c) for c in vec]
+    if g.signs[rep._gen_index["g2"]] == -1:
+        out = out[4:] + out[:4]
+    return out
+
+
+def _unit(F, t):
+    return [F.one() if s == t else F.zero() for s in range(8)]
+
+
+def _equivariance_by_vectors(rep):
+    """Reference: g^{-1} mu(l) (g e_t) = mu(g^{-1} l) e_t one basis vector
+    at a time, as verify_galois_equivariance once ran."""
+    failures = []
+    for tag in ("g1", "g2", "g3"):
+        for name in GENERATOR_NAMES:
+            sign, target = GALOIS_LIE_TABLE[tag][name]
+            rhs_mat = rep.mu[target].scale(rep.field.rational(sign))
+            for t in range(8):
+                vec = _unit(rep.field, t)
+                gv = _galois_on_vector(rep, tag, vec)
+                lhs = _galois_on_vector(rep, tag, rep.mu[name] * gv)
+                rhs = rhs_mat * vec
+                if any(not (p - q).is_zero() for p, q in zip(lhs, rhs)):
+                    failures.append((tag, name, t))
+    return (not failures), failures
+
+
+def _descent_by_pairs(rep):
+    """Reference: phi(g u, g v) = g(phi(u, v)) on every ordered pair of
+    basis vectors, as verify_symplectic once ran."""
+    basis = [_unit(rep.field, t) for t in range(8)]
+    return all((rep.phi(_galois_on_vector(rep, tag, u),
+                        _galois_on_vector(rep, tag, v))
+                - apply_galois(rep.galois[tag], rep.phi(u, v))).is_zero()
+               for tag in ("g1", "g2", "g3")
+               for u in basis for v in basis)
+
+
+def _irreducible_by_ranks(rep):
+    """Reference: J-line rank checks on the weight (1,1) and a rank test
+    for each Galois image of each vector of the 16 side patterns, as
+    verify_irreducibility once ran."""
+    F = rep.field
+
+    def vw_vector(label, side):
+        return rep.B * _unit(F, rep.basis_labels.index(side + label))
+
+    v, w = vw_vector("1,1", "v"), vw_vector("1,1", "w")
+    for p, q, rank in ((1, 1, 2), (1, -1, 2), (2, 3, 2), (1, 0, 1), (0, 1, 1)):
+        line = [F.rational(p) * a + F.rational(q) * b for a, b in zip(v, w)]
+        if ExactMatrix(F, [line, rep.J * line]).rank() != rank:
+            return False
+    for sides in product("vw", repeat=4):
+        span_vecs = [vw_vector(label, side)
+                     for label, side in zip(WEIGHT_LABELS, sides)]
+        if all(ExactMatrix(F, span_vecs
+                           + [_galois_on_vector(rep, tag, vec)]).rank() == 4
+               for tag in ("g1", "g2", "g3") for vec in span_vecs):
+            return False
+    return True
+
+
+def _seeded_triples(seed, count):
+    """Negative (D', D, a) whose square roots generate a degree-8 field."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        triple = tuple(-rng.randint(1, 40) for _ in range(3))
+        if len(sqrt_gens(*triple)) == 3 and triple not in out:
+            out.append(triple)
+    return out
+
+
+def _agree_with_references(rep):
+    assert rep.verify_galois_equivariance() == _equivariance_by_vectors(rep)
+    assert rep.verify_symplectic()[1]["descent"] == _descent_by_pairs(rep)
+    assert rep.verify_irreducibility() == _irreducible_by_ranks(rep)
+
+
+@pytest.mark.parametrize("triple", [(-1, -2, -3)] + _seeded_triples(7, 6))
+def test_galois_checks_match_references(triple):
+    rep = build_antiweil_rep(*triple)
+    _agree_with_references(rep)
+    assert rep.verify_galois_equivariance() == (True, [])
+    assert rep.verify_symplectic()[1]["descent"]
+    assert rep.verify_irreducibility()
+
+
+def test_perturbed_mu_fails_equivariance_like_reference():
+    rep = build_antiweil_rep(-1, -2, -3)
+    F = rep.field
+    bump = [[rep.sa if (r, c) == (2, 5) else F.zero() for c in range(8)]
+            for r in range(8)]
+    rep.mu["x1"] = rep.mu["x1"] + ExactMatrix(F, bump)
+    ok, failures = rep.verify_galois_equivariance()
+    assert not ok and failures
+    assert (ok, failures) == _equivariance_by_vectors(rep)
+
+
+@pytest.mark.parametrize("root,r,c", [("sD", 0, 1), ("sa", 2, 5),
+                                      (None, 0, 1)])
+def test_perturbed_gram_fails_descent_like_reference(root, r, c):
+    rep = build_antiweil_rep(-1, -2, -3)
+    F = rep.field
+    x = F.one() if root is None else getattr(rep, root)
+    bump = [[F.zero()] * 8 for _ in range(8)]
+    bump[r][c], bump[c][r] = x, -x
+    rep.gram = rep.gram + ExactMatrix(F, bump)
+    ok, checks = rep.verify_symplectic()
+    assert checks["antisymmetric"]
+    assert not ok and not checks["descent"]
+    assert not _descent_by_pairs(rep)
+
+
+def test_trivial_galois_action_leaves_a_stable_pattern():
+    rep = build_antiweil_rep(-1, -2, -3)
+    trivial = GaloisElement((1, 1, 1))
+    rep.galois = {tag: trivial for tag in rep.galois}
+    assert not rep.verify_irreducibility()
+    assert not _irreducible_by_ranks(rep)
+    _agree_with_references(rep)
+
+
+def test_antiweil_walkthrough_demo_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run(
+        [sys.executable, str(root / "demos" / "antiweil_walkthrough.py")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert any("irreducibility" in line for line in lines)
+    assert not [line for line in lines if "False" in line]
