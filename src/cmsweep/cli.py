@@ -297,9 +297,12 @@ def compare_with_fixture(args, sub, cases):
     path = _fixture_file(args, sub)
     try:
         golden = json.loads(path.read_text())
-    except (FileNotFoundError, OSError):
+        want_ids = [c["case_id"] for c in golden]
+    except FileNotFoundError:
         return 0, len(cases), f"fixture missing: {sub}.json"
-    want_ids = [c["case_id"] for c in golden]
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        return 0, len(cases), (f"fixture unreadable: {sub}.json "
+                               f"({type(exc).__name__}: {exc})")
     got_ids = [c["case_id"] for c in cases]
     duplicate = sorted({k for ids in (want_ids, got_ids) for k in ids
                         if ids.count(k) > 1})
@@ -388,6 +391,11 @@ def _override_error(args):
         return f"{args.subcommand} does not take {', '.join(stray)}"
     if (args.p is None) != (args.n is None):
         return "-p and -n must be given together"
+    given = [flag for name, flag in OVERRIDE_FLAGS.items()
+             if getattr(args, name) is not None]
+    if args.bless and given:
+        # an overridden run is not the fixture's case list
+        return f"--bless does not take {', '.join(given)}"
     return None
 
 

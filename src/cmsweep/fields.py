@@ -696,11 +696,12 @@ def eigen_decompose(m: ExactMatrix):
     """
     assert m.rows == m.cols
     n = m.rows
-    ident = ExactMatrix.identity(m.field, n)
     found = []
     total = 0
     for lam in _eigenvalue_candidates(m.field):
-        shifted = m - ident.scale(lam)
+        # m - lam*I: only the diagonal changes
+        shifted = _matrix(m.field, [row[:i] + [row[i] - lam] + row[i + 1:]
+                                    for i, row in enumerate(m.entries)])
         ker = shifted.kernel()
         if ker:
             found.append((lam, ker))

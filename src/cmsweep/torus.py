@@ -27,7 +27,7 @@ from math import gcd, lcm
 from .cmfields import closure
 from .fields import (QQ, DoesNotSplit, ExactMatrix, FieldElement,
                      MultiQuadField, apply_galois, eigen_decompose,
-                     field_create)
+                     field_create, integer_rref)
 from .intlat import IntLattice, rational_span_intersect
 
 # ---------------------------------------------------------------------------
@@ -249,6 +249,12 @@ def rational_intersection(field: MultiQuadField, vectors):
     return [[x.as_fraction() for x in v] for v in ker]
 
 
+def _cleared(v):
+    """The rational vector v times the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v]
+
+
 def stable_subspaces_finite(ms, target_rank, field):
     """All Galois-stable sums of eigenlines of ms[0] of total dimension
     target_rank that are stable under the remaining matrices, descended
@@ -275,19 +281,10 @@ def stable_subspaces_finite(ms, target_rank, field):
         basis_f = [lines[t][1] for t in subset]
         rat = rational_intersection(field, basis_f)
         assert len(rat) == target_rank  # Galois-stable sums always descend
-        stable = True
-        for m in ms[1:]:
-            mm = ExactMatrix.from_int(QQ, m)
-            span = ExactMatrix(QQ, [[QQ.rational(x) for x in r] for r in rat])
-            for r in rat:
-                img = mm * [QQ.rational(x) for x in r]
-                stacked = ExactMatrix(QQ, span.entries + [img])
-                if stacked.rank() != target_rank:
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
+        span = [_cleared(r) for r in rat]
+        if all(len(integer_rref(span + [list(mat_apply(m, r)) for r in span],
+                                m0.rows)) == target_rank
+               for m in ms[1:]):
             results.append({
                 "eigenvalues": sorted(repr(lines[t][0]) for t in subset),
                 "basis": rat,
@@ -381,15 +378,32 @@ def _charpoly_2x2_str(c: ExactMatrix) -> str:
     return f"t^2 - ({tr!r})*t + ({det!r})"
 
 
+def _integral(v) -> tuple:
+    """The entries of v as a tuple of ints; ValueError unless each is
+    integral."""
+    out = []
+    for x in v:
+        q = Fraction(x)
+        if q.denominator != 1:
+            raise ValueError(f"vector {list(v)} is not integral")
+        out.append(q.numerator)
+    return tuple(out)
+
+
 @dataclass
 class MixedFamily:
     """W(x1:x2) = span{u, w} with u = x1*a + x2*b and w forced linear in
-    (x1, x2): w = x1*c + x2*d."""
+    (x1, x2): w = x1*c + x2*d.  a, b, c, d are stored as int tuples; a
+    non-integral entry raises ValueError."""
     a: tuple
     b: tuple
     c: tuple
     d: tuple
     matrices: list = dc_field(default_factory=list)  # must all stabilize W
+
+    def __post_init__(self):
+        self.a, self.b, self.c, self.d = (
+            _integral(v) for v in (self.a, self.b, self.c, self.d))
 
     def at(self, x1: int, x2: int):
         u = [x1 * p + x2 * q for p, q in zip(self.a, self.b)]
@@ -444,8 +458,7 @@ def pair_analysis(m1, m2):
         if comm == -1:
             # second line forced: w = m2 u
             a, b = vm
-            fam = MixedFamily(tuple(a), tuple(b),
-                              tuple(mat_apply(m2, a)), tuple(mat_apply(m2, b)),
+            fam = MixedFamily(a, b, mat_apply(m2, a), mat_apply(m2, b),
                               [m1, m2])
             return "family", fam
         # commuting: lines are eigenlines of the 2x2 restrictions
@@ -504,52 +517,46 @@ def pair_analysis(m1, m2):
 # homogeneous cubic constraints from a third matrix
 # ---------------------------------------------------------------------------
 
-def _hpoly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for a, pa in enumerate(p):
-        for b, qb in enumerate(q):
-            out[a + b] += pa * qb
-    return out
+def _det3(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _det3_linear(rows):
-    """det of a 3x3 matrix whose entries are linear forms (cx1, cx2) in
-    (x1, x2); result as homogeneous cubic coefficient list [x2^3 .. x1^3]."""
-    def lf(e):
-        return [Fraction(e[1]), Fraction(e[0])]  # [x2-coef, x1-coef]
-    total = [Fraction(0)] * 4
-    for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                       ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
-        term = [Fraction(sign)]
-        for r in range(3):
-            term = _hpoly_mul(term, lf(rows[r][perm[r]]))
-        total = [a + b for a, b in zip(total, term + [Fraction(0)] *
-                                       (4 - len(term)))]
-    return total
+_MINOR_COLUMNS = tuple(combinations(range(4), 3))
+# (x1, x2) points at which family_constraints evaluates every minor
+_CUBIC_NODES = ((0, 1), (1, 0), (1, 1), (1, -1))
 
 
 def family_constraints(fam: MixedFamily, m3):
     """All 3x3 minor constraints for m3-stability of the family, as
-    homogeneous cubics in (x1, x2); coefficient lists [x2^3 .. x1^3]."""
-    def linform(vec_a, vec_b):
-        return [(Fraction(pa), Fraction(pb)) for pa, pb in zip(vec_a, vec_b)]
-
-    u = linform(fam.a, fam.b)
-    w = linform(fam.c, fam.d)
+    homogeneous integer cubics in (x1, x2); coefficient lists [x2^3 ..
+    x1^3].  Each minor f is an integer determinant at the four nodes, and
+    its cubic [c0, c1, c2, c3] is interpolated exactly: c0 = f(0,1),
+    c3 = f(1,0), c1 + c2 = f(1,1) - c0 - c3, c1 - c2 = f(1,-1) + c0 - c3."""
+    images = ((mat_apply(m3, fam.a), mat_apply(m3, fam.b)),
+              (mat_apply(m3, fam.c), mat_apply(m3, fam.d)))
+    values = []
+    for x1, x2 in _CUBIC_NODES:
+        u, w = fam.at(x1, x2)
+        minors = []
+        for p, q in images:
+            img = [x1 * s + x2 * t for s, t in zip(p, q)]
+            for cols in _MINOR_COLUMNS:
+                minors.append(_det3([[u[c] for c in cols], [w[c] for c in cols],
+                                     [img[c] for c in cols]]))
+        values.append(minors)
     out = []
-    for src_a, src_b in ((fam.a, fam.b), (fam.c, fam.d)):
-        img = linform(mat_apply(m3, src_a), mat_apply(m3, src_b))
-        for cols in combinations(range(4), 3):
-            rows = [[u[c] for c in cols], [w[c] for c in cols],
-                    [img[c] for c in cols]]
-            minor = _det3_linear(rows)
-            if any(x != 0 for x in minor):
-                out.append(minor)
+    for c0, c3, f11, f1m in zip(*values):
+        plus = f11 - c0 - c3
+        minus = f1m + c0 - c3
+        cubic = [c0, (plus + minus) // 2, (plus - minus) // 2, c3]
+        if any(cubic):
+            out.append(cubic)
     return out
 
 
 def _rational_projective_roots(polys):
-    """Common projective rational roots (x1 : x2) of homogeneous
+    """Common projective rational roots (x1 : x2) of homogeneous integer
     polynomials given as coefficient lists [x2^d ... x1^d]."""
     assert polys
 
@@ -561,23 +568,15 @@ def _rational_projective_roots(polys):
     # root at infinity (1 : 0): leading x1 coefficient vanishes everywhere
     if all(p[-1] == 0 for p in polys):
         roots.append((1, 0))
-    # finite roots x1/x2 = t: rational root candidates of the first poly
-    first = next(p for p in polys)
-    # clear denominators
-    den = 1
-    for c in first:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ic = [int(c * den) for c in first]
-    # strip trailing/leading zero structure: roots of sum ic[j] t^j
-    nz = [j for j, c in enumerate(ic) if c]
+    # finite roots x1/x2 = t: rational root candidates of the first poly,
+    # with the powers of t and of x2 that divide it taken out
+    nz = [j for j, c in enumerate(polys[0]) if c]
     if not nz:
         raise AssertionError("identically zero polynomial passed")
     low, high = nz[0], nz[-1]
-    ic = ic[low:high + 1]  # powers of t and x2 divided out
     cands = {Fraction(0)} if low > 0 else set()
-    lead, const = ic[-1], ic[0]
-    for pnum in _divisors(abs(const)) or [0]:
-        for qden in _divisors(abs(lead)):
+    for pnum in _divisors(abs(polys[0][low])):
+        for qden in _divisors(abs(polys[0][high])):
             for s in (1, -1):
                 cands.add(Fraction(s * pnum, qden))
     for t in sorted(cands):

@@ -190,6 +190,36 @@ def test_duplicate_case_id_fails(tmp_path, capsys):
         f"sweep-dim1: duplicate case_id {case_id}"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["gross-periods", "-p", "3", "-n", "6"],
+    ["positivity", "--weil-x", "1,2,3,4"],
+])
+def test_bless_with_overrides_is_usage_error(tmp_path, capsys, argv):
+    _copy_fixtures(tmp_path)
+    before = {f.name: f.read_bytes() for f in tmp_path.glob("*.json")}
+    assert main(argv + ["--bless", "--fixtures", str(tmp_path)]) == 2
+    assert "--bless does not take" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in tmp_path.glob("*.json")} == before
+
+
+@pytest.mark.parametrize("text, error", [
+    ('[{"case_id": ', "JSONDecodeError"),
+    ('["not a record"]', "TypeError"),
+    ('[{"verdict": "OK"}]', "KeyError"),
+])
+def test_malformed_fixture_is_a_failing_note(tmp_path, capsys, text, error):
+    _copy_fixtures(tmp_path)
+    n_positivity = len(json.loads((FIXDIR / "positivity.json").read_text()))
+    (tmp_path / "positivity.json").write_text(text)
+    assert main(["verify-all", "--fixtures", str(tmp_path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    (note,) = report["notes"]
+    assert note.startswith(f"fixture unreadable: positivity.json ({error}")
+    # every other section is still compared, and passes
+    assert report["summary"] == {"passed": 91 - n_positivity,
+                                 "failed": n_positivity}
+
+
 def test_error_record_names_type_and_frame(monkeypatch, capsys):
     from cmsweep import periods
     # a bare assert inside the package: the message alone is empty

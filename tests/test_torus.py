@@ -1,21 +1,28 @@
 """The signed-permutation sweeps: verdict tables, witnesses, stable
-subspace families, and sign-flip symmetry."""
+subspace families, sign-flip symmetry, the integer cubic constraints and
+the eigenvalue trial scan."""
 
 import json
 import random
+from fractions import Fraction
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cmsweep.fields import ExactMatrix, eigen_decompose, field_create
+from cmsweep.fields import (ExactMatrix, _eigenvalue_candidates,
+                            eigen_decompose, field_create)
 from cmsweep.intlat import IntLattice
 from cmsweep.torus import (ORDER4_FIELD, REJECTED_DIVISOR_TEST,
                            REJECTED_NO_DESCENT, REJECTED_RANK, SURVIVES_D4,
-                           A4_Q, A4_QP, GenPermMatrix, M1, M2, P0, P1, P2,
-                           P3, P4, PP0, PP1, PP2, Q1, Q2, Q3, QP1, QP2, QP3,
-                           QQ0, QQ1, QQ2, R0, R1, R2, R3, R4, R5, R6, R7,
+                           A4_Q, A4_QP, GenPermMatrix, M1, M2, MixedFamily,
+                           P0, P1, P2, P3, P4, PP0, PP1, PP2, Q1, Q2, Q3,
+                           QP1, QP2, QP3, QQ0, QQ1, QQ2,
+                           R0, R1, R2, R3, R4, R5, R6, R7,
                            SignedGroup, all_subgroups_s4,
-                           divisor_test, finite_route_verdict, mat_neg,
+                           divisor_test, family_constraints,
+                           finite_route_verdict, mat_apply, mat_mul, mat_neg,
                            pair_analysis, signed_lift, stable_subspaces,
                            sweep_a4, sweep_dim1, sweep_klein4, sweep_order4,
                            transitive_subgroups_s4, _one_flip_lifts,
@@ -145,6 +152,20 @@ def test_stable_subspaces_examples():
     assert stable_subspaces([P0, P4], 2) == []
 
 
+def test_stable_subspaces_finite_checks_the_other_matrices():
+    # x fixes e0 - e2, e1 - e3 and e1 + e3 and sends e0 + e2 to
+    # e0 + e2 + 2(e1 - e3): of the two eigenline sums of M1 it keeps only
+    # the first stable
+    x = ((1, 0, 0, 0), (1, 1, 1, 0), (0, 0, 1, 0), (-1, 0, -1, 1))
+    minus = ((1, 0, -1, 0), (0, 1, 0, -1))
+    plus = ((1, 0, 1, 0), (0, 1, 0, 1))
+    m1_squared = mat_mul(M1, M1)
+    for ms, want in (([M1, x], [minus]), ([M1, m1_squared], [minus, plus]),
+                     ([M1, m1_squared, x], [minus])):
+        fams = stable_subspaces(ms, 2)
+        assert sorted(f.lattice.basis for f in fams) == want
+
+
 def test_stable_subspaces_needs_second_involutive_matrix():
     with pytest.raises(ValueError):
         stable_subspaces([P0], 2)
@@ -238,3 +259,133 @@ def test_signed_lift_roundtrip():
         m = signed_lift(perm, signs)
         assert m.permutation == perm
         assert GenPermMatrix(m.rows).signs == m.signs
+
+
+# -- the cubic constraints against the Fraction polynomial products -------
+
+def _hpoly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for a, pa in enumerate(p):
+        for b, qb in enumerate(q):
+            out[a + b] += pa * qb
+    return out
+
+
+def _det3_linear(rows):
+    """det of a 3x3 matrix whose entries are linear forms (cx1, cx2) in
+    (x1, x2); result as homogeneous cubic coefficient list [x2^3 .. x1^3]."""
+    def lf(e):
+        return [Fraction(e[1]), Fraction(e[0])]  # [x2-coef, x1-coef]
+    total = [Fraction(0)] * 4
+    for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                       ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
+        term = [Fraction(sign)]
+        for r in range(3):
+            term = _hpoly_mul(term, lf(rows[r][perm[r]]))
+        total = [a + b for a, b in zip(total, term + [Fraction(0)] *
+                                       (4 - len(term)))]
+    return total
+
+
+def _constraints_by_products(fam, m3):
+    """The minor cubics multiplied out as Fraction polynomials."""
+    def linform(vec_a, vec_b):
+        return [(Fraction(pa), Fraction(pb)) for pa, pb in zip(vec_a, vec_b)]
+
+    u = linform(fam.a, fam.b)
+    w = linform(fam.c, fam.d)
+    out = []
+    for src_a, src_b in ((fam.a, fam.b), (fam.c, fam.d)):
+        img = linform(mat_apply(m3, src_a), mat_apply(m3, src_b))
+        for cols in combinations(range(4), 3):
+            rows = [[u[c] for c in cols], [w[c] for c in cols],
+                    [img[c] for c in cols]]
+            minor = _det3_linear(rows)
+            if any(x != 0 for x in minor):
+                out.append(minor)
+    return out
+
+
+# the (second, third) matrices the sweeps impose on the family of (P0, *)
+SWEEP_TRIPLES = [(P2, Q1), (P2, Q2), (P2, Q3), (P3, QP1), (P3, QP2),
+                 (P3, QP3)] + [(q, r) for q in (A4_Q, A4_QP)
+                               for r in (R0, R1, R2, R3, R4, R5, R6, R7)]
+
+
+def _assert_same_constraints(fam, m3):
+    got = family_constraints(fam, m3)
+    assert got == _constraints_by_products(fam, m3)
+    assert all(type(c) is int for cubic in got for c in cubic)
+
+
+def test_family_constraints_match_products_on_sweep_triples():
+    assert len(SWEEP_TRIPLES) == 22
+    for second, third in SWEEP_TRIPLES:
+        kind, fam = pair_analysis(P0, second)
+        assert kind == "family"
+        assert all(type(x) is int
+                   for v in (fam.a, fam.b, fam.c, fam.d) for x in v)
+        _assert_same_constraints(fam, third)
+
+
+int_vectors = st.lists(st.integers(-6, 6), min_size=4, max_size=4)
+
+
+@given(st.lists(int_vectors, min_size=4, max_size=4),
+       st.sampled_from(list(permutations(range(4)))),
+       st.lists(st.sampled_from((1, -1)), min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_family_constraints_match_products_on_random_families(vecs, perm,
+                                                             signs):
+    fam = MixedFamily(*vecs)
+    _assert_same_constraints(fam, signed_lift(perm, signs).rows)
+
+
+def test_family_vectors_must_be_integral():
+    fam = MixedFamily((Fraction(2), 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                      (0, 0, 0, Fraction(-4, 2)))
+    assert fam.a == (2, 0, 0, 0) and fam.d == (0, 0, 0, -2)
+    assert all(type(x) is int for x in fam.a + fam.d)
+    with pytest.raises(ValueError):
+        MixedFamily((Fraction(1, 2), 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                    (0, 0, 0, 1))
+
+
+# -- the eigenvalue trial scan --------------------------------------------
+
+def _eigen_by_identity_scale(m):
+    """The trial loop that subtracts a full scaled identity matrix."""
+    ident = ExactMatrix.identity(m.field, m.rows)
+    found = []
+    total = 0
+    for lam in _eigenvalue_candidates(m.field):
+        ker = (m - ident.scale(lam)).kernel()
+        if ker:
+            found.append((lam, ker))
+            total += len(ker)
+            if total == m.rows:
+                break
+    return found
+
+
+@pytest.mark.parametrize("case_id, lift, gens", [
+    *[(cid, m, ORDER4_FIELD) for cid, m in _order4_lifts()],
+    *[(cid, m, (-1,)) for cid, m in _one_flip_lifts()],
+])
+def test_eigen_trials_stop_at_the_last_eigenvalue(monkeypatch, case_id, lift,
+                                                  gens):
+    field = field_create(gens)
+    m = ExactMatrix.from_int(field, lift)
+    kernels = []
+    kernel = ExactMatrix.kernel
+
+    def counting(self):
+        kernels.append(self)
+        return kernel(self)
+
+    monkeypatch.setattr(ExactMatrix, "kernel", counting)
+    found = eigen_decompose(m)
+    candidates = _eigenvalue_candidates(field)
+    assert len(kernels) == max(candidates.index(lam) for lam, _ in found) + 1
+    monkeypatch.undo()
+    assert found == _eigen_by_identity_scale(m)
