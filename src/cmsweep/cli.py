@@ -18,22 +18,15 @@ from pathlib import Path
 
 from . import __version__
 
-SWEEPS = ("sweep-dim1", "sweep-order4", "sweep-klein4", "sweep-a4")
-SUBCOMMANDS = SWEEPS + ("d4-cmtypes", "rep-classify", "antiweil-verify",
-                        "positivity", "gross-periods", "verify-all")
-
 
 # ---------------------------------------------------------------------------
 # case-record producers
 # ---------------------------------------------------------------------------
 
 def _run_sweep(name):
+    """The records of torus.<name>()."""
     from . import torus
-    fn = {"sweep-dim1": torus.sweep_dim1,
-          "sweep-order4": torus.sweep_order4,
-          "sweep-klein4": torus.sweep_klein4,
-          "sweep-a4": torus.sweep_a4}[name]
-    return [cv.to_json() for cv in fn()]
+    return [cv.to_json() for cv in getattr(torus, name)()]
 
 
 def _run_d4_cmtypes():
@@ -174,7 +167,7 @@ def _check(case_id, ok, certificate, table):
             "certificate": certificate, "table": table}
 
 
-def _run_positivity(weil_x=None):
+def _run_positivity(weil_x):
     from . import positivity as pos
     records = []
     v = pos.diagonal_feasibility(pos.deg4_imaginary_system())
@@ -209,7 +202,7 @@ def _run_positivity(weil_x=None):
     return records
 
 
-def _run_gross_periods(p=None, n=None):
+def _run_gross_periods(p, n):
     from .periods import gross_matrix, trdeg_lower_bound, twisted_membership
     cases = [(p, n)] if p is not None else [(1, 4), (2, 4)]
     records = []
@@ -228,30 +221,31 @@ def _run_gross_periods(p=None, n=None):
     return records
 
 
+# every section of verify-all, in its order, with the producer of its
+# case records from the parsed arguments
+SECTIONS = {
+    "sweep-dim1": lambda args: _run_sweep("sweep_dim1"),
+    "sweep-order4": lambda args: _run_sweep("sweep_order4"),
+    "sweep-klein4": lambda args: _run_sweep("sweep_klein4"),
+    "sweep-a4": lambda args: _run_sweep("sweep_a4"),
+    "d4-cmtypes": lambda args: _run_d4_cmtypes(),
+    "rep-classify": lambda args: _run_rep_classify(),
+    "antiweil-verify": lambda args: _run_antiweil_verify(),
+    "positivity": lambda args: _run_positivity(args.weil_x),
+    "gross-periods": lambda args: _run_gross_periods(args.p, args.n),
+}
+SUBCOMMANDS = tuple(SECTIONS) + ("verify-all",)
+
+
 def _error_certificate(exc):
     """The message, class and innermost cmsweep frame of an exception
-    raised under run_cases (so at least one frame is in this package)."""
+    raised by a section producer (so at least one frame is in this
+    package)."""
     package = Path(__file__).resolve().parent
     *_, frame = (f for f in traceback.extract_tb(exc.__traceback__)
                  if Path(f.filename).resolve().parent == package)
     return {"message": str(exc), "type": type(exc).__name__,
             "where": f"{Path(frame.filename).name}:{frame.lineno}"}
-
-
-def run_cases(sub, args):
-    if sub in SWEEPS:
-        return _run_sweep(sub)
-    if sub == "d4-cmtypes":
-        return _run_d4_cmtypes()
-    if sub == "rep-classify":
-        return _run_rep_classify()
-    if sub == "antiweil-verify":
-        return _run_antiweil_verify()
-    if sub == "positivity":
-        return _run_positivity(weil_x=args.weil_x)
-    if sub == "gross-periods":
-        return _run_gross_periods(p=args.p, n=args.n)
-    raise ValueError(sub)
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +324,18 @@ def compare_with_fixture(args, sub, cases):
 def bless_fixture(args, sub, cases):
     path = Path(str(_fixture_file(args, sub)))
     path.parent.mkdir(parents=True, exist_ok=True)
-    old = None
-    if path.exists():
-        old = json.loads(path.read_text())
+    try:
+        old_ids = {c["case_id"]: c for c in json.loads(path.read_text())}
+    except FileNotFoundError:
+        old_ids = None
+        note = f"{sub}: new fixture with {len(cases)} cases"
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        old_ids = None
+        note = (f"{sub}: rewrote unreadable fixture {sub}.json "
+                f"({type(exc).__name__}: {exc})")
     path.write_text(_canonical(cases))
-    if old is None:
-        return f"{sub}: new fixture with {len(cases)} cases"
-    old_ids = {c["case_id"]: c for c in old}
+    if old_ids is None:
+        return note
     new_ids = {c["case_id"]: c for c in cases}
     added = sorted(set(new_ids) - set(old_ids))
     removed = sorted(set(old_ids) - set(new_ids))
@@ -427,9 +426,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    subs = list(SWEEPS) + ["d4-cmtypes", "rep-classify", "antiweil-verify",
-                           "positivity", "gross-periods"] \
-        if args.subcommand == "verify-all" else [args.subcommand]
+    subs = list(SECTIONS) if args.subcommand == "verify-all" \
+        else [args.subcommand]
     overridden = any(v is not None for v in (args.weil_x, args.p, args.n))
 
     sections = []
@@ -438,7 +436,7 @@ def main(argv=None) -> int:
     for sub in subs:
         t0 = time.monotonic()
         try:
-            cases = run_cases(sub, args)
+            cases = SECTIONS[sub](args)
         except Exception as exc:  # surfaced as a failing case
             cases = [{"case_id": f"{sub}:error", "verdict": "ERROR",
                       "certificate": _error_certificate(exc), "table": sub}]

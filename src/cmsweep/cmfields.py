@@ -191,17 +191,17 @@ def induce_type(model: CMFieldModel, subgroup, coset_choices) -> CMType:
 
 # --- the dihedral analysis -------------------------------------------------
 
-def d4_analysis() -> dict:
-    """Enumerate CM types on the dihedral model, normalized by id ∈ Φ, and
-    single out those whose index-2 totally-real-over subfield K1 = E^<x>
-    shows the quartic multiplicity pattern; report their multiplicities
-    over the second quartic subfield K2 = E^<ax>."""
-    m = d4_model()
+def _quartic_subfields(m: CMFieldModel):
+    """K1 = E^<x> and K2 = E^<ax> on the dihedral model, both CM."""
     k1 = SubfieldModel(m, frozenset([(0, 0), (0, 1)]))       # <x>
     k2 = SubfieldModel(m, frozenset([(0, 0), (1, 1)]))       # <ax>
     assert k1.is_cm and k2.is_cm
+    return k1, k2
 
-    # conjugation pairs {g, tau g}; a CM type picks one element per pair
+
+def _all_id_types(m: CMFieldModel):
+    """Every CM type containing the identity.  A CM type picks one element
+    of each conjugation pair {g, tau g}."""
     pairs = []
     seen = set()
     for g in m.elements:
@@ -210,15 +210,24 @@ def d4_analysis() -> dict:
         conj = m.mul(m.tau, g)
         seen |= {g, conj}
         pairs.append((g, conj))
-    all_types = []
-    idd = m.identity
+    out = []
     for bits in range(2 ** len(pairs)):
         members = set()
         for t, (g, conj) in enumerate(pairs):
             members.add(g if (bits >> t) & 1 == 0 else conj)
-        if idd in members:
-            all_types.append(CMType(m, frozenset(members)))
+        if m.identity in members:
+            out.append(CMType(m, frozenset(members)))
+    return out
 
+
+def d4_analysis() -> dict:
+    """Enumerate CM types on the dihedral model, normalized by id ∈ Φ, and
+    single out those whose index-2 totally-real-over subfield K1 = E^<x>
+    shows the quartic multiplicity pattern; report their multiplicities
+    over the second quartic subfield K2 = E^<ax>."""
+    m = d4_model()
+    k1, k2 = _quartic_subfields(m)
+    all_types = _all_id_types(m)
     surviving = []
     for phi in all_types:
         m1 = restrict_multiplicities(phi, k1)
@@ -275,8 +284,7 @@ def d4_relabeled_analysis() -> dict:
 
     swapped = map_types((3, 0), (1, 1))  # a -> a^3, x -> ax
     # survivors of the analysis run with K1 and K2 exchanged
-    k1 = SubfieldModel(m, frozenset([(0, 0), (0, 1)]))
-    k2 = SubfieldModel(m, frozenset([(0, 0), (1, 1)]))
+    _, k2 = _quartic_subfields(m)
     dual = []
     for phi in _all_id_types(m):
         if quartic_multiplicity_predicate(restrict_multiplicities(phi, k2)):
@@ -288,21 +296,3 @@ def d4_relabeled_analysis() -> dict:
         "dual_survivors": sorted(dual),
     }
 
-
-def _all_id_types(m: CMFieldModel):
-    pairs = []
-    seen = set()
-    for g in m.elements:
-        if g in seen:
-            continue
-        conj = m.mul(m.tau, g)
-        seen |= {g, conj}
-        pairs.append((g, conj))
-    out = []
-    for bits in range(2 ** len(pairs)):
-        members = set()
-        for t, (g, conj) in enumerate(pairs):
-            members.add(g if (bits >> t) & 1 == 0 else conj)
-        if m.identity in members:
-            out.append(CMType(m, frozenset(members)))
-    return out

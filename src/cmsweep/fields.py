@@ -464,6 +464,46 @@ def integer_rref(rows, ncols):
     return pivots
 
 
+def _cleared_rows(rows, ncols):
+    """The nonzero rows of int or Fraction entries, each times the lcm of
+    the denominators of its nonzero entries."""
+    out = []
+    for row in rows:
+        nonzero = [(j, x) for j, x in enumerate(row) if x]
+        if nonzero:
+            den = lcm(*(x.denominator for _, x in nonzero))
+            ints = [0] * ncols
+            for j, x in nonzero:
+                ints[j] = x.numerator * (den // x.denominator)
+            out.append(ints)
+    return out
+
+
+def rational_kernel(rows, ncols):
+    """Basis of the right kernel of the rational matrix with the given rows
+    (ints or Fractions), as lists of Fractions.  The cleared rows go
+    through integer_rref; each basis vector sets one free variable to 1,
+    as ExactMatrix.kernel does.  No rows give the standard basis."""
+    rows = _cleared_rows(rows, ncols)
+    pivots = integer_rref(rows, ncols)
+    zero, one = Fraction(0), Fraction(1)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [zero] * ncols
+        v[fc] = one
+        for row, pc in zip(rows, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], row[pc])
+        basis.append(v)
+    return basis
+
+
+def rational_rank(rows, ncols) -> int:
+    """Rank of the rational matrix with the given rows (ints or
+    Fractions), by integer_rref on the cleared rows."""
+    return len(integer_rref(_cleared_rows(rows, ncols), ncols))
+
+
 def _matrix(field, rows) -> "ExactMatrix":
     """An ExactMatrix from rows of elements of ``field``, unchecked."""
     m = object.__new__(ExactMatrix)

@@ -11,9 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
-from .fields import QQ, ExactMatrix, integer_rref
+from .fields import QQ, ExactMatrix, rational_kernel, rational_rank
 
 # ---------------------------------------------------------------------------
 # plain Fraction matrix helpers
@@ -174,30 +173,10 @@ def wedge2_module(w: WeightModule) -> WeightModule:
 
 
 def invariant_space(w: WeightModule):
-    """Basis of { v : g.v = 0 for every generator }, exactly.  The nonzero
-    rows of the stacked actions, each cleared of denominators, go through
-    integer_rref; each basis vector sets one free variable to 1."""
-    rows = []
-    for name in w.generator_names():
-        for row in w.actions[name]:
-            nonzero = [(j, x) for j, x in enumerate(row) if x]
-            if nonzero:
-                den = lcm(*(x.denominator for _, x in nonzero))
-                ints = [0] * w.dim
-                for j, x in nonzero:
-                    ints[j] = x.numerator * (den // x.denominator)
-                rows.append(ints)
-    pivots = integer_rref(rows, w.dim)
-    zero, one = Fraction(0), Fraction(1)
-    basis = []
-    for fc in sorted(set(range(w.dim)) - set(pivots)):
-        v = [zero] * w.dim
-        v[fc] = one
-        for row, pc in zip(rows, pivots):
-            if row[fc]:
-                v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(v)
-    return basis
+    """Basis of { v : g.v = 0 for every generator }, exactly: the kernel
+    of the stacked actions."""
+    return rational_kernel([row for name in w.generator_names()
+                            for row in w.actions[name]], w.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +241,18 @@ SP4_FORM = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
 
 def sp4_basis():
     """Basis of sp(4) = { x : x^T s + s x = 0 } by exact linear solving."""
-    s = [[Fraction(v) for v in row] for row in SP4_FORM]
+    s = SP4_FORM
     # 16 unknowns x[i][j]; equation (x^T s + s x)[i][j] = 0
     rows = []
     for i in range(4):
         for j in range(4):
-            coeff = [Fraction(0)] * 16
+            coeff = [0] * 16
             for t in range(4):
                 coeff[4 * t + i] += s[t][j]      # (x^T s)[i][j] = x[t][i] s[t][j]
                 coeff[4 * t + j] += s[i][t]      # (s x)[i][j] = s[i][t] x[t][j]
-            rows.append([QQ.rational(c) for c in coeff])
-    ker = ExactMatrix(QQ, rows).kernel()
-    basis = []
-    for v in ker:
-        basis.append([[v[4 * i + j].as_fraction() for j in range(4)]
-                      for i in range(4)])
+            rows.append(coeff)
+    basis = [[v[4 * i:4 * i + 4] for i in range(4)]
+             for v in rational_kernel(rows, 16)]
     assert len(basis) == 10
     return basis
 
@@ -307,8 +283,8 @@ def sl4_basis():
 
 
 def _images_independent(mats) -> bool:
-    flat = [[QQ.rational(x) for row in m for x in row] for m in mats]
-    return ExactMatrix(QQ, flat).rank() == len(mats)
+    flat = [[x for row in m for x in row] for m in mats]
+    return rational_rank(flat, len(flat[0])) == len(mats)
 
 
 def classify_dim4_faithful():

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import QQ, ExactMatrix
+from .fields import rational_rank
 
 DEFAULT_BASIS = ("b", "2*pi*i")
 
@@ -70,7 +70,7 @@ def trdeg_lower_bound(ms) -> int:
         return 0
     basis = ms[0].basis
     assert all(m.basis == basis for m in ms)
-    return ExactMatrix(QQ, [m.exponents for m in ms]).rank()
+    return rational_rank([m.exponents for m in ms], len(basis))
 
 
 def twisted_membership(ms, k: int) -> bool:

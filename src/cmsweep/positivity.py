@@ -10,13 +10,12 @@ general parametric solver here on purpose.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product as iproduct
 
 from .fields import (ExactMatrix, FieldElement, apply_galois,
-                     complex_conjugation, field_create)
+                     complex_conjugation, field_create, rational_kernel)
 
 # ---------------------------------------------------------------------------
 # Gaussian rationals
@@ -101,9 +100,6 @@ class FeasibilityVerdict:
     status: str  # INFEASIBLE | FEASIBLE
     certificate: dict
 
-    def to_json(self):
-        return {"status": self.status, "certificate": self.certificate}
-
 
 def _sign_patterns(sys: DiagonalPositivitySystem):
     free = sys.free_parameters()
@@ -146,9 +142,7 @@ def diagonal_feasibility(sys: DiagonalPositivitySystem) -> FeasibilityVerdict:
 
 
 def check_infeasibility_certificate(sys: DiagonalPositivitySystem,
-                                    verdict: FeasibilityVerdict,
-                                    samples=((1, 1), (1, -1), (2, 3),
-                                             (-1, 1))) -> bool:
+                                    verdict: FeasibilityVerdict) -> bool:
     """Re-check an INFEASIBLE pair: at every sampled parameter point of
     every admissible sign pattern, at least one of the two certified
     requirements is violated."""
@@ -239,14 +233,7 @@ def zero_witness_real_case(gram, constraints=()):
     for c in constraints:
         rows.append([g_re(e) for e in c])
         rows.append([g_im(e) for e in c])
-    if rows:
-        from .fields import QQ
-        ker = ExactMatrix(QQ, [[QQ.rational(v) for v in r]
-                               for r in rows]).kernel()
-        basis = [[b[t].as_fraction() for t in range(n)] for b in ker]
-    else:
-        basis = [[Fraction(1 if s == t else 0) for s in range(n)]
-                 for t in range(n)]
+    basis = rational_kernel(rows, n)
     if not basis:
         return None
 
@@ -275,12 +262,11 @@ def zero_witness_real_case(gram, constraints=()):
     return None
 
 
-def antisymmetric_weight_gram(scale=1):
+def antisymmetric_weight_gram():
     """The 2x2 Gram of the a>0 eigenspace form (x1 xbar_{-1} -
     x_{-1} xbar_1), up to the nonzero scalar 2M'."""
-    s = gauss(scale)
-    z = GAUSS.zero()
-    return [[z, -s], [s, z]]
+    z, one = GAUSS.zero(), GAUSS.one()
+    return [[z, -one], [one, z]]
 
 
 def antiweil_real_gram():

@@ -27,7 +27,7 @@ from math import gcd, lcm
 from .cmfields import closure
 from .fields import (QQ, DoesNotSplit, ExactMatrix, FieldElement,
                      MultiQuadField, apply_galois, eigen_decompose,
-                     field_create, integer_rref)
+                     field_create, rational_kernel, rational_rank)
 from .intlat import IntLattice, rational_span_intersect
 
 # ---------------------------------------------------------------------------
@@ -241,18 +241,8 @@ def rational_intersection(field: MultiQuadField, vectors):
         # one equation per monomial; scaling a row leaves the kernel alone
         den = lcm(*(aj.den for aj in a))
         for m in range(field.degree):
-            rows.append([QQ.rational(aj.nums[m] * (den // aj.den))
-                         for aj in a])
-    if not rows:
-        rows = [[QQ.zero()] * n]
-    ker = ExactMatrix(QQ, rows).kernel()
-    return [[x.as_fraction() for x in v] for v in ker]
-
-
-def _cleared(v):
-    """The rational vector v times the lcm of its denominators."""
-    den = lcm(*(x.denominator for x in v))
-    return [x.numerator * (den // x.denominator) for x in v]
+            rows.append([aj.nums[m] * (den // aj.den) for aj in a])
+    return rational_kernel(rows, n)
 
 
 def stable_subspaces_finite(ms, target_rank, field):
@@ -281,9 +271,8 @@ def stable_subspaces_finite(ms, target_rank, field):
         basis_f = [lines[t][1] for t in subset]
         rat = rational_intersection(field, basis_f)
         assert len(rat) == target_rank  # Galois-stable sums always descend
-        span = [_cleared(r) for r in rat]
-        if all(len(integer_rref(span + [list(mat_apply(m, r)) for r in span],
-                                m0.rows)) == target_rank
+        if all(rational_rank(rat + [mat_apply(m, r) for r in rat],
+                             m0.rows) == target_rank
                for m in ms[1:]):
             results.append({
                 "eigenvalues": sorted(repr(lines[t][0]) for t in subset),
@@ -303,16 +292,26 @@ def finite_route_verdict(case_id, ms, field, table=""):
             "eigenvalues": eigenvalues,
             "reason": "no Galois-stable rank-2 eigenline sum descends to Q",
         }, table)
+    return divisor_verdict(case_id, [(c["lattice"],
+                                      {"eigenvalues": c["eigenvalues"]})
+                                     for c in cands], table)
+
+
+def divisor_verdict(case_id, cands, table):
+    """Classify candidate lattices, each a (lattice, labels) pair with
+    labels {"eigenvalues": ...}, {"point": ...} or {}.  The first lattice
+    that passes the divisor test survives, with its point if it has one;
+    otherwise every candidate is listed with its labels and witness."""
     rejected = []
-    for cand in cands:
-        flag, witness = divisor_test(cand["lattice"])
+    for lat, labels in cands:
+        basis = [list(r) for r in lat.basis]
+        flag, witness = divisor_test(lat)
         if not flag:
-            return CaseVerdict(case_id, SURVIVES_D4, {
-                "witness_lattice": [list(r) for r in cand["lattice"].basis],
-            }, table)
-        rejected.append({"eigenvalues": cand["eigenvalues"],
-                         "lattice": [list(r) for r in cand["lattice"].basis],
-                         "witness": list(witness)})
+            certificate = {"witness_lattice": basis}
+            if "point" in labels:
+                certificate["witness_point"] = labels["point"]
+            return CaseVerdict(case_id, SURVIVES_D4, certificate, table)
+        rejected.append({**labels, "lattice": basis, "witness": list(witness)})
     return CaseVerdict(case_id, REJECTED_DIVISOR_TEST,
                        {"candidates": rejected}, table)
 
@@ -341,9 +340,8 @@ def _commutation_sign(a, b):
 
 def _eigenplane(m, lam_int):
     """Rational basis of ker(m - lam*I) for lam in {1,-1}."""
-    mm = ExactMatrix.from_int(QQ, m)
-    shift = mm - ExactMatrix.identity(QQ, 4).scale(QQ.rational(lam_int))
-    return [[x.as_fraction() for x in v] for v in shift.kernel()]
+    return rational_kernel([[x - lam_int * (i == j) for j, x in enumerate(row)]
+                            for i, row in enumerate(m)], 4)
 
 
 def _restrict(m, basis, field):
@@ -628,19 +626,8 @@ def constrained_family_verdict(case_id, fam: MixedFamily, extra, table=""):
             "reason": "stability constraints have no rational parameter point",
             "constraints": [_hpoly_str(p) for p in polys[:4]],
         }, table)
-    rejected = []
-    for point, lat in points:
-        flag, witness = divisor_test(lat)
-        if not flag:
-            return CaseVerdict(case_id, SURVIVES_D4, {
-                "witness_point": list(point),
-                "witness_lattice": [list(r) for r in lat.basis],
-            }, table)
-        rejected.append({"point": list(point),
-                         "lattice": [list(r) for r in lat.basis],
-                         "witness": list(witness)})
-    return CaseVerdict(case_id, REJECTED_DIVISOR_TEST,
-                       {"candidates": rejected}, table)
+    return divisor_verdict(case_id, [(lat, {"point": list(point)})
+                                     for point, lat in points], table)
 
 
 def _hpoly_str(p) -> str:
@@ -658,33 +645,21 @@ def _hpoly_str(p) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def finite_candidates_verdict(case_id, cands, table=""):
-    rejected = []
-    for lat in cands:
-        flag, witness = divisor_test(lat)
-        if not flag:
-            return CaseVerdict(case_id, SURVIVES_D4, {
-                "witness_lattice": [list(r) for r in lat.basis]}, table)
-        rejected.append({"lattice": [list(r) for r in lat.basis],
-                         "witness": list(witness)})
-    return CaseVerdict(case_id, REJECTED_DIVISOR_TEST,
-                       {"candidates": rejected}, table)
-
-
-def pair_case_verdict(case_id, m1, m2, table=""):
-    kind, payload = pair_analysis(m1, m2)
+def pair_case_verdict(case_id, analysis, table):
+    """Classify a pair of lifts from its pair_analysis result."""
+    kind, payload = analysis
     if kind == "none":
         return CaseVerdict(case_id, REJECTED_RANK, payload, table)
     if kind == "finite":
-        return finite_candidates_verdict(case_id, payload, table)
+        return divisor_verdict(case_id, [(lat, {}) for lat in payload], table)
     return constrained_family_verdict(case_id, payload, [], table)
 
 
-def pure_plane_verdict(case_id, m1, table=""):
+def pure_plane_verdict(case_id, m1, table):
     """The two eigenplanes of a real-type lift, both divisor-rejected."""
-    cands = [rational_span_intersect(_eigenplane(m1, -1), 4),
-             rational_span_intersect(_eigenplane(m1, 1), 4)]
-    return finite_candidates_verdict(case_id, cands, table)
+    return divisor_verdict(case_id, [
+        (rational_span_intersect(_eigenplane(m1, lam), 4), {})
+        for lam in (-1, 1)], table)
 
 
 # ---------------------------------------------------------------------------
@@ -798,21 +773,23 @@ def sweep_klein4():
     # (a) some preimage contains a one-sign-flip lift: it alone rejects
     for case_id, m in _one_flip_lifts():
         out.append(finite_route_verdict(case_id, [m], gauss, "klein4-oneflip"))
-    # (b) an unsigned lift present: pure eigenplanes once, then pairs
+    # (b) an unsigned lift present: pure eigenplanes once, then pairs,
+    # each pair analysed once
     out.append(pure_plane_verdict("klein4-p0-pure-planes", P0, "klein4-p0"))
-    out.append(pair_case_verdict("klein4-p0-p1", P0, P1, "klein4-p0"))
-    out.append(pair_case_verdict("klein4-p0-p2", P0, P2, "klein4-p0"))
-    out.append(pair_case_verdict("klein4-p0-p3", P0, P3, "klein4-p0"))
-    out.append(pair_case_verdict("klein4-p0-p4", P0, P4, "klein4-p0"))
+    pairs = {tag: pair_analysis(P0, m)
+             for tag, m in (("p1", P1), ("p2", P2), ("p3", P3), ("p4", P4))}
+    for tag, analysis in pairs.items():
+        out.append(pair_case_verdict(f"klein4-p0-{tag}", analysis,
+                                     "klein4-p0"))
     # (b') third generators on the two surviving pair families
     for case_id, second, third in (
-            ("klein4-p0-p2-q1", P2, Q1),
-            ("klein4-p0-p2-q2", P2, Q2),
-            ("klein4-p0-p2-q3", P2, Q3),
-            ("klein4-p0-p3-q1p", P3, QP1),
-            ("klein4-p0-p3-q2p", P3, QP2),
-            ("klein4-p0-p3-q3p", P3, QP3)):
-        kind, fam = pair_analysis(P0, second)
+            ("klein4-p0-p2-q1", "p2", Q1),
+            ("klein4-p0-p2-q2", "p2", Q2),
+            ("klein4-p0-p2-q3", "p2", Q3),
+            ("klein4-p0-p3-q1p", "p3", QP1),
+            ("klein4-p0-p3-q2p", "p3", QP2),
+            ("klein4-p0-p3-q3p", "p3", QP3)):
+        kind, fam = pairs[second]
         assert kind == "family"
         out.append(constrained_family_verdict(case_id, fam, [third],
                                               "klein4-triples"))
@@ -826,7 +803,8 @@ def sweep_klein4():
             ("klein4-pp1-qq2", PP1, QQ2),
             ("klein4-pp2-qq2", PP2, QQ2),
             ("klein4-pp2-qq1", PP2, QQ1)):
-        out.append(pair_case_verdict(case_id, a, b, "klein4-twoflip"))
+        out.append(pair_case_verdict(case_id, pair_analysis(a, b),
+                                     "klein4-twoflip"))
     return out
 
 

@@ -220,6 +220,18 @@ def test_malformed_fixture_is_a_failing_note(tmp_path, capsys, text, error):
                                  "failed": n_positivity}
 
 
+def test_bless_rewrites_an_unreadable_fixture(tmp_path, capsys):
+    _copy_fixtures(tmp_path)
+    (tmp_path / "positivity.json").write_text("{not json")
+    assert main(["positivity", "--bless", "--fixtures", str(tmp_path)]) == 0
+    (note,) = json.loads(capsys.readouterr().out)["notes"]
+    assert note.startswith(
+        "positivity: rewrote unreadable fixture positivity.json "
+        "(JSONDecodeError")
+    assert (tmp_path / "positivity.json").read_bytes() == \
+        (FIXDIR / "positivity.json").read_bytes()
+
+
 def test_error_record_names_type_and_frame(monkeypatch, capsys):
     from cmsweep import periods
     # a bare assert inside the package: the message alone is empty

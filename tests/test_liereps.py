@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmsweep.fields import QQ, ExactMatrix
+from cmsweep.fields import QQ, ExactMatrix, rational_kernel, rational_rank
 from cmsweep.liereps import (WeightModule, classify_dim4_faithful,
                              external_product, invariant_space, search_dim,
                              sl2_irrep, sp4_basis, sp4_standard_module,
@@ -109,13 +109,14 @@ def test_invariant_space_of_zero_actions_is_everything():
         assert invariant_space(w) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
-def _element_built_invariant_space(w):
-    """The kernel of the stacked actions as one QQ ExactMatrix built cell
-    by cell, the way invariant_space computed it before it took integer
-    rows."""
-    stacked = [row for name in w.generator_names() for row in w.actions[name]]
-    mat = ExactMatrix(QQ, [[QQ.rational(x) for x in row] for row in stacked])
-    return [[x.as_fraction() for x in v] for v in mat.kernel()]
+def _element_built(rows):
+    """The rows as one QQ ExactMatrix built cell by cell, the way the
+    kernels and ranks were computed before they took integer rows."""
+    return ExactMatrix(QQ, [[QQ.rational(x) for x in row] for row in rows])
+
+
+def _element_built_kernel(rows):
+    return [[x.as_fraction() for x in v] for v in _element_built(rows).kernel()]
 
 
 @st.composite
@@ -137,8 +138,40 @@ def fraction_modules(draw):
 @given(fraction_modules())
 @settings(max_examples=150, deadline=None)
 def test_invariant_space_matches_element_built_kernel(w):
+    stacked = [row for name in w.generator_names() for row in w.actions[name]]
     got = invariant_space(w)
-    assert got == _element_built_invariant_space(w)
+    assert got == _element_built_kernel(stacked)
+    assert rational_kernel(stacked, w.dim) == got
+    assert rational_rank(stacked, w.dim) == _element_built(stacked).rank()
     for v in got:
         assert all(type(x) is Fraction for x in v)
         _assert_annihilated(w, v)
+
+
+@st.composite
+def int_or_fraction_rows(draw):
+    """1-6 rows of plain ints, Fractions or both, with whole zero rows."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.integers(-9, 9),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+    row = st.one_of(st.just([0] * ncols),
+                    st.lists(entry, min_size=ncols, max_size=ncols))
+    return draw(st.lists(row, min_size=1, max_size=6)), ncols
+
+
+@given(int_or_fraction_rows())
+@settings(max_examples=150, deadline=None)
+def test_rational_kernel_and_rank_match_element_built(case):
+    rows, ncols = case
+    kernel = rational_kernel(rows, ncols)
+    assert kernel == _element_built_kernel(rows)
+    assert all(type(x) is Fraction for v in kernel for x in v)
+    assert rational_rank(rows, ncols) == _element_built(rows).rank()
+    assert rational_rank(rows, ncols) + len(kernel) == ncols
+
+
+def test_rational_kernel_of_no_rows_is_the_standard_basis():
+    assert rational_kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert rational_kernel([[0, 0, 0]], 3) == rational_kernel([], 3)
+    assert rational_rank([], 3) == 0

@@ -21,7 +21,7 @@ from cmsweep.torus import (ORDER4_FIELD, REJECTED_DIVISOR_TEST,
                            QP1, QP2, QP3, QQ0, QQ1, QQ2,
                            R0, R1, R2, R3, R4, R5, R6, R7,
                            SignedGroup, all_subgroups_s4,
-                           divisor_test, family_constraints,
+                           divisor_test, divisor_verdict, family_constraints,
                            finite_route_verdict, mat_apply, mat_mul, mat_neg,
                            pair_analysis, signed_lift, stable_subspaces,
                            sweep_a4, sweep_dim1, sweep_klein4, sweep_order4,
@@ -389,3 +389,54 @@ def test_eigen_trials_stop_at_the_last_eigenvalue(monkeypatch, case_id, lift,
     assert len(kernels) == max(candidates.index(lam) for lam, _ in found) + 1
     monkeypatch.undo()
     assert found == _eigen_by_identity_scale(m)
+
+
+# a lattice the divisor test rejects, with its witness, and one it keeps
+_REJECTED = IntLattice(4, [[1, 1, 0, 0], [0, 0, 1, 3]])
+_KEPT = IntLattice(4, [[1, 2, 0, 0], [0, 0, 1, 2]])
+
+
+@pytest.mark.parametrize("labels, survivor_keys", [
+    ({"eigenvalues": ["-1", "1"]}, {"witness_lattice"}),
+    ({"point": [1, 2]}, {"witness_point", "witness_lattice"}),
+    ({}, {"witness_lattice"}),
+])
+def test_divisor_verdict_certificate_shapes(labels, survivor_keys):
+    rejected = [list(r) for r in _REJECTED.basis]
+    kept = [list(r) for r in _KEPT.basis]
+    assert divisor_test(_REJECTED) == (True, (1, 1, 0, 0))
+    assert not divisor_test(_KEPT)[0]
+
+    cv = divisor_verdict("c", [(_REJECTED, labels), (_KEPT, labels)], "t")
+    assert (cv.case_id, cv.verdict, cv.table) == ("c", SURVIVES_D4, "t")
+    assert set(cv.certificate) == survivor_keys
+    assert cv.certificate["witness_lattice"] == kept
+    if "point" in labels:
+        assert cv.certificate["witness_point"] == labels["point"]
+
+    cv = divisor_verdict("c", [(_REJECTED, labels)] * 2, "t")
+    assert cv.verdict == REJECTED_DIVISOR_TEST
+    assert cv.certificate == {"candidates": [
+        {**labels, "lattice": rejected, "witness": [1, 1, 0, 0]}] * 2}
+
+
+def test_klein4_and_a4_analyse_each_pair_once(monkeypatch):
+    import cmsweep.torus as torus
+    pairs, planes = [], []
+    analyse, plane = torus.pair_analysis, torus._eigenplane
+
+    def counting_pairs(m1, m2):
+        pairs.append((m1, m2))
+        return analyse(m1, m2)
+
+    def counting_planes(m, lam):
+        planes.append((m, lam))
+        return plane(m, lam)
+
+    monkeypatch.setattr(torus, "pair_analysis", counting_pairs)
+    monkeypatch.setattr(torus, "_eigenplane", counting_planes)
+    sweep_klein4()
+    sweep_a4()
+    # P1-P4 once in the klein4 sweep, P2 and P3 once more in the a4 sweep
+    assert [m2 for m1, m2 in pairs if m1 == P0] == [P1, P2, P3, P4, P2, P3]
+    assert len(planes) == 22
