@@ -369,7 +369,12 @@ def render(report, fmt):
 
 def _parse_x(text):
     from fractions import Fraction
-    x = tuple(Fraction(t) for t in text.split(","))
+    try:
+        x = tuple(Fraction(t) for t in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected 4 comma-separated rationals, got {text!r} ({exc})"
+        ) from None
     if len(x) != 4:
         raise argparse.ArgumentTypeError(
             f"expected 4 comma-separated rationals, got {len(x)}")
@@ -390,6 +395,8 @@ def _override_error(args):
         return f"{args.subcommand} does not take {', '.join(stray)}"
     if (args.p is None) != (args.n is None):
         return "-p and -n must be given together"
+    if args.p is not None and not 0 <= args.p <= args.n:
+        return f"-p {args.p} -n {args.n}: need 0 <= p <= n"
     given = [flag for name, flag in OVERRIDE_FLAGS.items()
              if getattr(args, name) is not None]
     if args.bless and given:

@@ -92,10 +92,6 @@ def cyclic_model(n: int) -> CMFieldModel:
                         {g: f"g{g}" for g in elements})
 
 
-def degree2_model() -> CMFieldModel:
-    return cyclic_model(2)
-
-
 # --- CM types and subfields ------------------------------------------------
 
 @dataclass(frozen=True)

@@ -464,7 +464,7 @@ def integer_rref(rows, ncols):
     return pivots
 
 
-def _cleared_rows(rows, ncols):
+def cleared_rows(rows, ncols):
     """The nonzero rows of int or Fraction entries, each times the lcm of
     the denominators of its nonzero entries."""
     out = []
@@ -484,7 +484,7 @@ def rational_kernel(rows, ncols):
     (ints or Fractions), as lists of Fractions.  The cleared rows go
     through integer_rref; each basis vector sets one free variable to 1,
     as ExactMatrix.kernel does.  No rows give the standard basis."""
-    rows = _cleared_rows(rows, ncols)
+    rows = cleared_rows(rows, ncols)
     pivots = integer_rref(rows, ncols)
     zero, one = Fraction(0), Fraction(1)
     basis = []
@@ -501,7 +501,7 @@ def rational_kernel(rows, ncols):
 def rational_rank(rows, ncols) -> int:
     """Rank of the rational matrix with the given rows (ints or
     Fractions), by integer_rref on the cleared rows."""
-    return len(integer_rref(_cleared_rows(rows, ncols), ncols))
+    return len(integer_rref(cleared_rows(rows, ncols), ncols))
 
 
 def _matrix(field, rows) -> "ExactMatrix":

@@ -6,10 +6,7 @@ everything favors exactness and canonical output over speed.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
-from .fields import QQ, ExactMatrix
+from .fields import cleared_rows
 
 
 def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
@@ -84,35 +81,6 @@ class IntLattice:
             q = v[p] // row[p]
             v = [a - q * b for a, b in zip(v, row)]
         return not any(v)
-
-    def to_text(self) -> str:
-        lines = [f"{self.rank} {self.ambient_rank}"]
-        lines += [" ".join(map(str, r)) for r in self.basis]
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str, ambient_rank: int | None = None) -> "IntLattice":
-        rows, cols, mat = parse_matrix_text(text)
-        if ambient_rank is None:
-            ambient_rank = cols
-        return IntLattice(ambient_rank, mat)
-
-
-def parse_matrix_text(text: str):
-    """Plain-text matrix format: first line "rows cols", then integer rows."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    rows, cols = map(int, lines[0].split())
-    mat = [list(map(int, ln.split())) for ln in lines[1:1 + rows]]
-    assert len(mat) == rows and all(len(r) == cols for r in mat)
-    return rows, cols, mat
-
-
-def matrix_to_text(mat) -> str:
-    mat = [list(r) for r in mat]
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    lines = [f"{rows} {cols}"] + [" ".join(map(str, r)) for r in mat]
-    return "\n".join(lines) + "\n"
 
 
 def hnf(mat, ambient_rank: int | None = None) -> IntLattice:
@@ -207,21 +175,20 @@ def snf(mat):
 
 
 def saturate(l: IntLattice) -> IntLattice:
-    """Intersection of the Q-span of l with Z^n (via the SNF column
-    transform: the Q-row-span of B = U S V is spanned by the first r rows
-    of V^-1... equivalently of V^T's inverse; we use that S V has rows
-    d_i * (row_i of V), so the saturation is generated by those rows of V
-    with the d_i divided out -- i.e. rows of V directly)."""
+    """Intersection of the Q-span of l with Z^n.  With U*B*V = S from the
+    Smith form of the basis B, U*B = S*V^-1: row i of U*B is d_i times
+    row i of V^-1, and the first r rows of the unimodular V^-1 span the
+    saturation."""
     if l.rank == 0:
         return l
-    factors, u, v = snf([list(r) for r in l.basis])
-    r = len(factors)
-    # U*B*V = S  =>  B = U^-1 * S * V^-1; rows of B span same as rows of
-    # S * V^-1, i.e. d_i * (row_i of V^-1).  Saturation = rows of V^-1.
-    vinv = ExactMatrix(QQ, v).inverse().entries
-    assert all(e.den == 1 for row in vinv for e in row)  # V is unimodular
-    return IntLattice(l.ambient_rank,
-                      [[e.nums[0] for e in row] for row in vinv[:r]])
+    factors, u, _ = snf([list(r) for r in l.basis])
+    cols = list(zip(*l.basis))
+    rows = []
+    for d, urow in zip(factors, u):
+        row = [sum(c * x for c, x in zip(urow, col)) for col in cols]
+        assert all(x % d == 0 for x in row)
+        rows.append([x // d for x in row])
+    return IntLattice(l.ambient_rank, rows)
 
 
 def saturation_index(l: IntLattice) -> int:
@@ -237,32 +204,5 @@ def saturation_index(l: IntLattice) -> int:
 
 def rational_span_intersect(vectors, ambient_rank: int) -> IntLattice:
     """The saturated lattice span_Q(vectors) ∩ Z^n, vectors rational."""
-    rows = []
-    for vec in vectors:
-        fr = [Fraction(x) for x in vec]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // gcd(den, x.denominator)
-        rows.append([int(x * den) for x in fr])
-    return saturate(IntLattice(ambient_rank, rows))
-
-
-class SaturationCertificate:
-    """Saturation verdict with a verifiable witness when not saturated."""
-
-    def __init__(self, lattice: IntLattice):
-        self.lattice = lattice
-        sat = saturate(lattice)
-        self.is_saturated = sat == lattice
-        self.witness = None
-        self.witness_multiple = None
-        if not self.is_saturated:
-            for row in sat.basis:
-                if not lattice.contains(row):
-                    q = 2
-                    while not lattice.contains([q * x for x in row]):
-                        q += 1
-                    self.witness = tuple(row)
-                    self.witness_multiple = q
-                    break
-        assert self.is_saturated == (self.witness is None)
+    return saturate(IntLattice(ambient_rank,
+                               cleared_rows(vectors, ambient_rank)))

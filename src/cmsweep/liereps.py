@@ -2,17 +2,16 @@
 Small-dimensional representation bookkeeping: Weyl dimension formulas for
 rank <= 3 types, explicit sl(2) weight modules and their tensor/wedge/End
 constructions, exact invariant-vector solving, the sp(4) standard module
-built from its symplectic form, and two combinatorial identities about
+built from its symplectic form, and a combinatorial identity about the
 top-wedge layers of eigen-decomposed modules.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import combinations
 
-from .fields import QQ, ExactMatrix, rational_kernel, rational_rank
+from .fields import rational_kernel, rational_rank
 
 # ---------------------------------------------------------------------------
 # plain Fraction matrix helpers
@@ -332,38 +331,6 @@ def classify_dim4_faithful():
 # ---------------------------------------------------------------------------
 # top-wedge layer identities
 # ---------------------------------------------------------------------------
-
-def _random_unimodular(n, rng, steps=8):
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.randint(-2, 2)
-        for t in range(n):
-            m[i][t] += c * m[j][t]
-    return m
-
-
-def weil_wedge_fixed_by_block_sl(block_dims, samples=20, seed=0,
-                                 blocks=None) -> bool:
-    """For block-diagonal matrices whose blocks have determinant 1, the
-    induced action on the direct sum of per-block top wedges is the
-    identity.  Checked exactly on sampled random unimodular blocks (or on
-    the given blocks)."""
-    n = block_dims[0]
-    assert all(d == n for d in block_dims)
-    rng = random.Random(seed)
-    runs = ([blocks] if blocks is not None else
-            [[_random_unimodular(n, rng) for _ in block_dims]
-             for _ in range(samples)])
-    for blist in runs:
-        assert len(blist) == len(block_dims)
-        # top wedge of an n x n block is multiplication by its determinant
-        if any(ExactMatrix(QQ, b).det() != 1 for b in blist):
-            return False
-    return True
-
 
 def weil_layer_identity(deg_K: int, deg_k: int, dim_V: int) -> bool:
     """Labeled index-set identity: with n = dim/deg_K, l = deg_K/deg_k,

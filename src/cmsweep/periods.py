@@ -34,9 +34,6 @@ class PeriodMonomial:
             tuple(a + b for a, b in zip(self.exponents, other.exponents)),
             self.coefficient * other.coefficient, self.basis)
 
-    def with_coefficient(self, c) -> "PeriodMonomial":
-        return PeriodMonomial(self.exponents, Fraction(c), self.basis)
-
 
 @dataclass(frozen=True)
 class PeriodMatrix:

@@ -327,25 +327,15 @@ def weil_family_check(x) -> dict:
     functional = [x[3], -x[2], -x[1], x[0]]
     ker = ExactMatrix(GAUSS, [functional]).kernel()
     assert len(ker) == 3
-    basis = [list(b) for b in ker]
 
-    # (iii) restricted Hermitian Gram R = B^T H conj(B), minors
-    H = [[gauss(_FAMILY_GRAM[i][j]) for j in range(4)] for i in range(4)]
-    R = [[GAUSS.zero()] * 3 for _ in range(3)]
-    for s in range(3):
-        for t in range(3):
-            acc = GAUSS.zero()
-            for i in range(4):
-                for j in range(4):
-                    acc = acc + basis[s][i] * H[i][j] * g_conj(basis[t][j])
-            R[s][t] = acc
-    # hermitian sanity
-    for s in range(3):
-        for t in range(3):
-            assert (R[s][t] - g_conj(R[t][s])).is_zero()
+    # (iii) restricted Hermitian Gram R = B H conj(B)^T, minors
+    B = ExactMatrix(GAUSS, ker)
+    R = B * ExactMatrix.from_int(GAUSS, _FAMILY_GRAM) * \
+        B.galois(_CONJ).transpose()
+    assert R == R.galois(_CONJ).transpose()
     minors = []
     for k in (1, 2, 3):
-        sub = ExactMatrix(GAUSS, [row[:k] for row in R[:k]])
+        sub = ExactMatrix(GAUSS, [row[:k] for row in R.entries[:k]])
         d = sub.det()
         assert g_im(d) == 0
         minors.append(g_re(d))

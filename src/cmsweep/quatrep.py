@@ -192,9 +192,6 @@ class QuaternionAlgebra:
                         for sign, exps, t in row[:self.dim]]
                        for row in UNIT_TABLE[:self.dim]]
 
-    def zero(self):
-        return tuple(self.field.zero() for _ in range(self.dim))
-
     def basis_element(self, t):
         z = [self.field.zero()] * self.dim
         z[t] = self.field.one()

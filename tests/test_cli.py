@@ -127,6 +127,27 @@ def test_weil_x_arity_is_usage_error(capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x", ["1/0,1,1,1", "a,1,1,1"])
+def test_weil_x_bad_rational_is_usage_error(capsys, x):
+    assert main(["positivity", "--weil-x", x]) == 2
+    assert f"expected 4 comma-separated rationals, got '{x}'" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, n, code", [
+    (5, 2, 2), (-1, 2, 2), (1, 0, 2), (3, 2, 2),
+    (0, 0, 0), (2, 2, 0), (0, 3, 0),
+])
+def test_p_must_lie_in_0_to_n(capsys, p, n, code):
+    assert main(["gross-periods", "-p", str(p), "-n", str(n)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert f"-p {p} -n {n}: need 0 <= p <= n" in err
+    else:
+        (case,) = json.loads(out)["sections"][0]["cases"]
+        assert case["case_id"] == f"gross({p},{n})"
+
+
 def test_positivity_overrides_run(capsys):
     assert main(["positivity", "--weil-x", "1,2,0,0"]) == 0
     report = json.loads(capsys.readouterr().out)

