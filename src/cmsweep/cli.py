@@ -378,6 +378,8 @@ def _parse_x(text):
     if len(x) != 4:
         raise argparse.ArgumentTypeError(
             f"expected 4 comma-separated rationals, got {len(x)}")
+    if not any(x):
+        raise argparse.ArgumentTypeError("x must be a nonzero vector")
     return x
 
 

@@ -703,28 +703,67 @@ class ExactMatrix:
         return d
 
 
-def _eigenvalue_candidates(field: MultiQuadField):
-    """Finite trial set: coefficients in {±1, ±1/2} supported on at most two
-    generator subsets.  Contains every root of unity of order dividing 8
-    expressible in the field, and all ±sqrt(d) monomials.  No candidate
-    repeats: supports or coefficients differ."""
-    halves = ((1, 1), (-1, 1), (1, 2), (-1, 2))
-    n = field.degree
-    masks = field._order
+def _unit_monomials(field: MultiQuadField):
+    """(bitmask, s, d) for each generator subset in repr order: the
+    monomial's square is d * s^2 with d square-free, so monomial / s is
+    the unit sqrt(d).  In Q(sqrt(-2), sqrt(2)) the monomial
+    sqrt(-2)*sqrt(2) gives (3, 2, -1): it is 2i."""
     out = []
-    for m in masks:
-        for c in (1, -1):
-            nums = [0] * n
-            nums[m] = c
-            out.append(_new(field, nums, 1))
-    for m1, m2 in combinations(masks, 2):
-        for c1, d1 in halves:
-            for c2, d2 in halves:
-                den = max(d1, d2)
-                nums = [0] * n
-                nums[m1] = c1 * den // d1
-                nums[m2] = c2 * den // d2
-                out.append(_new(field, nums, den))
+    for m in field._order:
+        d, s, p = field._table[m][m][1], 1, 2
+        while p * p <= abs(d):
+            if d % (p * p):
+                p += 1
+            else:
+                d //= p * p
+                s *= p
+        out.append((m, s, d))
+    return out
+
+
+def _on_units(field: MultiQuadField, terms) -> "FieldElement":
+    """sum of c/q * (monomial m) / s over the (m, s, c, q) in terms, for
+    distinct masks m, c = ±1 and q in {1, 2}: canonical as built."""
+    den = lcm(*(q * s for _, s, _, q in terms))
+    nums = [0] * field.degree
+    for m, s, c, q in terms:
+        nums[m] = c * den // (q * s)
+    return _new(field, nums, den)
+
+
+def _eigenvalue_candidates(field: MultiQuadField):
+    """Finite trial set: coefficients in {±1, ±1/2} on at most two unit
+    monomials (a monomial divided by the square part of its square).
+    Contains every root of unity of order dividing 8 or 6 expressible in
+    the field, and all ±sqrt(d) units.  No candidate repeats: supports or
+    coefficients differ."""
+    halves = ((1, 1), (-1, 1), (1, 2), (-1, 2))
+    units = _unit_monomials(field)
+    out = [_on_units(field, [(m, s, c, 1)])
+           for m, s, _ in units for c in (1, -1)]
+    for (m1, s1, _), (m2, s2, _) in combinations(units, 2):
+        for c1, q1 in halves:
+            for c2, q2 in halves:
+                out.append(_on_units(field, [(m1, s1, c1, q1),
+                                             (m2, s2, c2, q2)]))
+    return out
+
+
+def roots_of_unity(field: MultiQuadField):
+    """The roots of unity of order dividing 8 or 6 in the field, as
+    (zeta, order) pairs in the order of _eigenvalue_candidates: 1, -1,
+    then ±i, (±sqrt(2) ± sqrt(-2))/2 and (±1 ± sqrt(-3))/2 where the
+    field holds the units they need.  At most twelve."""
+    units = _unit_monomials(field)
+    out = [(_on_units(field, [(m, s, c, 1)]),
+            4 if d == -1 else 1 if c == 1 else 2)
+           for m, s, d in units if d in (1, -1) for c in (1, -1)]
+    for (m1, s1, d1), (m2, s2, d2) in combinations(units, 2):
+        if {d1, d2} in ({1, -3}, {2, -2}):
+            for c1, c2 in product((1, -1), repeat=2):
+                out.append((_on_units(field, [(m1, s1, c1, 2),
+                                              (m2, s2, c2, 2)]),
+                            8 if d1 != 1 else 6 if c1 == 1 else 3))
     return out
 
 

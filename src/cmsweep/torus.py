@@ -1,11 +1,11 @@
 """
 Character-lattice case sweeps for rank-4 signed permutation Galois actions.
 
-The ambient lattice is Z^4 with a finite group of generalized permutation
+The ambient lattice is Z^4 with a finite group of signed permutation
 matrices acting.  A rank-2 stable sublattice is hunted down exactly:
 
 * lifts with distinct eigenvalues are handled by Galois descent of
-  eigenline sums (the finite route);
+  eigenline sums, the eigenlines read off the cycles (the finite route);
 * lifts squaring to +-I have two 2-dimensional eigenplanes, and a rank-2
   stable subspace is either a pure eigenplane or a mixed pair of lines; a
   second anticommuting lift forces the second line (one projective
@@ -22,12 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .cmfields import closure
 from .fields import (QQ, DoesNotSplit, ExactMatrix, FieldElement,
                      MultiQuadField, apply_galois, eigen_decompose,
-                     field_create, rational_kernel, rational_rank)
+                     field_create, rational_kernel, rational_rank,
+                     roots_of_unity)
 from .intlat import IntLattice, rational_span_intersect
 
 # ---------------------------------------------------------------------------
@@ -53,80 +55,77 @@ class CaseVerdict:
 
 
 # ---------------------------------------------------------------------------
-# generalized permutation matrices
+# signed permutations
 # ---------------------------------------------------------------------------
-
-def mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(n))
-                       for j in range(n)) for i in range(n))
-
-
-def mat_neg(a):
-    return tuple(tuple(-x for x in row) for row in a)
-
 
 def mat_apply(a, v):
     n = len(a)
     return tuple(sum(a[i][j] * v[j] for j in range(n)) for i in range(n))
 
 
-IDENTITY4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-MINUS_I4 = mat_neg(IDENTITY4)
+class SignedPerm(NamedTuple):
+    """The signed permutation matrix sending e_j to signs[j] * e_perm[j];
+    ``*`` is the matrix product."""
+    perm: tuple
+    signs: tuple
+
+    @classmethod
+    def from_rows(cls, rows) -> "SignedPerm":
+        """ValueError unless rows is a signed permutation matrix."""
+        cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*rows)]
+        if any(len(c) != 1 or c[0][1] not in (1, -1) for c in cols) \
+                or len({c[0][0] for c in cols}) != len(rows):
+            raise ValueError("not a signed permutation matrix")
+        return cls(*zip(*(c[0] for c in cols)))
+
+    def __mul__(self, other: "SignedPerm") -> "SignedPerm":
+        return SignedPerm(tuple(self.perm[p] for p in other.perm),
+                          tuple(s * self.signs[p]
+                                for p, s in zip(other.perm, other.signs)))
+
+    def __neg__(self) -> "SignedPerm":
+        return SignedPerm(self.perm, tuple(-s for s in self.signs))
+
+    def apply(self, v) -> tuple:
+        out = [0] * len(v)
+        for x, p, s in zip(v, self.perm, self.signs):
+            out[p] = s * x
+        return tuple(out)
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(tuple(s if p == i else 0
+                           for p, s in zip(self.perm, self.signs))
+                     for i in range(len(self.perm)))
+
+    def cycles(self) -> list:
+        """The cycles (c0, perm[c0], ...) of the permutation, each from
+        its smallest index."""
+        out, seen = [], set()
+        for c in range(len(self.perm)):
+            cycle = []
+            while c not in seen:
+                seen.add(c)
+                cycle.append(c)
+                c = self.perm[c]
+            if cycle:
+                out.append(tuple(cycle))
+        return out
 
 
-class GenPermMatrix:
-    """A 4x4 matrix with exactly one +-1 entry per row and column."""
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(int(x) for x in r) for r in rows)
-        perm = [None] * 4
-        signs = [None] * 4
-        for j in range(4):
-            nz = [i for i in range(4) if self.rows[i][j] != 0]
-            assert len(nz) == 1 and self.rows[nz[0]][j] in (1, -1), \
-                "not a generalized permutation matrix"
-            perm[j] = nz[0]
-            signs[j] = self.rows[nz[0]][j]
-        # column j maps e_j to signs[j] * e_perm[j]
-        self.permutation = tuple(perm)
-        self.signs = tuple(signs)
-
-    def __eq__(self, other):
-        return isinstance(other, GenPermMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __mul__(self, other):
-        return GenPermMatrix(mat_mul(self.rows, other.rows))
-
-    def __neg__(self):
-        return GenPermMatrix(mat_neg(self.rows))
-
-    def __repr__(self):
-        return f"GenPermMatrix({list(map(list, self.rows))})"
-
-
-def signed_lift(perm, signs) -> GenPermMatrix:
-    """The matrix sending e_j to signs[j] * e_perm[j]."""
-    rows = [[0] * 4 for _ in range(4)]
-    for j in range(4):
-        rows[perm[j]][j] = signs[j]
-    return GenPermMatrix(rows)
+ONE4 = SignedPerm((0, 1, 2, 3), (1, 1, 1, 1))
 
 
 class SignedGroup:
-    """A finite set of GenPermMatrix closed under product, containing -I."""
+    """A finite set of SignedPerm closed under product, containing -I."""
 
     def __init__(self, generators):
-        self.elements = closure(list(generators) + [GenPermMatrix(MINUS_I4)],
-                                GenPermMatrix.__mul__,
-                                GenPermMatrix(IDENTITY4))
+        self.elements = closure(list(generators) + [-ONE4],
+                                SignedPerm.__mul__, ONE4)
 
     def image_in_s4(self):
         """Underlying permutations (every -1 entry flipped to 1)."""
-        return frozenset(m.permutation for m in self.elements)
+        return frozenset(m.perm for m in self.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -135,28 +134,6 @@ class SignedGroup:
 
 def _compose(p, q):
     return tuple(p[q[i]] for i in range(4))
-
-
-def _is_transitive(group):
-    orbit = {0}
-    changed = True
-    while changed:
-        changed = False
-        for p in group:
-            for x in list(orbit):
-                if p[x] not in orbit:
-                    orbit.add(p[x])
-                    changed = True
-    return len(orbit) == 4
-
-
-def _perm_order(p):
-    q, n = p, 1
-    ident = tuple(range(4))
-    while q != ident:
-        q = _compose(p, q)
-        n += 1
-    return n
 
 
 def all_subgroups_s4():
@@ -176,11 +153,11 @@ def transitive_subgroups_s4():
     subgroup listed (9 subgroups in total)."""
     families: dict[str, list] = {"C4": [], "V": [], "D4": [], "A4": [], "S4": []}
     for g in all_subgroups_s4():
-        if not _is_transitive(g):
+        if len({p[0] for p in g}) != 4:  # the orbit of 0 is {p[0]}
             continue
         n = len(g)
-        if n == 4:
-            fam = "C4" if any(_perm_order(p) == 4 for p in g) else "V"
+        if n == 4:  # cyclic iff some element does not square to 1
+            fam = "C4" if any(_compose(p, p) != ONE4.perm for p in g) else "V"
         elif n == 8:
             fam = "D4"
         elif n == 12:
@@ -245,24 +222,50 @@ def rational_intersection(field: MultiQuadField, vectors):
     return rational_kernel(rows, n)
 
 
+def _signed_eigenlines(m: SignedPerm, field):
+    """The eigenlines (zeta, v) of a signed permutation, read off its
+    cycles in the order eigen_decompose finds them.  On a cycle c0 -> c1
+    -> ... -> c(k-1) with sign product eps, each root zeta of t^k = eps
+    gives v with v[c0] = 1, v[c(t+1)] = s(c_t) * v[c_t] / zeta and zero
+    off the cycle.  DoesNotSplit when a cycle has fewer than k roots in
+    the field."""
+    roots = roots_of_unity(field)
+    zero = field.zero()
+    lines = []
+    for cycle in m.cycles():
+        k = len(cycle)
+        eps = prod(m.signs[c] for c in cycle)
+        # zeta^k = 1 iff its order divides k, -1 iff it divides 2k only
+        found = [(t, zeta) for t, (zeta, order) in enumerate(roots)
+                 if (k % order == 0) == (eps == 1) and 2 * k % order == 0]
+        if len(found) < k:
+            raise DoesNotSplit(f"a {k}-cycle with sign {eps} does not "
+                               f"split over {field}")
+        for t, zeta in found:
+            inv = zeta.inverse()
+            v = [zero] * len(m.perm)
+            x = field.one()
+            for c in cycle:
+                v[c] = x
+                x = x * inv if m.signs[c] > 0 else -(x * inv)
+            lines.append((t, zeta, v))
+    lines.sort(key=lambda line: line[0])
+    return [(zeta, v) for _, zeta, v in lines]
+
+
 def stable_subspaces_finite(ms, target_rank, field):
     """All Galois-stable sums of eigenlines of ms[0] of total dimension
     target_rank that are stable under the remaining matrices, descended
-    to Q.  ms[0] must have distinct eigenvalues over the field.  Returns
-    the sorted eigenvalue reprs of ms[0] and the list of results."""
-    m0 = ExactMatrix.from_int(field, ms[0])
-    eig = eigen_decompose(m0)
-    lines = []
-    for lam, basis in eig:
-        for v in basis:
-            lines.append((lam, v))
-    if len(lines) != m0.rows or len({l for l, _ in lines}) != len(lines):
+    to Q.  ms[0] must be a signed permutation with distinct eigenvalues
+    over the field (ValueError otherwise).  Returns the sorted eigenvalue
+    reprs of ms[0] and the list of results."""
+    n = len(ms[0])
+    lines = _signed_eigenlines(SignedPerm.from_rows(ms[0]), field)
+    if len({lam for lam, _ in lines}) != len(lines):
         raise ValueError("first matrix must have distinct eigenvalues")
     lam_index = {lam: t for t, (lam, _) in enumerate(lines)}
-    galois_perms = []
-    for g in field.galois_group():
-        sigma = tuple(lam_index[apply_galois(g, lam)] for lam, _ in lines)
-        galois_perms.append(sigma)
+    galois_perms = [tuple(lam_index[apply_galois(g, lam)] for lam, _ in lines)
+                    for g in field.galois_group()]
     results = []
     for subset in combinations(range(len(lines)), target_rank):
         sset = set(subset)
@@ -272,12 +275,12 @@ def stable_subspaces_finite(ms, target_rank, field):
         rat = rational_intersection(field, basis_f)
         assert len(rat) == target_rank  # Galois-stable sums always descend
         if all(rational_rank(rat + [mat_apply(m, r) for r in rat],
-                             m0.rows) == target_rank
+                             n) == target_rank
                for m in ms[1:]):
             results.append({
                 "eigenvalues": sorted(repr(lines[t][0]) for t in subset),
                 "basis": rat,
-                "lattice": rational_span_intersect(rat, m0.rows),
+                "lattice": rational_span_intersect(rat, n),
             })
     return sorted(repr(lam) for lam, _ in lines), results
 
@@ -320,20 +323,18 @@ def divisor_verdict(case_id, cands, table):
 # mixed-line machinery for involutive lifts (M^2 = +-I)
 # ---------------------------------------------------------------------------
 
-def _square_sign(m):
-    sq = mat_mul(m, m)
-    if sq == IDENTITY4:
-        return 1
-    if sq == MINUS_I4:
-        return -1
-    raise ValueError("matrix does not square to +-I")
+def _square_sign(m: SignedPerm):
+    sq = m * m
+    if sq.perm != ONE4.perm or len(set(sq.signs)) != 1:
+        raise ValueError("matrix does not square to +-I")
+    return sq.signs[0]
 
 
-def _commutation_sign(a, b):
-    ab, ba = mat_mul(a, b), mat_mul(b, a)
+def _commutation_sign(a: SignedPerm, b: SignedPerm):
+    ab, ba = a * b, b * a
     if ab == ba:
         return 1
-    if ab == mat_neg(ba):
+    if ab == -ba:
         return -1
     raise ValueError("matrices neither commute nor anticommute")
 
@@ -445,19 +446,19 @@ def pair_analysis(m1, m2):
     Pure eigenplanes of a real-type m1 are *not* included here; they are
     handled once per first matrix (they fail the divisor test outright).
     """
-    s1, s2 = _square_sign(m1), _square_sign(m2)
+    g1, g2 = SignedPerm.from_rows(m1), SignedPerm.from_rows(m2)
+    s1, s2 = _square_sign(g1), _square_sign(g2)
     if s1 == -1 and s2 == 1:
-        m1, m2 = m2, m1
+        m1, m2, g1, g2 = m2, m1, g2, g1
         s1, s2 = s2, s1
-    comm = _commutation_sign(m1, m2)
+    comm = _commutation_sign(g1, g2)
     if s1 == 1:
         vm = _eigenplane(m1, -1)
         vp = _eigenplane(m1, 1)
         if comm == -1:
             # second line forced: w = m2 u
             a, b = vm
-            fam = MixedFamily(a, b, mat_apply(m2, a), mat_apply(m2, b),
-                              [m1, m2])
+            fam = MixedFamily(a, b, g2.apply(a), g2.apply(b), [m1, m2])
             return "family", fam
         # commuting: lines are eigenlines of the 2x2 restrictions
         cm = _restrict(m2, vm, QQ)
@@ -730,18 +731,14 @@ def sweep_dim1():
 
 
 def _order4_lifts():
-    """Sign classes of lifts of the underlying 4-cycle of M1, modulo -I."""
-    base_perm = GenPermMatrix(M1).permutation
-    seen = set()
-    reps = []
-    for signs in product((1, -1), repeat=4):
-        m = signed_lift(base_perm, signs).rows
-        if m in seen or mat_neg(m) in seen:
-            continue
-        seen.add(m)
-        tag = "".join("p" if s > 0 else "m" for s in signs)
-        reps.append((f"order4-{tag}", m))
-    return reps
+    """Sign classes of lifts of the underlying 4-cycle of M1, modulo -I,
+    each by its lift with first sign +1."""
+    base = SignedPerm.from_rows(M1).perm
+    out = []
+    for signs in product((1, -1), repeat=3):
+        tag = "".join("p" if s > 0 else "m" for s in (1,) + signs)
+        out.append((f"order4-{tag}", SignedPerm(base, (1,) + signs).rows))
+    return out
 
 
 ORDER4_FIELD = (-1, 2)
@@ -758,12 +755,12 @@ def sweep_order4():
 def _one_flip_lifts():
     """Lifts of the double transposition underlying P0 with exactly one
     sign flip."""
-    base_perm = GenPermMatrix(P0).permutation
+    base = SignedPerm.from_rows(P0).perm
     out = []
     for pos in range(4):
         signs = tuple(-1 if t == pos else 1 for t in range(4))
         tag = "".join("p" if s > 0 else "m" for s in signs)
-        out.append((f"klein4-oneflip-{tag}", signed_lift(base_perm, signs).rows))
+        out.append((f"klein4-oneflip-{tag}", SignedPerm(base, signs).rows))
     return out
 
 
@@ -836,17 +833,18 @@ def stable_subspaces(ms, target_rank, field=None):
     *different* eigenvalues are in scope (pure eigenplanes are handled
     separately by the sweeps).
 
-    A first matrix with distinct eigenvalues goes through Galois descent
-    over `field` (default Q(sqrt(-1), sqrt(2))).  An involutive first
-    matrix goes through pair_analysis with ms[1], then through the
-    rational roots of the constraints that ms[2:] impose.  The result is
-    finite lattices, or one parametric record whose MixedFamily all of
-    ms keep stable at every point.  A single involutive matrix raises
-    ValueError: the mixed line needs a second matrix."""
+    ms[0] must be a signed permutation.  One with distinct eigenvalues
+    goes through Galois descent over `field` (default Q(sqrt(-1),
+    sqrt(2))).  An involutive first matrix goes through pair_analysis
+    with ms[1], then through the rational roots of the constraints that
+    ms[2:] impose.  The result is finite lattices, or one parametric
+    record whose MixedFamily all of ms keep stable at every point.  A
+    single involutive matrix raises ValueError: the mixed line needs a
+    second matrix."""
     if target_rank != 2:
         raise ValueError("only rank-2 subspaces are in scope")
     try:
-        _square_sign(ms[0])
+        _square_sign(SignedPerm.from_rows(ms[0]))
     except ValueError:
         if field is None:
             field = field_create(ORDER4_FIELD)

@@ -44,7 +44,7 @@ def test_criterion_02_dim1_sweep():
 
 def test_criterion_03_order4_sweep():
     from cmsweep.torus import (M1, M2, ORDER4_FIELD, REJECTED_NO_DESCENT,
-                               SURVIVES_D4, _order4_lifts, mat_neg,
+                               SURVIVES_D4, SignedPerm, _order4_lifts,
                                sweep_order4)
     cases = sweep_order4()
     assert len(cases) == 8
@@ -55,7 +55,7 @@ def test_criterion_03_order4_sweep():
                      if lam == f.rational(-1))
     assert [c.as_fraction() for c in minus_one[0]] == [-1, 1, -1, 1]
     m2_case = next(cid for cid, m in _order4_lifts()
-                   if m == M2 or mat_neg(m) == M2)
+                   if m == M2 or (-SignedPerm.from_rows(m)).rows == M2)
     verdicts = {cv.case_id: cv.verdict for cv in cases}
     assert verdicts[m2_case] == REJECTED_NO_DESCENT
     _ok(3, "order-4 sweep rejects all; M1 eigen data exact; "
@@ -224,8 +224,12 @@ def test_criterion_12_property_suites():
             apply_galois(g, a) * apply_galois(g, b)
 
     # (c) divisor-test sign symmetry over the one-matrix sweep inputs
-    from cmsweep.torus import (_one_flip_lifts, _order4_lifts,
-                               finite_route_verdict, mat_neg)
+    from cmsweep.torus import (SignedPerm, _one_flip_lifts, _order4_lifts,
+                               finite_route_verdict)
+
+    def mat_neg(m):
+        return (-SignedPerm.from_rows(m)).rows
+
     gauss = field_create([-1])
     big = field_create([-1, 2])
     for cid, m in _one_flip_lifts():

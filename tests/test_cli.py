@@ -127,6 +127,13 @@ def test_weil_x_arity_is_usage_error(capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x", ["0,0,0,0", "0/3,0,-0,0"])
+def test_weil_x_zero_is_usage_error(capsys, x):
+    # the family check needs a nonzero x
+    assert main(["positivity", "--weil-x", x]) == 2
+    assert "x must be a nonzero vector" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("x", ["1/0,1,1,1", "a,1,1,1"])
 def test_weil_x_bad_rational_is_usage_error(capsys, x):
     assert main(["positivity", "--weil-x", x]) == 2

@@ -2,15 +2,16 @@
 hypothesis axiom suite."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from cmsweep.fields import (QQ, DependentGenerators, ExactMatrix,
-                            FieldElement, apply_galois,
-                            complex_conjugation, eigen_decompose,
-                            field_create)
+from cmsweep.fields import (QQ, DependentGenerators, DoesNotSplit,
+                            ExactMatrix, FieldElement, _eigenvalue_candidates,
+                            apply_galois, complex_conjugation,
+                            eigen_decompose, field_create, roots_of_unity)
 
 F2 = field_create([2])
 F = field_create([-1, 2])
@@ -152,3 +153,114 @@ def test_eigen_decompose_signed_cycle():
         got = m * list(vecs[0])
         want = [lam * c for c in vecs[0]]
         assert all((p - q).is_zero() for p, q in zip(got, want))
+
+
+# -- the eigenvalue candidates and the roots of unity ------------------------
+
+def _raw_monomial_candidates(field):
+    """Coefficients in {±1, ±1/2} on at most two raw monomials, the
+    candidate list before the monomials were normalised."""
+    halves = ((1, 1), (-1, 1), (1, 2), (-1, 2))
+    n = field.degree
+    out = []
+    for m in field._order:
+        for c in (1, -1):
+            nums = [0] * n
+            nums[m] = c
+            out.append(FieldElement.from_nums(field, nums))
+    for m1, m2 in combinations(field._order, 2):
+        for c1, d1 in halves:
+            for c2, d2 in halves:
+                nums = [0] * n
+                nums[m1], nums[m2] = c1 * 2 // d1, c2 * 2 // d2
+                out.append(FieldElement.from_nums(field, nums, 2))
+    return out
+
+
+@pytest.mark.parametrize("gens, count", [((-1,), 20), ((-1, 2), 104)])
+def test_candidates_of_the_sweep_fields_are_unchanged(gens, count):
+    # every monomial square there is square-free, so normalising moves
+    # no candidate: the trial counts of the sweeps stay the same
+    field = field_create(gens)
+    got = _eigenvalue_candidates(field)
+    want = _raw_monomial_candidates(field)
+    assert len(got) == count
+    assert [(e.nums, e.den) for e in got] == [(e.nums, e.den) for e in want]
+
+
+def _sympy_element(e):
+    return sum(sympy.Rational(c) * sympy.prod(
+        [sympy.sqrt(e.field.gens[i]) for i in s])
+        for s, c in e.coords.items())
+
+
+def _sympy_linear_roots(poly, t, gens):
+    """The roots of poly in Q(sqrt(gens)), from its sympy factorisation."""
+    _, factors = sympy.factor_list(
+        poly, t, extension=[sympy.sqrt(d) for d in gens])
+    return [sympy.solve(p, t)[0] for p, _ in factors
+            if sympy.degree(p, t) == 1]
+
+
+def _same_numbers(xs, ys):
+    return len(xs) == len(ys) and all(
+        any(sympy.simplify(x - y) == 0 for y in ys) for x in xs)
+
+
+# the rotations of order 4 (roots ±i) and of order 3 (primitive cube roots)
+ROTATIONS = {4: ((0, -1), (1, 0)), 3: ((0, -1), (1, -1))}
+
+
+@pytest.mark.parametrize("gens, order, splits", [
+    ((-2, 2), 4, True),    # sqrt(-2)*sqrt(2) = 2i
+    ((-3, 3), 4, True),    # sqrt(-3)*sqrt(3) = 3i
+    ((2, -6), 4, False),   # no i: the quadratic subfields are 2, -6, -3
+    ((2, -6), 3, True),    # sqrt(2)*sqrt(-6) = 2*sqrt(-3)
+    ((-3, 3), 3, True),
+    ((-1, 2), 3, False),
+])
+def test_rotations_split_where_sympy_finds_the_roots(gens, order, splits):
+    field = field_create(gens)
+    rows = ROTATIONS[order]
+    t = sympy.symbols("t")
+    charpoly = sympy.Matrix(rows).charpoly(t).as_expr()
+    want = _sympy_linear_roots(charpoly, t, gens)
+    assert (len(want) == 2) == splits
+    m = ExactMatrix.from_int(field, rows)
+    if not splits:
+        with pytest.raises(DoesNotSplit):
+            eigen_decompose(m)
+        return
+    eig = eigen_decompose(m)
+    assert [len(ker) for _, ker in eig] == [1, 1]
+    assert _same_numbers([_sympy_element(lam) for lam, _ in eig], want)
+    if order == 4:
+        assert _same_numbers(want, [sympy.I, -sympy.I])
+
+
+def _power(x, k):
+    out = x.field.one()
+    for _ in range(k):
+        out = out * x
+    return out
+
+
+@pytest.mark.parametrize("gens", [
+    (-1,), (-3,), (2,), (-1, 2), (-2, 2), (-3, 3), (2, -6),
+    (-1, 3),  # holds the 12th roots (±sqrt(3) ± i)/2, which are left out
+    (-1, 2, -3),
+])
+def test_roots_of_unity_are_the_candidates_of_order_dividing_8_or_6(gens):
+    field = field_create(gens)
+    got = roots_of_unity(field)
+    assert [z for z, _ in got] == [
+        c for c in _eigenvalue_candidates(field)
+        if _power(c, 8) == 1 or _power(c, 6) == 1]
+    for z, order in got:
+        assert _power(z, order) == 1
+        assert all(_power(z, k) != 1 for k in range(1, order))
+    if len(gens) < 3:  # sympy counts the roots the field holds
+        t = sympy.symbols("t")
+        held = (len(_sympy_linear_roots(t ** 8 - 1, t, gens))
+                + len(_sympy_linear_roots(t ** 6 - 1, t, gens)) - 2)
+        assert len(got) == held

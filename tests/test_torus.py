@@ -1,38 +1,45 @@
 """The signed-permutation sweeps: verdict tables, witnesses, stable
-subspace families, sign-flip symmetry, the integer cubic constraints and
-the eigenvalue trial scan."""
+subspace families, sign-flip symmetry, the integer cubic constraints,
+the signed-permutation type, its eigenlines read off the cycles and the
+eigenvalue trial scan."""
 
 import json
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmsweep.fields import (ExactMatrix, _eigenvalue_candidates,
-                            eigen_decompose, field_create)
+from cmsweep.fields import (DoesNotSplit, ExactMatrix,
+                            _eigenvalue_candidates, eigen_decompose,
+                            field_create)
 from cmsweep.intlat import IntLattice
 from cmsweep.torus import (ORDER4_FIELD, REJECTED_DIVISOR_TEST,
                            REJECTED_NO_DESCENT, REJECTED_RANK, SURVIVES_D4,
-                           A4_Q, A4_QP, GenPermMatrix, M1, M2, MixedFamily,
+                           A4_Q, A4_QP, M1, M2, MixedFamily,
                            P0, P1, P2, P3, P4, PP0, PP1, PP2, Q1, Q2, Q3,
                            QP1, QP2, QP3, QQ0, QQ1, QQ2,
                            R0, R1, R2, R3, R4, R5, R6, R7,
-                           SignedGroup, all_subgroups_s4,
+                           SignedGroup, SignedPerm, all_subgroups_s4,
                            divisor_test, divisor_verdict, family_constraints,
-                           finite_route_verdict, mat_apply, mat_mul, mat_neg,
-                           pair_analysis, signed_lift, stable_subspaces,
+                           finite_route_verdict, mat_apply, pair_analysis,
+                           stable_subspaces, stable_subspaces_finite,
                            sweep_a4, sweep_dim1, sweep_klein4, sweep_order4,
                            transitive_subgroups_s4, _one_flip_lifts,
-                           _order4_lifts)
+                           ONE4, _commutation_sign, _order4_lifts,
+                           _signed_eigenlines, _square_sign)
 
 FIXDIR = Path(__file__).resolve().parents[1] / "src" / "cmsweep" / "fixtures"
 
 
 def _verdicts(cases):
     return {cv.case_id: cv.verdict for cv in cases}
+
+
+def _neg(rows):
+    return (-SignedPerm.from_rows(rows)).rows
 
 
 def test_transitive_subgroup_families():
@@ -86,7 +93,7 @@ def test_order4_m1_eigendata_and_m2_descent():
     assert len(minus) == 1
     assert [c.as_fraction() for c in minus[0]] == [-1, 1, -1, 1]
     m2_cases = [cid for cid, m in _order4_lifts()
-                if m == M2 or mat_neg(m) == M2]
+                if m == M2 or _neg(m) == M2]
     assert len(m2_cases) == 1
     got = _verdicts(sweep_order4())
     assert got[m2_cases[0]] == REJECTED_NO_DESCENT
@@ -159,7 +166,8 @@ def test_stable_subspaces_finite_checks_the_other_matrices():
     x = ((1, 0, 0, 0), (1, 1, 1, 0), (0, 0, 1, 0), (-1, 0, -1, 1))
     minus = ((1, 0, -1, 0), (0, 1, 0, -1))
     plus = ((1, 0, 1, 0), (0, 1, 0, 1))
-    m1_squared = mat_mul(M1, M1)
+    m1 = SignedPerm.from_rows(M1)
+    m1_squared = (m1 * m1).rows
     for ms, want in (([M1, x], [minus]), ([M1, m1_squared], [minus, plus]),
                      ([M1, m1_squared, x], [minus])):
         fams = stable_subspaces(ms, 2)
@@ -240,12 +248,12 @@ def test_divisor_sign_symmetry():
     gauss = field_create([-1])
     for cid, m in _one_flip_lifts():
         v1 = finite_route_verdict(cid, [m], gauss).verdict
-        v2 = finite_route_verdict(cid, [mat_neg(m)], gauss).verdict
+        v2 = finite_route_verdict(cid, [_neg(m)], gauss).verdict
         assert v1 == v2
 
 
 def test_signed_group_enumeration():
-    g = SignedGroup([GenPermMatrix(M1)])
+    g = SignedGroup([SignedPerm.from_rows(M1)])
     assert len(g.elements) == 8  # order-4 cycle with -I
     perms = g.image_in_s4()
     assert len(perms) == 4
@@ -256,9 +264,138 @@ def test_signed_lift_roundtrip():
     for _ in range(50):
         perm = tuple(rng.sample(range(4), 4))
         signs = tuple(rng.choice((1, -1)) for _ in range(4))
-        m = signed_lift(perm, signs)
-        assert m.permutation == perm
-        assert GenPermMatrix(m.rows).signs == m.signs
+        m = SignedPerm(perm, signs)
+        assert m.perm == perm
+        assert SignedPerm.from_rows(m.rows).signs == m.signs
+
+
+B4 = [SignedPerm(p, s) for p in permutations(range(4))
+      for s in product((1, -1), repeat=4)]
+
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(4))
+                       for j in range(4)) for i in range(4))
+
+
+def test_signed_perm_agrees_with_its_matrix():
+    assert len(set(B4)) == 384
+    rng = random.Random(11)
+    for _ in range(300):
+        a, b = rng.choice(B4), rng.choice(B4)
+        v = tuple(rng.randint(-9, 9) for _ in range(4))
+        assert SignedPerm.from_rows(a.rows) == a
+        assert (a * b).rows == _mat_mul(a.rows, b.rows)
+        assert (-a).rows == tuple(tuple(-x for x in r) for r in a.rows)
+        assert a.apply(v) == mat_apply(a.rows, v)
+        cycles = a.cycles()
+        assert sorted(c for cycle in cycles for c in cycle) == [0, 1, 2, 3]
+        for cycle in cycles:
+            assert cycle[0] == min(cycle)
+            assert all(a.perm[c] == cycle[(t + 1) % len(cycle)]
+                       for t, c in enumerate(cycle))
+
+
+def _sign_of(p, q):
+    """+1 or -1 when the 4x4 matrices satisfy p = +-q, else None."""
+    if p == q:
+        return 1
+    if p == tuple(tuple(-x for x in r) for r in q):
+        return -1
+    return None
+
+
+def _sign_or_none(f, *args):
+    try:
+        return f(*args)
+    except ValueError:
+        return None
+
+
+def test_square_and_commutation_signs_agree_with_matrix_products():
+    one = ONE4.rows
+    squares = [_sign_or_none(_square_sign, a) for a in B4]
+    assert squares == [_sign_of(_mat_mul(a.rows, a.rows), one) for a in B4]
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(3000):
+        a, b = rng.choice(B4), rng.choice(B4)
+        got = _sign_or_none(_commutation_sign, a, b)
+        assert got == _sign_of(_mat_mul(a.rows, b.rows),
+                               _mat_mul(b.rows, a.rows))
+        outcomes.add(got)
+    assert set(squares) == outcomes == {1, -1, None}
+
+
+@pytest.mark.parametrize("rows", [
+    ((1, 0, 0, 0), (1, 1, 1, 0), (0, 0, 1, 0), (-1, 0, -1, 1)),
+    ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ((1, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ((0, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+])
+def test_signed_perm_rejects_other_matrices(rows):
+    with pytest.raises(ValueError, match="not a signed permutation"):
+        SignedPerm.from_rows(rows)
+
+
+# -- eigenlines of signed permutations read off their cycles ----------------
+
+@pytest.mark.parametrize("gens", [(-1, 2), (-1,), (-3,), (-2, 2)])
+def test_signed_eigenlines_agree_with_eigen_decompose_on_b4(gens):
+    field = field_create(gens)
+    split = 0
+    for g in B4:
+        m = ExactMatrix.from_int(field, g.rows)
+        try:
+            want = eigen_decompose(m)
+        except DoesNotSplit:
+            with pytest.raises(DoesNotSplit):
+                _signed_eigenlines(g, field)
+            continue
+        split += 1
+        got = _signed_eigenlines(g, field)
+        # one line per eigenspace dimension, in candidate order
+        assert [lam for lam, _ in got] == \
+            [lam for lam, ker in want for _ in ker]
+        for lam, v in got:
+            assert m * v == [lam * x for x in v]
+        assert ExactMatrix(field, [v for _, v in got]).rank() == 4
+    assert 0 < split < len(B4)
+    if gens == (-1, 2):  # only the 128 elements with a 3-cycle fail
+        assert split == 256
+
+
+def test_sweeps_try_eigenvalues_only_on_2x2_restrictions(monkeypatch):
+    import cmsweep.torus as torus
+    sizes = []
+    decompose = torus.eigen_decompose
+
+    def counting(m):
+        sizes.append(m.rows)
+        return decompose(m)
+
+    monkeypatch.setattr(torus, "eigen_decompose", counting)
+    sweep_order4()
+    assert sizes == []
+    sweep_klein4()
+    assert sizes and set(sizes) == {2}
+
+
+def test_finite_route_needs_a_signed_permutation_first():
+    x = ((1, 0, 0, 0), (1, 1, 1, 0), (0, 0, 1, 0), (-1, 0, -1, 1))
+    field = field_create(ORDER4_FIELD)
+    with pytest.raises(ValueError, match="not a signed permutation"):
+        stable_subspaces_finite([x, M1], 2, field)
+    with pytest.raises(ValueError, match="not a signed permutation"):
+        stable_subspaces([x, M1], 2)
+
+
+@pytest.mark.parametrize("rows", [P0, PP0, ((1, 0, 0, 0), (0, 1, 0, 0),
+                                            (0, 0, 0, 1), (0, 0, 1, 0))])
+def test_finite_route_rejects_repeated_eigenvalues(rows):
+    with pytest.raises(ValueError,
+                       match="first matrix must have distinct eigenvalues"):
+        stable_subspaces_finite([rows], 2, field_create(ORDER4_FIELD))
 
 
 # -- the cubic constraints against the Fraction polynomial products -------
@@ -338,7 +475,7 @@ int_vectors = st.lists(st.integers(-6, 6), min_size=4, max_size=4)
 def test_family_constraints_match_products_on_random_families(vecs, perm,
                                                              signs):
     fam = MixedFamily(*vecs)
-    _assert_same_constraints(fam, signed_lift(perm, signs).rows)
+    _assert_same_constraints(fam, SignedPerm(perm, tuple(signs)).rows)
 
 
 def test_family_vectors_must_be_integral():
