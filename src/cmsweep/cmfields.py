@@ -84,14 +84,6 @@ def d4_model() -> CMFieldModel:
     return CMFieldModel(elements, mul, (0, 0), (2, 0), labels)
 
 
-def cyclic_model(n: int) -> CMFieldModel:
-    """Z/n with tau the unique element of order 2 (n even)."""
-    assert n % 2 == 0
-    elements = list(range(n))
-    return CMFieldModel(elements, lambda g, h: (g + h) % n, 0, n // 2,
-                        {g: f"g{g}" for g in elements})
-
-
 # --- CM types and subfields ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -159,30 +151,6 @@ def quartic_multiplicity_predicate(mult: MultiplicityVector) -> bool:
     fourfold must exhibit.  (The geometric content is an encoded axiom;
     this tests only the combinatorial condition.)"""
     return mult.multiset() == (0, 1, 1, 2)
-
-
-def is_primitive(phi: CMType):
-    """A CM type is primitive iff it is not induced from a proper CM
-    subfield.  Returns (flag, witness_subgroup_or_None)."""
-    m = phi.model
-    for sub in m.subgroups():
-        if len(sub) == 1:
-            continue  # E itself, not proper
-        h = SubfieldModel(m, sub)
-        if not h.is_cm:
-            continue
-        mult = restrict_multiplicities(phi, h)
-        if all(c in (0, len(sub)) for c in mult.counts):
-            return False, sub
-    return True, None
-
-
-def induce_type(model: CMFieldModel, subgroup, coset_choices) -> CMType:
-    """The CM type that is the union of the chosen cosets gH."""
-    members = set()
-    for cs in coset_choices:
-        members |= set(cs)
-    return CMType(model, frozenset(members))
 
 
 # --- the dihedral analysis -------------------------------------------------

@@ -164,9 +164,6 @@ class GaloisElement:
     def __repr__(self):
         return f"Galois{self.signs}"
 
-    def is_identity(self) -> bool:
-        return all(s == 1 for s in self.signs)
-
     def subset_sign(self, subset: frozenset) -> int:
         s = 1
         for i in subset:
@@ -479,12 +476,27 @@ def cleared_rows(rows, ncols):
     return out
 
 
+def _distinct_rows(rows):
+    """The nonzero integer rows, each made primitive with a positive
+    leading entry, once each in first-seen order: rows that differ by a
+    rational factor span the same line, and the reduced echelon form is
+    unique, so eliminating these gives the same pivots and reduced rows."""
+    seen = {}
+    for row in rows:
+        g = gcd(*row)
+        if next(x for x in row if x) < 0:
+            g = -g
+        seen[tuple([x // g for x in row] if g != 1 else row)] = None
+    return [list(row) for row in seen]
+
+
 def rational_kernel(rows, ncols):
     """Basis of the right kernel of the rational matrix with the given rows
-    (ints or Fractions), as lists of Fractions.  The cleared rows go
-    through integer_rref; each basis vector sets one free variable to 1,
-    as ExactMatrix.kernel does.  No rows give the standard basis."""
-    rows = cleared_rows(rows, ncols)
+    (ints or Fractions), as lists of Fractions.  The cleared rows, each
+    kept once up to a rational factor, go through integer_rref; each basis
+    vector sets one free variable to 1, as ExactMatrix.kernel does.  No
+    rows give the standard basis."""
+    rows = _distinct_rows(cleared_rows(rows, ncols))
     pivots = integer_rref(rows, ncols)
     zero, one = Fraction(0), Fraction(1)
     basis = []
@@ -500,8 +512,8 @@ def rational_kernel(rows, ncols):
 
 def rational_rank(rows, ncols) -> int:
     """Rank of the rational matrix with the given rows (ints or
-    Fractions), by integer_rref on the cleared rows."""
-    return len(integer_rref(cleared_rows(rows, ncols), ncols))
+    Fractions), by integer_rref on the distinct cleared rows."""
+    return len(integer_rref(_distinct_rows(cleared_rows(rows, ncols)), ncols))
 
 
 def _matrix(field, rows) -> "ExactMatrix":
@@ -559,16 +571,37 @@ class ExactMatrix:
 
     def scale(self, c) -> "ExactMatrix":
         c = FieldElement.coerce(self.field, c)
+        if c.den == 1 and c.nums[0] in (1, -1) and not any(c.nums[1:]):
+            return self if c.nums[0] == 1 else -self
         return _matrix(self.field,
                        [[c * e for e in row] for row in self.entries])
 
     def __mul__(self, other):
         field = self.field
         if isinstance(other, ExactMatrix):
+            # row by row (Gustavson 1978): a nonzero self[i][t] meets only
+            # the nonzero entries of row t of other, and each output entry
+            # is one _dot over its contributing pairs
             assert self.cols == other.rows
-            cols = list(zip(*other.entries))
-            return _matrix(field, [[_dot(field, row, col) for col in cols]
-                                   for row in self.entries])
+            sparse = [[(j, e) for j, e in enumerate(row) if any(e.nums)]
+                      for row in other.entries]
+            zero = field.zero()
+            out = []
+            for row in self.entries:
+                pairs = {}
+                for x, nonzero in zip(row, sparse):
+                    if nonzero and any(x.nums):
+                        for j, y in nonzero:
+                            if j in pairs:
+                                pairs[j][0].append(x)
+                                pairs[j][1].append(y)
+                            else:
+                                pairs[j] = ([x], [y])
+                new = [zero] * other.cols
+                for j, (xs, ys) in pairs.items():
+                    new[j] = _dot(field, xs, ys)
+                out.append(new)
+            return _matrix(field, out)
         # vector (list of FieldElements / ints)
         vec = [FieldElement.coerce(field, v) for v in other]
         assert len(vec) == self.cols

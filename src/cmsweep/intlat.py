@@ -191,17 +191,6 @@ def saturate(l: IntLattice) -> IntLattice:
     return IntLattice(l.ambient_rank, rows)
 
 
-def saturation_index(l: IntLattice) -> int:
-    """[saturate(l) : l] = product of the invariant factors."""
-    if l.rank == 0:
-        return 1
-    factors, _, _ = snf([list(r) for r in l.basis])
-    idx = 1
-    for d in factors:
-        idx *= d
-    return idx
-
-
 def rational_span_intersect(vectors, ambient_rank: int) -> IntLattice:
     """The saturated lattice span_Q(vectors) ∩ Z^n, vectors rational."""
     return saturate(IntLattice(ambient_rank,

@@ -1,9 +1,8 @@
 """
 Small-dimensional representation bookkeeping: Weyl dimension formulas for
 rank <= 3 types, explicit sl(2) weight modules and their tensor/wedge/End
-constructions, exact invariant-vector solving, the sp(4) standard module
-built from its symplectic form, and a combinatorial identity about the
-top-wedge layers of eigen-decomposed modules.
+constructions, exact invariant-vector solving, and the sp(4) standard
+module built from its symplectic form.
 """
 
 from __future__ import annotations
@@ -18,7 +17,9 @@ from .fields import rational_kernel, rational_rank
 # ---------------------------------------------------------------------------
 
 def _zeros(n, m):
-    return [[Fraction(0)] * m for _ in range(n)]
+    # int zeros: most entries of the tensor and wedge actions stay zero,
+    # and a zero test on an int runs in C
+    return [[0] * m for _ in range(n)]
 
 
 def _matmul(a, b):
@@ -327,44 +328,3 @@ def classify_dim4_faithful():
                     "module": "standard sl(4)"})
     return results
 
-
-# ---------------------------------------------------------------------------
-# top-wedge layer identities
-# ---------------------------------------------------------------------------
-
-def weil_layer_identity(deg_K: int, deg_k: int, dim_V: int) -> bool:
-    """Labeled index-set identity: with n = dim/deg_K, l = deg_K/deg_k,
-    m = dim/deg_k, the layer ∧_k^l(∧_K^n V) and the layer ∧_k^m V have
-    the same eigen-label decomposition ⊕_τ ⊗_{σ|_k = τ} ∧^n V_σ.
-
-    Embeddings of K are labels 0..deg_K-1; restriction to k is reduction
-    mod deg_k; V_σ has basis labels (σ, t), t < n."""
-    assert deg_K % deg_k == 0 and dim_V % deg_K == 0
-    n = dim_V // deg_K
-    l = deg_K // deg_k
-    m = dim_V // deg_k
-    sigmas = list(range(deg_K))
-    taus = list(range(deg_k))
-
-    def restrict(sigma):
-        return sigma % deg_k
-
-    # side A: per-sigma top wedges of V_sigma, then the l-th layer over k
-    # groups the l lines above a common tau and tensors them
-    top = {s: frozenset((s, t) for t in range(n)) for s in sigmas}
-    side_a = {}
-    for tau in taus:
-        fiber = [top[s] for s in sigmas if restrict(s) == tau]
-        assert len(fiber) == l
-        combined = frozenset().union(*fiber)
-        assert len(combined) == l * n  # tensor factors are disjoint
-        side_a[tau] = combined
-    # side B: the tau-eigenspace of V over k has basis {(s, t): s|k = tau};
-    # its top wedge (degree m) uses every label once
-    side_b = {}
-    for tau in taus:
-        basis = frozenset((s, t) for s in sigmas if restrict(s) == tau
-                          for t in range(n))
-        assert len(basis) == m
-        side_b[tau] = basis
-    return side_a == side_b

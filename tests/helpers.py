@@ -1,0 +1,104 @@
+"""Helpers that only the tests use: the dense matrix product that the
+row-sparse ExactMatrix product is checked against, and spec-facing
+functions that the verifier itself never calls (a saturation index, CM-type
+primitivity and induction, a cyclic Galois model, the Galois identity test
+and a top-wedge layer identity)."""
+
+from cmsweep.cmfields import (CMFieldModel, CMType, SubfieldModel,
+                              restrict_multiplicities)
+from cmsweep.fields import ExactMatrix, _dot, _matrix
+from cmsweep.intlat import IntLattice, snf
+
+
+def dense_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """a * b with one _dot per output entry over the full inner dimension."""
+    assert a.cols == b.rows
+    cols = list(zip(*b.entries))
+    return _matrix(a.field, [[_dot(a.field, row, col) for col in cols]
+                             for row in a.entries])
+
+
+def saturation_index(l: IntLattice) -> int:
+    """[saturate(l) : l] = product of the invariant factors."""
+    if l.rank == 0:
+        return 1
+    factors, _, _ = snf([list(r) for r in l.basis])
+    idx = 1
+    for d in factors:
+        idx *= d
+    return idx
+
+
+def cyclic_model(n: int) -> CMFieldModel:
+    """Z/n with tau the unique element of order 2 (n even)."""
+    assert n % 2 == 0
+    elements = list(range(n))
+    return CMFieldModel(elements, lambda g, h: (g + h) % n, 0, n // 2,
+                        {g: f"g{g}" for g in elements})
+
+
+def is_primitive(phi: CMType):
+    """A CM type is primitive iff it is not induced from a proper CM
+    subfield.  Returns (flag, witness_subgroup_or_None)."""
+    m = phi.model
+    for sub in m.subgroups():
+        if len(sub) == 1:
+            continue  # E itself, not proper
+        h = SubfieldModel(m, sub)
+        if not h.is_cm:
+            continue
+        mult = restrict_multiplicities(phi, h)
+        if all(c in (0, len(sub)) for c in mult.counts):
+            return False, sub
+    return True, None
+
+
+def induce_type(model: CMFieldModel, subgroup, coset_choices) -> CMType:
+    """The CM type that is the union of the chosen cosets gH."""
+    members = set()
+    for cs in coset_choices:
+        members |= set(cs)
+    return CMType(model, frozenset(members))
+
+
+def is_identity(g) -> bool:
+    """Whether the GaloisElement g fixes every generator."""
+    return all(s == 1 for s in g.signs)
+
+
+def weil_layer_identity(deg_K: int, deg_k: int, dim_V: int) -> bool:
+    """Labeled index-set identity: with n = dim/deg_K, l = deg_K/deg_k,
+    m = dim/deg_k, the layer ∧_k^l(∧_K^n V) and the layer ∧_k^m V have
+    the same eigen-label decomposition ⊕_τ ⊗_{σ|_k = τ} ∧^n V_σ.
+
+    Embeddings of K are labels 0..deg_K-1; restriction to k is reduction
+    mod deg_k; V_σ has basis labels (σ, t), t < n."""
+    assert deg_K % deg_k == 0 and dim_V % deg_K == 0
+    n = dim_V // deg_K
+    l = deg_K // deg_k
+    m = dim_V // deg_k
+    sigmas = list(range(deg_K))
+    taus = list(range(deg_k))
+
+    def restrict(sigma):
+        return sigma % deg_k
+
+    # side A: per-sigma top wedges of V_sigma, then the l-th layer over k
+    # groups the l lines above a common tau and tensors them
+    top = {s: frozenset((s, t) for t in range(n)) for s in sigmas}
+    side_a = {}
+    for tau in taus:
+        fiber = [top[s] for s in sigmas if restrict(s) == tau]
+        assert len(fiber) == l
+        combined = frozenset().union(*fiber)
+        assert len(combined) == l * n  # tensor factors are disjoint
+        side_a[tau] = combined
+    # side B: the tau-eigenspace of V over k has basis {(s, t): s|k = tau};
+    # its top wedge (degree m) uses every label once
+    side_b = {}
+    for tau in taus:
+        basis = frozenset((s, t) for s in sigmas if restrict(s) == tau
+                          for t in range(n))
+        assert len(basis) == m
+        side_b[tau] = basis
+    return side_a == side_b

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from cmsweep.fields import (ExactMatrix, FieldElement, apply_galois,
                             eigen_decompose, field_create)
-from cmsweep.intlat import IntLattice, hnf, saturate, saturation_index
+from cmsweep.intlat import IntLattice, hnf, saturate
+from helpers import saturation_index, weil_layer_identity
 
 
 def _ok(num, text):
@@ -240,7 +241,6 @@ def test_criterion_12_property_suites():
             finite_route_verdict(cid, [mat_neg(m)], big).verdict
 
     # (d) the layer identity over every divisor chain of 8
-    from cmsweep.liereps import weil_layer_identity
     for deg_K in (1, 2, 4, 8):
         for deg_k in (1, 2, 4, 8):
             if deg_K % deg_k == 0:

@@ -68,6 +68,19 @@ def test_missing_fixture_fails(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_missing_fixture_directory_is_usage_error(tmp_path, capsys):
+    gone = tmp_path / "no-such-dir"
+    assert main(["sweep-dim1", "--fixtures", str(gone)]) == 2
+    captured = capsys.readouterr()
+    assert f"--fixtures {gone}: no such directory" in captured.err
+    assert captured.out == ""
+    # --bless creates the directory and writes the fixture
+    assert main(["sweep-dim1", "--bless", "--fixtures", str(gone)]) == 0
+    capsys.readouterr()
+    assert (gone / "sweep-dim1.json").read_bytes() == \
+        (FIXDIR / "sweep-dim1.json").read_bytes()
+
+
 def test_usage_error(capsys):
     assert main(["no-such-subcommand"]) == 2
     capsys.readouterr()

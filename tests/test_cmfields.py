@@ -2,11 +2,11 @@
 
 import pytest
 
-from cmsweep.cmfields import (CMType, SubfieldModel, cyclic_model, d4_analysis,
-                              d4_model, d4_relabeled_analysis,
-                              induce_type, is_primitive,
+from cmsweep.cmfields import (CMType, SubfieldModel, d4_analysis, d4_model,
+                              d4_relabeled_analysis,
                               quartic_multiplicity_predicate,
                               restrict_multiplicities)
+from helpers import cyclic_model, induce_type, is_primitive
 
 
 def test_d4_model_structure():

@@ -1,8 +1,11 @@
 """Differential tests of the exact core: the fraction-free QQ elimination
 against sympy's rref and against the generic elimination over a bigger
-field, the canonical element form, and singular inverses over random
-towers of degree 1 to 8."""
+field, the row-sparse product against the dense one and sympy, the
+distinct-row rational kernel and rank against the raw rows, unit scalars,
+the canonical element form, and singular inverses over random towers of
+degree 1 to 8."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +13,10 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from cmsweep.fields import (QQ, DependentGenerators, ExactMatrix,
-                            FieldElement, field_create)
+                            FieldElement, _distinct_rows, cleared_rows,
+                            field_create, integer_rref, rational_kernel,
+                            rational_rank)
+from helpers import dense_product
 
 SQUAREFREE = [d for d in range(-30, 31)
               if d not in (0, 1) and all(d % (p * p) for p in range(2, 6))]
@@ -162,3 +168,188 @@ def test_singular_inverse_raises(data):
     m = ExactMatrix(field, rows[:at] + [last] + rows[at:])
     with pytest.raises(ZeroDivisionError):
         m.inverse()
+
+
+# -- the row-sparse product ---------------------------------------------------
+
+PRODUCT_FIELDS = {"QQ": QQ, "Q(i)": field_create([-1]),
+                  "Q(i, sqrt2)": field_create([-1, 2]),
+                  "degree 8": field_create([-1, -2, -3])}
+
+# (rows, inner, cols) of the product shapes
+SHAPES = [(5, 4, 3), (6, 6, 64), (1, 7, 5), (6, 5, 1), (1, 1, 1), (8, 8, 8)]
+
+
+def _random_entry(rng, field, density):
+    """Zero, or with the given probability an element with up to
+    ``degree`` random rational coordinates (which may still be zero)."""
+    if rng.random() >= density:
+        return field.zero()
+    coords = {rng.choice(field.subsets): Fraction(rng.randint(-20, 20),
+                                                  rng.randint(1, 12))
+              for _ in range(rng.randint(1, field.degree))}
+    return FieldElement(field, coords)
+
+
+@st.composite
+def products(draw):
+    """(field, a, b) with a * b defined: dense or random-sparse factors,
+    sometimes with a zero row of a or a zero column of b, or an identity
+    or permutation matrix on either side.  Entries come from a drawn
+    seed, which keeps the 6x64 factors cheap to generate."""
+    field = PRODUCT_FIELDS[draw(st.sampled_from(sorted(PRODUCT_FIELDS)))]
+    n, k, m = draw(st.sampled_from(SHAPES))
+    density = draw(st.sampled_from((1, 0.3, 0.1)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    a = [[_random_entry(rng, field, density) for _ in range(k)]
+         for _ in range(n)]
+    b = [[_random_entry(rng, field, density) for _ in range(m)]
+         for _ in range(k)]
+    if draw(st.booleans()):
+        a[draw(st.integers(0, n - 1))] = [field.zero()] * k
+    if draw(st.booleans()):
+        j = draw(st.integers(0, m - 1))
+        for row in b:
+            row[j] = field.zero()
+    special = draw(st.sampled_from((None, "identity", "permutation")))
+    if special is not None:
+        perm = draw(st.permutations(range(k))) if special == "permutation" \
+            else list(range(k))
+        square = [[field.one() if perm[i] == j else field.zero()
+                   for j in range(k)] for i in range(k)]
+        if draw(st.booleans()):
+            a = (square + [[field.zero()] * k] * n)[:n]
+        else:
+            b = [row[:m] + [field.zero()] * (m - k) for row in square]
+    return field, ExactMatrix(field, a), ExactMatrix(field, b)
+
+
+def _cells(m):
+    return [[(e.nums, e.den) for e in row] for row in m.entries]
+
+
+def _sympy_qq(m):
+    return sympy.Matrix([[sympy.Rational(e.nums[0], e.den) for e in row]
+                         for row in m.entries])
+
+
+@given(products())
+@settings(max_examples=150, deadline=None)
+def test_sparse_product_matches_dense_and_sympy(case):
+    field, a, b = case
+    got = a * b
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert _cells(got) == _cells(dense_product(a, b))
+    if field is QQ:
+        want = _sympy_qq(a) * _sympy_qq(b)
+        assert [[Fraction(e.nums[0], e.den) for e in row]
+                for row in got.entries] == \
+            [[Fraction(int(x.p), int(x.q)) for x in want.row(i)]
+             for i in range(want.rows)]
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
+def test_sparse_product_edge_shapes(name):
+    field = PRODUCT_FIELDS[name]
+    gens = [field.monomial([i]) for i in range(field.k)] or [field.one()]
+    row = [field.rational(t + 1) + gens[t % len(gens)] for t in range(6)]
+    col = ExactMatrix(field, [[e] for e in row])
+    wide = ExactMatrix(field, [row])
+    eye = ExactMatrix.identity(field, 6)
+    zero = ExactMatrix(field, [[field.zero()] * 6 for _ in range(6)])
+    for a, b in [(wide, col), (col, wide), (eye, col), (wide, eye),
+                 (zero, col), (wide, zero), (eye, eye)]:
+        assert _cells(a * b) == _cells(dense_product(a, b))
+    assert eye * col == col and wide * eye == wide
+    assert all(e.is_zero() for r in (zero * col).entries for e in r)
+
+
+# -- distinct rows before elimination -----------------------------------------
+
+def _raw_kernel(rows, ncols):
+    """rational_kernel without the distinct-row step: every cleared row
+    goes through integer_rref."""
+    rows = cleared_rows(rows, ncols)
+    pivots = integer_rref(rows, ncols)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
+        basis.append(v)
+    return basis, len(pivots)
+
+
+@st.composite
+def repeated_rows(draw):
+    """Rational rows with scaled, negated, repeated and zero copies of
+    some of them spliced in."""
+    ncols = draw(st.integers(1, 7))
+    base = draw(st.lists(st.lists(fracs, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=5))
+    rows = [row[:] for row in base]
+    for _ in range(draw(st.integers(0, 8))):
+        src = draw(st.sampled_from(base))
+        c = draw(st.sampled_from((1, -1, 2, -3, Fraction(1, 2),
+                                  Fraction(-5, 7), 0)))
+        rows.insert(draw(st.integers(0, len(rows))), [c * x for x in src])
+    return rows, ncols
+
+
+@given(repeated_rows())
+@settings(max_examples=150, deadline=None)
+def test_distinct_row_kernel_and_rank_match_raw_rows(case):
+    rows, ncols = case
+    kernel, rank = _raw_kernel(rows, ncols)
+    assert rational_kernel(rows, ncols) == kernel
+    assert rational_rank(rows, ncols) == rank
+    want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in row] for row in rows])
+    assert rank == want.rank()
+
+
+def test_distinct_rows_are_primitive_with_positive_lead():
+    rows = cleared_rows([[0, 2, -4], [0, -1, 2], [0, Fraction(3, 2), -3],
+                         [0, 0, 0], [1, 0, 0], [-2, 0, 0], [0, 1, 2],
+                         [0, 1, -2]], 3)
+    assert _distinct_rows(rows) == [[0, 1, -2], [1, 0, 0], [0, 1, 2]]
+
+
+def test_commutant_rows_collapse_to_distinct_lines():
+    """The stacked End(V) action of the fixture triple: 352 nonzero
+    rows, 128 of them distinct up to a rational factor, rank 62."""
+    from cmsweep.liereps import tensor_module
+    from cmsweep.quatrep import WeightModule, _rational_module, \
+        build_antiweil_rep
+    w = _rational_module(build_antiweil_rep())
+    dual = WeightModule(range(8), [(n, [[-x for x in col] for col in zip(*m)])
+                                   for n, m in w.actions.items()], [])
+    t = tensor_module(w, dual)
+    stacked = [row for n in t.generator_names() for row in t.actions[n]]
+    rows = cleared_rows(stacked, 64)
+    assert (len(stacked), len(rows), len(_distinct_rows(rows))) == \
+        (448, 352, 128)
+    assert rational_rank(stacked, 64) == _raw_kernel(stacked, 64)[1] == 62
+
+
+# -- unit scalars -------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
+def test_scale_by_plus_or_minus_one(name):
+    field = PRODUCT_FIELDS[name]
+    gens = [field.monomial([i]) for i in range(field.k)] or [field.one()]
+    m = ExactMatrix(field, [[field.rational(Fraction(i - j, 3)) + gens[-1]
+                             for j in range(3)] for i in range(2)])
+    elementwise = ExactMatrix(field, [[-e for e in row] for row in m.entries])
+    for one in (1, Fraction(1), field.one()):
+        assert m.scale(one) == m
+    for minus in (-1, Fraction(-1), -field.one()):
+        assert m.scale(minus) == elementwise == -m
+    # no shortcut for other scalars, irrational parts included
+    for c in (2, Fraction(-1, 2), field.one() + gens[0]):
+        c = FieldElement.coerce(field, c)
+        if c.is_rational() and c.as_fraction() in (1, -1):
+            continue
+        assert _cells(m.scale(c)) == \
+            [[((c * e).nums, (c * e).den) for e in row] for row in m.entries]

@@ -11,7 +11,8 @@ from cmsweep import intlat
 from cmsweep.cli import SECTIONS
 from cmsweep.fields import QQ, ExactMatrix
 from cmsweep.intlat import (IntLattice, hnf, rational_span_intersect,
-                            saturate, saturation_index, snf)
+                            saturate, snf)
+from helpers import saturation_index
 
 
 def _saturate_by_inverse(l):

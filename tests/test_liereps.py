@@ -10,8 +10,8 @@ from cmsweep.fields import QQ, ExactMatrix, rational_kernel, rational_rank
 from cmsweep.liereps import (WeightModule, classify_dim4_faithful,
                              external_product, invariant_space, search_dim,
                              sl2_irrep, sp4_basis, sp4_standard_module,
-                             tensor_module, wedge2_module,
-                             weil_layer_identity, weyl_dim)
+                             tensor_module, wedge2_module, weyl_dim)
+from helpers import weil_layer_identity
 
 
 def test_weyl_dim_values():
