@@ -430,11 +430,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         problem = _override_error(args)
-        if not problem and args.fixtures and not args.bless \
-                and not Path(args.fixtures).is_dir():
+        fixtures = Path(args.fixtures) if args.fixtures else None
+        if not problem and fixtures and not fixtures.is_dir():
+            if fixtures.exists():
+                problem = f"--fixtures {args.fixtures}: not a directory"
             # only --bless creates the directory; without it every
             # section would be a "fixture missing" note
-            problem = f"--fixtures {args.fixtures}: no such directory"
+            elif not args.bless:
+                problem = f"--fixtures {args.fixtures}: no such directory"
         if problem:
             parser.error(problem)
     except SystemExit as exc:

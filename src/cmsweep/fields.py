@@ -204,14 +204,6 @@ def _norm(field, nums, den) -> "FieldElement":
     return _new(field, nums, den)
 
 
-def _ratio(field, num: int, den: int) -> "FieldElement":
-    """The rational num/den (den != 0) as an element."""
-    g = gcd(num, den)
-    if den < 0:
-        g = -g
-    return _new(field, [num // g] + [0] * (field.degree - 1), den // g)
-
-
 def _mul_nums(field, a, b):
     """Numerators of the product of two numerator lists."""
     if len(a) == 1:
@@ -618,8 +610,6 @@ class ExactMatrix:
     def rref(self):
         """Reduced row echelon form; deterministic pivoting (leftmost
         nonzero column, smallest row index).  Returns (matrix, pivot cols)."""
-        if self.field.degree == 1:
-            return self._rref_rational()
         field = self.field
         m = [row[:] for row in self.entries]
         pivots = []
@@ -646,25 +636,6 @@ class ExactMatrix:
             if r == self.rows:
                 break
         return _matrix(field, m), pivots
-
-    def _rref_rational(self):
-        """rref over QQ: each row scaled to integers, then integer_rref;
-        the reduced rows, unique, are built last."""
-        field = self.field
-        rows = []
-        for row in self.entries:
-            den = lcm(1, *(e.den for e in row))
-            rows.append([e.nums[0] * (den // e.den) for e in row])
-        pivots = integer_rref(rows, self.cols)
-        zero = field.zero()
-        out = []
-        for i, row in enumerate(rows):
-            if i < len(pivots):
-                p = row[pivots[i]]
-                out.append([_ratio(field, x, p) if x else zero for x in row])
-            else:
-                out.append([zero] * self.cols)
-        return _matrix(field, out), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -38,20 +38,28 @@ def _matsub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _bracket(a, b):
-    return _matsub(_matmul(a, b), _matmul(b, a))
-
-
 def _matscale(c, a):
     return [[c * x for x in row] for row in a]
 
 
-def _mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+# ---------------------------------------------------------------------------
+# the sl(2) relations
+# ---------------------------------------------------------------------------
 
+def sl2_relations_hold(triples, mul, sub, scale) -> bool:
+    """Whether [h,x] = 2x, [h,y] = -2y and [x,y] = h hold in each triple
+    (h, x, y), and elements of distinct triples commute.  The elements may
+    be of any type: mul, sub and scale(c, a) with an int c are their
+    product, difference and scaling, and results are compared with ==."""
+    def bracket(a, b):
+        return sub(mul(a, b), mul(b, a))
 
-def _is_zero_mat(a):
-    return all(x == 0 for row in a for x in row)
+    for h, x, y in triples:
+        if not (bracket(h, x) == scale(2, x) and bracket(h, y) == scale(-2, y)
+                and bracket(x, y) == h):
+            return False
+    return all(mul(a, b) == mul(b, a)
+               for t1, t2 in combinations(triples, 2) for a in t1 for b in t2)
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +77,9 @@ class WeightModule:
         self.dim = len(self.basis_labels)
         self.actions = dict(actions)
         self.triples = tuple(tuple(t) for t in triples)
-        for hn, xn, yn in self.triples:
-            h, x, y = self.actions[hn], self.actions[xn], self.actions[yn]
-            assert _mat_eq(_bracket(h, x), _matscale(Fraction(2), x))
-            assert _mat_eq(_bracket(h, y), _matscale(Fraction(-2), y))
-            assert _mat_eq(_bracket(x, y), h)
-        for t1, t2 in combinations(self.triples, 2):
-            for n1 in t1:
-                for n2 in t2:
-                    assert _is_zero_mat(
-                        _bracket(self.actions[n1], self.actions[n2]))
+        assert sl2_relations_hold(
+            [[self.actions[n] for n in t] for t in self.triples],
+            _matmul, _matsub, _matscale)
 
     def generator_names(self):
         return tuple(self.actions)

@@ -20,8 +20,8 @@ from itertools import product as iproduct
 from .fields import (QQ, DependentGenerators, ExactMatrix, FieldElement,
                      GaloisElement, MultiQuadField, apply_galois,
                      field_create)
-from .liereps import (WeightModule, invariant_space, tensor_module,
-                      wedge2_module)
+from .liereps import (WeightModule, invariant_space, sl2_relations_hold,
+                      tensor_module, wedge2_module)
 
 
 def _flip_generator(field: MultiQuadField, idx: int) -> GaloisElement:
@@ -217,9 +217,6 @@ class QuaternionAlgebra:
                     out[t] = out[t] + xp * yq * coeff
         return tuple(out)
 
-    def bracket(self, x, y):
-        return self.sub(self.mul(x, y), self.mul(y, x))
-
     def galois(self, g, x):
         return tuple(apply_galois(g, c) for c in x)
 
@@ -243,12 +240,8 @@ class SL2Triple:
 
     def verify_brackets(self) -> bool:
         alg = self.algebra
-        two = alg.field.rational(2)
-        ok = alg.equal(alg.bracket(self.h, self.x), alg.scale(two, self.x))
-        ok &= alg.equal(alg.bracket(self.h, self.y),
-                        alg.scale(-two, self.y))
-        ok &= alg.equal(alg.bracket(self.x, self.y), self.h)
-        return ok
+        return sl2_relations_hold([(self.h, self.x, self.y)],
+                                  alg.mul, alg.sub, alg.scale)
 
 
 def sl2_triple(a, lam) -> SL2Triple:
@@ -285,6 +278,7 @@ def conjugation_relation(a, lam) -> bool:
 
 
 GENERATOR_NAMES = ("h1", "h2", "x1", "x2", "y1", "y2")
+TRIPLE_NAMES = (("h1", "x1", "y1"), ("h2", "x2", "y2"))
 
 
 def e_a1_triples(D, a):
@@ -325,33 +319,10 @@ def e_a1_triples(D, a):
 
 
 def verify_e_a1_brackets(alg, gens) -> bool:
-    """All 15 pairwise bracket identities of the two commuting triples."""
-    two = alg.field.rational(2)
-    expect = {
-        ("h1", "x1"): ("x1", two), ("h1", "y1"): ("y1", -two),
-        ("x1", "y1"): ("h1", alg.field.one()),
-        ("h2", "x2"): ("x2", two), ("h2", "y2"): ("y2", -two),
-        ("x2", "y2"): ("h2", alg.field.one()),
-    }
-    names = GENERATOR_NAMES
-    count = 0
-    for s in range(len(names)):
-        for t in range(s + 1, len(names)):
-            n1, n2 = names[s], names[t]
-            br = alg.bracket(gens[n1], gens[n2])
-            key = (n1, n2) if (n1, n2) in expect else (n2, n1)
-            if key in expect:
-                target, coeff = expect[key]
-                sign = 1 if key == (n1, n2) else -1
-                want = alg.scale(coeff * alg.field.rational(sign), gens[target])
-                if not alg.equal(br, want):
-                    return False
-            else:
-                if not alg.is_zero(br):
-                    return False
-            count += 1
-    assert count == 15
-    return True
+    """All 15 pairwise bracket identities of the two commuting triples:
+    three within each triple and the nine commutations across them."""
+    return sl2_relations_hold([[gens[n] for n in t] for t in TRIPLE_NAMES],
+                              alg.mul, alg.sub, alg.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -515,47 +486,29 @@ class AntiWeilRep:
 
     def verify_matrix_brackets(self) -> bool:
         """The 8x8 matrices satisfy the sl(2) x sl(2) relations."""
-        mu = self.mu
-        F = self.field
-        two = F.rational(2)
-
-        def br(p, q):
-            return mu[p] * mu[q] - mu[q] * mu[p]
-
-        checks = [
-            br("h1", "x1") == mu["x1"].scale(two),
-            br("h1", "y1") == mu["y1"].scale(-two),
-            br("x1", "y1") == mu["h1"],
-            br("h2", "x2") == mu["x2"].scale(two),
-            br("h2", "y2") == mu["y2"].scale(-two),
-            br("x2", "y2") == mu["h2"],
-        ]
-        for p in ("h1", "x1", "y1"):
-            for q in ("h2", "x2", "y2"):
-                checks.append(mu[p] * mu[q] == mu[q] * mu[p])
-        return all(checks)
+        return sl2_relations_hold(
+            [[self.mu[n] for n in t] for t in TRIPLE_NAMES],
+            ExactMatrix.__mul__, ExactMatrix.__sub__,
+            lambda c, m: m.scale(c))
 
     def regenerate_galois_lie_table(self):
         """Recompute the Galois action on the six generators from the
-        explicit quaternion elements and express it back in the
-        generator basis; returns the table in the hardcoded format."""
+        explicit quaternion elements, each image matched against the
+        twelve generators +-l; returns the table in the hardcoded format,
+        with None for an image that is not +-a generator."""
         _, D, a = self.params
-        alg, gens, span = self.e_a1
-        # coordinates in the six generators, an F'-basis of their span
+        alg, gens, _ = self.e_a1
+        signed = {}
+        for n in GENERATOR_NAMES:
+            signed[gens[n]] = (1, n)
+            signed[alg.scale(-1, gens[n])] = (-1, n)
         Fq = alg.field
         table = {}
         for tag, root in (("g1", D), ("g3", a)):
             _, r0 = squarefree_split(root)
             gq = _flip_generator(Fq, Fq.gens.index(r0))
-            table[tag] = {}
-            for n in GENERATOR_NAMES:
-                img = alg.galois(gq, gens[n])
-                sol = span.solve(list(img))
-                assert sol is not None
-                nz = [(t, c) for t, c in enumerate(sol) if not c.is_zero()]
-                assert len(nz) == 1 and nz[0][1].is_rational()
-                t, c = nz[0]
-                table[tag][n] = (int(c.as_fraction()), GENERATOR_NAMES[t])
+            table[tag] = {n: signed.get(alg.galois(gq, gens[n]))
+                          for n in GENERATOR_NAMES}
         # g2 only moves sqrt(D'), which the algebra elements do not contain
         table["g2"] = {n: (1, n) for n in GENERATOR_NAMES}
         return table
@@ -660,17 +613,21 @@ class AntiWeilRep:
         return {name: [row[:] for row in mat]
                 for name, mat in self._model.items()}
 
+    def _unit_coefficients(self):
+        """Row u holds the coefficients c_u, over the algebra's field, with
+        sum_g c_ug g the rational unit u.  The generators have no 1 or J
+        component, so these are the columns of the inverse of the block of
+        span on the units i, j, k, Ji, Jj, Jk."""
+        _, _, span = self.e_a1
+        assert all(e.is_zero() for t in (0, 4) for e in span.entries[t])
+        block = ExactMatrix(span.field, [span.entries[idx]
+                                         for _, idx in self.RATIONAL_UNITS])
+        return [list(col) for col in zip(*block.inverse().entries)]
+
     def _build_rational_model(self):
         F = self.field
-        alg, _, span = self.e_a1
-        Fq = alg.field
-        lift = _field_lift(Fq, F)
-        coeffs = []
-        for _, idx in self.RATIONAL_UNITS:
-            target = [Fq.one() if t == idx else Fq.zero() for t in range(8)]
-            sol = span.solve(target)
-            assert sol is not None
-            coeffs.append([lift(c) for c in sol])
+        lift = _field_lift(self.e_a1[0].field, F)
+        coeffs = [[lift(c) for c in row] for row in self._unit_coefficients()]
         # row u of coeffs * (the mu as flattened rows) is sum_g c_ug mu_g
         mus = ExactMatrix(F, [[e for row in self.mu[g].entries for e in row]
                               for g in GENERATOR_NAMES])
@@ -733,7 +690,10 @@ def _rational_module(rep: AntiWeilRep) -> WeightModule:
     call as its generator actions."""
     model = rep.rational_model()
     names = [n for n, _ in AntiWeilRep.RATIONAL_UNITS] + ["J"]
-    return WeightModule(range(8), [(n, model[n]) for n in names], [])
+    # zeros enter as int 0, whose zero tests in liereps run in C
+    return WeightModule(range(8), [(n, [[x or 0 for x in row]
+                                        for row in model[n]])
+                                   for n in names], [])
 
 
 def invariant_endomorphisms_dim(rep: AntiWeilRep) -> int:

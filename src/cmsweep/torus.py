@@ -419,11 +419,13 @@ class MixedFamily:
 
     def witness_point(self):
         """First small integer parameter point whose saturated lattice
-        defeats the divisor test."""
+        defeats the divisor test.  Points go by |x1| + |x2| = total, then
+        x1 = 0..total, then x2 = total - x1 before -(total - x1); only
+        coprime points are tried."""
         for total in range(1, 12):
             for x1 in range(0, total + 1):
                 x2a = total - x1
-                for x2 in ({x2a, -x2a} if x2a else {0}):
+                for x2 in ((x2a, -x2a) if x2a else (0,)):
                     if gcd(x1, abs(x2)) != 1:
                         continue
                     lat = self.lattice_at(x1, x2)

@@ -1,6 +1,7 @@
 """Helpers that only the tests use: the dense matrix product that the
-row-sparse ExactMatrix product is checked against, and spec-facing
-functions that the verifier itself never calls (a saturation index, CM-type
+row-sparse ExactMatrix product is checked against, the solve-based
+rational-unit coefficients and Galois Lie table that the anti-Weil chain
+is checked against, and spec-facing functions that the verifier itself never calls (a saturation index, CM-type
 primitivity and induction, a cyclic Galois model, the Galois identity test
 and a top-wedge layer identity)."""
 
@@ -8,6 +9,8 @@ from cmsweep.cmfields import (CMFieldModel, CMType, SubfieldModel,
                               restrict_multiplicities)
 from cmsweep.fields import ExactMatrix, _dot, _matrix
 from cmsweep.intlat import IntLattice, snf
+from cmsweep.quatrep import (GENERATOR_NAMES, AntiWeilRep, _flip_generator,
+                             squarefree_split)
 
 
 def dense_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -16,6 +19,43 @@ def dense_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     cols = list(zip(*b.entries))
     return _matrix(a.field, [[_dot(a.field, row, col) for col in cols]
                              for row in a.entries])
+
+
+def solve_unit_coefficients(rep: AntiWeilRep):
+    """Row u holds the coefficients of the rational unit u in the six
+    generators, from one span.solve per unit."""
+    alg, _, span = rep.e_a1
+    Fq = alg.field
+    out = []
+    for _, idx in AntiWeilRep.RATIONAL_UNITS:
+        sol = span.solve([Fq.one() if t == idx else Fq.zero()
+                          for t in range(8)])
+        assert sol is not None
+        out.append(sol)
+    return out
+
+
+def solve_galois_lie_table(rep: AntiWeilRep):
+    """The Galois action on the six generators, each image written in the
+    generators by one span.solve and read off its one nonzero
+    coordinate."""
+    _, D, a = rep.params
+    alg, gens, span = rep.e_a1
+    Fq = alg.field
+    table = {}
+    for tag, root in (("g1", D), ("g3", a)):
+        _, r0 = squarefree_split(root)
+        gq = _flip_generator(Fq, Fq.gens.index(r0))
+        table[tag] = {}
+        for n in GENERATOR_NAMES:
+            sol = span.solve(list(alg.galois(gq, gens[n])))
+            assert sol is not None
+            nz = [(t, c) for t, c in enumerate(sol) if not c.is_zero()]
+            assert len(nz) == 1 and nz[0][1].is_rational()
+            t, c = nz[0]
+            table[tag][n] = (int(c.as_fraction()), GENERATOR_NAMES[t])
+    table["g2"] = {n: (1, n) for n in GENERATOR_NAMES}
+    return table
 
 
 def saturation_index(l: IntLattice) -> int:

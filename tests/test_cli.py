@@ -81,6 +81,18 @@ def test_missing_fixture_directory_is_usage_error(tmp_path, capsys):
         (FIXDIR / "sweep-dim1.json").read_bytes()
 
 
+@pytest.mark.parametrize("bless", [False, True])
+def test_fixtures_path_that_is_a_file_is_usage_error(tmp_path, capsys, bless):
+    path = tmp_path / "fixtures.json"
+    path.write_text("[]")
+    argv = ["sweep-dim1", "--fixtures", str(path)] + (["--bless"] * bless)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"--fixtures {path}: not a directory" in captured.err
+    assert captured.out == ""
+    assert path.read_text() == "[]"
+
+
 def test_usage_error(capsys):
     assert main(["no-such-subcommand"]) == 2
     capsys.readouterr()

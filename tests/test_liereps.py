@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmsweep.fields import QQ, ExactMatrix, rational_kernel, rational_rank
-from cmsweep.liereps import (WeightModule, classify_dim4_faithful,
-                             external_product, invariant_space, search_dim,
-                             sl2_irrep, sp4_basis, sp4_standard_module,
-                             tensor_module, wedge2_module, weyl_dim)
+from cmsweep.liereps import (WeightModule, _matmul, _matscale, _matsub,
+                             classify_dim4_faithful, external_product,
+                             invariant_space, search_dim, sl2_irrep,
+                             sl2_relations_hold, sp4_basis,
+                             sp4_standard_module, tensor_module,
+                             wedge2_module, weyl_dim)
 from helpers import weil_layer_identity
 
 
@@ -207,3 +209,75 @@ def test_rational_kernel_of_no_rows_is_the_standard_basis():
     assert rational_kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert rational_kernel([[0, 0, 0]], 3) == rational_kernel([], 3)
     assert rational_rank([], 3) == 0
+
+
+# -- the one sl(2)-relations check, on the three element types it serves ----
+
+def _relations_case(kind):
+    """Two commuting sl(2) triples of one element type, with the type's
+    product, difference and scaling by an int."""
+    from cmsweep.quatrep import TRIPLE_NAMES, build_antiweil_rep, e_a1_triples
+    if kind == "quaternion":
+        alg, gens = e_a1_triples(-2, -3)
+        return ([[gens[n] for n in t] for t in TRIPLE_NAMES],
+                alg.mul, alg.sub, alg.scale)
+    if kind == "exact-matrix":
+        mu = build_antiweil_rep(-1, -2, -3).mu
+        return ([[mu[n] for n in t] for t in TRIPLE_NAMES],
+                ExactMatrix.__mul__, ExactMatrix.__sub__,
+                lambda c, m: m.scale(c))
+    w = external_product(sl2_irrep(1), sl2_irrep(1))
+    return ([[w.actions[n] for n in t] for t in w.triples],
+            _matmul, _matsub, _matscale)
+
+
+RELATION_KINDS = ("quaternion", "exact-matrix", "fraction-lists")
+
+
+@pytest.mark.parametrize("kind", RELATION_KINDS)
+def test_sl2_relations_hold_on_commuting_triples(kind):
+    triples, mul, sub, scale = _relations_case(kind)
+    assert sl2_relations_hold(triples, mul, sub, scale)
+    assert all(sl2_relations_hold([t], mul, sub, scale) for t in triples)
+    assert sl2_relations_hold([], mul, sub, scale)
+
+
+@pytest.mark.parametrize("kind", RELATION_KINDS)
+def test_sl2_relations_fail_on_one_broken_relation(kind):
+    triples, mul, sub, scale = _relations_case(kind)
+    (h, x, y), second = triples
+
+    def add(a, b):
+        return sub(a, scale(-1, b))
+
+    # each mutant breaks exactly one relation: [h, x+y] = 2x - 2y is not
+    # 2(x+y) while [x+y, y] = h; [h, x+y] is not -2(x+y) while
+    # [x, x+y] = h; [x, 0] = 0 is not h while [h, 0] = -2 * 0
+    for mutant in ((h, add(x, y), y), (h, x, add(x, y)),
+                   (h, x, scale(0, y))):
+        assert not sl2_relations_hold([mutant], mul, sub, scale)
+        assert not sl2_relations_hold([mutant, second], mul, sub, scale)
+    # a triple does not commute with itself
+    assert not sl2_relations_hold([triples[0], triples[0]], mul, sub, scale)
+
+
+@pytest.mark.parametrize("kind", RELATION_KINDS)
+def test_sl2_relations_fail_on_one_non_commuting_cross_pair(kind):
+    triples, mul, sub, scale = _relations_case(kind)
+    for a in triples[0]:
+        for b in triples[1]:
+            def skewed(p, q, a=a, b=b):
+                # the product of a by b alone gains a term, so a and b no
+                # longer commute; the triples' own brackets are untouched
+                out = mul(p, q)
+                return sub(out, scale(-1, a)) if p is a and q is b else out
+
+            assert not sl2_relations_hold(triples, skewed, sub, scale)
+
+
+def test_weight_module_rejects_broken_relations():
+    v1 = sl2_irrep(1)
+    zero = _matscale(0, v1.actions["y"])
+    with pytest.raises(AssertionError):
+        WeightModule(v1.basis_labels, dict(v1.actions, y=zero),
+                     v1.triples)

@@ -27,6 +27,7 @@ from cmsweep.quatrep import (AntiWeilRep, GALOIS_EIGEN_TABLE,
                              unit_table_associativity, unit_table_text,
                              verify_e_a1_brackets, verify_galois_equivariance,
                              verify_irreducibility, verify_symplectic)
+from helpers import solve_galois_lie_table, solve_unit_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -408,6 +409,69 @@ def test_trivial_galois_action_leaves_a_stable_pattern():
     assert not rep.verify_irreducibility()
     assert not _irreducible_by_ranks(rep)
     _agree_with_references(rep)
+
+
+@pytest.mark.parametrize("triple", [(-1, -2, -3)] + _seeded_triples(13, 9))
+def test_solve_free_steps_match_solve_references(triple):
+    rep = build_antiweil_rep(*triple)
+    assert rep._unit_coefficients() == solve_unit_coefficients(rep)
+    assert rep.regenerate_galois_lie_table() == solve_galois_lie_table(rep) \
+        == GALOIS_LIE_TABLE
+
+
+def _altered_e_a1(name, change):
+    """An e_a1 in place of AntiWeilRep's whose generator `name` is changed
+    by change(alg, element); the span, and so the rational model, keeps
+    the true generators."""
+    build = AntiWeilRep.e_a1.func
+
+    def e_a1(self):
+        alg, gens, span = build(self)
+        return alg, dict(gens, **{name: change(alg, gens[name])}), span
+    return property(e_a1)
+
+
+ALTERATIONS = {
+    # g1 x1 = -y2 is then not +-2 x1 and g1 y2 = -x1 not +-x1'
+    "doubled": lambda alg, g: alg.scale(2, g),
+    # the J component leaves the span, so a solve finds no coordinates
+    "off-span": lambda alg, g: alg.add(g, alg.basis_element(4)),
+}
+
+
+@pytest.mark.parametrize("alteration", sorted(ALTERATIONS))
+def test_altered_generator_fails_the_lie_table(monkeypatch, alteration):
+    monkeypatch.setattr(AntiWeilRep, "e_a1",
+                        _altered_e_a1("x1", ALTERATIONS[alteration]))
+    table = build_antiweil_rep(-1, -2, -3).regenerate_galois_lie_table()
+    assert table["g1"]["x1"] is None and table["g3"]["x1"] is None
+    assert table != GALOIS_LIE_TABLE
+    # the section keeps its records: the changed generator fails its
+    # checks and the Lie table reads FAIL, and nothing raises
+    from cmsweep.cli import _run_antiweil_verify
+    verdicts = {r["case_id"]: r["verdict"] for r in _run_antiweil_verify()}
+    assert verdicts["galois-lie-table-fidelity"] == "FAIL"
+    assert verdicts["algebra-brackets-15"] == "FAIL"
+    assert verdicts["rational-invariant-dims"] == "OK"
+
+
+def test_antiweil_chain_makes_no_solve_call(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("ExactMatrix.solve called")
+    monkeypatch.setattr(ExactMatrix, "solve", refuse)
+    from cmsweep.cli import main
+    assert main(["antiweil-verify"]) == 0
+    capsys.readouterr()
+
+
+def test_rational_module_holds_int_zeros(rep):
+    from cmsweep.quatrep import _rational_module
+    model = rep.rational_model()
+    for name, act in _rational_module(rep).actions.items():
+        assert act == model[name]
+        assert all(type(x) is int for row in act for x in row if not x)
+    assert any(x == 0 and type(x) is Fraction
+               for row in model["i"] for x in row)
 
 
 def test_antiweil_walkthrough_demo_runs():

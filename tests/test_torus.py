@@ -7,6 +7,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -231,6 +232,31 @@ def test_stable_subspaces_agree_with_fixtures():
             assert fam.kind == "parametric"
             lat = fam.family.lattice_at(*cert["witness_point"])
             assert [list(r) for r in lat.basis] == cert["witness_lattice"]
+
+
+def test_witness_point_search_order(monkeypatch):
+    # with a divisor test that every lattice passes, the search visits
+    # every coprime point, x2 = total - x1 before -(total - x1)
+    import cmsweep.torus as torus
+    monkeypatch.setattr(torus, "divisor_test", lambda lat: (True, None))
+    kind, fam = pair_analysis(P0, P2)
+    assert kind == "family"
+    tried = []
+    lattice_at = fam.lattice_at
+
+    def recording(x1, x2):
+        tried.append((x1, x2))
+        return lattice_at(x1, x2)
+
+    monkeypatch.setattr(fam, "lattice_at", recording)
+    assert fam.witness_point() == (None, None)
+    assert tried == [(x1, x2) for total in range(1, 12)
+                     for x1 in range(total + 1)
+                     for x2 in ((total - x1, x1 - total) if x1 < total
+                                else (0,))
+                     if gcd(x1, x2) == 1]
+    assert tried.index((1, 4)) < tried.index((1, -4))
+    assert tried.index((1, 5)) < tried.index((1, -5))
 
 
 def test_pair_analysis_kinds():
