@@ -322,6 +322,7 @@ def compare_with_fixture(args, sub, cases):
 
 
 def bless_fixture(args, sub, cases):
+    """Write the cases as the fixture of sub; returns (note, written)."""
     path = Path(str(_fixture_file(args, sub)))
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
@@ -333,9 +334,13 @@ def bless_fixture(args, sub, cases):
         old_ids = None
         note = (f"{sub}: rewrote unreadable fixture {sub}.json "
                 f"({type(exc).__name__}: {exc})")
-    path.write_text(_canonical(cases))
+    try:
+        path.write_text(_canonical(cases))
+    except OSError as exc:
+        return (f"{sub}: cannot write fixture {sub}.json "
+                f"({type(exc).__name__}: {exc})"), False
     if old_ids is None:
-        return note
+        return note, True
     new_ids = {c["case_id"]: c for c in cases}
     added = sorted(set(new_ids) - set(old_ids))
     removed = sorted(set(old_ids) - set(new_ids))
@@ -343,7 +348,7 @@ def bless_fixture(args, sub, cases):
                      if old_ids[k] != new_ids[k])
     return (f"{sub}: {len(added)} added, {len(removed)} removed, "
             f"{len(changed)} changed" +
-            (f" ({', '.join(changed[:5])})" if changed else ""))
+            (f" ({', '.join(changed[:5])})" if changed else "")), True
 
 
 def render(report, fmt):
@@ -459,8 +464,9 @@ def main(argv=None) -> int:
                       "certificate": _error_certificate(exc), "table": sub}]
         ms = int((time.monotonic() - t0) * 1000)
         if args.bless:
-            notes.append(bless_fixture(args, sub, cases))
-            passed, failed = len(cases), 0
+            note, written = bless_fixture(args, sub, cases)
+            notes.append(note)
+            passed, failed = (len(cases), 0) if written else (0, len(cases))
         elif overridden:
             notes.append(f"{sub}: parameter overrides, fixture skipped")
             passed = sum(1 for c in cases

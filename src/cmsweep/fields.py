@@ -416,110 +416,126 @@ QQ = MultiQuadField(())
 # exact matrices over a MultiQuadField
 # ---------------------------------------------------------------------------
 
-def integer_rref(rows, ncols):
-    """Fraction-free Gauss-Jordan, in place, on a list of integer rows of
-    length ncols, each kept primitive (Bareiss 1968 keeps entries integral
-    the same way).  Pivoting is deterministic: leftmost nonzero column,
-    smallest row index.  Returns the pivot columns; afterwards row i <
-    len(pivots) is nonzero at pivots[i] and zero at every other pivot
-    column, and the rows after them are zero."""
-    for i, row in enumerate(rows):
-        g = gcd(*row)
-        if g > 1:
-            rows[i] = [x // g for x in row]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                new = [p * x - f * y for x, y in zip(row, prow)]
-                g = gcd(*new)
-                rows[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def cleared_rows(rows, ncols):
-    """The nonzero rows of int or Fraction entries, each times the lcm of
-    the denominators of its nonzero entries."""
+def cleared_rows(rows):
+    """The nonzero rows of int or Fraction entries, given as lists or as
+    {col: value} dicts, each times the lcm of the denominators of its
+    nonzero entries, as {col: int} dicts."""
     out = []
     for row in rows:
-        nonzero = [(j, x) for j, x in enumerate(row) if x]
+        nonzero = [(j, x) for j, x in
+                   (row.items() if isinstance(row, dict) else enumerate(row))
+                   if x]
         if nonzero:
             den = lcm(*(x.denominator for _, x in nonzero))
-            ints = [0] * ncols
-            for j, x in nonzero:
-                ints[j] = x.numerator * (den // x.denominator)
-            out.append(ints)
+            out.append({j: x.numerator * (den // x.denominator)
+                        for j, x in nonzero})
     return out
 
 
-def _distinct_rows(rows):
-    """The nonzero integer rows, each made primitive with a positive
-    leading entry, once each in first-seen order: rows that differ by a
-    rational factor span the same line, and the reduced echelon form is
-    unique, so eliminating these gives the same pivots and reduced rows."""
-    seen = {}
+def _combined(p, row, f, prow):
+    """p * row - f * prow for {col: int} rows, primitive, without zeros."""
+    out = {j: p * x for j, x in row.items()} if p != 1 else dict(row)
+    for j, y in prow.items():
+        x = out.get(j, 0) - f * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    if g > 1:
+        out = {j: x // g for j, x in out.items()}
+    return out
+
+
+def _echelon(rows):
+    """Reduced echelon form of {col: int} rows, as {pivot col: row}, by
+    elimination on the nonzeros only (Davis, Direct Methods for Sparse
+    Linear Systems, 2006).  Each incoming row is reduced by the pivot rows
+    so far and made primitive with a positive leading entry, which becomes
+    its pivot; that column is then eliminated from the earlier pivot rows.
+    A pivot row stays zero at every other pivot column, and the form is
+    unique, so pivots and kernels do not depend on the order of the
+    rows."""
+    pivots = {}
     for row in rows:
-        g = gcd(*row)
-        if next(x for x in row if x) < 0:
+        # pivot rows are zero at each other's columns: one pass suffices
+        for c in [c for c in row if c in pivots]:
+            prow = pivots[c]
+            row = _combined(prow[c], row, row[c], prow)
+        if not row:
+            continue
+        c = min(row)
+        g = gcd(*row.values())
+        if row[c] < 0:
             g = -g
-        seen[tuple([x // g for x in row] if g != 1 else row)] = None
-    return [list(row) for row in seen]
+        if g != 1:
+            row = {j: x // g for j, x in row.items()}
+        for pc, prow in pivots.items():
+            f = prow.get(c)
+            if f:
+                pivots[pc] = _combined(row[c], prow, f, row)
+        pivots[c] = row
+    return pivots
 
 
 def rational_kernel(rows, ncols):
     """Basis of the right kernel of the rational matrix with the given rows
-    (ints or Fractions), as lists of Fractions.  The cleared rows, each
-    kept once up to a rational factor, go through integer_rref; each basis
-    vector sets one free variable to 1, as ExactMatrix.kernel does.  No
-    rows give the standard basis."""
-    rows = _distinct_rows(cleared_rows(rows, ncols))
-    pivots = integer_rref(rows, ncols)
+    (lists or {col: value} dicts of ints or Fractions), as lists of
+    Fractions: each basis vector sets one free variable to 1, as
+    ExactMatrix.kernel does.  No rows give the standard basis."""
+    pivots = _echelon(cleared_rows(rows))
     zero, one = Fraction(0), Fraction(1)
-    basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [zero] * ncols
-        v[fc] = one
-        for row, pc in zip(rows, pivots):
-            if row[fc]:
-                v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(v)
-    return basis
+    basis = {}
+    for fc in range(ncols):
+        if fc not in pivots:
+            basis[fc] = v = [zero] * ncols
+            v[fc] = one
+    for pc, row in pivots.items():
+        lead = row[pc]
+        for fc, x in row.items():
+            if fc != pc:
+                basis[fc][pc] = Fraction(-x, lead)
+    return list(basis.values())
 
 
 def rational_rank(rows, ncols) -> int:
-    """Rank of the rational matrix with the given rows (ints or
-    Fractions), by integer_rref on the distinct cleared rows."""
-    return len(integer_rref(_distinct_rows(cleared_rows(rows, ncols)), ncols))
+    """Rank of the rational matrix with ncols columns and the given rows,
+    which are as for rational_kernel."""
+    return len(_echelon(cleared_rows(rows)))
 
 
-def _matrix(field, rows) -> "ExactMatrix":
-    """An ExactMatrix from rows of elements of ``field``, unchecked."""
+def _matrix(field, rows, nonzero=None) -> "ExactMatrix":
+    """An ExactMatrix from rows of elements of ``field``, unchecked, with
+    its nonzero index when the caller has it."""
     m = object.__new__(ExactMatrix)
     m.field = field
     m.entries = rows
     m.rows = len(rows)
     m.cols = len(rows[0]) if rows else 0
+    m._nonzero = nonzero
     return m
 
 
+def _from_index(field, nonzero, cols) -> "ExactMatrix":
+    """The ExactMatrix with the given nonzero index and column count."""
+    zero = field.zero()
+    rows = []
+    for pairs in nonzero:
+        row = [zero] * cols
+        for j, e in pairs:
+            row[j] = e
+        rows.append(row)
+    return _matrix(field, rows, nonzero)
+
+
 class ExactMatrix:
-    """Dense matrix with FieldElement entries; immutable by convention."""
+    """Dense matrix with FieldElement entries; immutable by convention.
+
+    ``nonzero`` indexes the entries by row: row i's (col, element) pairs
+    with a nonzero element, in column order.  Products, sums, negation,
+    scaling, transposes and Galois conjugates read only the index and set
+    it on their result; a matrix built from entries computes it on first
+    use."""
 
     def __init__(self, field: MultiQuadField, entries):
         self.field = field
@@ -528,6 +544,7 @@ class ExactMatrix:
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.rows else 0
         assert all(len(r) == self.cols for r in self.entries)
+        self._nonzero = None
 
     @staticmethod
     def from_int(field: MultiQuadField, rows) -> "ExactMatrix":
@@ -538,35 +555,59 @@ class ExactMatrix:
         return ExactMatrix(field, [[field.rational(1 if i == j else 0)
                                     for j in range(n)] for i in range(n)])
 
+    @property
+    def nonzero(self):
+        if self._nonzero is None:
+            self._nonzero = [[(j, e) for j, e in enumerate(row) if any(e.nums)]
+                             for row in self.entries]
+        return self._nonzero
+
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and self.field == other.field
-                and self.entries == other.entries)
+                and (self.rows, self.cols) == (other.rows, other.cols)
+                and self.nonzero == other.nonzero)
 
     def __repr__(self):
         return "ExactMatrix(" + "; ".join(
             ", ".join(repr(e) for e in row) for row in self.entries) + ")"
 
-    def __add__(self, other):
+    def _merged(self, other, sign):
+        """self + sign * other for sign = ±1."""
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        return _matrix(self.field, [[p + q for p, q in zip(r1, r2)]
-                                    for r1, r2 in zip(self.entries,
-                                                      other.entries)])
+        out = []
+        for r1, r2 in zip(self.nonzero, other.nonzero):
+            acc = dict(r1)
+            for j, e in r2:
+                s = e if sign > 0 else -e
+                if j in acc:
+                    s = acc[j] + s
+                if any(s.nums):
+                    acc[j] = s
+                else:
+                    del acc[j]
+            # distinct columns: the sort never compares elements
+            out.append(sorted(acc.items()))
+        return _from_index(self.field, out, self.cols)
+
+    def __add__(self, other):
+        return self._merged(other, 1)
 
     def __sub__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return _matrix(self.field, [[p - q for p, q in zip(r1, r2)]
-                                    for r1, r2 in zip(self.entries,
-                                                      other.entries)])
+        return self._merged(other, -1)
 
     def __neg__(self):
-        return _matrix(self.field, [[-e for e in row] for row in self.entries])
+        return _from_index(self.field, [[(j, -e) for j, e in row]
+                                        for row in self.nonzero], self.cols)
 
     def scale(self, c) -> "ExactMatrix":
         c = FieldElement.coerce(self.field, c)
         if c.den == 1 and c.nums[0] in (1, -1) and not any(c.nums[1:]):
             return self if c.nums[0] == 1 else -self
-        return _matrix(self.field,
-                       [[c * e for e in row] for row in self.entries])
+        if not any(c.nums):
+            return _from_index(self.field, [[]] * self.rows, self.cols)
+        # a product of nonzero field elements is nonzero
+        return _from_index(self.field, [[(j, c * e) for j, e in row]
+                                        for row in self.nonzero], self.cols)
 
     def __mul__(self, other):
         field = self.field
@@ -575,36 +616,47 @@ class ExactMatrix:
             # the nonzero entries of row t of other, and each output entry
             # is one _dot over its contributing pairs
             assert self.cols == other.rows
-            sparse = [[(j, e) for j, e in enumerate(row) if any(e.nums)]
-                      for row in other.entries]
-            zero = field.zero()
+            sparse = other.nonzero
             out = []
-            for row in self.entries:
+            for row in self.nonzero:
                 pairs = {}
-                for x, nonzero in zip(row, sparse):
-                    if nonzero and any(x.nums):
-                        for j, y in nonzero:
-                            if j in pairs:
-                                pairs[j][0].append(x)
-                                pairs[j][1].append(y)
-                            else:
-                                pairs[j] = ([x], [y])
-                new = [zero] * other.cols
-                for j, (xs, ys) in pairs.items():
-                    new[j] = _dot(field, xs, ys)
+                for t, x in row:
+                    for j, y in sparse[t]:
+                        if j in pairs:
+                            pairs[j][0].append(x)
+                            pairs[j][1].append(y)
+                        else:
+                            pairs[j] = ([x], [y])
+                new = []
+                for j in sorted(pairs):
+                    e = _dot(field, *pairs[j])
+                    if any(e.nums):
+                        new.append((j, e))
                 out.append(new)
-            return _matrix(field, out)
+            return _from_index(field, out, other.cols)
         # vector (list of FieldElements / ints)
         vec = [FieldElement.coerce(field, v) for v in other]
         assert len(vec) == self.cols
-        return [_dot(field, row, vec) for row in self.entries]
+        return [_dot(field, [e for _, e in row], [vec[j] for j, _ in row])
+                for row in self.nonzero]
 
     def transpose(self) -> "ExactMatrix":
-        return _matrix(self.field, [list(col) for col in zip(*self.entries)])
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzero):
+            for j, e in row:
+                out[j].append((i, e))
+        return _from_index(self.field, out, self.rows)
 
     def galois(self, g: GaloisElement) -> "ExactMatrix":
-        return _matrix(self.field, [[apply_galois(g, e) for e in row]
-                                    for row in self.entries])
+        return _from_index(self.field,
+                           [[(j, apply_galois(g, e)) for j, e in row]
+                            for row in self.nonzero], self.cols)
+
+    def take_rows(self, order) -> "ExactMatrix":
+        """The matrix whose row i is row order[i] of self."""
+        nonzero = self.nonzero
+        return _matrix(self.field, [self.entries[i] for i in order],
+                       [nonzero[i] for i in order])
 
     # -- elimination ------------------------------------------------------
     def rref(self):

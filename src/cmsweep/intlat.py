@@ -194,4 +194,5 @@ def saturate(l: IntLattice) -> IntLattice:
 def rational_span_intersect(vectors, ambient_rank: int) -> IntLattice:
     """The saturated lattice span_Q(vectors) ∩ Z^n, vectors rational."""
     return saturate(IntLattice(ambient_rank,
-                               cleared_rows(vectors, ambient_rank)))
+                               [[row.get(j, 0) for j in range(ambient_rank)]
+                                for row in cleared_rows(vectors)]))

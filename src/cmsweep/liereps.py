@@ -13,33 +13,39 @@ from itertools import combinations
 from .fields import rational_kernel, rational_rank
 
 # ---------------------------------------------------------------------------
-# plain Fraction matrix helpers
+# sparse matrices: one {col: value} dict per row, never holding a zero
 # ---------------------------------------------------------------------------
 
-def _zeros(n, m):
-    # int zeros: most entries of the tensor and wedge actions stay zero,
-    # and a zero test on an int runs in C
-    return [[0] * m for _ in range(n)]
+def _sparse_rows(m):
+    """The rows of m, each a list or a {col: value} dict, as dicts of the
+    nonzero entries, an integral value as an int (int arithmetic runs in
+    C, Fraction arithmetic in Python)."""
+    return [{j: x.numerator if x.denominator == 1 else x for j, x in
+             (row.items() if isinstance(row, dict) else enumerate(row)) if x}
+            for row in m]
 
 
 def _matmul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = _zeros(n, m)
-    for i in range(n):
-        for t in range(k):
-            if a[i][t]:
-                for j in range(m):
-                    if b[t][j]:
-                        out[i][j] += a[i][t] * b[t][j]
-    return out
+    out = []
+    for row in a:
+        acc = {}
+        for t, x in row.items():
+            for j, y in b[t].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(acc)
+    return _sparse_rows(out)
 
 
 def _matsub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    out = [dict(row) for row in a]
+    for acc, rb in zip(out, b):
+        for j, y in rb.items():
+            acc[j] = acc.get(j, 0) - y
+    return _sparse_rows(out)
 
 
 def _matscale(c, a):
-    return [[c * x for x in row] for row in a]
+    return [{j: c * x for j, x in row.items()} if c else {} for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -68,58 +74,56 @@ def sl2_relations_hold(triples, mul, sub, scale) -> bool:
 
 class WeightModule:
     """A vector space with named generator actions, organized into sl(2)
-    triples (h, x, y).  Bracket identities are verified at construction:
-    [h,x] = 2x, [h,y] = -2y, [x,y] = h per triple, and generators of
-    distinct triples commute."""
+    triples (h, x, y).  Each action is given as rows, lists or {col: value}
+    dicts of ints or Fractions, and kept as one dict of its nonzero entries
+    per row, integral values as ints.  Bracket
+    identities are verified at construction: [h,x] = 2x, [h,y] = -2y,
+    [x,y] = h per triple, and generators of distinct triples commute;
+    ValueError if one fails."""
 
     def __init__(self, basis_labels, actions, triples):
         self.basis_labels = tuple(basis_labels)
         self.dim = len(self.basis_labels)
-        self.actions = dict(actions)
+        self.actions = {name: _sparse_rows(m)
+                        for name, m in dict(actions).items()}
         self.triples = tuple(tuple(t) for t in triples)
-        assert sl2_relations_hold(
-            [[self.actions[n] for n in t] for t in self.triples],
-            _matmul, _matsub, _matscale)
+        if not sl2_relations_hold(
+                [[self.actions[n] for n in t] for t in self.triples],
+                _matmul, _matsub, _matscale):
+            raise ValueError(f"the actions of {self.triples} break the "
+                             "sl(2) relations")
 
     def generator_names(self):
         return tuple(self.actions)
 
     def act(self, name, vec):
-        m = self.actions[name]
-        return [sum(m[i][j] * vec[j] for j in range(self.dim))
-                for i in range(self.dim)]
+        return [sum(x * vec[j] for j, x in row.items())
+                for row in self.actions[name]]
 
 
 def sl2_irrep(m: int) -> WeightModule:
     """V(m): h.v_i = (m-2i) v_i, y.v_i = (i+1) v_{i+1}, x.v_i = (m-i+1) v_{i-1}."""
     assert m >= 0
     n = m + 1
-    h = _zeros(n, n)
-    x = _zeros(n, n)
-    y = _zeros(n, n)
-    for i in range(n):
-        h[i][i] = Fraction(m - 2 * i)
-        if i + 1 < n:
-            y[i + 1][i] = Fraction(i + 1)
-        if i - 1 >= 0:
-            x[i - 1][i] = Fraction(m - i + 1)
+    h = [{i: Fraction(m - 2 * i)} for i in range(n)]
+    x = [{i + 1: Fraction(m - i)} for i in range(m)] + [{}]
+    y = [{}] + [{i - 1: Fraction(i)} for i in range(1, n)]
     return WeightModule([f"v{i}" for i in range(n)],
                         [("h", h), ("x", x), ("y", y)], [("h", "x", "y")])
 
 
-def _tensor_action(a, na, b, nb):
-    """Leibniz action a (x) 1 + 1 (x) b on the tensor basis (i, j)."""
-    n = na * nb
-    out = _zeros(n, n)
-    for i in range(na):
-        for j in range(nb):
-            col = i * nb + j
-            for i2 in range(na):
-                if a[i2][i]:
-                    out[i2 * nb + j][col] += a[i2][i]
-            for j2 in range(nb):
-                if b[j2][j]:
-                    out[i * nb + j2][col] += b[j2][j]
+def _tensor_action(a, b):
+    """Leibniz action a (x) 1 + 1 (x) b on the tensor basis (i, j), built
+    row by row from the nonzeros of a and b; WeightModule drops the
+    entries that cancel."""
+    nb = len(b)
+    out = []
+    for i2, arow in enumerate(a):
+        for j2, brow in enumerate(b):
+            acc = {i * nb + j2: x for i, x in arow.items()}
+            for j, y in brow.items():
+                acc[i2 * nb + j] = acc.get(i2 * nb + j, 0) + y
+            out.append(acc)
     return out
 
 
@@ -127,12 +131,12 @@ def external_product(w1: WeightModule, w2: WeightModule) -> WeightModule:
     """V ⊠ W for two algebras acting on separate factors."""
     labels = [f"({l1}|{l2})" for l1 in w1.basis_labels for l2 in w2.basis_labels]
     acts = []
-    z1 = _zeros(w1.dim, w1.dim)
-    z2 = _zeros(w2.dim, w2.dim)
+    z1 = [{}] * w1.dim
+    z2 = [{}] * w2.dim
     for name, a in w1.actions.items():
-        acts.append((f"{name}1", _tensor_action(a, w1.dim, z2, w2.dim)))
+        acts.append((f"{name}1", _tensor_action(a, z2)))
     for name, b in w2.actions.items():
-        acts.append((f"{name}2", _tensor_action(z1, w1.dim, b, w2.dim)))
+        acts.append((f"{name}2", _tensor_action(z1, b)))
     triples = [tuple(f"{n}1" for n in t) for t in w1.triples] + \
               [tuple(f"{n}2" for n in t) for t in w2.triples]
     return WeightModule(labels, acts, triples)
@@ -144,38 +148,50 @@ def tensor_module(w1: WeightModule, w2: WeightModule) -> WeightModule:
     assert w1.generator_names() == w2.generator_names()
     assert w1.triples == w2.triples
     labels = [f"({l1}|{l2})" for l1 in w1.basis_labels for l2 in w2.basis_labels]
-    acts = [(name, _tensor_action(w1.actions[name], w1.dim,
-                                  w2.actions[name], w2.dim))
+    acts = [(name, _tensor_action(w1.actions[name], w2.actions[name]))
             for name in w1.generator_names()]
     return WeightModule(labels, acts, w1.triples)
 
 
+def dual_module(w: WeightModule) -> WeightModule:
+    """V* with each generator acting by -m^T."""
+    acts = []
+    for name, m in w.actions.items():
+        out = [{} for _ in range(w.dim)]
+        for i, row in enumerate(m):
+            for j, x in row.items():
+                out[j][i] = -x
+        acts.append((name, out))
+    return WeightModule(w.basis_labels, acts, w.triples)
+
+
 def wedge2_module(w: WeightModule) -> WeightModule:
-    """∧²V with the induced action."""
+    """∧²V with the induced action, built from the nonzeros of each
+    action: l.(e_i ^ e_j) = (l e_i) ^ e_j + e_i ^ (l e_j)."""
     n = w.dim
     pairs = list(combinations(range(n), 2))
     index = {p: t for t, p in enumerate(pairs)}
     labels = [f"{w.basis_labels[i]}^{w.basis_labels[j]}" for i, j in pairs]
     acts = []
     for name, a in w.actions.items():
-        out = _zeros(len(pairs), len(pairs))
-        for (i, j), col in index.items():
-            # l.(e_i ^ e_j) = (l e_i) ^ e_j + e_i ^ (l e_j)
-            for i2 in range(n):
-                if a[i2][i] and i2 != j:
-                    p, sign = ((i2, j), 1) if i2 < j else ((j, i2), -1)
-                    out[index[p]][col] += sign * a[i2][i]
-            for j2 in range(n):
-                if a[j2][j] and j2 != i:
-                    p, sign = ((i, j2), 1) if i < j2 else ((j2, i), -1)
-                    out[index[p]][col] += sign * a[j2][j]
+        out = [{} for _ in pairs]
+        for r, row in enumerate(a):
+            # a[r][c] sends e_c to a[r][c] e_r: in e_c ^ e_k the factor
+            # e_c becomes e_r, and e_r ^ e_k = -e_k ^ e_r
+            for c, x in row.items():
+                for k in range(n):
+                    if k != c and k != r:
+                        sign = 1 if (r < k) == (c < k) else -1
+                        col = index[(c, k) if c < k else (k, c)]
+                        t = index[(r, k) if r < k else (k, r)]
+                        out[t][col] = out[t].get(col, 0) + sign * x
         acts.append((name, out))
     return WeightModule(labels, acts, w.triples)
 
 
 def invariant_space(w: WeightModule):
     """Basis of { v : g.v = 0 for every generator }, exactly: the kernel
-    of the stacked actions."""
+    of the stacked sparse actions."""
     return rational_kernel([row for name in w.generator_names()
                             for row in w.actions[name]], w.dim)
 
@@ -241,7 +257,8 @@ SP4_FORM = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
 
 
 def sp4_basis():
-    """Basis of sp(4) = { x : x^T s + s x = 0 } by exact linear solving."""
+    """Basis of sp(4) = { x : x^T s + s x = 0 } by exact linear solving,
+    each element as sparse rows."""
     s = SP4_FORM
     # 16 unknowns x[i][j]; equation (x^T s + s x)[i][j] = 0
     rows = []
@@ -252,7 +269,7 @@ def sp4_basis():
                 coeff[4 * t + i] += s[t][j]      # (x^T s)[i][j] = x[t][i] s[t][j]
                 coeff[4 * t + j] += s[i][t]      # (s x)[i][j] = s[i][t] x[t][j]
             rows.append(coeff)
-    basis = [[v[4 * i:4 * i + 4] for i in range(4)]
+    basis = [_sparse_rows([v[4 * i:4 * i + 4] for i in range(4)])
              for v in rational_kernel(rows, 16)]
     assert len(basis) == 10
     return basis
@@ -268,24 +285,27 @@ def sp4_standard_module() -> WeightModule:
 
 
 def sl4_basis():
-    """Basis of sl(4): elementary off-diagonal units and traceless diagonals."""
+    """Basis of sl(4) as sparse rows: elementary off-diagonal units and
+    traceless diagonals."""
     out = []
     for i in range(4):
         for j in range(4):
             if i != j:
-                m = _zeros(4, 4)
-                m[i][j] = Fraction(1)
-                out.append(m)
+                out.append([{j: Fraction(1)} if r == i else {}
+                            for r in range(4)])
     for i in range(3):
-        m = _zeros(4, 4)
-        m[i][i], m[i + 1][i + 1] = Fraction(1), Fraction(-1)
-        out.append(m)
+        out.append([{r: Fraction(1 if r == i else -1)} if r in (i, i + 1)
+                    else {} for r in range(4)])
     return out
 
 
 def _images_independent(mats) -> bool:
-    flat = [[x for row in m for x in row] for m in mats]
-    return rational_rank(flat, len(flat[0])) == len(mats)
+    """Whether the matrices, given as sparse rows, are linearly
+    independent."""
+    n = len(mats[0])
+    flat = [{i * n + j: x for i, row in enumerate(m) for j, x in row.items()}
+            for m in mats]
+    return rational_rank(flat, n * n) == len(mats)
 
 
 def classify_dim4_faithful():

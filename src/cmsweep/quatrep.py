@@ -20,8 +20,8 @@ from itertools import product as iproduct
 from .fields import (QQ, DependentGenerators, ExactMatrix, FieldElement,
                      GaloisElement, MultiQuadField, apply_galois,
                      field_create)
-from .liereps import (WeightModule, invariant_space, sl2_relations_hold,
-                      tensor_module, wedge2_module)
+from .liereps import (WeightModule, dual_module, invariant_space,
+                      sl2_relations_hold, tensor_module, wedge2_module)
 
 
 def _flip_generator(field: MultiQuadField, idx: int) -> GaloisElement:
@@ -458,7 +458,6 @@ class AntiWeilRep:
             G[c][r] = -val
         self.gram_vw = ExactMatrix(F, G)
         self.gram = self.B_inv.transpose() * self.gram_vw * self.B_inv
-        self._model = None
 
     @cached_property
     def e_a1(self):
@@ -479,7 +478,7 @@ class AntiWeilRep:
         g = self.galois[tag]
         out = m.galois(g)
         if g.signs[self._gen_index["g2"]] == -1:
-            out = ExactMatrix(self.field, out.entries[4:] + out.entries[:4])
+            out = out.take_rows([4, 5, 6, 7, 0, 1, 2, 3])
         return out
 
     # -- verification -------------------------------------------------------
@@ -526,6 +525,8 @@ class AntiWeilRep:
                 sign, target = GALOIS_LIE_TABLE[tag][name]
                 lhs = self.galois_act(tag, self.mu[name] * P)
                 rhs = self.mu[target].scale(self.field.rational(sign))
+                if lhs == rhs:
+                    continue
                 failures += [(tag, name, t) for t in range(8)
                              if any(p[t] != q[t] for p, q in
                                     zip(lhs.entries, rhs.entries))]
@@ -608,10 +609,20 @@ class AntiWeilRep:
         certifying descent to Q.  The six sl(2) generators themselves are
         genuinely irrational combinations and do not descend.  Built once
         per rep; each call returns its own copy of the matrices."""
-        if self._model is None:
-            self._model = self._build_rational_model()
         return {name: [row[:] for row in mat]
                 for name, mat in self._model.items()}
+
+    @cached_property
+    def _model(self):
+        return self._build_rational_model()
+
+    @cached_property
+    def rational_module(self) -> WeightModule:
+        """V over Q with the rational units and J of the rational model as
+        its generator actions, built once per rep."""
+        model = self.rational_model()
+        names = [n for n, _ in self.RATIONAL_UNITS] + ["J"]
+        return WeightModule(range(8), [(n, model[n]) for n in names], [])
 
     def _unit_coefficients(self):
         """Row u holds the coefficients c_u, over the algebra's field, with
@@ -619,9 +630,9 @@ class AntiWeilRep:
         component, so these are the columns of the inverse of the block of
         span on the units i, j, k, Ji, Jj, Jk."""
         _, _, span = self.e_a1
-        assert all(e.is_zero() for t in (0, 4) for e in span.entries[t])
-        block = ExactMatrix(span.field, [span.entries[idx]
-                                         for _, idx in self.RATIONAL_UNITS])
+        if span.nonzero[0] or span.nonzero[4]:
+            raise ValueError("a generator has a 1 or J component")
+        block = span.take_rows([idx for _, idx in self.RATIONAL_UNITS])
         return [list(col) for col in zip(*block.inverse().entries)]
 
     def _build_rational_model(self):
@@ -653,11 +664,12 @@ class AntiWeilRep:
         out = {}
         for name, mat in list(rational_mats.items()) + [("J", self.J)]:
             ru = U_inv * mat * U
-            assert all(e.is_rational() for row in ru.entries for e in row), \
-                f"{name} does not descend to Q"
+            if not all(e.is_rational() for row in ru.entries for e in row):
+                raise ValueError(f"{name} does not descend to Q")
             out[name] = [[e.as_fraction() for e in row] for row in ru.entries]
         gram_u = U.transpose() * self.gram * U
-        assert all(e.is_rational() for row in gram_u.entries for e in row)
+        if not all(e.is_rational() for row in gram_u.entries for e in row):
+            raise ValueError("the Gram matrix does not descend to Q")
         out["gram"] = [[e.as_fraction() for e in row]
                        for row in gram_u.entries]
         return out
@@ -685,30 +697,17 @@ def verify_irreducibility(rep: AntiWeilRep) -> bool:
 # degree-2 invariants of the rational model (kernel computations)
 # ---------------------------------------------------------------------------
 
-def _rational_module(rep: AntiWeilRep) -> WeightModule:
-    """V over Q with the rational units and J of one rational_model()
-    call as its generator actions."""
-    model = rep.rational_model()
-    names = [n for n, _ in AntiWeilRep.RATIONAL_UNITS] + ["J"]
-    # zeros enter as int 0, whose zero tests in liereps run in C
-    return WeightModule(range(8), [(n, [[x or 0 for x in row]
-                                        for row in model[n]])
-                                   for n in names], [])
-
-
 def invariant_endomorphisms_dim(rep: AntiWeilRep) -> int:
     """dim of { T in End(V) : [mu(l), T] = 0 for all l, [J, T] = 0 },
     computed over Q in the rational model as the invariants of V ⊗ V*,
     where m ⊗ 1 + 1 ⊗ (-m^T) acts as T -> [m, T].  Expected 2 (the
     quadratic field acting)."""
-    w = _rational_module(rep)
-    dual = WeightModule(range(8), [(n, [[-x for x in col] for col in zip(*m)])
-                                   for n, m in w.actions.items()], [])
-    return len(invariant_space(tensor_module(w, dual)))
+    w = rep.rational_module
+    return len(invariant_space(tensor_module(w, dual_module(w))))
 
 
 def invariant_wedge2_dim(rep: AntiWeilRep) -> int:
     """dim of the wedge-square invariants under the six generators and
     the centered quadratic action (which kills no symplectic line);
     expected 1, the line of the symplectic form."""
-    return len(invariant_space(wedge2_module(_rational_module(rep))))
+    return len(invariant_space(wedge2_module(rep.rational_module)))

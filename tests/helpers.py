@@ -1,9 +1,13 @@
 """Helpers that only the tests use: the dense matrix product that the
-row-sparse ExactMatrix product is checked against, the solve-based
+row-sparse ExactMatrix product is checked against, the dense integer
+elimination and distinct-row pass that the sparse rational core is checked
+against, the solve-based
 rational-unit coefficients and Galois Lie table that the anti-Weil chain
 is checked against, and spec-facing functions that the verifier itself never calls (a saturation index, CM-type
 primitivity and induction, a cyclic Galois model, the Galois identity test
 and a top-wedge layer identity)."""
+
+from math import gcd
 
 from cmsweep.cmfields import (CMFieldModel, CMType, SubfieldModel,
                               restrict_multiplicities)
@@ -19,6 +23,61 @@ def dense_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     cols = list(zip(*b.entries))
     return _matrix(a.field, [[_dot(a.field, row, col) for col in cols]
                              for row in a.entries])
+
+
+def dense_rows(rows, ncols):
+    """{col: value} rows as lists of length ncols."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def integer_rref(rows, ncols):
+    """Fraction-free Gauss-Jordan, in place, on a list of integer rows of
+    length ncols, each kept primitive (Bareiss 1968 keeps entries integral
+    the same way).  Pivoting is deterministic: leftmost nonzero column,
+    smallest row index.  Returns the pivot columns; afterwards row i <
+    len(pivots) is nonzero at pivots[i] and zero at every other pivot
+    column, and the rows after them are zero."""
+    for i, row in enumerate(rows):
+        g = gcd(*row)
+        if g > 1:
+            rows[i] = [x // g for x in row]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        pr = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                new = [p * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def distinct_rows(rows):
+    """The nonzero integer rows, each made primitive with a positive
+    leading entry, once each in first-seen order: rows that differ by a
+    rational factor span the same line."""
+    seen = {}
+    for row in rows:
+        g = gcd(*row)
+        if next(x for x in row if x) < 0:
+            g = -g
+        seen[tuple([x // g for x in row] if g != 1 else row)] = None
+    return [list(row) for row in seen]
 
 
 def solve_unit_coefficients(rep: AntiWeilRep):

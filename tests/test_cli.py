@@ -285,6 +285,18 @@ def test_bless_rewrites_an_unreadable_fixture(tmp_path, capsys):
         (FIXDIR / "positivity.json").read_bytes()
 
 
+def test_bless_onto_a_directory_fails_the_section(tmp_path, capsys):
+    (tmp_path / "sweep-dim1.json").mkdir()
+    assert main(["sweep-dim1", "--bless", "--fixtures", str(tmp_path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    (note,) = report["notes"]
+    assert note.startswith("sweep-dim1: cannot write fixture sweep-dim1.json "
+                           "(IsADirectoryError")
+    n_cases = len(report["sections"][0]["cases"])
+    assert report["summary"] == {"passed": 0, "failed": n_cases} and n_cases
+    assert (tmp_path / "sweep-dim1.json").is_dir()
+
+
 def test_error_record_names_type_and_frame(monkeypatch, capsys):
     from cmsweep import periods
     # a bare assert inside the package: the message alone is empty

@@ -1,10 +1,12 @@
 """Differential tests of the exact core: the fraction-free QQ elimination
 against sympy's rref and against the generic elimination over a bigger
-field, the row-sparse product against the dense one and sympy, the
-distinct-row rational kernel and rank against the raw rows, unit scalars,
-the canonical element form, and singular inverses over random towers of
-degree 1 to 8."""
+field, the row-sparse product and the other index-only matrix operations
+against dense elementwise references and sympy, the sparse rational
+elimination against the dense integer elimination and sympy, unit
+scalars, the canonical element form, and singular inverses over random
+towers of degree 1 to 8."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,10 +15,10 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from cmsweep.fields import (QQ, DependentGenerators, ExactMatrix,
-                            FieldElement, _distinct_rows, cleared_rows,
-                            field_create, integer_rref, rational_kernel,
-                            rational_rank)
-from helpers import dense_product
+                            FieldElement, _echelon,
+                            apply_galois, cleared_rows, field_create,
+                            rational_kernel, rational_rank)
+from helpers import dense_product, dense_rows, distinct_rows, integer_rref
 
 SQUAREFREE = [d for d in range(-30, 31)
               if d not in (0, 1) and all(d % (p * p) for p in range(2, 6))]
@@ -264,12 +266,12 @@ def test_sparse_product_edge_shapes(name):
     assert all(e.is_zero() for r in (zero * col).entries for e in r)
 
 
-# -- distinct rows before elimination -----------------------------------------
+# -- the sparse rational elimination ------------------------------------------
 
 def _raw_kernel(rows, ncols):
-    """rational_kernel without the distinct-row step: every cleared row
-    goes through integer_rref."""
-    rows = cleared_rows(rows, ncols)
+    """rational_kernel by the dense reference: every cleared row, as a
+    list, goes through integer_rref.  Returns (kernel, pivots)."""
+    rows = dense_rows(cleared_rows(rows), ncols)
     pivots = integer_rref(rows, ncols)
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
@@ -278,13 +280,14 @@ def _raw_kernel(rows, ncols):
         for row, pc in zip(rows, pivots):
             v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
-    return basis, len(pivots)
+    return basis, pivots
 
 
 @st.composite
 def repeated_rows(draw):
     """Rational rows with scaled, negated, repeated and zero copies of
-    some of them spliced in."""
+    some of them spliced in; each row given as a list or as a {col: value}
+    dict, which may hold explicit zeros."""
     ncols = draw(st.integers(1, 7))
     base = draw(st.lists(st.lists(fracs, min_size=ncols, max_size=ncols),
                          min_size=1, max_size=5))
@@ -294,43 +297,158 @@ def repeated_rows(draw):
         c = draw(st.sampled_from((1, -1, 2, -3, Fraction(1, 2),
                                   Fraction(-5, 7), 0)))
         rows.insert(draw(st.integers(0, len(rows))), [c * x for x in src])
-    return rows, ncols
+    as_dict = draw(st.lists(st.booleans(), min_size=len(rows),
+                            max_size=len(rows)))
+    keep_zeros = draw(st.booleans())
+    given_rows = [{j: x for j, x in enumerate(row) if x or keep_zeros}
+                  if d else row for row, d in zip(rows, as_dict)]
+    return given_rows, rows, ncols
+
+
+def _primitive_with_positive_lead(pivots):
+    for pc, row in pivots.items():
+        assert pc == min(row) and row[pc] > 0
+        assert all(x for x in row.values())
+        assert math.gcd(*row.values()) == 1
+        assert not set(row) & set(pivots) - {pc}
+
+
+@given(repeated_rows())
+@settings(max_examples=150, deadline=None)
+def test_sparse_elimination_matches_dense_reference_and_sympy(case):
+    given_rows, rows, ncols = case
+    kernel, pivots = _raw_kernel(rows, ncols)
+    echelon = _echelon(cleared_rows(given_rows))
+    _primitive_with_positive_lead(echelon)
+    assert sorted(echelon) == pivots
+    assert rational_kernel(given_rows, ncols) == kernel
+    assert rational_rank(given_rows, ncols) == len(pivots)
+    want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in row] for row in rows])
+    red, want_pivots = want.rref()
+    assert tuple(pivots) == want_pivots
+    # each reduced row is the sympy row up to its positive leading entry
+    for i, pc in enumerate(want_pivots):
+        row = echelon[pc]
+        assert [Fraction(row.get(j, 0), row[pc]) for j in range(ncols)] == \
+            [Fraction(int(x.p), int(x.q)) for x in red.row(i)]
+    assert [[Fraction(int(x.p), int(x.q)) for x in v]
+            for v in want.nullspace()] == kernel
 
 
 @given(repeated_rows())
 @settings(max_examples=150, deadline=None)
 def test_distinct_row_kernel_and_rank_match_raw_rows(case):
-    rows, ncols = case
-    kernel, rank = _raw_kernel(rows, ncols)
-    assert rational_kernel(rows, ncols) == kernel
-    assert rational_rank(rows, ncols) == rank
+    _, rows, ncols = case
+    kernel, pivots = _raw_kernel(rows, ncols)
+    distinct = distinct_rows(dense_rows(cleared_rows(rows), ncols))
+    assert integer_rref(distinct, ncols) == pivots
+    assert rational_kernel(distinct, ncols) == kernel
+    assert rational_rank(distinct, ncols) == len(pivots)
     want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
                           for x in row] for row in rows])
-    assert rank == want.rank()
+    assert len(pivots) == want.rank()
 
 
-def test_distinct_rows_are_primitive_with_positive_lead():
-    rows = cleared_rows([[0, 2, -4], [0, -1, 2], [0, Fraction(3, 2), -3],
-                         [0, 0, 0], [1, 0, 0], [-2, 0, 0], [0, 1, 2],
-                         [0, 1, -2]], 3)
-    assert _distinct_rows(rows) == [[0, 1, -2], [1, 0, 0], [0, 1, 2]]
+def test_echelon_rows_are_primitive_with_positive_lead():
+    rows = [[0, 2, -4], [0, -1, 2], [0, Fraction(3, 2), -3], [0, 0, 0],
+            {0: 1, 2: 0}, {0: -2}, [0, 1, -2]]
+    # multiples of one line collapse into one primitive, positive row
+    assert _echelon(cleared_rows(rows)) == {1: {1: 1, 2: -2}, 0: {0: 1}}
+    assert _echelon(cleared_rows(rows + [[0, 1, 2]])) == \
+        {1: {1: 1}, 0: {0: 1}, 2: {2: 1}}
+    # negative leads flip, and the second pivot is back-eliminated from
+    # the first row
+    assert _echelon(cleared_rows([[-2, 4, 6], [0, -3, 9]])) == \
+        {0: {0: 1, 2: -9}, 1: {1: 1, 2: -3}}
+    assert cleared_rows(rows) == [{1: 2, 2: -4}, {1: -1, 2: 2},
+                                  {1: 3, 2: -6}, {0: 1}, {0: -2},
+                                  {1: 1, 2: -2}]
 
 
 def test_commutant_rows_collapse_to_distinct_lines():
     """The stacked End(V) action of the fixture triple: 352 nonzero
     rows, 128 of them distinct up to a rational factor, rank 62."""
-    from cmsweep.liereps import tensor_module
-    from cmsweep.quatrep import WeightModule, _rational_module, \
-        build_antiweil_rep
-    w = _rational_module(build_antiweil_rep())
-    dual = WeightModule(range(8), [(n, [[-x for x in col] for col in zip(*m)])
-                                   for n, m in w.actions.items()], [])
-    t = tensor_module(w, dual)
+    from cmsweep.liereps import dual_module, tensor_module
+    from cmsweep.quatrep import build_antiweil_rep
+    w = build_antiweil_rep().rational_module
+    t = tensor_module(w, dual_module(w))
     stacked = [row for n in t.generator_names() for row in t.actions[n]]
-    rows = cleared_rows(stacked, 64)
-    assert (len(stacked), len(rows), len(_distinct_rows(rows))) == \
-        (448, 352, 128)
-    assert rational_rank(stacked, 64) == _raw_kernel(stacked, 64)[1] == 62
+    rows = cleared_rows(stacked)
+    assert (len(stacked), len(rows), len(distinct_rows(dense_rows(rows, 64)))) \
+        == (448, 352, 128)
+    assert rational_rank(stacked, 64) == len(_raw_kernel(stacked, 64)[1]) \
+        == 62
+
+
+# -- index-only matrix operations ---------------------------------------------
+
+def _elementwise(field, a, b, op):
+    return ExactMatrix(field, [[op(x, y) for x, y in zip(r1, r2)]
+                               for r1, r2 in zip(a.entries, b.entries)])
+
+
+def _index_of(m):
+    """The nonzero index read off the entries."""
+    return [[(j, (e.nums, e.den)) for j, e in enumerate(row) if not e.is_zero()]
+            for row in m.entries]
+
+
+def _same(got, want):
+    """got equals want cell by cell, and its index lists exactly its
+    nonzero cells."""
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert _cells(got) == _cells(want)
+    assert [[(j, (e.nums, e.den)) for j, e in row] for row in got.nonzero] \
+        == _index_of(want)
+    assert got == want
+
+
+@given(products(), st.integers(0, 2 ** 32))
+@settings(max_examples=150, deadline=None)
+def test_index_operations_match_elementwise(case, seed):
+    field, a, _ = case
+    rng = random.Random(seed)
+    b = ExactMatrix(field, [[_random_entry(rng, field, 0.4) for _ in row]
+                            for row in a.entries])
+    # a - a' where a' agrees with a on some cells: sums cancel to zero there
+    c = ExactMatrix(field, [[x if rng.random() < 0.5 else y
+                             for x, y in zip(r1, r2)]
+                            for r1, r2 in zip(a.entries, b.entries)])
+    for x, y in ((a, b), (a, c), (b, a), (a, a)):
+        _same(x + y, _elementwise(field, x, y, lambda p, q: p + q))
+        _same(x - y, _elementwise(field, x, y, lambda p, q: p - q))
+    _same(a - a, ExactMatrix(field, [[field.zero()] * a.cols] * a.rows))
+    _same(-a, ExactMatrix(field, [[-e for e in row] for row in a.entries]))
+    gens = [field.monomial([i]) for i in range(field.k)]
+    for k in (field.zero(), field.one(), -field.one(), field.rational(3),
+              *(g + field.rational(Fraction(1, 2)) for g in gens)):
+        _same(a.scale(k), ExactMatrix(field, [[k * e for e in row]
+                                             for row in a.entries]))
+    _same(a.transpose(), ExactMatrix(field, [list(col)
+                                             for col in zip(*a.entries)]))
+    for g in field.galois_group():
+        _same(a.galois(g), ExactMatrix(field, [[apply_galois(g, e)
+                                                for e in row]
+                                               for row in a.entries]))
+    order = [rng.randrange(a.rows) for _ in range(a.rows)]
+    _same(a.take_rows(order), ExactMatrix(field, [a.entries[i]
+                                                  for i in order]))
+    # the same matrix as a product result and as built from its entries
+    prod = a * ExactMatrix.identity(field, a.cols)
+    built = ExactMatrix(field, [row[:] for row in prod.entries])
+    assert prod == built and built == prod and built == a
+    _same(prod, built)
+    assert (a == b) == (_cells(a) == _cells(b))
+
+
+def test_equality_compares_shape_and_field():
+    f = field_create([-1])
+    zero23 = ExactMatrix(f, [[f.zero()] * 3] * 2)
+    assert zero23 != ExactMatrix(f, [[f.zero()] * 2] * 3)
+    assert zero23 != ExactMatrix(f, [[f.zero()] * 4] * 2)
+    assert zero23 != ExactMatrix(QQ, [[0] * 3] * 2)
+    assert zero23 == ExactMatrix(f, [[0] * 3] * 2) == zero23.scale(0)
 
 
 # -- unit scalars -------------------------------------------------------------

@@ -1,19 +1,26 @@
 """Weight modules, invariant tensors, and the dimension-4 classification."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmsweep.fields import QQ, ExactMatrix, rational_kernel, rational_rank
 from cmsweep.liereps import (WeightModule, _matmul, _matscale, _matsub,
-                             classify_dim4_faithful, external_product,
+                             classify_dim4_faithful, dual_module,
+                             external_product,
                              invariant_space, search_dim, sl2_irrep,
                              sl2_relations_hold, sp4_basis,
                              sp4_standard_module, tensor_module,
                              wedge2_module, weyl_dim)
-from helpers import weil_layer_identity
+from helpers import dense_rows, weil_layer_identity
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_weyl_dim_values():
@@ -173,10 +180,13 @@ def fraction_modules(draw):
 @settings(max_examples=150, deadline=None)
 def test_invariant_space_matches_element_built_kernel(w):
     stacked = [row for name in w.generator_names() for row in w.actions[name]]
+    dense = dense_rows(stacked, w.dim)
     got = invariant_space(w)
-    assert got == _element_built_kernel(stacked)
-    assert rational_kernel(stacked, w.dim) == got
-    assert rational_rank(stacked, w.dim) == _element_built(stacked).rank()
+    assert got == _element_built_kernel(dense)
+    assert rational_kernel(stacked, w.dim) == rational_kernel(dense, w.dim) \
+        == got
+    assert rational_rank(stacked, w.dim) == _element_built(dense).rank()
+    assert all(x for row in stacked for x in row.values())
     for v in got:
         assert all(type(x) is Fraction for x in v)
         _assert_annihilated(w, v)
@@ -278,6 +288,71 @@ def test_sl2_relations_fail_on_one_non_commuting_cross_pair(kind):
 def test_weight_module_rejects_broken_relations():
     v1 = sl2_irrep(1)
     zero = _matscale(0, v1.actions["y"])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="sl\\(2\\) relations"):
         WeightModule(v1.basis_labels, dict(v1.actions, y=zero),
                      v1.triples)
+
+
+def test_relations_check_survives_optimize_flag():
+    """The relations check is no assert: under python -O a module whose
+    y acts by zero is still refused."""
+    code = ("from cmsweep.liereps import WeightModule, sl2_irrep\n"
+            "v1 = sl2_irrep(1)\n"
+            "try:\n"
+            "    WeightModule(v1.basis_labels, dict(v1.actions, y=[{}, {}]),\n"
+            "                 v1.triples)\n"
+            "except ValueError as exc:\n"
+            "    print('refused:', exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("refused:")
+
+
+def _dense_action(m, n):
+    return [[row.get(j, 0) for j in range(n)] for row in m]
+
+
+def _dense_tensor(a, b):
+    """a (x) 1 + 1 (x) b from the dense factors, cell by cell."""
+    na, nb = len(a), len(b)
+    return [[(a[i2][i] if j == j2 else 0) + (b[j2][j] if i == i2 else 0)
+             for i in range(na) for j in range(nb)]
+            for i2 in range(na) for j2 in range(nb)]
+
+
+def _dense_wedge(a):
+    """The action on e_i ^ e_j, i < j, from the images of its factors."""
+    n = len(a)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    cols = []
+    for i, j in pairs:
+        col = dict.fromkeys(pairs, 0)
+        for k in range(n):
+            for (p, q), c in (((k, j), a[k][i]), ((i, k), a[k][j])):
+                if c and p != q:
+                    col[(p, q) if p < q else (q, p)] += c if p < q else -c
+        cols.append([col[p] for p in pairs])
+    return [list(r) for r in zip(*cols)]
+
+
+@pytest.mark.parametrize("build", ["V(3)", "V(1)xV(1)", "sp4"])
+def test_sparse_constructions_match_dense_references(build):
+    w = {"V(3)": lambda: sl2_irrep(3),
+         "V(1)xV(1)": lambda: external_product(sl2_irrep(1), sl2_irrep(1)),
+         "sp4": sp4_standard_module}[build]()
+    n = w.dim
+    dual = dual_module(w)
+    tensor = tensor_module(w, dual)
+    wedge = wedge2_module(w)
+    for name, m in w.actions.items():
+        a = _dense_action(m, n)
+        minus_t = [[-x for x in col] for col in zip(*a)]
+        assert _dense_action(dual.actions[name], n) == minus_t
+        assert _dense_action(tensor.actions[name], n * n) == \
+            _dense_tensor(a, minus_t)
+        assert _dense_action(wedge.actions[name], wedge.dim) == \
+            _dense_wedge(a)
+        for mod in (w, dual, tensor, wedge):
+            assert all(x for row in mod.actions[name] for x in row.values())

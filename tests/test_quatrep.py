@@ -464,14 +464,65 @@ def test_antiweil_chain_makes_no_solve_call(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_rational_module_holds_int_zeros(rep):
-    from cmsweep.quatrep import _rational_module
+def test_rational_module_stores_no_zeros(rep):
     model = rep.rational_model()
-    for name, act in _rational_module(rep).actions.items():
-        assert act == model[name]
-        assert all(type(x) is int for row in act for x in row if not x)
+    module = rep.rational_module
+    assert module is rep.rational_module       # built once per rep
+    for name, act in module.actions.items():
+        assert [[row.get(j, 0) for j in range(8)] for row in act] == \
+            model[name]
+        assert all(x for row in act for x in row.values())
     assert any(x == 0 and type(x) is Fraction
                for row in model["i"] for x in row)
+    # rational_model() still hands out fresh copies
+    model["i"][0][0] += 1
+    assert rep.rational_model()["i"][0][0] == model["i"][0][0] - 1
+
+
+def _irrational_J(rep):
+    rep.J = quatrep._split_scalar(rep.field, rep.sD)
+
+
+def _unit_component(rep):
+    alg, gens, span = rep.e_a1
+    rows = [row[:] for row in span.entries]
+    rows[0][0] = alg.field.one()
+    rep.__dict__["e_a1"] = (alg, gens, ExactMatrix(alg.field, rows))
+
+
+def _irrational_gram(rep):
+    F = rep.field
+    rep.gram = rep.gram.scale(rep.sD) + ExactMatrix.identity(F, 8)
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_irrational_J, "J does not descend to Q"),
+    (_unit_component, "a generator has a 1 or J component"),
+    (_irrational_gram, "the Gram matrix does not descend to Q"),
+])
+def test_rational_model_checks_raise_value_error(corrupt, message):
+    rep = build_antiweil_rep(-1, -2, -3)
+    corrupt(rep)
+    with pytest.raises(ValueError, match=message):
+        rep.rational_model()
+
+
+def test_rational_model_checks_survive_optimize_flag():
+    """Under python -O the descent check still refuses a J that does not
+    descend to Q."""
+    code = ("from cmsweep import quatrep\n"
+            "rep = quatrep.build_antiweil_rep(-1, -2, -3)\n"
+            "rep.J = quatrep._split_scalar(rep.field, rep.sD)\n"
+            "try:\n"
+            "    quatrep.invariant_wedge2_dim(rep)\n"
+            "except ValueError as exc:\n"
+            "    print('refused:', exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve()
+                                          .parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "refused: J does not descend to Q\n"
 
 
 def test_antiweil_walkthrough_demo_runs():
