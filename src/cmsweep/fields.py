@@ -432,8 +432,10 @@ def cleared_rows(rows):
     return out
 
 
-def _combined(p, row, f, prow):
-    """p * row - f * prow for {col: int} rows, primitive, without zeros."""
+def _combined(row, prow, c):
+    """prow[c] * row - row[c] * prow for {col: int} rows: column c of row
+    eliminated, made primitive, without zeros."""
+    p, f = prow[c], row[c]
     out = {j: p * x for j, x in row.items()} if p != 1 else dict(row)
     for j, y in prow.items():
         x = out.get(j, 0) - f * y
@@ -447,44 +449,68 @@ def _combined(p, row, f, prow):
     return out
 
 
-def _echelon(rows):
-    """Reduced echelon form of {col: int} rows, as {pivot col: row}, by
-    elimination on the nonzeros only (Davis, Direct Methods for Sparse
-    Linear Systems, 2006).  Each incoming row is reduced by the pivot rows
-    so far and made primitive with a positive leading entry, which becomes
-    its pivot; that column is then eliminated from the earlier pivot rows.
-    A pivot row stays zero at every other pivot column, and the form is
-    unique, so pivots and kernels do not depend on the order of the
-    rows."""
+def _primitive(row, c):
+    """The {col: int} row divided by the gcd of its entries, signed so
+    that its entry at c is positive."""
+    g = gcd(*row.values())
+    if row[c] < 0:
+        g = -g
+    return {j: x // g for j, x in row.items()} if g != 1 else row
+
+
+def _subtracted(row, prow, c):
+    """row - row[c] * prow for {col: FieldElement} rows with prow[c] = 1:
+    column c of row eliminated, without zeros."""
+    f = row[c]
+    field = f.field
+    zero = field.zero()
+    out = dict(row)
+    del out[c]
+    for j, y in prow.items():
+        if j != c:
+            e = _axpy(field, out.get(j, zero), f, y)
+            if any(e.nums):
+                out[j] = e
+            else:
+                del out[j]
+    return out
+
+
+def _monic(row, c):
+    """The {col: FieldElement} row divided by its entry at c."""
+    inv = row[c].inverse()
+    return {j: inv * e for j, e in row.items()}
+
+
+def _echelon(rows, reduce=_combined, normalise=_primitive):
+    """Reduced echelon form of sparse rows, as {pivot col: row} in the
+    order of the rows that gave the pivots, by elimination on the nonzeros
+    only (Davis, Direct Methods for Sparse Linear Systems, 2006).  Each
+    incoming row is reduced by the pivot rows so far, normalised at its
+    leftmost column, which becomes its pivot, and that column is then
+    eliminated from the earlier pivot rows.  The defaults keep {col: int}
+    rows primitive with a positive lead; _subtracted and _monic give
+    field rows lead 1.  The form is unique, so pivots and kernels do not
+    depend on the order of the rows."""
     pivots = {}
     for row in rows:
         # pivot rows are zero at each other's columns: one pass suffices
         for c in [c for c in row if c in pivots]:
-            prow = pivots[c]
-            row = _combined(prow[c], row, row[c], prow)
+            row = reduce(row, pivots[c], c)
         if not row:
             continue
         c = min(row)
-        g = gcd(*row.values())
-        if row[c] < 0:
-            g = -g
-        if g != 1:
-            row = {j: x // g for j, x in row.items()}
+        row = normalise(row, c)
         for pc, prow in pivots.items():
-            f = prow.get(c)
-            if f:
-                pivots[pc] = _combined(row[c], prow, f, row)
+            if c in prow:
+                pivots[pc] = reduce(prow, row, c)
         pivots[c] = row
     return pivots
 
 
-def rational_kernel(rows, ncols):
-    """Basis of the right kernel of the rational matrix with the given rows
-    (lists or {col: value} dicts of ints or Fractions), as lists of
-    Fractions: each basis vector sets one free variable to 1, as
-    ExactMatrix.kernel does.  No rows give the standard basis."""
-    pivots = _echelon(cleared_rows(rows))
-    zero, one = Fraction(0), Fraction(1)
+def _kernel_basis(pivots, ncols, zero, one, coeff):
+    """The right kernel of the pivot rows: per free column fc, one at fc
+    and coeff(x, lead) at each pivot column whose row has x at fc."""
     basis = {}
     for fc in range(ncols):
         if fc not in pivots:
@@ -494,8 +520,17 @@ def rational_kernel(rows, ncols):
         lead = row[pc]
         for fc, x in row.items():
             if fc != pc:
-                basis[fc][pc] = Fraction(-x, lead)
+                basis[fc][pc] = coeff(x, lead)
     return list(basis.values())
+
+
+def rational_kernel(rows, ncols):
+    """Basis of the right kernel of the rational matrix with the given rows
+    (lists or {col: value} dicts of ints or Fractions), as lists of
+    Fractions: each basis vector sets one free variable to 1, as
+    ExactMatrix.kernel does.  No rows give the standard basis."""
+    return _kernel_basis(_echelon(cleared_rows(rows)), ncols, Fraction(0),
+                         Fraction(1), lambda x, lead: Fraction(-x, lead))
 
 
 def rational_rank(rows, ncols) -> int:
@@ -504,63 +539,51 @@ def rational_rank(rows, ncols) -> int:
     return len(_echelon(cleared_rows(rows)))
 
 
-def _matrix(field, rows, nonzero=None) -> "ExactMatrix":
-    """An ExactMatrix from rows of elements of ``field``, unchecked, with
-    its nonzero index when the caller has it."""
+def _matrix(field, nonzero, cols) -> "ExactMatrix":
+    """The ExactMatrix with the given zero-free rows, unchecked."""
     m = object.__new__(ExactMatrix)
     m.field = field
-    m.entries = rows
-    m.rows = len(rows)
-    m.cols = len(rows[0]) if rows else 0
-    m._nonzero = nonzero
+    m.nonzero = nonzero
+    m.rows = len(nonzero)
+    m.cols = cols
     return m
 
 
-def _from_index(field, nonzero, cols) -> "ExactMatrix":
-    """The ExactMatrix with the given nonzero index and column count."""
-    zero = field.zero()
-    rows = []
-    for pairs in nonzero:
-        row = [zero] * cols
-        for j, e in pairs:
-            row[j] = e
-        rows.append(row)
-    return _matrix(field, rows, nonzero)
-
-
 class ExactMatrix:
-    """Dense matrix with FieldElement entries; immutable by convention.
+    """Matrix with FieldElement entries; immutable by convention.
 
-    ``nonzero`` indexes the entries by row: row i's (col, element) pairs
-    with a nonzero element, in column order.  Products, sums, negation,
-    scaling, transposes and Galois conjugates read only the index and set
-    it on their result; a matrix built from entries computes it on first
-    use."""
+    ``nonzero`` is the storage: per row, a {col: element} dict that holds
+    no zero.  Arithmetic reads and builds only these dicts, so it costs
+    O(nonzeros); ``entries`` is a dense view built on each access.
+    rref, rank, kernel, solve, inverse and det all run the one sparse
+    elimination, _echelon."""
 
     def __init__(self, field: MultiQuadField, entries):
+        rows = [[FieldElement.coerce(field, e) for e in row]
+                for row in entries]
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
+            raise ValueError("matrix rows have different lengths")
         self.field = field
-        self.entries = [[FieldElement.coerce(field, e) for e in row]
-                        for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        assert all(len(r) == self.cols for r in self.entries)
-        self._nonzero = None
+        self.rows = len(rows)
+        self.cols = cols
+        self.nonzero = [{j: e for j, e in enumerate(row) if any(e.nums)}
+                        for row in rows]
 
     @staticmethod
     def from_int(field: MultiQuadField, rows) -> "ExactMatrix":
-        return ExactMatrix(field, [[field.rational(e) for e in row] for row in rows])
+        return ExactMatrix(field, rows)
 
     @staticmethod
     def identity(field: MultiQuadField, n: int) -> "ExactMatrix":
-        return ExactMatrix(field, [[field.rational(1 if i == j else 0)
-                                    for j in range(n)] for i in range(n)])
+        return _matrix(field, [{i: field.one()} for i in range(n)], n)
 
     @property
-    def nonzero(self):
-        if self._nonzero is None:
-            self._nonzero = [[(j, e) for j, e in enumerate(row) if any(e.nums)]
-                             for row in self.entries]
-        return self._nonzero
+    def entries(self):
+        """The dense rows, built from ``nonzero`` on each access."""
+        zero = self.field.zero()
+        return [[row.get(j, zero) for j in range(self.cols)]
+                for row in self.nonzero]
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and self.field == other.field
@@ -571,43 +594,38 @@ class ExactMatrix:
         return "ExactMatrix(" + "; ".join(
             ", ".join(repr(e) for e in row) for row in self.entries) + ")"
 
-    def _merged(self, other, sign):
-        """self + sign * other for sign = ±1."""
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+    def __add__(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrix shapes differ")
         out = []
         for r1, r2 in zip(self.nonzero, other.nonzero):
             acc = dict(r1)
-            for j, e in r2:
-                s = e if sign > 0 else -e
-                if j in acc:
-                    s = acc[j] + s
+            for j, e in r2.items():
+                s = acc[j] + e if j in acc else e
                 if any(s.nums):
                     acc[j] = s
                 else:
                     del acc[j]
-            # distinct columns: the sort never compares elements
-            out.append(sorted(acc.items()))
-        return _from_index(self.field, out, self.cols)
-
-    def __add__(self, other):
-        return self._merged(other, 1)
+            out.append(acc)
+        return _matrix(self.field, out, self.cols)
 
     def __sub__(self, other):
-        return self._merged(other, -1)
+        return self + -other
 
     def __neg__(self):
-        return _from_index(self.field, [[(j, -e) for j, e in row]
-                                        for row in self.nonzero], self.cols)
+        return _matrix(self.field, [{j: -e for j, e in row.items()}
+                                    for row in self.nonzero], self.cols)
 
     def scale(self, c) -> "ExactMatrix":
         c = FieldElement.coerce(self.field, c)
         if c.den == 1 and c.nums[0] in (1, -1) and not any(c.nums[1:]):
             return self if c.nums[0] == 1 else -self
         if not any(c.nums):
-            return _from_index(self.field, [[]] * self.rows, self.cols)
+            return _matrix(self.field, [{} for _ in range(self.rows)],
+                           self.cols)
         # a product of nonzero field elements is nonzero
-        return _from_index(self.field, [[(j, c * e) for j, e in row]
-                                        for row in self.nonzero], self.cols)
+        return _matrix(self.field, [{j: c * e for j, e in row.items()}
+                                    for row in self.nonzero], self.cols)
 
     def __mul__(self, other):
         field = self.field
@@ -615,148 +633,126 @@ class ExactMatrix:
             # row by row (Gustavson 1978): a nonzero self[i][t] meets only
             # the nonzero entries of row t of other, and each output entry
             # is one _dot over its contributing pairs
-            assert self.cols == other.rows
+            if self.cols != other.rows:
+                raise ValueError("inner dimensions differ")
             sparse = other.nonzero
             out = []
             for row in self.nonzero:
                 pairs = {}
-                for t, x in row:
-                    for j, y in sparse[t]:
+                for t, x in row.items():
+                    for j, y in sparse[t].items():
                         if j in pairs:
                             pairs[j][0].append(x)
                             pairs[j][1].append(y)
                         else:
                             pairs[j] = ([x], [y])
-                new = []
-                for j in sorted(pairs):
-                    e = _dot(field, *pairs[j])
+                new = {}
+                for j, (xs, ys) in pairs.items():
+                    e = _dot(field, xs, ys)
                     if any(e.nums):
-                        new.append((j, e))
+                        new[j] = e
                 out.append(new)
-            return _from_index(field, out, other.cols)
+            return _matrix(field, out, other.cols)
         # vector (list of FieldElements / ints)
         vec = [FieldElement.coerce(field, v) for v in other]
-        assert len(vec) == self.cols
-        return [_dot(field, [e for _, e in row], [vec[j] for j, _ in row])
+        if len(vec) != self.cols:
+            raise ValueError("vector length differs from the column count")
+        return [_dot(field, list(row.values()), [vec[j] for j in row])
                 for row in self.nonzero]
 
     def transpose(self) -> "ExactMatrix":
-        out = [[] for _ in range(self.cols)]
+        out = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.nonzero):
-            for j, e in row:
-                out[j].append((i, e))
-        return _from_index(self.field, out, self.rows)
+            for j, e in row.items():
+                out[j][i] = e
+        return _matrix(self.field, out, self.rows)
 
     def galois(self, g: GaloisElement) -> "ExactMatrix":
-        return _from_index(self.field,
-                           [[(j, apply_galois(g, e)) for j, e in row]
-                            for row in self.nonzero], self.cols)
+        return _matrix(self.field,
+                       [{j: apply_galois(g, e) for j, e in row.items()}
+                        for row in self.nonzero], self.cols)
 
     def take_rows(self, order) -> "ExactMatrix":
         """The matrix whose row i is row order[i] of self."""
-        nonzero = self.nonzero
-        return _matrix(self.field, [self.entries[i] for i in order],
-                       [nonzero[i] for i in order])
+        return _matrix(self.field, [self.nonzero[i] for i in order],
+                       self.cols)
 
     # -- elimination ------------------------------------------------------
     def rref(self):
-        """Reduced row echelon form; deterministic pivoting (leftmost
-        nonzero column, smallest row index).  Returns (matrix, pivot cols)."""
-        field = self.field
-        m = [row[:] for row in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if not m[i][c].is_zero():
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = m[r][c].inverse()
-            m[r] = [e if e.is_zero() else inv * e for e in m[r]]
-            prow = m[r]
-            for i in range(self.rows):
-                if i != r and not m[i][c].is_zero():
-                    f = m[i][c]
-                    m[i] = [a if b.is_zero() else _axpy(field, a, f, b)
-                            for a, b in zip(m[i], prow)]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return _matrix(field, m), pivots
+        """Reduced row echelon form, the pivot rows in column order above
+        the zero rows.  Returns (matrix, pivot cols)."""
+        pivots = _echelon(self.nonzero, _subtracted, _monic)
+        cols = sorted(pivots)
+        rows = [pivots[c] for c in cols] + \
+            [{} for _ in range(self.rows - len(cols))]
+        return _matrix(self.field, rows, self.cols), cols
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_echelon(self.nonzero, _subtracted, _monic))
 
     def kernel(self):
-        """Basis of the right kernel.  Each basis vector sets one free
-        variable to 1 (matching the hand computations' normalization)."""
-        red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [self.field.zero()] * self.cols
-            v[fc] = self.field.one()
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.entries[r][fc]
-            basis.append(v)
-        return basis
+        """Basis of the right kernel, read off the rref.  Each basis vector
+        sets one free variable to 1 (matching the hand computations'
+        normalization)."""
+        red, cols = self.rref()
+        return _kernel_basis(dict(zip(cols, red.nonzero)), self.cols,
+                             self.field.zero(), self.field.one(),
+                             lambda x, lead: -x)
 
     def solve(self, rhs):
         """One solution of self * x = rhs, or None if inconsistent."""
         rhs = [FieldElement.coerce(self.field, v) for v in rhs]
-        assert len(rhs) == self.rows
-        aug = _matrix(self.field, [self.entries[i] + [rhs[i]]
-                                   for i in range(self.rows)])
-        red, pivots = aug.rref()
-        if self.cols in pivots:
+        if len(rhs) != self.rows:
+            raise ValueError("rhs length differs from the row count")
+        n = self.cols
+        pivots = _echelon([{**row, n: b} if any(b.nums) else row
+                           for row, b in zip(self.nonzero, rhs)],
+                          _subtracted, _monic)
+        if n in pivots:
             return None
-        x = [self.field.zero()] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.entries[r][self.cols]
+        zero = self.field.zero()
+        x = [zero] * n
+        for pc, row in pivots.items():
+            x[pc] = row.get(n, zero)
         return x
 
     def inverse(self) -> "ExactMatrix":
-        """M^-1 from one rref of [M | I]; ZeroDivisionError if M is
+        """M^-1 from one elimination of [M | I]; ZeroDivisionError if M is
         singular."""
-        assert self.rows == self.cols
-        n = self.rows
-        zero, one = self.field.zero(), self.field.one()
-        aug = _matrix(self.field, [row + [one if i == j else zero
-                                          for j in range(n)]
-                                   for i, row in enumerate(self.entries)])
-        red, pivots = aug.rref()
-        if pivots != list(range(n)):
+        n = self._square()
+        one = self.field.one()
+        pivots = _echelon([{**row, n + i: one}
+                           for i, row in enumerate(self.nonzero)],
+                          _subtracted, _monic)
+        # [M | I] has rank n: M is invertible iff every pivot lies in M
+        if any(c >= n for c in pivots):
             raise ZeroDivisionError("matrix is singular")
-        return _matrix(self.field, [row[n:] for row in red.entries])
+        return _matrix(self.field, [{j - n: e for j, e in pivots[i].items()
+                                     if j >= n} for i in range(n)], n)
 
     def det(self) -> FieldElement:
-        assert self.rows == self.cols
-        m = [row[:] for row in self.entries]
+        """The product of the leads the elimination divides out, times
+        the sign of the permutation taking each row to the pivot column
+        it gives; zero when a row reduces to nothing."""
+        n = self._square()
         d = self.field.one()
-        for c in range(self.cols):
-            pr = None
-            for i in range(c, self.rows):
-                if not m[i][c].is_zero():
-                    pr = i
-                    break
-            if pr is None:
-                return self.field.zero()
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                d = -d
-            d = d * m[c][c]
-            inv = m[c][c].inverse()
-            for i in range(c + 1, self.rows):
-                if not m[i][c].is_zero():
-                    f = m[i][c] * inv
-                    m[i] = [_axpy(self.field, a, f, b)
-                            for a, b in zip(m[i], m[c])]
-        return d
+
+        def monic(row, c):
+            nonlocal d
+            d = d * row[c]
+            return _monic(row, c)
+
+        order = list(_echelon(self.nonzero, _subtracted, monic))
+        if len(order) < n:
+            return self.field.zero()
+        inversions = sum(a > b for i, a in enumerate(order)
+                         for b in order[i + 1:])
+        return -d if inversions % 2 else d
+
+    def _square(self) -> int:
+        if self.rows != self.cols:
+            raise ValueError(f"{self.rows}x{self.cols} matrix is not square")
+        return self.rows
 
 
 def _unit_monomials(field: MultiQuadField):
@@ -829,15 +825,18 @@ def eigen_decompose(m: ExactMatrix):
     Raises DoesNotSplit if the eigenspace dimensions do not sum to the
     matrix size (semisimple input assumed).
     """
-    assert m.rows == m.cols
-    n = m.rows
+    n = m._square()
+    zero = m.field.zero()
     found = []
     total = 0
     for lam in _eigenvalue_candidates(m.field):
         # m - lam*I: only the diagonal changes
-        shifted = _matrix(m.field, [row[:i] + [row[i] - lam] + row[i + 1:]
-                                    for i, row in enumerate(m.entries)])
-        ker = shifted.kernel()
+        shifted = [dict(row) for row in m.nonzero]
+        for i, row in enumerate(shifted):
+            e = row.pop(i, zero) - lam
+            if any(e.nums):
+                row[i] = e
+        ker = _matrix(m.field, shifted, n).kernel()
         if ker:
             found.append((lam, ker))
             total += len(ker)

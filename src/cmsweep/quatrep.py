@@ -385,8 +385,9 @@ class AntiWeilRep:
     and the rational model are built once per rep, on first use."""
 
     def __init__(self, Dp, D, a):
-        for val in (Dp, D, a):
-            assert Fraction(val) < 0
+        for name, val in (("D'", Dp), ("D", D), ("a", a)):
+            if not Fraction(val) < 0:
+                raise ValueError(f"{name} = {val} is not negative")
         gens = sqrt_gens(Dp, D, a)
         if len(gens) != 3:
             raise DependentGenerators(
@@ -528,8 +529,8 @@ class AntiWeilRep:
                 if lhs == rhs:
                     continue
                 failures += [(tag, name, t) for t in range(8)
-                             if any(p[t] != q[t] for p, q in
-                                    zip(lhs.entries, rhs.entries))]
+                             if any(p.get(t) != q.get(t) for p, q in
+                                    zip(lhs.nonzero, rhs.nonzero))]
         return (not failures), failures
 
     def phi(self, u, v):
@@ -562,11 +563,9 @@ class AntiWeilRep:
         checks["k_adjoint"] = adjoint
         checks["central_invariance"] = adjoint
         # isotropy of the eigenspaces (v/w Gram blocks vanish)
-        iso = all(self.gram_vw.entries[r][c].is_zero()
-                  for r in range(4) for c in range(4))
-        iso &= all(self.gram_vw.entries[4 + r][4 + c].is_zero()
-                   for r in range(4) for c in range(4))
-        checks["isotropy"] = iso
+        checks["isotropy"] = all((c < 4) != (r < 4)
+                                 for r, row in enumerate(self.gram_vw.nonzero)
+                                 for c in row)
         # spot values
         vmm = self.B * [F.one() if self.basis_labels[t] == "v-1,-1"
                         else F.zero() for t in range(8)]
@@ -586,13 +585,12 @@ class AntiWeilRep:
         patterns is stable under all three generators."""
         if self.B_inv * self.J * self.B != _split_scalar(self.field, self.sDp):
             return False
-        zero = [[[c.is_zero() for c in row]
-                 for row in (self.B_inv * self.galois_act(tag, self.B)).entries]
-                for tag in self.galois]
+        moved = [(self.B_inv * self.galois_act(tag, self.B)).nonzero
+                 for tag in self.galois]
         for sides in iproduct((0, 4), repeat=4):
             span = {side + t for t, side in enumerate(sides)}
-            if all(z[r][t] for z in zero for t in span
-                   for r in range(8) if r not in span):
+            if not any(t in rows[r] for rows in moved for t in span
+                       for r in range(8) if r not in span):
                 return False
         return True
 
@@ -633,7 +631,7 @@ class AntiWeilRep:
         if span.nonzero[0] or span.nonzero[4]:
             raise ValueError("a generator has a 1 or J component")
         block = span.take_rows([idx for _, idx in self.RATIONAL_UNITS])
-        return [list(col) for col in zip(*block.inverse().entries)]
+        return block.inverse().transpose().entries
 
     def _build_rational_model(self):
         F = self.field
@@ -663,16 +661,17 @@ class AntiWeilRep:
         U_inv = U.inverse()
         out = {}
         for name, mat in list(rational_mats.items()) + [("J", self.J)]:
-            ru = U_inv * mat * U
-            if not all(e.is_rational() for row in ru.entries for e in row):
-                raise ValueError(f"{name} does not descend to Q")
-            out[name] = [[e.as_fraction() for e in row] for row in ru.entries]
-        gram_u = U.transpose() * self.gram * U
-        if not all(e.is_rational() for row in gram_u.entries for e in row):
-            raise ValueError("the Gram matrix does not descend to Q")
-        out["gram"] = [[e.as_fraction() for e in row]
-                       for row in gram_u.entries]
+            out[name] = _descended(U_inv * mat * U, name)
+        out["gram"] = _descended(U.transpose() * self.gram * U,
+                                 "the Gram matrix")
         return out
+
+
+def _descended(m: ExactMatrix, name):
+    """The entries of m as Fractions; ValueError unless all are rational."""
+    if not all(e.is_rational() for row in m.nonzero for e in row.values()):
+        raise ValueError(f"{name} does not descend to Q")
+    return [[e.as_fraction() for e in row] for row in m.entries]
 
 
 def build_antiweil_rep(Dp=-1, D=-2, a=-3) -> AntiWeilRep:

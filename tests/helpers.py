@@ -1,5 +1,6 @@
-"""Helpers that only the tests use: the dense matrix product that the
-row-sparse ExactMatrix product is checked against, the dense integer
+"""Helpers that only the tests use: the dense matrix product, the dense
+Gauss-Jordan elimination and determinant that the sparse ExactMatrix
+product and elimination are checked against, the dense integer
 elimination and distinct-row pass that the sparse rational core is checked
 against, the solve-based
 rational-unit coefficients and Galois Lie table that the anti-Weil chain
@@ -11,7 +12,7 @@ from math import gcd
 
 from cmsweep.cmfields import (CMFieldModel, CMType, SubfieldModel,
                               restrict_multiplicities)
-from cmsweep.fields import ExactMatrix, _dot, _matrix
+from cmsweep.fields import ExactMatrix, _axpy, _dot
 from cmsweep.intlat import IntLattice, snf
 from cmsweep.quatrep import (GENERATOR_NAMES, AntiWeilRep, _flip_generator,
                              squarefree_split)
@@ -21,8 +22,62 @@ def dense_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """a * b with one _dot per output entry over the full inner dimension."""
     assert a.cols == b.rows
     cols = list(zip(*b.entries))
-    return _matrix(a.field, [[_dot(a.field, row, col) for col in cols]
-                             for row in a.entries])
+    return ExactMatrix(a.field, [[_dot(a.field, row, col) for col in cols]
+                                 for row in a.entries])
+
+
+def dense_rref(m: ExactMatrix):
+    """Gauss-Jordan on the dense rows of m with deterministic pivoting
+    (leftmost nonzero column, smallest row index).  Returns (reduced
+    matrix, pivot cols)."""
+    field = m.field
+    rows = m.entries
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        pr = next((i for i in range(r, m.rows) if not rows[i][c].is_zero()),
+                  None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [e if e.is_zero() else inv * e for e in rows[r]]
+        prow = rows[r]
+        for i in range(m.rows):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a if b.is_zero() else _axpy(field, a, f, b)
+                           for a, b in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+    return ExactMatrix(field, rows) if rows else m, pivots
+
+
+def dense_det(m: ExactMatrix):
+    """The determinant by dense elimination below each pivot, with a
+    sign flip for each row swap."""
+    assert m.rows == m.cols
+    field = m.field
+    rows = m.entries
+    d = field.one()
+    for c in range(m.cols):
+        pr = next((i for i in range(c, m.rows) if not rows[i][c].is_zero()),
+                  None)
+        if pr is None:
+            return field.zero()
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            d = -d
+        d = d * rows[c][c]
+        inv = rows[c][c].inverse()
+        for i in range(c + 1, m.rows):
+            if not rows[i][c].is_zero():
+                f = rows[i][c] * inv
+                rows[i] = [_axpy(field, a, f, b)
+                           for a, b in zip(rows[i], rows[c])]
+    return d
 
 
 def dense_rows(rows, ncols):

@@ -347,3 +347,18 @@ def test_verify_all_imports_neither_numpy_nor_sympy():
                 if line.startswith("import time:")}
     assert "cmsweep" in imported
     assert not imported & {"numpy", "sympy"}
+
+
+def test_verify_all_output_is_the_same_under_optimize_flag():
+    """No verdict depends on an assert: python -O gives the same bytes."""
+    env = dict(os.environ, PYTHONPATH=str(FIXDIR.parents[1]))
+    outs = []
+    for flags in ([], ["-O"]):
+        run = subprocess.run(
+            [sys.executable, *flags, "-m", "cmsweep.cli", "verify-all",
+             "--format", "json"], env=env, capture_output=True, text=True,
+            timeout=600)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert json.loads(outs[0])["summary"] == {"passed": 91, "failed": 0}
+    assert outs[1] == outs[0]

@@ -1,6 +1,8 @@
 """Differential tests of the exact core: the fraction-free QQ elimination
 against sympy's rref and against the generic elimination over a bigger
-field, the row-sparse product and the other index-only matrix operations
+field, the sparse rref, rank, kernel, solve, inverse and det against the
+dense Gauss-Jordan and determinant references and det against sympy, the
+row-sparse product and the other index-only matrix operations
 against dense elementwise references and sympy, the sparse rational
 elimination against the dense integer elimination and sympy, unit
 scalars, the canonical element form, and singular inverses over random
@@ -12,13 +14,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
+
+from cmsweep import fields
 from hypothesis import assume, given, settings, strategies as st
 
 from cmsweep.fields import (QQ, DependentGenerators, ExactMatrix,
                             FieldElement, _echelon,
-                            apply_galois, cleared_rows, field_create,
-                            rational_kernel, rational_rank)
-from helpers import dense_product, dense_rows, distinct_rows, integer_rref
+                            apply_galois, cleared_rows, eigen_decompose,
+                            field_create, rational_kernel, rational_rank)
+from helpers import (dense_det, dense_product, dense_rows, dense_rref,
+                     distinct_rows, integer_rref)
 
 SQUAREFREE = [d for d in range(-30, 31)
               if d not in (0, 1) and all(d % (p * p) for p in range(2, 6))]
@@ -266,6 +271,211 @@ def test_sparse_product_edge_shapes(name):
     assert all(e.is_zero() for r in (zero * col).entries for e in r)
 
 
+# -- the one field elimination against the dense references -------------------
+
+def _shaped(field, rows, ncols):
+    """The ExactMatrix with the given rows and ncols columns, 0 x ncols
+    included (the transpose of ncols x 0)."""
+    if rows:
+        return ExactMatrix(field, rows)
+    return ExactMatrix(field, [[] for _ in range(ncols)]).transpose()
+
+
+@st.composite
+def eliminations(draw):
+    """(field, matrix, rhs) of every shape up to 5x5, 0 x n and n x 0
+    included: random-sparse or dense rows with zero, repeated and
+    dependent rows spliced in (so square ones are often singular), and a
+    right-hand side that is random (often inconsistent), in the column
+    span, or zero."""
+    field = PRODUCT_FIELDS[draw(st.sampled_from(sorted(PRODUCT_FIELDS)))]
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        ncols = nrows
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    density = draw(st.sampled_from((1, 0.5, 0.2)))
+    rows = [[_random_entry(rng, field, density) for _ in range(ncols)]
+            for _ in range(nrows)]
+    for i in range(nrows):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "repeat",
+                                     "dependent")))
+        if kind == "zero":
+            rows[i] = [field.zero()] * ncols
+        elif kind == "repeat":
+            rows[i] = rows[draw(st.integers(0, nrows - 1))][:]
+        elif kind == "dependent":
+            c1, c2 = (_random_entry(rng, field, 1) for _ in range(2))
+            r1, r2 = (rows[draw(st.integers(0, nrows - 1))] for _ in range(2))
+            rows[i] = [c1 * x + c2 * y for x, y in zip(r1, r2)]
+    m = _shaped(field, rows, ncols)
+    rhs = draw(st.sampled_from(("random", "image", "zero")))
+    if rhs == "random":
+        b = [_random_entry(rng, field, density) for _ in range(nrows)]
+    elif rhs == "image":
+        b = m * [_random_entry(rng, field, 1) for _ in range(ncols)]
+    else:
+        b = [field.zero()] * nrows
+    return field, m, b
+
+
+def _dense_kernel(m, red, pivots):
+    """The kernel basis read off the dense reduced rows, one free
+    variable set to 1 in each vector."""
+    basis = []
+    for fc in range(m.cols):
+        if fc not in pivots:
+            v = [m.field.zero()] * m.cols
+            v[fc] = m.field.one()
+            for r, pc in enumerate(pivots):
+                v[pc] = -red.entries[r][fc]
+            basis.append(v)
+    return basis
+
+
+def _dense_solve(m, rhs):
+    n = m.cols
+    red, pivots = dense_rref(ExactMatrix(m.field, [
+        row + [b] for row, b in zip(m.entries, rhs)]))
+    if n in pivots:
+        return None
+    x = [m.field.zero()] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = red.entries[r][n]
+    return x
+
+
+def _dense_inverse(m):
+    """The right half of the dense rref of [M | I], or None if M is
+    singular."""
+    n = m.rows
+    one, zero = m.field.one(), m.field.zero()
+    red, pivots = dense_rref(ExactMatrix(m.field, [
+        row + [one if i == j else zero for j in range(n)]
+        for i, row in enumerate(m.entries)]))
+    if pivots != list(range(n)):
+        return None
+    return ExactMatrix(m.field, [row[n:] for row in red.entries])
+
+
+@given(eliminations())
+@settings(max_examples=200, deadline=None)
+def test_sparse_elimination_matches_dense_references(case):
+    field, m, rhs = case
+    red, pivots = m.rref()
+    want_red, want_pivots = dense_rref(m)
+    assert pivots == want_pivots
+    assert (red.rows, red.cols) == (m.rows, m.cols)
+    assert _cells(red) == _cells(want_red)
+    assert not [e for row in red.nonzero for e in row.values()
+                if e.is_zero()]
+    assert m.rank() == len(want_pivots)
+    kernel = m.kernel()
+    assert kernel == _dense_kernel(m, want_red, want_pivots)
+    for v in kernel:
+        assert all(e.is_zero() for e in m * v)
+    x = m.solve(rhs)
+    assert x == _dense_solve(m, rhs)
+    if x is not None:
+        assert m * x == rhs
+    if m.rows != m.cols:
+        for op in (m.inverse, m.det):
+            with pytest.raises(ValueError):
+                op()
+        return
+    assert m.det() == dense_det(m)
+    want_inv = _dense_inverse(m)
+    if want_inv is None:
+        assert m.det().is_zero()
+        with pytest.raises(ZeroDivisionError):
+            m.inverse()
+    else:
+        assert _cells(m.inverse()) == _cells(want_inv)
+        assert m * m.inverse() == ExactMatrix.identity(field, m.rows)
+
+
+@pytest.mark.parametrize("ncols", [0, 1, 3])
+@pytest.mark.parametrize("nrows", [0, 1, 3])
+def test_elimination_of_empty_and_zero_shapes(nrows, ncols):
+    field = PRODUCT_FIELDS["Q(i)"]
+    m = _shaped(field, [[field.zero()] * ncols for _ in range(nrows)], ncols)
+    assert (m.rows, m.cols) == (nrows, ncols)
+    red, pivots = m.rref()
+    assert pivots == [] and red == m and m.rank() == 0
+    eye = ExactMatrix.identity(field, ncols)
+    assert m.kernel() == eye.entries
+    assert m.solve([0] * nrows) == [field.zero()] * ncols
+    if nrows:
+        assert m.solve([1] + [0] * (nrows - 1)) is None
+    if nrows == ncols:
+        assert m.det() == (field.one() if nrows == 0 else field.zero())
+
+
+def _to_sympy(e):
+    return sum((sympy.Rational(c.numerator, c.denominator) * sympy.prod(
+        [sympy.sqrt(e.field.gens[i]) for i in s]) for s, c in e.coords.items()),
+        sympy.Integer(0))
+
+
+@pytest.mark.parametrize("gens", [(-1, 2), (2, 3), (-1, -2, -3)])
+@pytest.mark.parametrize("seed", range(4))
+def test_det_matches_sympy_over_multiquadratic_fields(gens, seed):
+    field = field_create(gens)
+    rng = random.Random(seed)
+    n = 3 if len(gens) < 3 else 2
+    rows = [[_random_entry(rng, field, 0.8) for _ in range(n)]
+            for _ in range(n)]
+    if seed == 3:  # a dependent row
+        rows[-1] = [x + y for x, y in zip(rows[0], rows[1 % n])]
+    want = sympy.Matrix([[_to_sympy(e) for e in row] for row in rows]).det()
+    got = ExactMatrix(field, rows).det()
+    assert sympy.expand(_to_sympy(got) - want) == 0
+    assert got == dense_det(ExactMatrix(field, rows))
+
+
+def test_every_elimination_runs_through_echelon(monkeypatch):
+    """rref, rank, kernel, solve, inverse, det, the eigen trials and the
+    rational kernel and rank have no elimination loop of their own."""
+    def refuse(*args, **kwargs):
+        raise RuntimeError("_echelon called")
+
+    monkeypatch.setattr(fields, "_echelon", refuse)
+    m = ExactMatrix.from_int(QQ, [[1, 2], [3, 4]])
+    calls = {"rref": m.rref, "rank": m.rank, "kernel": m.kernel,
+             "solve": lambda: m.solve([1, 0]), "inverse": m.inverse,
+             "det": m.det, "eigen_decompose": lambda: eigen_decompose(m),
+             "rational_kernel": lambda: rational_kernel([[1, 2]], 2),
+             "rational_rank": lambda: rational_rank([[1, 2]], 2)}
+    for name, call in calls.items():
+        with pytest.raises(RuntimeError, match="_echelon called"):
+            call()
+
+
+def test_entries_is_a_read_only_view():
+    f = field_create([-1])
+    m = ExactMatrix(f, [[1, 0], [0, f.monomial([0])]])
+    assert m.nonzero == [{0: f.one()}, {1: f.monomial([0])}]
+    view = m.entries
+    view[0][0] = f.zero()
+    assert m.entries == [[f.one(), f.zero()], [f.zero(), f.monomial([0])]]
+    with pytest.raises(AttributeError):
+        m.entries = view
+    # the sparse rows are the only storage
+    assert set(vars(m)) == {"field", "rows", "cols", "nonzero"}
+
+
+def test_matrix_shape_checks_raise_value_error():
+    f = field_create([-1])
+    with pytest.raises(ValueError, match="different lengths"):
+        ExactMatrix(f, [[1, 2], [3]])
+    a = ExactMatrix(f, [[1, 2], [3, 4]])
+    b = ExactMatrix(f, [[1, 2, 3]])
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b,
+               lambda: a * [1, 2, 3], lambda: a.solve([1]), b.inverse,
+               b.det, lambda: eigen_decompose(b)):
+        with pytest.raises(ValueError):
+            op()
+
+
 # -- the sparse rational elimination ------------------------------------------
 
 def _raw_kernel(rows, ncols):
@@ -389,18 +599,20 @@ def _elementwise(field, a, b, op):
 
 
 def _index_of(m):
-    """The nonzero index read off the entries."""
-    return [[(j, (e.nums, e.den)) for j, e in enumerate(row) if not e.is_zero()]
+    """The nonzero cells read off the entries, as {col: cell} rows."""
+    return [{j: (e.nums, e.den) for j, e in enumerate(row) if not e.is_zero()}
             for row in m.entries]
 
 
 def _same(got, want):
-    """got equals want cell by cell, and its index lists exactly its
-    nonzero cells."""
+    """got equals want cell by cell, and its stored rows hold exactly its
+    nonzero cells: no stored value is zero."""
     assert (got.rows, got.cols) == (want.rows, want.cols)
     assert _cells(got) == _cells(want)
-    assert [[(j, (e.nums, e.den)) for j, e in row] for row in got.nonzero] \
-        == _index_of(want)
+    assert [{j: (e.nums, e.den) for j, e in row.items()}
+            for row in got.nonzero] == _index_of(want)
+    assert not [e for row in got.nonzero for e in row.values()
+                if e.is_zero()]
     assert got == want
 
 

@@ -525,6 +525,33 @@ def test_rational_model_checks_survive_optimize_flag():
     assert run.stdout == "refused: J does not descend to Q\n"
 
 
+@pytest.mark.parametrize("params, name", [
+    ((5, -2, -3), "D'"), ((-1, 2, -3), "D"), ((-1, -2, 0), "a")])
+def test_antiweil_rep_rejects_nonnegative_parameters(params, name):
+    with pytest.raises(ValueError, match=f"^{name} = "):
+        AntiWeilRep(*params)
+
+
+def test_input_checks_survive_optimize_flag():
+    """Under python -O a positive D' and a ragged matrix are still
+    refused, with the offending parameter named."""
+    code = ("from cmsweep.fields import QQ, ExactMatrix\n"
+            "from cmsweep.quatrep import AntiWeilRep\n"
+            "for make in (lambda: AntiWeilRep(5, -2, -3),\n"
+            "             lambda: ExactMatrix(QQ, [[1, 2], [3]])):\n"
+            "    try:\n"
+            "        make()\n"
+            "    except ValueError as exc:\n"
+            "        print('refused:', exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve()
+                                          .parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == ("refused: D' = 5 is not negative\n"
+                          "refused: matrix rows have different lengths\n")
+
+
 def test_antiweil_walkthrough_demo_runs():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
