@@ -309,11 +309,10 @@ def compare_with_fixture(args, sub, cases):
         k = c["case_id"]
         if k in duplicate or k in extra:
             continue
-        diff = _first_difference(by_id[k], c)
-        if diff is None:
+        if by_id[k] == c:
             passed += 1
         else:
-            mismatched.append(f"{k} at {diff}")
+            mismatched.append(f"{k} at {_first_difference(by_id[k], c)}")
     failed = len(cases) - passed + len(missing)
     problems = [f"{what} {', '.join(ids)}" for what, ids in (
         ("mismatched", mismatched), ("missing", missing),

@@ -1,16 +1,17 @@
 """
 Exact arithmetic in multiquadratic extensions Q(sqrt(d_1), ..., sqrt(d_k)).
 
-An element is stored as integer numerators over one common denominator:
-``nums[m] / den`` is the coefficient of prod_{i in m} sqrt(d_i), where the
-bitmask m selects the generators.  The form is canonical (den > 0,
-gcd(nums, den) = 1, zero has den 1), so equality is a comparison of ints.
-Each field precomputes its product table, (i, j) -> (i ^ j, prod_{b in
-i & j} d_b), and a product of two elements is integer arithmetic plus one
-gcd normalisation.  The Galois group is (Z/2)^k acting by sign flips on
-the generators, which is all the field theory the case sweeps need: every
-algebraic number that shows up (roots of unity of order dividing 8,
-sqrt(a), sqrt(D), sqrt(D')) lives in such a field.
+An element is stored as its nonzero integer numerators over one common
+denominator: ``nums[m] / den`` is the coefficient of prod_{i in m} sqrt(d_i),
+for the bitmask m of the generators.  The form is canonical (den > 0, no
+zero in the {m: int} dict, gcd 1, zero is {} over 1), so equality compares
+ints; only this module reads ``nums`` and ``den``.  Each field precomputes
+its product table, (i, j) -> (i ^ j, prod_{b in i & j} d_b), and a product
+of two elements is integer arithmetic plus one gcd normalisation.  The
+Galois group is (Z/2)^k acting by sign flips on the generators, which is
+all the field theory the case sweeps need: every algebraic number that
+shows up (roots of unity of order dividing 8, sqrt(a), sqrt(D), sqrt(D'))
+lives in such a field.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ class MultiQuadField:
             square[m] = square[m ^ low] * self.gens[low.bit_length() - 1]
         self._table = tuple(tuple((i ^ j, square[i & j]) for j in range(n))
                             for i in range(n))
-        self._zero = _new(self, [0] * n, 1)
-        self._one = _new(self, [1] + [0] * (n - 1), 1)
+        self._zero = _new(self, {}, 1)
+        self._one = _new(self, {0: 1}, 1)
 
     def __eq__(self, other):
         return isinstance(other, MultiQuadField) and self.gens == other.gens
@@ -108,12 +109,9 @@ class MultiQuadField:
         return self._one
 
     def rational(self, q) -> "FieldElement":
-        if q.__class__ is int:
-            return _new(self, [q] + [0] * (self.degree - 1), 1)
-        if q.__class__ is not Fraction:
+        if q.__class__ is not int and q.__class__ is not Fraction:
             q = Fraction(q)
-        return _new(self, [q.numerator] + [0] * (self.degree - 1),
-                    q.denominator)
+        return _new(self, {0: q.numerator} if q else {}, q.denominator)
 
     def sqrt_gen(self, d: int) -> "FieldElement":
         """The element sqrt(d) for a single generator d."""
@@ -121,9 +119,7 @@ class MultiQuadField:
 
     def monomial(self, indices) -> "FieldElement":
         """prod_{i in indices} sqrt(d_i) by generator index."""
-        nums = [0] * self.degree
-        nums[self._mask[frozenset(indices)]] = 1
-        return _new(self, nums, 1)
+        return _new(self, {self._mask[frozenset(indices)]: 1}, 1)
 
     def galois_group(self) -> list["GaloisElement"]:
         return [GaloisElement(signs) for signs in product((1, -1), repeat=self.k)]
@@ -145,7 +141,8 @@ class GaloisElement:
 
     def __init__(self, signs):
         self.signs = tuple(int(s) for s in signs)
-        assert all(s in (1, -1) for s in self.signs)
+        if any(s not in (1, -1) for s in self.signs):
+            raise ValueError(f"Galois signs {self.signs} are not all +1 or -1")
         # the sign of each monomial, indexed by generator bitmask
         mask_signs = [1]
         for s in self.signs:
@@ -164,12 +161,6 @@ class GaloisElement:
     def __repr__(self):
         return f"Galois{self.signs}"
 
-    def subset_sign(self, subset: frozenset) -> int:
-        s = 1
-        for i in subset:
-            s *= self.signs[i]
-        return s
-
 
 def complex_conjugation(field: MultiQuadField) -> GaloisElement:
     """-1 exactly on the negative generators (sqrt of d<0 is purely imaginary)."""
@@ -177,12 +168,12 @@ def complex_conjugation(field: MultiQuadField) -> GaloisElement:
 
 
 def apply_galois(g: GaloisElement, e: "FieldElement") -> "FieldElement":
-    return _new(e.field, [s * x for s, x in zip(g._mask_signs, e.nums)],
-                e.den)
+    signs = g._mask_signs
+    return _new(e.field, {m: signs[m] * x for m, x in e.nums.items()}, e.den)
 
 
 # ---------------------------------------------------------------------------
-# integer kernels on numerator lists
+# integer kernels on {mask: numerator} dicts
 # ---------------------------------------------------------------------------
 
 def _new(field, nums, den) -> "FieldElement":
@@ -196,38 +187,36 @@ def _new(field, nums, den) -> "FieldElement":
 
 
 def _norm(field, nums, den) -> "FieldElement":
-    """An element from numerators over a positive denominator."""
-    g = gcd(den, *nums)
+    """An element from zero-free numerators over a positive denominator."""
+    g = gcd(den, *nums.values())
     if g != 1:
-        nums = [x // g for x in nums]
+        nums = {m: x // g for m, x in nums.items()}
         den //= g
     return _new(field, nums, den)
 
 
 def _mul_nums(field, a, b):
-    """Numerators of the product of two numerator lists."""
-    if len(a) == 1:
-        return [a[0] * b[0]]
-    out = [0] * len(a)
+    """The zero-free numerators of the product of two numerator dicts."""
     table = field._table
-    for i, x in enumerate(a):
-        if x:
-            for (k, c), y in zip(table[i], b):
-                if y:
-                    out[k] += x * y * c
-    return out
+    out = {}
+    for i, x in a.items():
+        row = table[i]
+        for j, y in b.items():
+            k, c = row[j]
+            out[k] = out.get(k, 0) + x * y * c
+    return {k: x for k, x in out.items() if x}
 
 
 def _dot(field, xs, ys) -> "FieldElement":
     """sum_t xs[t] * ys[t], accumulated as integer numerators over a
     running common denominator and normalised once."""
     table = field._table
-    acc = [0] * field.degree
+    acc = {}
     den = 1
     for x, y in zip(xs, ys):
         a = x.nums
         b = y.nums
-        if not any(a) or not any(b):
+        if not a or not b:
             continue
         d = x.den * y.den
         scale = 1
@@ -235,56 +224,72 @@ def _dot(field, xs, ys) -> "FieldElement":
             g = gcd(den, d)
             grow = d // g
             if grow != 1:
-                acc = [u * grow for u in acc]
+                acc = {k: u * grow for k, u in acc.items()}
             scale = den // g
             den *= grow
-        for i, u in enumerate(a):
-            if u:
-                u *= scale
-                for (k, c), v in zip(table[i], b):
-                    if v:
-                        acc[k] += u * v * c
-    return _norm(field, acc, den)
+        for i, u in a.items():
+            u *= scale
+            row = table[i]
+            for j, v in b.items():
+                k, c = row[j]
+                acc[k] = acc.get(k, 0) + u * v * c
+    return _norm(field, {k: u for k, u in acc.items() if u}, den)
+
+
+def _sum(field, a, da, b, db, sign) -> "FieldElement":
+    """a / da + sign * b / db for numerator dicts a and b, sign = ±1, with
+    one normalisation."""
+    if da == db:
+        out = dict(a)
+    else:
+        out = {m: x * db for m, x in a.items()}
+        sign *= da
+        da *= db
+    for m, y in b.items():
+        x = out.get(m, 0) + sign * y
+        if x:
+            out[m] = x
+        else:
+            del out[m]
+    return _norm(field, out, da)
 
 
 def _axpy(field, a, f, b) -> "FieldElement":
     """a - f * b with one normalisation."""
-    fb = _mul_nums(field, f.nums, b.nums)
-    d = f.den * b.den
-    if a.den == d:
-        return _norm(field, [x - y for x, y in zip(a.nums, fb)], d)
-    return _norm(field, [x * d - y * a.den for x, y in zip(a.nums, fb)],
-                 a.den * d)
+    return _sum(field, a.nums, a.den, _mul_nums(field, f.nums, b.nums),
+                f.den * b.den, -1)
 
 
 class FieldElement:
     """An element of a MultiQuadField; immutable.
 
-    ``nums`` (one int per generator bitmask) over ``den`` is the storage;
-    ``coords`` is a read-only view {generator subset: Fraction}."""
+    ``nums`` ({generator bitmask: nonzero int}) over ``den`` is the
+    storage; ``coords`` is a read-only view {generator subset: Fraction}."""
 
     __slots__ = ("field", "nums", "den", "_hash")
 
     def __init__(self, field: MultiQuadField, coords: dict):
-        fracs = [(field._mask[frozenset(s)], Fraction(c))
-                 for s, c in coords.items()]
-        den = lcm(1, *(c.denominator for _, c in fracs))
-        nums = [0] * field.degree
-        for m, c in fracs:
-            nums[m] += c.numerator * (den // c.denominator)
-        g = gcd(den, *nums)
+        fracs = {}
+        for s, c in coords.items():
+            m = field._mask[frozenset(s)]
+            fracs[m] = fracs.get(m, 0) + Fraction(c)
+        fracs = {m: c for m, c in fracs.items() if c}
+        # the lcm of reduced denominators is prime to the numerators' gcd
+        den = lcm(1, *(c.denominator for c in fracs.values()))
         self.field = field
-        self.nums = [x // g for x in nums]
-        self.den = den // g
+        self.nums = {m: c.numerator * (den // c.denominator)
+                     for m, c in fracs.items()}
+        self.den = den
         self._hash = None
 
     # -- constructors -----------------------------------------------------
     @classmethod
     def from_nums(cls, field: MultiQuadField, nums, den: int = 1):
-        """The element sum_m nums[m] / den * sqrt(m), den != 0."""
+        """The element sum_m nums[m] / den * sqrt(m) for a {mask: int}
+        dict nums, den != 0."""
         if den < 0:
-            nums, den = [-x for x in nums], -den
-        return _norm(field, list(nums), den)
+            nums, den = {m: -x for m, x in nums.items()}, -den
+        return _norm(field, {m: x for m, x in nums.items() if x}, den)
 
     @staticmethod
     def coerce(field: MultiQuadField, x) -> "FieldElement":
@@ -300,18 +305,18 @@ class FieldElement:
         """{generator subset: nonzero Fraction coefficient}."""
         subset = self.field._subset
         return {subset[m]: Fraction(x, self.den)
-                for m, x in enumerate(self.nums) if x}
+                for m, x in self.nums.items()}
 
     def is_zero(self) -> bool:
-        return not any(self.nums)
+        return not self.nums
 
     def is_rational(self) -> bool:
-        return not any(self.nums[1:])
+        return self.nums.keys() <= {0}
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return Fraction(self.nums[0], self.den)
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -322,16 +327,16 @@ class FieldElement:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field,
-                               frozenset(self.coords.items())))
+            self._hash = hash((self.field, self.den,
+                               frozenset(self.nums.items())))
         return self._hash
 
     def __repr__(self):
         nums, den = self.nums, self.den
         parts = []
         for m in self.field._order:
-            x = nums[m]
-            if not x:
+            x = nums.get(m)
+            if x is None:
                 continue
             g = gcd(x, den)
             c = str(x // g) if den == g else f"{x // g}/{den // g}"
@@ -346,26 +351,18 @@ class FieldElement:
     # -- ring operations --------------------------------------------------
     def __add__(self, other):
         other = FieldElement.coerce(self.field, other)
-        a, da = self.nums, self.den
-        b, db = other.nums, other.den
-        if da == db:
-            return _norm(self.field, [x + y for x, y in zip(a, b)], da)
-        return _norm(self.field, [x * db + y * da for x, y in zip(a, b)],
-                     da * db)
+        return _sum(self.field, self.nums, self.den, other.nums, other.den, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(self.field, [-x for x in self.nums], self.den)
+        return _new(self.field, {m: -x for m, x in self.nums.items()},
+                    self.den)
 
     def __sub__(self, other):
         other = FieldElement.coerce(self.field, other)
-        a, da = self.nums, self.den
-        b, db = other.nums, other.den
-        if da == db:
-            return _norm(self.field, [x - y for x, y in zip(a, b)], da)
-        return _norm(self.field, [x * db - y * da for x, y in zip(a, b)],
-                     da * db)
+        return _sum(self.field, self.nums, self.den, other.nums, other.den,
+                    -1)
 
     def __rsub__(self, other):
         return FieldElement.coerce(self.field, other) - self
@@ -381,22 +378,21 @@ class FieldElement:
         if self.is_zero():
             raise ZeroDivisionError("field element is zero")
         # rationalize one generator at a time: x * conj_i(x) has no
-        # sqrt(d_i) component, so num ends as x_nums^{-1} times a rational
+        # sqrt(d_i) component, so num ends as den / x_nums times the
+        # rational q
         field = self.field
-        num = None
+        num = {0: self.den}
         cur = self.nums
         for i in range(field.k):
             bit = 1 << i
-            if any(x for m, x in enumerate(cur) if m & bit):
-                conj = [-x if m & bit else x for m, x in enumerate(cur)]
-                num = conj if num is None else _mul_nums(field, num, conj)
+            if any(m & bit for m in cur):
+                conj = {m: -x if m & bit else x for m, x in cur.items()}
+                num = _mul_nums(field, num, conj)
                 cur = _mul_nums(field, cur, conj)
-        if num is None:
-            num = [1] + [0] * (field.degree - 1)
         q = cur[0]
         if q < 0:
-            num, q = [-x for x in num], -q
-        return _norm(field, [x * self.den for x in num], q)
+            num, q = {m: -x for m, x in num.items()}, -q
+        return _norm(field, num, q)
 
     def __truediv__(self, other):
         return self * FieldElement.coerce(self.field, other).inverse()
@@ -469,7 +465,7 @@ def _subtracted(row, prow, c):
     for j, y in prow.items():
         if j != c:
             e = _axpy(field, out.get(j, zero), f, y)
-            if any(e.nums):
+            if e.nums:
                 out[j] = e
             else:
                 del out[j]
@@ -567,7 +563,7 @@ class ExactMatrix:
         self.field = field
         self.rows = len(rows)
         self.cols = cols
-        self.nonzero = [{j: e for j, e in enumerate(row) if any(e.nums)}
+        self.nonzero = [{j: e for j, e in enumerate(row) if e.nums}
                         for row in rows]
 
     @staticmethod
@@ -602,7 +598,7 @@ class ExactMatrix:
             acc = dict(r1)
             for j, e in r2.items():
                 s = acc[j] + e if j in acc else e
-                if any(s.nums):
+                if s.nums:
                     acc[j] = s
                 else:
                     del acc[j]
@@ -618,9 +614,9 @@ class ExactMatrix:
 
     def scale(self, c) -> "ExactMatrix":
         c = FieldElement.coerce(self.field, c)
-        if c.den == 1 and c.nums[0] in (1, -1) and not any(c.nums[1:]):
+        if c.den == 1 and c.nums in ({0: 1}, {0: -1}):
             return self if c.nums[0] == 1 else -self
-        if not any(c.nums):
+        if not c.nums:
             return _matrix(self.field, [{} for _ in range(self.rows)],
                            self.cols)
         # a product of nonzero field elements is nonzero
@@ -649,7 +645,7 @@ class ExactMatrix:
                 new = {}
                 for j, (xs, ys) in pairs.items():
                     e = _dot(field, xs, ys)
-                    if any(e.nums):
+                    if e.nums:
                         new[j] = e
                 out.append(new)
             return _matrix(field, out, other.cols)
@@ -705,7 +701,7 @@ class ExactMatrix:
         if len(rhs) != self.rows:
             raise ValueError("rhs length differs from the row count")
         n = self.cols
-        pivots = _echelon([{**row, n: b} if any(b.nums) else row
+        pivots = _echelon([{**row, n: b} if b.nums else row
                            for row, b in zip(self.nonzero, rhs)],
                           _subtracted, _monic)
         if n in pivots:
@@ -777,10 +773,7 @@ def _on_units(field: MultiQuadField, terms) -> "FieldElement":
     """sum of c/q * (monomial m) / s over the (m, s, c, q) in terms, for
     distinct masks m, c = ±1 and q in {1, 2}: canonical as built."""
     den = lcm(*(q * s for _, s, _, q in terms))
-    nums = [0] * field.degree
-    for m, s, c, q in terms:
-        nums[m] = c * den // (q * s)
-    return _new(field, nums, den)
+    return _new(field, {m: c * den // (q * s) for m, s, c, q in terms}, den)
 
 
 def _eigenvalue_candidates(field: MultiQuadField):
@@ -834,7 +827,7 @@ def eigen_decompose(m: ExactMatrix):
         shifted = [dict(row) for row in m.nonzero]
         for i, row in enumerate(shifted):
             e = row.pop(i, zero) - lam
-            if any(e.nums):
+            if e.nums:
                 row[i] = e
         ker = _matrix(m.field, shifted, n).kernel()
         if ker:

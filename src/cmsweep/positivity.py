@@ -36,11 +36,11 @@ def g_conj(e: FieldElement) -> FieldElement:
 
 
 def g_re(e: FieldElement) -> Fraction:
-    return Fraction(e.nums[0], e.den)
+    return e.coords.get(frozenset(), Fraction(0))
 
 
 def g_im(e: FieldElement) -> Fraction:
-    return Fraction(e.nums[1], e.den)
+    return e.coords.get(frozenset([0]), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -33,16 +33,12 @@ def _flip_generator(field: MultiQuadField, idx: int) -> GaloisElement:
 def _field_lift(small: MultiQuadField, big: MultiQuadField):
     """Inclusion of a multiquadratic field whose generators all occur among
     the generators of a bigger one."""
-    # big-field bitmask of each small-field monomial
-    bit = [1 << big.gens.index(d) for d in small.gens]
-    mask_map = [sum(b for t, b in enumerate(bit) if m >> t & 1)
-                for m in range(small.degree)]
+    # big-field index of each small-field generator
+    index = [big.gens.index(d) for d in small.gens]
 
     def lift(e: FieldElement) -> FieldElement:
-        nums = [0] * big.degree
-        for m, x in zip(mask_map, e.nums):
-            nums[m] = x
-        return FieldElement.from_nums(big, nums, e.den)
+        return FieldElement(big, {frozenset(index[i] for i in s): c
+                                  for s, c in e.coords.items()})
 
     return lift
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import NamedTuple
 
 from .cmfields import closure
@@ -215,10 +215,10 @@ def rational_intersection(field: MultiQuadField, vectors):
     ann = vmat.kernel()  # each a gives the equation sum_j a_j w_j = 0
     rows = []
     for a in ann:
-        # one equation per monomial; scaling a row leaves the kernel alone
-        den = lcm(*(aj.den for aj in a))
-        for m in range(field.degree):
-            rows.append([aj.nums[m] * (den // aj.den) for aj in a])
+        # one equation per monomial
+        coords = [aj.coords for aj in a]
+        for s in field.subsets:
+            rows.append({j: c[s] for j, c in enumerate(coords) if s in c})
     return rational_kernel(rows, n)
 
 

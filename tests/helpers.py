@@ -1,6 +1,7 @@
-"""Helpers that only the tests use: the dense matrix product, the dense
-Gauss-Jordan elimination and determinant that the sparse ExactMatrix
-product and elimination are checked against, the dense integer
+"""Helpers that only the tests use: the dense field element that the
+sparse FieldElement is checked against, the dense matrix product, the
+dense Gauss-Jordan elimination and determinant that the sparse
+ExactMatrix product and elimination are checked against, the dense integer
 elimination and distinct-row pass that the sparse rational core is checked
 against, the solve-based
 rational-unit coefficients and Galois Lie table that the anti-Weil chain
@@ -8,6 +9,7 @@ is checked against, and spec-facing functions that the verifier itself never cal
 primitivity and induction, a cyclic Galois model, the Galois identity test
 and a top-wedge layer identity)."""
 
+from fractions import Fraction
 from math import gcd
 
 from cmsweep.cmfields import (CMFieldModel, CMType, SubfieldModel,
@@ -16,6 +18,82 @@ from cmsweep.fields import ExactMatrix, _axpy, _dot
 from cmsweep.intlat import IntLattice, snf
 from cmsweep.quatrep import (GENERATOR_NAMES, AntiWeilRep, _flip_generator,
                              squarefree_split)
+
+
+class DenseElement:
+    """A field element as one int numerator per generator bitmask over a
+    positive denominator, in canonical form (gcd 1, zero is all zeros over
+    1): the storage FieldElement had before it kept only the nonzero
+    numerators, with its arithmetic, as a reference."""
+
+    def __init__(self, field, nums, den=1):
+        if den < 0:
+            nums, den = [-x for x in nums], -den
+        g = gcd(den, *nums)
+        self.field = field
+        self.nums = [x // g for x in nums]
+        self.den = den // g
+
+    def is_zero(self):
+        return not any(self.nums)
+
+    def coords(self):
+        """{generator subset: nonzero Fraction}, subsets read off the bits."""
+        return {frozenset(i for i in range(self.field.k) if m >> i & 1):
+                Fraction(x, self.den) for m, x in enumerate(self.nums) if x}
+
+    def sparse(self):
+        """(nums, den) as the sparse element stores them."""
+        return {m: x for m, x in enumerate(self.nums) if x}, self.den
+
+    def __eq__(self, other):
+        return (self.field, self.nums, self.den) == \
+            (other.field, other.nums, other.den)
+
+    def _mul_nums(self, a, b):
+        out = [0] * len(a)
+        for i, x in enumerate(a):
+            if x:
+                for (k, c), y in zip(self.field._table[i], b):
+                    if y:
+                        out[k] += x * y * c
+        return out
+
+    def __add__(self, other):
+        return DenseElement(self.field, [x * other.den + y * self.den for
+                                         x, y in zip(self.nums, other.nums)],
+                            self.den * other.den)
+
+    def __neg__(self):
+        return DenseElement(self.field, [-x for x in self.nums], self.den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        return DenseElement(self.field, self._mul_nums(self.nums, other.nums),
+                            self.den * other.den)
+
+    def inverse(self):
+        """Rationalise one generator at a time by its conjugate."""
+        num = [1] + [0] * (self.field.degree - 1)
+        cur = self.nums
+        for i in range(self.field.k):
+            conj = [-x if m >> i & 1 else x for m, x in enumerate(cur)]
+            num = self._mul_nums(num, conj)
+            cur = self._mul_nums(cur, conj)
+        assert not any(cur[1:])
+        return DenseElement(self.field, [x * self.den for x in num], cur[0])
+
+    def galois(self, g):
+        """sqrt(d_i) -> g.signs[i] * sqrt(d_i)."""
+        signs = [1] * self.field.degree
+        for m in range(self.field.degree):
+            for i, s in enumerate(g.signs):
+                if m >> i & 1:
+                    signs[m] *= s
+        return DenseElement(self.field, [s * x for s, x in
+                                         zip(signs, self.nums)], self.den)
 
 
 def dense_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -162,19 +162,15 @@ def _raw_monomial_candidates(field):
     """Coefficients in {±1, ±1/2} on at most two raw monomials, the
     candidate list before the monomials were normalised."""
     halves = ((1, 1), (-1, 1), (1, 2), (-1, 2))
-    n = field.degree
     out = []
     for m in field._order:
         for c in (1, -1):
-            nums = [0] * n
-            nums[m] = c
-            out.append(FieldElement.from_nums(field, nums))
+            out.append(FieldElement.from_nums(field, {m: c}))
     for m1, m2 in combinations(field._order, 2):
         for c1, d1 in halves:
             for c2, d2 in halves:
-                nums = [0] * n
-                nums[m1], nums[m2] = c1 * 2 // d1, c2 * 2 // d2
-                out.append(FieldElement.from_nums(field, nums, 2))
+                out.append(FieldElement.from_nums(
+                    field, {m1: c1 * 2 // d1, m2: c2 * 2 // d2}, 2))
     return out
 
 

@@ -5,12 +5,14 @@ dense Gauss-Jordan and determinant references and det against sympy, the
 row-sparse product and the other index-only matrix operations
 against dense elementwise references and sympy, the sparse rational
 elimination against the dense integer elimination and sympy, unit
-scalars, the canonical element form, and singular inverses over random
+scalars, the canonical element form and the sparse element arithmetic
+against the dense element reference, and singular inverses over random
 towers of degree 1 to 8."""
 
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
@@ -19,11 +21,11 @@ from cmsweep import fields
 from hypothesis import assume, given, settings, strategies as st
 
 from cmsweep.fields import (QQ, DependentGenerators, ExactMatrix,
-                            FieldElement, _echelon,
+                            FieldElement, _axpy, _dot, _echelon,
                             apply_galois, cleared_rows, eigen_decompose,
                             field_create, rational_kernel, rational_rank)
-from helpers import (dense_det, dense_product, dense_rows, dense_rref,
-                     distinct_rows, integer_rref)
+from helpers import (DenseElement, dense_det, dense_product, dense_rows,
+                     dense_rref, distinct_rows, integer_rref)
 
 SQUAREFREE = [d for d in range(-30, 31)
               if d not in (0, 1) and all(d % (p * p) for p in range(2, 6))]
@@ -54,10 +56,10 @@ def test_canonical_form():
     f = field_create([-1, 2])
     e = FieldElement(f, {frozenset(): Fraction(2, 4),
                          frozenset([1]): Fraction(-3, 6)})
-    assert (e.nums, e.den) == ([1, 0, -1, 0], 2)
+    assert (e.nums, e.den) == ({0: 1, 2: -1}, 2)
     z = e - e
-    assert (z.nums, z.den) == ([0, 0, 0, 0], 1) and z == 0
-    assert FieldElement.from_nums(f, [2, 0, 4, 0], -6) == \
+    assert (z.nums, z.den) == ({}, 1) and z == 0
+    assert FieldElement.from_nums(f, {0: 2, 1: 0, 2: 4}, -6) == \
         FieldElement(f, {frozenset(): Fraction(-1, 3),
                          frozenset([1]): Fraction(-2, 3)})
     with pytest.raises(AttributeError):
@@ -65,6 +67,72 @@ def test_canonical_form():
     e.coords[frozenset()] = 1  # a fresh dict each time: e is unchanged
     assert e.coords == {frozenset(): Fraction(1, 2),
                         frozenset([1]): Fraction(-1, 2)}
+
+
+# -- sparse elements against the dense reference ------------------------------
+
+# the last has sqrt(-2)*sqrt(2) = 2i: a monomial square with a square factor
+ELEMENT_FIELDS = [QQ, field_create([-1]), field_create([-1, 2]),
+                  field_create([-2, 2, -3])]
+
+
+@st.composite
+def element_triples(draw):
+    """A field and three dense numerator lists with denominators, mostly
+    zero; the third agrees with the first on some monomials, so sums and
+    differences cancel there."""
+    field = draw(st.sampled_from(ELEMENT_FIELDS))
+    n = field.degree
+    coeffs = st.lists(st.one_of(st.just(0), st.integers(-30, 30)),
+                      min_size=n, max_size=n)
+    dens = st.integers(-12, 12).filter(bool)
+    a, da = draw(coeffs), draw(dens)
+    b, db = draw(coeffs), draw(dens)
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    c = [x if k else 0 for x, k in zip(a, keep)]
+    return field, [(a, da), (b, db), (c, da)]
+
+
+def _agrees(e, ref):
+    """e is canonical and stores exactly the nonzero numerators of ref."""
+    assert e.den > 0 and 0 not in e.nums.values()
+    assert math.gcd(e.den, *e.nums.values()) == 1
+    assert e.nums or e.den == 1
+    assert (e.nums, e.den) == ref.sparse()
+
+
+@given(element_triples())
+@settings(max_examples=300, deadline=None)
+def test_sparse_elements_match_dense_reference(case):
+    field, raw = case
+    refs = [DenseElement(field, nums, den) for nums, den in raw]
+    els = [FieldElement.from_nums(field, dict(enumerate(nums)), den)
+           for nums, den in raw]
+    for e, ref in zip(els, refs):
+        _agrees(e, ref)
+        coords = ref.coords()
+        _agrees(FieldElement(field, {s: coords.get(s, 0)
+                                     for s in field.subsets}), ref)
+    for (x, rx), (y, ry) in combinations(zip(els, refs), 2):
+        for p, q, rp, rq in ((x, y, rx, ry), (y, x, ry, rx), (x, x, rx, rx)):
+            _agrees(p + q, rp + rq)
+            _agrees(p - q, rp - rq)
+            _agrees(p * q, rp * rq)
+            _agrees(_axpy(field, p, q, p), rp - rq * rp)
+            _agrees(_dot(field, [p, q], [q, p]), rp * rq + rq * rp)
+            assert (p == q) == (rp == rq)
+            assert p != q or hash(p) == hash(q)
+            # equal elements built in another order hash alike
+            r = FieldElement.from_nums(field, dict(reversed(p.nums.items())),
+                                       p.den)
+            assert r == p and hash(r) == hash(p)
+    for x, rx in zip(els, refs):
+        _agrees(-x, -rx)
+        if not rx.is_zero():
+            _agrees(x.inverse(), rx.inverse())
+            assert x * x.inverse() == 1
+        for g in field.galois_group():
+            _agrees(apply_galois(g, x), rx.galois(g))
 
 
 def _same_rref(m, red, pivots):
@@ -236,7 +304,7 @@ def _cells(m):
 
 
 def _sympy_qq(m):
-    return sympy.Matrix([[sympy.Rational(e.nums[0], e.den) for e in row]
+    return sympy.Matrix([[sympy.Rational(e.as_fraction()) for e in row]
                          for row in m.entries])
 
 
@@ -249,7 +317,7 @@ def test_sparse_product_matches_dense_and_sympy(case):
     assert _cells(got) == _cells(dense_product(a, b))
     if field is QQ:
         want = _sympy_qq(a) * _sympy_qq(b)
-        assert [[Fraction(e.nums[0], e.den) for e in row]
+        assert [[e.as_fraction() for e in row]
                 for row in got.entries] == \
             [[Fraction(int(x.p), int(x.q)) for x in want.row(i)]
              for i in range(want.rows)]

@@ -1,6 +1,7 @@
 """The package runs on the standard library alone: every module imports
 only `cmsweep` and stdlib names, and the distribution declares no
-runtime dependency."""
+runtime dependency.  The storage of field elements is known to `fields`
+alone."""
 
 import ast
 import sys
@@ -59,3 +60,13 @@ def test_every_package_data_glob_matches_a_file():
     package = ROOT / "src" / "cmsweep"
     for pattern in meta["tool"]["setuptools"]["package-data"]["cmsweep"]:
         assert any(package.glob(pattern)), pattern
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fields.py"],
+                         ids=lambda p: p.name)
+def test_only_fields_reads_the_element_storage(path):
+    """The numerators and denominator of a field element are read in
+    `fields` alone; the other modules use `coords` and `as_fraction`."""
+    read = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+    assert not read & {"nums", "den"}

@@ -22,8 +22,9 @@ def _saturate_by_inverse(l):
         return l
     factors, _, v = snf([list(r) for r in l.basis])
     vinv = ExactMatrix(QQ, v).inverse().entries
-    assert all(e.den == 1 for row in vinv for e in row)  # V is unimodular
-    return IntLattice(l.ambient_rank, [[e.nums[0] for e in row]
+    # V is unimodular
+    assert all(e.as_fraction().denominator == 1 for row in vinv for e in row)
+    return IntLattice(l.ambient_rank, [[int(e.as_fraction()) for e in row]
                                        for row in vinv[:len(factors)]])
 
 

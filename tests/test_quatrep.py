@@ -533,12 +533,13 @@ def test_antiweil_rep_rejects_nonnegative_parameters(params, name):
 
 
 def test_input_checks_survive_optimize_flag():
-    """Under python -O a positive D' and a ragged matrix are still
-    refused, with the offending parameter named."""
-    code = ("from cmsweep.fields import QQ, ExactMatrix\n"
+    """Under python -O a positive D', a ragged matrix and a Galois sign
+    other than ±1 are still refused, with the offending parameter named."""
+    code = ("from cmsweep.fields import QQ, ExactMatrix, GaloisElement\n"
             "from cmsweep.quatrep import AntiWeilRep\n"
             "for make in (lambda: AntiWeilRep(5, -2, -3),\n"
-            "             lambda: ExactMatrix(QQ, [[1, 2], [3]])):\n"
+            "             lambda: ExactMatrix(QQ, [[1, 2], [3]]),\n"
+            "             lambda: GaloisElement((1, 0))):\n"
             "    try:\n"
             "        make()\n"
             "    except ValueError as exc:\n"
@@ -549,7 +550,9 @@ def test_input_checks_survive_optimize_flag():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout == ("refused: D' = 5 is not negative\n"
-                          "refused: matrix rows have different lengths\n")
+                          "refused: matrix rows have different lengths\n"
+                          "refused: Galois signs (1, 0) are not all +1 or "
+                          "-1\n")
 
 
 def test_antiweil_walkthrough_demo_runs():
