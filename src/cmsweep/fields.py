@@ -7,7 +7,9 @@ for the bitmask m of the generators.  The form is canonical (den > 0, no
 zero in the {m: int} dict, gcd 1, zero is {} over 1), so equality compares
 ints; only this module reads ``nums`` and ``den``.  Each field precomputes
 its product table, (i, j) -> (i ^ j, prod_{b in i & j} d_b), and a product
-of two elements is integer arithmetic plus one gcd normalisation.  The
+of two elements is integer arithmetic plus one gcd normalisation.  Every
+sum of products (matrix, quaternion and symplectic products) is one call
+of sum_of_products, which builds no intermediate element.  The
 Galois group is (Z/2)^k acting by sign flips on the generators, which is
 all the field theory the case sweeps need: every algebraic number that
 shows up (roots of unity of order dividing 8, sqrt(a), sqrt(D), sqrt(D'))
@@ -207,33 +209,49 @@ def _mul_nums(field, a, b):
     return {k: x for k, x in out.items() if x}
 
 
-def _dot(field, xs, ys) -> "FieldElement":
-    """sum_t xs[t] * ys[t], accumulated as integer numerators over a
-    running common denominator and normalised once."""
+def sum_of_products(field, terms) -> dict:
+    """{key: sum x * y * c} over the (key, x, y, c) in terms, for field
+    elements x, y and a structure constant c (the field's one for a plain
+    product), holding only the keys whose sums are nonzero.  Each key
+    accumulates integer numerators over a running common denominator and
+    is normalised once."""
     table = field._table
-    acc = {}
-    den = 1
-    for x, y in zip(xs, ys):
+    one = field._one
+    accs, dens = {}, {}
+    for key, x, y, c in terms:
         a = x.nums
         b = y.nums
-        if not a or not b:
+        if not a or not b or not c.nums:
             continue
         d = x.den * y.den
+        if c is not one:
+            a = _mul_nums(field, a, c.nums)
+            d *= c.den
+        acc = accs.setdefault(key, {})
+        den = dens.setdefault(key, d)
         scale = 1
         if d != den:
             g = gcd(den, d)
             grow = d // g
             if grow != 1:
-                acc = {k: u * grow for k, u in acc.items()}
+                for k in acc:
+                    acc[k] *= grow
+                dens[key] = den * grow
             scale = den // g
-            den *= grow
         for i, u in a.items():
             u *= scale
             row = table[i]
             for j, v in b.items():
-                k, c = row[j]
-                acc[k] = acc.get(k, 0) + u * v * c
-    return _norm(field, {k: u for k, u in acc.items() if u}, den)
+                k, s = row[j]
+                acc[k] = acc.get(k, 0) + u * v * s
+    out = {}
+    for key, acc in accs.items():
+        # filter only a sum with a cancelled numerator: most have none
+        if 0 in acc.values():
+            acc = {k: u for k, u in acc.items() if u}
+        if acc:
+            out[key] = _norm(field, acc, dens[key])
+    return out
 
 
 def _sum(field, a, da, b, db, sign) -> "FieldElement":
@@ -473,9 +491,10 @@ def _subtracted(row, prow, c):
 
 
 def _monic(row, c):
-    """The {col: FieldElement} row divided by its entry at c."""
+    """The {col: FieldElement} row divided by its entry at c, whose lead
+    becomes the field's one without a product."""
     inv = row[c].inverse()
-    return {j: inv * e for j, e in row.items()}
+    return {j: inv * e if j != c else inv.field.one() for j, e in row.items()}
 
 
 def _echelon(rows, reduce=_combined, normalise=_primitive):
@@ -625,36 +644,26 @@ class ExactMatrix:
 
     def __mul__(self, other):
         field = self.field
+        one = field.one()
         if isinstance(other, ExactMatrix):
             # row by row (Gustavson 1978): a nonzero self[i][t] meets only
-            # the nonzero entries of row t of other, and each output entry
-            # is one _dot over its contributing pairs
+            # the nonzero entries of row t of other, one sum per row keyed
+            # by column
             if self.cols != other.rows:
                 raise ValueError("inner dimensions differ")
             sparse = other.nonzero
-            out = []
-            for row in self.nonzero:
-                pairs = {}
-                for t, x in row.items():
-                    for j, y in sparse[t].items():
-                        if j in pairs:
-                            pairs[j][0].append(x)
-                            pairs[j][1].append(y)
-                        else:
-                            pairs[j] = ([x], [y])
-                new = {}
-                for j, (xs, ys) in pairs.items():
-                    e = _dot(field, xs, ys)
-                    if e.nums:
-                        new[j] = e
-                out.append(new)
-            return _matrix(field, out, other.cols)
-        # vector (list of FieldElements / ints)
+            return _matrix(field, [sum_of_products(
+                field, ((j, x, y, one) for t, x in row.items()
+                        for j, y in sparse[t].items()))
+                for row in self.nonzero], other.cols)
+        # vector (list of FieldElements / ints): one sum keyed by row
         vec = [FieldElement.coerce(field, v) for v in other]
         if len(vec) != self.cols:
             raise ValueError("vector length differs from the column count")
-        return [_dot(field, list(row.values()), [vec[j] for j in row])
-                for row in self.nonzero]
+        sums = sum_of_products(field, ((i, x, vec[j], one)
+                                       for i, row in enumerate(self.nonzero)
+                                       for j, x in row.items()))
+        return [sums.get(i, field.zero()) for i in range(self.rows)]
 
     def transpose(self) -> "ExactMatrix":
         out = [{} for _ in range(self.cols)]

@@ -19,7 +19,7 @@ from itertools import product as iproduct
 
 from .fields import (QQ, DependentGenerators, ExactMatrix, FieldElement,
                      GaloisElement, MultiQuadField, apply_galois,
-                     field_create)
+                     field_create, sum_of_products)
 from .liereps import (WeightModule, dual_module, invariant_space,
                       sl2_relations_hold, tensor_module, wedge2_module)
 
@@ -204,14 +204,10 @@ class QuaternionAlgebra:
         return tuple(c * p for p in x)
 
     def mul(self, x, y):
-        out = [self.field.zero()] * self.dim
-        for xp, row in zip(x, self._table):
-            if xp.is_zero():
-                continue
-            for yq, (coeff, t) in zip(y, row):
-                if not yq.is_zero():
-                    out[t] = out[t] + xp * yq * coeff
-        return tuple(out)
+        sums = sum_of_products(self.field, (
+            (t, xp, yq, coeff) for xp, row in zip(x, self._table)
+            for yq, (coeff, t) in zip(y, row)))
+        return tuple(sums.get(t, self.field.zero()) for t in range(self.dim))
 
     def galois(self, g, x):
         return tuple(apply_galois(g, c) for c in x)
@@ -256,21 +252,19 @@ def sl2_triple(a, lam) -> SL2Triple:
     x = alg.scale((lam_el * field.rational(2)).inverse(),
                   alg.add(j, alg.scale(sa_inv, k)))
     y = alg.scale(field.rational(half), alg.sub(j, alg.scale(sa_inv, k)))
-    tri = SL2Triple(alg, h, x, y)
-    assert tri.verify_brackets()
-    return tri
+    return SL2Triple(alg, h, x, y)
 
 
 def conjugation_relation(a, lam) -> bool:
-    """a < 0: lam * conj(x) = y;  a > 0: conj(x) = x  (coefficient-wise
-    complex conjugation of the field)."""
+    """The triple's brackets hold, and a < 0: lam * conj(x) = y; a > 0:
+    conj(x) = x  (coefficient-wise complex conjugation of the field)."""
     tri = sl2_triple(a, lam)
     alg = tri.algebra
     xbar = tuple(c.conj() for c in tri.x)
     if Fraction(a) < 0:
-        return alg.equal(alg.scale(FieldElement.coerce(alg.field, lam), xbar),
-                         tri.y)
-    return alg.equal(xbar, tri.x)
+        return tri.verify_brackets() and alg.equal(
+            alg.scale(FieldElement.coerce(alg.field, lam), xbar), tri.y)
+    return tri.verify_brackets() and alg.equal(xbar, tri.x)
 
 
 GENERATOR_NAMES = ("h1", "h2", "x1", "x2", "y1", "y2")
@@ -530,8 +524,9 @@ class AntiWeilRep:
         return (not failures), failures
 
     def phi(self, u, v):
-        gu = self.gram * v
-        return sum((u[t] * gu[t] for t in range(8)), self.field.zero())
+        F = self.field
+        terms = ((0, x, y, F.one()) for x, y in zip(u, self.gram * v))
+        return sum_of_products(F, terms).get(0, F.zero())
 
     def verify_symplectic(self):
         F = self.field
@@ -664,10 +659,13 @@ class AntiWeilRep:
 
 
 def _descended(m: ExactMatrix, name):
-    """The entries of m as Fractions; ValueError unless all are rational."""
+    """The entries of m as dense rows of Fractions, read off the nonzeros;
+    ValueError unless all are rational."""
     if not all(e.is_rational() for row in m.nonzero for e in row.values()):
         raise ValueError(f"{name} does not descend to Q")
-    return [[e.as_fraction() for e in row] for row in m.entries]
+    zero = Fraction(0)
+    return [[row[j].as_fraction() if j in row else zero
+             for j in range(m.cols)] for row in m.nonzero]
 
 
 def build_antiweil_rep(Dp=-1, D=-2, a=-3) -> AntiWeilRep:

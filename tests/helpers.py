@@ -1,20 +1,21 @@
 """Helpers that only the tests use: the dense field element that the
-sparse FieldElement is checked against, the dense matrix product, the
-dense Gauss-Jordan elimination and determinant that the sparse
-ExactMatrix product and elimination are checked against, the dense integer
-elimination and distinct-row pass that the sparse rational core is checked
-against, the solve-based
-rational-unit coefficients and Galois Lie table that the anti-Weil chain
-is checked against, and spec-facing functions that the verifier itself never calls (a saturation index, CM-type
-primitivity and induction, a cyclic Galois model, the Galois identity test
-and a top-wedge layer identity)."""
+sparse FieldElement is checked against; the dense matrix product and the
+pairwise quaternion product that the one sum-of-products kernel is checked
+against; the dense Gauss-Jordan elimination and determinant that the
+sparse elimination is checked against; the dense integer elimination and
+distinct-row pass that the sparse rational core is checked against; the
+solve-based rational-unit coefficients and Galois Lie table that the
+anti-Weil chain is checked against; and spec-facing functions that the
+verifier itself never calls (a saturation index, CM-type primitivity and
+induction, a cyclic Galois model, the Galois identity test and a
+top-wedge layer identity)."""
 
 from fractions import Fraction
 from math import gcd
 
 from cmsweep.cmfields import (CMFieldModel, CMType, SubfieldModel,
                               restrict_multiplicities)
-from cmsweep.fields import ExactMatrix, _axpy, _dot
+from cmsweep.fields import ExactMatrix, _axpy
 from cmsweep.intlat import IntLattice, snf
 from cmsweep.quatrep import (GENERATOR_NAMES, AntiWeilRep, _flip_generator,
                              squarefree_split)
@@ -97,11 +98,26 @@ class DenseElement:
 
 
 def dense_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """a * b with one _dot per output entry over the full inner dimension."""
+    """a * b with one plain sum of FieldElement products per output entry
+    over the full inner dimension."""
     assert a.cols == b.rows
     cols = list(zip(*b.entries))
-    return ExactMatrix(a.field, [[_dot(a.field, row, col) for col in cols]
-                                 for row in a.entries])
+    zero = a.field.zero()
+    return ExactMatrix(a.field, [[sum((x * y for x, y in zip(row, col)), zero)
+                                  for col in cols] for row in a.entries])
+
+
+def pairwise_quaternion_mul(alg, x, y):
+    """x * y in the quaternion algebra alg, one FieldElement product and
+    sum per nonzero pair of coordinates."""
+    out = [alg.field.zero()] * alg.dim
+    for xp, row in zip(x, alg._table):
+        if xp.is_zero():
+            continue
+        for yq, (coeff, t) in zip(y, row):
+            if not yq.is_zero():
+                out[t] = out[t] + xp * yq * coeff
+    return tuple(out)
 
 
 def dense_rref(m: ExactMatrix):

@@ -6,8 +6,9 @@ row-sparse product and the other index-only matrix operations
 against dense elementwise references and sympy, the sparse rational
 elimination against the dense integer elimination and sympy, unit
 scalars, the canonical element form and the sparse element arithmetic
-against the dense element reference, and singular inverses over random
-towers of degree 1 to 8."""
+against the dense element reference, the sum-of-products kernel against
+plain sums of element products, and singular inverses over random towers
+of degree 1 to 8."""
 
 import math
 import random
@@ -21,9 +22,9 @@ from cmsweep import fields
 from hypothesis import assume, given, settings, strategies as st
 
 from cmsweep.fields import (QQ, DependentGenerators, ExactMatrix,
-                            FieldElement, _axpy, _dot, _echelon,
-                            apply_galois, cleared_rows, eigen_decompose,
-                            field_create, rational_kernel, rational_rank)
+                            FieldElement, _axpy, _echelon, apply_galois,
+                            cleared_rows, eigen_decompose, field_create,
+                            rational_kernel, rational_rank, sum_of_products)
 from helpers import (DenseElement, dense_det, dense_product, dense_rows,
                      dense_rref, distinct_rows, integer_rref)
 
@@ -119,7 +120,9 @@ def test_sparse_elements_match_dense_reference(case):
             _agrees(p - q, rp - rq)
             _agrees(p * q, rp * rq)
             _agrees(_axpy(field, p, q, p), rp - rq * rp)
-            _agrees(_dot(field, [p, q], [q, p]), rp * rq + rq * rp)
+            _agrees(sum_of_products(field, [(0, p, q, field.one()),
+                                            (0, q, p, field.one())]).get(
+                0, field.zero()), rp * rq + rq * rp)
             assert (p == q) == (rp == rq)
             assert p != q or hash(p) == hash(q)
             # equal elements built in another order hash alike
@@ -133,6 +136,44 @@ def test_sparse_elements_match_dense_reference(case):
             assert x * x.inverse() == 1
         for g in field.galois_group():
             _agrees(apply_galois(g, x), rx.galois(g))
+
+
+@st.composite
+def product_terms(draw):
+    """A field and (key, x, y, c) terms over it: sparse elements, zero
+    among them, constants that are the field's one, an element equal to
+    one but not it, zero or general, and a key "cancel" whose two terms
+    are x * y * c and (-x) * y * c for nonzero x, y and c."""
+    field = draw(st.sampled_from(ELEMENT_FIELDS))
+    elements = st.builds(
+        lambda nums, den: FieldElement.from_nums(field, nums, den),
+        st.dictionaries(st.integers(0, field.degree - 1),
+                        st.integers(-30, 30), max_size=3),
+        st.integers(1, 12))
+    constants = st.one_of(st.just(field.one()), st.just(field.rational(1)),
+                          st.just(field.zero()), elements)
+    terms = draw(st.lists(st.tuples(st.integers(0, 3), elements, elements,
+                                    constants), max_size=12))
+    x, y, c = (draw(elements.filter(lambda e: not e.is_zero()))
+               for _ in range(3))
+    cut = draw(st.integers(0, len(terms)))
+    return field, terms[:cut] + [("cancel", x, y, c)] + terms[cut:] + \
+        [("cancel", -x, y, c)]
+
+
+@given(product_terms())
+@settings(max_examples=300, deadline=None)
+def test_sum_of_products_matches_plain_sums(case):
+    field, terms = case
+    want = {}
+    for key, x, y, c in terms:
+        want[key] = want.get(key, field.zero()) + x * y * c
+    got = sum_of_products(field, iter(terms))
+    assert "cancel" not in got
+    assert got == {k: e for k, e in want.items() if not e.is_zero()}
+    for e in got.values():
+        assert e.field is field and e.den > 0 and 0 not in e.nums.values()
+        assert math.gcd(e.den, *e.nums.values()) == 1
 
 
 def _same_rref(m, red, pivots):

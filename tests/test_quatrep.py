@@ -15,7 +15,8 @@ import pytest
 
 from cmsweep import quatrep
 from cmsweep.fields import (QQ, DependentGenerators, ExactMatrix,
-                            GaloisElement, apply_galois, field_create)
+                            FieldElement, GaloisElement, apply_galois,
+                            field_create)
 from cmsweep.quatrep import (AntiWeilRep, GALOIS_EIGEN_TABLE,
                              GALOIS_LIE_TABLE, GENERATOR_NAMES, REP_TABLE,
                              UNIT_TABLE, WEIGHT_LABELS, QuaternionAlgebra,
@@ -27,7 +28,8 @@ from cmsweep.quatrep import (AntiWeilRep, GALOIS_EIGEN_TABLE,
                              unit_table_associativity, unit_table_text,
                              verify_e_a1_brackets, verify_galois_equivariance,
                              verify_irreducibility, verify_symplectic)
-from helpers import solve_galois_lie_table, solve_unit_coefficients
+from helpers import (pairwise_quaternion_mul, solve_galois_lie_table,
+                     solve_unit_coefficients)
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +37,8 @@ def rep():
     return build_antiweil_rep(-1, -2, -3)
 
 
-@pytest.mark.parametrize("a,lam", [(-3, -1), (-3, 2), (-1, -2),
-                                   (5, -1), (2, 3), (-7, Fraction(1, 2))])
+@pytest.mark.parametrize("a,lam", [(-3, -1), (-3, 2), (-1, -2), (5, -1),
+                                   (2, 3), (-7, Fraction(1, 2)), (2, -1)])
 def test_sl2_triple_brackets(a, lam):
     tri = sl2_triple(a, lam)
     assert tri.verify_brackets()
@@ -47,6 +49,14 @@ def test_conjugation_relation():
     assert conjugation_relation(-3, 2)
     assert conjugation_relation(5, -1)
     assert conjugation_relation(2, 7)
+
+
+def test_conjugation_relation_checks_the_brackets(monkeypatch):
+    # sl2_triple asserts nothing: the relation's verdict carries the check
+    monkeypatch.setattr(quatrep.SL2Triple, "verify_brackets",
+                        lambda self: False)
+    assert not conjugation_relation(-3, -1)
+    assert not conjugation_relation(2, -1)
 
 
 def test_e_a1_brackets():
@@ -230,14 +240,19 @@ def _algebra(gens, a, b, D):
     return QuaternionAlgebra(field, a, b, D)
 
 
-@pytest.mark.parametrize("gens,a,b,D", [
+# (field generators, a, b, D); with generators, a becomes sqrt(gens[0]) + a,
+# so the third algebra has a = 1 + sqrt(-2)
+ALGEBRAS = [
     ((), -3, -1, None),
     ((), Fraction(2, 3), Fraction(-5, 7), None),
     ((-2,), 1, Fraction(1, 3), None),
     ((), Fraction(-1, 2), 3, Fraction(5, 4)),
     ((), -3, 1, -2),
     ((-2, -3), Fraction(3, 5), Fraction(-7, 2), -7),
-])
+]
+
+
+@pytest.mark.parametrize("gens,a,b,D", ALGEBRAS)
 def test_table_product_matches_brute_force_reference(gens, a, b, D):
     alg = _algebra(gens, a, b, D)
     assert alg.dim == (4 if D is None else 8)
@@ -249,6 +264,68 @@ def test_table_product_matches_brute_force_reference(gens, a, b, D):
                      for t in range(alg.dim)) for s in (1, -2, 3))
     x = alg.add(x, alg.scale(alg.a, y))
     assert alg.equal(alg.mul(alg.mul(x, y), z), alg.mul(x, alg.mul(y, z)))
+
+
+@pytest.mark.parametrize("gens,a,b,D", ALGEBRAS)
+def test_product_matches_pairwise_reference(gens, a, b, D):
+    """The one-kernel product against one field product and sum per
+    nonzero pair: on basis pairs, and on random sparse elements, with
+    products that cancel in some coordinates (x * x is a scalar for x in
+    the span of i, j, k) or everywhere (x * 0)."""
+    alg = _algebra(gens, a, b, D)
+    F = alg.field
+    rng = random.Random(17)
+    units = [F.one()] + [F.monomial([i]) for i in range(F.k)]
+
+    def element(support):
+        return tuple(F.zero() if t not in support or rng.random() < 0.4
+                     else rng.choice(units) * F.rational(
+                         Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+                     for t in range(alg.dim))
+
+    basis = [alg.basis_element(t) for t in range(alg.dim)]
+    pairs = [(x, y) for x in basis for y in basis]
+    for _ in range(30):
+        x, y = element(range(alg.dim)), element(range(alg.dim))
+        pure = element((1, 2, 3))
+        pairs += [(x, y), (y, x), (pure, pure), (x, alg.sub(x, x))]
+    for x, y in pairs:
+        assert alg.mul(x, y) == pairwise_quaternion_mul(alg, x, y)
+
+
+def test_products_make_no_element_product_or_sum(rep, monkeypatch):
+    """QuaternionAlgebra.mul, ExactMatrix.__mul__ and phi run on the one
+    kernel: no FieldElement product or sum is built for them."""
+    alg, gens, _ = rep.e_a1
+    elements = [gens[n] for n in GENERATOR_NAMES]
+    mats = [rep.mu[n] for n in GENERATOR_NAMES] + [rep.gram, rep.B]
+    vec = [rep.field.rational(t - 3) + rep.sa for t in range(8)]
+    calls = Counter()
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+                 "__rsub__"):
+        monkeypatch.setattr(FieldElement, name,
+                            _counting(calls, name,
+                                      getattr(FieldElement, name)))
+    products = [alg.mul(x, y) for x in elements for y in elements]
+    products += [m * n for m in mats for n in mats]
+    products += [m * vec for m in mats] + [rep.phi(vec, vec)]
+    assert products and calls == {}
+
+
+def test_elimination_sets_each_lead_without_a_product(rep, monkeypatch):
+    """A pivot row's lead becomes one without a product: det multiplies
+    only the eight leads of the Gram matrix, whose rows hold one nonzero
+    each, and the rref of that Gram matrix makes no product at all."""
+    calls = Counter()
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(FieldElement, name,
+                            _counting(calls, "mul",
+                                      getattr(FieldElement, name)))
+    for run, want in ((rep.gram.det, 8), (rep.gram.rref, 0),
+                      (rep.B.inverse, 16)):
+        calls.clear()
+        run()
+        assert calls["mul"] == want, run
 
 
 # -- one build per rep --------------------------------------------------------
