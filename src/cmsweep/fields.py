@@ -586,6 +586,24 @@ class ExactMatrix:
                         for row in rows]
 
     @staticmethod
+    def from_rows(field: MultiQuadField, rows, cols: int) -> "ExactMatrix":
+        """The matrix with cols columns whose row i holds the {col: value}
+        dict rows[i], each value coerced into the field and the zeros
+        dropped; ValueError on a column outside range(cols) or an element
+        of another field."""
+        nonzero = []
+        for row in rows:
+            out = {}
+            for j, e in row.items():
+                if j not in range(cols):
+                    raise ValueError(f"column {j} is outside range({cols})")
+                e = FieldElement.coerce(field, e)
+                if e.nums:
+                    out[j] = e
+            nonzero.append(out)
+        return _matrix(field, nonzero, cols)
+
+    @staticmethod
     def from_int(field: MultiQuadField, rows) -> "ExactMatrix":
         return ExactMatrix(field, rows)
 

@@ -49,7 +49,8 @@ def _field_lift(small: MultiQuadField, big: MultiQuadField):
 def squarefree_split(r):
     """r = s^2 * r0 with r0 a square-free integer; returns (s, r0)."""
     fr = Fraction(r)
-    assert fr != 0
+    if fr == 0:
+        raise ValueError("0 has no square-free part")
     n = fr.numerator * fr.denominator
     s = Fraction(1, fr.denominator)
     s2, n0 = 1, n
@@ -161,8 +162,9 @@ def unit_table_text() -> list:
 class QuaternionAlgebra:
     """Basis {1, i, j, k} with i^2 = a, j^2 = b, ij = -ji = k; when D is
     given, the algebra is doubled by a central J with J^2 = D (basis
-    1, i, j, k, J, Ji, Jj, Jk).  Elements are coefficient tuples.  The
-    product evaluates UNIT_TABLE, proven associative by
+    1, i, j, k, J, Ji, Jj, Jk).  Elements are {unit index: FieldElement}
+    dicts that hold no zero, the row form of ExactMatrix, so == compares
+    them.  The product evaluates UNIT_TABLE, proven associative by
     algebra_associativity, at (a, b, D)."""
 
     def __init__(self, field: MultiQuadField, a, b, D=None):
@@ -189,34 +191,34 @@ class QuaternionAlgebra:
                        for row in UNIT_TABLE[:self.dim]]
 
     def basis_element(self, t):
-        z = [self.field.zero()] * self.dim
-        z[t] = self.field.one()
-        return tuple(z)
+        return {t: self.field.one()}
+
+    def combination(self, *pairs):
+        """sum c * x over the (c, x) pairs, each scalar c coerced into the
+        field, as one sum of products."""
+        field = self.field
+        one = field.one()
+        pairs = [(FieldElement.coerce(field, c), x) for c, x in pairs]
+        return sum_of_products(field, ((t, c, e, one) for c, x in pairs
+                                       for t, e in x.items()))
 
     def add(self, x, y):
-        return tuple(p + q for p, q in zip(x, y))
+        return self.combination((1, x), (1, y))
 
     def sub(self, x, y):
-        return tuple(p - q for p, q in zip(x, y))
+        return self.combination((1, x), (-1, y))
 
     def scale(self, c, x):
-        c = FieldElement.coerce(self.field, c)
-        return tuple(c * p for p in x)
+        return self.combination((c, x))
 
     def mul(self, x, y):
-        sums = sum_of_products(self.field, (
-            (t, xp, yq, coeff) for xp, row in zip(x, self._table)
-            for yq, (coeff, t) in zip(y, row)))
-        return tuple(sums.get(t, self.field.zero()) for t in range(self.dim))
+        table = self._table
+        return sum_of_products(self.field, (
+            (t, xp, yq, coeff) for p, xp in x.items() for q, yq in y.items()
+            for coeff, t in (table[p][q],)))
 
     def galois(self, g, x):
-        return tuple(apply_galois(g, c) for c in x)
-
-    def is_zero(self, x):
-        return all(c.is_zero() for c in x)
-
-    def equal(self, x, y):
-        return self.is_zero(self.sub(x, y))
+        return {t: apply_galois(g, c) for t, c in x.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +228,9 @@ class QuaternionAlgebra:
 @dataclass
 class SL2Triple:
     algebra: QuaternionAlgebra
-    h: tuple
-    x: tuple
-    y: tuple
+    h: dict
+    x: dict
+    y: dict
 
     def verify_brackets(self) -> bool:
         alg = self.algebra
@@ -243,15 +245,12 @@ def sl2_triple(a, lam) -> SL2Triple:
     gens = sqrt_gens(a)
     field = field_create(gens) if gens else QQ
     alg = QuaternionAlgebra(field, a, lam)
-    sa = sqrt_in(field, a)
-    sa_inv = sa.inverse()
+    sa_inv = sqrt_in(field, a).inverse()
     i, j, k = alg.basis_element(1), alg.basis_element(2), alg.basis_element(3)
     h = alg.scale(sa_inv, i)
-    half = Fraction(1, 2)
-    lam_el = FieldElement.coerce(field, lam)
-    x = alg.scale((lam_el * field.rational(2)).inverse(),
-                  alg.add(j, alg.scale(sa_inv, k)))
-    y = alg.scale(field.rational(half), alg.sub(j, alg.scale(sa_inv, k)))
+    x = alg.scale((alg.b * 2).inverse(),
+                  alg.combination((1, j), (sa_inv, k)))
+    y = alg.scale(Fraction(1, 2), alg.combination((1, j), (-sa_inv, k)))
     return SL2Triple(alg, h, x, y)
 
 
@@ -260,11 +259,10 @@ def conjugation_relation(a, lam) -> bool:
     conj(x) = x  (coefficient-wise complex conjugation of the field)."""
     tri = sl2_triple(a, lam)
     alg = tri.algebra
-    xbar = tuple(c.conj() for c in tri.x)
+    xbar = {t: c.conj() for t, c in tri.x.items()}
     if Fraction(a) < 0:
-        return tri.verify_brackets() and alg.equal(
-            alg.scale(FieldElement.coerce(alg.field, lam), xbar), tri.y)
-    return tri.verify_brackets() and alg.equal(xbar, tri.x)
+        return tri.verify_brackets() and alg.scale(lam, xbar) == tri.y
+    return tri.verify_brackets() and xbar == tri.x
 
 
 GENERATOR_NAMES = ("h1", "h2", "x1", "x2", "y1", "y2")
@@ -283,28 +281,21 @@ def e_a1_triples(D, a):
     pref = (field.rational(2) * sD).inverse()
     i, j, k = alg.basis_element(1), alg.basis_element(2), alg.basis_element(3)
 
-    def with_J(vec):
-        """J * vec for a vec supported on {i, j, k}."""
-        out = [field.zero()] * 8
-        for t in range(1, 4):
-            out[4 + t] = vec[t]
-        return tuple(out)
+    def doubled(vec, sign):
+        """(J + sign sqrt(D)) vec / (2 sqrt(D)) for a vec supported on
+        {i, j, k}: J vec is vec shifted to the J units."""
+        return alg.combination((pref, {4 + t: e for t, e in vec.items()}),
+                               (Fraction(sign, 2), vec))
 
-    half = field.rational(Fraction(1, 2))
-    jk_plus = alg.add(j, alg.scale(sa_inv, k))     # j + k/sqrt(a)
-    jk_minus = alg.sub(j, alg.scale(sa_inv, k))    # j - k/sqrt(a)
-    h1 = alg.scale(pref, alg.add(with_J(alg.scale(sa_inv, i)),
-                                 alg.scale(sD * sa_inv, i)))
-    h2 = alg.scale(pref, alg.sub(with_J(alg.scale(sa_inv, i)),
-                                 alg.scale(sD * sa_inv, i)))
-    x1 = alg.scale(pref, alg.add(with_J(alg.scale(half, jk_plus)),
-                                 alg.scale(sD * half, jk_plus)))
-    x2 = alg.scale(pref, alg.sub(with_J(alg.scale(half, jk_minus)),
-                                 alg.scale(sD * half, jk_minus)))
-    y1 = alg.scale(pref, alg.add(with_J(alg.scale(half, jk_minus)),
-                                 alg.scale(sD * half, jk_minus)))
-    y2 = alg.scale(pref, alg.sub(with_J(alg.scale(half, jk_plus)),
-                                 alg.scale(sD * half, jk_plus)))
+    half = Fraction(1, 2)
+    half_sa_inv = sa_inv * half
+    ia = alg.scale(sa_inv, i)                                 # i/sqrt(a)
+    # (j + k/sqrt(a))/2 and (j - k/sqrt(a))/2
+    jk_plus = alg.combination((half, j), (half_sa_inv, k))
+    jk_minus = alg.combination((half, j), (-half_sa_inv, k))
+    h1, h2 = doubled(ia, 1), doubled(ia, -1)
+    x1, x2 = doubled(jk_plus, 1), doubled(jk_minus, -1)
+    y1, y2 = doubled(jk_minus, 1), doubled(jk_plus, -1)
     return alg, {"h1": h1, "h2": h2, "x1": x1, "x2": x2, "y1": y1, "y2": y2}
 
 
@@ -362,8 +353,8 @@ GALOIS_LIE_TABLE = {
 def _split_scalar(field: MultiQuadField, c) -> ExactMatrix:
     """diag(c I_4, -c I_4): c on the first block of four coordinates, -c on
     the second."""
-    return ExactMatrix(field, [[(c if r < 4 else -c) if r == s else field.zero()
-                                for s in range(8)] for r in range(8)])
+    return ExactMatrix.from_rows(field, [{r: c if r < 4 else -c}
+                                         for r in range(8)], 8)
 
 
 class AntiWeilRep:
@@ -397,41 +388,33 @@ class AntiWeilRep:
 
         # v/w basis in f-coordinates (8x8 matrix with basis as columns)
         saD = self.sa * self.sD
-        zero = F.zero()
         one = F.one()
         vcols = [
-            [-one, saD, zero, zero],      # v_{1,1}
-            [one, saD, zero, zero],       # v_{-1,-1}
-            [zero, zero, -one, self.sa],  # v_{1,-1}
-            [zero, zero, one, self.sa],   # v_{-1,1}
+            {0: -one, 1: saD},      # v_{1,1}
+            {0: one, 1: saD},       # v_{-1,-1}
+            {2: -one, 3: self.sa},  # v_{1,-1}
+            {2: one, 3: self.sa},   # v_{-1,1}
         ]
-        cols = []
-        for c in vcols:
-            cols.append(c + [zero] * 4)
-        for c in vcols:
-            # w = g2(v): g2 fixes sqrt(aD) and sqrt(a), moves to the f-bar block
-            cols.append([zero] * 4 + [apply_galois(self.galois["g2"], e)
-                                      for e in c])
+        # w = g2(v): g2 fixes sqrt(aD) and sqrt(a), moves to the f-bar block
+        wcols = [{4 + t: apply_galois(self.galois["g2"], e)
+                  for t, e in c.items()} for c in vcols]
         self.basis_labels = tuple(f"v{l}" for l in WEIGHT_LABELS) + \
             tuple(f"w{l}" for l in WEIGHT_LABELS)
-        self.B = ExactMatrix(F, [[cols[j][i] for j in range(8)]
-                                 for i in range(8)])
+        self.B = ExactMatrix.from_rows(F, vcols + wcols, 8).transpose()
         self.B_inv = self.B.inverse()
 
         # action matrices, f-coordinates
         self.mu = {}
         for name in GENERATOR_NAMES:
-            A = [[F.zero()] * 8 for _ in range(8)]
+            A = [{} for _ in range(8)]
             for blk in (0, 4):
                 for ci, label in enumerate(WEIGHT_LABELS):
                     entry = REP_TABLE[name][label]
-                    if entry is None:
-                        continue
-                    sign, target = entry
-                    A[blk + WEIGHT_LABELS.index(target)][blk + ci] = \
-                        F.rational(sign)
-            Amat = ExactMatrix(F, A)
-            self.mu[name] = self.B * Amat * self.B_inv
+                    if entry is not None:
+                        sign, target = entry
+                        A[blk + WEIGHT_LABELS.index(target)][blk + ci] = sign
+            self.mu[name] = self.B * ExactMatrix.from_rows(F, A, 8) * \
+                self.B_inv
 
         # the imaginary quadratic generator sqrt(D') acts by sDp on V_sigma
         # and -sDp on V_sigma-bar
@@ -439,7 +422,7 @@ class AntiWeilRep:
 
         # symplectic Gram matrix in the v/w basis, then in f-coordinates
         M = -self.sDp
-        G = [[F.zero()] * 8 for _ in range(8)]
+        G = [{} for _ in range(8)]
         pairs = {("1,1", "-1,-1"): M, ("-1,-1", "1,1"): M,
                  ("-1,1", "1,-1"): -M, ("1,-1", "-1,1"): -M}
         for (lv, lw), val in pairs.items():
@@ -447,7 +430,7 @@ class AntiWeilRep:
             c = 4 + WEIGHT_LABELS.index(lw)
             G[r][c] = val
             G[c][r] = -val
-        self.gram_vw = ExactMatrix(F, G)
+        self.gram_vw = ExactMatrix.from_rows(F, G, 8)
         self.gram = self.B_inv.transpose() * self.gram_vw * self.B_inv
 
     @cached_property
@@ -456,8 +439,8 @@ class AntiWeilRep:
         generators in the algebra basis: (alg, gens, span)."""
         _, D, a = self.params
         alg, gens = e_a1_triples(D, a)
-        span = ExactMatrix(alg.field, [[gens[n][t] for n in GENERATOR_NAMES]
-                                       for t in range(8)])
+        span = ExactMatrix.from_rows(
+            alg.field, [gens[n] for n in GENERATOR_NAMES], 8).transpose()
         return alg, gens, span
 
     # -- Galois machinery ---------------------------------------------------
@@ -490,15 +473,15 @@ class AntiWeilRep:
         alg, gens, _ = self.e_a1
         signed = {}
         for n in GENERATOR_NAMES:
-            signed[gens[n]] = (1, n)
-            signed[alg.scale(-1, gens[n])] = (-1, n)
+            for sign in (1, -1):
+                signed[frozenset(alg.scale(sign, gens[n]).items())] = (sign, n)
         Fq = alg.field
         table = {}
         for tag, root in (("g1", D), ("g3", a)):
             _, r0 = squarefree_split(root)
             gq = _flip_generator(Fq, Fq.gens.index(r0))
-            table[tag] = {n: signed.get(alg.galois(gq, gens[n]))
-                          for n in GENERATOR_NAMES}
+            table[tag] = {n: signed.get(frozenset(
+                alg.galois(gq, gens[n]).items())) for n in GENERATOR_NAMES}
         # g2 only moves sqrt(D'), which the algebra elements do not contain
         table["g2"] = {n: (1, n) for n in GENERATOR_NAMES}
         return table
@@ -558,10 +541,9 @@ class AntiWeilRep:
                                  for r, row in enumerate(self.gram_vw.nonzero)
                                  for c in row)
         # spot values
-        vmm = self.B * [F.one() if self.basis_labels[t] == "v-1,-1"
-                        else F.zero() for t in range(8)]
-        wpp = self.B * [F.one() if self.basis_labels[t] == "w1,1"
-                        else F.zero() for t in range(8)]
+        vmm, wpp = (self.B * [int(label == want)
+                              for label in self.basis_labels]
+                    for want in ("v-1,-1", "w1,1"))
         checks["phi_value"] = (self.phi(vmm, wpp) + self.sDp).is_zero()
         return all(checks.values()), checks
 
@@ -613,42 +595,39 @@ class AntiWeilRep:
         names = [n for n, _ in self.RATIONAL_UNITS] + ["J"]
         return WeightModule(range(8), [(n, model[n]) for n in names], [])
 
-    def _unit_coefficients(self):
-        """Row u holds the coefficients c_u, over the algebra's field, with
-        sum_g c_ug g the rational unit u.  The generators have no 1 or J
-        component, so these are the columns of the inverse of the block of
-        span on the units i, j, k, Ji, Jj, Jk."""
+    def _unit_coefficients(self) -> ExactMatrix:
+        """The 6x6 matrix, over the algebra's field, whose column u holds
+        the coefficients c_ug with sum_g c_ug g the rational unit u.  The
+        generators have no 1 or J component, so it is the inverse of the
+        block of span on the units i, j, k, Ji, Jj, Jk."""
         _, _, span = self.e_a1
         if span.nonzero[0] or span.nonzero[4]:
             raise ValueError("a generator has a 1 or J component")
-        block = span.take_rows([idx for _, idx in self.RATIONAL_UNITS])
-        return block.inverse().transpose().entries
+        return span.take_rows([idx for _, idx in self.RATIONAL_UNITS]) \
+            .inverse()
 
     def _build_rational_model(self):
         F = self.field
+        one = F.one()
         lift = _field_lift(self.e_a1[0].field, F)
-        coeffs = [[lift(c) for c in row] for row in self._unit_coefficients()]
+        coeffs = ExactMatrix.from_rows(
+            F, [{g: lift(c) for g, c in row.items()}
+                for row in self._unit_coefficients().transpose().nonzero], 6)
         # row u of coeffs * (the mu as flattened rows) is sum_g c_ug mu_g
-        mus = ExactMatrix(F, [[e for row in self.mu[g].entries for e in row]
-                              for g in GENERATOR_NAMES])
-        flat = (ExactMatrix(F, coeffs) * mus).entries
+        mus = ExactMatrix.from_rows(
+            F, [{8 * r + c: e for r, row in enumerate(self.mu[g].nonzero)
+                 for c, e in row.items()} for g in GENERATOR_NAMES], 64)
         rational_mats = {
-            name: ExactMatrix(F, [row[8 * r:8 * r + 8] for r in range(8)])
-            for (name, _), row in zip(self.RATIONAL_UNITS, flat)}
+            name: ExactMatrix.from_rows(
+                F, [{c % 8: e for c, e in row.items() if c // 8 == r}
+                    for r in range(8)], 8)
+            for (name, _), row in zip(self.RATIONAL_UNITS,
+                                      (coeffs * mus).nonzero)}
 
-        cols = []
-        for t in range(4):
-            c = [F.zero()] * 8
-            c[t] = F.one()
-            c[4 + t] = F.one()
-            cols.append(c)
-        for t in range(4):
-            c = [F.zero()] * 8
-            c[t] = self.sDp
-            c[4 + t] = -self.sDp
-            cols.append(c)
-        U = ExactMatrix(F, [[cols[j][i] for j in range(8)]
-                            for i in range(8)])
+        # columns u_t = f_t + fbar_t and u'_t = sqrt(D')(f_t - fbar_t)
+        U = ExactMatrix.from_rows(
+            F, [{t: one, 4 + t: self.sDp} for t in range(4)]
+            + [{t: one, 4 + t: -self.sDp} for t in range(4)], 8)
         U_inv = U.inverse()
         out = {}
         for name, mat in list(rational_mats.items()) + [("J", self.J)]:

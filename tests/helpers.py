@@ -1,6 +1,7 @@
 """Helpers that only the tests use: the dense field element that the
 sparse FieldElement is checked against; the dense matrix product and the
 pairwise quaternion product that the one sum-of-products kernel is checked
+against; the dense tuple quaternion algebra that the sparse one is checked
 against; the dense Gauss-Jordan elimination and determinant that the
 sparse elimination is checked against; the dense integer elimination and
 distinct-row pass that the sparse rational core is checked against; the
@@ -15,7 +16,8 @@ from math import gcd
 
 from cmsweep.cmfields import (CMFieldModel, CMType, SubfieldModel,
                               restrict_multiplicities)
-from cmsweep.fields import ExactMatrix, _axpy
+from cmsweep.fields import (ExactMatrix, FieldElement, _axpy, apply_galois,
+                            sum_of_products)
 from cmsweep.intlat import IntLattice, snf
 from cmsweep.quatrep import (GENERATOR_NAMES, AntiWeilRep, _flip_generator,
                              squarefree_split)
@@ -108,16 +110,49 @@ def dense_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 def pairwise_quaternion_mul(alg, x, y):
-    """x * y in the quaternion algebra alg, one FieldElement product and
-    sum per nonzero pair of coordinates."""
-    out = [alg.field.zero()] * alg.dim
-    for xp, row in zip(x, alg._table):
-        if xp.is_zero():
-            continue
-        for yq, (coeff, t) in zip(y, row):
-            if not yq.is_zero():
-                out[t] = out[t] + xp * yq * coeff
-    return tuple(out)
+    """x * y in the quaternion algebra alg, for {unit: element} dicts, one
+    FieldElement product and sum per nonzero pair of coordinates."""
+    out = {}
+    for p, xp in x.items():
+        for q, yq in y.items():
+            coeff, t = alg._table[p][q]
+            out[t] = out.get(t, alg.field.zero()) + xp * yq * coeff
+    return {t: e for t, e in out.items() if not e.is_zero()}
+
+
+class DenseQuaternionAlgebra:
+    """The algebra of alg with elements as coefficient tuples of length
+    alg.dim, zeros included: the form QuaternionAlgebra had before its
+    elements kept only their nonzero coordinates, with its arithmetic, as
+    a reference."""
+
+    def __init__(self, alg):
+        self.field = alg.field
+        self.dim = alg.dim
+        self._table = alg._table
+
+    def dense(self, x):
+        """The tuple of the {unit: element} dict x."""
+        return tuple(x.get(t, self.field.zero()) for t in range(self.dim))
+
+    def add(self, x, y):
+        return tuple(p + q for p, q in zip(x, y))
+
+    def sub(self, x, y):
+        return tuple(p - q for p, q in zip(x, y))
+
+    def scale(self, c, x):
+        c = FieldElement.coerce(self.field, c)
+        return tuple(c * p for p in x)
+
+    def mul(self, x, y):
+        sums = sum_of_products(self.field, (
+            (t, xp, yq, coeff) for xp, row in zip(x, self._table)
+            for yq, (coeff, t) in zip(y, row)))
+        return tuple(sums.get(t, self.field.zero()) for t in range(self.dim))
+
+    def galois(self, g, x):
+        return tuple(apply_galois(g, c) for c in x)
 
 
 def dense_rref(m: ExactMatrix):
@@ -250,13 +285,15 @@ def solve_galois_lie_table(rep: AntiWeilRep):
     _, D, a = rep.params
     alg, gens, span = rep.e_a1
     Fq = alg.field
+    zero = Fq.zero()
     table = {}
     for tag, root in (("g1", D), ("g3", a)):
         _, r0 = squarefree_split(root)
         gq = _flip_generator(Fq, Fq.gens.index(r0))
         table[tag] = {}
         for n in GENERATOR_NAMES:
-            sol = span.solve(list(alg.galois(gq, gens[n])))
+            image = alg.galois(gq, gens[n])
+            sol = span.solve([image.get(t, zero) for t in range(8)])
             assert sol is not None
             nz = [(t, c) for t, c in enumerate(sol) if not c.is_zero()]
             assert len(nz) == 1 and nz[0][1].is_rational()

@@ -772,6 +772,50 @@ def test_equality_compares_shape_and_field():
     assert zero23 == ExactMatrix(f, [[0] * 3] * 2) == zero23.scale(0)
 
 
+# -- the checked sparse constructor -------------------------------------------
+
+@given(products(), st.integers(0, 2 ** 32))
+@settings(max_examples=100, deadline=None)
+def test_from_rows_matches_the_dense_build(case, seed):
+    """Each row given as its nonzero cells, with zeros of every kind mixed
+    in and some rational cells as ints or Fractions, builds the matrix
+    the dense rows build, storing no zero."""
+    field, a, _ = case
+    rng = random.Random(seed)
+    zeros = (field.zero(), 0, Fraction(0), Fraction(0, 7))
+    rows = []
+    for row in a.nonzero:
+        out = {}
+        for j in range(a.cols):
+            if j in row:
+                e = row[j]
+                out[j] = e.as_fraction() if (e.is_rational()
+                                             and rng.random() < 0.5) else e
+            elif rng.random() < 0.5:
+                out[j] = rng.choice(zeros)
+        rows.append(dict(sorted(out.items(), key=lambda _: rng.random())))
+    _same(ExactMatrix.from_rows(field, rows, a.cols), a)
+
+
+def test_from_rows_drops_zeros_and_checks_its_input():
+    f = field_create([-1, 2])
+    i = f.sqrt_gen(-1)
+    m = ExactMatrix.from_rows(f, [{0: 0, 2: i}, {1: Fraction(0)},
+                                  {0: f.zero(), 1: Fraction(3, 2)}], 3)
+    assert m.nonzero == [{2: i}, {}, {1: f.rational(Fraction(3, 2))}]
+    assert m == ExactMatrix(f, [[0, 0, i], [0, 0, 0], [0, Fraction(3, 2), 0]])
+    assert ExactMatrix.from_rows(f, [], 4).cols == 4
+    other = field_create([-1])
+    with pytest.raises(ValueError, match="field mismatch"):
+        ExactMatrix.from_rows(f, [{0: other.sqrt_gen(-1)}], 2)
+    for j in (2, -1, 5):
+        with pytest.raises(ValueError, match=f"column {j} is outside"):
+            ExactMatrix.from_rows(f, [{0: 1}, {j: i}], 2)
+    # a zero in an out-of-range column is refused too
+    with pytest.raises(ValueError, match="outside"):
+        ExactMatrix.from_rows(f, [{3: 0}], 3)
+
+
 # -- unit scalars -------------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))

@@ -1,7 +1,7 @@
 """The package runs on the standard library alone: every module imports
 only `cmsweep` and stdlib names, and the distribution declares no
 runtime dependency.  The storage of field elements is known to `fields`
-alone."""
+alone, and `quatrep` builds its matrices from their nonzeros."""
 
 import ast
 import sys
@@ -70,3 +70,15 @@ def test_only_fields_reads_the_element_storage(path):
     read = {node.attr for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute)}
     assert not read & {"nums", "den"}
+
+
+def test_quatrep_builds_no_matrix_from_dense_rows():
+    """Every anti-Weil matrix is built from its nonzeros: quatrep calls
+    ExactMatrix(...) nowhere, only ExactMatrix.from_rows, .identity and
+    the products and views of matrices it already has."""
+    path = ROOT / "src" / "cmsweep" / "quatrep.py"
+    calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id == "ExactMatrix"]
+    assert calls == []

@@ -28,8 +28,8 @@ from cmsweep.quatrep import (AntiWeilRep, GALOIS_EIGEN_TABLE,
                              unit_table_associativity, unit_table_text,
                              verify_e_a1_brackets, verify_galois_equivariance,
                              verify_irreducibility, verify_symplectic)
-from helpers import (pairwise_quaternion_mul, solve_galois_lie_table,
-                     solve_unit_coefficients)
+from helpers import (DenseQuaternionAlgebra, pairwise_quaternion_mul,
+                     solve_galois_lie_table, solve_unit_coefficients)
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +75,8 @@ def test_squarefree_split():
     assert squarefree_split(-12) == (2, -3)
     assert squarefree_split(8) == (2, 2)
     assert squarefree_split(-1) == (1, -1)
+    with pytest.raises(ValueError, match="0 has no square-free part"):
+        squarefree_split(0)
 
 
 def test_dependent_parameters_rejected():
@@ -212,8 +214,8 @@ def _associative_by_products(alg):
     every basis triple, as QuaternionAlgebra once checked on each
     construction."""
     e = [alg.basis_element(t) for t in range(alg.dim)]
-    return all(alg.equal(alg.mul(alg.mul(e[p], e[q]), e[r]),
-                         alg.mul(e[p], alg.mul(e[q], e[r])))
+    return all(alg.mul(alg.mul(e[p], e[q]), e[r])
+               == alg.mul(e[p], alg.mul(e[q], e[r]))
                for p, q, r in product(range(alg.dim), repeat=3))
 
 
@@ -221,15 +223,15 @@ def _defining_relations(alg):
     """i^2 = a, j^2 = b, ij = -ji = k; J central with J^2 = D."""
     e = [alg.basis_element(t) for t in range(alg.dim)]
     one, i, j, k = e[:4]
-    ok = alg.equal(alg.mul(i, i), alg.scale(alg.a, one))
-    ok &= alg.equal(alg.mul(j, j), alg.scale(alg.b, one))
-    ok &= alg.equal(alg.mul(i, j), k)
-    ok &= alg.equal(alg.mul(j, i), alg.scale(-1, k))
+    ok = alg.mul(i, i) == alg.scale(alg.a, one)
+    ok &= alg.mul(j, j) == alg.scale(alg.b, one)
+    ok &= alg.mul(i, j) == k
+    ok &= alg.mul(j, i) == alg.scale(-1, k)
     if alg.dim == 8:
         J = e[4]
-        ok &= alg.equal(alg.mul(J, J), alg.scale(alg.D, one))
-        ok &= all(alg.equal(alg.mul(J, x), alg.mul(x, J)) for x in e)
-        ok &= all(alg.equal(alg.mul(J, e[t]), e[4 + t]) for t in range(4))
+        ok &= alg.mul(J, J) == alg.scale(alg.D, one)
+        ok &= all(alg.mul(J, x) == alg.mul(x, J) for x in e)
+        ok &= all(alg.mul(J, e[t]) == e[4 + t] for t in range(4))
     return ok
 
 
@@ -260,10 +262,25 @@ def test_table_product_matches_brute_force_reference(gens, a, b, D):
     assert _defining_relations(alg)
     # and on general elements, not only basis triples
     F = alg.field
-    x, y, z = (tuple(F.rational(Fraction(s * (t + 1), t + 2))
-                     for t in range(alg.dim)) for s in (1, -2, 3))
+    x, y, z = ({t: F.rational(Fraction(s * (t + 1), t + 2))
+                for t in range(alg.dim)} for s in (1, -2, 3))
     x = alg.add(x, alg.scale(alg.a, y))
-    assert alg.equal(alg.mul(alg.mul(x, y), z), alg.mul(x, alg.mul(y, z)))
+    assert alg.mul(alg.mul(x, y), z) == alg.mul(x, alg.mul(y, z))
+
+
+def _random_elements(alg, rng):
+    """element(support): a random {unit: element} dict with no zero on
+    part of the units in support, coefficients a rational times 1 or a
+    generator's root."""
+    F = alg.field
+    units = [F.one()] + [F.monomial([i]) for i in range(F.k)]
+
+    def element(support):
+        out = {t: rng.choice(units) * F.rational(
+                   Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+               for t in support if rng.random() >= 0.4}
+        return {t: e for t, e in out.items() if not e.is_zero()}
+    return element
 
 
 @pytest.mark.parametrize("gens,a,b,D", ALGEBRAS)
@@ -273,16 +290,7 @@ def test_product_matches_pairwise_reference(gens, a, b, D):
     products that cancel in some coordinates (x * x is a scalar for x in
     the span of i, j, k) or everywhere (x * 0)."""
     alg = _algebra(gens, a, b, D)
-    F = alg.field
-    rng = random.Random(17)
-    units = [F.one()] + [F.monomial([i]) for i in range(F.k)]
-
-    def element(support):
-        return tuple(F.zero() if t not in support or rng.random() < 0.4
-                     else rng.choice(units) * F.rational(
-                         Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
-                     for t in range(alg.dim))
-
+    element = _random_elements(alg, random.Random(17))
     basis = [alg.basis_element(t) for t in range(alg.dim)]
     pairs = [(x, y) for x in basis for y in basis]
     for _ in range(30):
@@ -293,9 +301,43 @@ def test_product_matches_pairwise_reference(gens, a, b, D):
         assert alg.mul(x, y) == pairwise_quaternion_mul(alg, x, y)
 
 
+@pytest.mark.parametrize("gens,a,b,D", ALGEBRAS)
+def test_sparse_algebra_matches_dense_reference(gens, a, b, D):
+    """add, sub, scale, mul and galois on random sparse elements against
+    the dense tuple algebra: equal after densifying, and no zero kept."""
+    alg = _algebra(gens, a, b, D)
+    ref = DenseQuaternionAlgebra(alg)
+    F = alg.field
+    element = _random_elements(alg, random.Random(29))
+    roots = [F.monomial([i]) for i in range(F.k)]
+    scalars = [0, 1, -1, 2, Fraction(-3, 4), F.zero(), F.one(), alg.a,
+               *(r + F.rational(Fraction(1, 3)) for r in roots)]
+
+    def same(got, want):
+        assert not [e for e in got.values() if e.is_zero()]
+        assert set(got) <= set(range(alg.dim))
+        assert ref.dense(got) == want
+
+    for _ in range(20):
+        x = element(range(alg.dim))
+        y = element(range(alg.dim))
+        dx, dy = ref.dense(x), ref.dense(y)
+        for op in ("add", "sub", "mul"):
+            same(getattr(alg, op)(x, y), getattr(ref, op)(dx, dy))
+        for c in scalars:
+            same(alg.scale(c, x), ref.scale(c, dx))
+        for g in F.galois_group():
+            same(alg.galois(g, x), ref.galois(g, dx))
+        assert alg.sub(x, x) == {} == alg.scale(0, x)
+        assert alg.add(x, alg.scale(-1, x)) == {}
+        assert alg.mul(x, {}) == {} == alg.mul({}, y)
+    assert alg.add({}, {}) == {} == alg.combination()
+
+
 def test_products_make_no_element_product_or_sum(rep, monkeypatch):
-    """QuaternionAlgebra.mul, ExactMatrix.__mul__ and phi run on the one
-    kernel: no FieldElement product or sum is built for them."""
+    """QuaternionAlgebra.mul, add, sub and scale, ExactMatrix.__mul__ and
+    phi run on the one kernel: no FieldElement product or sum is built for
+    them."""
     alg, gens, _ = rep.e_a1
     elements = [gens[n] for n in GENERATOR_NAMES]
     mats = [rep.mu[n] for n in GENERATOR_NAMES] + [rep.gram, rep.B]
@@ -307,6 +349,9 @@ def test_products_make_no_element_product_or_sum(rep, monkeypatch):
                             _counting(calls, name,
                                       getattr(FieldElement, name)))
     products = [alg.mul(x, y) for x in elements for y in elements]
+    products += [op(x, y) for op in (alg.add, alg.sub)
+                 for x in elements for y in elements]
+    products += [alg.scale(c, x) for c in (2, -1) for x in elements]
     products += [m * n for m in mats for n in mats]
     products += [m * vec for m in mats] + [rep.phi(vec, vec)]
     assert products and calls == {}
@@ -491,7 +536,8 @@ def test_trivial_galois_action_leaves_a_stable_pattern():
 @pytest.mark.parametrize("triple", [(-1, -2, -3)] + _seeded_triples(13, 9))
 def test_solve_free_steps_match_solve_references(triple):
     rep = build_antiweil_rep(*triple)
-    assert rep._unit_coefficients() == solve_unit_coefficients(rep)
+    assert rep._unit_coefficients().transpose().entries == \
+        solve_unit_coefficients(rep)
     assert rep.regenerate_galois_lie_table() == solve_galois_lie_table(rep) \
         == GALOIS_LIE_TABLE
 
@@ -610,13 +656,16 @@ def test_antiweil_rep_rejects_nonnegative_parameters(params, name):
 
 
 def test_input_checks_survive_optimize_flag():
-    """Under python -O a positive D', a ragged matrix and a Galois sign
-    other than ±1 are still refused, with the offending parameter named."""
+    """Under python -O a positive D', a ragged matrix, a sparse row with a
+    column out of range, a Galois sign other than ±1 and the square-free
+    part of 0 are still refused, with the offending parameter named."""
     code = ("from cmsweep.fields import QQ, ExactMatrix, GaloisElement\n"
-            "from cmsweep.quatrep import AntiWeilRep\n"
+            "from cmsweep.quatrep import AntiWeilRep, squarefree_split\n"
             "for make in (lambda: AntiWeilRep(5, -2, -3),\n"
             "             lambda: ExactMatrix(QQ, [[1, 2], [3]]),\n"
-            "             lambda: GaloisElement((1, 0))):\n"
+            "             lambda: ExactMatrix.from_rows(QQ, [{2: 1}], 2),\n"
+            "             lambda: GaloisElement((1, 0)),\n"
+            "             lambda: squarefree_split(0)):\n"
             "    try:\n"
             "        make()\n"
             "    except ValueError as exc:\n"
@@ -628,8 +677,10 @@ def test_input_checks_survive_optimize_flag():
     assert run.returncode == 0, run.stderr
     assert run.stdout == ("refused: D' = 5 is not negative\n"
                           "refused: matrix rows have different lengths\n"
+                          "refused: column 2 is outside range(2)\n"
                           "refused: Galois signs (1, 0) are not all +1 or "
-                          "-1\n")
+                          "-1\n"
+                          "refused: 0 has no square-free part\n")
 
 
 def test_antiweil_walkthrough_demo_runs():
