@@ -320,8 +320,18 @@ def compare_with_fixture(args, sub, cases):
     return passed, failed, f"{sub}: {'; '.join(problems)}" if problems else ""
 
 
+def _failing(cases):
+    """The case_ids of the FAIL and ERROR records."""
+    return [c["case_id"] for c in cases if c["verdict"] in ("FAIL", "ERROR")]
+
+
 def bless_fixture(args, sub, cases):
-    """Write the cases as the fixture of sub; returns (note, written)."""
+    """Write the cases as the fixture of sub; returns (note, written).  A
+    section with a FAIL or ERROR record is not written."""
+    failing = _failing(cases)
+    if failing:
+        return (f"{sub}: not blessed, {sub}.json left as it was: failing "
+                f"{', '.join(failing)}"), False
     path = Path(str(_fixture_file(args, sub)))
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
@@ -462,22 +472,19 @@ def main(argv=None) -> int:
             cases = [{"case_id": f"{sub}:error", "verdict": "ERROR",
                       "certificate": _error_certificate(exc), "table": sub}]
         ms = int((time.monotonic() - t0) * 1000)
+        failing = _failing(cases)
         if args.bless:
             note, written = bless_fixture(args, sub, cases)
             notes.append(note)
             passed, failed = (len(cases), 0) if written else (0, len(cases))
         elif overridden:
             notes.append(f"{sub}: parameter overrides, fixture skipped")
-            passed = sum(1 for c in cases
-                         if c["verdict"] not in ("FAIL", "ERROR"))
-            failed = len(cases) - passed
+            passed, failed = len(cases) - len(failing), len(failing)
         else:
             passed, failed, note = compare_with_fixture(args, sub, cases)
             if note:
                 notes.append(note)
-        hard_fails = sum(1 for c in cases
-                         if c["verdict"] in ("FAIL", "ERROR"))
-        failed = max(failed, hard_fails)
+        failed = max(failed, len(failing))
         total_pass += passed
         total_fail += failed
         section = {"subcommand": sub, "cases": cases}

@@ -31,16 +31,21 @@ class DoesNotSplit(ValueError):
     """Raised when a characteristic polynomial has no root in the field."""
 
 
-def _squarefree(n: int) -> bool:
-    if n == 0:
-        return False
-    n = abs(n)
+def squarefree_split(r):
+    """r = s^2 * r0 with r0 a square-free integer; returns (s, r0)."""
+    fr = Fraction(r)
+    if fr == 0:
+        raise ValueError("0 has no square-free part")
+    n = fr.numerator * fr.denominator
+    s = Fraction(1, fr.denominator)
+    s2, n0 = 1, n
     d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
+    while d * d <= abs(n0):
+        while n0 % (d * d) == 0:
+            n0 //= d * d
+            s2 *= d
         d += 1
-    return True
+    return s * s2, n0
 
 
 def _is_square(n: int) -> bool:
@@ -132,7 +137,7 @@ def field_create(gens) -> MultiQuadField:
     if not gens:
         raise ValueError("need at least one generator")
     for g in gens:
-        if g in (0, 1) or not _squarefree(g):
+        if g in (0, 1) or squarefree_split(g)[1] != g:
             raise DependentGenerators(
                 f"generator {g} is not square-free or is trivial")
     return MultiQuadField(gens)
@@ -785,14 +790,8 @@ def _unit_monomials(field: MultiQuadField):
     sqrt(-2)*sqrt(2) gives (3, 2, -1): it is 2i."""
     out = []
     for m in field._order:
-        d, s, p = field._table[m][m][1], 1, 2
-        while p * p <= abs(d):
-            if d % (p * p):
-                p += 1
-            else:
-                d //= p * p
-                s *= p
-        out.append((m, s, d))
+        s, d = squarefree_split(field._table[m][m][1])
+        out.append((m, int(s), d))
     return out
 
 

@@ -294,11 +294,9 @@ class ZeroVector(ValueError):
     pass
 
 
-# value form y0 y3~ + y1 y1~ + y2 y2~ + y3 y0~ in the w-basis
-_FAMILY_GRAM = ((0, 0, 0, 1),
-                (0, 1, 0, 0),
-                (0, 0, 1, 0),
-                (1, 0, 0, 0))
+# value form y0 y3~ + y1 y1~ + y2 y2~ + y3 y0~ in the w-basis, as the
+# {col: value} rows of its Gram matrix
+_FAMILY_GRAM = ({3: 1}, {1: 1}, {2: 1}, {0: 1})
 
 
 def weil_family_check(x) -> dict:
@@ -330,7 +328,7 @@ def weil_family_check(x) -> dict:
 
     # (iii) restricted Hermitian Gram R = B H conj(B)^T, minors
     B = ExactMatrix(GAUSS, ker)
-    R = B * ExactMatrix.from_int(GAUSS, _FAMILY_GRAM) * \
+    R = B * ExactMatrix.from_rows(GAUSS, _FAMILY_GRAM, 4) * \
         B.galois(_CONJ).transpose()
     assert R == R.galois(_CONJ).transpose()
     minors = []

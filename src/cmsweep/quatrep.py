@@ -19,7 +19,7 @@ from itertools import product as iproduct
 
 from .fields import (QQ, DependentGenerators, ExactMatrix, FieldElement,
                      GaloisElement, MultiQuadField, apply_galois,
-                     field_create, sum_of_products)
+                     field_create, squarefree_split, sum_of_products)
 from .liereps import (WeightModule, dual_module, invariant_space,
                       sl2_relations_hold, tensor_module, wedge2_module)
 
@@ -45,23 +45,6 @@ def _field_lift(small: MultiQuadField, big: MultiQuadField):
 # ---------------------------------------------------------------------------
 # square roots inside multiquadratic fields
 # ---------------------------------------------------------------------------
-
-def squarefree_split(r):
-    """r = s^2 * r0 with r0 a square-free integer; returns (s, r0)."""
-    fr = Fraction(r)
-    if fr == 0:
-        raise ValueError("0 has no square-free part")
-    n = fr.numerator * fr.denominator
-    s = Fraction(1, fr.denominator)
-    s2, n0 = 1, n
-    d = 2
-    while d * d <= abs(n0):
-        while n0 % (d * d) == 0:
-            n0 //= d * d
-            s2 *= d
-        d += 1
-    return s * s2, n0
-
 
 def sqrt_gens(*values):
     """Square-free generator list needed to express every sqrt(value)."""

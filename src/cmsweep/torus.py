@@ -26,10 +26,9 @@ from math import gcd, prod
 from typing import NamedTuple
 
 from .cmfields import closure
-from .fields import (QQ, DoesNotSplit, ExactMatrix, FieldElement,
-                     MultiQuadField, apply_galois, eigen_decompose,
-                     field_create, rational_kernel, rational_rank,
-                     roots_of_unity)
+from .fields import (QQ, DoesNotSplit, ExactMatrix, MultiQuadField,
+                     apply_galois, eigen_decompose, field_create,
+                     rational_kernel, rational_rank, roots_of_unity)
 from .intlat import IntLattice, rational_span_intersect
 
 # ---------------------------------------------------------------------------
@@ -58,11 +57,6 @@ class CaseVerdict:
 # signed permutations
 # ---------------------------------------------------------------------------
 
-def mat_apply(a, v):
-    n = len(a)
-    return tuple(sum(a[i][j] * v[j] for j in range(n)) for i in range(n))
-
-
 class SignedPerm(NamedTuple):
     """The signed permutation matrix sending e_j to signs[j] * e_perm[j];
     ``*`` is the matrix product."""
@@ -71,9 +65,10 @@ class SignedPerm(NamedTuple):
 
     @classmethod
     def from_rows(cls, rows) -> "SignedPerm":
-        """ValueError unless rows is a signed permutation matrix."""
+        """ValueError unless rows is a square signed permutation matrix."""
         cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*rows)]
         if any(len(c) != 1 or c[0][1] not in (1, -1) for c in cols) \
+                or any(len(row) != len(rows) for row in rows) \
                 or len({c[0][0] for c in cols}) != len(rows):
             raise ValueError("not a signed permutation matrix")
         return cls(*zip(*(c[0] for c in cols)))
@@ -93,10 +88,13 @@ class SignedPerm(NamedTuple):
         return tuple(out)
 
     @property
-    def rows(self) -> tuple:
-        return tuple(tuple(s if p == i else 0
-                           for p, s in zip(self.perm, self.signs))
-                     for i in range(len(self.perm)))
+    def nonzero(self) -> list:
+        """Row i as the {col: sign} dict of its one nonzero entry, the row
+        form ExactMatrix stores; a fresh list of fresh dicts."""
+        rows = [None] * len(self.perm)
+        for j, (p, s) in enumerate(zip(self.perm, self.signs)):
+            rows[p] = {j: s}
+        return rows
 
     def cycles(self) -> list:
         """The cycles (c0, perm[c0], ...) of the permutation, each from
@@ -155,17 +153,10 @@ def transitive_subgroups_s4():
     for g in all_subgroups_s4():
         if len({p[0] for p in g}) != 4:  # the orbit of 0 is {p[0]}
             continue
-        n = len(g)
-        if n == 4:  # cyclic iff some element does not square to 1
+        if len(g) == 4:  # cyclic iff some element does not square to 1
             fam = "C4" if any(_compose(p, p) != ONE4.perm for p in g) else "V"
-        elif n == 8:
-            fam = "D4"
-        elif n == 12:
-            fam = "A4"
-        elif n == 24:
-            fam = "S4"
-        else:  # pragma: no cover - no other transitive orders exist
-            raise AssertionError(n)
+        else:  # the other transitive subgroups have order 8, 12 or 24
+            fam = {8: "D4", 12: "A4", 24: "S4"}[len(g)]
         families[fam].append(sorted(g))
     return [{"family": fam, "subgroups": families[fam]}
             for fam in ("C4", "V", "D4", "A4", "S4")]
@@ -190,8 +181,11 @@ _DIVISOR_CANDIDATES = divisor_candidates()
 
 def divisor_test(lat: IntLattice):
     """True iff the lattice contains a vector with exactly two zero
-    coordinates and the other two in {-1,+1}.  Returns (flag, witness)."""
-    assert lat.ambient_rank == 4
+    coordinates and the other two in {-1,+1}.  Returns (flag, witness);
+    ValueError unless the lattice lies in Z^4."""
+    if lat.ambient_rank != 4:
+        raise ValueError(f"divisor test needs a lattice in Z^4, got Z^"
+                         f"{lat.ambient_rank}")
     for cand in _DIVISOR_CANDIDATES:
         if lat.contains(cand):
             return True, cand
@@ -199,7 +193,7 @@ def divisor_test(lat: IntLattice):
 
 
 def _is_stable(lat: IntLattice, matrices) -> bool:
-    return all(lat.contains(mat_apply(m, row))
+    return all(lat.contains(m.apply(row))
                for m in matrices for row in lat.basis)
 
 
@@ -254,13 +248,13 @@ def _signed_eigenlines(m: SignedPerm, field):
 
 
 def stable_subspaces_finite(ms, target_rank, field):
-    """All Galois-stable sums of eigenlines of ms[0] of total dimension
-    target_rank that are stable under the remaining matrices, descended
-    to Q.  ms[0] must be a signed permutation with distinct eigenvalues
-    over the field (ValueError otherwise).  Returns the sorted eigenvalue
-    reprs of ms[0] and the list of results."""
-    n = len(ms[0])
-    lines = _signed_eigenlines(SignedPerm.from_rows(ms[0]), field)
+    """All Galois-stable sums of eigenlines of the SignedPerm ms[0] of
+    total dimension target_rank that are stable under the other SignedPerms
+    of ms, descended to Q.  ms[0] must have distinct eigenvalues over the
+    field (ValueError otherwise).  Returns the sorted eigenvalue reprs of
+    ms[0] and the list of results."""
+    n = len(ms[0].perm)
+    lines = _signed_eigenlines(ms[0], field)
     if len({lam for lam, _ in lines}) != len(lines):
         raise ValueError("first matrix must have distinct eigenvalues")
     lam_index = {lam: t for t, (lam, _) in enumerate(lines)}
@@ -274,7 +268,7 @@ def stable_subspaces_finite(ms, target_rank, field):
         basis_f = [lines[t][1] for t in subset]
         rat = rational_intersection(field, basis_f)
         assert len(rat) == target_rank  # Galois-stable sums always descend
-        if all(rational_rank(rat + [mat_apply(m, r) for r in rat],
+        if all(rational_rank(rat + [m.apply(r) for r in rat],
                              n) == target_rank
                for m in ms[1:]):
             results.append({
@@ -339,22 +333,26 @@ def _commutation_sign(a: SignedPerm, b: SignedPerm):
     raise ValueError("matrices neither commute nor anticommute")
 
 
-def _eigenplane(m, lam_int):
+def _shifted(m: SignedPerm, lam) -> list:
+    """The {col: value} rows of m - lam*I."""
+    rows = m.nonzero
+    for i, row in enumerate(rows):
+        row[i] = row.get(i, 0) - lam
+    return rows
+
+
+def _eigenplane(m: SignedPerm, lam_int):
     """Rational basis of ker(m - lam*I) for lam in {1,-1}."""
-    return rational_kernel([[x - lam_int * (i == j) for j, x in enumerate(row)]
-                            for i, row in enumerate(m)], 4)
+    return rational_kernel(_shifted(m, lam_int), 4)
 
 
-def _restrict(m, basis, field):
+def _restrict(m: SignedPerm, basis, field):
     """The matrix C of m on span(basis): m*b_i = sum_j C[j][i] b_j."""
-    bs = [[FieldElement.coerce(field, x) for x in b] for b in basis]
-    mm = ExactMatrix.from_int(field, m)
-    bmat = ExactMatrix(field, [[bs[j][i] for j in range(len(bs))]
-                               for i in range(len(bs[0]))])  # columns = basis
+    bmat = ExactMatrix(field, [list(col) for col in zip(*basis)])
     cols = []
-    for b in bs:
-        img = mm * b
-        sol = bmat.solve(img)
+    for b in basis:
+        sol = bmat.solve(m.apply(b))
+        # m commutes with the lift whose eigenspace the basis spans
         assert sol is not None, "subspace not stable under restriction"
         cols.append(sol)
     return ExactMatrix(field, [[cols[j][i] for j in range(len(cols))]
@@ -437,7 +435,7 @@ class MixedFamily:
         return None, None
 
 
-def pair_analysis(m1, m2):
+def pair_analysis(m1: SignedPerm, m2: SignedPerm):
     """Classify the rank-2 subspaces stable under two involutive-image
     lifts m1, m2 (both squaring to +-I, m1 preferred real type).
 
@@ -448,19 +446,18 @@ def pair_analysis(m1, m2):
     Pure eigenplanes of a real-type m1 are *not* included here; they are
     handled once per first matrix (they fail the divisor test outright).
     """
-    g1, g2 = SignedPerm.from_rows(m1), SignedPerm.from_rows(m2)
-    s1, s2 = _square_sign(g1), _square_sign(g2)
+    s1, s2 = _square_sign(m1), _square_sign(m2)
     if s1 == -1 and s2 == 1:
-        m1, m2, g1, g2 = m2, m1, g2, g1
+        m1, m2 = m2, m1
         s1, s2 = s2, s1
-    comm = _commutation_sign(g1, g2)
+    comm = _commutation_sign(m1, m2)
     if s1 == 1:
         vm = _eigenplane(m1, -1)
         vp = _eigenplane(m1, 1)
         if comm == -1:
             # second line forced: w = m2 u
             a, b = vm
-            fam = MixedFamily(a, b, g2.apply(a), g2.apply(b), [m1, m2])
+            fam = MixedFamily(a, b, m2.apply(a), m2.apply(b), [m1, m2])
             return "family", fam
         # commuting: lines are eigenlines of the 2x2 restrictions
         cm = _restrict(m2, vm, QQ)
@@ -485,8 +482,8 @@ def pair_analysis(m1, m2):
     # both square to -I: work over Q(i)
     gauss = field_create([-1])
     i_unit = gauss.sqrt_gen(-1)
-    mm1 = ExactMatrix.from_int(gauss, m1)
-    vi = (mm1 - ExactMatrix.identity(gauss, 4).scale(i_unit)).kernel()
+    vi = ExactMatrix.from_rows(gauss, _shifted(m1, i_unit), 4).kernel()
+    # m1 is real with m1^2 = -I: conjugation swaps its +-i eigenspaces
     assert len(vi) == 2
     if comm == 1:
         c = _restrict(m2, vi, gauss)
@@ -499,7 +496,7 @@ def pair_analysis(m1, m2):
             ell = [cv[0] * vi[0][j] + cv[1] * vi[1][j] for j in range(4)]
             ell_bar = [x.conj() for x in ell]
             rat = rational_intersection(gauss, [ell, ell_bar])
-            assert len(rat) == 2
+            assert len(rat) == 2  # a conjugation-stable plane descends
             cands.append(rational_span_intersect(rat, 4))
         return "finite", cands
     # anticommuting: antilinear eigenproblem B = conj . m2 on V_i with
@@ -528,14 +525,14 @@ _MINOR_COLUMNS = tuple(combinations(range(4), 3))
 _CUBIC_NODES = ((0, 1), (1, 0), (1, 1), (1, -1))
 
 
-def family_constraints(fam: MixedFamily, m3):
+def family_constraints(fam: MixedFamily, m3: SignedPerm):
     """All 3x3 minor constraints for m3-stability of the family, as
     homogeneous integer cubics in (x1, x2); coefficient lists [x2^3 ..
     x1^3].  Each minor f is an integer determinant at the four nodes, and
     its cubic [c0, c1, c2, c3] is interpolated exactly: c0 = f(0,1),
     c3 = f(1,0), c1 + c2 = f(1,1) - c0 - c3, c1 - c2 = f(1,-1) + c0 - c3."""
-    images = ((mat_apply(m3, fam.a), mat_apply(m3, fam.b)),
-              (mat_apply(m3, fam.c), mat_apply(m3, fam.d)))
+    images = ((m3.apply(fam.a), m3.apply(fam.b)),
+              (m3.apply(fam.c), m3.apply(fam.d)))
     values = []
     for x1, x2 in _CUBIC_NODES:
         u, w = fam.at(x1, x2)
@@ -558,8 +555,11 @@ def family_constraints(fam: MixedFamily, m3):
 
 def _rational_projective_roots(polys):
     """Common projective rational roots (x1 : x2) of homogeneous integer
-    polynomials given as coefficient lists [x2^d ... x1^d]."""
-    assert polys
+    polynomials given as coefficient lists [x2^d ... x1^d]; ValueError
+    when there are none or the first is identically zero."""
+    nz = [j for j, c in enumerate(polys[0]) if c] if polys else []
+    if not nz:
+        raise ValueError("need a first polynomial that is not zero")
 
     def value(p, x1, x2):
         d = len(p) - 1
@@ -571,9 +571,6 @@ def _rational_projective_roots(polys):
         roots.append((1, 0))
     # finite roots x1/x2 = t: rational root candidates of the first poly,
     # with the powers of t and of x2 that divide it taken out
-    nz = [j for j, c in enumerate(polys[0]) if c]
-    if not nz:
-        raise AssertionError("identically zero polynomial passed")
     low, high = nz[0], nz[-1]
     cands = {Fraction(0)} if low > 0 else set()
     for pnum in _divisors(abs(polys[0][low])):
@@ -622,7 +619,9 @@ def constrained_family_verdict(case_id, fam: MixedFamily, extra, table=""):
     polys, points = constrained_points(fam, extra)
     if points is None:  # the witness point defeats the divisor test
         point, lat = fam.witness_point()
-        assert point is not None
+        if point is None:
+            raise ValueError(f"{case_id}: no small parameter point of the "
+                             "family passes the divisor test")
         points = [(point, lat)]
     elif not points:
         return CaseVerdict(case_id, REJECTED_RANK, {
@@ -658,7 +657,7 @@ def pair_case_verdict(case_id, analysis, table):
     return constrained_family_verdict(case_id, payload, [], table)
 
 
-def pure_plane_verdict(case_id, m1, table):
+def pure_plane_verdict(case_id, m1: SignedPerm, table):
     """The two eigenplanes of a real-type lift, both divisor-rejected."""
     return divisor_verdict(case_id, [
         (rational_span_intersect(_eigenplane(m1, lam), 4), {})
@@ -669,42 +668,41 @@ def pure_plane_verdict(case_id, m1, table):
 # named matrices of the case tables
 # ---------------------------------------------------------------------------
 
-M1 = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0))
-M2 = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0))
-M3 = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1), (-1, 0, 0, 0))
+M1 = SignedPerm.from_rows(((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0)))
+M2 = SignedPerm.from_rows(((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0)))
 
-P0 = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
-P1 = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
-P2 = ((0, 0, 0, 1), (0, 0, -1, 0), (0, 1, 0, 0), (-1, 0, 0, 0))
-P3 = ((0, 0, 0, -1), (0, 0, 1, 0), (0, 1, 0, 0), (-1, 0, 0, 0))
-P4 = ((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
+P0 = SignedPerm.from_rows(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
+P1 = SignedPerm.from_rows(((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)))
+P2 = SignedPerm.from_rows(((0, 0, 0, 1), (0, 0, -1, 0), (0, 1, 0, 0), (-1, 0, 0, 0)))
+P3 = SignedPerm.from_rows(((0, 0, 0, -1), (0, 0, 1, 0), (0, 1, 0, 0), (-1, 0, 0, 0)))
+P4 = SignedPerm.from_rows(((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0)))
 
 # third-generator lifts for the (P0, P2, *) rows
-Q1 = ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0))
-Q2 = ((0, 0, -1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, -1, 0, 0))
-Q3 = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
+Q1 = SignedPerm.from_rows(((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0)))
+Q2 = SignedPerm.from_rows(((0, 0, -1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, -1, 0, 0)))
+Q3 = SignedPerm.from_rows(((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)))
 # third-generator lifts for the (P0, P3, *) rows
 QP1 = Q1
-QP2 = ((0, 0, -1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, 1, 0, 0))
+QP2 = SignedPerm.from_rows(((0, 0, -1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, 1, 0, 0)))
 QP3 = Q3
 
 # two-sign-flip lifts for the all-two-flips configuration
-PP0 = ((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
-PP1 = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
-PP2 = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
-QQ0 = ((0, 0, 0, 1), (0, 0, -1, 0), (0, -1, 0, 0), (1, 0, 0, 0))
-QQ1 = ((0, 0, 0, 1), (0, 0, -1, 0), (0, 1, 0, 0), (-1, 0, 0, 0))
-QQ2 = ((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
+PP0 = SignedPerm.from_rows(((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
+PP1 = SignedPerm.from_rows(((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)))
+PP2 = SignedPerm.from_rows(((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0)))
+QQ0 = SignedPerm.from_rows(((0, 0, 0, 1), (0, 0, -1, 0), (0, -1, 0, 0), (1, 0, 0, 0)))
+QQ1 = SignedPerm.from_rows(((0, 0, 0, 1), (0, 0, -1, 0), (0, 1, 0, 0), (-1, 0, 0, 0)))
+QQ2 = SignedPerm.from_rows(((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0)))
 
 # order-3 lifts for the alternating-group configuration
-R0 = ((0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
-R1 = ((0, 0, 1, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
-R2 = ((0, 0, 1, 0), (1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, 1))
-R3 = ((0, 0, -1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
-R4 = ((0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, -1))
-R5 = ((0, 0, 1, 0), (-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, 1))
-R6 = ((0, 0, -1, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
-R7 = ((0, 0, 1, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, -1))
+R0 = SignedPerm.from_rows(((0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)))
+R1 = SignedPerm.from_rows(((0, 0, 1, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)))
+R2 = SignedPerm.from_rows(((0, 0, 1, 0), (1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, 1)))
+R3 = SignedPerm.from_rows(((0, 0, -1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)))
+R4 = SignedPerm.from_rows(((0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, -1)))
+R5 = SignedPerm.from_rows(((0, 0, 1, 0), (-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, 1)))
+R6 = SignedPerm.from_rows(((0, 0, -1, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)))
+R7 = SignedPerm.from_rows(((0, 0, 1, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, -1)))
 A4_Q = P2
 A4_QP = P3
 
@@ -724,7 +722,7 @@ def sweep_dim1():
             v[i], v[j] = 1, sign
             lat = IntLattice(4, [v])
             flag, witness = divisor_test(lat)
-            assert flag
+            assert flag  # v itself is a divisor-test element
             out.append(CaseVerdict(
                 f"dim1-e{i + 1}{'-' if sign < 0 else '+'}e{j + 1}",
                 REJECTED_DIVISOR_TEST,
@@ -735,11 +733,10 @@ def sweep_dim1():
 def _order4_lifts():
     """Sign classes of lifts of the underlying 4-cycle of M1, modulo -I,
     each by its lift with first sign +1."""
-    base = SignedPerm.from_rows(M1).perm
     out = []
     for signs in product((1, -1), repeat=3):
         tag = "".join("p" if s > 0 else "m" for s in (1,) + signs)
-        out.append((f"order4-{tag}", SignedPerm(base, (1,) + signs).rows))
+        out.append((f"order4-{tag}", SignedPerm(M1.perm, (1,) + signs)))
     return out
 
 
@@ -757,13 +754,21 @@ def sweep_order4():
 def _one_flip_lifts():
     """Lifts of the double transposition underlying P0 with exactly one
     sign flip."""
-    base = SignedPerm.from_rows(P0).perm
     out = []
     for pos in range(4):
         signs = tuple(-1 if t == pos else 1 for t in range(4))
         tag = "".join("p" if s > 0 else "m" for s in signs)
-        out.append((f"klein4-oneflip-{tag}", SignedPerm(base, signs).rows))
+        out.append((f"klein4-oneflip-{tag}", SignedPerm(P0.perm, signs)))
     return out
+
+
+def _family(case_id, analysis):
+    """The MixedFamily of a pair_analysis result; ValueError naming the
+    case when its pair of lifts leaves no one-parameter family."""
+    kind, fam = analysis
+    if kind != "family":
+        raise ValueError(f"{case_id}: the pair gives {kind!r}, not a family")
+    return fam
 
 
 def sweep_klein4():
@@ -788,8 +793,7 @@ def sweep_klein4():
             ("klein4-p0-p3-q1p", "p3", QP1),
             ("klein4-p0-p3-q2p", "p3", QP2),
             ("klein4-p0-p3-q3p", "p3", QP3)):
-        kind, fam = pairs[second]
-        assert kind == "family"
+        fam = _family(case_id, pairs[second])
         out.append(constrained_family_verdict(case_id, fam, [third],
                                               "klein4-triples"))
     # (c) every preimage has exactly two sign flips
@@ -810,8 +814,7 @@ def sweep_klein4():
 def sweep_a4():
     out = []
     for qtag, q in (("q", A4_Q), ("qp", A4_QP)):
-        kind, fam = pair_analysis(P0, q)
-        assert kind == "family"
+        fam = _family(f"a4-p0-{qtag}", pair_analysis(P0, q))
         for idx, r in enumerate((R0, R1, R2, R3, R4, R5, R6, R7)):
             out.append(constrained_family_verdict(
                 f"a4-p0-{qtag}-r{idx}", fam, [r], "a4"))
@@ -835,8 +838,8 @@ def stable_subspaces(ms, target_rank, field=None):
     *different* eigenvalues are in scope (pure eigenplanes are handled
     separately by the sweeps).
 
-    ms[0] must be a signed permutation.  One with distinct eigenvalues
-    goes through Galois descent over `field` (default Q(sqrt(-1),
+    ms is a list of SignedPerms.  An ms[0] with distinct eigenvalues goes
+    through Galois descent over `field` (default Q(sqrt(-1),
     sqrt(2))).  An involutive first matrix goes through pair_analysis
     with ms[1], then through the rational roots of the constraints that
     ms[2:] impose.  The result is finite lattices, or one parametric
@@ -846,7 +849,7 @@ def stable_subspaces(ms, target_rank, field=None):
     if target_rank != 2:
         raise ValueError("only rank-2 subspaces are in scope")
     try:
-        _square_sign(SignedPerm.from_rows(ms[0]))
+        _square_sign(ms[0])
     except ValueError:
         if field is None:
             field = field_create(ORDER4_FIELD)

@@ -5,6 +5,7 @@ against; the dense tuple quaternion algebra that the sparse one is checked
 against; the dense Gauss-Jordan elimination and determinant that the
 sparse elimination is checked against; the dense integer elimination and
 distinct-row pass that the sparse rational core is checked against; the
+dense matrix-vector product that SignedPerm.apply is checked against; the
 solve-based rational-unit coefficients and Galois Lie table that the
 anti-Weil chain is checked against; and spec-facing functions that the
 verifier itself never calls (a saturation index, CM-type primitivity and
@@ -212,6 +213,11 @@ def dense_det(m: ExactMatrix):
 def dense_rows(rows, ncols):
     """{col: value} rows as lists of length ncols."""
     return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def mat_apply(rows, v):
+    """The product of the matrix with the given dense rows and v."""
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in rows)
 
 
 def integer_rref(rows, ncols):

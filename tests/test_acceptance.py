@@ -45,18 +45,16 @@ def test_criterion_02_dim1_sweep():
 
 def test_criterion_03_order4_sweep():
     from cmsweep.torus import (M1, M2, ORDER4_FIELD, REJECTED_NO_DESCENT,
-                               SURVIVES_D4, SignedPerm, _order4_lifts,
-                               sweep_order4)
+                               SURVIVES_D4, _order4_lifts, sweep_order4)
     cases = sweep_order4()
     assert len(cases) == 8
     assert all(cv.verdict != SURVIVES_D4 for cv in cases)
     f = field_create(ORDER4_FIELD)  # Q(i, sqrt 2)
-    eig = dict(eigen_decompose(ExactMatrix.from_int(f, M1)))
+    eig = dict(eigen_decompose(ExactMatrix.from_rows(f, M1.nonzero, 4)))
     minus_one = next(vs for lam, vs in eig.items()
                      if lam == f.rational(-1))
     assert [c.as_fraction() for c in minus_one[0]] == [-1, 1, -1, 1]
-    m2_case = next(cid for cid, m in _order4_lifts()
-                   if m == M2 or (-SignedPerm.from_rows(m)).rows == M2)
+    m2_case = next(cid for cid, m in _order4_lifts() if m in (M2, -M2))
     verdicts = {cv.case_id: cv.verdict for cv in cases}
     assert verdicts[m2_case] == REJECTED_NO_DESCENT
     _ok(3, "order-4 sweep rejects all; M1 eigen data exact; "
@@ -225,20 +223,17 @@ def test_criterion_12_property_suites():
             apply_galois(g, a) * apply_galois(g, b)
 
     # (c) divisor-test sign symmetry over the one-matrix sweep inputs
-    from cmsweep.torus import (SignedPerm, _one_flip_lifts, _order4_lifts,
+    from cmsweep.torus import (_one_flip_lifts, _order4_lifts,
                                finite_route_verdict)
-
-    def mat_neg(m):
-        return (-SignedPerm.from_rows(m)).rows
 
     gauss = field_create([-1])
     big = field_create([-1, 2])
     for cid, m in _one_flip_lifts():
         assert finite_route_verdict(cid, [m], gauss).verdict == \
-            finite_route_verdict(cid, [mat_neg(m)], gauss).verdict
+            finite_route_verdict(cid, [-m], gauss).verdict
     for cid, m in _order4_lifts():
         assert finite_route_verdict(cid, [m], big).verdict == \
-            finite_route_verdict(cid, [mat_neg(m)], big).verdict
+            finite_route_verdict(cid, [-m], big).verdict
 
     # (d) the layer identity over every divisor chain of 8
     for deg_K in (1, 2, 4, 8):

@@ -297,6 +297,24 @@ def test_bless_onto_a_directory_fails_the_section(tmp_path, capsys):
     assert (tmp_path / "sweep-dim1.json").is_dir()
 
 
+def test_bless_leaves_the_fixture_of_a_failing_section(tmp_path, capsys,
+                                                      monkeypatch):
+    from cmsweep import torus
+
+    def broken():
+        raise ValueError("broken sweep")
+
+    _copy_fixtures(tmp_path)
+    monkeypatch.setattr(torus, "sweep_dim1", broken)
+    assert main(["verify-all", "--bless", "--fixtures", str(tmp_path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["notes"][0] == ("sweep-dim1: not blessed, sweep-dim1.json "
+                                  "left as it was: failing sweep-dim1:error")
+    assert report["summary"]["failed"] == 1
+    for f in FIXDIR.glob("*.json"):  # every section else blessed unchanged
+        assert (tmp_path / f.name).read_bytes() == f.read_bytes()
+
+
 def test_error_record_names_type_and_frame(monkeypatch, capsys):
     from cmsweep import periods
     # a bare assert inside the package: the message alone is empty

@@ -26,6 +26,8 @@ def test_create_rejects_bad_generators():
         field_create([1])
     with pytest.raises(DependentGenerators):
         field_create([12])
+    with pytest.raises(DependentGenerators):
+        field_create([-8])
 
 
 def test_basic_arithmetic():

@@ -1,7 +1,9 @@
 """The package runs on the standard library alone: every module imports
 only `cmsweep` and stdlib names, and the distribution declares no
 runtime dependency.  The storage of field elements is known to `fields`
-alone, and `quatrep` builds its matrices from their nonzeros."""
+alone, `quatrep` builds its matrices from their nonzeros, every case
+matrix of `torus` is a SignedPerm, and each module declares its
+`assert` statements."""
 
 import ast
 import sys
@@ -82,3 +84,46 @@ def test_quatrep_builds_no_matrix_from_dense_rows():
              and isinstance(node.func, ast.Name)
              and node.func.id == "ExactMatrix"]
     assert calls == []
+
+
+def test_torus_keeps_each_case_matrix_as_a_signed_perm():
+    """torus has no dense matrix form: no mat_apply, no SignedPerm.rows, no
+    ExactMatrix.from_int, and SignedPerm.from_rows only where the case
+    table parses its literals, at module level."""
+    tree = ast.parse((ROOT / "src" / "cmsweep" / "torus.py").read_text())
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    (signed_perm,) = [node for node in tree.body
+                      if isinstance(node, ast.ClassDef)
+                      and node.name == "SignedPerm"]
+    members = {node.name for node in signed_perm.body
+               if isinstance(node, ast.FunctionDef)}
+
+    def calls(nodes, owner, attr):
+        return [node.lineno for root in nodes for node in ast.walk(root)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == attr
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == owner]
+
+    nested = [node for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert "mat_apply" not in defined
+    assert "rows" not in members and "nonzero" in members
+    assert calls([tree], "ExactMatrix", "from_int") == []
+    assert calls(nested, "SignedPerm", "from_rows") == []
+    assert calls([tree], "SignedPerm", "from_rows")
+
+
+# assert statements each module may hold; the rest raise ValueError
+ASSERTS = {"cmfields.py": 5, "intlat.py": 3, "liereps.py": 16,
+           "periods.py": 6, "positivity.py": 10, "torus.py": 5}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_asserts_are_declared(path):
+    """A new assert must be added to ASSERTS, and one removed taken off."""
+    tree = ast.parse(path.read_text())
+    found = sum(isinstance(node, ast.Assert) for node in ast.walk(tree))
+    assert found == ASSERTS.get(path.name, 0)

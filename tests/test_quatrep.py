@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cmsweep import quatrep
+from cmsweep import fields, quatrep
 from cmsweep.fields import (QQ, DependentGenerators, ExactMatrix,
                             FieldElement, GaloisElement, apply_galois,
                             field_create)
@@ -72,6 +72,7 @@ def test_e_a1_square_scaling_invariance():
 
 
 def test_squarefree_split():
+    assert squarefree_split is fields.squarefree_split  # the one copy
     assert squarefree_split(-12) == (2, -3)
     assert squarefree_split(8) == (2, 2)
     assert squarefree_split(-1) == (1, -1)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from cmsweep.fields import (DoesNotSplit, ExactMatrix,
                             _eigenvalue_candidates, eigen_decompose,
-                            field_create)
+                            field_create, rational_kernel)
 from cmsweep.intlat import IntLattice
 from cmsweep.torus import (ORDER4_FIELD, REJECTED_DIVISOR_TEST,
                            REJECTED_NO_DESCENT, REJECTED_RANK, SURVIVES_D4,
@@ -25,12 +25,14 @@ from cmsweep.torus import (ORDER4_FIELD, REJECTED_DIVISOR_TEST,
                            R0, R1, R2, R3, R4, R5, R6, R7,
                            SignedGroup, SignedPerm, all_subgroups_s4,
                            divisor_test, divisor_verdict, family_constraints,
-                           finite_route_verdict, mat_apply, pair_analysis,
+                           finite_route_verdict, pair_analysis,
                            stable_subspaces, stable_subspaces_finite,
                            sweep_a4, sweep_dim1, sweep_klein4, sweep_order4,
                            transitive_subgroups_s4, _one_flip_lifts,
-                           ONE4, _commutation_sign, _order4_lifts,
+                           ONE4, _commutation_sign, _eigenplane,
+                           _order4_lifts, _rational_projective_roots,
                            _signed_eigenlines, _square_sign)
+from helpers import dense_rows, mat_apply
 
 FIXDIR = Path(__file__).resolve().parents[1] / "src" / "cmsweep" / "fixtures"
 
@@ -39,8 +41,9 @@ def _verdicts(cases):
     return {cv.case_id: cv.verdict for cv in cases}
 
 
-def _neg(rows):
-    return (-SignedPerm.from_rows(rows)).rows
+def _dense(m):
+    """The dense rows of a SignedPerm, read off its sparse rows."""
+    return tuple(map(tuple, dense_rows(m.nonzero, len(m.perm))))
 
 
 def test_transitive_subgroup_families():
@@ -89,12 +92,11 @@ def test_order4_m1_eigendata_and_m2_descent():
     assert ORDER4_FIELD == (-1, 2)
     f = field_create(ORDER4_FIELD)
     eig = {str(lam): vecs for lam, vecs in
-           eigen_decompose(ExactMatrix.from_int(f, M1))}
+           eigen_decompose(ExactMatrix.from_rows(f, M1.nonzero, 4))}
     minus = eig["-1"]
     assert len(minus) == 1
     assert [c.as_fraction() for c in minus[0]] == [-1, 1, -1, 1]
-    m2_cases = [cid for cid, m in _order4_lifts()
-                if m == M2 or _neg(m) == M2]
+    m2_cases = [cid for cid, m in _order4_lifts() if m in (M2, -M2)]
     assert len(m2_cases) == 1
     got = _verdicts(sweep_order4())
     assert got[m2_cases[0]] == REJECTED_NO_DESCENT
@@ -161,16 +163,14 @@ def test_stable_subspaces_examples():
 
 
 def test_stable_subspaces_finite_checks_the_other_matrices():
-    # x fixes e0 - e2, e1 - e3 and e1 + e3 and sends e0 + e2 to
-    # e0 + e2 + 2(e1 - e3): of the two eigenline sums of M1 it keeps only
-    # the first stable
-    x = ((1, 0, 0, 0), (1, 1, 1, 0), (0, 0, 1, 0), (-1, 0, -1, 1))
+    # M1 * M1 keeps both eigenline sums of M1 stable; the transposition of
+    # e0 and e1 sends e0 - e2 to e1 - e2 and e0 + e2 to e1 + e2, so it
+    # keeps neither
+    swap = SignedPerm((1, 0, 2, 3), (1, 1, 1, 1))
     minus = ((1, 0, -1, 0), (0, 1, 0, -1))
     plus = ((1, 0, 1, 0), (0, 1, 0, 1))
-    m1 = SignedPerm.from_rows(M1)
-    m1_squared = (m1 * m1).rows
-    for ms, want in (([M1, x], [minus]), ([M1, m1_squared], [minus, plus]),
-                     ([M1, m1_squared, x], [minus])):
+    for ms, want in (([M1, M1 * M1], [minus, plus]), ([M1, swap], []),
+                     ([M1, M1 * M1, swap], [])):
         fams = stable_subspaces(ms, 2)
         assert sorted(f.lattice.basis for f in fams) == want
 
@@ -274,12 +274,12 @@ def test_divisor_sign_symmetry():
     gauss = field_create([-1])
     for cid, m in _one_flip_lifts():
         v1 = finite_route_verdict(cid, [m], gauss).verdict
-        v2 = finite_route_verdict(cid, [_neg(m)], gauss).verdict
+        v2 = finite_route_verdict(cid, [-m], gauss).verdict
         assert v1 == v2
 
 
 def test_signed_group_enumeration():
-    g = SignedGroup([SignedPerm.from_rows(M1)])
+    g = SignedGroup([M1])
     assert len(g.elements) == 8  # order-4 cycle with -I
     perms = g.image_in_s4()
     assert len(perms) == 4
@@ -292,7 +292,7 @@ def test_signed_lift_roundtrip():
         signs = tuple(rng.choice((1, -1)) for _ in range(4))
         m = SignedPerm(perm, signs)
         assert m.perm == perm
-        assert SignedPerm.from_rows(m.rows).signs == m.signs
+        assert SignedPerm.from_rows(_dense(m)) == m
 
 
 B4 = [SignedPerm(p, s) for p in permutations(range(4))
@@ -310,10 +310,14 @@ def test_signed_perm_agrees_with_its_matrix():
     for _ in range(300):
         a, b = rng.choice(B4), rng.choice(B4)
         v = tuple(rng.randint(-9, 9) for _ in range(4))
-        assert SignedPerm.from_rows(a.rows) == a
-        assert (a * b).rows == _mat_mul(a.rows, b.rows)
-        assert (-a).rows == tuple(tuple(-x for x in r) for r in a.rows)
-        assert a.apply(v) == mat_apply(a.rows, v)
+        assert SignedPerm.from_rows(_dense(a)) == a
+        assert _dense(a * b) == _mat_mul(_dense(a), _dense(b))
+        assert _dense(-a) == tuple(tuple(-x for x in r) for r in _dense(a))
+        assert a.apply(v) == mat_apply(_dense(a), v)
+        for lam in (1, -1):
+            assert _eigenplane(a, lam) == rational_kernel(
+                [[x - lam * (i == j) for j, x in enumerate(row)]
+                 for i, row in enumerate(_dense(a))], 4)
         cycles = a.cycles()
         assert sorted(c for cycle in cycles for c in cycle) == [0, 1, 2, 3]
         for cycle in cycles:
@@ -339,16 +343,17 @@ def _sign_or_none(f, *args):
 
 
 def test_square_and_commutation_signs_agree_with_matrix_products():
-    one = ONE4.rows
+    one = _dense(ONE4)
     squares = [_sign_or_none(_square_sign, a) for a in B4]
-    assert squares == [_sign_of(_mat_mul(a.rows, a.rows), one) for a in B4]
+    assert squares == [_sign_of(_mat_mul(_dense(a), _dense(a)), one)
+                       for a in B4]
     rng = random.Random(13)
     outcomes = set()
     for _ in range(3000):
         a, b = rng.choice(B4), rng.choice(B4)
         got = _sign_or_none(_commutation_sign, a, b)
-        assert got == _sign_of(_mat_mul(a.rows, b.rows),
-                               _mat_mul(b.rows, a.rows))
+        assert got == _sign_of(_mat_mul(_dense(a), _dense(b)),
+                               _mat_mul(_dense(b), _dense(a)))
         outcomes.add(got)
     assert set(squares) == outcomes == {1, -1, None}
 
@@ -358,6 +363,8 @@ def test_square_and_commutation_signs_agree_with_matrix_products():
     ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
     ((1, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
     ((0, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)),  # 3x4, one row per column
+    ((1, 0), (0, 1, 5)),  # ragged
 ])
 def test_signed_perm_rejects_other_matrices(rows):
     with pytest.raises(ValueError, match="not a signed permutation"):
@@ -371,7 +378,7 @@ def test_signed_eigenlines_agree_with_eigen_decompose_on_b4(gens):
     field = field_create(gens)
     split = 0
     for g in B4:
-        m = ExactMatrix.from_int(field, g.rows)
+        m = ExactMatrix.from_rows(field, g.nonzero, 4)
         try:
             want = eigen_decompose(m)
         except DoesNotSplit:
@@ -407,17 +414,8 @@ def test_sweeps_try_eigenvalues_only_on_2x2_restrictions(monkeypatch):
     assert sizes and set(sizes) == {2}
 
 
-def test_finite_route_needs_a_signed_permutation_first():
-    x = ((1, 0, 0, 0), (1, 1, 1, 0), (0, 0, 1, 0), (-1, 0, -1, 1))
-    field = field_create(ORDER4_FIELD)
-    with pytest.raises(ValueError, match="not a signed permutation"):
-        stable_subspaces_finite([x, M1], 2, field)
-    with pytest.raises(ValueError, match="not a signed permutation"):
-        stable_subspaces([x, M1], 2)
-
-
-@pytest.mark.parametrize("rows", [P0, PP0, ((1, 0, 0, 0), (0, 1, 0, 0),
-                                            (0, 0, 0, 1), (0, 0, 1, 0))])
+@pytest.mark.parametrize("rows", [P0, PP0, SignedPerm((0, 1, 3, 2),
+                                                       (1, 1, 1, 1))])
 def test_finite_route_rejects_repeated_eigenvalues(rows):
     with pytest.raises(ValueError,
                        match="first matrix must have distinct eigenvalues"):
@@ -459,7 +457,8 @@ def _constraints_by_products(fam, m3):
     w = linform(fam.c, fam.d)
     out = []
     for src_a, src_b in ((fam.a, fam.b), (fam.c, fam.d)):
-        img = linform(mat_apply(m3, src_a), mat_apply(m3, src_b))
+        img = linform(mat_apply(_dense(m3), src_a),
+                      mat_apply(_dense(m3), src_b))
         for cols in combinations(range(4), 3):
             rows = [[u[c] for c in cols], [w[c] for c in cols],
                     [img[c] for c in cols]]
@@ -501,7 +500,7 @@ int_vectors = st.lists(st.integers(-6, 6), min_size=4, max_size=4)
 def test_family_constraints_match_products_on_random_families(vecs, perm,
                                                              signs):
     fam = MixedFamily(*vecs)
-    _assert_same_constraints(fam, SignedPerm(perm, tuple(signs)).rows)
+    _assert_same_constraints(fam, SignedPerm(perm, tuple(signs)))
 
 
 def test_family_vectors_must_be_integral():
@@ -538,7 +537,7 @@ def _eigen_by_identity_scale(m):
 def test_eigen_trials_stop_at_the_last_eigenvalue(monkeypatch, case_id, lift,
                                                   gens):
     field = field_create(gens)
-    m = ExactMatrix.from_int(field, lift)
+    m = ExactMatrix.from_rows(field, lift.nonzero, 4)
     kernels = []
     kernel = ExactMatrix.kernel
 
@@ -603,3 +602,35 @@ def test_klein4_and_a4_analyse_each_pair_once(monkeypatch):
     # P1-P4 once in the klein4 sweep, P2 and P3 once more in the a4 sweep
     assert [m2 for m1, m2 in pairs if m1 == P0] == [P1, P2, P3, P4, P2, P3]
     assert len(planes) == 22
+
+
+# -- bad input and a wrong case table raise ValueError, not AssertionError --
+
+def test_divisor_test_needs_a_lattice_in_z4():
+    with pytest.raises(ValueError, match="Z\\^4, got Z\\^3"):
+        divisor_test(IntLattice(3, [[1, 1, 0]]))
+
+
+@pytest.mark.parametrize("polys", [[], [[0, 0, 0, 0], [1, 0, 0, 1]]])
+def test_projective_roots_need_a_nonzero_first_polynomial(polys):
+    with pytest.raises(ValueError, match="not zero"):
+        _rational_projective_roots(polys)
+
+
+@pytest.mark.parametrize("sweep, case_id", [
+    (sweep_klein4, "klein4-p0-p2-q1"), (sweep_a4, "a4-p0-q")])
+def test_a_pair_without_a_family_is_named(monkeypatch, sweep, case_id):
+    import cmsweep.torus as torus
+    monkeypatch.setattr(torus, "pair_analysis",
+                        lambda m1, m2: ("none", {"reason": "-"}))
+    with pytest.raises(ValueError, match=f"^{case_id}: the pair gives "
+                                         "'none', not a family"):
+        sweep()
+
+
+def test_a_family_without_a_witness_point_is_named(monkeypatch):
+    import cmsweep.torus as torus
+    monkeypatch.setattr(torus, "divisor_test", lambda lat: (True, None))
+    fam = torus._family("c", pair_analysis(P0, P2))
+    with pytest.raises(ValueError, match="^c: no small parameter point"):
+        torus.constrained_family_verdict("c", fam, [])
