@@ -216,25 +216,33 @@ def _mul_nums(field, a, b):
 
 def sum_of_products(field, terms) -> dict:
     """{key: sum x * y * c} over the (key, x, y, c) in terms, for field
-    elements x, y and a structure constant c (the field's one for a plain
-    product), holding only the keys whose sums are nonzero.  Each key
-    accumulates integer numerators over a running common denominator and
-    is normalised once."""
+    elements x, y and a structure constant c, an int (1 for a plain
+    product) or a field element, holding only the keys whose sums are
+    nonzero.  Each key accumulates integer numerators over a running
+    common denominator and is normalised once; an int c only scales the
+    numerators."""
     table = field._table
     one = field._one
     accs, dens = {}, {}
     for key, x, y, c in terms:
         a = x.nums
         b = y.nums
-        if not a or not b or not c.nums:
+        if not a or not b:
             continue
         d = x.den * y.den
-        if c is not one:
-            a = _mul_nums(field, a, c.nums)
-            d *= c.den
+        if c.__class__ is int:
+            if not c:
+                continue
+            scale = c
+        elif not c.nums:
+            continue
+        else:
+            scale = 1
+            if c is not one:
+                a = _mul_nums(field, a, c.nums)
+                d *= c.den
         acc = accs.setdefault(key, {})
         den = dens.setdefault(key, d)
-        scale = 1
         if d != den:
             g = gcd(den, d)
             grow = d // g
@@ -242,7 +250,7 @@ def sum_of_products(field, terms) -> dict:
                 for k in acc:
                     acc[k] *= grow
                 dens[key] = den * grow
-            scale = den // g
+            scale *= den // g
         for i, u in a.items():
             u *= scale
             row = table[i]
@@ -667,7 +675,6 @@ class ExactMatrix:
 
     def __mul__(self, other):
         field = self.field
-        one = field.one()
         if isinstance(other, ExactMatrix):
             # row by row (Gustavson 1978): a nonzero self[i][t] meets only
             # the nonzero entries of row t of other, one sum per row keyed
@@ -676,17 +683,60 @@ class ExactMatrix:
                 raise ValueError("inner dimensions differ")
             sparse = other.nonzero
             return _matrix(field, [sum_of_products(
-                field, ((j, x, y, one) for t, x in row.items()
+                field, ((j, x, y, 1) for t, x in row.items()
                         for j, y in sparse[t].items()))
                 for row in self.nonzero], other.cols)
         # vector (list of FieldElements / ints): one sum keyed by row
         vec = [FieldElement.coerce(field, v) for v in other]
         if len(vec) != self.cols:
             raise ValueError("vector length differs from the column count")
-        sums = sum_of_products(field, ((i, x, vec[j], one)
+        sums = sum_of_products(field, ((i, x, vec[j], 1)
                                        for i, row in enumerate(self.nonzero)
                                        for j, x in row.items()))
         return [sums.get(i, field.zero()) for i in range(self.rows)]
+
+    @staticmethod
+    def combination(terms) -> "ExactMatrix":
+        """sum c * a * b over the (c, a, b) in terms, for an int c and
+        matrices a and b, b None for a alone, as one sum of products
+        keyed by cell: a cell whose sum cancels gets no element, so a
+        combination that vanishes builds no row entry at all.  ValueError
+        on no terms, a field mismatch or a shape mismatch."""
+        terms = list(terms)
+        if not terms:
+            raise ValueError("a combination needs at least one term")
+        field = terms[0][1].field
+        shapes = set()
+        for c, a, b in terms:
+            if a.field != field or (b is not None and b.field != field):
+                raise ValueError("field mismatch")
+            if b is None:
+                shapes.add((a.rows, a.cols))
+            elif a.cols != b.rows:
+                raise ValueError("inner dimensions differ")
+            else:
+                shapes.add((a.rows, b.cols))
+        if len(shapes) != 1:
+            raise ValueError("matrix shapes differ")
+        (rows, cols), = shapes
+        one = field.one()
+
+        def products():
+            for c, a, b in terms:
+                for i, row in enumerate(a.nonzero):
+                    base = i * cols
+                    if b is None:
+                        for j, x in row.items():
+                            yield base + j, x, one, c
+                    else:
+                        for t, x in row.items():
+                            for j, y in b.nonzero[t].items():
+                                yield base + j, x, y, c
+
+        out = [{} for _ in range(rows)]
+        for cell, e in sum_of_products(field, products()).items():
+            out[cell // cols][cell % cols] = e
+        return _matrix(field, out, cols)
 
     def transpose(self) -> "ExactMatrix":
         out = [{} for _ in range(self.cols)]

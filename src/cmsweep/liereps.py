@@ -25,46 +25,43 @@ def _sparse_rows(m):
             for row in m]
 
 
-def _matmul(a, b):
-    out = []
-    for row in a:
+def _vanishes(terms) -> bool:
+    """Whether sum c * a * b over the (c, a, b) in terms is zero, for an
+    int c and matrices a and b given as {col: value} rows, b None for a
+    alone; one row of the sum at a time, up to the first that does not
+    cancel."""
+    terms = list(terms)
+    for i in range(len(terms[0][1])):
         acc = {}
-        for t, x in row.items():
-            for j, y in b[t].items():
-                acc[j] = acc.get(j, 0) + x * y
-        out.append(acc)
-    return _sparse_rows(out)
-
-
-def _matsub(a, b):
-    out = [dict(row) for row in a]
-    for acc, rb in zip(out, b):
-        for j, y in rb.items():
-            acc[j] = acc.get(j, 0) - y
-    return _sparse_rows(out)
-
-
-def _matscale(c, a):
-    return [{j: c * x for j, x in row.items()} if c else {} for row in a]
+        for c, a, b in terms:
+            for t, x in a[i].items():
+                if b is None:
+                    acc[t] = acc.get(t, 0) + c * x
+                else:
+                    cx = c * x
+                    for j, y in b[t].items():
+                        acc[j] = acc.get(j, 0) + cx * y
+        if any(acc.values()):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # the sl(2) relations
 # ---------------------------------------------------------------------------
 
-def sl2_relations_hold(triples, mul, sub, scale) -> bool:
+def sl2_relations_hold(triples, vanishes) -> bool:
     """Whether [h,x] = 2x, [h,y] = -2y and [x,y] = h hold in each triple
     (h, x, y), and elements of distinct triples commute.  The elements may
-    be of any type: mul, sub and scale(c, a) with an int c are their
-    product, difference and scaling, and results are compared with ==."""
-    def bracket(a, b):
-        return sub(mul(a, b), mul(b, a))
-
+    be of any type: vanishes(terms) says whether sum c * a * b over the
+    (c, a, b) in terms is zero, for an int c and b None for a alone, so
+    each relation is one sum, lhs - rhs, that must vanish."""
     for h, x, y in triples:
-        if not (bracket(h, x) == scale(2, x) and bracket(h, y) == scale(-2, y)
-                and bracket(x, y) == h):
+        if not (vanishes([(1, h, x), (-1, x, h), (-2, x, None)])
+                and vanishes([(1, h, y), (-1, y, h), (2, y, None)])
+                and vanishes([(1, x, y), (-1, y, x), (-1, h, None)])):
             return False
-    return all(mul(a, b) == mul(b, a)
+    return all(vanishes([(1, a, b), (-1, b, a)])
                for t1, t2 in combinations(triples, 2) for a in t1 for b in t2)
 
 
@@ -89,7 +86,7 @@ class WeightModule:
         self.triples = tuple(tuple(t) for t in triples)
         if not sl2_relations_hold(
                 [[self.actions[n] for n in t] for t in self.triples],
-                _matmul, _matsub, _matscale):
+                _vanishes):
             raise ValueError(f"the actions of {self.triples} break the "
                              "sl(2) relations")
 
@@ -103,7 +100,8 @@ class WeightModule:
 
 def sl2_irrep(m: int) -> WeightModule:
     """V(m): h.v_i = (m-2i) v_i, y.v_i = (i+1) v_{i+1}, x.v_i = (m-i+1) v_{i-1}."""
-    assert m >= 0
+    if m < 0:
+        raise ValueError(f"V(m) needs a highest weight m >= 0, not {m}")
     n = m + 1
     h = [{i: Fraction(m - 2 * i)} for i in range(n)]
     x = [{i + 1: Fraction(m - i)} for i in range(m)] + [{}]
@@ -145,8 +143,11 @@ def external_product(w1: WeightModule, w2: WeightModule) -> WeightModule:
 def tensor_module(w1: WeightModule, w2: WeightModule) -> WeightModule:
     """V ⊗ W with the same algebra acting diagonally (generators matched
     by name)."""
-    assert w1.generator_names() == w2.generator_names()
-    assert w1.triples == w2.triples
+    if w1.generator_names() != w2.generator_names():
+        raise ValueError(f"generator names {w1.generator_names()} and "
+                         f"{w2.generator_names()} differ")
+    if w1.triples != w2.triples:
+        raise ValueError(f"triples {w1.triples} and {w2.triples} differ")
     labels = [f"({l1}|{l2})" for l1 in w1.basis_labels for l2 in w2.basis_labels]
     acts = [(name, _tensor_action(w1.actions[name], w2.actions[name]))
             for name in w1.generator_names()]
@@ -207,7 +208,8 @@ def weyl_dim(algebra_type: str, *weights) -> int:
     """Exact closed-form dimension of the irreducible module with the
     given highest weight."""
     w = tuple(int(m) for m in weights)
-    assert all(m >= 0 for m in w)
+    if any(m < 0 for m in w):
+        raise ValueError(f"highest weight {w} has a negative entry")
     if algebra_type == "A1":
         (m,) = w
         return m + 1
@@ -241,7 +243,8 @@ def search_dim(algebra_type: str, target: int):
     """All highest weights of the given type with the target dimension.
     The search grid m_i <= target is safe because every factor of the
     closed forms is strictly increasing in each coordinate."""
-    assert target >= 1
+    if target < 1:
+        raise ValueError(f"target dimension {target} is below 1")
     arity = _WEIGHT_ARITY[algebra_type]
     sols = []
     grid = range(target + 1)

@@ -177,19 +177,15 @@ class QuaternionAlgebra:
         return {t: self.field.one()}
 
     def combination(self, *pairs):
-        """sum c * x over the (c, x) pairs, each scalar c coerced into the
-        field, as one sum of products."""
+        """sum c * x over the (c, x) pairs as one sum of products: an int c
+        is the structure constant of each term, any other scalar c is
+        coerced into the field."""
         field = self.field
         one = field.one()
-        pairs = [(FieldElement.coerce(field, c), x) for c, x in pairs]
-        return sum_of_products(field, ((t, c, e, one) for c, x in pairs
+        pairs = [(c if c.__class__ is int else FieldElement.coerce(field, c),
+                  x) for c, x in pairs]
+        return sum_of_products(field, ((t, e, one, c) for c, x in pairs
                                        for t, e in x.items()))
-
-    def add(self, x, y):
-        return self.combination((1, x), (1, y))
-
-    def sub(self, x, y):
-        return self.combination((1, x), (-1, y))
 
     def scale(self, c, x):
         return self.combination((c, x))
@@ -199,6 +195,13 @@ class QuaternionAlgebra:
         return sum_of_products(self.field, (
             (t, xp, yq, coeff) for p, xp in x.items() for q, yq in y.items()
             for coeff, t in (table[p][q],)))
+
+    def vanishes(self, terms) -> bool:
+        """Whether sum c * a * b over the (c, a, b) in terms is zero, for
+        an int c and elements a and b, b None for a alone: one combination
+        of the products."""
+        return not self.combination(*((c, a if b is None else self.mul(a, b))
+                                      for c, a, b in terms))
 
     def galois(self, g, x):
         return {t: apply_galois(g, c) for t, c in x.items()}
@@ -216,9 +219,8 @@ class SL2Triple:
     y: dict
 
     def verify_brackets(self) -> bool:
-        alg = self.algebra
         return sl2_relations_hold([(self.h, self.x, self.y)],
-                                  alg.mul, alg.sub, alg.scale)
+                                  self.algebra.vanishes)
 
 
 def sl2_triple(a, lam) -> SL2Triple:
@@ -286,7 +288,7 @@ def verify_e_a1_brackets(alg, gens) -> bool:
     """All 15 pairwise bracket identities of the two commuting triples:
     three within each triple and the nine commutations across them."""
     return sl2_relations_hold([[gens[n] for n in t] for t in TRIPLE_NAMES],
-                              alg.mul, alg.sub, alg.scale)
+                              alg.vanishes)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +340,12 @@ def _split_scalar(field: MultiQuadField, c) -> ExactMatrix:
     the second."""
     return ExactMatrix.from_rows(field, [{r: c if r < 4 else -c}
                                          for r in range(8)], 8)
+
+
+def _vanishes(terms) -> bool:
+    """Whether the matrix combination sum c * a * b over the (c, a, b) in
+    terms is zero; see ExactMatrix.combination."""
+    return not any(ExactMatrix.combination(terms).nonzero)
 
 
 class AntiWeilRep:
@@ -443,9 +451,7 @@ class AntiWeilRep:
     def verify_matrix_brackets(self) -> bool:
         """The 8x8 matrices satisfy the sl(2) x sl(2) relations."""
         return sl2_relations_hold(
-            [[self.mu[n] for n in t] for t in TRIPLE_NAMES],
-            ExactMatrix.__mul__, ExactMatrix.__sub__,
-            lambda c, m: m.scale(c))
+            [[self.mu[n] for n in t] for t in TRIPLE_NAMES], _vanishes)
 
     def regenerate_galois_lie_table(self):
         """Recompute the Galois action on the six generators from the
@@ -472,51 +478,54 @@ class AntiWeilRep:
     def verify_galois_equivariance(self):
         """g^{-1} mu(l) (g v) = mu(g^{-1} l) v for the three Galois
         generators, six Lie generators and eight basis vectors, as the 18
-        matrix identities g(mu(l) P) = mu(g^{-1} l) with P = g(I).
-        failures lists (tag, name, t) for each column t where they differ."""
+        matrix identities g(mu(l) P) = mu(g^{-1} l) with P = g(I).  P is
+        rational, so g(mu(l) P) is g(mu(l)) P, and each identity is one
+        combination g(mu(l)) P - sign mu(l') that must vanish.  failures
+        lists (tag, name, t) for each column t where it does not."""
         identity = ExactMatrix.identity(self.field, 8)
         failures = []
         for tag in self.galois:
             P = self.galois_act(tag, identity)
             for name in GENERATOR_NAMES:
                 sign, target = GALOIS_LIE_TABLE[tag][name]
-                lhs = self.galois_act(tag, self.mu[name] * P)
-                rhs = self.mu[target].scale(self.field.rational(sign))
-                if lhs == rhs:
-                    continue
-                failures += [(tag, name, t) for t in range(8)
-                             if any(p.get(t) != q.get(t) for p, q in
-                                    zip(lhs.nonzero, rhs.nonzero))]
+                diff = ExactMatrix.combination(
+                    [(1, self.galois_act(tag, self.mu[name]), P),
+                     (-sign, self.mu[target], None)])
+                failures += [(tag, name, t) for t in
+                             sorted({t for row in diff.nonzero for t in row})]
         return (not failures), failures
 
     def phi(self, u, v):
         F = self.field
-        terms = ((0, x, y, F.one()) for x, y in zip(u, self.gram * v))
+        terms = ((0, x, y, 1) for x, y in zip(u, self.gram * v))
         return sum_of_products(F, terms).get(0, F.zero())
 
     def verify_symplectic(self):
         F = self.field
         checks = {}
         # antisymmetry and nondegeneracy
-        checks["antisymmetric"] = \
-            self.gram.transpose() == self.gram.scale(F.rational(-1))
-        checks["nondegenerate"] = not self.gram.det().is_zero()
+        G = self.gram
+        checks["antisymmetric"] = _vanishes([(1, G.transpose(), None),
+                                             (1, G, None)])
+        checks["nondegenerate"] = not G.det().is_zero()
         # (i) Galois descent: phi(g u, g v) = g(phi(u, v)) on all pairs of
-        # basis vectors is P^T G P = g(G) with P = g(I)
+        # basis vectors is P^T G P = g(G) with P = g(I).  P permutes the
+        # coordinates, so P P^T = I, and the identity is G P = P g(G),
+        # where P g(G) is the action of g on the columns of G
         identity = ExactMatrix.identity(F, 8)
         checks["descent"] = all(
-            P.transpose() * self.gram * P == self.gram.galois(self.galois[tag])
-            for tag in self.galois
-            for P in [self.galois_act(tag, identity)])
-        # (ii) infinitesimal invariance
+            _vanishes([(1, G, self.galois_act(tag, identity)),
+                       (-1, self.galois_act(tag, G), None)])
+            for tag in self.galois)
+        # (ii) infinitesimal invariance: mu^T G + G mu = 0
         checks["infinitesimal"] = all(
-            self.mu[n].transpose() * self.gram == -(self.gram * self.mu[n])
+            _vanishes([(1, self.mu[n].transpose(), G), (1, G, self.mu[n])])
             for n in GENERATOR_NAMES)
         # (iii) adjointness of the quadratic generator: phi(Jv, w) =
         # phi(v, conj(J) w) with conj(J) = -J.  (iv) central invariance:
         # k + conj(k) = 0 means k = c sqrt(D'), and phi(kv, w) + phi(v, kw)
         # = 0 is the same equation; the record keeps both keys.
-        adjoint = self.J.transpose() * self.gram == -(self.gram * self.J)
+        adjoint = _vanishes([(1, self.J.transpose(), G), (1, G, self.J)])
         checks["k_adjoint"] = adjoint
         checks["central_invariance"] = adjoint
         # isotropy of the eigenspaces (v/w Gram blocks vanish)
@@ -538,8 +547,10 @@ class AntiWeilRep:
         side pattern S (v_l or w_l for each l) is stable under g exactly
         when C_g = B^-1 g(B), the matrix of g in the v/w basis, has
         C_g[r][t] = 0 for every t in S and r not in S; none of the 16
-        patterns is stable under all three generators."""
-        if self.B_inv * self.J * self.B != _split_scalar(self.field, self.sDp):
+        patterns is stable under all three generators.  The J check
+        B^-1 J B = diag(...) runs as J B - B diag(...) = 0."""
+        if not _vanishes([(1, self.J, self.B),
+                          (-1, self.B, _split_scalar(self.field, self.sDp))]):
             return False
         moved = [(self.B_inv * self.galois_act(tag, self.B)).nonzero
                  for tag in self.galois]

@@ -7,7 +7,8 @@ against dense elementwise references and sympy, the sparse rational
 elimination against the dense integer elimination and sympy, unit
 scalars, the canonical element form and the sparse element arithmetic
 against the dense element reference, the sum-of-products kernel against
-plain sums of element products, and singular inverses over random towers
+plain sums of element products, matrix combinations of products against
+the dense sum, and singular inverses over random towers
 of degree 1 to 8."""
 
 import math
@@ -142,7 +143,8 @@ def test_sparse_elements_match_dense_reference(case):
 def product_terms(draw):
     """A field and (key, x, y, c) terms over it: sparse elements, zero
     among them, constants that are the field's one, an element equal to
-    one but not it, zero or general, and a key "cancel" whose two terms
+    one but not it, zero, general, or an int in {0, +-1, +-2}, and a key
+    "cancel" whose two terms
     are x * y * c and (-x) * y * c for nonzero x, y and c."""
     field = draw(st.sampled_from(ELEMENT_FIELDS))
     elements = st.builds(
@@ -151,7 +153,8 @@ def product_terms(draw):
                         st.integers(-30, 30), max_size=3),
         st.integers(1, 12))
     constants = st.one_of(st.just(field.one()), st.just(field.rational(1)),
-                          st.just(field.zero()), elements)
+                          st.just(field.zero()), elements,
+                          st.sampled_from((0, 1, -1, 2, -2)))
     terms = draw(st.lists(st.tuples(st.integers(0, 3), elements, elements,
                                     constants), max_size=12))
     x, y, c = (draw(elements.filter(lambda e: not e.is_zero()))
@@ -171,6 +174,10 @@ def test_sum_of_products_matches_plain_sums(case):
     got = sum_of_products(field, iter(terms))
     assert "cancel" not in got
     assert got == {k: e for k, e in want.items() if not e.is_zero()}
+    # an int constant c is the same as the element field.rational(c)
+    assert got == sum_of_products(field, [
+        (k, x, y, field.rational(c) if type(c) is int else c)
+        for k, x, y, c in terms])
     for e in got.values():
         assert e.field is field and e.den > 0 and 0 not in e.nums.values()
         assert math.gcd(e.den, *e.nums.values()) == 1
@@ -378,6 +385,72 @@ def test_sparse_product_edge_shapes(name):
         assert _cells(a * b) == _cells(dense_product(a, b))
     assert eye * col == col and wide * eye == wide
     assert all(e.is_zero() for r in (zero * col).entries for e in r)
+
+
+# -- linear combinations of products ------------------------------------------
+
+@st.composite
+def combinations_of_products(draw):
+    """(field, terms) for ExactMatrix.combination: one to four (c, a, b)
+    terms of one n x m shape, c in {0, +-1, +-2}, b None for a alone or
+    a's n x k partner, with factors random-sparse or zero; sometimes a
+    last term that cancels an earlier one."""
+    field = PRODUCT_FIELDS[draw(st.sampled_from(sorted(PRODUCT_FIELDS)))]
+    n, k, m = draw(st.sampled_from(SHAPES))
+    density = draw(st.sampled_from((1, 0.3, 0.1, 0)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def matrix(rows, cols):
+        return ExactMatrix(field, [[_random_entry(rng, field, density)
+                                    for _ in range(cols)]
+                                   for _ in range(rows)])
+
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = draw(st.sampled_from((0, 1, -1, 2, -2)))
+        if draw(st.booleans()):
+            terms.append((c, matrix(n, m), None))
+        else:
+            terms.append((c, matrix(n, k), matrix(k, m)))
+    if draw(st.booleans()):
+        c, a, b = draw(st.sampled_from(terms))
+        terms.append((-c, a, b))
+    return field, terms
+
+
+@given(combinations_of_products())
+@settings(max_examples=150, deadline=None)
+def test_combination_matches_dense_reference(case):
+    field, terms = case
+    _, a, b = terms[0]
+    want = [[field.zero()] * (a.cols if b is None else b.cols)
+            for _ in range(a.rows)]
+    for c, a, b in terms:
+        term = a if b is None else dense_product(a, b)
+        want = [[w + field.rational(c) * e for w, e in zip(r1, r2)]
+                for r1, r2 in zip(want, term.entries)]
+    _same(ExactMatrix.combination(iter(terms)), ExactMatrix(field, want))
+
+
+def test_combination_checks_fields_and_shapes():
+    f = field_create([-1])
+    i = f.sqrt_gen(-1)
+    a = ExactMatrix(f, [[1, i, 0], [0, 2, i]])          # 2 x 3
+    sq = ExactMatrix(f, [[i, 1], [1, 0]])               # 2 x 2
+    assert ExactMatrix.combination([(1, sq, a), (-2, a, None)]) == \
+        sq * a - a.scale(2)
+    assert ExactMatrix.combination([(1, a, None), (-1, a, None)]).nonzero \
+        == [{}, {}]
+    other = ExactMatrix(QQ, [[1, 0, 0], [0, 1, 0]])
+    for terms, message in [
+            ([], "at least one term"),
+            ([(1, a, None), (1, other, None)], "field mismatch"),
+            ([(1, sq, ExactMatrix(QQ, [[1], [0]]))], "field mismatch"),
+            ([(1, a, sq)], "inner dimensions differ"),
+            ([(1, sq, a), (1, sq, None)], "shapes differ"),
+            ([(1, sq, None), (1, a.transpose(), None)], "shapes differ")]:
+        with pytest.raises(ValueError, match=message):
+            ExactMatrix.combination(terms)
 
 
 # -- the one field elimination against the dense references -------------------

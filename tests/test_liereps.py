@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmsweep.fields import QQ, ExactMatrix, rational_kernel, rational_rank
-from cmsweep.liereps import (WeightModule, _matmul, _matscale, _matsub,
+from cmsweep.liereps import (WeightModule, _vanishes,
                              classify_dim4_faithful, dual_module,
                              external_product,
                              invariant_space, search_dim, sl2_irrep,
@@ -223,22 +223,34 @@ def test_rational_kernel_of_no_rows_is_the_standard_basis():
 
 # -- the one sl(2)-relations check, on the three element types it serves ----
 
+def _row_combination(*pairs):
+    """sum c * a over the (c, a) pairs of {col: value} rows."""
+    out = [{} for _ in pairs[0][1]]
+    for c, a in pairs:
+        for acc, row in zip(out, a):
+            for j, x in row.items():
+                acc[j] = acc.get(j, 0) + c * x
+    return [{j: x for j, x in acc.items() if x} for acc in out]
+
+
 def _relations_case(kind):
     """Two commuting sl(2) triples of one element type, with the type's
-    product, difference and scaling by an int."""
-    from cmsweep.quatrep import TRIPLE_NAMES, build_antiweil_rep, e_a1_triples
+    vanishing test and its linear combination sum c * a over (c, a)
+    pairs."""
+    from cmsweep.quatrep import (TRIPLE_NAMES, _vanishes as mat_vanishes,
+                                 build_antiweil_rep, e_a1_triples)
     if kind == "quaternion":
         alg, gens = e_a1_triples(-2, -3)
         return ([[gens[n] for n in t] for t in TRIPLE_NAMES],
-                alg.mul, alg.sub, alg.scale)
+                alg.vanishes, alg.combination)
     if kind == "exact-matrix":
         mu = build_antiweil_rep(-1, -2, -3).mu
-        return ([[mu[n] for n in t] for t in TRIPLE_NAMES],
-                ExactMatrix.__mul__, ExactMatrix.__sub__,
-                lambda c, m: m.scale(c))
+        return ([[mu[n] for n in t] for t in TRIPLE_NAMES], mat_vanishes,
+                lambda *pairs: ExactMatrix.combination(
+                    (c, a, None) for c, a in pairs))
     w = external_product(sl2_irrep(1), sl2_irrep(1))
     return ([[w.actions[n] for n in t] for t in w.triples],
-            _matmul, _matsub, _matscale)
+            _vanishes, _row_combination)
 
 
 RELATION_KINDS = ("quaternion", "exact-matrix", "fraction-lists")
@@ -246,48 +258,46 @@ RELATION_KINDS = ("quaternion", "exact-matrix", "fraction-lists")
 
 @pytest.mark.parametrize("kind", RELATION_KINDS)
 def test_sl2_relations_hold_on_commuting_triples(kind):
-    triples, mul, sub, scale = _relations_case(kind)
-    assert sl2_relations_hold(triples, mul, sub, scale)
-    assert all(sl2_relations_hold([t], mul, sub, scale) for t in triples)
-    assert sl2_relations_hold([], mul, sub, scale)
+    triples, vanishes, _ = _relations_case(kind)
+    assert sl2_relations_hold(triples, vanishes)
+    assert all(sl2_relations_hold([t], vanishes) for t in triples)
+    assert sl2_relations_hold([], vanishes)
 
 
 @pytest.mark.parametrize("kind", RELATION_KINDS)
 def test_sl2_relations_fail_on_one_broken_relation(kind):
-    triples, mul, sub, scale = _relations_case(kind)
+    triples, vanishes, combine = _relations_case(kind)
     (h, x, y), second = triples
-
-    def add(a, b):
-        return sub(a, scale(-1, b))
+    x_plus_y = combine((1, x), (1, y))
 
     # each mutant breaks exactly one relation: [h, x+y] = 2x - 2y is not
     # 2(x+y) while [x+y, y] = h; [h, x+y] is not -2(x+y) while
     # [x, x+y] = h; [x, 0] = 0 is not h while [h, 0] = -2 * 0
-    for mutant in ((h, add(x, y), y), (h, x, add(x, y)),
-                   (h, x, scale(0, y))):
-        assert not sl2_relations_hold([mutant], mul, sub, scale)
-        assert not sl2_relations_hold([mutant, second], mul, sub, scale)
+    for mutant in ((h, x_plus_y, y), (h, x, x_plus_y),
+                   (h, x, combine((0, y)))):
+        assert not sl2_relations_hold([mutant], vanishes)
+        assert not sl2_relations_hold([mutant, second], vanishes)
     # a triple does not commute with itself
-    assert not sl2_relations_hold([triples[0], triples[0]], mul, sub, scale)
+    assert not sl2_relations_hold([triples[0], triples[0]], vanishes)
 
 
 @pytest.mark.parametrize("kind", RELATION_KINDS)
 def test_sl2_relations_fail_on_one_non_commuting_cross_pair(kind):
-    triples, mul, sub, scale = _relations_case(kind)
+    triples, vanishes, _ = _relations_case(kind)
     for a in triples[0]:
         for b in triples[1]:
-            def skewed(p, q, a=a, b=b):
+            def skewed(terms, a=a, b=b):
                 # the product of a by b alone gains a term, so a and b no
                 # longer commute; the triples' own brackets are untouched
-                out = mul(p, q)
-                return sub(out, scale(-1, a)) if p is a and q is b else out
+                return vanishes(list(terms) + [
+                    (c, a, None) for c, p, q in terms if p is a and q is b])
 
-            assert not sl2_relations_hold(triples, skewed, sub, scale)
+            assert not sl2_relations_hold(triples, skewed)
 
 
 def test_weight_module_rejects_broken_relations():
     v1 = sl2_irrep(1)
-    zero = _matscale(0, v1.actions["y"])
+    zero = [{} for _ in v1.actions["y"]]
     with pytest.raises(ValueError, match="sl\\(2\\) relations"):
         WeightModule(v1.basis_labels, dict(v1.actions, y=zero),
                      v1.triples)
@@ -356,3 +366,55 @@ def test_sparse_constructions_match_dense_references(build):
             _dense_wedge(a)
         for mod in (w, dual, tensor, wedge):
             assert all(x for row in mod.actions[name] for x in row.values())
+
+
+BAD_INPUTS = {
+    "sl2_irrep": (lambda: sl2_irrep(-1), "m >= 0, not -1"),
+    "tensor_names": (lambda: tensor_module(sl2_irrep(1),
+                                           sp4_standard_module()),
+                     "generator names"),
+    "tensor_triples": (lambda: tensor_module(
+        sl2_irrep(1), WeightModule(["v0", "v1"], sl2_irrep(1).actions,
+                                   [])), "triples"),
+    "weyl_dim": (lambda: weyl_dim("A1", -1), "negative entry"),
+    "search_dim": (lambda: search_dim("A1", 0), "below 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_inputs_raise_value_error(name):
+    make, message = BAD_INPUTS[name]
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_input_checks_survive_optimize_flag():
+    """Under python -O a negative highest weight, mismatched tensor
+    factors and a target dimension below 1 are still refused, where an
+    assert would let weyl_dim("A1", -1) return 0 and sl2_irrep(-1) build
+    a 0-dimensional module."""
+    code = ("from cmsweep.liereps import (WeightModule, search_dim,\n"
+            "    sl2_irrep, sp4_standard_module, tensor_module, weyl_dim)\n"
+            "v1 = sl2_irrep(1)\n"
+            "bare = WeightModule(v1.basis_labels, v1.actions, [])\n"
+            "for make in (lambda: sl2_irrep(-1),\n"
+            "             lambda: tensor_module(v1, sp4_standard_module()),\n"
+            "             lambda: tensor_module(v1, bare),\n"
+            "             lambda: weyl_dim('A1', -1),\n"
+            "             lambda: search_dim('A1', 0)):\n"
+            "    try:\n"
+            "        print('accepted:', make())\n"
+            "    except ValueError as exc:\n"
+            "        print('refused:', exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "refused: V(m) needs a highest weight m >= 0, not -1",
+        "refused: generator names ('h', 'x', 'y') and ('g0', 'g1', 'g2', "
+        "'g3', 'g4', 'g5', 'g6', 'g7', 'g8', 'g9') differ",
+        "refused: triples (('h', 'x', 'y'),) and () differ",
+        "refused: highest weight (-1,) has a negative entry",
+        "refused: target dimension 0 is below 1",
+    ]

@@ -265,7 +265,7 @@ def test_table_product_matches_brute_force_reference(gens, a, b, D):
     F = alg.field
     x, y, z = ({t: F.rational(Fraction(s * (t + 1), t + 2))
                 for t in range(alg.dim)} for s in (1, -2, 3))
-    x = alg.add(x, alg.scale(alg.a, y))
+    x = alg.combination((1, x), (alg.a, y))
     assert alg.mul(alg.mul(x, y), z) == alg.mul(x, alg.mul(y, z))
 
 
@@ -297,15 +297,17 @@ def test_product_matches_pairwise_reference(gens, a, b, D):
     for _ in range(30):
         x, y = element(range(alg.dim)), element(range(alg.dim))
         pure = element((1, 2, 3))
-        pairs += [(x, y), (y, x), (pure, pure), (x, alg.sub(x, x))]
+        pairs += [(x, y), (y, x), (pure, pure),
+                  (x, alg.combination((1, x), (-1, x)))]
     for x, y in pairs:
         assert alg.mul(x, y) == pairwise_quaternion_mul(alg, x, y)
 
 
 @pytest.mark.parametrize("gens,a,b,D", ALGEBRAS)
 def test_sparse_algebra_matches_dense_reference(gens, a, b, D):
-    """add, sub, scale, mul and galois on random sparse elements against
-    the dense tuple algebra: equal after densifying, and no zero kept."""
+    """Sums and differences by combination, scale, mul and galois on
+    random sparse elements against the dense tuple algebra: equal after
+    densifying, and no zero kept."""
     alg = _algebra(gens, a, b, D)
     ref = DenseQuaternionAlgebra(alg)
     F = alg.field
@@ -323,22 +325,25 @@ def test_sparse_algebra_matches_dense_reference(gens, a, b, D):
         x = element(range(alg.dim))
         y = element(range(alg.dim))
         dx, dy = ref.dense(x), ref.dense(y)
-        for op in ("add", "sub", "mul"):
-            same(getattr(alg, op)(x, y), getattr(ref, op)(dx, dy))
+        same(alg.combination((1, x), (1, y)), ref.add(dx, dy))
+        same(alg.combination((1, x), (-1, y)), ref.sub(dx, dy))
+        same(alg.mul(x, y), ref.mul(dx, dy))
         for c in scalars:
             same(alg.scale(c, x), ref.scale(c, dx))
+            same(alg.combination((c, x), (-2, y)),
+                 ref.sub(ref.scale(c, dx), ref.scale(2, dy)))
         for g in F.galois_group():
             same(alg.galois(g, x), ref.galois(g, dx))
-        assert alg.sub(x, x) == {} == alg.scale(0, x)
-        assert alg.add(x, alg.scale(-1, x)) == {}
+        assert alg.combination((1, x), (-1, x)) == {} == alg.scale(0, x)
+        assert alg.combination((1, x), (1, alg.scale(-1, x))) == {}
         assert alg.mul(x, {}) == {} == alg.mul({}, y)
-    assert alg.add({}, {}) == {} == alg.combination()
+    assert alg.combination((1, {}), (1, {})) == {} == alg.combination()
 
 
 def test_products_make_no_element_product_or_sum(rep, monkeypatch):
-    """QuaternionAlgebra.mul, add, sub and scale, ExactMatrix.__mul__ and
-    phi run on the one kernel: no FieldElement product or sum is built for
-    them."""
+    """QuaternionAlgebra.mul, combination, scale and vanishes,
+    ExactMatrix.__mul__ and combination, and phi run on the one kernel: no
+    FieldElement product or sum is built for them."""
     alg, gens, _ = rep.e_a1
     elements = [gens[n] for n in GENERATOR_NAMES]
     mats = [rep.mu[n] for n in GENERATOR_NAMES] + [rep.gram, rep.B]
@@ -350,10 +355,14 @@ def test_products_make_no_element_product_or_sum(rep, monkeypatch):
                             _counting(calls, name,
                                       getattr(FieldElement, name)))
     products = [alg.mul(x, y) for x in elements for y in elements]
-    products += [op(x, y) for op in (alg.add, alg.sub)
+    products += [alg.combination((1, x), (sign, y)) for sign in (1, -1)
                  for x in elements for y in elements]
     products += [alg.scale(c, x) for c in (2, -1) for x in elements]
+    products += [alg.vanishes([(1, x, y), (-1, y, x), (2, x, None)])
+                 for x in elements for y in elements]
     products += [m * n for m in mats for n in mats]
+    products += [ExactMatrix.combination([(1, m, n), (-2, n, None)])
+                 for m in mats for n in mats]
     products += [m * vec for m in mats] + [rep.phi(vec, vec)]
     assert products and calls == {}
 
@@ -525,6 +534,83 @@ def test_perturbed_gram_fails_descent_like_reference(root, r, c):
     assert not _descent_by_pairs(rep)
 
 
+def _symplectic_by_products(rep):
+    """Reference: the symplectic identities as the products of both sides
+    compared with ==, as verify_symplectic once ran."""
+    F, G = rep.field, rep.gram
+    identity = ExactMatrix.identity(F, 8)
+    adjoint = rep.J.transpose() * G == -(G * rep.J)
+    return {
+        "antisymmetric": G.transpose() == G.scale(F.rational(-1)),
+        "descent": all(P.transpose() * G * P == G.galois(rep.galois[tag])
+                       for tag in rep.galois
+                       for P in [rep.galois_act(tag, identity)]),
+        "infinitesimal": all(rep.mu[n].transpose() * G == -(G * rep.mu[n])
+                             for n in GENERATOR_NAMES),
+        "k_adjoint": adjoint, "central_invariance": adjoint}
+
+
+def _bump(rep, r, c, x):
+    """The 8x8 matrix with x at (r, c) and zeros elsewhere."""
+    return ExactMatrix.from_rows(rep.field, [{c: x} if i == r else {}
+                                             for i in range(8)], 8)
+
+
+# each perturbation and the check it breaks
+SYMPLECTIC_PERTURBATIONS = {
+    "mu": (lambda rep: rep.mu.update(x1=rep.mu["x1"] + _bump(rep, 2, 5,
+                                                              rep.sa)),
+           "infinitesimal"),
+    "J": (lambda rep: setattr(rep, "J", rep.J + _bump(rep, 0, 1,
+                                                      rep.field.one())),
+          "k_adjoint"),
+    "gram": (lambda rep: setattr(rep, "gram", rep.gram + _bump(rep, 1, 3,
+                                                               rep.sD)),
+             "antisymmetric"),
+}
+
+
+@pytest.mark.parametrize("name", [None] + sorted(SYMPLECTIC_PERTURBATIONS))
+def test_symplectic_checks_match_product_reference(name):
+    """Each identity as one vanishing combination decides as both sides
+    built and compared: on the true rep, and on a rep whose mu, J or Gram
+    matrix is perturbed."""
+    rep = build_antiweil_rep(-1, -2, -3)
+    if name is not None:
+        perturb, broken = SYMPLECTIC_PERTURBATIONS[name]
+        perturb(rep)
+    ok, checks = rep.verify_symplectic()
+    want = _symplectic_by_products(rep)
+    assert {k: checks[k] for k in want} == want
+    if name is None:
+        assert ok and all(want.values())
+    else:
+        assert not ok and not checks[broken]
+
+
+def test_passing_identities_build_no_matrix_side(rep, monkeypatch):
+    """The bracket, symplectic and Galois identities of a passing rep are
+    evaluated as combinations: no ExactMatrix product of two matrices,
+    sum, difference, negation or scaling is built for them."""
+    calls = Counter()
+    mul = ExactMatrix.__mul__
+
+    def counted_mul(a, b):
+        if isinstance(b, ExactMatrix):
+            calls["__mul__"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", counted_mul)
+    for name in ("__add__", "__sub__", "__neg__", "scale"):
+        monkeypatch.setattr(ExactMatrix, name,
+                            _counting(calls, name, getattr(ExactMatrix,
+                                                           name)))
+    assert rep.verify_matrix_brackets()
+    assert rep.verify_symplectic()[0]
+    assert rep.verify_galois_equivariance() == (True, [])
+    assert calls == {}
+
+
 def test_trivial_galois_action_leaves_a_stable_pattern():
     rep = build_antiweil_rep(-1, -2, -3)
     trivial = GaloisElement((1, 1, 1))
@@ -559,7 +645,8 @@ ALTERATIONS = {
     # g1 x1 = -y2 is then not +-2 x1 and g1 y2 = -x1 not +-x1'
     "doubled": lambda alg, g: alg.scale(2, g),
     # the J component leaves the span, so a solve finds no coordinates
-    "off-span": lambda alg, g: alg.add(g, alg.basis_element(4)),
+    "off-span": lambda alg, g: alg.combination((1, g),
+                                               (1, alg.basis_element(4))),
 }
 
 
