@@ -179,6 +179,20 @@ def apply_galois(g: GaloisElement, e: "FieldElement") -> "FieldElement":
     return _new(e.field, {m: signs[m] * x for m, x in e.nums.items()}, e.den)
 
 
+def field_inclusion(small: MultiQuadField, big: MultiQuadField):
+    """The inclusion of small into big, whose generators include all of
+    small's: each monomial mask is relabelled to the big field's, and the
+    numerators and denominator carry over, already canonical."""
+    bits = [1 << big.gens.index(d) for d in small.gens]
+    relabel = [sum(b for i, b in enumerate(bits) if m >> i & 1)
+               for m in range(small.degree)]
+
+    def lift(e: "FieldElement") -> "FieldElement":
+        return _new(big, {relabel[m]: x for m, x in e.nums.items()}, e.den)
+
+    return lift
+
+
 # ---------------------------------------------------------------------------
 # integer kernels on {mask: numerator} dicts
 # ---------------------------------------------------------------------------
@@ -446,16 +460,21 @@ QQ = MultiQuadField(())
 def cleared_rows(rows):
     """The nonzero rows of int or Fraction entries, given as lists or as
     {col: value} dicts, each times the lcm of the denominators of its
-    nonzero entries, as {col: int} dicts."""
+    nonzero entries, as fresh {col: int} dicts; a row of ints is only
+    stripped of its zeros."""
     out = []
     for row in rows:
-        nonzero = [(j, x) for j, x in
+        nonzero = {j: x for j, x in
                    (row.items() if isinstance(row, dict) else enumerate(row))
-                   if x]
-        if nonzero:
-            den = lcm(*(x.denominator for _, x in nonzero))
+                   if x}
+        if not nonzero:
+            continue
+        if all(x.__class__ is int for x in nonzero.values()):
+            out.append(nonzero)
+        else:
+            den = lcm(*(x.denominator for x in nonzero.values()))
             out.append({j: x.numerator * (den // x.denominator)
-                        for j, x in nonzero})
+                        for j, x in nonzero.items()})
     return out
 
 

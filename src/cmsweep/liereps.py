@@ -1,8 +1,9 @@
 """
 Small-dimensional representation bookkeeping: Weyl dimension formulas for
-rank <= 3 types, explicit sl(2) weight modules and their tensor/wedge/End
-constructions, exact invariant-vector solving, and the sp(4) standard
-module built from its symplectic form.
+rank <= 3 types, explicit sl(2) weight modules and their tensor and wedge
+constructions, the commutant system of a set of matrices, exact
+invariant-vector solving, and the sp(4) standard module built from its
+symplectic form.
 """
 
 from __future__ import annotations
@@ -154,18 +155,6 @@ def tensor_module(w1: WeightModule, w2: WeightModule) -> WeightModule:
     return WeightModule(labels, acts, w1.triples)
 
 
-def dual_module(w: WeightModule) -> WeightModule:
-    """V* with each generator acting by -m^T."""
-    acts = []
-    for name, m in w.actions.items():
-        out = [{} for _ in range(w.dim)]
-        for i, row in enumerate(m):
-            for j, x in row.items():
-                out[j][i] = -x
-        acts.append((name, out))
-    return WeightModule(w.basis_labels, acts, w.triples)
-
-
 def wedge2_module(w: WeightModule) -> WeightModule:
     """∧²V with the induced action, built from the nonzeros of each
     action: l.(e_i ^ e_j) = (l e_i) ^ e_j + e_i ^ (l e_j)."""
@@ -188,6 +177,32 @@ def wedge2_module(w: WeightModule) -> WeightModule:
                         out[t][col] = out[t].get(col, 0) + sign * x
         acts.append((name, out))
     return WeightModule(labels, acts, w.triples)
+
+
+def commutant_rows(mats, n):
+    """The {col: value} rows of the linear system X -> m X - X m over the
+    n x n matrices m in mats, given as {col: value} rows: row (i, j) of
+    each m in turn, with the unknown X[k][j] at column k * n + j.  Row
+    for row these are the actions on V ⊗ V*, where m acts as
+    m ⊗ 1 + 1 ⊗ (-m^T), built from the nonzeros of m without the
+    module; a row holds no zero, and ints stay ints."""
+    rows = []
+    for m in mats:
+        cols = [{} for _ in range(n)]
+        for k, mrow in enumerate(m):
+            for j, y in mrow.items():
+                cols[j][k] = y
+        for i, mrow in enumerate(m):
+            base = i * n
+            for j, col in enumerate(cols):
+                acc = {k * n + j: x for k, x in mrow.items()}
+                for k, y in col.items():
+                    acc[base + k] = acc.get(base + k, 0) - y
+                # only X[i][j] gets two terms, m[i][i] - m[j][j]
+                if acc.get(base + j) == 0:
+                    del acc[base + j]
+                rows.append(acc)
+    return rows
 
 
 def invariant_space(w: WeightModule):

@@ -19,9 +19,10 @@ from itertools import product as iproduct
 
 from .fields import (QQ, DependentGenerators, ExactMatrix, FieldElement,
                      GaloisElement, MultiQuadField, apply_galois,
-                     field_create, squarefree_split, sum_of_products)
-from .liereps import (WeightModule, dual_module, invariant_space,
-                      sl2_relations_hold, tensor_module, wedge2_module)
+                     field_create, field_inclusion, rational_rank,
+                     squarefree_split, sum_of_products)
+from .liereps import (WeightModule, commutant_rows, sl2_relations_hold,
+                      wedge2_module)
 
 
 def _flip_generator(field: MultiQuadField, idx: int) -> GaloisElement:
@@ -29,18 +30,6 @@ def _flip_generator(field: MultiQuadField, idx: int) -> GaloisElement:
     return GaloisElement(tuple(-1 if t == idx else 1
                                for t in range(len(field.gens))))
 
-
-def _field_lift(small: MultiQuadField, big: MultiQuadField):
-    """Inclusion of a multiquadratic field whose generators all occur among
-    the generators of a bigger one."""
-    # big-field index of each small-field generator
-    index = [big.gens.index(d) for d in small.gens]
-
-    def lift(e: FieldElement) -> FieldElement:
-        return FieldElement(big, {frozenset(index[i] for i in s): c
-                                  for s, c in e.coords.items()})
-
-    return lift
 
 # ---------------------------------------------------------------------------
 # square roots inside multiquadratic fields
@@ -165,10 +154,14 @@ class QuaternionAlgebra:
                 for x, e in zip((self.a, self.b, self.D), exps):
                     for _ in range(e):
                         c = c * x
+                if c.is_rational() and c.as_fraction().denominator == 1:
+                    c = c.as_fraction().numerator
                 monomials[exps] = c
             return monomials[exps] if sign > 0 else -monomials[exps]
 
-        # _table[p][q] = (coefficient, unit index) for e_p * e_q
+        # _table[p][q] = (coefficient, unit index) for e_p * e_q; a
+        # rational-integer coefficient is an int, which sum_of_products
+        # takes as a numerator scale
         self._table = [[(coefficient(sign, exps), t)
                         for sign, exps, t in row[:self.dim]]
                        for row in UNIT_TABLE[:self.dim]]
@@ -603,7 +596,7 @@ class AntiWeilRep:
     def _build_rational_model(self):
         F = self.field
         one = F.one()
-        lift = _field_lift(self.e_a1[0].field, F)
+        lift = field_inclusion(self.e_a1[0].field, F)
         coeffs = ExactMatrix.from_rows(
             F, [{g: lift(c) for g, c in row.items()}
                 for row in self._unit_coefficients().transpose().nonzero], 6)
@@ -660,20 +653,26 @@ def verify_irreducibility(rep: AntiWeilRep) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# degree-2 invariants of the rational model (kernel computations)
+# degree-2 invariants of the rational model (ranks of int systems)
 # ---------------------------------------------------------------------------
 
 def invariant_endomorphisms_dim(rep: AntiWeilRep) -> int:
     """dim of { T in End(V) : [mu(l), T] = 0 for all l, [J, T] = 0 },
-    computed over Q in the rational model as the invariants of V ⊗ V*,
-    where m ⊗ 1 + 1 ⊗ (-m^T) acts as T -> [m, T].  Expected 2 (the
-    quadratic field acting)."""
+    computed over Q in the rational model as 64 minus the rank of the
+    commutant system T -> m T - T m over the generators m of the rational
+    module, built from their nonzeros; no kernel basis is formed.
+    Expected 2 (the quadratic field acting)."""
     w = rep.rational_module
-    return len(invariant_space(tensor_module(w, dual_module(w))))
+    n = w.dim
+    mats = [w.actions[name] for name in w.generator_names()]
+    return n * n - rational_rank(commutant_rows(mats, n), n * n)
 
 
 def invariant_wedge2_dim(rep: AntiWeilRep) -> int:
     """dim of the wedge-square invariants under the six generators and
-    the centered quadratic action (which kills no symplectic line);
-    expected 1, the line of the symplectic form."""
-    return len(invariant_space(wedge2_module(rep.rational_module)))
+    the centered quadratic action (which kills no symplectic line), as
+    dim ∧²V minus the rank of the stacked ∧² actions; expected 1, the
+    line of the symplectic form."""
+    w = wedge2_module(rep.rational_module)
+    return w.dim - rational_rank([row for name in w.generator_names()
+                                  for row in w.actions[name]], w.dim)

@@ -5,7 +5,9 @@ against; the dense tuple quaternion algebra that the sparse one is checked
 against; the dense Gauss-Jordan elimination and determinant that the
 sparse elimination is checked against; the dense integer elimination and
 distinct-row pass that the sparse rational core is checked against; the
-dense matrix-vector product that SignedPerm.apply is checked against; the
+dual module, whose tensor with V is the End(V) module that the commutant
+rows are checked against; the dense matrix-vector product that
+SignedPerm.apply is checked against; the
 solve-based rational-unit coefficients and Galois Lie table that the
 anti-Weil chain is checked against; and spec-facing functions that the
 verifier itself never calls (a saturation index, CM-type primitivity and
@@ -20,6 +22,7 @@ from cmsweep.cmfields import (CMFieldModel, CMType, SubfieldModel,
 from cmsweep.fields import (ExactMatrix, FieldElement, _axpy, apply_galois,
                             sum_of_products)
 from cmsweep.intlat import IntLattice, snf
+from cmsweep.liereps import WeightModule
 from cmsweep.quatrep import (GENERATOR_NAMES, AntiWeilRep, _flip_generator,
                              squarefree_split)
 
@@ -268,6 +271,20 @@ def distinct_rows(rows):
             g = -g
         seen[tuple([x // g for x in row] if g != 1 else row)] = None
     return [list(row) for row in seen]
+
+
+def dual_module(w: WeightModule) -> WeightModule:
+    """V* with each generator acting by -m^T: with tensor_module, the
+    End(V) = V ⊗ V* module whose stacked actions liereps.commutant_rows
+    builds directly."""
+    acts = []
+    for name, m in w.actions.items():
+        out = [{} for _ in range(w.dim)]
+        for i, row in enumerate(m):
+            for j, x in row.items():
+                out[j][i] = -x
+        acts.append((name, out))
+    return WeightModule(w.basis_labels, acts, w.triples)
 
 
 def solve_unit_coefficients(rep: AntiWeilRep):

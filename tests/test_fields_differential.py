@@ -8,7 +8,9 @@ elimination against the dense integer elimination and sympy, unit
 scalars, the canonical element form and the sparse element arithmetic
 against the dense element reference, the sum-of-products kernel against
 plain sums of element products, matrix combinations of products against
-the dense sum, and singular inverses over random towers
+the dense sum, denominator clearing against its rebuild-every-row form,
+the field inclusion against the coordinate route, the commutant rows
+against the End(V) module, and singular inverses over random towers
 of degree 1 to 8."""
 
 import math
@@ -758,19 +760,106 @@ def test_echelon_rows_are_primitive_with_positive_lead():
                                   {1: 1, 2: -2}]
 
 
+def _cleared_rows_reference(rows):
+    """cleared_rows as it was before int rows passed through: every
+    nonzero row times the lcm of its denominators, rebuilt."""
+    out = []
+    for row in rows:
+        nonzero = [(j, x) for j, x in
+                   (row.items() if isinstance(row, dict) else enumerate(row))
+                   if x]
+        if nonzero:
+            den = math.lcm(*(x.denominator for _, x in nonzero))
+            out.append({j: x.numerator * (den // x.denominator)
+                        for j, x in nonzero})
+    return out
+
+
+mixed_values = st.one_of(st.integers(-9, 9), fracs, st.booleans())
+
+
+@st.composite
+def mixed_rows(draw):
+    """Rows of ints, Fractions and bools, some all-int, given as lists or
+    as {col: value} dicts that may hold explicit zeros."""
+    ncols = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        values = st.integers(-9, 9) if draw(st.booleans()) else mixed_values
+        row = draw(st.lists(values, min_size=ncols, max_size=ncols))
+        if draw(st.booleans()):
+            keep_zeros = draw(st.booleans())
+            row = {j: x for j, x in enumerate(row) if x or keep_zeros}
+        rows.append(row)
+    return rows
+
+
+@given(mixed_rows())
+@settings(max_examples=200, deadline=None)
+def test_cleared_rows_matches_reference_and_leaves_input(rows):
+    before = [dict(r) if isinstance(r, dict) else list(r) for r in rows]
+    got = cleared_rows(rows)
+    want = _cleared_rows_reference(before)
+    assert got == want
+    assert all(type(x) is int and x for row in got for x in row.values())
+    for row in got:
+        for j in list(row):
+            row[j] += 1
+        row[-1] = 5
+    assert rows == before
+
+
+def test_cleared_rows_passes_int_rows_through_fresh():
+    rows = [{0: 2, 1: 0, 3: -4}, [0, 3, 0], {2: Fraction(1, 2), 0: 1},
+            [True, 0, 2], {}, [0, 0]]
+    got = cleared_rows(rows)
+    assert got == [{0: 2, 3: -4}, {1: 3}, {2: 1, 0: 2}, {0: 1, 2: 2}]
+    assert got[0] is not rows[0]
+    assert type(got[3][0]) is int
+
+
+@pytest.mark.parametrize("small_gens,big_gens", [
+    ((-1,), (-1, 2)), ((2,), (-1, 2)), ((-3, -1), (-1, 2, -3)),
+    ((-3, 2, -1), (-1, 2, -3)), ((-7, -5), (-5, -7, -2))])
+def test_field_inclusion_matches_coords_route(small_gens, big_gens):
+    """The mask relabel against the route the lift once took: coords,
+    then Fractions, then FieldElement(big, coords) on the big field's
+    generator indices."""
+    small, big = field_create(small_gens), field_create(big_gens)
+    lift = fields.field_inclusion(small, big)
+    index = [big.gens.index(d) for d in small.gens]
+    rng = random.Random(hash(small_gens) % 1000)
+    for _ in range(40):
+        e = FieldElement.from_nums(
+            small, {m: rng.randint(-6, 6) for m in range(small.degree)
+                    if rng.random() < 0.6}, rng.randint(1, 9))
+        want = FieldElement(big, {frozenset(index[i] for i in s): c
+                                  for s, c in e.coords.items()})
+        got = lift(e)
+        assert got.field is big
+        assert (got.nums, got.den) == (want.nums, want.den)
+    for i, d in enumerate(small.gens):
+        assert lift(small.monomial([i])) == big.sqrt_gen(d)
+        assert lift(small.monomial([i])) * lift(small.monomial([i])) == d
+
+
 def test_commutant_rows_collapse_to_distinct_lines():
-    """The stacked End(V) action of the fixture triple: 352 nonzero
-    rows, 128 of them distinct up to a rational factor, rank 62."""
-    from cmsweep.liereps import dual_module, tensor_module
+    """The commutant system of the fixture's rational generators is the
+    stacked End(V) = V ⊗ V* action row for row: 448 rows, 352 of them
+    nonzero, 128 distinct up to a rational factor, rank 62."""
+    from cmsweep.liereps import commutant_rows, tensor_module
     from cmsweep.quatrep import build_antiweil_rep
+    from helpers import dual_module
     w = build_antiweil_rep().rational_module
     t = tensor_module(w, dual_module(w))
     stacked = [row for n in t.generator_names() for row in t.actions[n]]
-    rows = cleared_rows(stacked)
-    assert (len(stacked), len(rows), len(distinct_rows(dense_rows(rows, 64)))) \
+    got = commutant_rows([w.actions[n] for n in w.generator_names()], w.dim)
+    assert got == stacked
+    assert all(x for row in got for x in row.values())
+    rows = cleared_rows(got)
+    assert (len(got), len(rows), len(distinct_rows(dense_rows(rows, 64)))) \
         == (448, 352, 128)
-    assert rational_rank(stacked, 64) == len(_raw_kernel(stacked, 64)[1]) \
-        == 62
+    assert rational_rank(got, 64) == len(_raw_kernel(stacked, 64)[1]) == 62
 
 
 # -- index-only matrix operations ---------------------------------------------

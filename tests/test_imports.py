@@ -1,9 +1,9 @@
 """The package runs on the standard library alone: every module imports
 only `cmsweep` and stdlib names, and the distribution declares no
 runtime dependency.  The storage of field elements is known to `fields`
-alone, `quatrep` builds its matrices from their nonzeros, every case
-matrix of `torus` is a SignedPerm, and each module declares its
-`assert` statements."""
+alone, `quatrep` builds its matrices from their nonzeros and its End(V)
+dimension from the commutant rows, every case matrix of `torus` is a
+SignedPerm, and each module declares its `assert` statements."""
 
 import ast
 import sys
@@ -84,6 +84,21 @@ def test_quatrep_builds_no_matrix_from_dense_rows():
              and isinstance(node.func, ast.Name)
              and node.func.id == "ExactMatrix"]
     assert calls == []
+
+
+def test_antiweil_invariants_use_the_commutant_rows():
+    """The End(V) dimension is a rank of liereps.commutant_rows: quatrep
+    imports no module construction it would need a kernel of V ⊗ V* for,
+    and liereps keeps no dual module."""
+    tree = ast.parse((ROOT / "src" / "cmsweep" / "quatrep.py").read_text())
+    imported = {a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "commutant_rows" in imported
+    assert not imported & {"dual_module", "tensor_module", "invariant_space",
+                           "rational_kernel"}
+    liereps = ast.parse((ROOT / "src" / "cmsweep" / "liereps.py").read_text())
+    assert "dual_module" not in {node.name for node in ast.walk(liereps)
+                                 if isinstance(node, ast.FunctionDef)}
 
 
 def test_torus_keeps_each_case_matrix_as_a_signed_perm():

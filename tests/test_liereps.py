@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from cmsweep.fields import QQ, ExactMatrix, rational_kernel, rational_rank
 from cmsweep.liereps import (WeightModule, _vanishes,
-                             classify_dim4_faithful, dual_module,
+                             classify_dim4_faithful, commutant_rows,
                              external_product,
                              invariant_space, search_dim, sl2_irrep,
                              sl2_relations_hold, sp4_basis,
                              sp4_standard_module, tensor_module,
                              wedge2_module, weyl_dim)
-from helpers import dense_rows, weil_layer_identity
+from helpers import dense_rows, dual_module, weil_layer_identity
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -345,6 +345,42 @@ def _dense_wedge(a):
                     col[(p, q) if p < q else (q, p)] += c if p < q else -c
         cols.append([col[p] for p in pairs])
     return [list(r) for r in zip(*cols)]
+
+
+@given(fraction_modules(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_commutant_rows_match_the_dense_end_action(w, data):
+    """Row for row the dense m ⊗ 1 + 1 ⊗ (-m^T), with no zero stored and
+    ints kept as ints; applied to a random X, row (i, j) gives
+    (m X - X m)[i][j]."""
+    n = w.dim
+    mats = [w.actions[name] for name in w.generator_names()]
+    got = commutant_rows(mats, n)
+    want = []
+    for m in mats:
+        a = _dense_action(m, n)
+        want += _dense_tensor(a, [[-x for x in col] for col in zip(*a)])
+    assert dense_rows(got, n * n) == want
+    assert all(x for row in got for x in row.values())
+    if all(type(x) is int for m in mats for row in m for x in row.values()):
+        assert all(type(x) is int for row in got for x in row.values())
+    X = data.draw(st.lists(st.lists(st.integers(-5, 5), min_size=n,
+                                    max_size=n), min_size=n, max_size=n))
+    flat = [x for row in X for x in row]
+    rows = iter(got)
+    for m in mats:
+        a = _dense_action(m, n)
+        for i in range(n):
+            for j in range(n):
+                value = sum(x * flat[c] for c, x in next(rows).items())
+                assert value == sum(a[i][k] * X[k][j] - X[i][k] * a[k][j]
+                                    for k in range(n))
+
+
+def test_commutant_rows_of_the_identity_vanish():
+    eye = [{i: 1} for i in range(3)]
+    assert commutant_rows([eye], 3) == [{}] * 9
+    assert commutant_rows([], 3) == []
 
 
 @pytest.mark.parametrize("build", ["V(3)", "V(1)xV(1)", "sp4"])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cmsweep import fields, quatrep
+from cmsweep import fields, liereps, quatrep
 from cmsweep.fields import (QQ, DependentGenerators, ExactMatrix,
                             FieldElement, GaloisElement, apply_galois,
                             field_create)
@@ -28,8 +28,10 @@ from cmsweep.quatrep import (AntiWeilRep, GALOIS_EIGEN_TABLE,
                              unit_table_associativity, unit_table_text,
                              verify_e_a1_brackets, verify_galois_equivariance,
                              verify_irreducibility, verify_symplectic)
-from helpers import (DenseQuaternionAlgebra, pairwise_quaternion_mul,
-                     solve_galois_lie_table, solve_unit_coefficients)
+from cmsweep.liereps import invariant_space, tensor_module, wedge2_module
+from helpers import (DenseQuaternionAlgebra, dual_module,
+                     pairwise_quaternion_mul, solve_galois_lie_table,
+                     solve_unit_coefficients)
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +184,35 @@ def test_invariant_dimensions(rep):
     assert invariant_wedge2_dim(rep) == 1
 
 
+# negative square-free integers of absolute value at most 30: three
+# distinct ones always generate a degree-8 field
+NEG_SQUAREFREE = tuple(-n for n in range(1, 31)
+                       if all(n % (d * d) for d in range(2, 6)))
+
+
+def test_invariant_dims_match_module_kernels_on_grid_triples():
+    """The rank-only dimensions equal the kernel lengths of the V ⊗ V*
+    and ∧²V modules on seeded triples (D', D, a), where both are 2 and
+    1."""
+    rng = random.Random(2104)
+    for _ in range(10):
+        r = build_antiweil_rep(*rng.sample(NEG_SQUAREFREE, 3))
+        w = r.rational_module
+        end = len(invariant_space(tensor_module(w, dual_module(w))))
+        wedge = len(invariant_space(wedge2_module(w)))
+        assert (invariant_endomorphisms_dim(r), invariant_wedge2_dim(r)) \
+            == (end, wedge) == (2, 1), r.params
+
+
+def test_invariant_dims_build_no_kernel_basis(rep, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a kernel basis was built")
+    monkeypatch.setattr(fields, "_kernel_basis", refuse)
+    monkeypatch.setattr(liereps, "rational_kernel", refuse)
+    assert invariant_endomorphisms_dim(rep) == 2
+    assert invariant_wedge2_dim(rep) == 1
+
+
 # -- the unit table and its associativity proof -----------------------------
 
 def test_unit_table_proven_for_both_dimensions():
@@ -301,6 +332,62 @@ def test_product_matches_pairwise_reference(gens, a, b, D):
                   (x, alg.combination((1, x), (-1, x)))]
     for x, y in pairs:
         assert alg.mul(x, y) == pairwise_quaternion_mul(alg, x, y)
+
+
+def _element_table(alg):
+    """The structure constants as the algebra once stored them: every
+    sign * a^ea * b^eb * D^eD a field element, built by field products."""
+    F = alg.field
+    out = []
+    for row in UNIT_TABLE[:alg.dim]:
+        out.append([])
+        for sign, exps, t in row[:alg.dim]:
+            c = F.rational(sign)
+            for x, e in zip((alg.a, alg.b, alg.D), exps):
+                for _ in range(e):
+                    c = c * x
+            out[-1].append((c, t))
+    return out
+
+
+@pytest.mark.parametrize("gens,a,b,D", ALGEBRAS + [
+    ((), Fraction(-3, 2), -1, -2), ((-2,), Fraction(-3, 2), 3, -5)])
+def test_integer_structure_constants_are_ints(gens, a, b, D):
+    """A constant that is a rational integer is stored as an int, any
+    other as a field element; each equals the element-built constant, and
+    the product over the element table is the same."""
+    alg = _algebra(gens, a, b, D)
+    ref = _element_table(alg)
+    kinds = set()
+    for row, ref_row in zip(alg._table, ref):
+        for (c, t), (want, ref_t) in zip(row, ref_row):
+            assert t == ref_t and c == want
+            integral = want.is_rational() and \
+                want.as_fraction().denominator == 1
+            assert (c.__class__ is int) == integral
+            kinds.add(c.__class__)
+    if (gens, a) == ((), Fraction(-3, 2)):
+        assert kinds == {int, FieldElement}
+    old = QuaternionAlgebra(alg.field, alg.a, alg.b, alg.D)
+    old._table = ref
+    element = _random_elements(alg, random.Random(41))
+    for _ in range(20):
+        x, y = element(range(alg.dim)), element(range(alg.dim))
+        assert alg.mul(x, y) == old.mul(x, y) == \
+            pairwise_quaternion_mul(old, x, y)
+
+
+def test_integer_constants_multiply_no_numerators(monkeypatch):
+    """With a, b and D integers every constant is an int, and a product
+    of algebra elements scales numerators only."""
+    alg, gens = e_a1_triples(-2, -3)
+    assert all(c.__class__ is int for row in alg._table for c, _ in row)
+    calls = Counter()
+    monkeypatch.setattr(fields, "_mul_nums",
+                        _counting(calls, "_mul_nums", fields._mul_nums))
+    products = [alg.mul(gens[m], gens[n]) for m in GENERATOR_NAMES
+                for n in GENERATOR_NAMES]
+    assert any(products) and calls == {}
 
 
 @pytest.mark.parametrize("gens,a,b,D", ALGEBRAS)

@@ -1,7 +1,8 @@
 """The signed-permutation sweeps: verdict tables, witnesses, stable
 subspace families, sign-flip symmetry, the integer cubic constraints,
-the signed-permutation type, its eigenlines read off the cycles and the
-eigenvalue trial scan."""
+the signed-permutation type, its eigenlines read off the cycles, the
+eigenvalue trial scan and the commutant dimensions of the case
+matrices."""
 
 import json
 import random
@@ -324,6 +325,36 @@ def test_signed_perm_agrees_with_its_matrix():
             assert cycle[0] == min(cycle)
             assert all(a.perm[c] == cycle[(t + 1) % len(cycle)]
                        for t, c in enumerate(cycle))
+
+
+# dim End_G(Q^4), the commutant of the group each case's matrices generate
+COMMUTANT_DIMS = [
+    ((P0,), 8), ((M1,), 4),
+    ((P0, P1), 4), ((P0, P2), 4), ((PP0, QQ0), 4),
+    ((P0, P2, Q1), 2), ((P0, P2, Q2), 2), ((P0, P3, QP2), 2),
+    ((P0, A4_Q, R0), 1), ((P0, A4_QP, R5), 1),
+]
+
+
+@pytest.mark.parametrize("gens,want", COMMUTANT_DIMS)
+def test_commutant_dimensions_of_case_matrices(gens, want):
+    """The commutant X g = g X of the case matrices, from the int rows of
+    liereps.commutant_rows, against sympy's rank of the dense system
+    X -> g X - X g written out cell by cell."""
+    import sympy
+    from cmsweep.fields import rational_rank
+    from cmsweep.liereps import commutant_rows
+    rows = commutant_rows([m.nonzero for m in gens], 4)
+    assert all(type(x) is int for row in rows for x in row.values())
+    assert 16 - rational_rank(rows, 16) == want
+    dense = []
+    for m in gens:
+        g = _dense(m)
+        dense += [[(g[i][k] if l == j else 0) - (g[l][j] if k == i else 0)
+                   for k in range(4) for l in range(4)]
+                  for i in range(4) for j in range(4)]
+    assert dense_rows(rows, 16) == dense
+    assert 16 - sympy.Matrix(dense).rank() == want
 
 
 def _sign_of(p, q):
