@@ -580,9 +580,9 @@ def rational_kernel(rows, ncols):
                          Fraction(1), lambda x, lead: Fraction(-x, lead))
 
 
-def rational_rank(rows, ncols) -> int:
-    """Rank of the rational matrix with ncols columns and the given rows,
-    which are as for rational_kernel."""
+def rational_rank(rows) -> int:
+    """Rank of the rational matrix with the given rows, which are as for
+    rational_kernel."""
     return len(_echelon(cleared_rows(rows)))
 
 

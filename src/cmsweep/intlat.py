@@ -6,6 +6,8 @@ everything favors exactness and canonical output over speed.
 
 from __future__ import annotations
 
+from math import prod
+
 from .fields import cleared_rows
 
 
@@ -45,13 +47,19 @@ def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
 
 
 class IntLattice:
-    """A sublattice of Z^n given by its canonical HNF basis (rows)."""
+    """A sublattice of Z^n given by its canonical HNF basis (rows) and the
+    pivot column of each basis row."""
 
     def __init__(self, ambient_rank: int, rows):
         self.ambient_rank = int(ambient_rank)
-        basis = _hnf_rows([list(r) for r in rows])
-        assert all(len(r) == self.ambient_rank for r in basis)
-        self.basis = tuple(tuple(r) for r in basis)
+        rows = [list(r) for r in rows]
+        for r in rows:
+            if len(r) != self.ambient_rank:
+                raise ValueError(f"row {r} does not have length "
+                                 f"{self.ambient_rank}")
+        self.basis = tuple(map(tuple, _hnf_rows(rows)))
+        self.pivots = tuple(next(j for j, a in enumerate(row) if a)
+                            for row in self.basis)
 
     @property
     def rank(self) -> int:
@@ -69,17 +77,19 @@ class IntLattice:
         return f"IntLattice({self.ambient_rank}, {list(map(list, self.basis))})"
 
     def contains(self, vec) -> bool:
-        """Exact membership via the HNF basis (greedy pivot division)."""
-        v = list(map(int, vec))
-        assert len(v) == self.ambient_rank
-        for row in self.basis:
-            p = next((j for j, a in enumerate(row) if a), None)
-            if p is None:
-                continue
-            if v[p] % row[p] != 0:
+        """Exact membership via the HNF basis: greedy division at the
+        pivots, so a vector with a non-integral entry is not a member;
+        ValueError unless vec has ambient_rank entries."""
+        v = list(vec)
+        if len(v) != self.ambient_rank:
+            raise ValueError(f"vector {v} does not have length "
+                             f"{self.ambient_rank}")
+        for p, row in zip(self.pivots, self.basis):
+            q, r = divmod(v[p], row[p])
+            if r:
                 return False
-            q = v[p] // row[p]
-            v = [a - q * b for a, b in zip(v, row)]
+            if q:
+                v = [a - q * b for a, b in zip(v, row)]
         return not any(v)
 
 
@@ -175,11 +185,14 @@ def snf(mat):
 
 
 def saturate(l: IntLattice) -> IntLattice:
-    """Intersection of the Q-span of l with Z^n.  With U*B*V = S from the
-    Smith form of the basis B, U*B = S*V^-1: row i of U*B is d_i times
-    row i of V^-1, and the first r rows of the unimodular V^-1 span the
-    saturation."""
-    if l.rank == 0:
+    """Intersection of the Q-span of l with Z^n.  The index [sat L : L] is
+    the gcd of the maximal minors of the basis B (Newman, Integral
+    Matrices, 1972, ch. II), and B is echelon, so its minor at the pivot
+    columns is the pivot product: l comes back as it is when that is 1.
+    Otherwise, with U*B*V = S from the Smith form of B, U*B = S*V^-1: row
+    i of U*B is d_i times row i of V^-1, and the first r rows of the
+    unimodular V^-1 span the saturation."""
+    if prod(row[p] for p, row in zip(l.pivots, l.basis)) == 1:
         return l
     factors, u, _ = snf([list(r) for r in l.basis])
     cols = list(zip(*l.basis))

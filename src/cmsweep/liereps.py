@@ -323,7 +323,7 @@ def _images_independent(mats) -> bool:
     n = len(mats[0])
     flat = [{i * n + j: x for i, row in enumerate(m) for j, x in row.items()}
             for m in mats]
-    return rational_rank(flat, n * n) == len(mats)
+    return rational_rank(flat) == len(mats)
 
 
 def classify_dim4_faithful():

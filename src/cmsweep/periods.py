@@ -67,7 +67,7 @@ def trdeg_lower_bound(ms) -> int:
         return 0
     basis = ms[0].basis
     assert all(m.basis == basis for m in ms)
-    return rational_rank([m.exponents for m in ms], len(basis))
+    return rational_rank([m.exponents for m in ms])
 
 
 def twisted_membership(ms, k: int) -> bool:

@@ -665,7 +665,7 @@ def invariant_endomorphisms_dim(rep: AntiWeilRep) -> int:
     w = rep.rational_module
     n = w.dim
     mats = [w.actions[name] for name in w.generator_names()]
-    return n * n - rational_rank(commutant_rows(mats, n), n * n)
+    return n * n - rational_rank(commutant_rows(mats, n))
 
 
 def invariant_wedge2_dim(rep: AntiWeilRep) -> int:
@@ -675,4 +675,4 @@ def invariant_wedge2_dim(rep: AntiWeilRep) -> int:
     line of the symplectic form."""
     w = wedge2_module(rep.rational_module)
     return w.dim - rational_rank([row for name in w.generator_names()
-                                  for row in w.actions[name]], w.dim)
+                                  for row in w.actions[name]])

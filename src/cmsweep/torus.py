@@ -26,9 +26,10 @@ from math import gcd, prod
 from typing import NamedTuple
 
 from .cmfields import closure
-from .fields import (QQ, DoesNotSplit, ExactMatrix, MultiQuadField,
-                     apply_galois, eigen_decompose, field_create,
-                     rational_kernel, rational_rank, roots_of_unity)
+from .fields import (DoesNotSplit, ExactMatrix, MultiQuadField,
+                     apply_galois, cleared_rows, eigen_decompose,
+                     field_create, rational_kernel, rational_rank,
+                     roots_of_unity)
 from .intlat import IntLattice, rational_span_intersect
 
 # ---------------------------------------------------------------------------
@@ -268,8 +269,7 @@ def stable_subspaces_finite(ms, target_rank, field):
         basis_f = [lines[t][1] for t in subset]
         rat = rational_intersection(field, basis_f)
         assert len(rat) == target_rank  # Galois-stable sums always descend
-        if all(rational_rank(rat + [m.apply(r) for r in rat],
-                             n) == target_rank
+        if all(rational_rank(rat + [m.apply(r) for r in rat]) == target_rank
                for m in ms[1:]):
             results.append({
                 "eigenvalues": sorted(repr(lines[t][0]) for t in subset),
@@ -342,8 +342,10 @@ def _shifted(m: SignedPerm, lam) -> list:
 
 
 def _eigenplane(m: SignedPerm, lam_int):
-    """Rational basis of ker(m - lam*I) for lam in {1,-1}."""
-    return rational_kernel(_shifted(m, lam_int), 4)
+    """The basis of ker(m - lam*I) for lam in {1,-1} that rational_kernel
+    gives, as int lists: a signed permutation's is integral."""
+    return [list(_integral(v))
+            for v in rational_kernel(_shifted(m, lam_int), 4)]
 
 
 def _restrict(m: SignedPerm, basis, field):
@@ -359,6 +361,33 @@ def _restrict(m: SignedPerm, basis, field):
                                for i in range(len(cols))])
 
 
+def _combination(coeffs, basis) -> list:
+    """sum_t coeffs[t] * basis[t] of the vectors in basis."""
+    return [sum(x * b for x, b in zip(coeffs, col)) for col in zip(*basis)]
+
+
+def _rational_restriction(m: SignedPerm, basis):
+    """The int matrix C of m on the span of an _eigenplane basis, m*b_i =
+    sum_j C[j][i] b_j, and the eigenlines of C: the rational_kernel bases
+    of C - I, then of C + I, the order eigen_decompose tries them in over
+    QQ, each vector cleared of its denominators; [] when they do not fill
+    the span.  Each b_j ends in a 1 at its free column, where the other
+    basis vectors are 0, so C[j][i] is (m*b_i) there."""
+    n = len(basis)
+    free = [max(j for j, x in enumerate(b) if x) for b in basis]
+    images = [m.apply(b) for b in basis]
+    c = [[img[f] for img in images] for f in free]
+    # m commutes with the lift whose eigenspace the basis spans
+    assert all(list(img) == _combination(col, basis)
+               for img, col in zip(images, zip(*c))), \
+        "subspace not stable under restriction"
+    lines = cleared_rows(v for lam in (1, -1) for v in rational_kernel(
+        [[x - lam * (i == j) for j, x in enumerate(row)]
+         for i, row in enumerate(c)], n))
+    return c, [[v.get(t, 0) for t in range(n)] for v in lines] \
+        if len(lines) == n else []
+
+
 def _eigenlines_2x2(c: ExactMatrix):
     """Eigenlines of a semisimple 2x2 matrix over its field; [] when the
     matrix does not split there."""
@@ -369,22 +398,20 @@ def _eigenlines_2x2(c: ExactMatrix):
     return [(lam, v) for lam, ker in found for v in ker]
 
 
-def _charpoly_2x2_str(c: ExactMatrix) -> str:
-    tr = c.entries[0][0] + c.entries[1][1]
-    det = c.entries[0][0] * c.entries[1][1] - c.entries[0][1] * c.entries[1][0]
+def _charpoly_2x2_str(c) -> str:
+    """The characteristic polynomial of the 2x2 rows c, of ints or field
+    elements (whose reprs agree on integers)."""
+    tr = c[0][0] + c[1][1]
+    det = c[0][0] * c[1][1] - c[0][1] * c[1][0]
     return f"t^2 - ({tr!r})*t + ({det!r})"
 
 
 def _integral(v) -> tuple:
-    """The entries of v as a tuple of ints; ValueError unless each is
-    integral."""
-    out = []
-    for x in v:
-        q = Fraction(x)
-        if q.denominator != 1:
-            raise ValueError(f"vector {list(v)} is not integral")
-        out.append(q.numerator)
-    return tuple(out)
+    """The entries of v, ints or Fractions, as a tuple of ints; ValueError
+    unless each is integral."""
+    if any(x.denominator != 1 for x in v):
+        raise ValueError(f"vector {list(v)} is not integral")
+    return tuple(x.numerator for x in v)
 
 
 @dataclass
@@ -460,10 +487,8 @@ def pair_analysis(m1: SignedPerm, m2: SignedPerm):
             fam = MixedFamily(a, b, m2.apply(a), m2.apply(b), [m1, m2])
             return "family", fam
         # commuting: lines are eigenlines of the 2x2 restrictions
-        cm = _restrict(m2, vm, QQ)
-        cp = _restrict(m2, vp, QQ)
-        lm = _eigenlines_2x2(cm)
-        lp = _eigenlines_2x2(cp)
+        cm, lm = _rational_restriction(m2, vm)
+        cp, lp = _rational_restriction(m2, vp)
         if not lm or not lp:
             side = "minus" if not lm else "plus"
             cc = cm if not lm else cp
@@ -471,13 +496,10 @@ def pair_analysis(m1: SignedPerm, m2: SignedPerm):
                             "eigenplane": side,
                             "charpoly": _charpoly_2x2_str(cc)}
         cands = []
-        for _, cv in lm:
-            for _, dv in lp:
-                lv = [sum((Fraction(cv[t].as_fraction()) * Fraction(vm[t][j])
-                           for t in range(2)), Fraction(0)) for j in range(4)]
-                pv = [sum((Fraction(dv[t].as_fraction()) * Fraction(vp[t][j])
-                           for t in range(2)), Fraction(0)) for j in range(4)]
-                cands.append(rational_span_intersect([lv, pv], 4))
+        for cv in lm:
+            for dv in lp:
+                cands.append(rational_span_intersect(
+                    [_combination(cv, vm), _combination(dv, vp)], 4))
         return "finite", cands
     # both square to -I: work over Q(i)
     gauss = field_create([-1])
@@ -490,7 +512,7 @@ def pair_analysis(m1: SignedPerm, m2: SignedPerm):
         lines = _eigenlines_2x2(c)
         if not lines:
             return "none", {"reason": "restriction has no eigenline over Q(i)",
-                            "charpoly": _charpoly_2x2_str(c)}
+                            "charpoly": _charpoly_2x2_str(c.entries)}
         cands = []
         for _, cv in lines:
             ell = [cv[0] * vi[0][j] + cv[1] * vi[1][j] for j in range(4)]

@@ -7,7 +7,9 @@ sparse elimination is checked against; the dense integer elimination and
 distinct-row pass that the sparse rational core is checked against; the
 dual module, whose tensor with V is the End(V) module that the commutant
 rows are checked against; the dense matrix-vector product that
-SignedPerm.apply is checked against; the
+SignedPerm.apply is checked against; the QQ restriction by solve and
+eigen_decompose that the int restriction of the rational pair branch is
+checked against; the
 solve-based rational-unit coefficients and Galois Lie table that the
 anti-Weil chain is checked against; and spec-facing functions that the
 verifier itself never calls (a saturation index, CM-type primitivity and
@@ -19,12 +21,13 @@ from math import gcd
 
 from cmsweep.cmfields import (CMFieldModel, CMType, SubfieldModel,
                               restrict_multiplicities)
-from cmsweep.fields import (ExactMatrix, FieldElement, _axpy, apply_galois,
-                            sum_of_products)
+from cmsweep.fields import (QQ, ExactMatrix, FieldElement, _axpy,
+                            apply_galois, sum_of_products)
 from cmsweep.intlat import IntLattice, snf
 from cmsweep.liereps import WeightModule
 from cmsweep.quatrep import (GENERATOR_NAMES, AntiWeilRep, _flip_generator,
                              squarefree_split)
+from cmsweep.torus import _eigenlines_2x2, _restrict
 
 
 class DenseElement:
@@ -221,6 +224,16 @@ def dense_rows(rows, ncols):
 def mat_apply(rows, v):
     """The product of the matrix with the given dense rows and v."""
     return tuple(sum(x * y for x, y in zip(row, v)) for row in rows)
+
+
+def qq_restriction(m, basis):
+    """The matrix C of the SignedPerm m on span(basis) and the eigenlines
+    of C, as Fractions, by the QQ route the rational pair branch took
+    before it stayed on ints: one QQ solve per basis vector, then
+    eigen_decompose over QQ."""
+    c = _restrict(m, basis, QQ)
+    return ([[e.as_fraction() for e in row] for row in c.entries],
+            [[e.as_fraction() for e in v] for _, v in _eigenlines_2x2(c)])
 
 
 def integer_rref(rows, ncols):

@@ -628,7 +628,7 @@ def test_every_elimination_runs_through_echelon(monkeypatch):
              "solve": lambda: m.solve([1, 0]), "inverse": m.inverse,
              "det": m.det, "eigen_decompose": lambda: eigen_decompose(m),
              "rational_kernel": lambda: rational_kernel([[1, 2]], 2),
-             "rational_rank": lambda: rational_rank([[1, 2]], 2)}
+             "rational_rank": lambda: rational_rank([[1, 2]])}
     for name, call in calls.items():
         with pytest.raises(RuntimeError, match="_echelon called"):
             call()
@@ -716,7 +716,7 @@ def test_sparse_elimination_matches_dense_reference_and_sympy(case):
     _primitive_with_positive_lead(echelon)
     assert sorted(echelon) == pivots
     assert rational_kernel(given_rows, ncols) == kernel
-    assert rational_rank(given_rows, ncols) == len(pivots)
+    assert rational_rank(given_rows) == len(pivots)
     want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
                           for x in row] for row in rows])
     red, want_pivots = want.rref()
@@ -738,7 +738,7 @@ def test_distinct_row_kernel_and_rank_match_raw_rows(case):
     distinct = distinct_rows(dense_rows(cleared_rows(rows), ncols))
     assert integer_rref(distinct, ncols) == pivots
     assert rational_kernel(distinct, ncols) == kernel
-    assert rational_rank(distinct, ncols) == len(pivots)
+    assert rational_rank(distinct) == len(pivots)
     want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
                           for x in row] for row in rows])
     assert len(pivots) == want.rank()
@@ -859,7 +859,7 @@ def test_commutant_rows_collapse_to_distinct_lines():
     rows = cleared_rows(got)
     assert (len(got), len(rows), len(distinct_rows(dense_rows(rows, 64)))) \
         == (448, 352, 128)
-    assert rational_rank(got, 64) == len(_raw_kernel(stacked, 64)[1]) == 62
+    assert rational_rank(got) == len(_raw_kernel(stacked, 64)[1]) == 62
 
 
 # -- index-only matrix operations ---------------------------------------------

@@ -132,8 +132,8 @@ def test_torus_keeps_each_case_matrix_as_a_signed_perm():
 
 
 # assert statements each module may hold; the rest raise ValueError
-ASSERTS = {"cmfields.py": 5, "intlat.py": 3, "liereps.py": 11,
-           "periods.py": 6, "positivity.py": 10, "torus.py": 5}
+ASSERTS = {"cmfields.py": 5, "intlat.py": 1, "liereps.py": 11,
+           "periods.py": 6, "positivity.py": 10, "torus.py": 6}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,10 +1,18 @@
 """Integer lattice normal forms: fixed examples, sympy Smith-form oracle,
-the 1000-case randomized idempotence/saturation suite, and saturation
-against the inverse of the Smith column transform."""
+the 1000-case randomized idempotence/saturation suite, saturation and its
+already-saturated shortcut against the inverse of the Smith column
+transform, membership against an HNF reference, and the input checks."""
 
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
+import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from cmsweep import intlat
@@ -13,6 +21,8 @@ from cmsweep.fields import QQ, ExactMatrix
 from cmsweep.intlat import (IntLattice, hnf, rational_span_intersect,
                             saturate, snf)
 from helpers import saturation_index
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _saturate_by_inverse(l):
@@ -75,7 +85,6 @@ def test_saturation_example():
 
 
 def test_rational_span_intersect():
-    from fractions import Fraction
     l = rational_span_intersect([[Fraction(1, 2), Fraction(1, 2)]], 2)
     assert l.basis == ((1, 1),)
 
@@ -121,19 +130,112 @@ def test_saturate_matches_inverse_reference_1000():
 
 
 def test_saturate_matches_inverse_reference_on_sweeps(monkeypatch):
-    """Every lattice the four torus sweeps build (sweep-a4 builds none:
-    each of its cases is rejected by rank before a lattice is formed)."""
-    built = []
-    init = intlat.IntLattice.__init__
+    """Every lattice the four torus sweeps saturate (sweep-dim1 and
+    sweep-a4 saturate none: dim1 builds its lattices directly and each a4
+    case is rejected by rank before a lattice is formed).  Both routes are
+    taken: the saturated lattice handed back as it is, and the Smith
+    route."""
+    received = []
+    sat = intlat.saturate
 
-    def recording(self, ambient_rank, rows):
-        init(self, ambient_rank, rows)
-        built.append(self)
+    def recording(l):
+        received.append(l)
+        return sat(l)
 
-    monkeypatch.setattr(intlat.IntLattice, "__init__", recording)
+    monkeypatch.setattr(intlat, "saturate", recording)
     for sweep in ("sweep-dim1", "sweep-order4", "sweep-klein4", "sweep-a4"):
         SECTIONS[sweep](None)
     monkeypatch.undo()
-    assert len(built) >= 100
-    for l in built:
+    assert len(received) >= 50
+    assert {saturate(l) is l for l in received} == {True, False}
+    for l in received:
         assert saturate(l) == _saturate_by_inverse(l)
+
+
+# rank 1-3 lattices in Z^4: a basis of independent rows, then a row mix by
+# a nonsingular integer matrix whose determinant is the index it adds
+_rows4 = st.lists(st.integers(-6, 6), min_size=4, max_size=4)
+
+
+@given(st.integers(1, 3).flatmap(lambda r: st.tuples(
+    st.lists(_rows4, min_size=r, max_size=r),
+    st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r),
+             min_size=r, max_size=r))))
+@settings(max_examples=300, deadline=None)
+def test_saturation_shortcut_matches_the_smith_route(case):
+    """saturate hands back an already-saturated lattice as it is; every
+    result equals the inverse reference, and the Smith route on 2L, whose
+    pivots are all even, gives the same saturation."""
+    rows, mix = case
+    r = len(rows)
+    assume(sympy.Matrix(rows).rank() == r and sympy.Matrix(mix).det() != 0)
+    l = IntLattice(4, [[sum(m * x for m, x in zip(mrow, col))
+                        for col in zip(*rows)] for mrow in mix])
+    assert l.rank == r
+    sat = saturate(l)
+    assert sat == _saturate_by_inverse(l)
+    assert saturation_index(sat) == 1
+    if sat is l:
+        assert saturation_index(l) == 1
+    doubled = IntLattice(4, [[2 * x for x in row] for row in l.basis])
+    assert saturate(doubled) is not doubled
+    assert saturate(doubled) == sat
+
+
+def test_saturation_shortcut_needs_unit_pivots():
+    """Unit pivots make a minor 1, so the lattice is saturated; index 1
+    with a pivot 2, and index above 1, take the Smith route."""
+    l = IntLattice(4, [[1, 1, 0, 0], [0, 0, 1, 1]])
+    assert saturate(l) is l
+    for rows, index in (([[1, 1, 1, 1], [0, 2, 2, 0]], 2),
+                        ([[2, 1, 0, 0]], 1), ([[3, 0, 0, 3]], 3)):
+        l = IntLattice(4, rows)
+        assert saturation_index(l) == index
+        assert saturate(l) is not l
+        assert saturate(l) == _saturate_by_inverse(l)
+
+
+@given(st.lists(_rows4, min_size=0, max_size=3),
+       st.lists(st.integers(-4, 4), min_size=3, max_size=3), _rows4)
+@settings(max_examples=300, deadline=None)
+def test_contains_matches_the_hnf_reference(rows, coeffs, vec):
+    """v lies in L iff adding v to the rows leaves the HNF unchanged; the
+    vectors are an integer combination of the rows, that combination
+    moved by one unit vector, and a random vector."""
+    l = IntLattice(4, rows)
+    combo = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows)] \
+        if rows else [0, 0, 0, 0]
+    moved = combo[:1] + [combo[1] + 1] + combo[2:]
+    assert l.contains(combo)
+    for v in (combo, moved, vec):
+        assert l.contains(v) == (hnf(list(l.basis) + [v], 4) == l)
+
+
+def test_contains_refuses_non_integral_vectors():
+    """A rational vector off the lattice stays off it: entries are divided
+    as they are, not truncated to ints first."""
+    assert not IntLattice(2, [[1, 0]]).contains([Fraction(1, 2), 0])
+    assert not IntLattice(2, [[2, 0]]).contains([Fraction(5, 2), 0])
+    assert IntLattice(2, [[2, 0]]).contains([Fraction(4, 2), 0])
+
+
+def test_length_checks_survive_optimize_flag():
+    """A row or a vector of the wrong length is refused with ValueError,
+    also under python -O."""
+    code = ("from cmsweep.intlat import IntLattice\n"
+            "for make in (lambda: IntLattice(3, [[1, 2, 0], [1, 2]]),\n"
+            "             lambda: IntLattice(3, [[1, 2, 0]]).contains([1, 2])):\n"
+            "    try:\n"
+            "        print('accepted:', make())\n"
+            "    except ValueError as exc:\n"
+            "        print('refused:', exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "refused: row [1, 2] does not have length 3",
+        "refused: vector [1, 2] does not have length 3",
+    ]
+    with pytest.raises(ValueError, match="does not have length 4"):
+        IntLattice(4, [[0, 0, 0]])

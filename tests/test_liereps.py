@@ -185,7 +185,7 @@ def test_invariant_space_matches_element_built_kernel(w):
     assert got == _element_built_kernel(dense)
     assert rational_kernel(stacked, w.dim) == rational_kernel(dense, w.dim) \
         == got
-    assert rational_rank(stacked, w.dim) == _element_built(dense).rank()
+    assert rational_rank(stacked) == _element_built(dense).rank()
     assert all(x for row in stacked for x in row.values())
     for v in got:
         assert all(type(x) is Fraction for x in v)
@@ -211,14 +211,14 @@ def test_rational_kernel_and_rank_match_element_built(case):
     kernel = rational_kernel(rows, ncols)
     assert kernel == _element_built_kernel(rows)
     assert all(type(x) is Fraction for v in kernel for x in v)
-    assert rational_rank(rows, ncols) == _element_built(rows).rank()
-    assert rational_rank(rows, ncols) + len(kernel) == ncols
+    assert rational_rank(rows) == _element_built(rows).rank()
+    assert rational_rank(rows) + len(kernel) == ncols
 
 
 def test_rational_kernel_of_no_rows_is_the_standard_basis():
     assert rational_kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert rational_kernel([[0, 0, 0]], 3) == rational_kernel([], 3)
-    assert rational_rank([], 3) == 0
+    assert rational_rank([]) == 0
 
 
 # -- the one sl(2)-relations check, on the three element types it serves ----

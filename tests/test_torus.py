@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmsweep.fields import (DoesNotSplit, ExactMatrix,
-                            _eigenvalue_candidates, eigen_decompose,
-                            field_create, rational_kernel)
+                            _eigenvalue_candidates, cleared_rows,
+                            eigen_decompose, field_create, rational_kernel)
 from cmsweep.intlat import IntLattice
 from cmsweep.torus import (ORDER4_FIELD, REJECTED_DIVISOR_TEST,
                            REJECTED_NO_DESCENT, REJECTED_RANK, SURVIVES_D4,
@@ -32,8 +32,9 @@ from cmsweep.torus import (ORDER4_FIELD, REJECTED_DIVISOR_TEST,
                            transitive_subgroups_s4, _one_flip_lifts,
                            ONE4, _commutation_sign, _eigenplane,
                            _order4_lifts, _rational_projective_roots,
-                           _signed_eigenlines, _square_sign)
-from helpers import dense_rows, mat_apply
+                           _rational_restriction, _signed_eigenlines,
+                           _square_sign)
+from helpers import dense_rows, mat_apply, qq_restriction
 
 FIXDIR = Path(__file__).resolve().parents[1] / "src" / "cmsweep" / "fixtures"
 
@@ -346,7 +347,7 @@ def test_commutant_dimensions_of_case_matrices(gens, want):
     from cmsweep.liereps import commutant_rows
     rows = commutant_rows([m.nonzero for m in gens], 4)
     assert all(type(x) is int for row in rows for x in row.values())
-    assert 16 - rational_rank(rows, 16) == want
+    assert 16 - rational_rank(rows) == want
     dense = []
     for m in gens:
         g = _dense(m)
@@ -443,6 +444,67 @@ def test_sweeps_try_eigenvalues_only_on_2x2_restrictions(monkeypatch):
     assert sizes == []
     sweep_klein4()
     assert sizes and set(sizes) == {2}
+
+
+def _involutive_commuting_pairs():
+    """Every (m1, m2) of B4 elements with m1^2 = I, m2^2 = +-I and
+    m1 m2 = m2 m1: the pairs the rational branch of pair_analysis takes."""
+    signs = {m: _sign_or_none(_square_sign, m) for m in B4}
+    return [(a, b) for a in B4 if signs[a] == 1 for b in B4
+            if signs[b] is not None and a * b == b * a]
+
+
+def test_int_restriction_matches_the_qq_route_on_b4():
+    """The int restriction read off the free columns, and its eigenlines
+    from the kernels of C - I and C + I, against one QQ solve per basis
+    vector and eigen_decompose over QQ, on both eigenplanes of every
+    commuting involutive pair; eigenlines agree once cleared of their
+    denominators."""
+    pairs = _involutive_commuting_pairs()
+    sizes, splits = set(), set()
+    for m1, m2 in pairs:
+        for lam in (1, -1):
+            basis = _eigenplane(m1, lam)
+            c, lines = _rational_restriction(m2, basis)
+            want_c, want_lines = qq_restriction(m2, basis)
+            assert all(type(x) is int for row in c + lines for x in row)
+            assert c == want_c
+            assert lines == dense_rows(cleared_rows(want_lines), len(basis))
+            sizes.add(len(basis))
+            splits.add(bool(lines))
+    assert len(pairs) > 1000 and sizes == {0, 1, 2, 3, 4}
+    assert splits == {True, False}
+
+
+def test_rational_pair_branch_builds_no_qq_matrix(monkeypatch):
+    """The commuting pairs with a real-type first lift build no
+    ExactMatrix at all, so none over QQ, and call neither solve nor
+    eigen_decompose; the Q(i) branch still calls both, over Q(i) only."""
+    import cmsweep.fields as fields
+    import cmsweep.torus as torus
+    seen = []
+
+    def recording(name, fn, field_of):
+        def call(*args):
+            seen.append((name, field_of(*args)))
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(ExactMatrix, "__init__", recording(
+        "init", ExactMatrix.__init__, lambda self, field, entries: field))
+    monkeypatch.setattr(fields, "_matrix", recording(
+        "matrix", fields._matrix, lambda field, nonzero, cols: field))
+    monkeypatch.setattr(ExactMatrix, "solve", recording(
+        "solve", ExactMatrix.solve, lambda self, rhs: self.field))
+    monkeypatch.setattr(torus, "eigen_decompose", recording(
+        "eigen", torus.eigen_decompose, lambda m: m.field))
+    for m1, m2 in ((P0, P1), (P0, P4), (PP0, QQ0), (PP0, QQ1), (PP1, QQ0)):
+        kind, _ = pair_analysis(m1, m2)
+        assert kind in ("finite", "none")
+    assert seen == []
+    assert pair_analysis(PP2, QQ2)[0] == "finite"
+    assert {name for name, _ in seen} >= {"solve", "eigen"}
+    assert {field for _, field in seen} == {field_create([-1])}
 
 
 @pytest.mark.parametrize("rows", [P0, PP0, SignedPerm((0, 1, 3, 2),
