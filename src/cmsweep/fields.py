@@ -639,10 +639,6 @@ class ExactMatrix:
     def from_int(field: MultiQuadField, rows) -> "ExactMatrix":
         return ExactMatrix(field, rows)
 
-    @staticmethod
-    def identity(field: MultiQuadField, n: int) -> "ExactMatrix":
-        return _matrix(field, [{i: field.one()} for i in range(n)], n)
-
     @property
     def entries(self):
         """The dense rows, built from ``nonzero`` on each access."""

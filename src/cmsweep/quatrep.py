@@ -387,18 +387,19 @@ class AntiWeilRep:
         self.B = ExactMatrix.from_rows(F, vcols + wcols, 8).transpose()
         self.B_inv = self.B.inverse()
 
-        # action matrices, f-coordinates
+        # action matrices, f-coordinates: the weight table's matrix A holds
+        # sign at (t, c) when it sends weight c to (sign, t), so column c of
+        # B A is sign * column t of B, and mu = (B A) B^-1 is one product
         self.mu = {}
         for name in GENERATOR_NAMES:
-            A = [{} for _ in range(8)]
-            for blk in (0, 4):
-                for ci, label in enumerate(WEIGHT_LABELS):
-                    entry = REP_TABLE[name][label]
-                    if entry is not None:
-                        sign, target = entry
-                        A[blk + WEIGHT_LABELS.index(target)][blk + ci] = sign
-            self.mu[name] = self.B * ExactMatrix.from_rows(F, A, 8) * \
-                self.B_inv
+            moved = {blk + c: (entry[0], blk + WEIGHT_LABELS.index(entry[1]))
+                     for blk in (0, 4) for c, label in enumerate(WEIGHT_LABELS)
+                     for entry in [REP_TABLE[name][label]] if entry}
+            BA = ExactMatrix.from_rows(
+                F, [{c: row[t] if sign > 0 else -row[t]
+                     for c, (sign, t) in moved.items() if t in row}
+                    for row in self.B.nonzero], 8)
+            self.mu[name] = BA * self.B_inv
 
         # the imaginary quadratic generator sqrt(D') acts by sDp on V_sigma
         # and -sDp on V_sigma-bar
@@ -439,6 +440,14 @@ class AntiWeilRep:
             out = out.take_rows([4, 5, 6, 7, 0, 1, 2, 3])
         return out
 
+    def _times_p(self, tag, rows):
+        """The rows of m P for the rows of m and P = g(I): when g flips
+        sqrt(D'), P is the involution swapping the f and f-bar coordinates
+        and moves column t of m to t ^ 4; otherwise P = I."""
+        if self.galois[tag].signs[self._gen_index["g2"]] == -1:
+            return [{t ^ 4: x for t, x in row.items()} for row in rows]
+        return rows
+
     # -- verification -------------------------------------------------------
 
     def verify_matrix_brackets(self) -> bool:
@@ -455,8 +464,8 @@ class AntiWeilRep:
         alg, gens, _ = self.e_a1
         signed = {}
         for n in GENERATOR_NAMES:
-            for sign in (1, -1):
-                signed[frozenset(alg.scale(sign, gens[n]).items())] = (sign, n)
+            signed[frozenset(gens[n].items())] = (1, n)
+            signed[frozenset((t, -e) for t, e in gens[n].items())] = (-1, n)
         Fq = alg.field
         table = {}
         for tag, root in (("g1", D), ("g3", a)):
@@ -472,20 +481,22 @@ class AntiWeilRep:
         """g^{-1} mu(l) (g v) = mu(g^{-1} l) v for the three Galois
         generators, six Lie generators and eight basis vectors, as the 18
         matrix identities g(mu(l) P) = mu(g^{-1} l) with P = g(I).  P is
-        rational, so g(mu(l) P) is g(mu(l)) P, and each identity is one
-        combination g(mu(l)) P - sign mu(l') that must vanish.  failures
-        lists (tag, name, t) for each column t where it does not."""
-        identity = ExactMatrix.identity(self.field, 8)
+        rational, so g(mu(l) P) is g(mu(l)) P: g(mu(l)) with its columns
+        relabelled by P's involution, whose rows must equal those of
+        sign mu(l').  failures lists (tag, name, t) for each column t
+        where they do not."""
         failures = []
         for tag in self.galois:
-            P = self.galois_act(tag, identity)
             for name in GENERATOR_NAMES:
                 sign, target = GALOIS_LIE_TABLE[tag][name]
-                diff = ExactMatrix.combination(
-                    [(1, self.galois_act(tag, self.mu[name]), P),
-                     (-sign, self.mu[target], None)])
-                failures += [(tag, name, t) for t in
-                             sorted({t for row in diff.nonzero for t in row})]
+                rhs = self.mu[target].nonzero
+                if sign < 0:
+                    rhs = [{t: -x for t, x in row.items()} for row in rhs]
+                lhs = self._times_p(
+                    tag, self.galois_act(tag, self.mu[name]).nonzero)
+                failures += [(tag, name, t) for t in sorted(
+                    {t for a, b in zip(lhs, rhs) if a != b
+                     for t in a.keys() | b.keys() if a.get(t) != b.get(t)})]
         return (not failures), failures
 
     def phi(self, u, v):
@@ -504,11 +515,10 @@ class AntiWeilRep:
         # (i) Galois descent: phi(g u, g v) = g(phi(u, v)) on all pairs of
         # basis vectors is P^T G P = g(G) with P = g(I).  P permutes the
         # coordinates, so P P^T = I, and the identity is G P = P g(G),
-        # where P g(G) is the action of g on the columns of G
-        identity = ExactMatrix.identity(F, 8)
+        # where P g(G) is the action of g on the columns of G and G P is G
+        # with its columns relabelled by P's involution
         checks["descent"] = all(
-            _vanishes([(1, G, self.galois_act(tag, identity)),
-                       (-1, self.galois_act(tag, G), None)])
+            self._times_p(tag, G.nonzero) == self.galois_act(tag, G).nonzero
             for tag in self.galois)
         # (ii) infinitesimal invariance: mu^T G + G mu = 0
         checks["infinitesimal"] = all(
@@ -611,27 +621,41 @@ class AntiWeilRep:
             for (name, _), row in zip(self.RATIONAL_UNITS,
                                       (coeffs * mus).nonzero)}
 
-        # columns u_t = f_t + fbar_t and u'_t = sqrt(D')(f_t - fbar_t)
-        U = ExactMatrix.from_rows(
-            F, [{t: one, 4 + t: self.sDp} for t in range(4)]
-            + [{t: one, 4 + t: -self.sDp} for t in range(4)], 8)
-        U_inv = U.inverse()
-        out = {}
-        for name, mat in list(rational_mats.items()) + [("J", self.J)]:
-            out[name] = _descended(U_inv * mat * U, name)
-        out["gram"] = _descended(U.transpose() * self.gram * U,
+        # the Q-basis is the columns of U = [[I, sI], [I, -sI]], s =
+        # sqrt(D'): u_t = f_t + fbar_t and u'_t = s(f_t - fbar_t).  Block
+        # (P, Q) of U^-1 M U is s^(Q-P)/2 and of U^T G U is s^(P+Q) times
+        # the signed sum of the blocks (R, C) of M or G (see _block_sum)
+        s = self.sDp
+        half = F.rational(Fraction(1, 2))
+        conjugate = ((half, s * half), ((s * 2).inverse(), half))
+        out = {name: _descended(_block_sum(mat, conjugate), name)
+               for name, mat in list(rational_mats.items()) + [("J", self.J)]}
+        out["gram"] = _descended(_block_sum(self.gram, ((one, s), (s, s * s))),
                                  "the Gram matrix")
         return out
 
 
-def _descended(m: ExactMatrix, name):
-    """The entries of m as dense rows of Fractions, read off the nonzeros;
-    ValueError unless all are rational."""
-    if not all(e.is_rational() for row in m.nonzero for e in row.values()):
+def _block_sum(m: ExactMatrix, factors) -> dict:
+    """The nonzeros {8 r + c: element} of the 8x8 matrix whose 4x4 block
+    (P, Q) is factors[P][Q] times the sum over (R, C) of (-1)^(PR + QC)
+    times block (R, C) of m, as one sum of products over m's nonzeros:
+    U^-1 m U and U^T m U for U = [[I, sI], [I, -sI]], whose blocks are
+    scalars, with their factors."""
+    return sum_of_products(m.field, (
+        (8 * (4 * P + r % 4) + 4 * Q + c % 4, x, factors[P][Q],
+         -1 if (P & r >> 2) ^ (Q & c >> 2) else 1)
+        for r, row in enumerate(m.nonzero) for c, x in row.items()
+        for P in (0, 1) for Q in (0, 1)))
+
+
+def _descended(cells: dict, name):
+    """The 8x8 matrix with the nonzeros {8 r + c: element} as dense rows of
+    Fractions; ValueError unless all are rational."""
+    if not all(e.is_rational() for e in cells.values()):
         raise ValueError(f"{name} does not descend to Q")
     zero = Fraction(0)
-    return [[row[j].as_fraction() if j in row else zero
-             for j in range(m.cols)] for row in m.nonzero]
+    return [[cells[8 * r + c].as_fraction() if 8 * r + c in cells else zero
+             for c in range(8)] for r in range(8)]
 
 
 def build_antiweil_rep(Dp=-1, D=-2, a=-3) -> AntiWeilRep:

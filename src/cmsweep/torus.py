@@ -472,6 +472,7 @@ def pair_analysis(m1: SignedPerm, m2: SignedPerm):
       ("none", reason_dict)              -- no rank-2 stable subspace
     Pure eigenplanes of a real-type m1 are *not* included here; they are
     handled once per first matrix (they fail the divisor test outright).
+    ValueError unless a real-type m1 has two 2-dimensional eigenplanes.
     """
     s1, s2 = _square_sign(m1), _square_sign(m2)
     if s1 == -1 and s2 == 1:
@@ -481,6 +482,10 @@ def pair_analysis(m1: SignedPerm, m2: SignedPerm):
     if s1 == 1:
         vm = _eigenplane(m1, -1)
         vp = _eigenplane(m1, 1)
+        if (len(vm), len(vp)) != (2, 2):
+            raise ValueError(
+                f"real-type first lift has eigenplanes of dimensions "
+                f"{len(vm)} (-1) and {len(vp)} (+1), not 2 and 2")
         if comm == -1:
             # second line forced: w = m2 u
             a, b = vm

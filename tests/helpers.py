@@ -11,7 +11,11 @@ SignedPerm.apply is checked against; the QQ restriction by solve and
 eigen_decompose that the int restriction of the rational pair branch is
 checked against; the
 solve-based rational-unit coefficients and Galois Lie table that the
-anti-Weil chain is checked against; and spec-facing functions that the
+anti-Weil chain is checked against; the identity matrix; the product and
+combination routes of the anti-Weil chain (mu as B * A * B^-1, the
+rational model through U^-1 M U and U^T G U, and the Galois and descent
+identities with P = g(I)) that its column relabels and signed block sums
+are checked against; and spec-facing functions that the
 verifier itself never calls (a saturation index, CM-type primitivity and
 induction, a cyclic Galois model, the Galois identity test and a
 top-wedge layer identity)."""
@@ -22,10 +26,11 @@ from math import gcd
 from cmsweep.cmfields import (CMFieldModel, CMType, SubfieldModel,
                               restrict_multiplicities)
 from cmsweep.fields import (QQ, ExactMatrix, FieldElement, _axpy,
-                            apply_galois, sum_of_products)
+                            apply_galois, field_inclusion, sum_of_products)
 from cmsweep.intlat import IntLattice, snf
 from cmsweep.liereps import WeightModule
-from cmsweep.quatrep import (GENERATOR_NAMES, AntiWeilRep, _flip_generator,
+from cmsweep.quatrep import (GALOIS_LIE_TABLE, GENERATOR_NAMES, REP_TABLE,
+                             WEIGHT_LABELS, AntiWeilRep, _flip_generator,
                              squarefree_split)
 from cmsweep.torus import _eigenlines_2x2, _restrict
 
@@ -337,6 +342,89 @@ def solve_galois_lie_table(rep: AntiWeilRep):
             table[tag][n] = (int(c.as_fraction()), GENERATOR_NAMES[t])
     table["g2"] = {n: (1, n) for n in GENERATOR_NAMES}
     return table
+
+
+def identity_matrix(field, n: int) -> ExactMatrix:
+    """The n x n identity matrix over field."""
+    return ExactMatrix.from_rows(field, [{i: field.one()} for i in range(n)],
+                                 n)
+
+
+def weight_table_matrix(field, name) -> ExactMatrix:
+    """The 8x8 matrix A of the generator name in the v/w basis, read off
+    REP_TABLE in each block of four: sign at (t, c) when the table sends
+    weight c to (sign, t)."""
+    rows = [{} for _ in range(8)]
+    for blk in (0, 4):
+        for c, label in enumerate(WEIGHT_LABELS):
+            entry = REP_TABLE[name][label]
+            if entry is not None:
+                sign, target = entry
+                rows[blk + WEIGHT_LABELS.index(target)][blk + c] = sign
+    return ExactMatrix.from_rows(field, rows, 8)
+
+
+def mu_by_products(rep: AntiWeilRep) -> dict:
+    """Each action matrix as the two products B * A * B^-1."""
+    return {name: rep.B * weight_table_matrix(rep.field, name) * rep.B_inv
+            for name in GENERATOR_NAMES}
+
+
+def descent_basis(field, s) -> ExactMatrix:
+    """U = [[I, sI], [I, -sI]]: the columns u_t = f_t + fbar_t and
+    u'_t = s(f_t - fbar_t) of the Q-basis of the rational model."""
+    return ExactMatrix.from_rows(
+        field, [{t: 1, 4 + t: s} for t in range(4)]
+        + [{t: 1, 4 + t: -s} for t in range(4)], 8)
+
+
+def rational_model_by_products(rep: AntiWeilRep) -> dict:
+    """The rational model with each unit matrix the sum of c_ug mu_g over
+    the solve-based coefficients, then U^-1 M U and U^T G U as products
+    with U and U.inverse(), as dense rows of Fractions."""
+    F = rep.field
+    lift = field_inclusion(rep.e_a1[0].field, F)
+    U = descent_basis(F, rep.sDp)
+    U_inv = U.inverse()
+    mats = {}
+    for (name, _), coeffs in zip(AntiWeilRep.RATIONAL_UNITS,
+                                 solve_unit_coefficients(rep)):
+        m = ExactMatrix.from_rows(F, [{} for _ in range(8)], 8)
+        for g, c in zip(GENERATOR_NAMES, coeffs):
+            m = m + rep.mu[g].scale(lift(c))
+        mats[name] = U_inv * m * U
+    mats["J"] = U_inv * rep.J * U
+    mats["gram"] = U.transpose() * rep.gram * U
+    return {name: [[e.as_fraction() for e in row] for row in m.entries]
+            for name, m in mats.items()}
+
+
+def equivariance_by_combinations(rep: AntiWeilRep):
+    """The 18 Galois identities g(mu(l)) P - sign mu(l') = 0, P = g(I),
+    each one ExactMatrix.combination; failures lists (tag, name, t) for
+    each column t of a combination that does not vanish."""
+    identity = identity_matrix(rep.field, 8)
+    failures = []
+    for tag in rep.galois:
+        P = rep.galois_act(tag, identity)
+        for name in GENERATOR_NAMES:
+            sign, target = GALOIS_LIE_TABLE[tag][name]
+            diff = ExactMatrix.combination(
+                [(1, rep.galois_act(tag, rep.mu[name]), P),
+                 (-sign, rep.mu[target], None)])
+            failures += [(tag, name, t) for t in
+                         sorted({t for row in diff.nonzero for t in row})]
+    return (not failures), failures
+
+
+def descent_by_combinations(rep: AntiWeilRep) -> bool:
+    """The Gram descent G P - g(G) = 0, P = g(I), for each Galois
+    generator, one ExactMatrix.combination each."""
+    identity = identity_matrix(rep.field, 8)
+    return all(not any(ExactMatrix.combination(
+        [(1, rep.gram, rep.galois_act(tag, identity)),
+         (-1, rep.galois_act(tag, rep.gram), None)]).nonzero)
+        for tag in rep.galois)
 
 
 def saturation_index(l: IntLattice) -> int:

@@ -29,7 +29,8 @@ from cmsweep.fields import (QQ, DependentGenerators, ExactMatrix,
                             cleared_rows, eigen_decompose, field_create,
                             rational_kernel, rational_rank, sum_of_products)
 from helpers import (DenseElement, dense_det, dense_product, dense_rows,
-                     dense_rref, distinct_rows, integer_rref)
+                     dense_rref, distinct_rows, identity_matrix,
+                     integer_rref)
 
 SQUAREFREE = [d for d in range(-30, 31)
               if d not in (0, 1) and all(d % (p * p) for p in range(2, 6))]
@@ -275,7 +276,7 @@ def test_matrix_times_inverse_is_identity(data):
     except ZeroDivisionError:
         assert m.rank() < n
         return
-    assert m * inv == ExactMatrix.identity(field, n)
+    assert m * inv == identity_matrix(field, n)
 
 
 @given(st.data())
@@ -380,7 +381,7 @@ def test_sparse_product_edge_shapes(name):
     row = [field.rational(t + 1) + gens[t % len(gens)] for t in range(6)]
     col = ExactMatrix(field, [[e] for e in row])
     wide = ExactMatrix(field, [row])
-    eye = ExactMatrix.identity(field, 6)
+    eye = identity_matrix(field, 6)
     zero = ExactMatrix(field, [[field.zero()] * 6 for _ in range(6)])
     for a, b in [(wide, col), (col, wide), (eye, col), (wide, eye),
                  (zero, col), (wide, zero), (eye, eye)]:
@@ -574,7 +575,7 @@ def test_sparse_elimination_matches_dense_references(case):
             m.inverse()
     else:
         assert _cells(m.inverse()) == _cells(want_inv)
-        assert m * m.inverse() == ExactMatrix.identity(field, m.rows)
+        assert m * m.inverse() == identity_matrix(field, m.rows)
 
 
 @pytest.mark.parametrize("ncols", [0, 1, 3])
@@ -585,7 +586,7 @@ def test_elimination_of_empty_and_zero_shapes(nrows, ncols):
     assert (m.rows, m.cols) == (nrows, ncols)
     red, pivots = m.rref()
     assert pivots == [] and red == m and m.rank() == 0
-    eye = ExactMatrix.identity(field, ncols)
+    eye = identity_matrix(field, ncols)
     assert m.kernel() == eye.entries
     assert m.solve([0] * nrows) == [field.zero()] * ncols
     if nrows:
@@ -918,7 +919,7 @@ def test_index_operations_match_elementwise(case, seed):
     _same(a.take_rows(order), ExactMatrix(field, [a.entries[i]
                                                   for i in order]))
     # the same matrix as a product result and as built from its entries
-    prod = a * ExactMatrix.identity(field, a.cols)
+    prod = a * identity_matrix(field, a.cols)
     built = ExactMatrix(field, [row[:] for row in prod.entries])
     assert prod == built and built == prod and built == a
     _same(prod, built)

@@ -76,7 +76,7 @@ def test_only_fields_reads_the_element_storage(path):
 
 def test_quatrep_builds_no_matrix_from_dense_rows():
     """Every anti-Weil matrix is built from its nonzeros: quatrep calls
-    ExactMatrix(...) nowhere, only ExactMatrix.from_rows, .identity and
+    ExactMatrix(...) nowhere, only ExactMatrix.from_rows and
     the products and views of matrices it already has."""
     path = ROOT / "src" / "cmsweep" / "quatrep.py"
     calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))

@@ -12,6 +12,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmsweep import fields, liereps, quatrep
 from cmsweep.fields import (QQ, DependentGenerators, ExactMatrix,
@@ -27,10 +28,14 @@ from cmsweep.quatrep import (AntiWeilRep, GALOIS_EIGEN_TABLE,
                              squarefree_split, sqrt_gens,
                              unit_table_associativity, unit_table_text,
                              verify_e_a1_brackets, verify_galois_equivariance,
-                             verify_irreducibility, verify_symplectic)
+                             verify_irreducibility, verify_symplectic,
+                             _block_sum)
 from cmsweep.liereps import invariant_space, tensor_module, wedge2_module
-from helpers import (DenseQuaternionAlgebra, dual_module,
-                     pairwise_quaternion_mul, solve_galois_lie_table,
+from helpers import (DenseQuaternionAlgebra, descent_basis,
+                     descent_by_combinations, dual_module,
+                     equivariance_by_combinations, identity_matrix,
+                     mu_by_products, pairwise_quaternion_mul,
+                     rational_model_by_products, solve_galois_lie_table,
                      solve_unit_coefficients)
 
 
@@ -581,8 +586,10 @@ def _seeded_triples(seed, count):
 
 
 def _agree_with_references(rep):
-    assert rep.verify_galois_equivariance() == _equivariance_by_vectors(rep)
-    assert rep.verify_symplectic()[1]["descent"] == _descent_by_pairs(rep)
+    assert rep.verify_galois_equivariance() == _equivariance_by_vectors(rep) \
+        == equivariance_by_combinations(rep)
+    assert rep.verify_symplectic()[1]["descent"] == _descent_by_pairs(rep) \
+        == descent_by_combinations(rep)
     assert rep.verify_irreducibility() == _irreducible_by_ranks(rep)
 
 
@@ -625,7 +632,7 @@ def _symplectic_by_products(rep):
     """Reference: the symplectic identities as the products of both sides
     compared with ==, as verify_symplectic once ran."""
     F, G = rep.field, rep.gram
-    identity = ExactMatrix.identity(F, 8)
+    identity = identity_matrix(F, 8)
     adjoint = rep.J.transpose() * G == -(G * rep.J)
     return {
         "antisymmetric": G.transpose() == G.scale(F.rational(-1)),
@@ -696,6 +703,109 @@ def test_passing_identities_build_no_matrix_side(rep, monkeypatch):
     assert rep.verify_symplectic()[0]
     assert rep.verify_galois_equivariance() == (True, [])
     assert calls == {}
+
+
+# -- the structured factors against the product routes ---------------------
+
+@st.composite
+def grid_matrices(draw):
+    """A sparse 8x8 matrix over the field of a grid triple (D', D, a), and
+    sqrt(D') in that field."""
+    triple = draw(st.lists(st.sampled_from(NEG_SQUAREFREE), min_size=3,
+                           max_size=3, unique=True))
+    F = field_create(sqrt_gens(*triple))
+    coords = st.dictionaries(st.sampled_from(F.subsets),
+                             st.fractions(-9, 9, max_denominator=6),
+                             max_size=3)
+    cells = draw(st.dictionaries(st.integers(0, 63), coords, max_size=24))
+    rows = [{} for _ in range(8)]
+    for cell, c in cells.items():
+        rows[cell // 8][cell % 8] = FieldElement(F, c)
+    return ExactMatrix.from_rows(F, rows, 8), quatrep.sqrt_in(F, triple[0])
+
+
+def _cells(m):
+    return {8 * r + c: e for r, row in enumerate(m.nonzero)
+            for c, e in row.items()}
+
+
+@given(grid_matrices())
+@settings(max_examples=60, deadline=None)
+def test_block_sum_matches_products_with_u(drawn):
+    """The signed block sum with the factors 1/2, s/2, 1/(2s), 1/2 is
+    U^-1 M U, and with 1, s, s, s^2 it is U^T M U, for U = [[I, sI],
+    [I, -sI]]."""
+    m, s = drawn
+    F = m.field
+    U = descent_basis(F, s)
+    half = F.rational(Fraction(1, 2))
+    assert _block_sum(m, ((half, s * half), ((s * 2).inverse(), half))) \
+        == _cells(U.inverse() * m * U)
+    assert _block_sum(m, ((F.one(), s), (s, s * s))) \
+        == _cells(U.transpose() * m * U)
+
+
+@pytest.mark.parametrize("triple", [(-1, -2, -3)] + _seeded_triples(23, 5))
+def test_relabelled_build_matches_product_route(triple):
+    """mu read off B with its columns relabelled equals B * A * B^-1, and
+    the rational model from the signed block sums equals the one through
+    U^-1 M U and U^T G U with solve-based unit coefficients."""
+    rep = build_antiweil_rep(*triple)
+    assert rep.mu == mu_by_products(rep)
+    assert rep.rational_model() == rational_model_by_products(rep)
+
+
+# (generator or None for the Gram matrix, row, column, bump)
+CORRUPTIONS = [("x1", 2, 5, "sa"), ("h1", 0, 0, "one"), ("y2", 7, 3, "sD"),
+               ("h2", 4, 1, "sDp"), (None, 0, 5, "one"), (None, 6, 2, "sa"),
+               (None, 1, 3, "sD")]
+
+
+@pytest.mark.parametrize("name,r,c,root", CORRUPTIONS)
+def test_corrupted_entry_fails_like_combination_routes(name, r, c, root):
+    """One corrupted mu or Gram entry gives the failures list and the
+    descent flag of the combination routes."""
+    rep = build_antiweil_rep(-1, -2, -3)
+    x = rep.field.one() if root == "one" else getattr(rep, root)
+    if name is None:
+        rep.gram = rep.gram + _bump(rep, r, c, x)
+    else:
+        rep.mu[name] = rep.mu[name] + _bump(rep, r, c, x)
+    ok, failures = rep.verify_galois_equivariance()
+    assert (ok, failures) == equivariance_by_combinations(rep)
+    assert ok == (name is None) and ok == (not failures)
+    descent = rep.verify_symplectic()[1]["descent"]
+    assert descent == descent_by_combinations(rep)
+    assert descent == (name is not None)
+
+
+def test_structured_factors_build_no_generic_product(monkeypatch):
+    """On (-1, -2, -3) the build makes 8 matrix products (six mu and two
+    for the Gram matrix) and inverts B; the Galois check makes no product
+    or combination, the symplectic check 8 combinations, and the
+    rational model one product and one inverse (the unit
+    coefficients')."""
+    calls = Counter()
+    mul = ExactMatrix.__mul__
+
+    def counted_mul(a, b):
+        if isinstance(b, ExactMatrix):
+            calls["product"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", counted_mul)
+    monkeypatch.setattr(ExactMatrix, "inverse",
+                        _counting(calls, "inverse", ExactMatrix.inverse))
+    monkeypatch.setattr(ExactMatrix, "combination", staticmethod(
+        _counting(calls, "combination", ExactMatrix.combination)))
+    rep = build_antiweil_rep(-1, -2, -3)
+    assert calls == {"product": 8, "inverse": 1}
+    for run, want in ((rep.verify_galois_equivariance, {}),
+                      (rep.verify_symplectic, {"combination": 8}),
+                      (rep.rational_model, {"product": 1, "inverse": 1})):
+        calls.clear()
+        run()
+        assert calls == want, run
 
 
 def test_trivial_galois_action_leaves_a_stable_pattern():
@@ -790,7 +900,7 @@ def _unit_component(rep):
 
 def _irrational_gram(rep):
     F = rep.field
-    rep.gram = rep.gram.scale(rep.sD) + ExactMatrix.identity(F, 8)
+    rep.gram = rep.gram.scale(rep.sD) + identity_matrix(F, 8)
 
 
 @pytest.mark.parametrize("corrupt,message", [

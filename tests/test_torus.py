@@ -6,6 +6,7 @@ matrices."""
 
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
@@ -34,7 +35,7 @@ from cmsweep.torus import (ORDER4_FIELD, REJECTED_DIVISOR_TEST,
                            _order4_lifts, _rational_projective_roots,
                            _rational_restriction, _signed_eigenlines,
                            _square_sign)
-from helpers import dense_rows, mat_apply, qq_restriction
+from helpers import dense_rows, identity_matrix, mat_apply, qq_restriction
 
 FIXDIR = Path(__file__).resolve().parents[1] / "src" / "cmsweep" / "fixtures"
 
@@ -180,6 +181,22 @@ def test_stable_subspaces_finite_checks_the_other_matrices():
 def test_stable_subspaces_needs_second_involutive_matrix():
     with pytest.raises(ValueError):
         stable_subspaces([P0], 2)
+
+
+@pytest.mark.parametrize("ms,dims", [
+    ([-ONE4, P0], (4, 0)),
+    ([ONE4, SignedPerm((1, 0, 3, 2), (1, -1, 1, -1))], (0, 4)),
+    # a reflection and a commuting transposition
+    ([SignedPerm((0, 1, 2, 3), (1, 1, 1, -1)),
+      SignedPerm((1, 0, 2, 3), (1, 1, 1, 1))], (1, 3))])
+def test_real_first_lift_needs_two_eigenplanes(ms, dims):
+    """A real-type first lift whose eigenplanes are not both 2-dimensional
+    is refused with their dimensions, not an IndexError from an empty
+    restriction or a verdict from the wrong planes."""
+    minus, plus = dims
+    with pytest.raises(ValueError, match=re.escape(
+            f"eigenplanes of dimensions {minus} (-1) and {plus} (+1)")):
+        stable_subspaces(ms, 2)
 
 
 def _fixture(sub):
@@ -610,7 +627,7 @@ def test_family_vectors_must_be_integral():
 
 def _eigen_by_identity_scale(m):
     """The trial loop that subtracts a full scaled identity matrix."""
-    ident = ExactMatrix.identity(m.field, m.rows)
+    ident = identity_matrix(m.field, m.rows)
     found = []
     total = 0
     for lam in _eigenvalue_candidates(m.field):
