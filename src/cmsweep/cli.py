@@ -12,8 +12,6 @@ import argparse
 import json
 import sys
 import time
-import traceback
-from importlib import resources
 from pathlib import Path
 
 from . import __version__
@@ -241,6 +239,7 @@ def _error_certificate(exc):
     """The message, class and innermost cmsweep frame of an exception
     raised by a section producer (so at least one frame is in this
     package)."""
+    import traceback
     package = Path(__file__).resolve().parent
     *_, frame = (f for f in traceback.extract_tb(exc.__traceback__)
                  if Path(f.filename).resolve().parent == package)
@@ -255,7 +254,7 @@ def _error_certificate(exc):
 def _fixture_file(args, sub):
     if args.fixtures:
         return Path(args.fixtures) / f"{sub}.json"
-    return resources.files("cmsweep") / "fixtures" / f"{sub}.json"
+    return Path(__file__).parent / "fixtures" / f"{sub}.json"
 
 
 def _canonical(cases):
@@ -332,7 +331,7 @@ def bless_fixture(args, sub, cases):
     if failing:
         return (f"{sub}: not blessed, {sub}.json left as it was: failing "
                 f"{', '.join(failing)}"), False
-    path = Path(str(_fixture_file(args, sub)))
+    path = _fixture_file(args, sub)
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
         old_ids = {c["case_id"]: c for c in json.loads(path.read_text())}

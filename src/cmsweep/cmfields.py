@@ -10,8 +10,9 @@ encoded axioms, and only their combinatorial conclusions are mechanized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+
+from . import Frozen
 
 
 def closure(gens, mul, identity) -> frozenset:
@@ -86,12 +87,11 @@ def d4_model() -> CMFieldModel:
 
 # --- CM types and subfields ------------------------------------------------
 
-@dataclass(frozen=True)
-class CMType:
-    model: CMFieldModel
-    members: frozenset
+class CMType(Frozen):
+    __slots__ = ("model", "members")
 
-    def __post_init__(self):
+    def __init__(self, model, members):
+        self.model, self.members = model, members
         m = self.model
         for g in m.elements:
             conj = m.mul(m.tau, g)
@@ -105,10 +105,11 @@ class CMType:
                                      if self.model.label(g) == s))))
 
 
-@dataclass(frozen=True)
-class SubfieldModel:
-    model: CMFieldModel
-    subgroup: frozenset
+class SubfieldModel(Frozen):
+    __slots__ = ("model", "subgroup")
+
+    def __init__(self, model, subgroup):
+        self.model, self.subgroup = model, subgroup
 
     @property
     def is_totally_real(self) -> bool:
@@ -131,9 +132,11 @@ class SubfieldModel:
         return out
 
 
-@dataclass(frozen=True)
-class MultiplicityVector:
-    counts: tuple
+class MultiplicityVector(Frozen):
+    __slots__ = ("counts",)
+
+    def __init__(self, counts):
+        self.counts = counts
 
     def multiset(self):
         return tuple(sorted(self.counts))

@@ -328,14 +328,6 @@ class FieldElement:
         self._hash = None
 
     # -- constructors -----------------------------------------------------
-    @classmethod
-    def from_nums(cls, field: MultiQuadField, nums, den: int = 1):
-        """The element sum_m nums[m] / den * sqrt(m) for a {mask: int}
-        dict nums, den != 0."""
-        if den < 0:
-            nums, den = {m: -x for m, x in nums.items()}, -den
-        return _norm(field, {m: x for m, x in nums.items() if x}, den)
-
     @staticmethod
     def coerce(field: MultiQuadField, x) -> "FieldElement":
         if isinstance(x, FieldElement):
@@ -438,12 +430,6 @@ class FieldElement:
         if q < 0:
             num, q = {m: -x for m, x in num.items()}, -q
         return _norm(field, num, q)
-
-    def __truediv__(self, other):
-        return self * FieldElement.coerce(self.field, other).inverse()
-
-    def __rtruediv__(self, other):
-        return FieldElement.coerce(self.field, other) * self.inverse()
 
     def conj(self) -> "FieldElement":
         """Complex conjugation (the distinguished embedding)."""
@@ -602,7 +588,7 @@ class ExactMatrix:
     ``nonzero`` is the storage: per row, a {col: element} dict that holds
     no zero.  Arithmetic reads and builds only these dicts, so it costs
     O(nonzeros); ``entries`` is a dense view built on each access.
-    rref, rank, kernel, solve, inverse and det all run the one sparse
+    rref, kernel, solve, inverse and det all run the one sparse
     elimination, _echelon."""
 
     def __init__(self, field: MultiQuadField, entries):
@@ -779,9 +765,6 @@ class ExactMatrix:
         rows = [pivots[c] for c in cols] + \
             [{} for _ in range(self.rows - len(cols))]
         return _matrix(self.field, rows, self.cols), cols
-
-    def rank(self) -> int:
-        return len(_echelon(self.nonzero, _subtracted, _monic))
 
     def kernel(self):
         """Basis of the right kernel, read off the rref.  Each basis vector

@@ -8,23 +8,23 @@ bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import Frozen
 from .fields import rational_rank
 
 DEFAULT_BASIS = ("b", "2*pi*i")
 
 
-@dataclass(frozen=True)
-class PeriodMonomial:
+class PeriodMonomial(Frozen):
     """coefficient * prod(basis[t] ** exponents[t]) with a nonzero
     algebraic coefficient."""
-    exponents: tuple
-    coefficient: Fraction = Fraction(1)
-    basis: tuple = DEFAULT_BASIS
+    __slots__ = ("exponents", "coefficient", "basis")
 
-    def __post_init__(self):
+    def __init__(self, exponents, coefficient=Fraction(1),
+                 basis=DEFAULT_BASIS):
+        self.exponents, self.coefficient = exponents, coefficient
+        self.basis = basis
         assert self.coefficient != 0
         assert len(self.exponents) == len(self.basis)
 
@@ -35,10 +35,12 @@ class PeriodMonomial:
             self.coefficient * other.coefficient, self.basis)
 
 
-@dataclass(frozen=True)
-class PeriodMatrix:
+class PeriodMatrix(Frozen):
     """Diagonal matrix of period monomials."""
-    diagonal: tuple
+    __slots__ = ("diagonal",)
+
+    def __init__(self, diagonal):
+        self.diagonal = diagonal
 
     def entries(self):
         return list(self.diagonal)

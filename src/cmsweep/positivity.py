@@ -10,10 +10,10 @@ general parametric solver here on purpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product as iproduct
 
+from . import Frozen
 from .fields import (ExactMatrix, FieldElement, apply_galois,
                      complex_conjugation, field_create, rational_kernel)
 
@@ -47,12 +47,13 @@ def g_im(e: FieldElement) -> Fraction:
 # sign-monomial diagonal systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Frozen):
     """coeff * prod(param^exp); the sign under a parameter sign pattern is
     determined because the parameters are real."""
-    coeff: Fraction
-    powers: tuple  # sorted tuple of (name, exponent>0)
+    __slots__ = ("coeff", "powers")
+
+    def __init__(self, coeff, powers):  # powers: sorted (name, exponent>0)
+        self.coeff, self.powers = coeff, powers
 
     @staticmethod
     def of(coeff, **powers) -> "Monomial":
@@ -79,26 +80,27 @@ class Monomial:
         return "*".join(parts)
 
 
-@dataclass
 class DiagonalPositivitySystem:
     """A conjunction of strict positivity requirements on diagonal-form
-    coefficients; `fixed_signs` pins parameters whose sign is part of the
-    case hypothesis (e.g. lambda < 0)."""
-    parameters: tuple
-    coefficients: list  # of (label, Monomial)
-    fixed_signs: dict = dc_field(default_factory=dict)
+    coefficients, a list of (label, Monomial); `fixed_signs` (default: a
+    fresh empty dict) pins parameters whose sign is part of the case
+    hypothesis (e.g. lambda < 0)."""
+    __slots__ = ("parameters", "coefficients", "fixed_signs")
 
-    def __post_init__(self):
+    def __init__(self, parameters, coefficients, fixed_signs=None):
+        self.parameters, self.coefficients = parameters, coefficients
+        self.fixed_signs = {} if fixed_signs is None else fixed_signs
         assert self.coefficients, "coefficient list must be nonempty"
 
     def free_parameters(self):
         return tuple(p for p in self.parameters if p not in self.fixed_signs)
 
 
-@dataclass
 class FeasibilityVerdict:
-    status: str  # INFEASIBLE | FEASIBLE
-    certificate: dict
+    __slots__ = ("status", "certificate")
+
+    def __init__(self, status, certificate):  # status: INFEASIBLE | FEASIBLE
+        self.status, self.certificate = status, certificate
 
 
 def _sign_patterns(sys: DiagonalPositivitySystem):

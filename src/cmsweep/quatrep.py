@@ -12,7 +12,6 @@ explicit algebra elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
@@ -204,12 +203,11 @@ class QuaternionAlgebra:
 # sl(2) triples
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SL2Triple:
-    algebra: QuaternionAlgebra
-    h: dict
-    x: dict
-    y: dict
+    __slots__ = ("algebra", "h", "x", "y")
+
+    def __init__(self, algebra, h, x, y):
+        self.algebra, self.h, self.x, self.y = algebra, h, x, y
 
     def verify_brackets(self) -> bool:
         return sl2_relations_hold([(self.h, self.x, self.y)],

@@ -19,12 +19,12 @@ two +-1 coordinates), rank collapse, or failure of Galois descent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, prod
-from typing import NamedTuple
 
+from . import Frozen
 from .cmfields import closure
 from .fields import (DoesNotSplit, ExactMatrix, MultiQuadField,
                      apply_galois, cleared_rows, eigen_decompose,
@@ -42,12 +42,12 @@ REJECTED_NO_DESCENT = "REJECTED_NO_DESCENT"
 SURVIVES_D4 = "SURVIVES_D4"
 
 
-@dataclass(frozen=True)
-class CaseVerdict:
-    case_id: str
-    verdict: str
-    certificate: dict
-    table: str = ""
+class CaseVerdict(Frozen):
+    __slots__ = ("case_id", "verdict", "certificate", "table")
+
+    def __init__(self, case_id, verdict, certificate, table=""):
+        self.case_id, self.verdict = case_id, verdict
+        self.certificate, self.table = certificate, table
 
     def to_json(self) -> dict:
         return {"case_id": self.case_id, "verdict": self.verdict,
@@ -58,11 +58,10 @@ class CaseVerdict:
 # signed permutations
 # ---------------------------------------------------------------------------
 
-class SignedPerm(NamedTuple):
+class SignedPerm(namedtuple("SignedPerm", "perm signs")):
     """The signed permutation matrix sending e_j to signs[j] * e_perm[j];
     ``*`` is the matrix product."""
-    perm: tuple
-    signs: tuple
+    __slots__ = ()
 
     @classmethod
     def from_rows(cls, rows) -> "SignedPerm":
@@ -414,20 +413,15 @@ def _integral(v) -> tuple:
     return tuple(x.numerator for x in v)
 
 
-@dataclass
 class MixedFamily:
     """W(x1:x2) = span{u, w} with u = x1*a + x2*b and w forced linear in
     (x1, x2): w = x1*c + x2*d.  a, b, c, d are stored as int tuples; a
-    non-integral entry raises ValueError."""
-    a: tuple
-    b: tuple
-    c: tuple
-    d: tuple
-    matrices: list = dc_field(default_factory=list)  # must all stabilize W
+    non-integral entry raises ValueError.  The matrices (default: a fresh
+    empty list) must all stabilize W."""
 
-    def __post_init__(self):
-        self.a, self.b, self.c, self.d = (
-            _integral(v) for v in (self.a, self.b, self.c, self.d))
+    def __init__(self, a, b, c, d, matrices=None):
+        self.a, self.b, self.c, self.d = (_integral(v) for v in (a, b, c, d))
+        self.matrices = [] if matrices is None else matrices
 
     def at(self, x1: int, x2: int):
         u = [x1 * p + x2 * q for p, q in zip(self.a, self.b)]
@@ -437,10 +431,6 @@ class MixedFamily:
     def lattice_at(self, x1: int, x2: int) -> IntLattice:
         u, w = self.at(x1, x2)
         return rational_span_intersect([u, w], 4)
-
-    def stable_at(self, x1: int, x2: int) -> bool:
-        lat = self.lattice_at(x1, x2)
-        return lat.rank == 2 and _is_stable(lat, self.matrices)
 
     def witness_point(self):
         """First small integer parameter point whose saturated lattice
@@ -852,11 +842,12 @@ def sweep_a4():
 # spec-facing stable_subspaces on the sweeps' exact path
 # ---------------------------------------------------------------------------
 
-@dataclass
 class StableFamily:
-    kind: str                          # "finite" | "parametric"
-    lattice: IntLattice | None = None  # finite kind
-    family: MixedFamily | None = None  # parametric kind
+    """kind "finite" with a lattice, or "parametric" with a family."""
+    __slots__ = ("kind", "lattice", "family")
+
+    def __init__(self, kind, lattice=None, family=None):
+        self.kind, self.lattice, self.family = kind, lattice, family
 
 
 def stable_subspaces(ms, target_rank, field=None):
@@ -893,6 +884,6 @@ def stable_subspaces(ms, target_rank, field=None):
                 if _is_stable(lat, ms[2:])]
     _, points = constrained_points(found, ms[2:])
     if points is None:
-        return [StableFamily("parametric",
-                             family=replace(found, matrices=list(ms)))]
+        found = MixedFamily(found.a, found.b, found.c, found.d, list(ms))
+        return [StableFamily("parametric", family=found)]
     return [StableFamily("finite", lat) for _, lat in points]

@@ -9,12 +9,14 @@ dual module, whose tensor with V is the End(V) module that the commutant
 rows are checked against; the dense matrix-vector product that
 SignedPerm.apply is checked against; the QQ restriction by solve and
 eigen_decompose that the int restriction of the rational pair branch is
-checked against; the
-solve-based rational-unit coefficients and Galois Lie table that the
-anti-Weil chain is checked against; the identity matrix; the product and
-combination routes of the anti-Weil chain (mu as B * A * B^-1, the
-rational model through U^-1 M U and U^T G U, and the Galois and descent
-identities with P = g(I)) that its column relabels and signed block sums
+checked against; the solve-based rational-unit coefficients and Galois
+Lie table that the anti-Weil chain is checked against; the identity
+matrix; the members the verifier no longer has (an element from its
+numerators, the quotient of two elements, the matrix rank, the stability
+of a mixed family at one point); the product and combination routes of
+the anti-Weil chain (mu as B * A * B^-1, the rational model through
+U^-1 M U and U^T G U, and the Galois and descent identities with
+P = g(I)) that its column relabels and signed block sums
 are checked against; and spec-facing functions that the
 verifier itself never calls (a saturation index, CM-type primitivity and
 induction, a cyclic Galois model, the Galois identity test and a
@@ -23,6 +25,7 @@ top-wedge layer identity)."""
 from fractions import Fraction
 from math import gcd
 
+from cmsweep import fields
 from cmsweep.cmfields import (CMFieldModel, CMType, SubfieldModel,
                               restrict_multiplicities)
 from cmsweep.fields import (QQ, ExactMatrix, FieldElement, _axpy,
@@ -32,7 +35,8 @@ from cmsweep.liereps import WeightModule
 from cmsweep.quatrep import (GALOIS_LIE_TABLE, GENERATOR_NAMES, REP_TABLE,
                              WEIGHT_LABELS, AntiWeilRep, _flip_generator,
                              squarefree_split)
-from cmsweep.torus import _eigenlines_2x2, _restrict
+from cmsweep.torus import (MixedFamily, _eigenlines_2x2, _is_stable,
+                           _restrict)
 
 
 class DenseElement:
@@ -348,6 +352,33 @@ def identity_matrix(field, n: int) -> ExactMatrix:
     """The n x n identity matrix over field."""
     return ExactMatrix.from_rows(field, [{i: field.one()} for i in range(n)],
                                  n)
+
+
+def element_from_nums(field, nums, den: int = 1) -> FieldElement:
+    """The element sum_m nums[m] / den * sqrt(m) for a {mask: int} dict
+    nums, den != 0."""
+    if den < 0:
+        nums, den = {m: -x for m, x in nums.items()}, -den
+    return fields._norm(field, {m: x for m, x in nums.items() if x}, den)
+
+
+def divide(field, x, y) -> FieldElement:
+    """x / y in field, each an element of it or a rational."""
+    return FieldElement.coerce(field, x) * \
+        FieldElement.coerce(field, y).inverse()
+
+
+def matrix_rank(m: ExactMatrix) -> int:
+    """The rank of m: the number of pivots of the one sparse
+    elimination."""
+    return len(fields._echelon(m.nonzero, fields._subtracted, fields._monic))
+
+
+def family_stable_at(fam: MixedFamily, x1: int, x2: int) -> bool:
+    """The lattice of fam at (x1 : x2) has rank 2 and all of fam.matrices
+    keep it."""
+    lat = fam.lattice_at(x1, x2)
+    return lat.rank == 2 and _is_stable(lat, fam.matrices)
 
 
 def weight_table_matrix(field, name) -> ExactMatrix:

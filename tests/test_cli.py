@@ -320,7 +320,7 @@ def test_error_record_names_type_and_frame(monkeypatch, capsys):
     # a bare assert inside the package: the message alone is empty
     monkeypatch.setattr(periods, "gross_matrix",
                         lambda p, n: periods.PeriodMonomial((p, n), 0))
-    lines, start = inspect.getsourcelines(periods.PeriodMonomial.__post_init__)
+    lines, start = inspect.getsourcelines(periods.PeriodMonomial.__init__)
     line = start + next(i for i, text in enumerate(lines)
                         if "assert self.coefficient" in text)
     assert main(["gross-periods"]) == 1

@@ -29,8 +29,8 @@ from cmsweep.fields import (QQ, DependentGenerators, ExactMatrix,
                             cleared_rows, eigen_decompose, field_create,
                             rational_kernel, rational_rank, sum_of_products)
 from helpers import (DenseElement, dense_det, dense_product, dense_rows,
-                     dense_rref, distinct_rows, identity_matrix,
-                     integer_rref)
+                     dense_rref, distinct_rows, element_from_nums,
+                     identity_matrix, integer_rref, matrix_rank)
 
 SQUAREFREE = [d for d in range(-30, 31)
               if d not in (0, 1) and all(d % (p * p) for p in range(2, 6))]
@@ -64,7 +64,7 @@ def test_canonical_form():
     assert (e.nums, e.den) == ({0: 1, 2: -1}, 2)
     z = e - e
     assert (z.nums, z.den) == ({}, 1) and z == 0
-    assert FieldElement.from_nums(f, {0: 2, 1: 0, 2: 4}, -6) == \
+    assert element_from_nums(f, {0: 2, 1: 0, 2: 4}, -6) == \
         FieldElement(f, {frozenset(): Fraction(-1, 3),
                          frozenset([1]): Fraction(-2, 3)})
     with pytest.raises(AttributeError):
@@ -111,7 +111,7 @@ def _agrees(e, ref):
 def test_sparse_elements_match_dense_reference(case):
     field, raw = case
     refs = [DenseElement(field, nums, den) for nums, den in raw]
-    els = [FieldElement.from_nums(field, dict(enumerate(nums)), den)
+    els = [element_from_nums(field, dict(enumerate(nums)), den)
            for nums, den in raw]
     for e, ref in zip(els, refs):
         _agrees(e, ref)
@@ -130,7 +130,7 @@ def test_sparse_elements_match_dense_reference(case):
             assert (p == q) == (rp == rq)
             assert p != q or hash(p) == hash(q)
             # equal elements built in another order hash alike
-            r = FieldElement.from_nums(field, dict(reversed(p.nums.items())),
+            r = element_from_nums(field, dict(reversed(p.nums.items())),
                                        p.den)
             assert r == p and hash(r) == hash(p)
     for x, rx in zip(els, refs):
@@ -151,7 +151,7 @@ def product_terms(draw):
     are x * y * c and (-x) * y * c for nonzero x, y and c."""
     field = draw(st.sampled_from(ELEMENT_FIELDS))
     elements = st.builds(
-        lambda nums, den: FieldElement.from_nums(field, nums, den),
+        lambda nums, den: element_from_nums(field, nums, den),
         st.dictionaries(st.integers(0, field.degree - 1),
                         st.integers(-30, 30), max_size=3),
         st.integers(1, 12))
@@ -234,7 +234,7 @@ def _check_qq_rref(m):
     assert big_pivots == pivots
     assert [[e.coords for e in row] for row in big_red.entries] == \
         [[e.coords for e in row] for row in red.entries]
-    assert qq.rank() == len(pivots)
+    assert matrix_rank(qq) == len(pivots)
     for v in qq.kernel():
         assert all(e.is_zero() for e in qq * v)
 
@@ -274,7 +274,7 @@ def test_matrix_times_inverse_is_identity(data):
     try:
         inv = m.inverse()
     except ZeroDivisionError:
-        assert m.rank() < n
+        assert matrix_rank(m) < n
         return
     assert m * inv == identity_matrix(field, n)
 
@@ -553,7 +553,7 @@ def test_sparse_elimination_matches_dense_references(case):
     assert _cells(red) == _cells(want_red)
     assert not [e for row in red.nonzero for e in row.values()
                 if e.is_zero()]
-    assert m.rank() == len(want_pivots)
+    assert matrix_rank(m) == len(want_pivots)
     kernel = m.kernel()
     assert kernel == _dense_kernel(m, want_red, want_pivots)
     for v in kernel:
@@ -585,7 +585,7 @@ def test_elimination_of_empty_and_zero_shapes(nrows, ncols):
     m = _shaped(field, [[field.zero()] * ncols for _ in range(nrows)], ncols)
     assert (m.rows, m.cols) == (nrows, ncols)
     red, pivots = m.rref()
-    assert pivots == [] and red == m and m.rank() == 0
+    assert pivots == [] and red == m and matrix_rank(m) == 0
     eye = identity_matrix(field, ncols)
     assert m.kernel() == eye.entries
     assert m.solve([0] * nrows) == [field.zero()] * ncols
@@ -625,8 +625,9 @@ def test_every_elimination_runs_through_echelon(monkeypatch):
 
     monkeypatch.setattr(fields, "_echelon", refuse)
     m = ExactMatrix.from_int(QQ, [[1, 2], [3, 4]])
-    calls = {"rref": m.rref, "rank": m.rank, "kernel": m.kernel,
-             "solve": lambda: m.solve([1, 0]), "inverse": m.inverse,
+    calls = {"rref": m.rref, "rank": lambda: matrix_rank(m),
+             "kernel": m.kernel, "solve": lambda: m.solve([1, 0]),
+             "inverse": m.inverse,
              "det": m.det, "eigen_decompose": lambda: eigen_decompose(m),
              "rational_kernel": lambda: rational_kernel([[1, 2]], 2),
              "rational_rank": lambda: rational_rank([[1, 2]])}
@@ -831,7 +832,7 @@ def test_field_inclusion_matches_coords_route(small_gens, big_gens):
     index = [big.gens.index(d) for d in small.gens]
     rng = random.Random(hash(small_gens) % 1000)
     for _ in range(40):
-        e = FieldElement.from_nums(
+        e = element_from_nums(
             small, {m: rng.randint(-6, 6) for m in range(small.degree)
                     if rng.random() < 0.6}, rng.randint(1, 9))
         want = FieldElement(big, {frozenset(index[i] for i in s): c

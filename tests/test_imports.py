@@ -1,11 +1,16 @@
 """The package runs on the standard library alone: every module imports
 only `cmsweep` and stdlib names, and the distribution declares no
-runtime dependency.  The storage of field elements is known to `fields`
-alone, `quatrep` builds its matrices from their nonzeros and its End(V)
-dimension from the commutant rows, every case matrix of `torus` is a
-SignedPerm, and each module declares its `assert` statements."""
+runtime dependency.  Importing it generates no code and loads no
+dataclasses, typing or traceback.  The storage of field elements is
+known to `fields` alone, `quatrep` builds its matrices from their
+nonzeros and its End(V) dimension from the commutant rows, every case
+matrix of `torus` is a SignedPerm, and each module declares its
+`assert` statements."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,6 +37,50 @@ def test_module_imports_only_stdlib_and_cmsweep(path):
     stray = {n for n in _top_level_imports(path)
              if n != "cmsweep" and n not in sys.stdlib_module_names}
     assert not stray
+
+
+def _module_level_imports(path):
+    """Top-level names of the imports that run when the module is
+    imported: those in function bodies do not count."""
+    names, todo = set(), list(ast.parse(path.read_text(), str(path)).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_records_are_plain_classes(path):
+    """No module imports dataclasses or typing, and traceback only inside
+    a function: the error path alone pays for it."""
+    assert not _top_level_imports(path) & {"dataclasses", "typing"}
+    assert "traceback" not in _module_level_imports(path)
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_import_loads_no_code_generation_modules(flags):
+    """Importing cli and the nine layers adds none of dataclasses, inspect,
+    typing and traceback to sys.modules.  The snapshot is taken after
+    start-up, so a module that a site hook loaded does not count."""
+    layers = [p.stem for p in MODULES if p.stem != "__init__"]
+    code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
+            f"for name in {layers!r}:\n"
+            "    __import__('cmsweep.' + name)\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    added = set(json.loads(run.stdout))
+    assert "cmsweep.cli" in added and "cmsweep.torus" in added
+    assert not added & {"dataclasses", "inspect", "typing", "traceback"}
 
 
 def test_no_runtime_dependencies():

@@ -34,7 +34,7 @@ from cmsweep.liereps import invariant_space, tensor_module, wedge2_module
 from helpers import (DenseQuaternionAlgebra, descent_basis,
                      descent_by_combinations, dual_module,
                      equivariance_by_combinations, identity_matrix,
-                     mu_by_products, pairwise_quaternion_mul,
+                     matrix_rank, mu_by_products, pairwise_quaternion_mul,
                      rational_model_by_products, solve_galois_lie_table,
                      solve_unit_coefficients)
 
@@ -562,13 +562,13 @@ def _irreducible_by_ranks(rep):
     v, w = vw_vector("1,1", "v"), vw_vector("1,1", "w")
     for p, q, rank in ((1, 1, 2), (1, -1, 2), (2, 3, 2), (1, 0, 1), (0, 1, 1)):
         line = [F.rational(p) * a + F.rational(q) * b for a, b in zip(v, w)]
-        if ExactMatrix(F, [line, rep.J * line]).rank() != rank:
+        if matrix_rank(ExactMatrix(F, [line, rep.J * line])) != rank:
             return False
     for sides in product("vw", repeat=4):
         span_vecs = [vw_vector(label, side)
                      for label, side in zip(WEIGHT_LABELS, sides)]
-        if all(ExactMatrix(F, span_vecs
-                           + [_galois_on_vector(rep, tag, vec)]).rank() == 4
+        if all(matrix_rank(ExactMatrix(
+                F, span_vecs + [_galois_on_vector(rep, tag, vec)])) == 4
                for tag in ("g1", "g2", "g3") for vec in span_vecs):
             return False
     return True

@@ -35,7 +35,8 @@ from cmsweep.torus import (ORDER4_FIELD, REJECTED_DIVISOR_TEST,
                            _order4_lifts, _rational_projective_roots,
                            _rational_restriction, _signed_eigenlines,
                            _square_sign)
-from helpers import dense_rows, identity_matrix, mat_apply, qq_restriction
+from helpers import (dense_rows, family_stable_at, identity_matrix, mat_apply,
+                     matrix_rank, qq_restriction)
 
 FIXDIR = Path(__file__).resolve().parents[1] / "src" / "cmsweep" / "fixtures"
 
@@ -160,7 +161,7 @@ def test_stable_subspaces_examples():
                     ((1, 0, 1, 0), (0, 1, 0, 1))]
     fams = stable_subspaces([P0, P2], 2)
     assert len(fams) == 1 and fams[0].kind == "parametric"
-    assert all(fams[0].family.stable_at(x1, x2)
+    assert all(family_stable_at(fams[0].family, x1, x2)
                for x1, x2 in ((1, 0), (0, 1), (1, 2), (2, -3), (5, 7)))
     assert stable_subspaces([P0, P4], 2) == []
 
@@ -441,7 +442,7 @@ def test_signed_eigenlines_agree_with_eigen_decompose_on_b4(gens):
             [lam for lam, ker in want for _ in ker]
         for lam, v in got:
             assert m * v == [lam * x for x in v]
-        assert ExactMatrix(field, [v for _, v in got]).rank() == 4
+        assert matrix_rank(ExactMatrix(field, [v for _, v in got])) == 4
     assert 0 < split < len(B4)
     if gens == (-1, 2):  # only the 128 elements with a 3-cycle fail
         assert split == 256
