@@ -25,8 +25,10 @@ class PeriodMonomial(Frozen):
                  basis=DEFAULT_BASIS):
         self.exponents, self.coefficient = exponents, coefficient
         self.basis = basis
-        assert self.coefficient != 0
-        assert len(self.exponents) == len(self.basis)
+        if self.coefficient == 0:
+            raise ValueError("a period monomial needs a nonzero coefficient")
+        if len(self.exponents) != len(self.basis):
+            raise ValueError("the exponents do not match the basis")
 
     def __mul__(self, other: "PeriodMonomial") -> "PeriodMonomial":
         assert self.basis == other.basis
@@ -52,7 +54,8 @@ class PeriodMatrix(Frozen):
 def gross_matrix(p: int, n: int) -> PeriodMatrix:
     """diag(b^p (2 pi i / b)^{n-p}, b^{n-p} (2 pi i / b)^p): exponent
     vectors (2p - n, n - p) and (n - 2p, p)."""
-    assert 0 <= p <= n
+    if not 0 <= p <= n:
+        raise ValueError(f"need 0 <= p <= n, not p = {p}, n = {n}")
     return PeriodMatrix((
         PeriodMonomial((2 * p - n, n - p)),
         PeriodMonomial((n - 2 * p, p)),

@@ -90,7 +90,8 @@ class DiagonalPositivitySystem:
     def __init__(self, parameters, coefficients, fixed_signs=None):
         self.parameters, self.coefficients = parameters, coefficients
         self.fixed_signs = {} if fixed_signs is None else fixed_signs
-        assert self.coefficients, "coefficient list must be nonempty"
+        if not self.coefficients:
+            raise ValueError("coefficient list must be nonempty")
 
     def free_parameters(self):
         return tuple(p for p in self.parameters if p not in self.fixed_signs)
@@ -182,7 +183,8 @@ def antiweil_imaginary_system(lam_sign=-1) -> DiagonalPositivitySystem:
     """Anti-Weil imaginary branch: x-side M(1, -3 lam, 12 lam^2,
     -36 lam^3), y-side -M(-36 lam^3, 12 lam^2, -3 lam, 1), with the sign
     of lam fixed by the case hypothesis."""
-    assert lam_sign in (1, -1)
+    if lam_sign not in (1, -1):
+        raise ValueError(f"lam_sign must be 1 or -1, not {lam_sign!r}")
     return DiagonalPositivitySystem(
         parameters=("M", "lam"),
         coefficients=[
@@ -203,7 +205,8 @@ def antiweil_lambda_positive(lam) -> FeasibilityVerdict:
     subspaces y0 = y2 = 0 and y1 = y3 = 0 (each meets the orthogonality
     subspace nontrivially); the two restrictions force M < 0 and M > 0."""
     lam = Fraction(lam)
-    assert lam != 0
+    if lam == 0:
+        raise ValueError("lam must be nonzero")
     if lam < 0:
         return diagonal_feasibility(antiweil_imaginary_system(lam_sign=-1))
     sys = DiagonalPositivitySystem(
@@ -309,7 +312,8 @@ def weil_family_check(x) -> dict:
     is positive definite (leading principal minors); (iv) the reduced
     discriminant condition when x1 != 0."""
     x = [e if isinstance(e, FieldElement) else gauss(e) for e in x]
-    assert len(x) == 4
+    if len(x) != 4:
+        raise ValueError(f"x needs 4 components, not {len(x)}")
     if all(e.is_zero() for e in x):
         raise ZeroVector("all components are zero")
 

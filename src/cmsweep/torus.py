@@ -2,10 +2,12 @@
 Character-lattice case sweeps for rank-4 signed permutation Galois actions.
 
 The ambient lattice is Z^4 with a finite group of signed permutation
-matrices acting.  A rank-2 stable sublattice is hunted down exactly:
+matrices acting, and every eigenvector of one, over Z or a field, is
+walked off its cycles with no elimination (_eigenvectors).  A rank-2
+stable sublattice is hunted down exactly:
 
 * lifts with distinct eigenvalues are handled by Galois descent of
-  eigenline sums, the eigenlines read off the cycles (the finite route);
+  eigenline sums (the finite route);
 * lifts squaring to +-I have two 2-dimensional eigenplanes, and a rank-2
   stable subspace is either a pure eigenplane or a mixed pair of lines; a
   second anticommuting lift forces the second line (one projective
@@ -27,7 +29,7 @@ from math import gcd, prod
 from . import Frozen
 from .cmfields import closure
 from .fields import (DoesNotSplit, ExactMatrix, MultiQuadField,
-                     apply_galois, cleared_rows, eigen_decompose,
+                     apply_galois, eigen_decompose,
                      field_create, rational_kernel, rational_rank,
                      roots_of_unity)
 from .intlat import IntLattice, rational_span_intersect
@@ -71,7 +73,7 @@ class SignedPerm(namedtuple("SignedPerm", "perm signs")):
                 or any(len(row) != len(rows) for row in rows) \
                 or len({c[0][0] for c in cols}) != len(rows):
             raise ValueError("not a signed permutation matrix")
-        return cls(*zip(*(c[0] for c in cols)))
+        return cls(*zip(*(c[0] for c in cols))) if rows else cls((), ())
 
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
         return SignedPerm(tuple(self.perm[p] for p in other.perm),
@@ -216,35 +218,41 @@ def rational_intersection(field: MultiQuadField, vectors):
     return rational_kernel(rows, n)
 
 
+def _eigenvectors(m: SignedPerm, zeta, one=1) -> list:
+    """The kernel basis of m - zeta*I that rational_kernel and
+    ExactMatrix.kernel give, with no elimination (zeta and one are ints or
+    elements of one field).  Each k-cycle whose sign product is zeta^k
+    gives one vector, in the order of the cycles' largest indices c:
+    `one` at c, v[p] = s_p * zeta * v[q] wherever m e_p = s_p e_q, and
+    zero off the cycle.  The walk goes backwards from c and must close up
+    at one."""
+    zero, step, out = one - one, {1: zeta, -1: -zeta}, []
+    for cycle in sorted(m.cycles(), key=max):
+        j = cycle.index(max(cycle))
+        v, x = [zero] * len(m.perm), one
+        for p in reversed(cycle[j:] + cycle[:j]):  # ends at c itself
+            x = v[p] = step[m.signs[p]] * x
+        if x == one:
+            out.append(v)
+    return out
+
+
 def _signed_eigenlines(m: SignedPerm, field):
-    """The eigenlines (zeta, v) of a signed permutation, read off its
-    cycles in the order eigen_decompose finds them.  On a cycle c0 -> c1
-    -> ... -> c(k-1) with sign product eps, each root zeta of t^k = eps
-    gives v with v[c0] = 1, v[c(t+1)] = s(c_t) * v[c_t] / zeta and zero
-    off the cycle.  DoesNotSplit when a cycle has fewer than k roots in
-    the field."""
-    roots = roots_of_unity(field)
-    zero = field.zero()
-    lines = []
-    for cycle in m.cycles():
-        k = len(cycle)
-        eps = prod(m.signs[c] for c in cycle)
-        # zeta^k = 1 iff its order divides k, -1 iff it divides 2k only
-        found = [(t, zeta) for t, (zeta, order) in enumerate(roots)
-                 if (k % order == 0) == (eps == 1) and 2 * k % order == 0]
-        if len(found) < k:
-            raise DoesNotSplit(f"a {k}-cycle with sign {eps} does not "
-                               f"split over {field}")
-        for t, zeta in found:
-            inv = zeta.inverse()
-            v = [zero] * len(m.perm)
-            x = field.one()
-            for c in cycle:
-                v[c] = x
-                x = x * inv if m.signs[c] > 0 else -(x * inv)
-            lines.append((t, zeta, v))
-    lines.sort(key=lambda line: line[0])
-    return [(zeta, v) for _, zeta, v in lines]
+    """The eigenlines (zeta, v) of a signed permutation in the order
+    eigen_decompose finds them, the _eigenvectors of each root of unity of
+    the field in turn; DoesNotSplit when fewer lines than coordinates."""
+    kinds = {(len(c), prod(m.signs[i] for i in c)) for c in m.cycles()}
+    one = field.one()
+    # walk a root only if some k-cycle with sign product eps has zeta^k =
+    # eps: its order divides k (eps = 1), or 2k but not k (eps = -1)
+    lines = [(zeta, v) for zeta, order in roots_of_unity(field)
+             if any((k % order == 0) == (eps == 1) and 2 * k % order == 0
+                    for k, eps in kinds)
+             for v in _eigenvectors(m, zeta, one)]
+    if len(lines) < len(m.perm):
+        raise DoesNotSplit(f"only {len(lines)} of {len(m.perm)} eigenlines "
+                           f"split over {field}")
+    return lines
 
 
 def stable_subspaces_finite(ms, target_rank, field):
@@ -332,21 +340,6 @@ def _commutation_sign(a: SignedPerm, b: SignedPerm):
     raise ValueError("matrices neither commute nor anticommute")
 
 
-def _shifted(m: SignedPerm, lam) -> list:
-    """The {col: value} rows of m - lam*I."""
-    rows = m.nonzero
-    for i, row in enumerate(rows):
-        row[i] = row.get(i, 0) - lam
-    return rows
-
-
-def _eigenplane(m: SignedPerm, lam_int):
-    """The basis of ker(m - lam*I) for lam in {1,-1} that rational_kernel
-    gives, as int lists: a signed permutation's is integral."""
-    return [list(_integral(v))
-            for v in rational_kernel(_shifted(m, lam_int), 4)]
-
-
 def _restrict(m: SignedPerm, basis, field):
     """The matrix C of m on span(basis): m*b_i = sum_j C[j][i] b_j."""
     bmat = ExactMatrix(field, [list(col) for col in zip(*basis)])
@@ -366,12 +359,12 @@ def _combination(coeffs, basis) -> list:
 
 
 def _rational_restriction(m: SignedPerm, basis):
-    """The int matrix C of m on the span of an _eigenplane basis, m*b_i =
-    sum_j C[j][i] b_j, and the eigenlines of C: the rational_kernel bases
-    of C - I, then of C + I, the order eigen_decompose tries them in over
-    QQ, each vector cleared of its denominators; [] when they do not fill
-    the span.  Each b_j ends in a 1 at its free column, where the other
-    basis vectors are 0, so C[j][i] is (m*b_i) there."""
+    """The int matrix C of m on the span of int _eigenvectors b_j of a
+    lift, m*b_i = sum_j C[j][i] b_j, and the eigenlines of C: its
+    _eigenvectors at 1, then -1, or [] when they do not fill the span.
+    C[j][i] is (m*b_i) at the free column of b_j, where b_j is 1 and the
+    other b are 0.  m permutes the lift's cycles, so C is a signed
+    permutation (ValueError otherwise)."""
     n = len(basis)
     free = [max(j for j, x in enumerate(b) if x) for b in basis]
     images = [m.apply(b) for b in basis]
@@ -380,11 +373,9 @@ def _rational_restriction(m: SignedPerm, basis):
     assert all(list(img) == _combination(col, basis)
                for img, col in zip(images, zip(*c))), \
         "subspace not stable under restriction"
-    lines = cleared_rows(v for lam in (1, -1) for v in rational_kernel(
-        [[x - lam * (i == j) for j, x in enumerate(row)]
-         for i, row in enumerate(c)], n))
-    return c, [[v.get(t, 0) for t in range(n)] for v in lines] \
-        if len(lines) == n else []
+    sc = SignedPerm.from_rows(c)
+    lines = _eigenvectors(sc, 1) + _eigenvectors(sc, -1)
+    return c, lines if len(lines) == n else []
 
 
 def _eigenlines_2x2(c: ExactMatrix):
@@ -470,8 +461,8 @@ def pair_analysis(m1: SignedPerm, m2: SignedPerm):
         s1, s2 = s2, s1
     comm = _commutation_sign(m1, m2)
     if s1 == 1:
-        vm = _eigenplane(m1, -1)
-        vp = _eigenplane(m1, 1)
+        vm = _eigenvectors(m1, -1)
+        vp = _eigenvectors(m1, 1)
         if (len(vm), len(vp)) != (2, 2):
             raise ValueError(
                 f"real-type first lift has eigenplanes of dimensions "
@@ -498,8 +489,7 @@ def pair_analysis(m1: SignedPerm, m2: SignedPerm):
         return "finite", cands
     # both square to -I: work over Q(i)
     gauss = field_create([-1])
-    i_unit = gauss.sqrt_gen(-1)
-    vi = ExactMatrix.from_rows(gauss, _shifted(m1, i_unit), 4).kernel()
+    vi = _eigenvectors(m1, gauss.sqrt_gen(-1), gauss.one())
     # m1 is real with m1^2 = -I: conjugation swaps its +-i eigenspaces
     assert len(vi) == 2
     if comm == 1:
@@ -677,7 +667,7 @@ def pair_case_verdict(case_id, analysis, table):
 def pure_plane_verdict(case_id, m1: SignedPerm, table):
     """The two eigenplanes of a real-type lift, both divisor-rejected."""
     return divisor_verdict(case_id, [
-        (rational_span_intersect(_eigenplane(m1, lam), 4), {})
+        (rational_span_intersect(_eigenvectors(m1, lam), 4), {})
         for lam in (-1, 1)], table)
 
 

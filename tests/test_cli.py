@@ -318,11 +318,12 @@ def test_bless_leaves_the_fixture_of_a_failing_section(tmp_path, capsys,
 def test_error_record_names_type_and_frame(monkeypatch, capsys):
     from cmsweep import periods
     # a bare assert inside the package: the message alone is empty
-    monkeypatch.setattr(periods, "gross_matrix",
-                        lambda p, n: periods.PeriodMonomial((p, n), 0))
-    lines, start = inspect.getsourcelines(periods.PeriodMonomial.__init__)
+    monkeypatch.setattr(periods, "gross_matrix", lambda p, n: (
+        periods.PeriodMonomial((p, n))
+        * periods.PeriodMonomial((p,), basis=("b",))))
+    lines, start = inspect.getsourcelines(periods.PeriodMonomial.__mul__)
     line = start + next(i for i, text in enumerate(lines)
-                        if "assert self.coefficient" in text)
+                        if "assert self.basis" in text)
     assert main(["gross-periods"]) == 1
     report = json.loads(capsys.readouterr().out)
     (case,) = report["sections"][0]["cases"]

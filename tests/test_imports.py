@@ -153,7 +153,9 @@ def test_antiweil_invariants_use_the_commutant_rows():
 def test_torus_keeps_each_case_matrix_as_a_signed_perm():
     """torus has no dense matrix form: no mat_apply, no SignedPerm.rows, no
     ExactMatrix.from_int, and SignedPerm.from_rows only where the case
-    table parses its literals, at module level."""
+    table parses its literals, at module level, and where
+    _rational_restriction reads its int restriction as a signed
+    permutation."""
     tree = ast.parse((ROOT / "src" / "cmsweep" / "torus.py").read_text())
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -176,13 +178,42 @@ def test_torus_keeps_each_case_matrix_as_a_signed_perm():
     assert "mat_apply" not in defined
     assert "rows" not in members and "nonzero" in members
     assert calls([tree], "ExactMatrix", "from_int") == []
-    assert calls(nested, "SignedPerm", "from_rows") == []
+    assert [node.name for node in nested
+            if calls([node], "SignedPerm", "from_rows")] \
+        == ["_rational_restriction"]
     assert calls([tree], "SignedPerm", "from_rows")
+
+
+def test_torus_eliminates_only_in_rational_intersection():
+    """Every eigenvector of a signed permutation is walked off its cycles
+    by torus._eigenvectors: torus imports no cleared_rows, defines no
+    _shifted or _eigenplane, and calls rational_kernel and .kernel() only
+    in rational_intersection, the descent of a span over a field to Q."""
+    tree = ast.parse((ROOT / "src" / "cmsweep" / "torus.py").read_text())
+    imported = {a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert "cleared_rows" not in imported
+    assert not defined & {"_shifted", "_eigenplane"}
+    assert "_eigenvectors" in defined
+    callers = {}
+    for func in tree.body:
+        if not isinstance(func, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                if name in ("rational_kernel", "kernel"):
+                    callers.setdefault(name, set()).add(func.name)
+    assert callers == {"rational_kernel": {"rational_intersection"},
+                       "kernel": {"rational_intersection"}}
 
 
 # assert statements each module may hold; the rest raise ValueError
 ASSERTS = {"cmfields.py": 5, "intlat.py": 1, "liereps.py": 11,
-           "periods.py": 6, "positivity.py": 10, "torus.py": 6}
+           "periods.py": 3, "positivity.py": 6, "torus.py": 6}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

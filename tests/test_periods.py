@@ -1,6 +1,10 @@
 """Formal period exponent bookkeeping."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -46,7 +50,7 @@ def test_monomial_product_and_coefficients():
     assert prod.exponents == (0, 3)
     assert prod.coefficient == 1
     assert PeriodMonomial(a.exponents, Fraction(5)).coefficient == 5
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="nonzero coefficient"):
         PeriodMonomial((1, 2), 0)
     # trdeg bound ignores coefficients
     assert trdeg_lower_bound([a]) == trdeg_lower_bound(
@@ -67,3 +71,29 @@ def test_trdeg_subadditivity():
 
 def test_default_basis():
     assert DEFAULT_BASIS == ("b", "2*pi*i")
+
+
+def test_input_checks_survive_optimize_flag():
+    """Under python -O p > n, a zero coefficient and exponents that do not
+    match the basis are still refused, where an assert would let
+    gross_matrix(3, 1) build the exponents (5, -2) and (-5, 3)."""
+    code = ("from cmsweep.periods import PeriodMonomial, gross_matrix\n"
+            "for make in (lambda: gross_matrix(3, 1).entries(),\n"
+            "             lambda: gross_matrix(-1, 2).entries(),\n"
+            "             lambda: PeriodMonomial((1, 2), 0),\n"
+            "             lambda: PeriodMonomial((1, 2, 3))):\n"
+            "    try:\n"
+            "        print('accepted:', make())\n"
+            "    except ValueError as exc:\n"
+            "        print('refused:', exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve()
+                                          .parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "refused: need 0 <= p <= n, not p = 3, n = 1",
+        "refused: need 0 <= p <= n, not p = -1, n = 2",
+        "refused: a period monomial needs a nonzero coefficient",
+        "refused: the exponents do not match the basis",
+    ]

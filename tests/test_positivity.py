@@ -2,8 +2,12 @@
 membership check."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,8 @@ from cmsweep.positivity import (DiagonalPositivitySystem, Monomial,
                                 gauss, weil_family_check,
                                 zero_witness_real_case)
 from positivity_oracle import float_oracle_agrees
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_deg4_imaginary_infeasible_with_certificate():
@@ -42,8 +48,36 @@ def test_antiweil_lambda_positive_branch():
     # negative lambda routes to the imaginary-branch system
     v2 = antiweil_lambda_positive(-2)
     assert v2.status == "INFEASIBLE"
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="lam must be nonzero"):
         antiweil_lambda_positive(0)
+
+
+def test_input_checks_survive_optimize_flag():
+    """Under python -O an empty system, a lam_sign off +-1, lam = 0 and
+    an x without 4 components are still refused, where an assert would
+    let an empty system come back FEASIBLE and lam = 0 take the lam > 0
+    branch to INFEASIBLE."""
+    code = ("from cmsweep.positivity import (DiagonalPositivitySystem,\n"
+            "    antiweil_imaginary_system, antiweil_lambda_positive,\n"
+            "    weil_family_check)\n"
+            "for make in (lambda: DiagonalPositivitySystem(('M',), []),\n"
+            "             lambda: antiweil_imaginary_system(0),\n"
+            "             lambda: antiweil_lambda_positive(0),\n"
+            "             lambda: weil_family_check([1, 0, 0])):\n"
+            "    try:\n"
+            "        print('accepted:', make())\n"
+            "    except ValueError as exc:\n"
+            "        print('refused:', exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "refused: coefficient list must be nonempty",
+        "refused: lam_sign must be 1 or -1, not 0",
+        "refused: lam must be nonzero",
+        "refused: x needs 4 components, not 3",
+    ]
 
 
 def test_diagonal_feasibility_soundness_random():

@@ -1,12 +1,15 @@
 """The signed-permutation sweeps: verdict tables, witnesses, stable
 subspace families, sign-flip symmetry, the integer cubic constraints,
-the signed-permutation type, its eigenlines read off the cycles, the
-eigenvalue trial scan and the commutant dimensions of the case
-matrices."""
+the signed-permutation type, its eigenvectors and eigenlines read off
+the cycles, the eigenvalue trial scan, the commutant dimensions of the
+case matrices and the survivor demo."""
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
@@ -17,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from cmsweep.fields import (DoesNotSplit, ExactMatrix,
                             _eigenvalue_candidates, cleared_rows,
-                            eigen_decompose, field_create, rational_kernel)
+                            eigen_decompose, field_create, rational_kernel,
+                            roots_of_unity)
 from cmsweep.intlat import IntLattice
 from cmsweep.torus import (ORDER4_FIELD, REJECTED_DIVISOR_TEST,
                            REJECTED_NO_DESCENT, REJECTED_RANK, SURVIVES_D4,
@@ -31,7 +35,7 @@ from cmsweep.torus import (ORDER4_FIELD, REJECTED_DIVISOR_TEST,
                            stable_subspaces, stable_subspaces_finite,
                            sweep_a4, sweep_dim1, sweep_klein4, sweep_order4,
                            transitive_subgroups_s4, _one_flip_lifts,
-                           ONE4, _commutation_sign, _eigenplane,
+                           ONE4, _commutation_sign, _eigenvectors,
                            _order4_lifts, _rational_projective_roots,
                            _rational_restriction, _signed_eigenlines,
                            _square_sign)
@@ -335,7 +339,7 @@ def test_signed_perm_agrees_with_its_matrix():
         assert _dense(-a) == tuple(tuple(-x for x in r) for r in _dense(a))
         assert a.apply(v) == mat_apply(_dense(a), v)
         for lam in (1, -1):
-            assert _eigenplane(a, lam) == rational_kernel(
+            assert _eigenvectors(a, lam) == rational_kernel(
                 [[x - lam * (i == j) for j, x in enumerate(row)]
                  for i, row in enumerate(_dense(a))], 4)
         cycles = a.cycles()
@@ -423,6 +427,37 @@ def test_signed_perm_rejects_other_matrices(rows):
 
 # -- eigenlines of signed permutations read off their cycles ----------------
 
+@pytest.mark.parametrize("gens, lines", [
+    ((-1, 2), 1280), ((-1,), 1088), ((-3,), 1056), ((-2, 2), 1280)])
+def test_eigenvectors_are_the_kernel_basis_on_b4(gens, lines):
+    """The walk off the cycles gives the basis ExactMatrix.kernel reads off
+    the rref of m - zeta*I, vector for vector, for every root of unity of
+    the field."""
+    field = field_create(gens)
+    one, found = field.one(), 0
+    for g in B4:
+        for zeta, _ in roots_of_unity(field):
+            rows = g.nonzero
+            for i, row in enumerate(rows):
+                row[i] = row.get(i, 0) - zeta
+            want = ExactMatrix.from_rows(field, rows, 4).kernel()
+            assert _eigenvectors(g, zeta, one) == want
+            found += len(want)
+    assert found == lines  # eigenlines of the 384 elements in the field
+
+
+def test_int_eigenvectors_are_the_rational_kernel_basis_on_b4():
+    """At zeta = +-1 over ints the walk gives the rational_kernel basis of
+    m - zeta*I, as ints."""
+    for g in B4:
+        for lam in (1, -1):
+            got = _eigenvectors(g, lam)
+            assert all(type(x) is int for v in got for x in v)
+            assert got == rational_kernel(
+                [{**row, i: row.get(i, 0) - lam}
+                 for i, row in enumerate(g.nonzero)], 4)
+
+
 @pytest.mark.parametrize("gens", [(-1, 2), (-1,), (-3,), (-2, 2)])
 def test_signed_eigenlines_agree_with_eigen_decompose_on_b4(gens):
     field = field_create(gens)
@@ -482,7 +517,7 @@ def test_int_restriction_matches_the_qq_route_on_b4():
     sizes, splits = set(), set()
     for m1, m2 in pairs:
         for lam in (1, -1):
-            basis = _eigenplane(m1, lam)
+            basis = _eigenvectors(m1, lam)
             c, lines = _rational_restriction(m2, basis)
             want_c, want_lines = qq_restriction(m2, basis)
             assert all(type(x) is int for row in c + lines for x in row)
@@ -696,23 +731,24 @@ def test_divisor_verdict_certificate_shapes(labels, survivor_keys):
 def test_klein4_and_a4_analyse_each_pair_once(monkeypatch):
     import cmsweep.torus as torus
     pairs, planes = [], []
-    analyse, plane = torus.pair_analysis, torus._eigenplane
+    analyse, walk = torus.pair_analysis, torus._eigenvectors
 
     def counting_pairs(m1, m2):
         pairs.append((m1, m2))
         return analyse(m1, m2)
 
-    def counting_planes(m, lam):
-        planes.append((m, lam))
-        return plane(m, lam)
+    def counting_walks(m, zeta, one=1):
+        if type(one) is int and len(m.perm) == 4:  # eigenplanes of a lift
+            planes.append((m, zeta))
+        return walk(m, zeta, one)
 
     monkeypatch.setattr(torus, "pair_analysis", counting_pairs)
-    monkeypatch.setattr(torus, "_eigenplane", counting_planes)
+    monkeypatch.setattr(torus, "_eigenvectors", counting_walks)
     sweep_klein4()
     sweep_a4()
     # P1-P4 once in the klein4 sweep, P2 and P3 once more in the a4 sweep
     assert [m2 for m1, m2 in pairs if m1 == P0] == [P1, P2, P3, P4, P2, P3]
-    assert len(planes) == 22
+    assert len(planes) == 22 and {zeta for _, zeta in planes} == {1, -1}
 
 
 # -- bad input and a wrong case table raise ValueError, not AssertionError --
@@ -745,3 +781,21 @@ def test_a_family_without_a_witness_point_is_named(monkeypatch):
     fam = torus._family("c", pair_analysis(P0, P2))
     with pytest.raises(ValueError, match="^c: no small parameter point"):
         torus.constrained_family_verdict("c", fam, [])
+
+
+def test_survivor_hunt_demo_runs():
+    """The demo drives every sweep and prints the two klein4 survivors,
+    each with a witness lattice that the divisor test does not reject."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run(
+        [sys.executable, str(root / "demos" / "survivor_hunt.py")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    survivors, case = {}, None
+    for line in run.stdout.split("Survivors in detail:")[1].splitlines():
+        if line.startswith("  ") and not line.startswith("    "):
+            case = line.split(":")[0].strip()
+        elif "divisor test rejects" in line:
+            survivors[case] = line.split(":")[1].strip()
+    assert survivors == {"klein4-p0-p2": "False", "klein4-p0-p3": "False"}
