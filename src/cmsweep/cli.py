@@ -60,28 +60,25 @@ def _run_d4_cmtypes():
 
 
 def _run_rep_classify():
-    from .liereps import (classify_dim4_faithful, external_product,
-                          invariant_space, search_dim, sl2_irrep,
-                          sp4_standard_module, tensor_module, wedge2_module,
-                          weyl_dim)
-    records = []
-    for entry in classify_dim4_faithful():
-        records.append({
-            "case_id": f"faithful-dim4:{entry['algebra_type']}",
-            "verdict": "CLASSIFIED",
-            "certificate": {"highest_weight": list(_flat(entry["highest_weight"])),
-                            "module": entry["module"]},
-            "table": "classification",
-        })
+    from .liereps import (classify_dim4_faithful, invariant_space, search_dim,
+                          tensor_module, wedge2_module, weyl_dim)
+    table = classify_dim4_faithful()
+    records = [{
+        "case_id": f"faithful-dim4:{entry['algebra_type']}",
+        "verdict": "CLASSIFIED" if entry["ok"] else "FAIL",
+        "certificate": {"highest_weight": list(entry["highest_weight"]),
+                        "module": entry["module"]},
+        "table": "classification",
+    } for entry in table]
     for typ in ("A2", "G2"):
         empty = search_dim(typ, 4)["solutions"] == []
         records.append({"case_id": f"no-dim4:{typ}",
                         "verdict": "EMPTY" if empty else "FAIL",
                         "certificate": {}, "table": "classification"})
+    dim = weyl_dim("B2", 0, 1)
     records.append({"case_id": "weyl:B2(0,1)",
-                    "verdict": "OK" if weyl_dim("B2", 0, 1) == 4 else "FAIL",
-                    "certificate": {"dim": weyl_dim("B2", 0, 1)},
-                    "table": "classification"})
+                    "verdict": "OK" if dim == 4 else "FAIL",
+                    "certificate": {"dim": dim}, "table": "classification"})
 
     def inv_record(case_id, module):
         inv = invariant_space(module)
@@ -96,23 +93,15 @@ def _run_rep_classify():
             "table": "invariants",
         }
 
+    module = {entry["algebra_type"]: entry["weight_module"] for entry in table}
     records.append(inv_record("invariant:wedge2-V3",
-                              wedge2_module(sl2_irrep(3))))
-    prod = external_product(sl2_irrep(1), sl2_irrep(1))
+                              wedge2_module(module["A1"])))
     records.append(inv_record("invariant:tensor2-V1xV1",
-                              tensor_module(prod, prod)))
+                              tensor_module(module["A1xA1"],
+                                            module["A1xA1"])))
     records.append(inv_record("invariant:wedge2-sp4",
-                              wedge2_module(sp4_standard_module())))
+                              wedge2_module(module["B2"])))
     return records
-
-
-def _flat(x):
-    if isinstance(x, (tuple, list)):
-        out = []
-        for v in x:
-            out.extend(_flat(v))
-        return out
-    return [x]
 
 
 def _run_antiweil_verify():

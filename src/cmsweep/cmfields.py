@@ -99,10 +99,9 @@ class CMType(Frozen):
                 "exactly one of sigma, tau*sigma must lie in the type"
 
     def labels(self):
-        return tuple(sorted((self.model.label(g) for g in self.members),
-                            key=lambda s: self.model.order_key(
-                                next(g for g in self.model.elements
-                                     if self.model.label(g) == s))))
+        m = self.model
+        return tuple(m.label(g) for g in sorted(self.members,
+                                                key=m.order_key))
 
 
 class SubfieldModel(Frozen):

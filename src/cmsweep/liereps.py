@@ -8,8 +8,7 @@ symplectic form.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .fields import rational_kernel, rational_rank
 
@@ -20,7 +19,7 @@ from .fields import rational_kernel, rational_rank
 def _sparse_rows(m):
     """The rows of m, each a list or a {col: value} dict, as dicts of the
     nonzero entries, an integral value as an int (int arithmetic runs in
-    C, Fraction arithmetic in Python)."""
+    C, rational arithmetic in Python)."""
     return [{j: x.numerator if x.denominator == 1 else x for j, x in
              (row.items() if isinstance(row, dict) else enumerate(row)) if x}
             for row in m]
@@ -73,7 +72,7 @@ def sl2_relations_hold(triples, vanishes) -> bool:
 class WeightModule:
     """A vector space with named generator actions, organized into sl(2)
     triples (h, x, y).  Each action is given as rows, lists or {col: value}
-    dicts of ints or Fractions, and kept as one dict of its nonzero entries
+    dicts of ints or rationals, and kept as one dict of its nonzero entries
     per row, integral values as ints.  Bracket
     identities are verified at construction: [h,x] = 2x, [h,y] = -2y,
     [x,y] = h per triple, and generators of distinct triples commute;
@@ -104,9 +103,9 @@ def sl2_irrep(m: int) -> WeightModule:
     if m < 0:
         raise ValueError(f"V(m) needs a highest weight m >= 0, not {m}")
     n = m + 1
-    h = [{i: Fraction(m - 2 * i)} for i in range(n)]
-    x = [{i + 1: Fraction(m - i)} for i in range(m)] + [{}]
-    y = [{}] + [{i - 1: Fraction(i)} for i in range(1, n)]
+    h = [{i: m - 2 * i} for i in range(n)]
+    x = [{i + 1: m - i} for i in range(m)] + [{}]
+    y = [{}] + [{i - 1: i} for i in range(1, n)]
     return WeightModule([f"v{i}" for i in range(n)],
                         [("h", h), ("x", x), ("y", y)], [("h", "x", "y")])
 
@@ -218,55 +217,60 @@ def invariant_space(w: WeightModule):
 
 ALGEBRA_DIMS = {"A1": 3, "A1xA1": 6, "A2": 8, "B2": 10, "G2": 14, "A3": 15}
 
+_WEIGHT_ARITY = {"A1": 1, "A2": 2, "B2": 2, "G2": 2, "A3": 3}
+
+# the Weyl product over the positive roots and its denominator, the
+# product of the positive roots' heights
+_WEYL_FORMS = {
+    "A1": (lambda m: m + 1, 1),
+    "A2": (lambda m1, m2: (m1 + 1) * (m2 + 1) * (m1 + m2 + 2), 2),
+    "B2": (lambda m1, m2: (m1 + 1) * (m2 + 1) * (m1 + m2 + 2)
+           * (2 * m1 + m2 + 3), 6),
+    "G2": (lambda m1, m2: (m1 + 1) * (m2 + 1) * (m1 + m2 + 2)
+           * (m1 + 2 * m2 + 3) * (m1 + 3 * m2 + 4)
+           * (2 * m1 + 3 * m2 + 5), 120),
+    "A3": (lambda m1, m2, m3: (m1 + 1) * (m2 + 1) * (m3 + 1)
+           * (m1 + m2 + 2) * (m2 + m3 + 2) * (m1 + m2 + m3 + 3), 12),
+}
+
+
+def _arity(algebra_type: str, weight=None) -> int:
+    """The number of entries of a highest weight of the type; ValueError
+    for a type with no Weyl form, or a weight of another length."""
+    if algebra_type not in _WEIGHT_ARITY:
+        raise ValueError(f"unknown algebra type {algebra_type!r}, not one "
+                         f"of {', '.join(_WEIGHT_ARITY)}")
+    arity = _WEIGHT_ARITY[algebra_type]
+    if weight is not None and len(weight) != arity:
+        raise ValueError(f"a highest weight of {algebra_type} has {arity} "
+                         f"entries, not {len(weight)}")
+    return arity
+
 
 def weyl_dim(algebra_type: str, *weights) -> int:
     """Exact closed-form dimension of the irreducible module with the
     given highest weight."""
     w = tuple(int(m) for m in weights)
+    _arity(algebra_type, w)
     if any(m < 0 for m in w):
         raise ValueError(f"highest weight {w} has a negative entry")
-    if algebra_type == "A1":
-        (m,) = w
-        return m + 1
-    if algebra_type == "A2":
-        m1, m2 = w
-        val = Fraction((m1 + 1) * (m2 + 1) * (m1 + m2 + 2), 2)
-    elif algebra_type == "B2":
-        m1, m2 = w
-        val = Fraction((m1 + 1) * (m2 + 1) * (m1 + m2 + 2)
-                       * (2 * m1 + m2 + 3), 6)
-    elif algebra_type == "G2":
-        m1, m2 = w
-        val = Fraction((m1 + 1) * (m2 + 1) * (m1 + m2 + 2)
-                       * (m1 + 2 * m2 + 3) * (m1 + 3 * m2 + 4)
-                       * (2 * m1 + 3 * m2 + 5), 120)
-    elif algebra_type == "A3":
-        m1, m2, m3 = w
-        val = Fraction((m1 + 1) * (m2 + 1) * (m3 + 1)
-                       * (m1 + m2 + 2) * (m2 + m3 + 2)
-                       * (m1 + m2 + m3 + 3), 12)
-    else:
-        raise ValueError(f"unknown algebra type {algebra_type!r}")
-    assert val.denominator == 1
-    return int(val)
-
-
-_WEIGHT_ARITY = {"A1": 1, "A2": 2, "B2": 2, "G2": 2, "A3": 3}
+    form, denominator = _WEYL_FORMS[algebra_type]
+    dim, rest = divmod(form(*w), denominator)
+    if rest:
+        raise ValueError(f"the Weyl product of {algebra_type}{w} is not "
+                         f"divisible by {denominator}")
+    return dim
 
 
 def search_dim(algebra_type: str, target: int):
     """All highest weights of the given type with the target dimension.
     The search grid m_i <= target is safe because every factor of the
     closed forms is strictly increasing in each coordinate."""
+    arity = _arity(algebra_type)
     if target < 1:
         raise ValueError(f"target dimension {target} is below 1")
-    arity = _WEIGHT_ARITY[algebra_type]
-    sols = []
-    grid = range(target + 1)
-    from itertools import product as iproduct
-    for w in iproduct(grid, repeat=arity):
-        if weyl_dim(algebra_type, *w) == target:
-            sols.append(w)
+    sols = [w for w in product(range(target + 1), repeat=arity)
+            if weyl_dim(algebra_type, *w) == target]
     return {"algebra_type": algebra_type, "target": target,
             "solutions": sols}
 
@@ -287,19 +291,21 @@ def sp4_basis():
                 coeff[4 * t + i] += s[t][j]      # (x^T s)[i][j] = x[t][i] s[t][j]
                 coeff[4 * t + j] += s[i][t]      # (s x)[i][j] = s[i][t] x[t][j]
             rows.append(coeff)
-    basis = [_sparse_rows([v[4 * i:4 * i + 4] for i in range(4)])
-             for v in rational_kernel(rows, 16)]
-    assert len(basis) == 10
-    return basis
+    return [_sparse_rows([v[4 * i:4 * i + 4] for i in range(4)])
+            for v in rational_kernel(rows, 16)]
+
+
+def _standard_module(basis) -> WeightModule:
+    """The module on e1..e4 with the 4 x 4 matrices of basis as its
+    generators g0, g1, ... (no sl(2)-triple bookkeeping: the bracket
+    structure is implied by the algebra's defining equation)."""
+    return WeightModule([f"e{i + 1}" for i in range(4)],
+                        [(f"g{t}", m) for t, m in enumerate(basis)], [])
 
 
 def sp4_standard_module() -> WeightModule:
-    """The 4-dimensional standard module of sp(4), generators named g0..g9
-    (no sl(2)-triple bookkeeping: bracket structure is implied by the
-    defining equation)."""
-    basis = sp4_basis()
-    acts = [(f"g{t}", m) for t, m in enumerate(basis)]
-    return WeightModule([f"e{i + 1}" for i in range(4)], acts, [])
+    """The 4-dimensional standard module of sp(4), generators g0..g9."""
+    return _standard_module(sp4_basis())
 
 
 def sl4_basis():
@@ -309,61 +315,50 @@ def sl4_basis():
     for i in range(4):
         for j in range(4):
             if i != j:
-                out.append([{j: Fraction(1)} if r == i else {}
-                            for r in range(4)])
+                out.append([{j: 1} if r == i else {} for r in range(4)])
     for i in range(3):
-        out.append([{r: Fraction(1 if r == i else -1)} if r in (i, i + 1)
-                    else {} for r in range(4)])
+        out.append([{r: 1 if r == i else -1} if r in (i, i + 1) else {}
+                    for r in range(4)])
     return out
-
-
-def _images_independent(mats) -> bool:
-    """Whether the matrices, given as sparse rows, are linearly
-    independent."""
-    n = len(mats[0])
-    flat = [{i * n + j: x for i, row in enumerate(m) for j, x in row.items()}
-            for m in mats]
-    return rational_rank(flat) == len(mats)
 
 
 def classify_dim4_faithful():
     """The four semisimple Lie algebra types with a faithful irreducible
-    4-dimensional representation, assembled from the dimension search
-    over all semisimple types of algebra dimension <= 15.
+    4-dimensional representation, each with the check that makes it one.
 
-    Simple types are excluded/included by search_dim; products must have
-    every factor acting by a faithful irreducible of dimension >= 2, so
-    4 = 2 x 2 forces sl(2) x sl(2) (three or more factors need dim >= 8).
-    The D-series starts at dim(D_l) = 2l^2 - 2 > 15.  Faithfulness is
-    checked by exact rank of the realized generator images."""
+    Simple types are included by search_dim (A2 and G2 have no
+    4-dimensional module, the no-dim4 records of rep-classify); products
+    must have every factor acting by a faithful irreducible of dimension
+    >= 2, so 4 = 2 x 2 forces sl(2) x sl(2), each factor on V(1) (three
+    or more factors need dim >= 8).  The D-series starts at
+    dim(D_l) = 2l^2 - 2 > 15.  Each entry carries its realized module
+    under "weight_module" and an "ok" flag: its weight search finds
+    exactly the expected weights, and the generator images of the module
+    span a space of dimension ALGEBRA_DIMS[type], so the algebra acts
+    faithfully.  The highest weight of A1xA1 is its two factors' A1
+    weights."""
+    v1 = sl2_irrep(1)
+    table = (
+        # type, weight search (type, dimension), the weights it must find,
+        # the recorded highest weight, module name, module
+        ("A1", ("A1", 4), [(3,)], (3,), "V(3)", sl2_irrep(3)),
+        ("A1xA1", ("A1", 2), [(1,)], (1, 1), "V(1) boxtimes V(1)",
+         external_product(v1, v1)),
+        ("B2", ("B2", 4), [(0, 1)], (0, 1), "standard sp(4)",
+         sp4_standard_module()),
+        # the standard module of sl(4) and its dual, weight (0,0,1)
+        ("A3", ("A3", 4), [(0, 0, 1), (1, 0, 0)], (1, 0, 0),
+         "standard sl(4)", _standard_module(sl4_basis())),
+    )
     results = []
-    # A1: V(3)
-    a1 = search_dim("A1", 4)["solutions"]
-    assert a1 == [(3,)]
-    v3 = sl2_irrep(3)
-    assert _images_independent([v3.actions[n] for n in ("h", "x", "y")])
-    results.append({"algebra_type": "A1", "highest_weight": (3,),
-                    "module": "V(3)"})
-    # A1 x A1: V(1) x V(1), the only 2x2 product split
-    prod = external_product(sl2_irrep(1), sl2_irrep(1))
-    assert _images_independent([prod.actions[n]
-                                for n in prod.generator_names()])
-    results.append({"algebra_type": "A1xA1", "highest_weight": ((1,), (1,)),
-                    "module": "V(1) boxtimes V(1)"})
-    # A2 and G2 have no dimension-4 module
-    assert search_dim("A2", 4)["solutions"] == []
-    assert search_dim("G2", 4)["solutions"] == []
-    # B2: the standard symplectic module, highest weight (0,1)
-    b2 = search_dim("B2", 4)["solutions"]
-    assert b2 == [(0, 1)]
-    assert _images_independent(sp4_basis())
-    results.append({"algebra_type": "B2", "highest_weight": (0, 1),
-                    "module": "standard sp(4)"})
-    # A3: the standard module (its dual is the other weight-(0,0,1) solution)
-    a3 = search_dim("A3", 4)["solutions"]
-    assert (1, 0, 0) in a3 and (0, 0, 1) in a3 and len(a3) == 2
-    assert _images_independent(sl4_basis())
-    results.append({"algebra_type": "A3", "highest_weight": (1, 0, 0),
-                    "module": "standard sl(4)"})
+    for typ, search, expected, weight, name, module in table:
+        images = [{i * module.dim + j: x
+                   for i, row in enumerate(module.actions[g])
+                   for j, x in row.items()}
+                  for g in module.generator_names()]
+        results.append({
+            "algebra_type": typ, "highest_weight": weight, "module": name,
+            "weight_module": module,
+            "ok": search_dim(*search)["solutions"] == expected
+            and rational_rank(images) == ALGEBRA_DIMS[typ]})
     return results
-

@@ -354,6 +354,78 @@ def test_antiweil_verify_builds_the_extended_algebra_once(monkeypatch,
         "algebra-brackets-15"]
 
 
+# one broken faithfulness check per type: the liereps function replaced,
+# and the source of its replacement as a function of the original
+REP_CLASSIFY_BREAKS = {
+    # the A1 weight search finds nothing
+    "A1": ("search_dim", "lambda f: lambda t, d: {'solutions': []} "
+                         "if (t, d) == ('A1', 4) else f(t, d)"),
+    # the last sp(4) basis element is a copy of the first: rank 9, not 10
+    "B2": ("sp4_basis", "lambda f: lambda: [*f()[:9], f()[0]]"),
+}
+
+
+def _check_one_failed_record(typ, code, cases):
+    """A broken check of typ costs its own record, which reads FAIL, and
+    leaves the other nine rep-classify records as the fixture has them."""
+    assert code == 1
+    want = json.loads((FIXDIR / "rep-classify.json").read_text())
+    failed = f"faithful-dim4:{typ}"
+    assert [c["case_id"] for c in cases] == [c["case_id"] for c in want]
+    for got, fixture in zip(cases, want):
+        if got["case_id"] == failed:
+            assert got == dict(fixture, verdict="FAIL")
+        else:
+            assert got == fixture
+
+
+@pytest.mark.parametrize("typ", sorted(REP_CLASSIFY_BREAKS))
+def test_failed_classification_check_costs_one_record(typ, monkeypatch,
+                                                      capsys):
+    from cmsweep import liereps
+    name, source = REP_CLASSIFY_BREAKS[typ]
+    monkeypatch.setattr(liereps, name, eval(source)(getattr(liereps, name)))
+    code = main(["rep-classify", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    _check_one_failed_record(typ, code, report["sections"][0]["cases"])
+
+
+@pytest.mark.parametrize("typ", sorted(REP_CLASSIFY_BREAKS))
+def test_failed_classification_check_is_a_fail_under_optimize_flag(typ):
+    """The faithfulness checks are no asserts: under python -O a broken
+    check still reads FAIL."""
+    name, source = REP_CLASSIFY_BREAKS[typ]
+    code = ("import sys\n"
+            "from cmsweep import liereps\n"
+            f"liereps.{name} = ({source})(liereps.{name})\n"
+            "from cmsweep.cli import main\n"
+            "sys.exit(main(['rep-classify', '--format', 'json']))\n")
+    env = dict(os.environ, PYTHONPATH=str(FIXDIR.parents[1]))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    report = json.loads(run.stdout)
+    _check_one_failed_record(typ, run.returncode,
+                             report["sections"][0]["cases"])
+
+
+def test_rep_classify_builds_each_search_and_module_once(monkeypatch,
+                                                         capsys):
+    from cmsweep import liereps
+    calls = []
+    for name in ("search_dim", "sl2_irrep", "external_product", "sp4_basis"):
+        def counting(*args, name=name, original=getattr(liereps, name)):
+            keyed = name in ("search_dim", "sl2_irrep")
+            calls.append((name, *args) if keyed else (name,))
+            return original(*args)
+
+        monkeypatch.setattr(liereps, name, counting)
+    assert main(["rep-classify"]) == 0
+    assert sorted(calls) == sorted(
+        [("search_dim", typ, 4) for typ in ("A1", "A2", "B2", "G2", "A3")]
+        + [("search_dim", "A1", 2), ("sl2_irrep", 1), ("sl2_irrep", 3),
+           ("external_product",), ("sp4_basis",)])
+
+
 def test_verify_all_imports_neither_numpy_nor_sympy():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -105,6 +105,16 @@ def test_integer_modules_use_no_field_elements(name):
     assert not used & {"QQ", "ExactMatrix", "FieldElement", "MultiQuadField"}
 
 
+def test_liereps_computes_in_ints():
+    """The modules, bases and Weyl dimensions of liereps are built from
+    ints: it imports no fractions and names no Fraction."""
+    path = ROOT / "src" / "cmsweep" / "liereps.py"
+    names = {node.id for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Name)}
+    assert "fractions" not in _top_level_imports(path)
+    assert "Fraction" not in names
+
+
 def test_every_package_data_glob_matches_a_file():
     tomllib = pytest.importorskip("tomllib")
     meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
@@ -212,7 +222,7 @@ def test_torus_eliminates_only_in_rational_intersection():
 
 
 # assert statements each module may hold; the rest raise ValueError
-ASSERTS = {"cmfields.py": 5, "intlat.py": 1, "liereps.py": 11,
+ASSERTS = {"cmfields.py": 5, "intlat.py": 1, "liereps.py": 0,
            "periods.py": 3, "positivity.py": 6, "torus.py": 6}
 
 

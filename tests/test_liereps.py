@@ -15,7 +15,7 @@ from cmsweep.liereps import (WeightModule, _vanishes,
                              classify_dim4_faithful, commutant_rows,
                              external_product,
                              invariant_space, search_dim, sl2_irrep,
-                             sl2_relations_hold, sp4_basis,
+                             sl2_relations_hold, sl4_basis, sp4_basis,
                              sp4_standard_module, tensor_module,
                              wedge2_module, weyl_dim)
 from helpers import (dense_rows, dual_module, matrix_rank,
@@ -45,6 +45,16 @@ def test_classification_dim4():
     res = classify_dim4_faithful()
     assert [r["algebra_type"] for r in res] == ["A1", "A1xA1", "B2", "A3"]
     assert res[2]["highest_weight"] == (0, 1)
+    assert [r["highest_weight"] for r in res] == [(3,), (1, 1), (0, 1),
+                                                  (1, 0, 0)]
+    assert all(r["ok"] for r in res)
+    assert [r["weight_module"].dim for r in res] == [4] * 4
+
+
+def test_sl2_irrep_and_sl4_basis_hold_ints():
+    mats = [*sl2_irrep(3).actions.values(), *sl4_basis()]
+    assert all(type(x) is int for m in mats for row in m
+               for x in row.values())
 
 
 def _assert_annihilated(w, vec):
@@ -415,6 +425,11 @@ BAD_INPUTS = {
                                    [])), "triples"),
     "weyl_dim": (lambda: weyl_dim("A1", -1), "negative entry"),
     "search_dim": (lambda: search_dim("A1", 0), "below 1"),
+    "search_dim_type": (lambda: search_dim("D4", 4),
+                        "unknown algebra type 'D4', not one of A1, A2, B2, "
+                        "G2, A3"),
+    "weyl_dim_arity": (lambda: weyl_dim("B2", 1),
+                       "a highest weight of B2 has 2 entries, not 1"),
 }
 
 
@@ -425,9 +440,21 @@ def test_bad_inputs_raise_value_error(name):
         make()
 
 
+def test_weyl_dim_refuses_a_product_its_denominator_does_not_divide(
+        monkeypatch):
+    """The quotient is an exact divmod: a remainder raises, where an int
+    division would round it away."""
+    from cmsweep import liereps
+    monkeypatch.setitem(liereps._WEYL_FORMS, "A1", (lambda m: m + 1, 2))
+    assert weyl_dim("A1", 1) == 1
+    with pytest.raises(ValueError, match=r"A1\(2,\) is not divisible by 2"):
+        weyl_dim("A1", 2)
+
+
 def test_input_checks_survive_optimize_flag():
     """Under python -O a negative highest weight, mismatched tensor
-    factors and a target dimension below 1 are still refused, where an
+    factors, a target dimension below 1, an unknown algebra type and a
+    weight of the wrong length are still refused, where an
     assert would let weyl_dim("A1", -1) return 0 and sl2_irrep(-1) build
     a 0-dimensional module."""
     code = ("from cmsweep.liereps import (WeightModule, search_dim,\n"
@@ -438,7 +465,9 @@ def test_input_checks_survive_optimize_flag():
             "             lambda: tensor_module(v1, sp4_standard_module()),\n"
             "             lambda: tensor_module(v1, bare),\n"
             "             lambda: weyl_dim('A1', -1),\n"
-            "             lambda: search_dim('A1', 0)):\n"
+            "             lambda: search_dim('A1', 0),\n"
+            "             lambda: search_dim('D4', 4),\n"
+            "             lambda: weyl_dim('B2', 1)):\n"
             "    try:\n"
             "        print('accepted:', make())\n"
             "    except ValueError as exc:\n"
@@ -454,4 +483,6 @@ def test_input_checks_survive_optimize_flag():
         "refused: triples (('h', 'x', 'y'),) and () differ",
         "refused: highest weight (-1,) has a negative entry",
         "refused: target dimension 0 is below 1",
+        "refused: unknown algebra type 'D4', not one of A1, A2, B2, G2, A3",
+        "refused: a highest weight of B2 has 2 entries, not 1",
     ]
