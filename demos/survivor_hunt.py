@@ -22,18 +22,18 @@ def main():
         cases = sweep()
         tally = {}
         for cv in cases:
-            tally[cv.verdict] = tally.get(cv.verdict, 0) + 1
+            tally[cv["verdict"]] = tally.get(cv["verdict"], 0) + 1
         summary = ", ".join(f"{v} x{c}" for v, c in sorted(tally.items()))
         print(f"  {name:>7} ({len(cases):2d} cases): {summary}")
 
     print("\nSurvivors in detail:")
     for cv in sweep_klein4():
-        if cv.verdict != SURVIVES_D4:
+        if cv["verdict"] != SURVIVES_D4:
             continue
-        lat = IntLattice(4, cv.certificate["witness_lattice"])
+        lat = IntLattice(4, cv["certificate"]["witness_lattice"])
         rejected, _ = divisor_test(lat)
-        print(f"  {cv.case_id}: witness point "
-              f"{tuple(cv.certificate['witness_point'])}")
+        print(f"  {cv['case_id']}: witness point "
+              f"{tuple(cv['certificate']['witness_point'])}")
         for row in lat.basis:
             print(f"    {list(row)}")
         print(f"    divisor test rejects: {rejected}")

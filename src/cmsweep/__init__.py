@@ -16,3 +16,10 @@ class Frozen:
         if hasattr(self, name):
             raise AttributeError(f"{type(self).__name__}.{name} is read-only")
         object.__setattr__(self, name, value)
+
+
+def record(case_id, verdict, certificate, table) -> dict:
+    """One case record of a section, as its fixture stores it: the only
+    place the record keys are spelled."""
+    return {"case_id": case_id, "verdict": verdict,
+            "certificate": certificate, "table": table}

@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
+from . import __version__, record
 
 
 # ---------------------------------------------------------------------------
@@ -24,38 +24,25 @@ from . import __version__
 def _run_sweep(name):
     """The records of torus.<name>()."""
     from . import torus
-    return [cv.to_json() for cv in getattr(torus, name)()]
+    return getattr(torus, name)()
 
 
 def _run_d4_cmtypes():
-    from .cmfields import (MultiplicityVector, d4_analysis,
-                           d4_relabeled_analysis,
+    from .cmfields import (d4_analysis, d4_relabeled_analysis,
                            quartic_multiplicity_predicate)
     base = d4_analysis()
-    records = []
-    for rec in base["surviving_types"]:
-        k2 = MultiplicityVector(tuple(rec["k2_mults"]))
-        verdict = "REJECTED_K2" if not quartic_multiplicity_predicate(k2) \
-            else "SURVIVES_K2"
-        records.append({
-            "case_id": "phi:" + "+".join(rec["phi"]),
-            "verdict": verdict,
-            "certificate": {"k1_mults": rec["k1_mults"],
-                            "k2_mults": rec["k2_mults"]},
-            "table": "cmtypes",
-        })
-    rel = d4_relabeled_analysis()
-    records.append({
-        "case_id": "relabel-invariance",
-        "verdict": "OK" if rel["original_types"] == rel["mapped_types"]
-        else "FAIL",
-        "certificate": {
-            "survivors": len(base["surviving_types"]),
-            "duality_matches":
-                rel["dual_mapped_types"] == rel["dual_survivors"],
-        },
-        "table": "cmtypes",
-    })
+    records = [record(
+        "phi:" + "+".join(rec["phi"]),
+        "SURVIVES_K2" if quartic_multiplicity_predicate(rec["k2_mults"])
+        else "REJECTED_K2",
+        {"k1_mults": rec["k1_mults"], "k2_mults": rec["k2_mults"]},
+        "cmtypes") for rec in base["surviving_types"]]
+    rel = d4_relabeled_analysis(base)
+    records.append(_check(
+        "relabel-invariance", rel["original_types"] == rel["mapped_types"],
+        {"survivors": len(base["surviving_types"]),
+         "duality_matches": rel["dual_mapped_types"] == rel["dual_survivors"]},
+        "cmtypes"))
     return records
 
 
@@ -63,35 +50,30 @@ def _run_rep_classify():
     from .liereps import (classify_dim4_faithful, invariant_space, search_dim,
                           tensor_module, wedge2_module, weyl_dim)
     table = classify_dim4_faithful()
-    records = [{
-        "case_id": f"faithful-dim4:{entry['algebra_type']}",
-        "verdict": "CLASSIFIED" if entry["ok"] else "FAIL",
-        "certificate": {"highest_weight": list(entry["highest_weight"]),
-                        "module": entry["module"]},
-        "table": "classification",
-    } for entry in table]
+    records = [record(
+        f"faithful-dim4:{entry['algebra_type']}",
+        "CLASSIFIED" if entry["ok"] else "FAIL",
+        {"highest_weight": list(entry["highest_weight"]),
+         "module": entry["module"]},
+        "classification") for entry in table]
     for typ in ("A2", "G2"):
         empty = search_dim(typ, 4)["solutions"] == []
-        records.append({"case_id": f"no-dim4:{typ}",
-                        "verdict": "EMPTY" if empty else "FAIL",
-                        "certificate": {}, "table": "classification"})
+        records.append(record(f"no-dim4:{typ}", "EMPTY" if empty else "FAIL",
+                              {}, "classification"))
     dim = weyl_dim("B2", 0, 1)
-    records.append({"case_id": "weyl:B2(0,1)",
-                    "verdict": "OK" if dim == 4 else "FAIL",
-                    "certificate": {"dim": dim}, "table": "classification"})
+    records.append(_check("weyl:B2(0,1)", dim == 4, {"dim": dim},
+                          "classification"))
 
     def inv_record(case_id, module):
         inv = invariant_space(module)
         nz = [(lab, c) for lab, c in zip(module.basis_labels,
                                          inv[0] if inv else [])
               if c]
-        return {
-            "case_id": case_id,
-            "verdict": "INVARIANT_LINE" if len(inv) == 1 else "FAIL",
-            "certificate": {"dim": len(inv),
-                            "support": [[lab, str(c)] for lab, c in nz]},
-            "table": "invariants",
-        }
+        return record(case_id,
+                      "INVARIANT_LINE" if len(inv) == 1 else "FAIL",
+                      {"dim": len(inv),
+                       "support": [[lab, str(c)] for lab, c in nz]},
+                      "invariants")
 
     module = {entry["algebra_type"]: entry["weight_module"] for entry in table}
     records.append(inv_record("invariant:wedge2-V3",
@@ -150,42 +132,33 @@ def _run_antiweil_verify():
 
 
 def _check(case_id, ok, certificate, table):
-    return {"case_id": case_id, "verdict": "OK" if ok else "FAIL",
-            "certificate": certificate, "table": table}
+    return record(case_id, "OK" if ok else "FAIL", certificate, table)
 
 
 def _run_positivity(weil_x):
     from . import positivity as pos
-    records = []
-    v = pos.diagonal_feasibility(pos.deg4_imaginary_system())
-    records.append({"case_id": "deg4-imaginary", "verdict": v.status,
-                    "certificate": v.certificate, "table": "positivity"})
+    records = [record("deg4-imaginary",
+                      *pos.diagonal_feasibility(pos.deg4_imaginary_system()),
+                      "positivity")]
     w = pos.zero_witness_real_case(pos.antisymmetric_weight_gram())
-    records.append({
-        "case_id": "deg4-real",
-        "verdict": "INFEASIBLE" if w is not None else "FAIL",
-        "certificate": {"zero_witness": [str(c) for c in (w or [])]},
-        "table": "positivity"})
+    records.append(record(
+        "deg4-real", "INFEASIBLE" if w is not None else "FAIL",
+        {"zero_witness": [str(c) for c in (w or [])]}, "positivity"))
     for tag, lam in (("neg", -1), ("pos", 1)):
-        v = pos.antiweil_lambda_positive(lam)
-        records.append({"case_id": f"antiweil-imaginary-lam-{tag}",
-                        "verdict": v.status, "certificate": v.certificate,
-                        "table": "positivity"})
+        records.append(record(f"antiweil-imaginary-lam-{tag}",
+                              *pos.antiweil_lambda_positive(lam),
+                              "positivity"))
     xw = weil_x or (1, 2, 0, 0)
     w = pos.zero_witness_real_case(pos.antiweil_real_gram(),
                                    [pos.antiweil_real_constraint(xw)])
-    records.append({
-        "case_id": "antiweil-real",
-        "verdict": "INFEASIBLE" if w is not None else "FAIL",
-        "certificate": {"zero_witness": [str(c) for c in (w or [])],
-                        "x": [str(c) for c in xw]},
-        "table": "positivity"})
-    fam_x = weil_x or (1, 0, 0, -1)
-    rep = pos.weil_family_check(fam_x)
-    records.append({"case_id": "weil-family", "verdict": rep["status"],
-                    "certificate": {k: v for k, v in rep.items()
-                                    if k != "status"},
-                    "table": "positivity"})
+    records.append(record(
+        "antiweil-real", "INFEASIBLE" if w is not None else "FAIL",
+        {"zero_witness": [str(c) for c in (w or [])],
+         "x": [str(c) for c in xw]}, "positivity"))
+    rep = pos.weil_family_check(weil_x or (1, 0, 0, -1))
+    records.append(record("weil-family", rep["status"],
+                          {k: v for k, v in rep.items() if k != "status"},
+                          "positivity"))
     return records
 
 
@@ -194,17 +167,13 @@ def _run_gross_periods(p, n):
     cases = [(p, n)] if p is not None else [(1, 4), (2, 4)]
     records = []
     for pp, nn in cases:
-        mat = gross_matrix(pp, nn)
-        ms = mat.entries()
-        records.append({
-            "case_id": f"gross({pp},{nn})",
-            "verdict": f"TRDEG>={trdeg_lower_bound(ms)}",
-            "certificate": {
-                "exponents": [list(m.exponents) for m in ms],
-                "twisted_k_half_n":
-                    bool(nn % 2 == 0 and twisted_membership(ms, nn // 2)),
-            },
-            "table": "periods"})
+        ms = gross_matrix(pp, nn)
+        records.append(record(
+            f"gross({pp},{nn})", f"TRDEG>={trdeg_lower_bound(ms)}",
+            {"exponents": [list(m) for m in ms],
+             "twisted_k_half_n":
+                 nn % 2 == 0 and twisted_membership(ms, nn // 2)},
+            "periods"))
     return records
 
 
@@ -457,8 +426,8 @@ def main(argv=None) -> int:
         try:
             cases = SECTIONS[sub](args)
         except Exception as exc:  # surfaced as a failing case
-            cases = [{"case_id": f"{sub}:error", "verdict": "ERROR",
-                      "certificate": _error_certificate(exc), "table": sub}]
+            cases = [record(f"{sub}:error", "ERROR",
+                            _error_certificate(exc), sub)]
         ms = int((time.monotonic() - t0) * 1000)
         failing = _failing(cases)
         if args.bless:

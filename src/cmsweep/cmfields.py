@@ -10,8 +10,6 @@ encoded axioms, and only their combinatorial conclusions are mechanized.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from . import Frozen
 
 
@@ -41,24 +39,15 @@ class CMFieldModel:
         self.identity = identity
         self.tau = tau
         self._labels = labels or {g: str(g) for g in self.elements}
-        assert tau != identity and mul(tau, tau) == identity
-        for g in self.elements:
-            assert mul(tau, g) == mul(g, tau), "tau must be central"
+        if tau == identity or mul(tau, tau) != identity or \
+                any(mul(tau, g) != mul(g, tau) for g in self.elements):
+            raise ValueError(f"tau = {tau!r} is not a central involution")
 
     def label(self, g) -> str:
         return self._labels[g]
 
     def order_key(self, g):
         return self.elements.index(g)
-
-    def subgroups(self):
-        """All subgroups, via closures of small generating sets."""
-        found = {frozenset([self.identity])}
-        gens_pool = list(self.elements)
-        for r in (1, 2, 3):
-            for gens in combinations(gens_pool, r):
-                found.add(closure(gens, self.mul, self.identity))
-        return sorted(found, key=lambda s: (len(s), sorted(map(self.order_key, s))))
 
 
 # --- concrete models -------------------------------------------------------
@@ -95,8 +84,10 @@ class CMType(Frozen):
         m = self.model
         for g in m.elements:
             conj = m.mul(m.tau, g)
-            assert (g in self.members) != (conj in self.members), \
-                "exactly one of sigma, tau*sigma must lie in the type"
+            if (g in self.members) == (conj in self.members):
+                raise ValueError(
+                    f"exactly one of sigma = {m.label(g)} and tau*sigma = "
+                    f"{m.label(conj)} must lie in the type")
 
     def labels(self):
         m = self.model
@@ -131,28 +122,22 @@ class SubfieldModel(Frozen):
         return out
 
 
-class MultiplicityVector(Frozen):
-    __slots__ = ("counts",)
-
-    def __init__(self, counts):
-        self.counts = counts
-
-    def multiset(self):
-        return tuple(sorted(self.counts))
-
-
-def restrict_multiplicities(phi: CMType, h: SubfieldModel) -> MultiplicityVector:
-    """Per-coset count of type members: m_C = |Phi ∩ C|."""
-    assert h.model is phi.model
-    return MultiplicityVector(tuple(
-        sum(1 for g in coset if g in phi.members) for coset in h.cosets()))
+def restrict_multiplicities(phi: CMType, h: SubfieldModel) -> tuple:
+    """Per-coset count of type members, m_C = |Phi ∩ C|, over the cosets
+    of h in order."""
+    if h.model is not phi.model:
+        raise ValueError("the CM type and the subfield are on different "
+                         "models")
+    return tuple(sum(1 for g in coset if g in phi.members)
+                 for coset in h.cosets())
 
 
-def quartic_multiplicity_predicate(mult: MultiplicityVector) -> bool:
+def quartic_multiplicity_predicate(counts) -> bool:
     """The multiplicity pattern a degree-4 CM subfield of a simple CM
-    fourfold must exhibit.  (The geometric content is an encoded axiom;
-    this tests only the combinatorial condition.)"""
-    return mult.multiset() == (0, 1, 1, 2)
+    fourfold must exhibit, on a tuple of per-coset counts.  (The
+    geometric content is an encoded axiom; this tests only the
+    combinatorial condition.)"""
+    return sorted(counts) == [0, 1, 1, 2]
 
 
 # --- the dihedral analysis -------------------------------------------------
@@ -161,6 +146,7 @@ def _quartic_subfields(m: CMFieldModel):
     """K1 = E^<x> and K2 = E^<ax> on the dihedral model, both CM."""
     k1 = SubfieldModel(m, frozenset([(0, 0), (0, 1)]))       # <x>
     k2 = SubfieldModel(m, frozenset([(0, 0), (1, 1)]))       # <ax>
+    # constant subgroups of the constant model: a failure is a coding slip
     assert k1.is_cm and k2.is_cm
     return k1, k2
 
@@ -202,8 +188,8 @@ def d4_analysis() -> dict:
         m2 = restrict_multiplicities(phi, k2)
         surviving.append({
             "phi": list(phi.labels()),
-            "k1_mults": list(m1.counts),
-            "k2_mults": list(m2.counts),
+            "k1_mults": list(m1),
+            "k2_mults": list(m2),
         })
     surviving.sort(key=lambda rec: rec["phi"])
     return {
@@ -226,16 +212,16 @@ def _apply_words(m: CMFieldModel, g, a_image, x_image):
     return out
 
 
-def d4_relabeled_analysis() -> dict:
-    """Stability of the surviving types under the relabeling a -> a^3,
-    x -> x: this is the automorphism fixing tau *and* both quartic
-    subgroups <x>, <ax>, and it permutes the four surviving types among
-    themselves.  The substitution a -> a^3, x -> ax is also an
-    automorphism, but it swaps <x> with <ax>; it maps the survivors onto
-    the types that survive the analysis with the two subfields exchanged
-    (a duality, not an invariance), so it is reported separately."""
+def d4_relabeled_analysis(base: dict) -> dict:
+    """Stability of the surviving types of base, a d4_analysis() result,
+    under the relabeling a -> a^3, x -> x: this is the automorphism fixing
+    tau *and* both quartic subgroups <x>, <ax>, and it permutes the four
+    surviving types among themselves.  The substitution a -> a^3,
+    x -> ax is also an automorphism, but it swaps <x> with <ax>; it maps
+    the survivors onto the types that survive the analysis with the two
+    subfields exchanged (a duality, not an invariance), so it is reported
+    separately."""
     m = d4_model()
-    base = d4_analysis()
     originals = sorted(sorted(rec["phi"]) for rec in base["surviving_types"])
 
     def map_types(a_image, x_image):

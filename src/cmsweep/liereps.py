@@ -251,6 +251,9 @@ def weyl_dim(algebra_type: str, *weights) -> int:
     """Exact closed-form dimension of the irreducible module with the
     given highest weight."""
     w = tuple(int(m) for m in weights)
+    if w != weights:
+        raise ValueError(f"highest weight {weights} has a non-integral "
+                         "entry")
     _arity(algebra_type, w)
     if any(m < 0 for m in w):
         raise ValueError(f"highest weight {w} has a negative entry")

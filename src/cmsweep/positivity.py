@@ -97,13 +97,6 @@ class DiagonalPositivitySystem:
         return tuple(p for p in self.parameters if p not in self.fixed_signs)
 
 
-class FeasibilityVerdict:
-    __slots__ = ("status", "certificate")
-
-    def __init__(self, status, certificate):  # status: INFEASIBLE | FEASIBLE
-        self.status, self.certificate = status, certificate
-
-
 def _sign_patterns(sys: DiagonalPositivitySystem):
     free = sys.free_parameters()
     for bits in iproduct((1, -1), repeat=len(free)):
@@ -112,19 +105,20 @@ def _sign_patterns(sys: DiagonalPositivitySystem):
         yield signs
 
 
-def diagonal_feasibility(sys: DiagonalPositivitySystem) -> FeasibilityVerdict:
+def diagonal_feasibility(sys: DiagonalPositivitySystem) -> tuple:
     """Decide whether some sign assignment of the parameters makes every
-    coefficient positive.  Infeasibility is certified by a pair of
-    requirements that no sign pattern satisfies simultaneously."""
+    coefficient positive: ("FEASIBLE" or "INFEASIBLE", certificate).
+    Infeasibility is certified by a pair of requirements that no sign
+    pattern satisfies simultaneously."""
     for signs in _sign_patterns(sys):
         if all(m.sign_under(signs) > 0 for _, m in sys.coefficients):
             values = {p: Fraction(s) for p, s in signs.items()}
-            return FeasibilityVerdict("FEASIBLE", {
+            return "FEASIBLE", {
                 "signs": {p: int(s) for p, s in signs.items()},
                 "parameter_point": {p: str(v) for p, v in values.items()},
                 "coefficient_values": [str(m.evaluate(values))
                                        for _, m in sys.coefficients],
-            })
+            }
     # find a contradictory pair
     n = len(sys.coefficients)
     for i in range(n):
@@ -132,25 +126,28 @@ def diagonal_feasibility(sys: DiagonalPositivitySystem) -> FeasibilityVerdict:
             mi, mj = sys.coefficients[i][1], sys.coefficients[j][1]
             if not any(mi.sign_under(s) > 0 and mj.sign_under(s) > 0
                        for s in _sign_patterns(sys)):
-                return FeasibilityVerdict("INFEASIBLE", {
+                return "INFEASIBLE", {
                     "pair": [sys.coefficients[i][0], sys.coefficients[j][0]],
                     "monomials": [str(mi), str(mj)],
                     "fixed_signs": dict(sys.fixed_signs),
-                })
-    return FeasibilityVerdict("INFEASIBLE", {
+                }
+    return "INFEASIBLE", {
         "pair": None,
         "note": "no single contradictory pair; all sign patterns fail",
         "fixed_signs": dict(sys.fixed_signs),
-    })
+    }
 
 
 def check_infeasibility_certificate(sys: DiagonalPositivitySystem,
-                                    verdict: FeasibilityVerdict) -> bool:
-    """Re-check an INFEASIBLE pair: at every sampled parameter point of
-    every admissible sign pattern, at least one of the two certified
-    requirements is violated."""
-    assert verdict.status == "INFEASIBLE" and verdict.certificate["pair"]
-    labels = verdict.certificate["pair"]
+                                    verdict) -> bool:
+    """Re-check the (status, certificate) verdict of an INFEASIBLE pair:
+    at every sampled parameter point of every admissible sign pattern, at
+    least one of the two certified requirements is violated."""
+    status, certificate = verdict
+    labels = certificate.get("pair")
+    if status != "INFEASIBLE" or not labels:
+        raise ValueError(f"need an INFEASIBLE verdict with a pair, not "
+                         f"{status} with pair {labels!r}")
     pair = [m for lab, m in sys.coefficients if lab in labels]
     for signs in _sign_patterns(sys):
         for mags in iproduct((1, 2, Fraction(1, 3)),
@@ -200,7 +197,7 @@ def antiweil_imaginary_system(lam_sign=-1) -> DiagonalPositivitySystem:
         fixed_signs={"lam": lam_sign})
 
 
-def antiweil_lambda_positive(lam) -> FeasibilityVerdict:
+def antiweil_lambda_positive(lam) -> tuple:
     """lam > 0 branch: restrict the y-side form to the two coordinate
     subspaces y0 = y2 = 0 and y1 = y3 = 0 (each meets the orthogonality
     subspace nontrivially); the two restrictions force M < 0 and M > 0."""

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, prod
 
-from . import Frozen
+from . import record
 from .cmfields import closure
 from .fields import (DoesNotSplit, ExactMatrix, MultiQuadField,
                      apply_galois, eigen_decompose,
@@ -42,18 +42,6 @@ REJECTED_DIVISOR_TEST = "REJECTED_DIVISOR_TEST"
 REJECTED_RANK = "REJECTED_RANK"
 REJECTED_NO_DESCENT = "REJECTED_NO_DESCENT"
 SURVIVES_D4 = "SURVIVES_D4"
-
-
-class CaseVerdict(Frozen):
-    __slots__ = ("case_id", "verdict", "certificate", "table")
-
-    def __init__(self, case_id, verdict, certificate, table=""):
-        self.case_id, self.verdict = case_id, verdict
-        self.certificate, self.table = certificate, table
-
-    def to_json(self) -> dict:
-        return {"case_id": self.case_id, "verdict": self.verdict,
-                "certificate": self.certificate, "table": self.table}
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +274,12 @@ def stable_subspaces_finite(ms, target_rank, field):
     return sorted(repr(lam) for lam, _ in lines), results
 
 
-def finite_route_verdict(case_id, ms, field, table=""):
+def finite_route_verdict(case_id, ms, field, table):
     """Run the finite descent route on matrices with a distinct-eigenvalue
     first element and classify the outcome."""
     eigenvalues, cands = stable_subspaces_finite(ms, 2, field)
     if not cands:
-        return CaseVerdict(case_id, REJECTED_NO_DESCENT, {
+        return record(case_id, REJECTED_NO_DESCENT, {
             "field": list(field.gens),
             "eigenvalues": eigenvalues,
             "reason": "no Galois-stable rank-2 eigenline sum descends to Q",
@@ -314,10 +302,10 @@ def divisor_verdict(case_id, cands, table):
             certificate = {"witness_lattice": basis}
             if "point" in labels:
                 certificate["witness_point"] = labels["point"]
-            return CaseVerdict(case_id, SURVIVES_D4, certificate, table)
+            return record(case_id, SURVIVES_D4, certificate, table)
         rejected.append({**labels, "lattice": basis, "witness": list(witness)})
-    return CaseVerdict(case_id, REJECTED_DIVISOR_TEST,
-                       {"candidates": rejected}, table)
+    return record(case_id, REJECTED_DIVISOR_TEST, {"candidates": rejected},
+                  table)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +608,7 @@ def constrained_points(fam: MixedFamily, extra):
     return polys, points
 
 
-def constrained_family_verdict(case_id, fam: MixedFamily, extra, table=""):
+def constrained_family_verdict(case_id, fam: MixedFamily, extra, table):
     """Impose the matrices in `extra` on a surviving one-parameter family
     and classify the residual parameter points."""
     polys, points = constrained_points(fam, extra)
@@ -631,7 +619,7 @@ def constrained_family_verdict(case_id, fam: MixedFamily, extra, table=""):
                              "family passes the divisor test")
         points = [(point, lat)]
     elif not points:
-        return CaseVerdict(case_id, REJECTED_RANK, {
+        return record(case_id, REJECTED_RANK, {
             "reason": "stability constraints have no rational parameter point",
             "constraints": [_hpoly_str(p) for p in polys[:4]],
         }, table)
@@ -658,7 +646,7 @@ def pair_case_verdict(case_id, analysis, table):
     """Classify a pair of lifts from its pair_analysis result."""
     kind, payload = analysis
     if kind == "none":
-        return CaseVerdict(case_id, REJECTED_RANK, payload, table)
+        return record(case_id, REJECTED_RANK, payload, table)
     if kind == "finite":
         return divisor_verdict(case_id, [(lat, {}) for lat in payload], table)
     return constrained_family_verdict(case_id, payload, [], table)
@@ -730,7 +718,7 @@ def sweep_dim1():
             lat = IntLattice(4, [v])
             flag, witness = divisor_test(lat)
             assert flag  # v itself is a divisor-test element
-            out.append(CaseVerdict(
+            out.append(record(
                 f"dim1-e{i + 1}{'-' if sign < 0 else '+'}e{j + 1}",
                 REJECTED_DIVISOR_TEST,
                 {"element": list(witness)}, "dim1"))

@@ -19,14 +19,15 @@ U^-1 M U and U^T G U, and the Galois and descent identities with
 P = g(I)) that its column relabels and signed block sums
 are checked against; and spec-facing functions that the
 verifier itself never calls (a saturation index, CM-type primitivity and
-induction, a cyclic Galois model, the Galois identity test and a
+induction, the subgroups of a Galois model, a cyclic Galois model, the Galois identity test and a
 top-wedge layer identity)."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from cmsweep import fields
-from cmsweep.cmfields import (CMFieldModel, CMType, SubfieldModel,
+from cmsweep.cmfields import (CMFieldModel, CMType, SubfieldModel, closure,
                               restrict_multiplicities)
 from cmsweep.fields import (QQ, ExactMatrix, FieldElement, _axpy,
                             apply_galois, field_inclusion, sum_of_products)
@@ -477,18 +478,28 @@ def cyclic_model(n: int) -> CMFieldModel:
                         {g: f"g{g}" for g in elements})
 
 
+def subgroups(m: CMFieldModel):
+    """All subgroups of the model, via closures of small generating sets,
+    by size and then by the model's element order."""
+    found = {frozenset([m.identity])}
+    for r in (1, 2, 3):
+        for gens in combinations(m.elements, r):
+            found.add(closure(gens, m.mul, m.identity))
+    return sorted(found, key=lambda s: (len(s), sorted(map(m.order_key, s))))
+
+
 def is_primitive(phi: CMType):
     """A CM type is primitive iff it is not induced from a proper CM
     subfield.  Returns (flag, witness_subgroup_or_None)."""
     m = phi.model
-    for sub in m.subgroups():
+    for sub in subgroups(m):
         if len(sub) == 1:
             continue  # E itself, not proper
         h = SubfieldModel(m, sub)
         if not h.is_cm:
             continue
-        mult = restrict_multiplicities(phi, h)
-        if all(c in (0, len(sub)) for c in mult.counts):
+        if all(c in (0, len(sub))
+               for c in restrict_multiplicities(phi, h)):
             return False, sub
     return True, None
 

@@ -39,7 +39,7 @@ def test_criterion_02_dim1_sweep():
     from cmsweep.torus import REJECTED_DIVISOR_TEST, sweep_dim1
     cases = sweep_dim1()
     assert len(cases) == 12
-    assert all(cv.verdict == REJECTED_DIVISOR_TEST for cv in cases)
+    assert all(cv["verdict"] == REJECTED_DIVISOR_TEST for cv in cases)
     _ok(2, "all 12 one-dimensional cases rejected by the divisor test")
 
 
@@ -48,14 +48,14 @@ def test_criterion_03_order4_sweep():
                                SURVIVES_D4, _order4_lifts, sweep_order4)
     cases = sweep_order4()
     assert len(cases) == 8
-    assert all(cv.verdict != SURVIVES_D4 for cv in cases)
+    assert all(cv["verdict"] != SURVIVES_D4 for cv in cases)
     f = field_create(ORDER4_FIELD)  # Q(i, sqrt 2)
     eig = dict(eigen_decompose(ExactMatrix.from_rows(f, M1.nonzero, 4)))
     minus_one = next(vs for lam, vs in eig.items()
                      if lam == f.rational(-1))
     assert [c.as_fraction() for c in minus_one[0]] == [-1, 1, -1, 1]
     m2_case = next(cid for cid, m in _order4_lifts() if m in (M2, -M2))
-    verdicts = {cv.case_id: cv.verdict for cv in cases}
+    verdicts = {cv["case_id"]: cv["verdict"] for cv in cases}
     assert verdicts[m2_case] == REJECTED_NO_DESCENT
     _ok(3, "order-4 sweep rejects all; M1 eigen data exact; "
            "M2 fails descent over Q(i, sqrt 2)")
@@ -65,12 +65,12 @@ def test_criterion_04_klein4_sweep():
     from cmsweep.torus import SURVIVES_D4, divisor_test, sweep_klein4
     cases = sweep_klein4()
     assert len(cases) == 22
-    survivors = [cv for cv in cases if cv.verdict == SURVIVES_D4]
-    assert sorted(cv.case_id for cv in survivors) == \
+    survivors = [cv for cv in cases if cv["verdict"] == SURVIVES_D4]
+    assert sorted(cv["case_id"] for cv in survivors) == \
         ["klein4-p0-p2", "klein4-p0-p3"]
     for cv in survivors:
-        assert cv.certificate["witness_point"] == [1, 2]
-        lat = IntLattice(4, cv.certificate["witness_lattice"])
+        assert cv["certificate"]["witness_point"] == [1, 2]
+        lat = IntLattice(4, cv["certificate"]["witness_lattice"])
         assert lat.rank == 2
         rejected, _ = divisor_test(lat)
         assert not rejected
@@ -82,7 +82,7 @@ def test_criterion_05_a4_sweep():
     from cmsweep.torus import REJECTED_RANK, sweep_a4
     cases = sweep_a4()
     assert len(cases) == 16
-    assert all(cv.verdict == REJECTED_RANK for cv in cases)
+    assert all(cv["verdict"] == REJECTED_RANK for cv in cases)
     _ok(5, "all sixteen alternating-group branches rejected by rank")
 
 
@@ -161,7 +161,7 @@ def test_criterion_10_positivity():
                                     zero_witness_real_case)
     from positivity_oracle import float_oracle_agrees
     v = diagonal_feasibility(deg4_imaginary_system())
-    assert v.status == "INFEASIBLE"
+    assert v[0] == "INFEASIBLE"
     assert check_infeasibility_certificate(deg4_imaginary_system(), v)
     # real branches: a nonzero real vector with exact zero value defeats
     # strict positivity
@@ -170,7 +170,8 @@ def test_criterion_10_positivity():
         antiweil_real_gram(),
         [antiweil_real_constraint([1, 2, 0, 0])]) is not None
     for lam in (-1, 1):
-        assert antiweil_lambda_positive(lam).status == "INFEASIBLE"
+        status, _ = antiweil_lambda_positive(lam)
+        assert status == "INFEASIBLE"
     sys_neg = antiweil_imaginary_system(lam_sign=-1)
     assert check_infeasibility_certificate(
         sys_neg, diagonal_feasibility(sys_neg))
@@ -229,11 +230,11 @@ def test_criterion_12_property_suites():
     gauss = field_create([-1])
     big = field_create([-1, 2])
     for cid, m in _one_flip_lifts():
-        assert finite_route_verdict(cid, [m], gauss).verdict == \
-            finite_route_verdict(cid, [-m], gauss).verdict
+        assert finite_route_verdict(cid, [m], gauss, "t")["verdict"] == \
+            finite_route_verdict(cid, [-m], gauss, "t")["verdict"]
     for cid, m in _order4_lifts():
-        assert finite_route_verdict(cid, [m], big).verdict == \
-            finite_route_verdict(cid, [-m], big).verdict
+        assert finite_route_verdict(cid, [m], big, "t")["verdict"] == \
+            finite_route_verdict(cid, [-m], big, "t")["verdict"]
 
     # (d) the layer identity over every divisor chain of 8
     for deg_K in (1, 2, 4, 8):

@@ -316,21 +316,19 @@ def test_bless_leaves_the_fixture_of_a_failing_section(tmp_path, capsys,
 
 
 def test_error_record_names_type_and_frame(monkeypatch, capsys):
-    from cmsweep import periods
+    from cmsweep import cmfields
     # a bare assert inside the package: the message alone is empty
-    monkeypatch.setattr(periods, "gross_matrix", lambda p, n: (
-        periods.PeriodMonomial((p, n))
-        * periods.PeriodMonomial((p,), basis=("b",))))
-    lines, start = inspect.getsourcelines(periods.PeriodMonomial.__mul__)
+    monkeypatch.setattr(cmfields.SubfieldModel, "is_cm", False)
+    lines, start = inspect.getsourcelines(cmfields._quartic_subfields)
     line = start + next(i for i, text in enumerate(lines)
-                        if "assert self.basis" in text)
-    assert main(["gross-periods"]) == 1
+                        if "assert k1.is_cm" in text)
+    assert main(["d4-cmtypes"]) == 1
     report = json.loads(capsys.readouterr().out)
     (case,) = report["sections"][0]["cases"]
-    assert case["case_id"] == "gross-periods:error"
-    assert case["verdict"] == "ERROR"
-    assert case["certificate"] == {"message": "", "type": "AssertionError",
-                                   "where": f"periods.py:{line}"}
+    assert case == {"case_id": "d4-cmtypes:error", "verdict": "ERROR",
+                    "certificate": {"message": "", "type": "AssertionError",
+                                    "where": f"cmfields.py:{line}"},
+                    "table": "d4-cmtypes"}
 
 
 def test_antiweil_verify_builds_the_extended_algebra_once(monkeypatch,
@@ -424,6 +422,22 @@ def test_rep_classify_builds_each_search_and_module_once(monkeypatch,
         [("search_dim", typ, 4) for typ in ("A1", "A2", "B2", "G2", "A3")]
         + [("search_dim", "A1", 2), ("sl2_irrep", 1), ("sl2_irrep", 3),
            ("external_product",), ("sp4_basis",)])
+
+
+def test_d4_cmtypes_runs_the_analysis_once(monkeypatch, capsys):
+    """The relabeling check reuses the analysis the section already holds:
+    one d4_analysis, and one enumeration of the CM types for it and one
+    for the dual survivors."""
+    from cmsweep import cmfields
+    calls = []
+    for name in ("d4_analysis", "_all_id_types"):
+        def counting(*args, name=name, original=getattr(cmfields, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(cmfields, name, counting)
+    assert main(["d4-cmtypes"]) == 0
+    assert sorted(calls) == ["_all_id_types"] * 2 + ["d4_analysis"]
 
 
 def test_verify_all_imports_neither_numpy_nor_sympy():

@@ -4,8 +4,9 @@ runtime dependency.  Importing it generates no code and loads no
 dataclasses, typing or traceback.  The storage of field elements is
 known to `fields` alone, `quatrep` builds its matrices from their
 nonzeros and its End(V) dimension from the commutant rows, every case
-matrix of `torus` is a SignedPerm, and each module declares its
-`assert` statements."""
+matrix of `torus` is a SignedPerm, the case-record keys are spelled in
+`cmsweep.record` alone, `periods` computes on plain exponent pairs, and
+each module declares its `assert` statements."""
 
 import ast
 import json
@@ -221,9 +222,30 @@ def test_torus_eliminates_only_in_rational_intersection():
                        "kernel": {"rational_intersection"}}
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_only_record_spells_the_record_keys(path):
+    """Every case record is built by cmsweep.record: no other module has a
+    dict literal keyed "case_id" or "certificate"."""
+    keys = {key.value for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Dict) for key in node.keys
+            if isinstance(key, ast.Constant)}
+    assert not keys & {"case_id", "certificate"}
+
+
+def test_periods_computes_on_exponent_pairs():
+    """A period monomial is its exponent pair: periods imports no
+    fractions and defines no class."""
+    path = ROOT / "src" / "cmsweep" / "periods.py"
+    tree = ast.parse(path.read_text())
+    assert "fractions" not in _top_level_imports(path)
+    assert not any(isinstance(node, ast.ClassDef) for node in ast.walk(tree))
+
+
 # assert statements each module may hold; the rest raise ValueError
-ASSERTS = {"cmfields.py": 5, "intlat.py": 1, "liereps.py": 0,
-           "periods.py": 3, "positivity.py": 6, "torus.py": 6}
+ASSERTS = {"cmfields.py": 1, "intlat.py": 1, "liereps.py": 0,
+           "periods.py": 0, "positivity.py": 5, "torus.py": 6}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

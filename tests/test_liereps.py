@@ -430,6 +430,11 @@ BAD_INPUTS = {
                         "G2, A3"),
     "weyl_dim_arity": (lambda: weyl_dim("B2", 1),
                        "a highest weight of B2 has 2 entries, not 1"),
+    "weyl_dim_fraction": (lambda: weyl_dim("A1", 2.5),
+                          r"highest weight \(2.5,\) has a non-integral"),
+    "weyl_dim_fractions": (lambda: weyl_dim("B2", 0.9, 1.2),
+                           r"highest weight \(0.9, 1.2\) has a "
+                           "non-integral"),
 }
 
 
@@ -453,10 +458,11 @@ def test_weyl_dim_refuses_a_product_its_denominator_does_not_divide(
 
 def test_input_checks_survive_optimize_flag():
     """Under python -O a negative highest weight, mismatched tensor
-    factors, a target dimension below 1, an unknown algebra type and a
-    weight of the wrong length are still refused, where an
-    assert would let weyl_dim("A1", -1) return 0 and sl2_irrep(-1) build
-    a 0-dimensional module."""
+    factors, a target dimension below 1, an unknown algebra type, a
+    weight of the wrong length and non-integral weights are still
+    refused, where an assert would let weyl_dim("A1", -1) return 0 and
+    sl2_irrep(-1) build a 0-dimensional module, and truncating each entry
+    would let weyl_dim("A1", 2.5) return 3."""
     code = ("from cmsweep.liereps import (WeightModule, search_dim,\n"
             "    sl2_irrep, sp4_standard_module, tensor_module, weyl_dim)\n"
             "v1 = sl2_irrep(1)\n"
@@ -467,7 +473,9 @@ def test_input_checks_survive_optimize_flag():
             "             lambda: weyl_dim('A1', -1),\n"
             "             lambda: search_dim('A1', 0),\n"
             "             lambda: search_dim('D4', 4),\n"
-            "             lambda: weyl_dim('B2', 1)):\n"
+            "             lambda: weyl_dim('B2', 1),\n"
+            "             lambda: weyl_dim('A1', 2.5),\n"
+            "             lambda: weyl_dim('B2', 0.9, 1.2)):\n"
             "    try:\n"
             "        print('accepted:', make())\n"
             "    except ValueError as exc:\n"
@@ -485,4 +493,6 @@ def test_input_checks_survive_optimize_flag():
         "refused: target dimension 0 is below 1",
         "refused: unknown algebra type 'D4', not one of A1, A2, B2, G2, A3",
         "refused: a highest weight of B2 has 2 entries, not 1",
+        "refused: highest weight (2.5,) has a non-integral entry",
+        "refused: highest weight (0.9, 1.2) has a non-integral entry",
     ]

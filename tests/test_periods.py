@@ -1,24 +1,24 @@
-"""Formal period exponent bookkeeping."""
+"""Formal period exponent bookkeeping: a monomial b^e0 (2 pi i)^e1 is
+its exponent pair (e0, e1)."""
 
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-import pytest
+from cmsweep.periods import (gross_matrix, trdeg_lower_bound,
+                             twisted_membership)
 
-from cmsweep.periods import (DEFAULT_BASIS, PeriodMonomial, gross_matrix,
-                             trdeg_lower_bound, twisted_membership)
+
+def _product(p, q):
+    """The pair of the product of two monomials: the exponent sum."""
+    return (p[0] + q[0], p[1] + q[1])
 
 
 def test_gross_matrix_exponents():
-    m = gross_matrix(1, 4)
-    assert [e.exponents for e in m.entries()] == [(-2, 3), (2, 1)]
-    m = gross_matrix(2, 4)
-    assert [e.exponents for e in m.entries()] == [(0, 2), (0, 2)]
-    m = gross_matrix(0, 0)
-    assert [e.exponents for e in m.entries()] == [(0, 0), (0, 0)]
+    assert gross_matrix(1, 4) == [(-2, 3), (2, 1)]
+    assert gross_matrix(2, 4) == [(0, 2), (0, 2)]
+    assert gross_matrix(0, 0) == [(0, 0), (0, 0)]
 
 
 def test_trdeg_lower_bounds():
@@ -26,7 +26,7 @@ def test_trdeg_lower_bounds():
     assert trdeg_lower_bound(gross_matrix(2, 4)) == 1
     assert trdeg_lower_bound(gross_matrix(0, 0)) == 0
     assert trdeg_lower_bound([]) == 0
-    assert trdeg_lower_bound([PeriodMonomial((0, 0))]) == 0
+    assert trdeg_lower_bound([(0, 0)]) == 0
 
 
 def test_twisted_membership():
@@ -43,45 +43,42 @@ def test_twisted_iff_balanced():
             assert twisted_membership(m, n // 2) == (2 * p == n)
 
 
-def test_monomial_product_and_coefficients():
-    a = PeriodMonomial((1, 2), Fraction(3))
-    b = PeriodMonomial((-1, 1), Fraction(1, 3))
-    prod = a * b
-    assert prod.exponents == (0, 3)
-    assert prod.coefficient == 1
-    assert PeriodMonomial(a.exponents, Fraction(5)).coefficient == 5
-    with pytest.raises(ValueError, match="nonzero coefficient"):
-        PeriodMonomial((1, 2), 0)
-    # trdeg bound ignores coefficients
-    assert trdeg_lower_bound([a]) == trdeg_lower_bound(
-        [PeriodMonomial(a.exponents, Fraction(7))])
+def test_monomial_products_are_exponent_sums():
+    # b (2 pi i)^2 * b^-1 (2 pi i) = (2 pi i)^3
+    prod = _product((1, 2), (-1, 1))
+    assert prod == (0, 3)
+    assert twisted_membership([prod], 3)
+    assert trdeg_lower_bound([(1, 2), (-1, 1), prod]) == 2
+    # the product of the gross(2, 4) diagonal lies in the twist class 4
+    assert twisted_membership([_product(*gross_matrix(2, 4))], 4)
 
 
 def test_trdeg_subadditivity():
     # rank of a union is at most the sum of ranks
-    ms1 = list(gross_matrix(1, 4))
-    ms2 = list(gross_matrix(3, 8))
+    ms1 = gross_matrix(1, 4)
+    ms2 = gross_matrix(3, 8)
     r12 = trdeg_lower_bound(ms1 + ms2)
     assert r12 <= trdeg_lower_bound(ms1) + trdeg_lower_bound(ms2)
     assert r12 >= max(trdeg_lower_bound(ms1), trdeg_lower_bound(ms2))
     # products stay in the span: adding pairwise products keeps the rank
-    prods = [p * q for p in ms1 for q in ms1]
+    prods = [_product(p, q) for p in ms1 for q in ms1]
     assert trdeg_lower_bound(ms1 + prods) == trdeg_lower_bound(ms1)
 
 
-def test_default_basis():
-    assert DEFAULT_BASIS == ("b", "2*pi*i")
+def test_pairs_are_ordered_b_then_2pi_i():
+    # gross(0, 2) = diag((2 pi i / b)^2, b^2): b comes first in each pair
+    assert gross_matrix(0, 2) == [(-2, 2), (2, 0)]
+    assert twisted_membership([(0, 1)], 1)
+    assert not twisted_membership([(1, 0)], 1)
 
 
 def test_input_checks_survive_optimize_flag():
-    """Under python -O p > n, a zero coefficient and exponents that do not
-    match the basis are still refused, where an assert would let
-    gross_matrix(3, 1) build the exponents (5, -2) and (-5, 3)."""
-    code = ("from cmsweep.periods import PeriodMonomial, gross_matrix\n"
-            "for make in (lambda: gross_matrix(3, 1).entries(),\n"
-            "             lambda: gross_matrix(-1, 2).entries(),\n"
-            "             lambda: PeriodMonomial((1, 2), 0),\n"
-            "             lambda: PeriodMonomial((1, 2, 3))):\n"
+    """Under python -O p > n and p < 0 are still refused, where an assert
+    would let gross_matrix(3, 1) build the exponents (5, -2) and
+    (-5, 3)."""
+    code = ("from cmsweep.periods import gross_matrix\n"
+            "for make in (lambda: gross_matrix(3, 1),\n"
+            "             lambda: gross_matrix(-1, 2)):\n"
             "    try:\n"
             "        print('accepted:', make())\n"
             "    except ValueError as exc:\n"
@@ -94,6 +91,4 @@ def test_input_checks_survive_optimize_flag():
     assert run.stdout.splitlines() == [
         "refused: need 0 <= p <= n, not p = 3, n = 1",
         "refused: need 0 <= p <= n, not p = -1, n = 2",
-        "refused: a period monomial needs a nonzero coefficient",
-        "refused: the exponents do not match the basis",
     ]

@@ -27,9 +27,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_deg4_imaginary_infeasible_with_certificate():
     sys = deg4_imaginary_system()
-    v = diagonal_feasibility(sys)
-    assert v.status == "INFEASIBLE"
-    assert sorted(v.certificate["pair"]) == ["tau-bar:y'-1", "tau:y1"]
+    v = status, certificate = diagonal_feasibility(sys)
+    assert status == "INFEASIBLE"
+    assert sorted(certificate["pair"]) == ["tau-bar:y'-1", "tau:y1"]
     assert check_infeasibility_certificate(sys, v)
 
 
@@ -37,33 +37,40 @@ def test_antiweil_imaginary_infeasible_both_lambda_signs():
     for lam_sign in (-1, 1):
         sys = antiweil_imaginary_system(lam_sign=lam_sign)
         v = diagonal_feasibility(sys)
-        assert v.status == "INFEASIBLE"
+        assert v[0] == "INFEASIBLE"
         assert check_infeasibility_certificate(sys, v)
 
 
 def test_antiweil_lambda_positive_branch():
-    v = antiweil_lambda_positive(Fraction(1, 4))
-    assert v.status == "INFEASIBLE"
-    assert v.certificate["pair"] is not None
+    status, certificate = antiweil_lambda_positive(Fraction(1, 4))
+    assert status == "INFEASIBLE"
+    assert certificate["pair"] is not None
     # negative lambda routes to the imaginary-branch system
-    v2 = antiweil_lambda_positive(-2)
-    assert v2.status == "INFEASIBLE"
+    status, _ = antiweil_lambda_positive(-2)
+    assert status == "INFEASIBLE"
     with pytest.raises(ValueError, match="lam must be nonzero"):
         antiweil_lambda_positive(0)
 
 
 def test_input_checks_survive_optimize_flag():
-    """Under python -O an empty system, a lam_sign off +-1, lam = 0 and
-    an x without 4 components are still refused, where an assert would
-    let an empty system come back FEASIBLE and lam = 0 take the lam > 0
-    branch to INFEASIBLE."""
+    """Under python -O an empty system, a lam_sign off +-1, lam = 0, an
+    x without 4 components and a certificate check on a FEASIBLE verdict
+    or a pairless INFEASIBLE one are still refused, where an assert would
+    let an empty system come back FEASIBLE, lam = 0 take the lam > 0
+    branch to INFEASIBLE and the check confirm a pair it was not given."""
     code = ("from cmsweep.positivity import (DiagonalPositivitySystem,\n"
             "    antiweil_imaginary_system, antiweil_lambda_positive,\n"
+            "    check_infeasibility_certificate, deg4_imaginary_system,\n"
             "    weil_family_check)\n"
+            "sys = deg4_imaginary_system()\n"
             "for make in (lambda: DiagonalPositivitySystem(('M',), []),\n"
             "             lambda: antiweil_imaginary_system(0),\n"
             "             lambda: antiweil_lambda_positive(0),\n"
-            "             lambda: weil_family_check([1, 0, 0])):\n"
+            "             lambda: weil_family_check([1, 0, 0]),\n"
+            "             lambda: check_infeasibility_certificate(\n"
+            "                 sys, ('FEASIBLE', {'signs': {}})),\n"
+            "             lambda: check_infeasibility_certificate(\n"
+            "                 sys, ('INFEASIBLE', {'pair': None}))):\n"
             "    try:\n"
             "        print('accepted:', make())\n"
             "    except ValueError as exc:\n"
@@ -77,6 +84,10 @@ def test_input_checks_survive_optimize_flag():
         "refused: lam_sign must be 1 or -1, not 0",
         "refused: lam must be nonzero",
         "refused: x needs 4 components, not 3",
+        "refused: need an INFEASIBLE verdict with a pair, not FEASIBLE with "
+        "pair None",
+        "refused: need an INFEASIBLE verdict with a pair, not INFEASIBLE "
+        "with pair None",
     ]
 
 
@@ -93,7 +104,7 @@ def test_diagonal_feasibility_soundness_random():
             coeffs.append((f"c{t}", Monomial.of(
                 c, A=rng.randint(0, 2), B=rng.randint(0, 2))))
         sys = DiagonalPositivitySystem(("A", "B"), coeffs)
-        v = diagonal_feasibility(sys)
+        status, _ = diagonal_feasibility(sys)
         found = False
         for sa, sb in itertools.product((1, -1), repeat=2):
             for ma, mb in itertools.product(mags, repeat=2):
@@ -102,7 +113,7 @@ def test_diagonal_feasibility_soundness_random():
                     found = True
         # sign-pattern feasibility is exactly point feasibility here:
         # monomials have constant sign on each orthant
-        assert (v.status == "FEASIBLE") == found
+        assert (status == "FEASIBLE") == found
 
 
 def test_zero_witnesses():

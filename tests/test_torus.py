@@ -46,7 +46,7 @@ FIXDIR = Path(__file__).resolve().parents[1] / "src" / "cmsweep" / "fixtures"
 
 
 def _verdicts(cases):
-    return {cv.case_id: cv.verdict for cv in cases}
+    return {cv["case_id"]: cv["verdict"] for cv in cases}
 
 
 def _dense(m):
@@ -76,9 +76,9 @@ def test_transitive_subgroup_families():
 def test_sweep_dim1_all_divisor_rejected():
     cases = sweep_dim1()
     assert len(cases) == 12
-    assert all(cv.verdict == REJECTED_DIVISOR_TEST for cv in cases)
+    assert all(cv["verdict"] == REJECTED_DIVISOR_TEST for cv in cases)
     for cv in cases:
-        wit = cv.certificate["element"]
+        wit = cv["certificate"]["element"]
         assert sorted(map(abs, wit)) == [0, 0, 1, 1]
 
 
@@ -141,10 +141,10 @@ def test_sweep_klein4_table():
 
 
 def test_klein4_survivor_witnesses():
-    by_id = {cv.case_id: cv for cv in sweep_klein4()}
+    by_id = {cv["case_id"]: cv for cv in sweep_klein4()}
     for cid, lat_rows in (("klein4-p0-p2", [[1, 3, -1, 3], [0, 4, -3, 5]]),
                           ("klein4-p0-p3", [[1, 3, -3, 1], [0, 4, -5, 3]])):
-        cert = by_id[cid].certificate
+        cert = by_id[cid]["certificate"]
         assert cert["witness_point"] == [1, 2]
         lat = IntLattice(4, cert["witness_lattice"])
         assert lat == IntLattice(4, lat_rows)
@@ -155,7 +155,7 @@ def test_klein4_survivor_witnesses():
 def test_sweep_a4_all_rank_rejected():
     cases = sweep_a4()
     assert len(cases) == 16
-    assert all(cv.verdict == REJECTED_RANK for cv in cases)
+    assert all(cv["verdict"] == REJECTED_RANK for cv in cases)
 
 
 def test_stable_subspaces_examples():
@@ -297,8 +297,8 @@ def test_divisor_sign_symmetry():
     verdict unchanged (the candidate vector set is sign-closed)."""
     gauss = field_create([-1])
     for cid, m in _one_flip_lifts():
-        v1 = finite_route_verdict(cid, [m], gauss).verdict
-        v2 = finite_route_verdict(cid, [-m], gauss).verdict
+        v1 = finite_route_verdict(cid, [m], gauss, "t")["verdict"]
+        v2 = finite_route_verdict(cid, [-m], gauss, "t")["verdict"]
         assert v1 == v2
 
 
@@ -716,15 +716,16 @@ def test_divisor_verdict_certificate_shapes(labels, survivor_keys):
     assert not divisor_test(_KEPT)[0]
 
     cv = divisor_verdict("c", [(_REJECTED, labels), (_KEPT, labels)], "t")
-    assert (cv.case_id, cv.verdict, cv.table) == ("c", SURVIVES_D4, "t")
-    assert set(cv.certificate) == survivor_keys
-    assert cv.certificate["witness_lattice"] == kept
+    assert cv["case_id"] == "c" and cv["table"] == "t"
+    assert cv["verdict"] == SURVIVES_D4
+    assert set(cv["certificate"]) == survivor_keys
+    assert cv["certificate"]["witness_lattice"] == kept
     if "point" in labels:
-        assert cv.certificate["witness_point"] == labels["point"]
+        assert cv["certificate"]["witness_point"] == labels["point"]
 
     cv = divisor_verdict("c", [(_REJECTED, labels)] * 2, "t")
-    assert cv.verdict == REJECTED_DIVISOR_TEST
-    assert cv.certificate == {"candidates": [
+    assert cv["verdict"] == REJECTED_DIVISOR_TEST
+    assert cv["certificate"] == {"candidates": [
         {**labels, "lattice": rejected, "witness": [1, 1, 0, 0]}] * 2}
 
 
@@ -780,7 +781,7 @@ def test_a_family_without_a_witness_point_is_named(monkeypatch):
     monkeypatch.setattr(torus, "divisor_test", lambda lat: (True, None))
     fam = torus._family("c", pair_analysis(P0, P2))
     with pytest.raises(ValueError, match="^c: no small parameter point"):
-        torus.constrained_family_verdict("c", fam, [])
+        torus.constrained_family_verdict("c", fam, [], "t")
 
 
 def test_survivor_hunt_demo_runs():
