@@ -176,27 +176,30 @@ def d4_analysis() -> dict:
     """Enumerate CM types on the dihedral model, normalized by id ∈ Φ, and
     single out those whose index-2 totally-real-over subfield K1 = E^<x>
     shows the quartic multiplicity pattern; report their multiplicities
-    over the second quartic subfield K2 = E^<ax>."""
+    over the second quartic subfield K2 = E^<ax>, and the dual survivors,
+    the types with the pattern over K2."""
     m = d4_model()
     k1, k2 = _quartic_subfields(m)
     all_types = _all_id_types(m)
-    surviving = []
+    surviving, dual = [], []
     for phi in all_types:
         m1 = restrict_multiplicities(phi, k1)
-        if not quartic_multiplicity_predicate(m1):
-            continue
         m2 = restrict_multiplicities(phi, k2)
-        surviving.append({
-            "phi": list(phi.labels()),
-            "k1_mults": list(m1),
-            "k2_mults": list(m2),
-        })
+        if quartic_multiplicity_predicate(m2):
+            dual.append(sorted(phi.labels()))
+        if quartic_multiplicity_predicate(m1):
+            surviving.append({
+                "phi": list(phi.labels()),
+                "k1_mults": list(m1),
+                "k2_mults": list(m2),
+            })
     surviving.sort(key=lambda rec: rec["phi"])
     return {
         "model": "dihedral order 8, tau = a^2",
         "normalization": "id in Phi",
         "total_types_with_id": len(all_types),
         "surviving_types": surviving,
+        "dual_survivors": sorted(dual),
     }
 
 
@@ -218,9 +221,9 @@ def d4_relabeled_analysis(base: dict) -> dict:
     tau *and* both quartic subgroups <x>, <ax>, and it permutes the four
     surviving types among themselves.  The substitution a -> a^3,
     x -> ax is also an automorphism, but it swaps <x> with <ax>; it maps
-    the survivors onto the types that survive the analysis with the two
-    subfields exchanged (a duality, not an invariance), so it is reported
-    separately."""
+    the survivors onto base's dual survivors, the types that survive the
+    analysis with the two subfields exchanged (a duality, not an
+    invariance), so it is reported separately."""
     m = d4_model()
     originals = sorted(sorted(rec["phi"]) for rec in base["surviving_types"])
 
@@ -234,17 +237,10 @@ def d4_relabeled_analysis(base: dict) -> dict:
             out.append(sorted(CMType(m, elems).labels()))
         return sorted(out)
 
-    swapped = map_types((3, 0), (1, 1))  # a -> a^3, x -> ax
-    # survivors of the analysis run with K1 and K2 exchanged
-    _, k2 = _quartic_subfields(m)
-    dual = []
-    for phi in _all_id_types(m):
-        if quartic_multiplicity_predicate(restrict_multiplicities(phi, k2)):
-            dual.append(sorted(phi.labels()))
     return {
         "original_types": originals,
         "mapped_types": map_types((3, 0), (0, 1)),  # a -> a^3, x -> x
-        "dual_mapped_types": swapped,
-        "dual_survivors": sorted(dual),
+        "dual_mapped_types": map_types((3, 0), (1, 1)),  # a -> a^3, x -> ax
+        "dual_survivors": base["dual_survivors"],
     }
 

@@ -93,95 +93,39 @@ class IntLattice:
         return not any(v)
 
 
-def hnf(mat, ambient_rank: int | None = None) -> IntLattice:
-    mat = [list(r) for r in mat]
-    if ambient_rank is None:
-        ambient_rank = len(mat[0]) if mat else 0
-    return IntLattice(ambient_rank, mat)
-
-
 def snf(mat):
-    """Smith normal form.  Returns (invariant_factors, U, V) with
-    U * mat * V = diag(invariant_factors) (padded with zeros), U, V
-    unimodular."""
+    """Smith normal form by alternating row HNFs (Kannan and Bachem, SIAM
+    J. Comput. 8(4), 1979).  Returns (factors, U, V) with U * mat * V =
+    diag(factors) padded with zeros, U and V unimodular, and the factors
+    positive, each dividing the next.
+
+    The state is the square block matrix S = [[A, U], [V, 0]], with
+    A = U * mat * V of shape m x n.  A row HNF of the top m rows of S acts
+    on [A | U] from the left; S transposed is [[Aᵀ, Vᵀ], [Uᵀ, 0]], so a
+    row HNF of its top n rows acts on A and V from the right.  The
+    identity blocks keep every row nonzero, so _hnf_rows drops none, and
+    its zero rows of A sink below the others: once A is diagonal, its
+    nonzero entries lead.  If d_i does not divide a later d_j, adding
+    column j into column i puts gcd(d_i, d_j) < d_i in reach of the next
+    HNF."""
     a = [list(map(int, r)) for r in mat]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def addmul_row(i, j, q):  # row_i -= q*row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_col(i, j, q):  # col_i -= q*col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    t = 0
-    while t < min(nrows, ncols):
-        # find a nonzero pivot
-        piv = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear column t
-            done = True
-            for i in range(t + 1, nrows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    addmul_row(i, t, q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, ncols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    addmul_col(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        done = False
-            if done:
-                break
-        # divisibility: a[t][t] must divide everything below-right
-        fixed = False
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % a[t][t] != 0:
-                    addmul_row(t, i, -1)  # row_t += row_i
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
+    m, n = len(a), len(a[0]) if a else 0
+    s = ([row + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
+         + [[int(i == j) for j in range(n + m)] for i in range(n)])
+    while True:
+        for k in (m, n):  # rows [A | U], then rows [Aᵀ | Vᵀ]
+            s = [list(c) for c in zip(*(_hnf_rows(s[:k]) + s[k:]))]
+        if any(s[i][j] for i in range(m) for j in range(n) if i != j):
             continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    factors = [a[i][i] for i in range(t)]
-    return factors, u, v
+        factors = [s[i][i] for i in range(min(m, n)) if s[i][i]]
+        step = next(((i, j) for i, d in enumerate(factors)
+                     for j in range(i + 1, len(factors))
+                     if factors[j] % d), None)
+        if step is None:
+            return factors, [r[n:] for r in s[:m]], [r[:n] for r in s[m:]]
+        i, j = step
+        for row in s:
+            row[i] += row[j]
 
 
 def saturate(l: IntLattice) -> IntLattice:

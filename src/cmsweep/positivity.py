@@ -315,9 +315,10 @@ def weil_family_check(x) -> dict:
         raise ZeroVector("all components are zero")
 
     xb = [g_conj(e) for e in x]
-    s_val = x[0] * xb[3] + x[1] * xb[1] + x[2] * xb[2] + x[3] * xb[0]
-    assert g_im(s_val) == 0, "S(x) must be real"
-    s_frac = g_re(s_val)
+    # S(x), the minors of the Hermitian R and the discriminant are real:
+    # as_fraction raises ValueError otherwise
+    s_frac = (x[0] * xb[3] + x[1] * xb[1] + x[2] * xb[2]
+              + x[3] * xb[0]).as_fraction()
     report = {"s_value": str(s_frac), "s_negative": s_frac < 0}
 
     if s_frac >= 0:
@@ -337,20 +338,17 @@ def weil_family_check(x) -> dict:
     minors = []
     for k in (1, 2, 3):
         sub = ExactMatrix(GAUSS, [row[:k] for row in R.entries[:k]])
-        d = sub.det()
-        assert g_im(d) == 0
-        minors.append(g_re(d))
+        minors.append(sub.det().as_fraction())
     report["minors"] = [str(m) for m in minors]
     positive_definite = all(m > 0 for m in minors)
     report["positive_definite"] = positive_definite
 
     # (iv) discriminant cross-check
     if not x[1].is_zero():
-        disc = (x[1] * xb[1] + x[2] * xb[2]) * \
-            (x[0] * xb[3] + x[2] * xb[2] + x[3] * xb[0])
-        assert g_im(disc) == 0
-        report["discriminant"] = str(g_re(disc))
-        report["discriminant_negative"] = g_re(disc) < 0
+        disc = ((x[1] * xb[1] + x[2] * xb[2]) *
+                (x[0] * xb[3] + x[2] * xb[2] + x[3] * xb[0])).as_fraction()
+        report["discriminant"] = str(disc)
+        report["discriminant_negative"] = disc < 0
 
     report["status"] = "IN_FAMILY" if positive_definite else "NOT_IN_FAMILY"
     return report

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from cmsweep.fields import (ExactMatrix, FieldElement, apply_galois,
                             eigen_decompose, field_create)
-from cmsweep.intlat import IntLattice, hnf, saturate
+from cmsweep.intlat import IntLattice, saturate
 from helpers import saturation_index, weil_layer_identity
 
 
@@ -202,8 +202,8 @@ def test_criterion_12_property_suites():
         cols = rng.randint(1, 4)
         mat = [[rng.randint(-9, 9) for _ in range(cols)]
                for _ in range(rows)]
-        lat = hnf(mat)
-        assert hnf(lat.basis, cols) == lat
+        lat = IntLattice(cols, mat)
+        assert IntLattice(cols, lat.basis) == lat
         sat = saturate(lat)
         assert saturate(sat) == sat
         assert saturation_index(sat) == 1

@@ -406,6 +406,38 @@ def test_failed_classification_check_is_a_fail_under_optimize_flag(typ):
                              report["sections"][0]["cases"])
 
 
+def _check_dim1_fails(code, cases):
+    """A divisor test that finds no element turns each of the 12 sweep-dim1
+    records into FAIL, with the case ids the fixture has."""
+    assert code == 1
+    want = json.loads((FIXDIR / "sweep-dim1.json").read_text())
+    assert [c["case_id"] for c in cases] == [c["case_id"] for c in want]
+    assert [c["verdict"] for c in cases] == ["FAIL"] * 12
+
+
+def test_dim1_verdict_is_computed_from_the_divisor_test(monkeypatch, capsys):
+    from cmsweep import torus
+    monkeypatch.setattr(torus, "divisor_test", lambda lat: (False, None))
+    code = main(["sweep-dim1", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    _check_dim1_fails(code, report["sections"][0]["cases"])
+
+
+def test_dim1_verdict_is_a_fail_under_optimize_flag():
+    """No assert stands behind the sweep-dim1 verdict: under python -O a
+    divisor test that finds nothing still reads FAIL."""
+    code = ("import sys\n"
+            "from cmsweep import torus\n"
+            "torus.divisor_test = lambda lat: (False, None)\n"
+            "from cmsweep.cli import main\n"
+            "sys.exit(main(['sweep-dim1', '--format', 'json']))\n")
+    env = dict(os.environ, PYTHONPATH=str(FIXDIR.parents[1]))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    report = json.loads(run.stdout)
+    _check_dim1_fails(run.returncode, report["sections"][0]["cases"])
+
+
 def test_rep_classify_builds_each_search_and_module_once(monkeypatch,
                                                          capsys):
     from cmsweep import liereps
@@ -425,9 +457,9 @@ def test_rep_classify_builds_each_search_and_module_once(monkeypatch,
 
 
 def test_d4_cmtypes_runs_the_analysis_once(monkeypatch, capsys):
-    """The relabeling check reuses the analysis the section already holds:
-    one d4_analysis, and one enumeration of the CM types for it and one
-    for the dual survivors."""
+    """The relabeling check reuses the analysis the section already holds,
+    dual survivors included: one d4_analysis and one enumeration of the
+    CM types."""
     from cmsweep import cmfields
     calls = []
     for name in ("d4_analysis", "_all_id_types"):
@@ -437,7 +469,7 @@ def test_d4_cmtypes_runs_the_analysis_once(monkeypatch, capsys):
 
         monkeypatch.setattr(cmfields, name, counting)
     assert main(["d4-cmtypes"]) == 0
-    assert sorted(calls) == ["_all_id_types"] * 2 + ["d4_analysis"]
+    assert sorted(calls) == ["_all_id_types", "d4_analysis"]
 
 
 def test_verify_all_imports_neither_numpy_nor_sympy():

@@ -1,5 +1,6 @@
 """Integer lattice normal forms: fixed examples, sympy Smith-form oracle,
-the 1000-case randomized idempotence/saturation suite, saturation and its
+Smith-form shapes and divisibility steps in ints, the 1000-case
+randomized idempotence/saturation suite, saturation and its
 already-saturated shortcut against the inverse of the Smith column
 transform, membership against an HNF reference, and the input checks."""
 
@@ -8,6 +9,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -18,8 +21,8 @@ from sympy.matrices.normalforms import smith_normal_form
 from cmsweep import intlat
 from cmsweep.cli import SECTIONS
 from cmsweep.fields import QQ, ExactMatrix
-from cmsweep.intlat import (IntLattice, hnf, rational_span_intersect,
-                            saturate, snf)
+from cmsweep.intlat import (IntLattice, rational_span_intersect, saturate,
+                            snf)
 from helpers import saturation_index
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,11 +42,11 @@ def _saturate_by_inverse(l):
 
 
 def test_hnf_examples():
-    l = hnf([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    l = IntLattice(3, [[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     assert all(row[next(j for j, a in enumerate(row) if a)] > 0
                for row in l.basis)
-    assert hnf(l.basis, l.ambient_rank) == l
-    assert hnf([[0, 0], [0, 0]]).rank == 0
+    assert IntLattice(l.ambient_rank, l.basis) == l
+    assert IntLattice(2, [[0, 0], [0, 0]]).rank == 0
 
 
 def test_membership():
@@ -75,6 +78,39 @@ def test_snf_against_sympy():
         assert sorted(map(abs, factors)) == sy_factors
 
 
+def _int_det(m):
+    """Leibniz expansion in ints; the matrices here are at most 3 x 3."""
+    return sum((-1) ** sum(a > b for a, b in combinations(p, 2))
+               * prod(row[k] for row, k in zip(m, p))
+               for p in permutations(range(len(m))))
+
+
+@pytest.mark.parametrize("mat, factors", [
+    ([], []),  # 0 x 0
+    ([[], []], []),  # 2 x 0
+    ([[0, 0, 0], [0, 0, 0]], []),
+    # the divisibility step: d_i does not divide d_j
+    ([[2, 0], [0, 3]], [1, 6]),
+    ([[2, 0], [0, 1]], [1, 2]),
+    ([[4, 0], [0, 6]], [2, 12]),
+    # a row added in place of the column would be undone by the row HNF
+    ([[0, -2], [2, 6], [-2, 1]], [1, 2]),
+])
+def test_snf_shapes_and_divisibility_step(mat, factors):
+    """Shapes and chains the random sympy cases do not reach: U * mat * V
+    is diag(factors) padded with zeros, and U, V have determinant +-1."""
+    got, u, v = snf(mat)
+    nrows, ncols = len(mat), len(mat[0]) if mat else 0
+    assert got == factors
+    assert len(u) == nrows and len(v) == ncols
+    assert [[sum(u[i][k] * mat[k][l] * v[l][j] for k in range(nrows)
+                 for l in range(ncols)) for j in range(ncols)]
+            for i in range(nrows)] == \
+        [[factors[i] if i == j and i < len(factors) else 0
+          for j in range(ncols)] for i in range(nrows)]
+    assert abs(_int_det(u)) == 1 and abs(_int_det(v)) == 1
+
+
 def test_saturation_example():
     l = IntLattice(3, [[2, 0, 2], [0, 4, 4]])
     sat = saturate(l)
@@ -97,16 +133,16 @@ def test_randomized_idempotence_1000():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        l = hnf(mat)
+        l = IntLattice(cols, mat)
         # idempotence
-        assert hnf(l.basis, cols) == l
+        assert IntLattice(cols, l.basis) == l
         # span invariance: add a random multiple of one row to another
         if rows >= 2:
             i, j = rng.sample(range(rows), 2)
             mixed = [r[:] for r in mat]
             c = rng.randint(-3, 3)
             mixed[i] = [a + c * b for a, b in zip(mixed[i], mat[j])]
-            assert hnf(mixed) == l
+            assert IntLattice(cols, mixed) == l
         # saturation is idempotent and full-rank-preserving
         sat = saturate(l)
         assert saturate(sat) == sat
@@ -125,7 +161,7 @@ def test_saturate_matches_inverse_reference_1000():
         cols = rng.randint(1, 5)
         rows = rng.randint(1, 4)
         mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        l = hnf(mat, cols)
+        l = IntLattice(cols, mat)
         assert saturate(l) == _saturate_by_inverse(l)
 
 
@@ -208,7 +244,7 @@ def test_contains_matches_the_hnf_reference(rows, coeffs, vec):
     moved = combo[:1] + [combo[1] + 1] + combo[2:]
     assert l.contains(combo)
     for v in (combo, moved, vec):
-        assert l.contains(v) == (hnf(list(l.basis) + [v], 4) == l)
+        assert l.contains(v) == (IntLattice(4, list(l.basis) + [v]) == l)
 
 
 def test_contains_refuses_non_integral_vectors():
