@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__, record
@@ -215,8 +217,43 @@ def _fixture_file(args, sub):
     return Path(__file__).parent / "fixtures" / f"{sub}.json"
 
 
+def _json(value, pad=""):
+    """value as json.dumps(value, sort_keys=True, indent=2) writes it, with
+    each line after the first indented by pad: sorted str keys, two-space
+    indent, ASCII escapes.  (json.dumps runs its pure-Python encoder when
+    given an indent.)  A value that is not a str, int, float, bool, None,
+    list, tuple or dict raises TypeError, and so does a dict key that is
+    not a str, in encode_basestring_ascii or in sorted."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}"
+                 for k in sorted(value)]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
+
+
 def _canonical(cases):
-    return json.dumps(cases, sort_keys=True, indent=2) + "\n"
+    return _json(cases) + "\n"
 
 
 def _first_difference(want, got, path=""):
@@ -255,10 +292,11 @@ def compare_with_fixture(args, sub, cases):
         return 0, len(cases), (f"fixture unreadable: {sub}.json "
                                f"({type(exc).__name__}: {exc})")
     got_ids = [c["case_id"] for c in cases]
-    duplicate = sorted({k for ids in (want_ids, got_ids) for k in ids
-                        if ids.count(k) > 1})
-    missing = [k for k in want_ids if k not in got_ids]
-    extra = [k for k in got_ids if k not in want_ids]
+    want_count, got_count = Counter(want_ids), Counter(got_ids)
+    duplicate = sorted({k for count in (want_count, got_count)
+                        for k, n in count.items() if n > 1})
+    missing = [k for k in want_ids if k not in got_count]
+    extra = [k for k in got_ids if k not in want_count]
     by_id = {c["case_id"]: c for c in golden}
     passed = 0
     mismatched = []
@@ -319,7 +357,7 @@ def bless_fixture(args, sub, cases):
 
 def render(report, fmt):
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2)
+        return _json(report)
     lines = [f"# cmsweep {report['tool_version']}", ""]
     for sec in report["sections"]:
         lines.append(f"## {sec['subcommand']}")
@@ -378,28 +416,29 @@ def _override_error(args):
     return None
 
 
+# built once at import: main only parses with it
+PARSER = argparse.ArgumentParser(
+    prog="cmsweep",
+    description="exact verification sweeps with golden fixtures")
+PARSER.add_argument("subcommand", choices=SUBCOMMANDS)
+PARSER.add_argument("--format", choices=("json", "markdown"), default="json")
+PARSER.add_argument("--fixtures", default=None,
+                    help="fixture directory (default: packaged)")
+PARSER.add_argument("--bless", action="store_true",
+                    help="rewrite fixtures, printing a diff summary")
+PARSER.add_argument("--timing", action="store_true",
+                    help="include runtime_ms in each section")
+PARSER.add_argument("--weil-x", type=_parse_x, default=None,
+                    help="positivity only: x as 4 comma-separated rationals")
+PARSER.add_argument("-p", type=int, default=None,
+                    help="gross-periods only, with -n")
+PARSER.add_argument("-n", type=int, default=None,
+                    help="gross-periods only, with -p")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="cmsweep",
-        description="exact verification sweeps with golden fixtures")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
-    parser.add_argument("--format", choices=("json", "markdown"),
-                        default="json")
-    parser.add_argument("--fixtures", default=None,
-                        help="fixture directory (default: packaged)")
-    parser.add_argument("--bless", action="store_true",
-                        help="rewrite fixtures, printing a diff summary")
-    parser.add_argument("--timing", action="store_true",
-                        help="include runtime_ms in each section")
-    parser.add_argument("--weil-x", type=_parse_x, default=None,
-                        help="positivity only: x as 4 comma-separated "
-                        "rationals")
-    parser.add_argument("-p", type=int, default=None,
-                        help="gross-periods only, with -n")
-    parser.add_argument("-n", type=int, default=None,
-                        help="gross-periods only, with -p")
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
         problem = _override_error(args)
         fixtures = Path(args.fixtures) if args.fixtures else None
         if not problem and fixtures and not fixtures.is_dir():
@@ -410,7 +449,7 @@ def main(argv=None) -> int:
             elif not args.bless:
                 problem = f"--fixtures {args.fixtures}: no such directory"
         if problem:
-            parser.error(problem)
+            PARSER.error(problem)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

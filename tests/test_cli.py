@@ -1,4 +1,5 @@
-"""End-to-end driver checks: exit codes, fixture comparison, determinism."""
+"""End-to-end driver checks: exit codes, fixture comparison, determinism,
+the JSON writer against json.dumps, and the parser shared by every run."""
 
 import inspect
 import json
@@ -9,8 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cmsweep.cli import SUBCOMMANDS, main
+from cmsweep import cli
+from cmsweep.cli import SUBCOMMANDS, _canonical, main, render
 
 FIXDIR = Path(__file__).resolve().parents[1] / "src" / "cmsweep" / "fixtures"
 
@@ -499,3 +502,116 @@ def test_verify_all_output_is_the_same_under_optimize_flag():
         outs.append(run.stdout)
     assert json.loads(outs[0])["summary"] == {"passed": 91, "failed": 0}
     assert outs[1] == outs[0]
+
+
+# -- the JSON writer ---------------------------------------------------------
+
+def _dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("path", sorted(FIXDIR.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_shipped_fixtures_are_canonical(path):
+    text = path.read_text()
+    assert _canonical(json.loads(text)) == text
+
+
+def _rendered_report(monkeypatch, argv, capsys):
+    """The report object main renders on argv, and what main prints."""
+    reports = []
+
+    def recording(report, fmt):
+        reports.append(report)
+        return render(report, fmt)
+
+    monkeypatch.setattr(cli, "render", recording)
+    main(argv)
+    out = capsys.readouterr().out
+    (report,) = reports
+    return report, out
+
+
+@pytest.mark.parametrize("argv", [["verify-all"],
+                                  ["sweep-a4", "--timing"]])
+def test_json_report_is_what_json_dumps_writes(monkeypatch, capsys, argv):
+    report, out = _rendered_report(monkeypatch, argv, capsys)
+    assert render(report, "json") == _dumps(report)
+    assert out == _dumps(report) + "\n"
+
+
+def test_report_with_notes_and_an_error_record_is_what_json_dumps_writes(
+        monkeypatch, capsys):
+    from cmsweep import torus
+
+    def broken():
+        raise ValueError("broken \"sweep\" \\ \x01 é")
+
+    monkeypatch.setattr(torus, "sweep_dim1", broken)
+    report, out = _rendered_report(monkeypatch, ["sweep-dim1"], capsys)
+    assert report["notes"] and \
+        report["sections"][0]["cases"][0]["case_id"] == "sweep-dim1:error"
+    assert render(report, "json") == _dumps(report)
+    assert out == _dumps(report) + "\n"
+
+
+_text = st.text() | st.text(st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "/", "a", "é",
+     " ", "\U0001f600"]))
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.integers(-2 ** 80, 2 ** 80) | st.floats() | _text)
+_trees = st.recursive(
+    _scalars,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_text, kids, max_size=4)),
+    max_leaves=25)
+
+
+@given(_trees)
+@settings(max_examples=300, deadline=None)
+def test_writer_is_what_json_dumps_writes(value):
+    assert cli._json(value) == _dumps(value)
+    assert _canonical(value) == _dumps(value) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1, 2}, object(), {"a": [set()]},
+                                   [1, b"bytes"]])
+def test_writer_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+# -- the shared parser -------------------------------------------------------
+
+def test_main_builds_no_parser(monkeypatch):
+    class NoParser:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("main built an ArgumentParser")
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", NoParser)
+    assert main(["gross-periods"]) == 0
+    assert main(["gross-periods", "-p", "1"]) == 2
+
+
+def test_parser_keeps_no_state_between_runs(capsys):
+    assert main(["positivity", "--weil-x", "0,0,0,0"]) == 2
+    assert main(["positivity", "--weil-x", "1,2,3,4"]) == 0
+    assert json.loads(capsys.readouterr().out)["notes"] == [
+        "positivity: parameter overrides, fixture skipped"]
+    # the plain run has no override left over: it is compared again
+    assert main(["positivity"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "notes" not in report
+    assert report["summary"]["passed"] == \
+        len(json.loads((FIXDIR / "positivity.json").read_text()))
+
+
+def test_bless_writes_the_shipped_fixtures(tmp_path):
+    assert main(["verify-all", "--bless", "--fixtures", str(tmp_path)]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in FIXDIR.glob("*.json"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (FIXDIR / name).read_bytes()

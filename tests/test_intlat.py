@@ -73,9 +73,10 @@ def test_snf_against_sympy():
                 assert prod[i, j] == want
         assert abs(um.det()) == 1 and abs(vm.det()) == 1
         sy = smith_normal_form(mm)
-        sy_factors = sorted(abs(sy[i, i]) for i in range(min(rows, cols))
-                            if sy[i, i] != 0)
-        assert sorted(map(abs, factors)) == sy_factors
+        assert factors == [abs(sy[i, i]) for i in range(min(rows, cols))
+                           if sy[i, i] != 0]
+        assert all(f > 0 for f in factors)
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
 
 
 def _int_det(m):
