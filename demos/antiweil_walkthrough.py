@@ -23,7 +23,10 @@ def main():
 
     print("\nStep 3: the 8-dimensional realization over Q(i, sqrt-2, sqrt-3)")
     rep = build_antiweil_rep(-1, -2, -3)
-    print(f"  matrix brackets:        {rep.verify_matrix_brackets()}")
+    print("  matrix brackets: the weight-table matrices A_l satisfy the")
+    print("  sl(2) x sl(2) relations, and mu_l B = B A_l for each generator, so")
+    print(f"  mu_l = B A_l B^-1 satisfies them too: "
+          f"{rep.verify_matrix_brackets()}")
     ok, failures = rep.verify_galois_equivariance()
     print(f"  Galois equivariance:    {ok} (144 identities, "
           f"{len(failures)} failures)")
@@ -36,11 +39,15 @@ def main():
     print("\nStep 4: rational descent")
     model = rep.rational_model()
     print(f"  rational matrices for: {sorted(model)}")
-    print("  nonzero entries of the image of i:")
+    print("  nonzero entries of the image of i (each matrix is kept as its")
+    print("  zero-free rows, integral values as ints):")
     for r, row in enumerate(model["i"]):
-        for c, x in enumerate(row):
-            if x != 0:
-                print(f"    [{r}][{c}] = {x}")
+        for c, x in sorted(row.items()):
+            print(f"    [{r}][{c}] = {x}")
+    print("  Gram matrix in the Q-basis:")
+    for r, row in enumerate(model["gram"]):
+        for c, x in sorted(row.items()):
+            print(f"    [{r}][{c}] = {x}")
 
 
 if __name__ == "__main__":

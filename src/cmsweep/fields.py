@@ -355,6 +355,14 @@ class FieldElement:
             raise ValueError(f"{self} is not rational")
         return Fraction(self.nums.get(0, 0), self.den)
 
+    def as_rational(self):
+        """The rational value as an int when it is integral, else as a
+        Fraction; ValueError when the element is not rational."""
+        if not self.is_rational():
+            raise ValueError(f"{self} is not rational")
+        x = self.nums.get(0, 0)
+        return x if self.den == 1 else Fraction(x, self.den)
+
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.rational(other)
@@ -446,10 +454,19 @@ QQ = MultiQuadField(())
 def cleared_rows(rows):
     """The nonzero rows of int or Fraction entries, given as lists or as
     {col: value} dicts, each times the lcm of the denominators of its
-    nonzero entries, as fresh {col: int} dicts; a row of ints is only
-    stripped of its zeros."""
+    nonzero entries, as {col: int} dicts.  A dict of nonzero ints is
+    handed back as it is, not copied; any other row is rebuilt, and a row
+    of ints is only stripped of its zeros."""
     out = []
     for row in rows:
+        if row.__class__ is dict:
+            for x in row.values():
+                if x.__class__ is not int or not x:
+                    break
+            else:
+                if row:
+                    out.append(row)
+                continue
         nonzero = {j: x for j, x in
                    (row.items() if isinstance(row, dict) else enumerate(row))
                    if x}

@@ -305,6 +305,40 @@ REP_TABLE = {
            "1,-1": (1, "1,1"), "-1,1": None},
 }
 
+
+def _weight_matrix(name):
+    """The 8x8 matrix A of the generator in the v/w basis as int
+    {col: ±1} rows: in each block of four, sign at (t, c) when the
+    weight table sends weight c to (sign, t)."""
+    rows = [{} for _ in range(8)]
+    for blk in (0, 4):
+        for c, label in enumerate(WEIGHT_LABELS):
+            entry = REP_TABLE[name][label]
+            if entry is not None:
+                sign, target = entry
+                rows[blk + WEIGHT_LABELS.index(target)][blk + c] = sign
+    return rows
+
+
+WEIGHT_MATRICES = {name: _weight_matrix(name) for name in GENERATOR_NAMES}
+
+_WEIGHT_RELATIONS = {}
+
+
+def weight_table_relations() -> bool:
+    """Whether the weight-table matrices WEIGHT_MATRICES satisfy the
+    sl(2) x sl(2) relations, as a WeightModule on them, whose constructor
+    checks each relation.  The table does not depend on (D', D, a), so
+    the proof runs once per process, at the first call."""
+    if not _WEIGHT_RELATIONS:
+        try:
+            WeightModule(range(8), WEIGHT_MATRICES, TRIPLE_NAMES)
+            _WEIGHT_RELATIONS["ok"] = True
+        except ValueError:
+            _WEIGHT_RELATIONS["ok"] = False
+    return _WEIGHT_RELATIONS["ok"]
+
+
 # Galois action on the v-basis of V_sigma; w entries follow by
 # commutativity (g . w = g . g2 . v = g2 . (g . v))
 GALOIS_EIGEN_TABLE = {
@@ -385,17 +419,15 @@ class AntiWeilRep:
         self.B = ExactMatrix.from_rows(F, vcols + wcols, 8).transpose()
         self.B_inv = self.B.inverse()
 
-        # action matrices, f-coordinates: the weight table's matrix A holds
-        # sign at (t, c) when it sends weight c to (sign, t), so column c of
-        # B A is sign * column t of B, and mu = (B A) B^-1 is one product
+        # action matrices, f-coordinates: the weight-table matrix A holds
+        # sign at (t, c), so column c of B A is sign * column t of B, and
+        # mu = (B A) B^-1 is one product
         self.mu = {}
         for name in GENERATOR_NAMES:
-            moved = {blk + c: (entry[0], blk + WEIGHT_LABELS.index(entry[1]))
-                     for blk in (0, 4) for c, label in enumerate(WEIGHT_LABELS)
-                     for entry in [REP_TABLE[name][label]] if entry}
+            A = WEIGHT_MATRICES[name]
             BA = ExactMatrix.from_rows(
-                F, [{c: row[t] if sign > 0 else -row[t]
-                     for c, (sign, t) in moved.items() if t in row}
+                F, [{c: x if sign > 0 else -x for t, x in row.items()
+                     for c, sign in A[t].items()}
                     for row in self.B.nonzero], 8)
             self.mu[name] = BA * self.B_inv
 
@@ -403,7 +435,10 @@ class AntiWeilRep:
         # and -sDp on V_sigma-bar
         self.J = _split_scalar(F, self.sDp)
 
-        # symplectic Gram matrix in the v/w basis, then in f-coordinates
+        # symplectic Gram matrix in the v/w basis, then in f-coordinates:
+        # B^-T G B^-1 at (i, j) is the sum over the nonzeros G[r][s] of
+        # B^-1[r][i] G[r][s] B^-1[s][j], one sum of products with the
+        # entry G[r][s] as the constant of each term
         M = -self.sDp
         G = [{} for _ in range(8)]
         pairs = {("1,1", "-1,-1"): M, ("-1,-1", "1,1"): M,
@@ -414,7 +449,11 @@ class AntiWeilRep:
             G[r][c] = val
             G[c][r] = -val
         self.gram_vw = ExactMatrix.from_rows(F, G, 8)
-        self.gram = self.B_inv.transpose() * self.gram_vw * self.B_inv
+        inv = self.B_inv.nonzero
+        self.gram = ExactMatrix.from_rows(F, _split(sum_of_products(F, (
+            (8 * i + j, x, y, g) for r, row in enumerate(G)
+            for s, g in row.items() for i, x in inv[r].items()
+            for j, y in inv[s].items()))), 8)
 
     @cached_property
     def e_a1(self):
@@ -449,9 +488,19 @@ class AntiWeilRep:
     # -- verification -------------------------------------------------------
 
     def verify_matrix_brackets(self) -> bool:
-        """The 8x8 matrices satisfy the sl(2) x sl(2) relations."""
-        return sl2_relations_hold(
-            [[self.mu[n] for n in t] for t in TRIPLE_NAMES], _vanishes)
+        """The 8x8 matrices satisfy the sl(2) x sl(2) relations.  B is
+        invertible (B_inv was built from it), so mu_l B = B A_l for the
+        weight-table matrix A_l of each generator l says mu_l = B A_l B^-1,
+        and every relation R then reads R(mu) = B R(A) B^-1 = 0, as R(A) = 0
+        holds by weight_table_relations: one combination mu_l B - B A_l
+        per generator."""
+        if not weight_table_relations():
+            return False
+        F = self.field
+        return all(_vanishes([
+            (1, self.mu[n], self.B),
+            (-1, self.B, ExactMatrix.from_rows(F, WEIGHT_MATRICES[n], 8))])
+            for n in GENERATOR_NAMES)
 
     def regenerate_galois_lie_table(self):
         """Recompute the Galois action on the six generators from the
@@ -573,9 +622,11 @@ class AntiWeilRep:
         sqrt(D') action, in a Q-basis of V (u_t = f_t + fbar_t,
         u'_t = sqrt(D')(f_t - fbar_t)); all entries must be rational,
         certifying descent to Q.  The six sl(2) generators themselves are
-        genuinely irrational combinations and do not descend.  Built once
-        per rep; each call returns its own copy of the matrices."""
-        return {name: [row[:] for row in mat]
+        genuinely irrational combinations and do not descend.  Each matrix
+        is 8 rows {col: value} holding no zero, an integral value as an
+        int and any other as a Fraction.  Built once per rep; each call
+        returns its own copy of the rows."""
+        return {name: [dict(row) for row in mat]
                 for name, mat in self._model.items()}
 
     @cached_property
@@ -608,16 +659,12 @@ class AntiWeilRep:
         coeffs = ExactMatrix.from_rows(
             F, [{g: lift(c) for g, c in row.items()}
                 for row in self._unit_coefficients().transpose().nonzero], 6)
-        # row u of coeffs * (the mu as flattened rows) is sum_g c_ug mu_g
+        # row u of coeffs * (the mu as flattened rows) is sum_g c_ug mu_g,
+        # the nonzeros {8 r + c: element} of the unit matrix u
         mus = ExactMatrix.from_rows(
-            F, [{8 * r + c: e for r, row in enumerate(self.mu[g].nonzero)
-                 for c, e in row.items()} for g in GENERATOR_NAMES], 64)
-        rational_mats = {
-            name: ExactMatrix.from_rows(
-                F, [{c % 8: e for c, e in row.items() if c // 8 == r}
-                    for r in range(8)], 8)
-            for (name, _), row in zip(self.RATIONAL_UNITS,
-                                      (coeffs * mus).nonzero)}
+            F, [_cells(self.mu[g]) for g in GENERATOR_NAMES], 64)
+        units = [(name, cells) for (name, _), cells in
+                 zip(self.RATIONAL_UNITS, (coeffs * mus).nonzero)]
 
         # the Q-basis is the columns of U = [[I, sI], [I, -sI]], s =
         # sqrt(D'): u_t = f_t + fbar_t and u'_t = s(f_t - fbar_t).  Block
@@ -626,34 +673,51 @@ class AntiWeilRep:
         s = self.sDp
         half = F.rational(Fraction(1, 2))
         conjugate = ((half, s * half), ((s * 2).inverse(), half))
-        out = {name: _descended(_block_sum(mat, conjugate), name)
-               for name, mat in list(rational_mats.items()) + [("J", self.J)]}
-        out["gram"] = _descended(_block_sum(self.gram, ((one, s), (s, s * s))),
-                                 "the Gram matrix")
+        out = {name: _descended(_block_sum(F, cells, conjugate), name)
+               for name, cells in units + [("J", _cells(self.J))]}
+        out["gram"] = _descended(
+            _block_sum(F, _cells(self.gram), ((one, s), (s, s * s))),
+            "the Gram matrix")
         return out
 
 
-def _block_sum(m: ExactMatrix, factors) -> dict:
+def _cells(m: ExactMatrix) -> dict:
+    """The nonzeros of the 8x8 matrix m as {8 r + c: element}."""
+    return {8 * r + c: x for r, row in enumerate(m.nonzero)
+            for c, x in row.items()}
+
+
+def _split(cells: dict) -> list:
+    """The 8 rows {c: x} of the 8x8 matrix with the nonzeros
+    {8 r + c: x}."""
+    rows = [{} for _ in range(8)]
+    for k, x in cells.items():
+        rows[k >> 3][k & 7] = x
+    return rows
+
+
+def _block_sum(field, cells: dict, factors) -> dict:
     """The nonzeros {8 r + c: element} of the 8x8 matrix whose 4x4 block
     (P, Q) is factors[P][Q] times the sum over (R, C) of (-1)^(PR + QC)
-    times block (R, C) of m, as one sum of products over m's nonzeros:
-    U^-1 m U and U^T m U for U = [[I, sI], [I, -sI]], whose blocks are
-    scalars, with their factors."""
-    return sum_of_products(m.field, (
+    times block (R, C) of m, for the 8x8 matrix m with the nonzeros cells
+    {8 r + c: element}, as one sum of products over them: U^-1 m U and
+    U^T m U for U = [[I, sI], [I, -sI]], whose blocks are scalars, with
+    their factors."""
+    return sum_of_products(field, (
         (8 * (4 * P + r % 4) + 4 * Q + c % 4, x, factors[P][Q],
          -1 if (P & r >> 2) ^ (Q & c >> 2) else 1)
-        for r, row in enumerate(m.nonzero) for c, x in row.items()
+        for k, x in cells.items() for r, c in (divmod(k, 8),)
         for P in (0, 1) for Q in (0, 1)))
 
 
-def _descended(cells: dict, name):
-    """The 8x8 matrix with the nonzeros {8 r + c: element} as dense rows of
-    Fractions; ValueError unless all are rational."""
-    if not all(e.is_rational() for e in cells.values()):
-        raise ValueError(f"{name} does not descend to Q")
-    zero = Fraction(0)
-    return [[cells[8 * r + c].as_fraction() if 8 * r + c in cells else zero
-             for c in range(8)] for r in range(8)]
+def _descended(cells: dict, name) -> list:
+    """The 8x8 matrix with the nonzeros {8 r + c: element} as 8 rows
+    {c: value} with no zero, an integral value as an int and any other as
+    a Fraction; ValueError unless all are rational."""
+    try:
+        return _split({k: e.as_rational() for k, e in cells.items()})
+    except ValueError:
+        raise ValueError(f"{name} does not descend to Q") from None
 
 
 def build_antiweil_rep(Dp=-1, D=-2, a=-3) -> AntiWeilRep:

@@ -15,9 +15,11 @@ matrix; the members the verifier no longer has (an element from its
 numerators, the quotient of two elements, the matrix rank, the stability
 of a mixed family at one point); the product and combination routes of
 the anti-Weil chain (mu as B * A * B^-1, the rational model through
-U^-1 M U and U^T G U, and the Galois and descent identities with
-P = g(I)) that its column relabels and signed block sums
-are checked against; and spec-facing functions that the
+U^-1 M U and U^T G U, the Galois and descent identities with
+P = g(I), and the sl(2) x sl(2) relations of mu as products) that its
+column relabels, signed block sums and conjugation identities are
+checked against, and the dense form of its sparse rational model; and
+spec-facing functions that the
 verifier itself never calls (a saturation index, CM-type primitivity and
 induction, the subgroups of a Galois model, a cyclic Galois model, the Galois identity test and a
 top-wedge layer identity)."""
@@ -32,9 +34,9 @@ from cmsweep.cmfields import (CMFieldModel, CMType, SubfieldModel, closure,
 from cmsweep.fields import (QQ, ExactMatrix, FieldElement, _axpy,
                             apply_galois, field_inclusion, sum_of_products)
 from cmsweep.intlat import IntLattice, snf
-from cmsweep.liereps import WeightModule
-from cmsweep.quatrep import (GALOIS_LIE_TABLE, GENERATOR_NAMES, REP_TABLE,
-                             WEIGHT_LABELS, AntiWeilRep, _flip_generator,
+from cmsweep.liereps import WeightModule, sl2_relations_hold
+from cmsweep.quatrep import (GALOIS_LIE_TABLE, GENERATOR_NAMES, TRIPLE_NAMES,
+                             WEIGHT_MATRICES, AntiWeilRep, _flip_generator,
                              squarefree_split)
 from cmsweep.torus import (MixedFamily, _eigenlines_2x2, _is_stable,
                            _restrict)
@@ -382,24 +384,27 @@ def family_stable_at(fam: MixedFamily, x1: int, x2: int) -> bool:
     return lat.rank == 2 and _is_stable(lat, fam.matrices)
 
 
-def weight_table_matrix(field, name) -> ExactMatrix:
-    """The 8x8 matrix A of the generator name in the v/w basis, read off
-    REP_TABLE in each block of four: sign at (t, c) when the table sends
-    weight c to (sign, t)."""
-    rows = [{} for _ in range(8)]
-    for blk in (0, 4):
-        for c, label in enumerate(WEIGHT_LABELS):
-            entry = REP_TABLE[name][label]
-            if entry is not None:
-                sign, target = entry
-                rows[blk + WEIGHT_LABELS.index(target)][blk + c] = sign
-    return ExactMatrix.from_rows(field, rows, 8)
-
-
 def mu_by_products(rep: AntiWeilRep) -> dict:
-    """Each action matrix as the two products B * A * B^-1."""
-    return {name: rep.B * weight_table_matrix(rep.field, name) * rep.B_inv
-            for name in GENERATOR_NAMES}
+    """Each action matrix as the two products B * A * B^-1, A the
+    weight-table matrix."""
+    return {name: rep.B * ExactMatrix.from_rows(
+        rep.field, WEIGHT_MATRICES[name], 8) * rep.B_inv
+        for name in GENERATOR_NAMES}
+
+
+def brackets_by_products(rep: AntiWeilRep) -> bool:
+    """The sl(2) x sl(2) relations of the six action matrices mu, each
+    one vanishing combination of their products (30 products in all), as
+    verify_matrix_brackets once ran."""
+    return sl2_relations_hold(
+        [[rep.mu[n] for n in t] for t in TRIPLE_NAMES],
+        lambda terms: not any(ExactMatrix.combination(terms).nonzero))
+
+
+def dense_model(model: dict) -> dict:
+    """A rational model of 8 {col: value} rows per matrix as dense rows
+    of length 8, the form rational_model_by_products gives."""
+    return {name: dense_rows(rows, 8) for name, rows in model.items()}
 
 
 def descent_basis(field, s) -> ExactMatrix:

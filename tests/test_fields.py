@@ -49,6 +49,16 @@ def test_inverse_of_mixed_element():
     assert sympy.simplify(got - 1 / x) == 0
 
 
+def test_as_rational_gives_an_int_when_integral():
+    for q, want in ((6, 6), (Fraction(-4, 2), -2), (0, 0),
+                    (Fraction(3, 4), Fraction(3, 4))):
+        got = F.rational(q).as_rational()
+        assert got == want and type(got) is type(want)
+    assert F.rational(Fraction(3, 4)).as_fraction() == Fraction(3, 4)
+    with pytest.raises(ValueError, match="not rational"):
+        (F.rational(1) + F.sqrt_gen(2)).as_rational()
+
+
 def test_conjugation():
     i = F.sqrt_gen(-1)
     s2 = F.sqrt_gen(2)

@@ -804,10 +804,18 @@ def test_cleared_rows_matches_reference_and_leaves_input(rows):
     want = _cleared_rows_reference(before)
     assert got == want
     assert all(type(x) is int and x for row in got for x in row.values())
+    assert rows == before
+    # a nonempty dict of nonzero ints comes back as it is, and every other
+    # row is rebuilt: changing a rebuilt row leaves the input as it was
+    clean = [r for r in rows if isinstance(r, dict) and r
+             and all(type(x) is int and x for x in r.values())]
+    passed = [row for row in got if any(row is r for r in rows)]
+    assert list(map(id, passed)) == list(map(id, clean))
     for row in got:
-        for j in list(row):
-            row[j] += 1
-        row[-1] = 5
+        if not any(row is r for r in rows):
+            for j in list(row):
+                row[j] += 1
+            row[-1] = 5
     assert rows == before
 
 
@@ -818,6 +826,41 @@ def test_cleared_rows_passes_int_rows_through_fresh():
     assert got == [{0: 2, 3: -4}, {1: 3}, {2: 1, 0: 2}, {0: 1, 2: 2}]
     assert got[0] is not rows[0]
     assert type(got[3][0]) is int
+
+
+def test_cleared_rows_hands_back_clean_int_rows():
+    """A dict of nonzero ints is the row it clears to and comes back
+    unchanged, the same object; Fraction and list rows are still
+    cleared, and a bool is no int."""
+    clean = {3: -4, 0: 2}
+    rows = [clean, {1: Fraction(1, 2), 2: 3}, [0, Fraction(2, 3), 4],
+            {0: 1, 1: 0}, {2: True}, {0: Fraction(4, 2)}, {}]
+    got = cleared_rows(rows)
+    assert got[0] is clean and clean == {3: -4, 0: 2}
+    assert got[1:] == [{1: 1, 2: 6}, {1: 2, 2: 12}, {0: 1}, {2: 1}, {0: 2}]
+    assert all(type(x) is int for row in got for x in row.values())
+    assert all(row is not r for row in got[1:] for r in rows)
+
+
+@pytest.mark.parametrize("int_rows", [True, False])
+def test_echelon_leaves_its_input_rows(int_rows):
+    """_echelon reduces copies: the rows it is given, which cleared_rows
+    now hands on as they are, are unchanged after it, for int rows and
+    for field rows."""
+    rng = random.Random(3002)
+    F = field_create((-1, 2))
+    rows = []
+    for _ in range(12):
+        row = {j: rng.randint(-3, 3) for j in rng.sample(range(7), 4)}
+        row = {j: x for j, x in row.items() if x}
+        rows.append(row if int_rows else
+                    {j: F.rational(x) + F.sqrt_gen(2) for j, x in row.items()})
+    before = [dict(row) for row in rows]
+    if int_rows:
+        pivots = _echelon(cleared_rows(rows))
+    else:
+        pivots = _echelon(rows, fields._subtracted, fields._monic)
+    assert pivots and rows == before
 
 
 @pytest.mark.parametrize("small_gens,big_gens", [

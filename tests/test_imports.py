@@ -128,7 +128,8 @@ def test_every_package_data_glob_matches_a_file():
                          ids=lambda p: p.name)
 def test_only_fields_reads_the_element_storage(path):
     """The numerators and denominator of a field element are read in
-    `fields` alone; the other modules use `coords` and `as_fraction`."""
+    `fields` alone; the other modules use `coords`, `as_fraction` and
+    `as_rational`."""
     read = {node.attr for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute)}
     assert not read & {"nums", "den"}

@@ -31,7 +31,8 @@ from cmsweep.quatrep import (AntiWeilRep, GALOIS_EIGEN_TABLE,
                              verify_irreducibility, verify_symplectic,
                              _block_sum)
 from cmsweep.liereps import invariant_space, tensor_module, wedge2_module
-from helpers import (DenseQuaternionAlgebra, descent_basis,
+from helpers import (DenseQuaternionAlgebra, brackets_by_products,
+                     dense_model, descent_basis,
                      descent_by_combinations, dual_module,
                      equivariance_by_combinations, identity_matrix,
                      matrix_rank, mu_by_products, pairwise_quaternion_mul,
@@ -103,11 +104,18 @@ def test_weight_action_examples(rep):
     assert REP_TABLE["y1"]["1,1"] == (1, "-1,1")
     # x2 raises the second: x2 . v_{1,-1} = v_{1,1}
     assert REP_TABLE["x2"]["1,-1"] == (1, "1,1")
-    # and the realized matrices agree on the basis columns
-    src = _column(rep.B, rep.basis_labels.index("v1,1"))
-    want = _column(rep.B, rep.basis_labels.index("v-1,1"))
-    got = rep.mu["y1"] * src
-    assert all((p - q).is_zero() for p, q in zip(got, want))
+    # and the realized matrices agree with every entry on the basis
+    # columns v_l and w_l
+    index = rep.basis_labels.index
+    zero = [rep.field.zero()] * 8
+    for name, table in REP_TABLE.items():
+        for label, entry in table.items():
+            for side in "vw":
+                got = rep.mu[name] * _column(rep.B, index(side + label))
+                want = zero if entry is None else [
+                    x * entry[0]
+                    for x in _column(rep.B, index(side + entry[1]))]
+                assert got == want, (name, side + label)
 
 
 def test_galois_eigen_example(rep):
@@ -174,11 +182,15 @@ def test_rational_model(rep):
     model = rep.rational_model()
     assert set(model) == {"i", "j", "k", "Ji", "Jj", "Jk", "J", "gram"}
     for mat in model.values():
+        assert len(mat) == 8
         for row in mat:
-            for x in row:
-                assert isinstance(x, Fraction)
+            assert row.keys() <= set(range(8))
+            for x in row.values():
+                # rational and nonzero, an int when integral
+                assert x and (type(x) is int or (type(x) is Fraction
+                                                 and x.denominator > 1))
     # the Gram matrix stays antisymmetric after descent
-    g = model["gram"]
+    g = dense_model(model)["gram"]
     for i in range(8):
         for j in range(8):
             assert g[i][j] == -g[j][i]
@@ -497,7 +509,7 @@ def test_rep_builds_e_a1_and_rational_model_once(monkeypatch):
     assert invariant_endomorphisms_dim(rep) == 2
     assert invariant_wedge2_dim(rep) == 1
     first = rep.rational_model()
-    first["gram"][0][0] += 1        # a caller's copy, not the rep's model
+    first["gram"][0][0] = 1         # a caller's copy, not the rep's model
     second, third = rep.rational_model(), rep.rational_model()
     assert second == third and second != first
     assert calls == {"e_a1": 1, "model": 1}
@@ -739,9 +751,10 @@ def test_block_sum_matches_products_with_u(drawn):
     F = m.field
     U = descent_basis(F, s)
     half = F.rational(Fraction(1, 2))
-    assert _block_sum(m, ((half, s * half), ((s * 2).inverse(), half))) \
+    assert _block_sum(F, _cells(m),
+                      ((half, s * half), ((s * 2).inverse(), half))) \
         == _cells(U.inverse() * m * U)
-    assert _block_sum(m, ((F.one(), s), (s, s * s))) \
+    assert _block_sum(F, _cells(m), ((F.one(), s), (s, s * s))) \
         == _cells(U.transpose() * m * U)
 
 
@@ -752,7 +765,7 @@ def test_relabelled_build_matches_product_route(triple):
     U^-1 M U and U^T G U with solve-based unit coefficients."""
     rep = build_antiweil_rep(*triple)
     assert rep.mu == mu_by_products(rep)
-    assert rep.rational_model() == rational_model_by_products(rep)
+    assert dense_model(rep.rational_model()) == rational_model_by_products(rep)
 
 
 # (generator or None for the Gram matrix, row, column, bump)
@@ -779,12 +792,108 @@ def test_corrupted_entry_fails_like_combination_routes(name, r, c, root):
     assert descent == (name is not None)
 
 
+def _grid_triples(seed, count):
+    """count triples of distinct values of NEG_SQUAREFREE, shuffled by
+    the seed, as the antiweil-grid benchmark draws them."""
+    values = random.Random(seed).sample(NEG_SQUAREFREE, 3 * count)
+    return [tuple(values[3 * t:3 * t + 3]) for t in range(count)]
+
+
+@pytest.mark.parametrize("triple", [(-1, -2, -3)] + _grid_triples(3001, 5))
+def test_conjugation_brackets_match_product_route(triple):
+    """The six identities mu_l B = B A_l decide as the 30 products of the
+    relations themselves."""
+    rep = build_antiweil_rep(*triple)
+    assert rep.verify_matrix_brackets()
+    assert brackets_by_products(rep)
+
+
+@pytest.mark.parametrize("name,r,c,root",
+                         [x for x in CORRUPTIONS if x[0] is not None])
+def test_corrupted_mu_fails_both_bracket_routes(name, r, c, root):
+    rep = build_antiweil_rep(-1, -2, -3)
+    x = rep.field.one() if root == "one" else getattr(rep, root)
+    rep.mu[name] = rep.mu[name] + _bump(rep, r, c, x)
+    assert not rep.verify_matrix_brackets()
+    assert not brackets_by_products(rep)
+
+
+def _flipped_weight_matrices():
+    """A copy of WEIGHT_MATRICES with the sign of x1 on weight -1,-1 (row
+    2, column 1) flipped: then [x1, y1] sends v1,-1 to -v1,-1, not to
+    h1 v1,-1."""
+    table = {n: [dict(row) for row in rows]
+             for n, rows in quatrep.WEIGHT_MATRICES.items()}
+    t, c = WEIGHT_LABELS.index("1,-1"), WEIGHT_LABELS.index("-1,-1")
+    table["x1"][t][c] = -table["x1"][t][c]
+    return table
+
+
+def test_weight_table_relations_run_once(monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(quatrep, "_WEIGHT_RELATIONS", {})
+    monkeypatch.setattr(quatrep, "WeightModule",
+                        _counting(calls, "module", quatrep.WeightModule))
+    rep = build_antiweil_rep(-1, -2, -3)
+    assert calls == {}                       # not at import or build
+    assert rep.verify_matrix_brackets() and rep.verify_matrix_brackets()
+    assert build_antiweil_rep(-5, -7, -11).verify_matrix_brackets()
+    assert calls == {"module": 1}
+
+
+def test_flipped_weight_sign_fails_the_brackets(monkeypatch):
+    """A flipped sign in the weight table fails the relations proof, for
+    a rep built from the flipped table; a rep built from the true table
+    fails the identity mu_l B = B A_l against the flipped one."""
+    true_rep = build_antiweil_rep(-1, -2, -3)
+    monkeypatch.setattr(quatrep, "WEIGHT_MATRICES",
+                        _flipped_weight_matrices())
+    monkeypatch.setattr(quatrep, "_WEIGHT_RELATIONS", {})
+    assert not quatrep.weight_table_relations()
+    rep = build_antiweil_rep(-1, -2, -3)
+    assert not rep.verify_matrix_brackets()
+    assert not brackets_by_products(rep)
+    monkeypatch.setattr(quatrep, "_WEIGHT_RELATIONS", {"ok": True})
+    assert not true_rep.verify_matrix_brackets()
+    assert brackets_by_products(true_rep)
+
+
+def test_flipped_weight_sign_fails_under_optimize_flag():
+    """The flip of _flipped_weight_matrices, made in place in a process
+    of its own, still fails the brackets under python -O."""
+    code = ("from cmsweep import quatrep\n"
+            "rows = quatrep.WEIGHT_MATRICES['x1']\n"
+            "rows[2][1] = -rows[2][1]\n"
+            "rep = quatrep.build_antiweil_rep(-1, -2, -3)\n"
+            "print(rep.verify_matrix_brackets())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve()
+                                          .parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
+def test_non_integral_generator_keeps_the_invariant_dims():
+    """A rational model whose generator J has non-integral entries (its
+    rows halved, ±1/2) runs the clearing branch of the ranks and keeps
+    the dimensions, as halving J changes no invariant."""
+    rep = build_antiweil_rep(-1, -2, -3)
+    rep._model["J"] = [{c: x * Fraction(1, 2) for c, x in row.items()}
+                       for row in rep._model["J"]]
+    assert all(type(x) is Fraction and x.denominator == 2
+               for row in rep.rational_module.actions["J"]
+               for x in row.values())
+    assert invariant_endomorphisms_dim(rep) == 2
+    assert invariant_wedge2_dim(rep) == 1
+
+
 def test_structured_factors_build_no_generic_product(monkeypatch):
-    """On (-1, -2, -3) the build makes 8 matrix products (six mu and two
-    for the Gram matrix) and inverts B; the Galois check makes no product
-    or combination, the symplectic check 8 combinations, and the
-    rational model one product and one inverse (the unit
-    coefficients')."""
+    """On (-1, -2, -3) the build makes 6 matrix products (the six mu; the
+    Gram matrix is one sum of products) and inverts B; the Galois check
+    makes no product or combination, the bracket check 6 combinations,
+    the symplectic check 8, and the rational model one product and one
+    inverse (the unit coefficients')."""
     calls = Counter()
     mul = ExactMatrix.__mul__
 
@@ -799,8 +908,9 @@ def test_structured_factors_build_no_generic_product(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "combination", staticmethod(
         _counting(calls, "combination", ExactMatrix.combination)))
     rep = build_antiweil_rep(-1, -2, -3)
-    assert calls == {"product": 8, "inverse": 1}
+    assert calls == {"product": 6, "inverse": 1}
     for run, want in ((rep.verify_galois_equivariance, {}),
+                      (rep.verify_matrix_brackets, {"combination": 6}),
                       (rep.verify_symplectic, {"combination": 8}),
                       (rep.rational_model, {"product": 1, "inverse": 1})):
         calls.clear()
@@ -877,14 +987,15 @@ def test_rational_module_stores_no_zeros(rep):
     module = rep.rational_module
     assert module is rep.rational_module       # built once per rep
     for name, act in module.actions.items():
-        assert [[row.get(j, 0) for j in range(8)] for row in act] == \
-            model[name]
+        assert act == model[name]
         assert all(x for row in act for x in row.values())
-    assert any(x == 0 and type(x) is Fraction
-               for row in model["i"] for x in row)
+        assert all(x for row in model[name] for x in row.values())
+    # the model keeps only the nonzeros of a matrix that has zeros
+    assert any(x == 0 for row in dense_model(model)["i"] for x in row)
     # rational_model() still hands out fresh copies
-    model["i"][0][0] += 1
-    assert rep.rational_model()["i"][0][0] == model["i"][0][0] - 1
+    r, c = next((r, c) for r, row in enumerate(model["i"]) for c in row)
+    model["i"][r][c] += 1
+    assert rep.rational_model()["i"][r][c] == model["i"][r][c] - 1
 
 
 def _irrational_J(rep):
