@@ -355,7 +355,18 @@ def bless_fixture(args, sub, cases):
             (f" ({', '.join(changed[:5])})" if changed else "")), True
 
 
+def _verdict_cell(case):
+    """The verdict, and for an ERROR record its cause, type: message
+    (where)."""
+    if case["verdict"] != "ERROR":
+        return case["verdict"]
+    cert = case["certificate"]
+    return f"ERROR {cert['type']}: {cert['message']} ({cert['where']})"
+
+
 def render(report, fmt):
+    """The report as JSON, or as markdown: one table of verdicts per
+    section, the summary, then the notes, if the report has any."""
     if fmt == "json":
         return _json(report)
     lines = [f"# cmsweep {report['tool_version']}", ""]
@@ -365,10 +376,13 @@ def render(report, fmt):
         lines.append("| case | verdict |")
         lines.append("|---|---|")
         for c in sec["cases"]:
-            lines.append(f"| {c['case_id']} | {c['verdict']} |")
+            lines.append(f"| {c['case_id']} | {_verdict_cell(c)} |")
         lines.append("")
     s = report["summary"]
     lines.append(f"**passed {s['passed']}, failed {s['failed']}**")
+    if "notes" in report:
+        lines.append("")
+        lines += [f"- {note}" for note in report["notes"]]
     return "\n".join(lines)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 
 class DependentGenerators(ValueError):
@@ -48,17 +48,6 @@ def squarefree_split(r):
     return s * s2, n0
 
 
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = int(n ** 0.5)
-    while r * r < n:
-        r += 1
-    while r * r > n:
-        r -= 1
-    return r * r == n
-
-
 class MultiQuadField:
     """Q(sqrt(d_1), ..., sqrt(d_k)) with square-free, independent d_i."""
 
@@ -72,7 +61,7 @@ class MultiQuadField:
                 prod = 1
                 for i in sub:
                     prod *= self.gens[i]
-                if _is_square(prod):
+                if prod >= 0 and isqrt(prod) ** 2 == prod:
                     raise DependentGenerators(
                         f"subset product {prod} of {self.gens} is a square")
         self.subsets = [frozenset(s)
@@ -659,37 +648,17 @@ class ExactMatrix:
             ", ".join(repr(e) for e in row) for row in self.entries) + ")"
 
     def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shapes differ")
-        out = []
-        for r1, r2 in zip(self.nonzero, other.nonzero):
-            acc = dict(r1)
-            for j, e in r2.items():
-                s = acc[j] + e if j in acc else e
-                if s.nums:
-                    acc[j] = s
-                else:
-                    del acc[j]
-            out.append(acc)
-        return _matrix(self.field, out, self.cols)
+        return ExactMatrix.combination([(1, self, None), (1, other, None)])
 
     def __sub__(self, other):
-        return self + -other
+        return ExactMatrix.combination([(1, self, None), (-1, other, None)])
 
     def __neg__(self):
-        return _matrix(self.field, [{j: -e for j, e in row.items()}
-                                    for row in self.nonzero], self.cols)
+        return ExactMatrix.combination([(-1, self, None)])
 
     def scale(self, c) -> "ExactMatrix":
-        c = FieldElement.coerce(self.field, c)
-        if c.den == 1 and c.nums in ({0: 1}, {0: -1}):
-            return self if c.nums[0] == 1 else -self
-        if not c.nums:
-            return _matrix(self.field, [{} for _ in range(self.rows)],
-                           self.cols)
-        # a product of nonzero field elements is nonzero
-        return _matrix(self.field, [{j: c * e for j, e in row.items()}
-                                    for row in self.nonzero], self.cols)
+        return ExactMatrix.combination(
+            [(FieldElement.coerce(self.field, c), self, None)])
 
     def __mul__(self, other):
         field = self.field
@@ -715,11 +684,13 @@ class ExactMatrix:
 
     @staticmethod
     def combination(terms) -> "ExactMatrix":
-        """sum c * a * b over the (c, a, b) in terms, for an int c and
-        matrices a and b, b None for a alone, as one sum of products
-        keyed by cell: a cell whose sum cancels gets no element, so a
-        combination that vanishes builds no row entry at all.  ValueError
-        on no terms, a field mismatch or a shape mismatch."""
+        """sum c * a * b over the (c, a, b) in terms, for c an int or an
+        element of the matrices' field and matrices a and b, b None for a
+        alone, as one sum of products keyed by cell: a cell whose sum
+        cancels gets no element, so a combination that vanishes builds no
+        row entry at all.  Sums, differences, negation and scale are each
+        one call.  ValueError on no terms, a field mismatch or a shape
+        mismatch."""
         terms = list(terms)
         if not terms:
             raise ValueError("a combination needs at least one term")

@@ -48,7 +48,9 @@ def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
 
 class IntLattice:
     """A sublattice of Z^n given by its canonical HNF basis (rows) and the
-    pivot column of each basis row."""
+    pivot column of each basis row.  The rows it is built from hold ints
+    or integral Fractions; ValueError on a row of another length or with
+    a non-integral entry."""
 
     def __init__(self, ambient_rank: int, rows):
         self.ambient_rank = int(ambient_rank)
@@ -57,6 +59,10 @@ class IntLattice:
             if len(r) != self.ambient_rank:
                 raise ValueError(f"row {r} does not have length "
                                  f"{self.ambient_rank}")
+            for x in r:
+                # an integral Fraction counts as its int
+                if x.__class__ is not int and x != int(x):
+                    raise ValueError(f"row {r} is not integral")
         self.basis = tuple(map(tuple, _hnf_rows(rows)))
         self.pivots = tuple(next(j for j, a in enumerate(row) if a)
                             for row in self.basis)

@@ -112,15 +112,18 @@ def sl2_irrep(m: int) -> WeightModule:
 
 def _tensor_action(a, b):
     """Leibniz action a (x) 1 + 1 (x) b on the tensor basis (i, j), built
-    row by row from the nonzeros of a and b; WeightModule drops the
-    entries that cancel."""
+    row by row from the nonzeros of a and b, with no zero: only the cell
+    (i, j) of row (i, j) gets two terms, a[i][i] + b[j][j]."""
     nb = len(b)
     out = []
     for i2, arow in enumerate(a):
+        base = i2 * nb
         for j2, brow in enumerate(b):
             acc = {i * nb + j2: x for i, x in arow.items()}
             for j, y in brow.items():
-                acc[i2 * nb + j] = acc.get(i2 * nb + j, 0) + y
+                acc[base + j] = acc.get(base + j, 0) + y
+            if acc.get(base + j2) == 0:
+                del acc[base + j2]
             out.append(acc)
     return out
 
@@ -181,26 +184,16 @@ def wedge2_module(w: WeightModule) -> WeightModule:
 def commutant_rows(mats, n):
     """The {col: value} rows of the linear system X -> m X - X m over the
     n x n matrices m in mats, given as {col: value} rows: row (i, j) of
-    each m in turn, with the unknown X[k][j] at column k * n + j.  Row
-    for row these are the actions on V ⊗ V*, where m acts as
-    m ⊗ 1 + 1 ⊗ (-m^T), built from the nonzeros of m without the
-    module; a row holds no zero, and ints stay ints."""
+    each m in turn, with the unknown X[k][j] at column k * n + j.  These
+    are the actions on V ⊗ V*, where m acts as m ⊗ 1 + 1 ⊗ (-m^T): one
+    _tensor_action each, so a row holds no zero, and ints stay ints."""
     rows = []
     for m in mats:
-        cols = [{} for _ in range(n)]
+        neg_t = [{} for _ in range(n)]
         for k, mrow in enumerate(m):
             for j, y in mrow.items():
-                cols[j][k] = y
-        for i, mrow in enumerate(m):
-            base = i * n
-            for j, col in enumerate(cols):
-                acc = {k * n + j: x for k, x in mrow.items()}
-                for k, y in col.items():
-                    acc[base + k] = acc.get(base + k, 0) - y
-                # only X[i][j] gets two terms, m[i][i] - m[j][j]
-                if acc.get(base + j) == 0:
-                    del acc[base + j]
-                rows.append(acc)
+                neg_t[j][k] = -y
+        rows += _tensor_action(m, neg_t)
     return rows
 
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from . import Frozen
-from .fields import (ExactMatrix, FieldElement, apply_galois,
-                     complex_conjugation, field_create, rational_kernel)
+from .fields import (ExactMatrix, FieldElement, complex_conjugation,
+                     field_create, rational_kernel, sum_of_products)
 
 # ---------------------------------------------------------------------------
 # Gaussian rationals
@@ -29,10 +29,6 @@ def gauss(re, im=0) -> FieldElement:
     """The Gaussian rational re + im*sqrt(-1)."""
     return GAUSS.rational(Fraction(re)) + \
         GAUSS.sqrt_gen(-1) * GAUSS.rational(Fraction(im))
-
-
-def g_conj(e: FieldElement) -> FieldElement:
-    return apply_galois(_CONJ, e)
 
 
 def g_re(e: FieldElement) -> Fraction:
@@ -239,16 +235,12 @@ def zero_witness_real_case(gram, constraints=()):
     if not basis:
         return None
 
-    def value(vec):
-        total = GAUSS.zero()
-        for i in range(n):
-            if vec[i] == 0:
-                continue
-            for j in range(n):
-                if vec[j] == 0:
-                    continue
-                total = total + gauss(vec[i] * vec[j]) * gram[i][j]
-        return total
+    def vanishes(vec):
+        # sum of v_i v_j gram[i][j] over the nonzero pairs, the Gram entry
+        # as the constant of each term
+        nonzero = [(i, GAUSS.rational(v)) for i, v in enumerate(vec) if v]
+        return not sum_of_products(GAUSS, (
+            (0, x, y, gram[i][j]) for i, x in nonzero for j, y in nonzero))
 
     candidates = [[sum(b[t] for b in basis) for t in range(n)]]
     candidates += [list(b) for b in basis]
@@ -259,7 +251,7 @@ def zero_witness_real_case(gram, constraints=()):
     for vec in candidates:
         if all(v == 0 for v in vec):
             continue
-        if value(vec).is_zero():
+        if vanishes(vec):
             return vec
     return None
 
@@ -314,7 +306,7 @@ def weil_family_check(x) -> dict:
     if all(e.is_zero() for e in x):
         raise ZeroVector("all components are zero")
 
-    xb = [g_conj(e) for e in x]
+    xb = [e.conj() for e in x]
     # S(x), the minors of the Hermitian R and the discriminant are real:
     # as_fraction raises ValueError otherwise
     s_frac = (x[0] * xb[3] + x[1] * xb[1] + x[2] * xb[2]
@@ -327,14 +319,13 @@ def weil_family_check(x) -> dict:
 
     # (ii) the orthogonal subspace: kernel of (x3, -x2, -x1, x0) . y
     functional = [x[3], -x[2], -x[1], x[0]]
-    ker = ExactMatrix(GAUSS, [functional]).kernel()
-    assert len(ker) == 3
+    # x is nonzero, so the kernel has 3 vectors
+    B = ExactMatrix(GAUSS, ExactMatrix(GAUSS, [functional]).kernel())
 
-    # (iii) restricted Hermitian Gram R = B H conj(B)^T, minors
-    B = ExactMatrix(GAUSS, ker)
+    # (iii) restricted Hermitian Gram R = B H conj(B)^T, Hermitian since H
+    # is real symmetric, and its minors
     R = B * ExactMatrix.from_rows(GAUSS, _FAMILY_GRAM, 4) * \
         B.galois(_CONJ).transpose()
-    assert R == R.galois(_CONJ).transpose()
     minors = []
     for k in (1, 2, 3):
         sub = ExactMatrix(GAUSS, [row[:k] for row in R.entries[:k]])

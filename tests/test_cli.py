@@ -56,6 +56,44 @@ def test_markdown_rendering(capsys):
     assert "|" in out and "case" in out.lower()
 
 
+def test_markdown_names_the_mismatched_case_and_key(tmp_path, capsys):
+    for f in FIXDIR.glob("*.json"):
+        shutil.copy(f, tmp_path / f.name)
+    data = json.loads((tmp_path / "sweep-klein4.json").read_text())
+    case_id = data[3]["case_id"]
+    key = sorted(data[3]["certificate"])[0]
+    data[3]["certificate"][key] = "tampered"
+    (tmp_path / "sweep-klein4.json").write_text(json.dumps(data))
+    assert main(["sweep-klein4", "--fixtures", str(tmp_path),
+                 "--format", "markdown"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == [
+        "**passed 21, failed 1**", "",
+        f"- sweep-klein4: mismatched {case_id} at certificate.{key}"]
+
+
+def test_markdown_names_the_type_and_frame_of_an_error(monkeypatch, capsys):
+    from cmsweep import periods
+    lines, start = inspect.getsourcelines(periods.gross_matrix)
+    line = start + next(i for i, text in enumerate(lines)
+                        if "raise ValueError" in text)
+    monkeypatch.setitem(cli.SECTIONS, "gross-periods",
+                        lambda args: periods.gross_matrix(5, 2))
+    assert main(["gross-periods", "--format", "markdown"]) == 1
+    out = capsys.readouterr().out
+    assert ("| gross-periods:error | ERROR ValueError: need 0 <= p <= n, "
+            f"not p = 5, n = 2 (periods.py:{line}) |") in out.splitlines()
+    assert out.endswith("; extra gross-periods:error\n")
+
+
+def test_markdown_of_an_override_run_notes_the_skipped_fixture(capsys):
+    assert main(["gross-periods", "-p", "2", "-n", "6",
+                 "--format", "markdown"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["", "- gross-periods: parameter overrides, "
+                            "fixture skipped"]
+
+
 def test_tampered_fixture_fails(tmp_path, capsys):
     for f in FIXDIR.glob("*.json"):
         shutil.copy(f, tmp_path / f.name)
@@ -502,6 +540,40 @@ def test_verify_all_output_is_the_same_under_optimize_flag():
         outs.append(run.stdout)
     assert json.loads(outs[0])["summary"] == {"passed": 91, "failed": 0}
     assert outs[1] == outs[0]
+
+
+REVERSED_SECTIONS = """
+from cmsweep import cli
+args = cli.PARSER.parse_args(["verify-all"])
+print(cli._json({sub: produce(args)
+                 for sub, produce in reversed(cli.SECTIONS.items())}))
+"""
+
+
+def test_output_depends_on_no_hash_seed_and_no_section_order():
+    """verify-all writes the same bytes in fresh processes under two hash
+    seeds, and the producers run in reversed order in a fresh process give
+    each section the same records: no record depends on set order or on
+    state that an earlier section left behind."""
+    env = dict(os.environ, PYTHONPATH=str(FIXDIR.parents[1]))
+    verify_all = [sys.executable, "-m", "cmsweep.cli", "verify-all",
+                  "--format", "json"]
+    runs = [subprocess.Popen(argv, env=dict(env, PYTHONHASHSEED=seed),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True)
+            for argv, seed in ((verify_all, "0"), (verify_all, "1"),
+                               ([sys.executable, "-c", REVERSED_SECTIONS],
+                                "0"))]
+    outs = []
+    for run in runs:
+        out, err = run.communicate(timeout=600)
+        assert run.returncode == 0, err
+        outs.append(out)
+    assert outs[1] == outs[0]
+    report = json.loads(outs[0])
+    assert report["summary"] == {"passed": 91, "failed": 0}
+    assert json.loads(outs[2]) == {sec["subcommand"]: sec["cases"]
+                                   for sec in report["sections"]}
 
 
 # -- the JSON writer ---------------------------------------------------------

@@ -454,6 +454,17 @@ def test_combination_checks_fields_and_shapes():
             ([(1, sq, None), (1, a.transpose(), None)], "shapes differ")]:
         with pytest.raises(ValueError, match=message):
             ExactMatrix.combination(terms)
+    # sums, differences and scale are combinations: the same checks hold,
+    # also where no cell of the two fields meets another
+    apart = ExactMatrix(QQ, [[0, 0, 1], [1, 0, 0]])
+    for op, message in [
+            (lambda: a + apart, "field mismatch"),
+            (lambda: apart - a, "field mismatch"),
+            (lambda: a.scale(field_create([2]).sqrt_gen(2)), "field mismatch"),
+            (lambda: sq + a, "shapes differ"),
+            (lambda: a - a.transpose(), "shapes differ")]:
+        with pytest.raises(ValueError, match=message):
+            op()
 
 
 # -- the one field elimination against the dense references -------------------

@@ -246,7 +246,7 @@ def test_periods_computes_on_exponent_pairs():
 
 # assert statements each module may hold; the rest raise ValueError
 ASSERTS = {"cmfields.py": 1, "intlat.py": 1, "liereps.py": 0,
-           "periods.py": 0, "positivity.py": 2, "torus.py": 5}
+           "periods.py": 0, "positivity.py": 0, "torus.py": 5}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -256,6 +256,18 @@ def test_contains_refuses_non_integral_vectors():
     assert IntLattice(2, [[2, 0]]).contains([Fraction(4, 2), 0])
 
 
+def test_lattice_refuses_non_integral_rows():
+    """A row with a non-integral entry is refused, not truncated to ints,
+    and the message names the row; an integral Fraction counts as its
+    int."""
+    with pytest.raises(ValueError, match=r"row \[Fraction\(1, 2\), 1\]"):
+        IntLattice(2, [[Fraction(1, 2), 1]])
+    with pytest.raises(ValueError, match="not integral"):
+        IntLattice(3, [[1, 0, 0], [0, 1, Fraction(-7, 3)]])
+    assert IntLattice(2, [[Fraction(4, 2), 1]]) == IntLattice(2, [[2, 1]])
+    assert IntLattice(2, [[Fraction(4, 2), 1]]).basis == ((2, 1),)
+
+
 def test_length_checks_survive_optimize_flag():
     """A row or a vector of the wrong length is refused with ValueError,
     also under python -O."""
