@@ -6,7 +6,9 @@ what each one establishes.
 Run:  python3 demos/antiweil_walkthrough.py
 """
 
-from cmsweep.quatrep import (build_antiweil_rep, e_a1_triples, sl2_triple,
+from cmsweep.quatrep import (build_antiweil_rep, e_a1_triples,
+                             invariant_endomorphisms_dim,
+                             invariant_wedge2_dim, sl2_triple,
                              verify_e_a1_brackets)
 
 
@@ -36,7 +38,7 @@ def main():
         print(f"    {k:>20}: {v}")
     print(f"  irreducibility:         {rep.verify_irreducibility()}")
 
-    print("\nStep 4: rational descent")
+    print("\nStep 4: rational descent and the invariant counts")
     model = rep.rational_model()
     print(f"  rational matrices for: {sorted(model)}")
     print("  nonzero entries of the image of i (each matrix is kept as its")
@@ -48,6 +50,12 @@ def main():
     for r, row in enumerate(model["gram"]):
         for c, x in sorted(row.items()):
             print(f"    [{r}][{c}] = {x}")
+    gens = rep.bracket_generators.generator_names()
+    print(f"  bracket generators {', '.join(gens)}: in the rational model")
+    print("  2k = [i, j], -2Jk = [j, Ji] and -2a Jj = [k, Ji], so these four")
+    print("  generate all seven as a Lie algebra and have their invariants:")
+    print(f"    dim End(V) invariants = {invariant_endomorphisms_dim(rep)}, "
+          f"dim wedge^2 V invariants = {invariant_wedge2_dim(rep)}")
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ lives in such a field.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import gcd, isqrt, lcm
 
@@ -119,6 +120,11 @@ class MultiQuadField:
 
     def galois_group(self) -> list["GaloisElement"]:
         return [GaloisElement(signs) for signs in product((1, -1), repeat=self.k)]
+
+    @cached_property
+    def _conjugation(self) -> "GaloisElement":
+        """complex_conjugation(self), built once, on first use."""
+        return complex_conjugation(self)
 
 
 def field_create(gens) -> MultiQuadField:
@@ -430,7 +436,7 @@ class FieldElement:
 
     def conj(self) -> "FieldElement":
         """Complex conjugation (the distinguished embedding)."""
-        return apply_galois(complex_conjugation(self.field), self)
+        return apply_galois(self.field._conjugation, self)
 
 
 QQ = MultiQuadField(())

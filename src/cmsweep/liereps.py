@@ -199,8 +199,11 @@ def commutant_rows(mats, n):
 
 def invariant_space(w: WeightModule):
     """Basis of { v : g.v = 0 for every generator }, exactly: the kernel
-    of the stacked sparse actions."""
+    of the stacked sparse actions of all but the h of each triple, which
+    kills what x and y kill since __init__ checked h = [x, y]."""
+    hs = {t[0] for t in w.triples}
     return rational_kernel([row for name in w.generator_names()
+                            if name not in hs
                             for row in w.actions[name]], w.dim)
 
 

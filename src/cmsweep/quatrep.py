@@ -20,8 +20,8 @@ from .fields import (QQ, DependentGenerators, ExactMatrix, FieldElement,
                      GaloisElement, MultiQuadField, apply_galois,
                      field_create, field_inclusion, rational_rank,
                      squarefree_split, sum_of_products)
-from .liereps import (WeightModule, commutant_rows, sl2_relations_hold,
-                      wedge2_module)
+from .liereps import (WeightModule, _vanishes as _rows_vanish,
+                      commutant_rows, sl2_relations_hold, wedge2_module)
 
 
 def _flip_generator(field: MultiQuadField, idx: int) -> GaloisElement:
@@ -641,6 +641,24 @@ class AntiWeilRep:
         names = [n for n, _ in self.RATIONAL_UNITS] + ["J"]
         return WeightModule(range(8), [(n, model[n]) for n in names], [])
 
+    @cached_property
+    def bracket_generators(self) -> WeightModule:
+        """V over Q acted on by i, j, Ji and J alone: once the model shows
+        2k = [i, j], -2Jk = [j, Ji] and -2a Jj = [k, Ji], these generate
+        the units as a Lie algebra and so have the same invariants.
+        ValueError names the first bracket that fails."""
+        m = self.rational_module.actions
+        a = self.params[2]
+        # [x, y] + c z = 0
+        for x, y, c, z, text in (("i", "j", -2, "k", "[i, j] = 2k"),
+                                 ("j", "Ji", 2, "Jk", "[j, Ji] = -2Jk"),
+                                 ("k", "Ji", 2 * a, "Jj", "[k, Ji] = -2a Jj")):
+            if not _rows_vanish([(1, m[x], m[y]), (-1, m[y], m[x]),
+                                 (c, m[z], None)]):
+                raise ValueError(f"the rational model breaks {text}")
+        return WeightModule(range(8), [(n, m[n]) for n in
+                                       ("i", "j", "Ji", "J")], [])
+
     def _unit_coefficients(self) -> ExactMatrix:
         """The 6x6 matrix, over the algebra's field, whose column u holds
         the coefficients c_ug with sum_g c_ug g the rational unit u.  The
@@ -743,22 +761,20 @@ def verify_irreducibility(rep: AntiWeilRep) -> bool:
 # ---------------------------------------------------------------------------
 
 def invariant_endomorphisms_dim(rep: AntiWeilRep) -> int:
-    """dim of { T in End(V) : [mu(l), T] = 0 for all l, [J, T] = 0 },
-    computed over Q in the rational model as 64 minus the rank of the
-    commutant system T -> m T - T m over the generators m of the rational
-    module, built from their nonzeros; no kernel basis is formed.
-    Expected 2 (the quadratic field acting)."""
-    w = rep.rational_module
+    """dim of { T in End(V) : T commutes with the rational units and J },
+    as 64 minus the rank of the commutant system T -> m T - T m over the
+    bracket generators i, j, Ji and J (256 int rows); no kernel basis is
+    formed.  Expected 2 (the quadratic field acting)."""
+    w = rep.bracket_generators
     n = w.dim
     mats = [w.actions[name] for name in w.generator_names()]
     return n * n - rational_rank(commutant_rows(mats, n))
 
 
 def invariant_wedge2_dim(rep: AntiWeilRep) -> int:
-    """dim of the wedge-square invariants under the six generators and
-    the centered quadratic action (which kills no symplectic line), as
-    dim ∧²V minus the rank of the stacked ∧² actions; expected 1, the
-    line of the symplectic form."""
-    w = wedge2_module(rep.rational_module)
+    """dim of the ∧²V invariants of the rational units and J, as 28 minus
+    the rank of the stacked ∧² actions of the bracket generators i, j, Ji
+    and J (112 rows); expected 1, the line of the symplectic form."""
+    w = wedge2_module(rep.bracket_generators)
     return w.dim - rational_rank([row for name in w.generator_names()
                                   for row in w.actions[name]])

@@ -18,7 +18,9 @@ the anti-Weil chain (mu as B * A * B^-1, the rational model through
 U^-1 M U and U^T G U, the Galois and descent identities with
 P = g(I), and the sl(2) x sl(2) relations of mu as products) that its
 column relabels, signed block sums and conjugation identities are
-checked against, and the dense form of its sparse rational model; and
+checked against, and the dense form of its sparse rational model; the
+invariant space and the anti-Weil invariant dimensions over every
+generator, which the bracket-generator ranks are checked against; and
 spec-facing functions that the
 verifier itself never calls (a saturation index, CM-type primitivity and
 induction, the subgroups of a Galois model, a cyclic Galois model, the Galois identity test and a
@@ -32,9 +34,11 @@ from cmsweep import fields
 from cmsweep.cmfields import (CMFieldModel, CMType, SubfieldModel, closure,
                               restrict_multiplicities)
 from cmsweep.fields import (QQ, ExactMatrix, FieldElement, _axpy,
-                            apply_galois, field_inclusion, sum_of_products)
+                            apply_galois, field_inclusion, rational_kernel,
+                            rational_rank, sum_of_products)
 from cmsweep.intlat import IntLattice, snf
-from cmsweep.liereps import WeightModule, sl2_relations_hold
+from cmsweep.liereps import (WeightModule, commutant_rows,
+                             sl2_relations_hold, wedge2_module)
 from cmsweep.quatrep import (GALOIS_LIE_TABLE, GENERATOR_NAMES, TRIPLE_NAMES,
                              WEIGHT_MATRICES, AntiWeilRep, _flip_generator,
                              squarefree_split)
@@ -310,6 +314,28 @@ def dual_module(w: WeightModule) -> WeightModule:
                 out[j][i] = -x
         acts.append((name, out))
     return WeightModule(w.basis_labels, acts, w.triples)
+
+
+def stacked_rows(w: WeightModule) -> list:
+    """The action rows of every generator of w, one after another."""
+    return [row for name in w.generator_names() for row in w.actions[name]]
+
+
+def invariant_space_over_all_generators(w: WeightModule):
+    """The kernel of the stacked actions of every generator, h included,
+    as invariant_space once computed it."""
+    return rational_kernel(stacked_rows(w), w.dim)
+
+
+def invariant_dims_over_all_units(rep: AntiWeilRep) -> tuple:
+    """(end_dim, wedge2_dim) of the rational model as ranks over all seven
+    generators i, j, k, Ji, Jj, Jk and J (448 and 196 rows), as
+    invariant_endomorphisms_dim and invariant_wedge2_dim once ran."""
+    w = rep.rational_module
+    mats = [w.actions[name] for name in w.generator_names()]
+    wedge = wedge2_module(w)
+    return (w.dim ** 2 - rational_rank(commutant_rows(mats, w.dim)),
+            wedge.dim - rational_rank(stacked_rows(wedge)))
 
 
 def solve_unit_coefficients(rep: AntiWeilRep):

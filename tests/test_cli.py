@@ -372,6 +372,44 @@ def test_error_record_names_type_and_frame(monkeypatch, capsys):
                     "table": "d4-cmtypes"}
 
 
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+def test_antiweil_verify_with_a_doubled_k_is_one_error_record(
+        monkeypatch, capsys, fmt):
+    """A rational model whose k is doubled breaks [i, j] = 2k: the
+    section is one ERROR record naming ValueError and the line that
+    raised it."""
+    from cmsweep import quatrep
+    build = quatrep.AntiWeilRep._build_rational_model
+
+    def doubled_k(self):
+        model = build(self)
+        model["k"] = [{c: 2 * x for c, x in row.items()}
+                      for row in model["k"]]
+        return model
+
+    monkeypatch.setattr(quatrep.AntiWeilRep, "_build_rational_model",
+                        doubled_k)
+    lines, start = inspect.getsourcelines(
+        quatrep.AntiWeilRep.bracket_generators.func)
+    line = start + next(i for i, text in enumerate(lines)
+                        if "raise ValueError" in text)
+    message = "the rational model breaks [i, j] = 2k"
+    assert main(["antiweil-verify", "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    if fmt == "json":
+        (case,) = json.loads(out)["sections"][0]["cases"]
+        assert case == {"case_id": "antiweil-verify:error",
+                        "verdict": "ERROR",
+                        "certificate": {"message": message,
+                                        "type": "ValueError",
+                                        "where": f"quatrep.py:{line}"},
+                        "table": "antiweil-verify"}
+    else:
+        rows = [text for text in out.splitlines() if "ERROR" in text]
+        assert rows == [f"| antiweil-verify:error | ERROR ValueError: "
+                        f"{message} (quatrep.py:{line}) |"]
+
+
 def test_antiweil_verify_builds_the_extended_algebra_once(monkeypatch,
                                                          capsys):
     from cmsweep import quatrep

@@ -80,6 +80,19 @@ def elements(draw, field=F3):
     return FieldElement(field, coords)
 
 
+CONJ_FIELDS = (F2, F, F3, field_create([-1, -2, -3]), field_create([-5, 7]))
+
+
+@given(st.sampled_from(CONJ_FIELDS).flatmap(elements))
+@settings(max_examples=100, deadline=None)
+def test_conj_is_complex_conjugation(x):
+    """conj applies the field's complex conjugation, built once per field
+    and then reused."""
+    assert x.conj() == apply_galois(complex_conjugation(x.field), x)
+    assert x.field._conjugation is x.field._conjugation
+    assert x.field._conjugation == complex_conjugation(x.field)
+
+
 @given(elements(), elements(), elements())
 @settings(max_examples=150, deadline=None)
 def test_ring_axioms(a, b, c):

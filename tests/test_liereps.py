@@ -18,7 +18,8 @@ from cmsweep.liereps import (WeightModule, _vanishes,
                              sl2_relations_hold, sl4_basis, sp4_basis,
                              sp4_standard_module, tensor_module,
                              wedge2_module, weyl_dim)
-from helpers import (dense_rows, dual_module, matrix_rank,
+from helpers import (dense_rows, dual_module,
+                     invariant_space_over_all_generators, matrix_rank,
                      weil_layer_identity)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -152,6 +153,47 @@ def test_weil_layer_identity_all_divisor_chains():
 def test_weil_layer_identity_rejects_bad_input():
     with pytest.raises(AssertionError):
         weil_layer_identity(3, 2, 8)
+
+
+def _rep_classify_modules():
+    """The three modules whose invariants rep-classify records."""
+    module = {entry["algebra_type"]: entry["weight_module"]
+              for entry in classify_dim4_faithful()}
+    return [wedge2_module(module["A1"]),
+            tensor_module(module["A1xA1"], module["A1xA1"]),
+            wedge2_module(module["B2"])]
+
+
+def test_invariant_space_of_rep_classify_matches_all_generators():
+    for w in _rep_classify_modules():
+        assert invariant_space(w) == invariant_space_over_all_generators(w)
+
+
+@st.composite
+def sl2_products(draw):
+    """Tensor, wedge and external products of sl2_irrep(m), m <= 3, one
+    or two levels deep."""
+    irrep = st.integers(0, 3).map(sl2_irrep)
+    kind = draw(st.sampled_from(["tensor", "wedge", "external",
+                                 "wedge-external", "tensor-wedge"]))
+    a, b = draw(irrep), draw(irrep)
+    if kind == "tensor":
+        return tensor_module(a, b)
+    if kind == "wedge":
+        return wedge2_module(a)
+    if kind == "external":
+        return external_product(a, b)
+    if kind == "wedge-external":
+        return wedge2_module(external_product(sl2_irrep(1), b))
+    return tensor_module(wedge2_module(a), wedge2_module(b))
+
+
+@given(sl2_products())
+@settings(max_examples=40, deadline=None)
+def test_invariant_space_skipping_h_matches_all_generators(w):
+    """Leaving out the h of each triple, which is [x, y], keeps the
+    kernel and so its basis."""
+    assert invariant_space(w) == invariant_space_over_all_generators(w)
 
 
 def test_invariant_space_of_zero_actions_is_everything():

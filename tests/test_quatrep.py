@@ -2,8 +2,10 @@
 representation: bracket tables, Galois equivariance, symplectic form,
 irreducibility, and rational descent."""
 
+import importlib.util
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -35,6 +37,7 @@ from helpers import (DenseQuaternionAlgebra, brackets_by_products,
                      dense_model, descent_basis,
                      descent_by_combinations, dual_module,
                      equivariance_by_combinations, identity_matrix,
+                     invariant_dims_over_all_units,
                      matrix_rank, mu_by_products, pairwise_quaternion_mul,
                      rational_model_by_products, solve_galois_lie_table,
                      solve_unit_coefficients)
@@ -228,6 +231,69 @@ def test_invariant_dims_build_no_kernel_basis(rep, monkeypatch):
     monkeypatch.setattr(liereps, "rational_kernel", refuse)
     assert invariant_endomorphisms_dim(rep) == 2
     assert invariant_wedge2_dim(rep) == 1
+
+
+def test_bracket_generator_dims_match_all_units_on_grid_triples():
+    """On seeded triples (D', D, a), the ranks over i, j, Ji and J equal
+    the ranks over all seven generators."""
+    rng = random.Random(3207)
+    for _ in range(10):
+        r = build_antiweil_rep(*rng.sample(NEG_SQUAREFREE, 3))
+        assert r.bracket_generators.generator_names() == ("i", "j", "Ji", "J")
+        assert (invariant_endomorphisms_dim(r), invariant_wedge2_dim(r)) \
+            == invariant_dims_over_all_units(r) == (2, 1), r.params
+
+
+def test_bracket_generator_systems_have_256_and_112_rows(monkeypatch):
+    sizes = []
+    rank = quatrep.rational_rank
+
+    def counting(rows):
+        sizes.append(len(rows))
+        return rank(rows)
+    monkeypatch.setattr(quatrep, "rational_rank", counting)
+    rep = build_antiweil_rep(-1, -2, -3)
+    assert invariant_endomorphisms_dim(rep) == 2
+    assert invariant_wedge2_dim(rep) == 1
+    assert sizes == [256, 112]
+
+
+# each doubled unit breaks the first bracket that reads it
+DOUBLED_UNIT_BREAKS = {"k": "[i, j] = 2k", "Jk": "[j, Ji] = -2Jk",
+                       "Jj": "[k, Ji] = -2a Jj"}
+
+
+@pytest.mark.parametrize("unit", DOUBLED_UNIT_BREAKS)
+def test_doubled_unit_fails_both_dims_naming_the_bracket(unit):
+    rep = build_antiweil_rep(-1, -2, -3)
+    rep._model[unit] = [{c: 2 * x for c, x in row.items()}
+                        for row in rep._model[unit]]
+    message = re.escape(DOUBLED_UNIT_BREAKS[unit])
+    for dim in (invariant_endomorphisms_dim, invariant_wedge2_dim):
+        with pytest.raises(ValueError, match=message):
+            dim(rep)
+
+
+def test_doubled_units_fail_both_dims_under_optimize_flag():
+    code = ("from cmsweep import quatrep\n"
+            "for unit in ('k', 'Jk', 'Jj'):\n"
+            "    rep = quatrep.build_antiweil_rep(-1, -2, -3)\n"
+            "    rep._model[unit] = [{c: 2 * x for c, x in row.items()}\n"
+            "                        for row in rep._model[unit]]\n"
+            "    for dim in (quatrep.invariant_endomorphisms_dim,\n"
+            "                quatrep.invariant_wedge2_dim):\n"
+            "        try:\n"
+            "            dim(rep)\n"
+            "        except ValueError as exc:\n"
+            "            print('refused:', exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve()
+                                          .parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "".join(
+        f"refused: the rational model breaks {text}\n" * 2
+        for text in DOUBLED_UNIT_BREAKS.values())
 
 
 # -- the unit table and its associativity proof -----------------------------
@@ -1089,3 +1155,28 @@ def test_antiweil_walkthrough_demo_runs():
     lines = run.stdout.splitlines()
     assert any("irreducibility" in line for line in lines)
     assert not [line for line in lines if "False" in line]
+
+
+def _grid_demo():
+    path = Path(__file__).resolve().parents[1] / "demos" / "antiweil_grid.py"
+    spec = importlib.util.spec_from_file_location("antiweil_grid", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    return demo
+
+
+def test_antiweil_grid_demo_counts_triples_and_names_failing_checks(
+        monkeypatch, capsys):
+    demo = _grid_demo()
+    assert demo.NEG_SQUAREFREE == NEG_SQUAREFREE
+    assert demo.main(["--limit", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("2 triples, 0 failing, ")
+    monkeypatch.setattr(quatrep, "invariant_wedge2_dim", lambda rep: 0)
+    monkeypatch.setattr(quatrep, "verify_symplectic",
+                        lambda rep: 1 / 0)
+    assert demo.main(["--limit", "1"]) == 1
+    first = demo.NEG_SQUAREFREE[:3]
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"{first}: symplectic (ZeroDivisionError: division by zero), "
+        "wedge2-dim")
