@@ -2,7 +2,7 @@
 """Send every ordered triple (D', D, a) of distinct negative square-free
 integers with |d| <= 30 (5 814 of them) through the nine anti-Weil checks,
 print each failing triple with its failing check, then the number of
-triples and the mean time per triple.
+triples, the mean time per triple and the mean time of each check.
 
 Run:  python3 demos/antiweil_grid.py [--limit N]
 """
@@ -60,23 +60,29 @@ def main(argv=None):
     args = parser.parse_args(argv)
     triples = list(permutations(NEG_SQUAREFREE, 3))[:args.limit]
     failing = 0
+    spent = {}
     start = time.perf_counter()
     for triple in triples:
         bad = []
         for name, check in checks(triple):
+            began = time.perf_counter()
             try:
-                ok = check() is True
+                ok, error = check() is True, ""
             except Exception as exc:  # a raised check is a failed check
-                ok = False
-                name = f"{name} ({type(exc).__name__}: {exc})"
+                ok, error = False, f" ({type(exc).__name__}: {exc})"
+            spent[name] = spent.get(name, 0) + time.perf_counter() - began
             if not ok:
-                bad.append(name)
+                bad.append(name + error)
         if bad:
             failing += 1
             print(f"{triple}: {', '.join(bad)}")
     elapsed = time.perf_counter() - start
+    count = max(len(triples), 1)
+    split = ", ".join(f"{name} {1000 * seconds / count:.3f}"
+                      for name, seconds in spent.items())
     print(f"{len(triples)} triples, {failing} failing, "
-          f"{1000 * elapsed / max(len(triples), 1):.2f} ms per triple")
+          f"{1000 * elapsed / count:.2f} ms per triple (ms per check: "
+          f"{split})")
     return 1 if failing else 0
 
 

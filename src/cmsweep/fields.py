@@ -126,6 +126,21 @@ class MultiQuadField:
         """complex_conjugation(self), built once, on first use."""
         return complex_conjugation(self)
 
+    @cached_property
+    def _roots_of_unity(self) -> tuple:
+        """The pairs of roots_of_unity(self), built once, on first use."""
+        units = _unit_monomials(self)
+        out = [(_on_units(self, [(m, s, c, 1)]),
+                4 if d == -1 else 1 if c == 1 else 2)
+               for m, s, d in units if d in (1, -1) for c in (1, -1)]
+        for (m1, s1, d1), (m2, s2, d2) in combinations(units, 2):
+            if {d1, d2} in ({1, -3}, {2, -2}):
+                for c1, c2 in product((1, -1), repeat=2):
+                    out.append((_on_units(self, [(m1, s1, c1, 2),
+                                                 (m2, s2, c2, 2)]),
+                                8 if d1 != 1 else 6 if c1 == 1 else 3))
+        return tuple(out)
+
 
 def field_create(gens) -> MultiQuadField:
     gens = tuple(int(g) for g in gens)
@@ -172,6 +187,20 @@ def complex_conjugation(field: MultiQuadField) -> GaloisElement:
 def apply_galois(g: GaloisElement, e: "FieldElement") -> "FieldElement":
     signs = g._mask_signs
     return _new(e.field, {m: signs[m] * x for m, x in e.nums.items()}, e.den)
+
+
+def is_galois_image(g: GaloisElement, x: "FieldElement",
+                    y: "FieldElement", sign=1) -> bool:
+    """Whether sign * y == g(x) for sign = ±1, on the canonical numerators
+    under g's mask signs over one denominator: no element is built."""
+    if (x.den != y.den or len(x.nums) != len(y.nums)
+            or (x.field is not y.field and x.field != y.field)):
+        return False
+    signs, b = g._mask_signs, y.nums
+    for m, u in x.nums.items():
+        if signs[m] * u != sign * b.get(m, 0):
+            return False
+    return True
 
 
 def field_inclusion(small: MultiQuadField, big: MultiQuadField):
@@ -866,18 +895,9 @@ def roots_of_unity(field: MultiQuadField):
     """The roots of unity of order dividing 8 or 6 in the field, as
     (zeta, order) pairs in the order of _eigenvalue_candidates: 1, -1,
     then ±i, (±sqrt(2) ± sqrt(-2))/2 and (±1 ± sqrt(-3))/2 where the
-    field holds the units they need.  At most twelve."""
-    units = _unit_monomials(field)
-    out = [(_on_units(field, [(m, s, c, 1)]),
-            4 if d == -1 else 1 if c == 1 else 2)
-           for m, s, d in units if d in (1, -1) for c in (1, -1)]
-    for (m1, s1, d1), (m2, s2, d2) in combinations(units, 2):
-        if {d1, d2} in ({1, -3}, {2, -2}):
-            for c1, c2 in product((1, -1), repeat=2):
-                out.append((_on_units(field, [(m1, s1, c1, 2),
-                                              (m2, s2, c2, 2)]),
-                            8 if d1 != 1 else 6 if c1 == 1 else 3))
-    return out
+    field holds the units they need.  At most twelve.  They are built
+    once per field object; each call returns its own list."""
+    return list(field._roots_of_unity)
 
 
 def eigen_decompose(m: ExactMatrix):

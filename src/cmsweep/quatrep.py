@@ -18,8 +18,8 @@ from itertools import product as iproduct
 
 from .fields import (QQ, DependentGenerators, ExactMatrix, FieldElement,
                      GaloisElement, MultiQuadField, apply_galois,
-                     field_create, field_inclusion, rational_rank,
-                     squarefree_split, sum_of_products)
+                     field_create, field_inclusion, is_galois_image,
+                     rational_rank, squarefree_split, sum_of_products)
 from .liereps import (WeightModule, _vanishes as _rows_vanish,
                       commutant_rows, sl2_relations_hold, wedge2_module)
 
@@ -339,6 +339,24 @@ def weight_table_relations() -> bool:
     return _WEIGHT_RELATIONS["ok"]
 
 
+# The int pattern G_0 of the symplectic Gram matrix in the v/w basis,
+# G_vw = -sqrt(D') G_0, as {col: ±1} rows: v_l pairs with w_-l, by +1 for
+# l = (1,1) and (-1,-1) and by -1 for l = (1,-1) and (-1,1); G_0 is
+# antisymmetric.
+GRAM_PATTERN = ({5: 1}, {4: 1}, {7: -1}, {6: -1},
+                {1: -1}, {0: -1}, {3: 1}, {2: 1})
+
+
+def _keeps_gram_pattern(A) -> bool:
+    """Whether A^T G_0 + G_0 A = 0 for the int rows A of a weight-table
+    matrix; it does not depend on (D', D, a)."""
+    At = [{} for _ in range(8)]
+    for t, row in enumerate(A):
+        for c, x in row.items():
+            At[c][t] = x
+    return _rows_vanish([(1, At, GRAM_PATTERN), (1, GRAM_PATTERN, A)])
+
+
 # Galois action on the v-basis of V_sigma; w entries follow by
 # commutativity (g . w = g . g2 . v = g2 . (g . v))
 GALOIS_EIGEN_TABLE = {
@@ -435,19 +453,12 @@ class AntiWeilRep:
         # and -sDp on V_sigma-bar
         self.J = _split_scalar(F, self.sDp)
 
-        # symplectic Gram matrix in the v/w basis, then in f-coordinates:
-        # B^-T G B^-1 at (i, j) is the sum over the nonzeros G[r][s] of
-        # B^-1[r][i] G[r][s] B^-1[s][j], one sum of products with the
-        # entry G[r][s] as the constant of each term
-        M = -self.sDp
-        G = [{} for _ in range(8)]
-        pairs = {("1,1", "-1,-1"): M, ("-1,-1", "1,1"): M,
-                 ("-1,1", "1,-1"): -M, ("1,-1", "-1,1"): -M}
-        for (lv, lw), val in pairs.items():
-            r = WEIGHT_LABELS.index(lv)
-            c = 4 + WEIGHT_LABELS.index(lw)
-            G[r][c] = val
-            G[c][r] = -val
+        # symplectic Gram matrix in the v/w basis, -sqrt(D') G_0, then in
+        # f-coordinates: B^-T G B^-1 at (i, j) is the sum over the nonzeros
+        # G[r][s] of B^-1[r][i] G[r][s] B^-1[s][j], one sum of products
+        # with the entry G[r][s] as the constant of each term
+        value = {1: -self.sDp, -1: self.sDp}
+        G = [{c: value[x] for c, x in row.items()} for row in GRAM_PATTERN]
         self.gram_vw = ExactMatrix.from_rows(F, G, 8)
         inv = self.B_inv.nonzero
         self.gram = ExactMatrix.from_rows(F, _split(sum_of_products(F, (
@@ -477,30 +488,48 @@ class AntiWeilRep:
             out = out.take_rows([4, 5, 6, 7, 0, 1, 2, 3])
         return out
 
-    def _times_p(self, tag, rows):
-        """The rows of m P for the rows of m and P = g(I): when g flips
-        sqrt(D'), P is the involution swapping the f and f-bar coordinates
-        and moves column t of m to t ^ 4; otherwise P = I."""
-        if self.galois[tag].signs[self._gen_index["g2"]] == -1:
-            return [{t ^ 4: x for t, x in row.items()} for row in rows]
-        return rows
+    def _galois_mismatches(self, tag, X, Y, sign=1) -> set:
+        """The columns t at which P g(X) P and sign Y differ, for the rows
+        X and Y of two 8x8 matrices and P = g(I), the involution t -> t ^ 4
+        when g flips sqrt(D') and I otherwise: entry (r, t) of P g(X) P is
+        g(X[r ^ s][t ^ s]) with s = 4 or 0, compared with sign Y[r][t] by
+        is_galois_image on the numerators, so no image is built."""
+        g = self.galois[tag]
+        s = 4 if g.signs[self._gen_index["g2"]] == -1 else 0
+        bad = set()
+        for r, row in enumerate(Y):
+            xrow = X[r ^ s]
+            matched = 0
+            for t, y in row.items():
+                x = xrow.get(t ^ s)
+                if x is None or not is_galois_image(g, x, y, sign):
+                    bad.add(t)
+                matched += x is not None
+            if matched != len(xrow):
+                bad.update(t ^ s for t in xrow if t ^ s not in row)
+        return bad
+
+    @cached_property
+    def _weight_actions(self) -> dict:
+        """{l: A_l} for each generator l with mu_l B = B A_l, A_l its
+        weight-table matrix, one combination each, from mu and B as they
+        are at first use.  B is invertible (B_inv = B^-1 was built from
+        it), so mu_l = B A_l B^-1 for each l it holds."""
+        F = self.field
+        return {n: A for n in GENERATOR_NAMES
+                for A in (WEIGHT_MATRICES[n],)
+                if _vanishes([(1, self.mu[n], self.B),
+                              (-1, self.B, ExactMatrix.from_rows(F, A, 8))])}
 
     # -- verification -------------------------------------------------------
 
     def verify_matrix_brackets(self) -> bool:
-        """The 8x8 matrices satisfy the sl(2) x sl(2) relations.  B is
-        invertible (B_inv was built from it), so mu_l B = B A_l for the
-        weight-table matrix A_l of each generator l says mu_l = B A_l B^-1,
-        and every relation R then reads R(mu) = B R(A) B^-1 = 0, as R(A) = 0
-        holds by weight_table_relations: one combination mu_l B - B A_l
-        per generator."""
-        if not weight_table_relations():
-            return False
-        F = self.field
-        return all(_vanishes([
-            (1, self.mu[n], self.B),
-            (-1, self.B, ExactMatrix.from_rows(F, WEIGHT_MATRICES[n], 8))])
-            for n in GENERATOR_NAMES)
+        """The 8x8 matrices satisfy the sl(2) x sl(2) relations: once
+        mu_l B = B A_l holds for every generator l (_weight_actions, read
+        once per rep), mu_l = B A_l B^-1, and every relation R reads R(mu)
+        = B R(A) B^-1 = 0, as R(A) = 0 holds by weight_table_relations."""
+        return weight_table_relations() and \
+            len(self._weight_actions) == len(GENERATOR_NAMES)
 
     def regenerate_galois_lie_table(self):
         """Recompute the Galois action on the six generators from the
@@ -527,23 +556,18 @@ class AntiWeilRep:
     def verify_galois_equivariance(self):
         """g^{-1} mu(l) (g v) = mu(g^{-1} l) v for the three Galois
         generators, six Lie generators and eight basis vectors, as the 18
-        matrix identities g(mu(l) P) = mu(g^{-1} l) with P = g(I).  P is
-        rational, so g(mu(l) P) is g(mu(l)) P: g(mu(l)) with its columns
-        relabelled by P's involution, whose rows must equal those of
-        sign mu(l').  failures lists (tag, name, t) for each column t
-        where they do not."""
+        matrix identities g(mu(l) P) = sign mu(l') with P = g(I), g acting
+        on the columns (galois_act).  P is a rational involution, so
+        g(mu(l) P) is P g(mu(l)) P, compared row by row with sign mu(l')
+        by _galois_mismatches.  failures lists (tag, name, t) for each
+        column t where they differ."""
         failures = []
         for tag in self.galois:
             for name in GENERATOR_NAMES:
                 sign, target = GALOIS_LIE_TABLE[tag][name]
-                rhs = self.mu[target].nonzero
-                if sign < 0:
-                    rhs = [{t: -x for t, x in row.items()} for row in rhs]
-                lhs = self._times_p(
-                    tag, self.galois_act(tag, self.mu[name]).nonzero)
                 failures += [(tag, name, t) for t in sorted(
-                    {t for a, b in zip(lhs, rhs) if a != b
-                     for t in a.keys() | b.keys() if a.get(t) != b.get(t)})]
+                    self._galois_mismatches(tag, self.mu[name].nonzero,
+                                            self.mu[target].nonzero, sign))]
         return (not failures), failures
 
     def phi(self, u, v):
@@ -552,6 +576,13 @@ class AntiWeilRep:
         return sum_of_products(F, terms).get(0, F.zero())
 
     def verify_symplectic(self):
+        """The checks of the Gram matrix G in f-coordinates, as (all
+        pass, {name: flag}).  Infinitesimal invariance is read off the
+        weight table for each generator l whose premises hold: mu_l B =
+        B A_l (_weight_actions, from mu and B read once per rep), G B =
+        B^-T G_vw (one combination, on G as it is at the call) and B_inv
+        = B^-1 (as built); any other l gets the combination mu_l^T G +
+        G mu_l.  Either way the flag is that of the identity itself."""
         F = self.field
         checks = {}
         # antisymmetry and nondegeneracy
@@ -560,15 +591,20 @@ class AntiWeilRep:
                                              (1, G, None)])
         checks["nondegenerate"] = not G.det().is_zero()
         # (i) Galois descent: phi(g u, g v) = g(phi(u, v)) on all pairs of
-        # basis vectors is P^T G P = g(G) with P = g(I).  P permutes the
-        # coordinates, so P P^T = I, and the identity is G P = P g(G),
-        # where P g(G) is the action of g on the columns of G and G P is G
-        # with its columns relabelled by P's involution
-        checks["descent"] = all(
-            self._times_p(tag, G.nonzero) == self.galois_act(tag, G).nonzero
+        # basis vectors is P^T G P = g(G) with P = g(I).  P is a rational
+        # involution, so the identity is P g(G) P = G, compared row by row
+        checks["descent"] = not any(
+            self._galois_mismatches(tag, G.nonzero, G.nonzero)
             for tag in self.galois)
-        # (ii) infinitesimal invariance: mu^T G + G mu = 0
+        # (ii) infinitesimal invariance: under the premises, with G_vw = M
+        # G_0 for M = -sqrt(D') != 0, mu_l^T G + G mu_l is M B^-T (A_l^T G_0
+        # + G_0 A_l) B^-1; the Gram identity is G B + sqrt(D') B^-T G_0 = 0
+        pattern = ExactMatrix.from_rows(F, GRAM_PATTERN, 8)
+        acts = self._weight_actions if _vanishes([
+            (1, G, self.B), (self.sDp, self.B_inv.transpose(), pattern)]) \
+            else {}
         checks["infinitesimal"] = all(
+            _keeps_gram_pattern(acts[n]) if n in acts else
             _vanishes([(1, self.mu[n].transpose(), G), (1, G, self.mu[n])])
             for n in GENERATOR_NAMES)
         # (iii) adjointness of the quadratic generator: phi(Jv, w) =

@@ -300,3 +300,21 @@ def test_roots_of_unity_are_the_candidates_of_order_dividing_8_or_6(gens):
         held = (len(_sympy_linear_roots(t ** 8 - 1, t, gens))
                 + len(_sympy_linear_roots(t ** 6 - 1, t, gens)) - 2)
         assert len(got) == held
+
+
+def test_roots_of_unity_are_built_once_per_field_object(monkeypatch):
+    """Repeated calls on one field object build the roots once and hand
+    out equal lists of their own; a new field object builds them anew."""
+    from cmsweep import fields
+    calls = []
+    real = fields._unit_monomials
+    monkeypatch.setattr(fields, "_unit_monomials",
+                        lambda f: calls.append(f) or real(f))
+    field = field_create([-1, 2])
+    first = roots_of_unity(field)
+    second = roots_of_unity(field)
+    assert first == second and first is not second and len(first) == 8
+    first.clear()
+    assert roots_of_unity(field) == second and len(calls) == 1
+    assert roots_of_unity(field_create([-1, 2])) == second
+    assert len(calls) == 2

@@ -899,6 +899,67 @@ def test_field_inclusion_matches_coords_route(small_gens, big_gens):
         assert lift(small.monomial([i])) * lift(small.monomial([i])) == d
 
 
+# -- the Galois comparison on numerators ---------------------------------------
+
+# the negative square-free integers with |d| <= 30: three distinct ones
+# generate a degree-8 field, as in the antiweil grid
+NEG_SQUAREFREE = tuple(-n for n in range(1, 31)
+                       if all(n % (d * d) for d in range(2, 6)))
+
+
+@st.composite
+def galois_pairs(draw):
+    """An element x of the field of a grid triple and a y that is zero,
+    an unrelated element, ±h(x) for a Galois element h, or ±h(x) times
+    1/q, whose denominator differs from x's."""
+    triple = draw(st.lists(st.sampled_from(NEG_SQUAREFREE), min_size=3,
+                           max_size=3, unique=True))
+    F = field_create(triple)
+    x = FieldElement(F, draw(coord_dicts(F)))
+    kind = draw(st.sampled_from(["zero", "other", "image", "rescaled"]))
+    if kind == "zero":
+        return x, F.zero()
+    if kind == "other":
+        return x, FieldElement(F, draw(coord_dicts(F)))
+    y = apply_galois(draw(st.sampled_from(F.galois_group())), x)
+    if draw(st.booleans()):
+        y = -y
+    if kind == "rescaled":
+        y = y * Fraction(1, draw(st.integers(2, 6)))
+    return x, y
+
+
+@given(galois_pairs())
+@settings(max_examples=150, deadline=None)
+def test_galois_comparison_matches_apply_galois(pair):
+    """is_galois_image(g, x, y, sign) decides apply_galois(g, x) == sign *
+    y for every Galois element of the field and both signs, and for the
+    zero on either side."""
+    x, y = pair
+    zero = x.field.zero()
+    for g in x.field.galois_group():
+        for sign in (1, -1):
+            for a, b in ((x, y), (y, x), (zero, y), (x, zero)):
+                assert fields.is_galois_image(g, a, b, sign) == \
+                    (apply_galois(g, a) == sign * b)
+
+
+def test_galois_comparison_reads_the_denominator():
+    """Equal numerators over unequal denominators differ, and x is
+    compared with its images under the four signs of one field."""
+    F = field_create([-1, -2])
+    x = FieldElement(F, {frozenset(): Fraction(1, 2),
+                         frozenset([0]): Fraction(3, 2)})
+    y = FieldElement(F, {frozenset(): Fraction(1, 3),
+                         frozenset([0]): Fraction(3, 3)})
+    assert x.nums == {0: 1, 1: 3} and y.nums == {0: 1, 1: 3}
+    for g in F.galois_group():
+        assert not fields.is_galois_image(g, x, y)
+        assert fields.is_galois_image(g, x, apply_galois(g, x))
+        assert fields.is_galois_image(g, x, -apply_galois(g, x), -1)
+        assert fields.is_galois_image(g, x, x) == (g.signs[0] == 1)
+
+
 def test_commutant_rows_collapse_to_distinct_lines():
     """The commutant system of the fixture's rational generators is the
     stacked End(V) = V ⊗ V* action row for row: 448 rows, 352 of them

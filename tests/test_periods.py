@@ -1,11 +1,13 @@
 """Formal period exponent bookkeeping: a monomial b^e0 (2 pi i)^e1 is
 its exponent pair (e0, e1)."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from cmsweep.cli import main
 from cmsweep.periods import (gross_matrix, trdeg_lower_bound,
                              twisted_membership)
 
@@ -92,3 +94,18 @@ def test_input_checks_survive_optimize_flag():
         "refused: need 0 <= p <= n, not p = 3, n = 1",
         "refused: need 0 <= p <= n, not p = -1, n = 2",
     ]
+
+
+def test_gross_periods_verdict_table(capsys):
+    """`gross-periods -p P -n N` over 0 <= p <= n <= 12: TRDEG>=2, except
+    TRDEG>=1 at p = n/2 for even n with 2 <= n <= 12 and TRDEG>=0 at
+    (0, 0)."""
+    for n in range(13):
+        for p in range(n + 1):
+            assert main(["gross-periods", "-p", str(p), "-n", str(n),
+                         "--format", "json"]) == 0
+            (case,) = json.loads(
+                capsys.readouterr().out)["sections"][0]["cases"]
+            want = 0 if n == 0 else 1 if 2 * p == n else 2
+            assert (case["case_id"], case["verdict"]) == \
+                (f"gross({p},{n})", f"TRDEG>={want}")

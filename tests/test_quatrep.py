@@ -760,6 +760,51 @@ def test_symplectic_checks_match_product_reference(name):
         assert not ok and not checks[broken]
 
 
+# perturbations that keep every symplectic identity but break a premise of
+# the weight-table route: G B = B^-T G_vw (G doubled) or mu_x1 B = B A_x1
+# (mu_x1 doubled); the number of generators decided by the int identity
+PREMISE_PERTURBATIONS = {
+    "gram": (lambda rep: setattr(rep, "gram", rep.gram.scale(2)), 0),
+    "mu": (lambda rep: rep.mu.update(x1=rep.mu["x1"].scale(2)), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREMISE_PERTURBATIONS))
+def test_broken_premise_falls_back_to_the_combination(name, monkeypatch):
+    """Where a premise fails, infinitesimal invariance is the combination
+    mu_l^T G + G mu_l, and every flag equals the product reference: the
+    doubled G or mu_x1 is still invariant, while the brackets fail for
+    the doubled mu_x1."""
+    calls = Counter()
+    monkeypatch.setattr(quatrep, "_keeps_gram_pattern", _counting(
+        calls, "int", quatrep._keeps_gram_pattern))
+    rep = build_antiweil_rep(-1, -2, -3)
+    perturb, by_table = PREMISE_PERTURBATIONS[name]
+    perturb(rep)
+    ok, checks = rep.verify_symplectic()
+    want = _symplectic_by_products(rep)
+    assert {k: checks[k] for k in want} == want
+    assert checks["infinitesimal"] and want["infinitesimal"]
+    assert calls["int"] == by_table
+    assert rep.verify_matrix_brackets() == (name != "mu")
+    assert brackets_by_products(rep) == (name != "mu")
+
+
+def test_flipped_weight_table_decides_invariance_like_products(
+        monkeypatch):
+    """A rep built from a weight table with a flipped sign keeps every
+    premise, mu_l = B A_l B^-1 for the flipped A_l, and the int identity
+    then decides infinitesimal invariance as the products do."""
+    monkeypatch.setattr(quatrep, "WEIGHT_MATRICES",
+                        _flipped_weight_matrices())
+    rep = build_antiweil_rep(-1, -2, -3)
+    assert len(rep._weight_actions) == len(GENERATOR_NAMES)
+    want = _symplectic_by_products(rep)["infinitesimal"]
+    assert rep.verify_symplectic()[1]["infinitesimal"] == want
+    assert not want
+    assert not quatrep._keeps_gram_pattern(quatrep.WEIGHT_MATRICES["x1"])
+
+
 def test_passing_identities_build_no_matrix_side(rep, monkeypatch):
     """The bracket, symplectic and Galois identities of a passing rep are
     evaluated as combinations: no ExactMatrix product of two matrices,
@@ -895,6 +940,34 @@ def _flipped_weight_matrices():
     return table
 
 
+def _sampled_triples(seed, count):
+    """count distinct triples of distinct values of NEG_SQUAREFREE."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        triple = tuple(rng.sample(NEG_SQUAREFREE, 3))
+        if triple not in out:
+            out.append(triple)
+    return out
+
+
+@pytest.mark.parametrize("triple", _sampled_triples(3305, 20))
+def test_nine_antiweil_checks_pass_on_grid_triples(triple):
+    """The nine checks of the anti-Weil grid on seeded triples (D', D,
+    a): the build, the brackets, Galois equivariance, the symplectic
+    checks, irreducibility, the Galois Lie table, the explicit triples'
+    brackets and the two invariant counts."""
+    _, D, a = triple
+    rep = build_antiweil_rep(*triple)
+    assert rep.verify_matrix_brackets()
+    assert rep.verify_galois_equivariance() == (True, [])
+    assert rep.verify_symplectic()[0]
+    assert rep.verify_irreducibility()
+    assert rep.regenerate_galois_lie_table() == GALOIS_LIE_TABLE
+    assert verify_e_a1_brackets(*e_a1_triples(D, a))
+    assert invariant_endomorphisms_dim(rep) == 2
+    assert invariant_wedge2_dim(rep) == 1
+
+
 def test_weight_table_relations_run_once(monkeypatch):
     calls = Counter()
     monkeypatch.setattr(quatrep, "_WEIGHT_RELATIONS", {})
@@ -958,7 +1031,9 @@ def test_structured_factors_build_no_generic_product(monkeypatch):
     """On (-1, -2, -3) the build makes 6 matrix products (the six mu; the
     Gram matrix is one sum of products) and inverts B; the Galois check
     makes no product or combination, the bracket check 6 combinations,
-    the symplectic check 8, and the rational model one product and one
+    the symplectic check 3 (antisymmetry, the Gram identity G B =
+    B^-T G_vw and J's adjointness: the six mu_l B = B A_l are read from
+    the bracket check), and the rational model one product and one
     inverse (the unit coefficients')."""
     calls = Counter()
     mul = ExactMatrix.__mul__
@@ -977,7 +1052,7 @@ def test_structured_factors_build_no_generic_product(monkeypatch):
     assert calls == {"product": 6, "inverse": 1}
     for run, want in ((rep.verify_galois_equivariance, {}),
                       (rep.verify_matrix_brackets, {"combination": 6}),
-                      (rep.verify_symplectic, {"combination": 8}),
+                      (rep.verify_symplectic, {"combination": 3}),
                       (rep.rational_model, {"product": 1, "inverse": 1})):
         calls.clear()
         run()
