@@ -53,9 +53,17 @@ def checks(triple):
     )
 
 
+def positive(text):
+    """The --limit count, an int of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 triple, not {n}")
+    return n
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--limit", type=int, default=None,
+    parser.add_argument("--limit", type=positive, default=None,
                         help="run only the first N triples")
     args = parser.parse_args(argv)
     triples = list(permutations(NEG_SQUAREFREE, 3))[:args.limit]
@@ -77,7 +85,7 @@ def main(argv=None):
             failing += 1
             print(f"{triple}: {', '.join(bad)}")
     elapsed = time.perf_counter() - start
-    count = max(len(triples), 1)
+    count = len(triples)
     split = ", ".join(f"{name} {1000 * seconds / count:.3f}"
                       for name, seconds in spent.items())
     print(f"{len(triples)} triples, {failing} failing, "

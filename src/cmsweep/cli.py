@@ -212,7 +212,7 @@ def _error_certificate(exc):
 # ---------------------------------------------------------------------------
 
 def _fixture_file(args, sub):
-    if args.fixtures:
+    if args.fixtures is not None:
         return Path(args.fixtures) / f"{sub}.json"
     return Path(__file__).parent / "fixtures" / f"{sub}.json"
 
@@ -278,19 +278,31 @@ def _first_difference(want, got, path=""):
     return None if want == got else path
 
 
+def _read_fixture(path):
+    """The records of the fixture at path, a JSON list of records with str
+    case_ids: FileNotFoundError when there is none, and OSError,
+    ValueError, TypeError or KeyError when it cannot be read as one."""
+    golden = json.loads(path.read_text())
+    if not isinstance(golden, list):
+        raise TypeError(f"a {type(golden).__name__}, not a JSON list")
+    for c in golden:
+        if not isinstance(c["case_id"], str):
+            raise TypeError(f"case_id {c['case_id']!r} is not a str")
+    return golden
+
+
 def compare_with_fixture(args, sub, cases):
     """Returns (passed, failed, note).  A case passes when its case_id is
     unique on both sides and its record equals the fixture's; the note
     names every other case and is empty when all pass."""
-    path = _fixture_file(args, sub)
     try:
-        golden = json.loads(path.read_text())
-        want_ids = [c["case_id"] for c in golden]
+        golden = _read_fixture(_fixture_file(args, sub))
     except FileNotFoundError:
         return 0, len(cases), f"fixture missing: {sub}.json"
     except (OSError, ValueError, TypeError, KeyError) as exc:
         return 0, len(cases), (f"fixture unreadable: {sub}.json "
                                f"({type(exc).__name__}: {exc})")
+    want_ids = [c["case_id"] for c in golden]
     got_ids = [c["case_id"] for c in cases]
     want_count, got_count = Counter(want_ids), Counter(got_ids)
     duplicate = sorted({k for count in (want_count, got_count)
@@ -330,7 +342,7 @@ def bless_fixture(args, sub, cases):
     path = _fixture_file(args, sub)
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        old_ids = {c["case_id"]: c for c in json.loads(path.read_text())}
+        old_ids = {c["case_id"]: c for c in _read_fixture(path)}
     except FileNotFoundError:
         old_ids = None
         note = f"{sub}: new fixture with {len(cases)} cases"
@@ -454,8 +466,10 @@ def main(argv=None) -> int:
     try:
         args = PARSER.parse_args(argv)
         problem = _override_error(args)
-        fixtures = Path(args.fixtures) if args.fixtures else None
-        if not problem and fixtures and not fixtures.is_dir():
+        fixtures = None if args.fixtures is None else Path(args.fixtures)
+        if not problem and args.fixtures == "":
+            problem = "--fixtures: empty path"
+        elif not problem and fixtures and not fixtures.is_dir():
             if fixtures.exists():
                 problem = f"--fixtures {args.fixtures}: not a directory"
             # only --bless creates the directory; without it every

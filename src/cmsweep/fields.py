@@ -633,16 +633,12 @@ class ExactMatrix:
     elimination, _echelon."""
 
     def __init__(self, field: MultiQuadField, entries):
-        rows = [[FieldElement.coerce(field, e) for e in row]
-                for row in entries]
+        rows = [dict(enumerate(row)) for row in entries]
         cols = len(rows[0]) if rows else 0
         if any(len(row) != cols for row in rows):
             raise ValueError("matrix rows have different lengths")
-        self.field = field
-        self.rows = len(rows)
-        self.cols = cols
-        self.nonzero = [{j: e for j, e in enumerate(row) if e.nums}
-                        for row in rows]
+        self.field, self.rows, self.cols = field, len(rows), cols
+        self.nonzero = ExactMatrix.from_rows(field, rows, cols).nonzero
 
     @staticmethod
     def from_rows(field: MultiQuadField, rows, cols: int) -> "ExactMatrix":
@@ -696,26 +692,14 @@ class ExactMatrix:
             [(FieldElement.coerce(self.field, c), self, None)])
 
     def __mul__(self, other):
-        field = self.field
+        """One combination term; a vector (elements or ints) is read as a
+        one-column matrix, and its product comes back as a list."""
         if isinstance(other, ExactMatrix):
-            # row by row (Gustavson 1978): a nonzero self[i][t] meets only
-            # the nonzero entries of row t of other, one sum per row keyed
-            # by column
-            if self.cols != other.rows:
-                raise ValueError("inner dimensions differ")
-            sparse = other.nonzero
-            return _matrix(field, [sum_of_products(
-                field, ((j, x, y, 1) for t, x in row.items()
-                        for j, y in sparse[t].items()))
-                for row in self.nonzero], other.cols)
-        # vector (list of FieldElements / ints): one sum keyed by row
-        vec = [FieldElement.coerce(field, v) for v in other]
-        if len(vec) != self.cols:
-            raise ValueError("vector length differs from the column count")
-        sums = sum_of_products(field, ((i, x, vec[j], 1)
-                                       for i, row in enumerate(self.nonzero)
-                                       for j, x in row.items()))
-        return [sums.get(i, field.zero()) for i in range(self.rows)]
+            return ExactMatrix.combination([(1, self, other)])
+        vec = ExactMatrix.from_rows(self.field, [{0: v} for v in other], 1)
+        zero = self.field.zero()
+        return [row.get(0, zero) for row in
+                ExactMatrix.combination([(1, self, vec)]).nonzero]
 
     @staticmethod
     def combination(terms) -> "ExactMatrix":
@@ -723,9 +707,9 @@ class ExactMatrix:
         element of the matrices' field and matrices a and b, b None for a
         alone, as one sum of products keyed by cell: a cell whose sum
         cancels gets no element, so a combination that vanishes builds no
-        row entry at all.  Sums, differences, negation and scale are each
-        one call.  ValueError on no terms, a field mismatch or a shape
-        mismatch."""
+        row entry at all.  Products, sums, differences, negation and scale
+        are each one call.  ValueError on no terms, a field mismatch or a
+        shape mismatch."""
         terms = list(terms)
         if not terms:
             raise ValueError("a combination needs at least one term")

@@ -223,8 +223,9 @@ def antiweil_lambda_positive(lam) -> tuple:
 def zero_witness_real_case(gram, constraints=()):
     """A real nonzero vector, inside the real solution set of the given
     Gaussian-rational linear constraints, on which the sesquilinear form
-    v^T gram conj(v) vanishes exactly.  Returns the vector, or None when
-    no witness is found among the tested candidates (e.g. for a definite
+    v^T gram conj(v) vanishes exactly, for gram as {col: value} rows of
+    ints or Gaussian rationals.  Returns the vector, or None when no
+    witness is found among the tested candidates (e.g. for a definite
     form)."""
     n = len(gram)
     rows = []
@@ -239,8 +240,9 @@ def zero_witness_real_case(gram, constraints=()):
         # sum of v_i v_j gram[i][j] over the nonzero pairs, the Gram entry
         # as the constant of each term
         nonzero = [(i, GAUSS.rational(v)) for i, v in enumerate(vec) if v]
-        return not sum_of_products(GAUSS, (
-            (0, x, y, gram[i][j]) for i, x in nonzero for j, y in nonzero))
+        return not sum_of_products(GAUSS, ((0, x, y, gram[i].get(j, 0))
+                                           for i, x in nonzero
+                                           for j, y in nonzero))
 
     candidates = [[sum(b[t] for b in basis) for t in range(n)]]
     candidates += [list(b) for b in basis]
@@ -258,20 +260,14 @@ def zero_witness_real_case(gram, constraints=()):
 
 def antisymmetric_weight_gram():
     """The 2x2 Gram of the a>0 eigenspace form (x1 xbar_{-1} -
-    x_{-1} xbar_1), up to the nonzero scalar 2M'."""
-    z, one = GAUSS.zero(), GAUSS.one()
-    return [[z, -one], [one, z]]
+    x_{-1} xbar_1), up to the nonzero scalar 2M', as {col: int} rows."""
+    return ({1: -1}, {0: 1})
 
 
 def antiweil_real_gram():
-    """The 4x4 Gram of y0 y3~ - y1 y2~ + y2 y1~ - y3 y0~."""
-    z, one = GAUSS.zero(), GAUSS.one()
-    g = [[z] * 4 for _ in range(4)]
-    g[0][3] = one
-    g[1][2] = -one
-    g[2][1] = one
-    g[3][0] = -one
-    return g
+    """The 4x4 Gram of y0 y3~ - y1 y2~ + y2 y1~ - y3 y0~, as {col: int}
+    rows."""
+    return ({3: 1}, {2: -1}, {1: 1}, {0: -1})
 
 
 def antiweil_real_constraint(x):

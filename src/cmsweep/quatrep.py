@@ -459,7 +459,6 @@ class AntiWeilRep:
         # with the entry G[r][s] as the constant of each term
         value = {1: -self.sDp, -1: self.sDp}
         G = [{c: value[x] for c, x in row.items()} for row in GRAM_PATTERN]
-        self.gram_vw = ExactMatrix.from_rows(F, G, 8)
         inv = self.B_inv.nonzero
         self.gram = ExactMatrix.from_rows(F, _split(sum_of_products(F, (
             (8 * i + j, x, y, g) for r, row in enumerate(G)
@@ -571,9 +570,12 @@ class AntiWeilRep:
         return (not failures), failures
 
     def phi(self, u, v):
+        """u^T G v for lists u and v of field elements: one sum of products
+        over the nonzeros of G, each Gram entry the constant of its term."""
         F = self.field
-        terms = ((0, x, y, 1) for x, y in zip(u, self.gram * v))
-        return sum_of_products(F, terms).get(0, F.zero())
+        return sum_of_products(F, (
+            (0, u[r], v[c], g) for r, row in enumerate(self.gram.nonzero)
+            for c, g in row.items())).get(0, F.zero())
 
     def verify_symplectic(self):
         """The checks of the Gram matrix G in f-coordinates, as (all
@@ -614,13 +616,13 @@ class AntiWeilRep:
         adjoint = _vanishes([(1, self.J.transpose(), G), (1, G, self.J)])
         checks["k_adjoint"] = adjoint
         checks["central_invariance"] = adjoint
-        # isotropy of the eigenspaces (v/w Gram blocks vanish)
+        # isotropy of the eigenspaces: G_vw = -sqrt(D') G_0 pairs v with w
         checks["isotropy"] = all((c < 4) != (r < 4)
-                                 for r, row in enumerate(self.gram_vw.nonzero)
+                                 for r, row in enumerate(GRAM_PATTERN)
                                  for c in row)
-        # spot values
-        vmm, wpp = (self.B * [int(label == want)
-                              for label in self.basis_labels]
+        # spot values on v_{-1,-1} and w_{1,1}, two columns of B
+        vmm, wpp = ([row.get(self.basis_labels.index(want), F.zero())
+                     for row in self.B.nonzero]
                     for want in ("v-1,-1", "w1,1"))
         checks["phi_value"] = (self.phi(vmm, wpp) + self.sDp).is_zero()
         return all(checks.values()), checks
@@ -670,20 +672,12 @@ class AntiWeilRep:
         return self._build_rational_model()
 
     @cached_property
-    def rational_module(self) -> WeightModule:
-        """V over Q with the rational units and J of the rational model as
-        its generator actions, built once per rep."""
-        model = self.rational_model()
-        names = [n for n, _ in self.RATIONAL_UNITS] + ["J"]
-        return WeightModule(range(8), [(n, model[n]) for n in names], [])
-
-    @cached_property
     def bracket_generators(self) -> WeightModule:
         """V over Q acted on by i, j, Ji and J alone: once the model shows
         2k = [i, j], -2Jk = [j, Ji] and -2a Jj = [k, Ji], these generate
         the units as a Lie algebra and so have the same invariants.
         ValueError names the first bracket that fails."""
-        m = self.rational_module.actions
+        m = self.rational_model()
         a = self.params[2]
         # [x, y] + c z = 0
         for x, y, c, z, text in (("i", "j", -2, "k", "[i, j] = 2k"),

@@ -327,11 +327,19 @@ def invariant_space_over_all_generators(w: WeightModule):
     return rational_kernel(stacked_rows(w), w.dim)
 
 
+def rational_module(rep: AntiWeilRep) -> WeightModule:
+    """V over Q with the rational units and J of the rational model as its
+    seven generator actions."""
+    model = rep.rational_model()
+    names = [n for n, _ in AntiWeilRep.RATIONAL_UNITS] + ["J"]
+    return WeightModule(range(8), [(n, model[n]) for n in names], [])
+
+
 def invariant_dims_over_all_units(rep: AntiWeilRep) -> tuple:
     """(end_dim, wedge2_dim) of the rational model as ranks over all seven
     generators i, j, k, Ji, Jj, Jk and J (448 and 196 rows), as
     invariant_endomorphisms_dim and invariant_wedge2_dim once ran."""
-    w = rep.rational_module
+    w = rational_module(rep)
     mats = [w.actions[name] for name in w.generator_names()]
     wedge = wedge2_module(w)
     return (w.dim ** 2 - rational_rank(commutant_rows(mats, w.dim)),

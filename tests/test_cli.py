@@ -228,6 +228,19 @@ def test_positivity_overrides_run(capsys):
                                "fixture skipped"]
 
 
+@pytest.mark.parametrize("argv", [["--fixtures", ""], ["--fixtures="],
+                                  ["--fixtures", "", "--bless"],
+                                  ["--fixtures=", "--bless"]])
+def test_empty_fixtures_path_is_usage_error(capsys, argv):
+    packaged = FIXDIR / "sweep-dim1.json"
+    before = packaged.read_bytes(), packaged.stat().st_mtime_ns
+    assert main(["sweep-dim1"] + argv) == 2
+    captured = capsys.readouterr()
+    assert "--fixtures: empty path" in captured.err
+    assert captured.out == ""
+    assert (packaged.read_bytes(), packaged.stat().st_mtime_ns) == before
+
+
 def test_jobs_option_is_gone(capsys):
     assert main(["sweep-dim1", "--jobs", "2"]) == 2
     capsys.readouterr()
@@ -312,6 +325,27 @@ def test_malformed_fixture_is_a_failing_note(tmp_path, capsys, text, error):
     # every other section is still compared, and passes
     assert report["summary"] == {"passed": 91 - n_positivity,
                                  "failed": n_positivity}
+
+
+@pytest.mark.parametrize("text, error", [
+    ('[{"case_id": [1]}]', "case_id [1] is not a str"),
+    ('[{"case_id": "a"}, {"case_id": 5}]', "case_id 5 is not a str"),
+    ('{"case_id": "a"}', "a dict, not a JSON list"),
+])
+def test_fixture_that_is_no_list_of_str_ids_is_unreadable(tmp_path, capsys,
+                                                         text, error):
+    _copy_fixtures(tmp_path)
+    (tmp_path / "sweep-dim1.json").write_text(text)
+    assert main(["sweep-dim1", "--fixtures", str(tmp_path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["notes"] == [
+        f"fixture unreadable: sweep-dim1.json (TypeError: {error})"]
+    assert main(["sweep-dim1", "--bless", "--fixtures", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["notes"] == [
+        "sweep-dim1: rewrote unreadable fixture sweep-dim1.json "
+        f"(TypeError: {error})"]
+    assert (tmp_path / "sweep-dim1.json").read_bytes() == \
+        (FIXDIR / "sweep-dim1.json").read_bytes()
 
 
 def test_bless_rewrites_an_unreadable_fixture(tmp_path, capsys):

@@ -390,6 +390,38 @@ def test_sparse_product_edge_shapes(name):
     assert all(e.is_zero() for r in (zero * col).entries for e in r)
 
 
+@given(products(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_matrix_and_vector_products_match_dense_reference(case, data):
+    """M * N and M * v, the one-column matrix of v read back as a list,
+    agree with dense_product; v is a column of N with some entries
+    replaced by ints, or all zero, and a v of another length raises."""
+    field, a, b = case
+    assert _cells(a * b) == _cells(dense_product(a, b))
+    j = data.draw(st.integers(0, b.cols - 1))
+    vec = [data.draw(st.integers(-3, 3)) if data.draw(st.booleans())
+           else row[j] for row in b.entries]
+    if data.draw(st.booleans()):
+        vec = [0] * len(vec)
+    want = dense_product(a, ExactMatrix(field, [[x] for x in vec]))
+    assert [(e.nums, e.den) for e in a * vec] == \
+        [(row[0].nums, row[0].den) for row in want.entries]
+    wrong = vec + [1] if data.draw(st.booleans()) else vec[:-1]
+    with pytest.raises(ValueError, match="inner dimensions differ"):
+        a * wrong
+
+
+def test_product_checks_fields():
+    """A product of matrices over two fields raises, as their sum does,
+    rather than reading sqrt(-1) * sqrt(2) as sqrt(-1)^2 = -1."""
+    f, g = field_create([-1]), field_create([2])
+    a = ExactMatrix(f, [[f.sqrt_gen(-1)]])
+    b = ExactMatrix(g, [[g.sqrt_gen(2)]])
+    for op in (lambda: a * b, lambda: b * a, lambda: a * [g.sqrt_gen(2)]):
+        with pytest.raises(ValueError, match="field mismatch"):
+            op()
+
+
 # -- linear combinations of products ------------------------------------------
 
 @st.composite
@@ -966,8 +998,8 @@ def test_commutant_rows_collapse_to_distinct_lines():
     nonzero, 128 distinct up to a rational factor, rank 62."""
     from cmsweep.liereps import commutant_rows, tensor_module
     from cmsweep.quatrep import build_antiweil_rep
-    from helpers import dual_module
-    w = build_antiweil_rep().rational_module
+    from helpers import dual_module, rational_module
+    w = rational_module(build_antiweil_rep())
     t = tensor_module(w, dual_module(w))
     stacked = [row for n in t.generator_names() for row in t.actions[n]]
     got = commutant_rows([w.actions[n] for n in w.generator_names()], w.dim)

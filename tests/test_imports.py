@@ -147,6 +147,21 @@ def test_quatrep_builds_no_matrix_from_dense_rows():
     assert calls == []
 
 
+def test_matrix_product_is_one_combination():
+    """ExactMatrix.__mul__ is a combination term, for a vector too (as a
+    one-column matrix): it calls ExactMatrix.combination and runs no
+    sum_of_products of its own."""
+    tree = ast.parse((ROOT / "src" / "cmsweep" / "fields.py").read_text())
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
+              and node.name == "ExactMatrix"]
+    (mul,) = [node for node in cls.body if isinstance(node, ast.FunctionDef)
+              and node.name == "__mul__"]
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(mul) if isinstance(node, ast.Call)}
+    assert "combination" in called
+    assert "sum_of_products" not in called
+
+
 def test_antiweil_invariants_use_the_commutant_rows():
     """The End(V) dimension is a rank of liereps.commutant_rows: quatrep
     imports no module construction it would need a kernel of V ⊗ V* for,

@@ -124,9 +124,11 @@ def test_zero_witnesses():
                                 [antiweil_real_constraint([1, 2, 0, 0])])
     assert w2 is not None
     # a definite form has no real zero vector
-    one, z = gauss(1), gauss(0)
-    definite = [[one, z], [z, one]]
+    definite = ({0: 1}, {1: 1})
     assert zero_witness_real_case(definite) is None
+    # Gram entries may be Gaussian rationals as well as ints
+    assert zero_witness_real_case(({1: gauss(-1)}, {0: gauss(1)})) == [1, 1]
+    assert zero_witness_real_case(({0: gauss(1)}, {1: gauss(2)})) is None
 
 
 def test_weil_family_member():

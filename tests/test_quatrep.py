@@ -39,8 +39,8 @@ from helpers import (DenseQuaternionAlgebra, brackets_by_products,
                      equivariance_by_combinations, identity_matrix,
                      invariant_dims_over_all_units,
                      matrix_rank, mu_by_products, pairwise_quaternion_mul,
-                     rational_model_by_products, solve_galois_lie_table,
-                     solve_unit_coefficients)
+                     rational_model_by_products, rational_module,
+                     solve_galois_lie_table, solve_unit_coefficients)
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +217,7 @@ def test_invariant_dims_match_module_kernels_on_grid_triples():
     rng = random.Random(2104)
     for _ in range(10):
         r = build_antiweil_rep(*rng.sample(NEG_SQUAREFREE, 3))
-        w = r.rational_module
+        w = rational_module(r)
         end = len(invariant_space(tensor_module(w, dual_module(w))))
         wedge = len(invariant_space(wedge2_module(w)))
         assert (invariant_endomorphisms_dim(r), invariant_wedge2_dim(r)) \
@@ -1021,26 +1021,26 @@ def test_non_integral_generator_keeps_the_invariant_dims():
     rep._model["J"] = [{c: x * Fraction(1, 2) for c, x in row.items()}
                        for row in rep._model["J"]]
     assert all(type(x) is Fraction and x.denominator == 2
-               for row in rep.rational_module.actions["J"]
+               for row in rational_module(rep).actions["J"]
                for x in row.values())
     assert invariant_endomorphisms_dim(rep) == 2
     assert invariant_wedge2_dim(rep) == 1
 
 
 def test_structured_factors_build_no_generic_product(monkeypatch):
-    """On (-1, -2, -3) the build makes 6 matrix products (the six mu; the
-    Gram matrix is one sum of products) and inverts B; the Galois check
-    makes no product or combination, the bracket check 6 combinations,
-    the symplectic check 3 (antisymmetry, the Gram identity G B =
-    B^-T G_vw and J's adjointness: the six mu_l B = B A_l are read from
-    the bracket check), and the rational model one product and one
-    inverse (the unit coefficients')."""
+    """On (-1, -2, -3) the build makes 6 matrix products (the six mu, each
+    one combination; the Gram matrix is one sum of products) and inverts
+    B; the Galois check makes no product or combination, the bracket
+    check 6 combinations, the symplectic check 3 (antisymmetry, the Gram
+    identity G B = B^-T G_vw and J's adjointness: the six mu_l B = B A_l
+    are read from the bracket check) and no matrix-vector product (its
+    spot vectors are columns of B), and the rational model one product,
+    so one combination, and one inverse (the unit coefficients')."""
     calls = Counter()
     mul = ExactMatrix.__mul__
 
     def counted_mul(a, b):
-        if isinstance(b, ExactMatrix):
-            calls["product"] += 1
+        calls["product" if isinstance(b, ExactMatrix) else "vector"] += 1
         return mul(a, b)
 
     monkeypatch.setattr(ExactMatrix, "__mul__", counted_mul)
@@ -1049,15 +1049,32 @@ def test_structured_factors_build_no_generic_product(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "combination", staticmethod(
         _counting(calls, "combination", ExactMatrix.combination)))
     rep = build_antiweil_rep(-1, -2, -3)
-    assert calls == {"product": 6, "inverse": 1}
+    assert calls == {"product": 6, "combination": 6, "inverse": 1}
     for run, want in ((rep.verify_galois_equivariance, {}),
                       (rep.verify_matrix_brackets, {"combination": 6}),
                       (rep.verify_symplectic, {"combination": 3}),
-                      (rep.rational_model, {"product": 1, "inverse": 1})):
+                      (rep.rational_model,
+                       {"product": 1, "combination": 1, "inverse": 1})):
         calls.clear()
         run()
         assert calls == want, run
 
+
+def test_phi_matches_the_dense_form_on_random_vectors(rep):
+    """phi(u, v), one sum over the nonzeros of G, equals u^T (G v) summed
+    entry by entry over the dense Gram matrix, on random vectors with
+    zero, rational and irrational entries."""
+    F = rep.field
+    pool = [F.zero(), F.one(), rep.sDp, rep.sD * rep.sa,
+            F.rational(Fraction(-3, 4)) + rep.sa]
+    rng = random.Random(3406)
+    for _ in range(20):
+        u, v = ([rng.choice(pool) * F.rational(rng.randint(-5, 5))
+                 for _ in range(8)] for _ in range(2))
+        Gv = [sum((x * y for x, y in zip(row, v)), F.zero())
+              for row in rep.gram.entries]
+        assert rep.phi(u, v) == sum((x * y for x, y in zip(u, Gv)),
+                                    F.zero())
 
 def test_trivial_galois_action_leaves_a_stable_pattern():
     rep = build_antiweil_rep(-1, -2, -3)
@@ -1125,8 +1142,7 @@ def test_antiweil_chain_makes_no_solve_call(monkeypatch, capsys):
 
 def test_rational_module_stores_no_zeros(rep):
     model = rep.rational_model()
-    module = rep.rational_module
-    assert module is rep.rational_module       # built once per rep
+    module = rational_module(rep)
     for name, act in module.actions.items():
         assert act == model[name]
         assert all(x for row in act for x in row.values())
@@ -1255,3 +1271,9 @@ def test_antiweil_grid_demo_counts_triples_and_names_failing_checks(
     assert capsys.readouterr().out.splitlines()[0] == (
         f"{first}: symplectic (ZeroDivisionError: division by zero), "
         "wedge2-dim")
+    # a count below 1 checks nothing, so it is a usage error
+    for limit in ("0", "-5810"):
+        with pytest.raises(SystemExit) as exit_:
+            demo.main(["--limit", limit])
+        assert exit_.value.code == 2
+        assert "need at least 1 triple" in capsys.readouterr().err
