@@ -305,6 +305,15 @@ def sum_of_products(field, terms) -> dict:
     return out
 
 
+def form_value(field, u, gram, v) -> "FieldElement":
+    """u^T G v for lists u and v of field elements and G as {col: value}
+    rows of ints or field elements: one sum of products over the nonzeros
+    of G, each Gram entry the constant of its term."""
+    return sum_of_products(field, (
+        (0, u[r], v[c], g) for r, row in enumerate(gram)
+        for c, g in row.items())).get(0, field.zero())
+
+
 def _sum(field, a, da, b, db, sign) -> "FieldElement":
     """a / da + sign * b / db for numerator dicts a and b, sign = ±1, with
     one normalisation."""

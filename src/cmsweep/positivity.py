@@ -14,15 +14,14 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from . import Frozen
-from .fields import (ExactMatrix, FieldElement, complex_conjugation,
-                     field_create, rational_kernel, sum_of_products)
+from .fields import (ExactMatrix, FieldElement, field_create, form_value,
+                     rational_kernel)
 
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 # ---------------------------------------------------------------------------
 
 GAUSS = field_create([-1])
-_CONJ = complex_conjugation(GAUSS)
 
 
 def gauss(re, im=0) -> FieldElement:
@@ -237,12 +236,9 @@ def zero_witness_real_case(gram, constraints=()):
         return None
 
     def vanishes(vec):
-        # sum of v_i v_j gram[i][j] over the nonzero pairs, the Gram entry
-        # as the constant of each term
-        nonzero = [(i, GAUSS.rational(v)) for i, v in enumerate(vec) if v]
-        return not sum_of_products(GAUSS, ((0, x, y, gram[i].get(j, 0))
-                                           for i, x in nonzero
-                                           for j, y in nonzero))
+        # v is real, so conj(v) = v
+        v = [GAUSS.rational(t) for t in vec]
+        return form_value(GAUSS, v, gram, v).is_zero()
 
     candidates = [[sum(b[t] for b in basis) for t in range(n)]]
     candidates += [list(b) for b in basis]
@@ -280,10 +276,6 @@ def antiweil_real_constraint(x):
 # the weight-1 family membership check
 # ---------------------------------------------------------------------------
 
-class ZeroVector(ValueError):
-    pass
-
-
 # value form y0 y3~ + y1 y1~ + y2 y2~ + y3 y0~ in the w-basis, as the
 # {col: value} rows of its Gram matrix
 _FAMILY_GRAM = ({3: 1}, {1: 1}, {2: 1}, {0: 1})
@@ -300,13 +292,12 @@ def weil_family_check(x) -> dict:
     if len(x) != 4:
         raise ValueError(f"x needs 4 components, not {len(x)}")
     if all(e.is_zero() for e in x):
-        raise ZeroVector("all components are zero")
+        raise ValueError("all components are zero")
 
-    xb = [e.conj() for e in x]
-    # S(x), the minors of the Hermitian R and the discriminant are real:
-    # as_fraction raises ValueError otherwise
-    s_frac = (x[0] * xb[3] + x[1] * xb[1] + x[2] * xb[2]
-              + x[3] * xb[0]).as_fraction()
+    # S(x) and the minors of the Hermitian R are real: as_fraction raises
+    # ValueError otherwise
+    s_frac = form_value(GAUSS, x, _FAMILY_GRAM,
+                        [e.conj() for e in x]).as_fraction()
     report = {"s_value": str(s_frac), "s_negative": s_frac < 0}
 
     if s_frac >= 0:
@@ -315,25 +306,26 @@ def weil_family_check(x) -> dict:
 
     # (ii) the orthogonal subspace: kernel of (x3, -x2, -x1, x0) . y
     functional = [x[3], -x[2], -x[1], x[0]]
-    # x is nonzero, so the kernel has 3 vectors
-    B = ExactMatrix(GAUSS, ExactMatrix(GAUSS, [functional]).kernel())
+    # x is nonzero, so the kernel has 3 vectors b_i
+    B = ExactMatrix.from_rows(GAUSS, [dict(enumerate(functional))],
+                              4).kernel()
 
-    # (iii) restricted Hermitian Gram R = B H conj(B)^T, Hermitian since H
-    # is real symmetric, and its minors
-    R = B * ExactMatrix.from_rows(GAUSS, _FAMILY_GRAM, 4) * \
-        B.galois(_CONJ).transpose()
-    minors = []
-    for k in (1, 2, 3):
-        sub = ExactMatrix(GAUSS, [row[:k] for row in R.entries[:k]])
-        minors.append(sub.det().as_fraction())
+    # (iii) restricted Hermitian Gram R[i][j] = b_i^T H conj(b_j), Hermitian
+    # since H is real symmetric, and its leading minors
+    Bbar = [[e.conj() for e in b] for b in B]
+    R = [{j: form_value(GAUSS, b, _FAMILY_GRAM, c) for j, c in enumerate(Bbar)}
+         for b in B]
+    minors = [ExactMatrix.from_rows(
+        GAUSS, [{j: e for j, e in row.items() if j < k} for row in R[:k]],
+        k).det().as_fraction() for k in (1, 2, 3)]
     report["minors"] = [str(m) for m in minors]
     positive_definite = all(m > 0 for m in minors)
     report["positive_definite"] = positive_definite
 
-    # (iv) discriminant cross-check
+    # (iv) discriminant cross-check, (|x1|^2 + |x2|^2)(S - |x1|^2)
     if not x[1].is_zero():
-        disc = ((x[1] * xb[1] + x[2] * xb[2]) *
-                (x[0] * xb[3] + x[2] * xb[2] + x[3] * xb[0])).as_fraction()
+        n1, n2 = (g_re(e) ** 2 + g_im(e) ** 2 for e in x[1:3])
+        disc = (n1 + n2) * (s_frac - n1)
         report["discriminant"] = str(disc)
         report["discriminant_negative"] = disc < 0
 

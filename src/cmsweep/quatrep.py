@@ -18,8 +18,9 @@ from itertools import product as iproduct
 
 from .fields import (QQ, DependentGenerators, ExactMatrix, FieldElement,
                      GaloisElement, MultiQuadField, apply_galois,
-                     field_create, field_inclusion, is_galois_image,
-                     rational_rank, squarefree_split, sum_of_products)
+                     field_create, field_inclusion, form_value,
+                     is_galois_image, rational_rank, squarefree_split,
+                     sum_of_products)
 from .liereps import (WeightModule, _vanishes as _rows_vanish,
                       commutant_rows, sl2_relations_hold, wedge2_module)
 
@@ -570,12 +571,8 @@ class AntiWeilRep:
         return (not failures), failures
 
     def phi(self, u, v):
-        """u^T G v for lists u and v of field elements: one sum of products
-        over the nonzeros of G, each Gram entry the constant of its term."""
-        F = self.field
-        return sum_of_products(F, (
-            (0, u[r], v[c], g) for r, row in enumerate(self.gram.nonzero)
-            for c, g in row.items())).get(0, F.zero())
+        """u^T G v for lists u and v of field elements."""
+        return form_value(self.field, u, self.gram.nonzero, v)
 
     def verify_symplectic(self):
         """The checks of the Gram matrix G in f-coordinates, as (all
@@ -616,9 +613,10 @@ class AntiWeilRep:
         adjoint = _vanishes([(1, self.J.transpose(), G), (1, G, self.J)])
         checks["k_adjoint"] = adjoint
         checks["central_invariance"] = adjoint
-        # isotropy of the eigenspaces: G_vw = -sqrt(D') G_0 pairs v with w
+        # isotropy of the eigenspaces: B keeps each v_l in f_1..f_4 and each
+        # w_l in fbar_1..fbar_4, so G pairs only the two blocks
         checks["isotropy"] = all((c < 4) != (r < 4)
-                                 for r, row in enumerate(GRAM_PATTERN)
+                                 for r, row in enumerate(G.nonzero)
                                  for c in row)
         # spot values on v_{-1,-1} and w_{1,1}, two columns of B
         vmm, wpp = ([row.get(self.basis_labels.index(want), F.zero())

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from cmsweep.fields import (QQ, DependentGenerators, DoesNotSplit,
                             ExactMatrix, FieldElement, _eigenvalue_candidates,
                             apply_galois, complex_conjugation,
-                            eigen_decompose, field_create, roots_of_unity)
+                            eigen_decompose, field_create, form_value,
+                            roots_of_unity)
 from helpers import divide, element_from_nums, is_identity, matrix_rank
 
 F2 = field_create([2])
@@ -155,6 +156,33 @@ def _to_sympy(m):
         rows.append(out)
     return sympy.Matrix(len(m.entries), len(m.entries[0]) if m.entries else 0,
                         lambda i, j: rows[i][j])
+
+
+@st.composite
+def forms(draw):
+    """Vectors u, v of F3 elements, some zero, and a Gram matrix as
+    {col: value} rows of nonzero ints or elements, some rows empty."""
+    n = draw(st.integers(0, 4))
+    entry = st.one_of(st.just(F3.zero()), elements())
+    u, v = (draw(st.lists(entry, min_size=n, max_size=n)) for _ in "uv")
+    value = st.one_of(st.integers(-3, 3).filter(bool), elements())
+    gram = [draw(st.dictionaries(st.integers(0, n - 1), value, max_size=n))
+            if n else {} for _ in range(n)]
+    return u, gram, v
+
+
+@given(forms())
+@settings(max_examples=100, deadline=None)
+def test_form_value_is_the_dense_sum(form):
+    """form_value(u, G, v) is the dense sum of u_r G[r][c] v_c over every
+    cell, with the cells missing from G's rows read as zero."""
+    u, gram, v = form
+    want = F3.zero()
+    for r in range(len(u)):
+        for c in range(len(v)):
+            g = FieldElement.coerce(F3, gram[r].get(c, 0))
+            want = want + u[r] * g * v[c]
+    assert form_value(F3, u, gram, v) == want
 
 
 def test_rank_det_against_sympy():

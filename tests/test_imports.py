@@ -136,15 +136,21 @@ def test_only_fields_reads_the_element_storage(path):
 
 
 def test_quatrep_builds_no_matrix_from_dense_rows():
-    """Every anti-Weil matrix is built from its nonzeros: quatrep calls
-    ExactMatrix(...) nowhere, only ExactMatrix.from_rows and
-    the products and views of matrices it already has."""
-    path = ROOT / "src" / "cmsweep" / "quatrep.py"
-    calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Name)
-             and node.func.id == "ExactMatrix"]
-    assert calls == []
+    """Every anti-Weil and positivity matrix is built from its nonzeros:
+    quatrep and positivity call ExactMatrix(...) nowhere, only
+    ExactMatrix.from_rows and the products and views of matrices they
+    already have, and read no dense .entries view."""
+    for name in ("quatrep", "positivity"):
+        path = ROOT / "src" / "cmsweep" / f"{name}.py"
+        tree = ast.parse(path.read_text())
+        calls = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and node.func.id == "ExactMatrix"]
+        dense = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and node.attr == "entries"]
+        assert (name, calls, dense) == (name, [], [])
 
 
 def test_matrix_product_is_one_combination():

@@ -706,6 +706,18 @@ def test_perturbed_gram_fails_descent_like_reference(root, r, c):
     assert not _descent_by_pairs(rep)
 
 
+def test_isotropy_reads_the_gram_of_the_rep():
+    """isotropy asks G to pair f_1..f_4 only with fbar_1..fbar_4: an
+    antisymmetric G pairing f_1 with f_2 fails it."""
+    rep = build_antiweil_rep(-1, -2, -3)
+    assert rep.verify_symplectic()[1]["isotropy"]
+    rep.gram = ExactMatrix.from_rows(rep.field,
+                                     [{1: 1}, {0: -1}] + [{}] * 6, 8)
+    ok, checks = rep.verify_symplectic()
+    assert checks["antisymmetric"]
+    assert not ok and not checks["isotropy"]
+
+
 def _symplectic_by_products(rep):
     """Reference: the symplectic identities as the products of both sides
     compared with ==, as verify_symplectic once ran."""
@@ -1210,15 +1222,18 @@ def test_antiweil_rep_rejects_nonnegative_parameters(params, name):
 
 def test_input_checks_survive_optimize_flag():
     """Under python -O a positive D', a ragged matrix, a sparse row with a
-    column out of range, a Galois sign other than ±1 and the square-free
-    part of 0 are still refused, with the offending parameter named."""
+    column out of range, a Galois sign other than ±1, the square-free
+    part of 0 and an all-zero x for the weight-1 family check are still
+    refused, with the offending parameter named."""
     code = ("from cmsweep.fields import QQ, ExactMatrix, GaloisElement\n"
+            "from cmsweep.positivity import weil_family_check\n"
             "from cmsweep.quatrep import AntiWeilRep, squarefree_split\n"
             "for make in (lambda: AntiWeilRep(5, -2, -3),\n"
             "             lambda: ExactMatrix(QQ, [[1, 2], [3]]),\n"
             "             lambda: ExactMatrix.from_rows(QQ, [{2: 1}], 2),\n"
             "             lambda: GaloisElement((1, 0)),\n"
-            "             lambda: squarefree_split(0)):\n"
+            "             lambda: squarefree_split(0),\n"
+            "             lambda: weil_family_check([0, 0, 0, 0])):\n"
             "    try:\n"
             "        make()\n"
             "    except ValueError as exc:\n"
@@ -1233,7 +1248,8 @@ def test_input_checks_survive_optimize_flag():
                           "refused: column 2 is outside range(2)\n"
                           "refused: Galois signs (1, 0) are not all +1 or "
                           "-1\n"
-                          "refused: 0 has no square-free part\n")
+                          "refused: 0 has no square-free part\n"
+                          "refused: all components are zero\n")
 
 
 def test_antiweil_walkthrough_demo_runs():
