@@ -9,7 +9,7 @@ Run:  python3 demos/antiweil_walkthrough.py
 from cmsweep.quatrep import (build_antiweil_rep, e_a1_triples,
                              invariant_endomorphisms_dim,
                              invariant_wedge2_dim, sl2_triple,
-                             verify_e_a1_brackets)
+                             verify_e_a1_brackets, weight_table_counts)
 
 
 def main():
@@ -53,7 +53,17 @@ def main():
     gens = rep.bracket_generators.generator_names()
     print(f"  bracket generators {', '.join(gens)}: in the rational model")
     print("  2k = [i, j], -2Jk = [j, Ji] and -2a Jj = [k, Ji], so these four")
-    print("  generate all seven as a Lie algebra and have their invariants:")
+    print("  generate all seven as a Lie algebra and have their invariants")
+    print("  (ranks of int systems over the four):")
+    end_dim, w2_dim = rep.rational_invariant_dims()
+    print(f"    dim End(V) invariants = {end_dim}, "
+          f"dim wedge^2 V invariants = {w2_dim}")
+    print("  the weight-table route: conjugation by B carries each mu_l to")
+    print("  the int matrix A_l and J to sqrt(D') J_0; the counts of the A_l")
+    counts = weight_table_counts()[:2]
+    print(f"  and J_0, computed once per process, are {counts}.")
+    print("  Here mu_l B = B A_l, J B = B sqrt(D') J_0 and the model's")
+    print("  brackets hold, so the module functions read those counts:")
     print(f"    dim End(V) invariants = {invariant_endomorphisms_dim(rep)}, "
           f"dim wedge^2 V invariants = {invariant_wedge2_dim(rep)}")
 

@@ -124,10 +124,12 @@ def _run_antiweil_verify():
     records.append(_check("galois-lie-table-fidelity",
                           rep.regenerate_galois_lie_table()
                           == GALOIS_LIE_TABLE, {}, "quatrep"))
+    # the counts of the module functions must equal the rational route's
     end_dim = invariant_endomorphisms_dim(rep)
     w2_dim = invariant_wedge2_dim(rep)
     records.append(_check("rational-invariant-dims",
-                          end_dim == 2 and w2_dim == 1,
+                          (end_dim, w2_dim) == rep.rational_invariant_dims()
+                          == (2, 1),
                           {"end_dim": end_dim, "wedge2_dim": w2_dim},
                           "quatrep"))
     return records

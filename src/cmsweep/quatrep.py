@@ -7,7 +7,10 @@ irreducibility decision procedure.
 
 Everything is matrix/vector identity checking over multiquadratic fields;
 the hardcoded tables are cross-validated by regenerating them from the
-explicit algebra elements.
+explicit algebra elements.  Facts of the int weight table that do not
+depend on (D', D, a), its sl(2) x sl(2) relations and its invariant
+counts, are proven once per process; each rep checks only the premises
+that carry them over to its matrices.
 """
 
 from __future__ import annotations
@@ -358,6 +361,41 @@ def _keeps_gram_pattern(A) -> bool:
     return _rows_vanish([(1, At, GRAM_PATTERN), (1, GRAM_PATTERN, A)])
 
 
+# The int pattern J_0 = diag(I_4, -I_4) of the sqrt(D') action in the v/w
+# basis, B^-1 J B = sqrt(D') J_0, as {col: ±1} rows.
+SPLIT_PATTERN = tuple({r: 1 if r < 4 else -1} for r in range(8))
+
+_WEIGHT_COUNTS = {}
+
+
+def _invariant_counts(w: WeightModule) -> tuple:
+    """(End count, ∧² count) of the generators of w: n² minus the rank of
+    the commutant system X -> m X - X m, and dim ∧²V minus the rank of the
+    stacked ∧² actions; ranks of int systems, no kernel basis formed.
+    The ∧² module is built only once the End system is gone, so the two
+    systems are never held at once."""
+    mats = [w.actions[name] for name in w.generator_names()]
+    end = w.dim ** 2 - rational_rank(commutant_rows(mats, w.dim))
+    wedge = wedge2_module(w)
+    return end, wedge.dim - rational_rank(
+        [row for name in wedge.generator_names()
+         for row in wedge.actions[name]])
+
+
+def weight_table_counts() -> tuple:
+    """(End count, ∧² count, rank of G_0) of the weight table: the
+    invariant counts of the six WEIGHT_MATRICES A_l and J_0 = SPLIT_PATTERN
+    (448 and 196 int rows), and the rank of GRAM_PATTERN.  The table does
+    not depend on (D', D, a), so they are computed once per process, at
+    the first call; expected (2, 1, 8)."""
+    if not _WEIGHT_COUNTS:
+        w = WeightModule(range(8), [*WEIGHT_MATRICES.items(),
+                                    ("J", SPLIT_PATTERN)], [])
+        _WEIGHT_COUNTS["counts"] = _invariant_counts(w) + (
+            rational_rank(GRAM_PATTERN),)
+    return _WEIGHT_COUNTS["counts"]
+
+
 # Galois action on the v-basis of V_sigma; w entries follow by
 # commutativity (g . w = g . g2 . v = g2 . (g . v))
 GALOIS_EIGEN_TABLE = {
@@ -523,6 +561,14 @@ class AntiWeilRep:
 
     # -- verification -------------------------------------------------------
 
+    @cached_property
+    def _j_splits(self) -> bool:
+        """Whether J B = B diag(sqrt(D') I_4, -sqrt(D') I_4), one
+        combination, from J and B as they are at first use: then B^-1 J B
+        = sqrt(D') J_0, J_0 = SPLIT_PATTERN."""
+        return _vanishes([(1, self.J, self.B),
+                          (-1, self.B, _split_scalar(self.field, self.sDp))])
+
     def verify_matrix_brackets(self) -> bool:
         """The 8x8 matrices satisfy the sl(2) x sl(2) relations: once
         mu_l B = B A_l holds for every generator l (_weight_actions, read
@@ -576,32 +622,37 @@ class AntiWeilRep:
 
     def verify_symplectic(self):
         """The checks of the Gram matrix G in f-coordinates, as (all
-        pass, {name: flag}).  Infinitesimal invariance is read off the
-        weight table for each generator l whose premises hold: mu_l B =
-        B A_l (_weight_actions, from mu and B read once per rep), G B =
-        B^-T G_vw (one combination, on G as it is at the call) and B_inv
-        = B^-1 (as built); any other l gets the combination mu_l^T G +
-        G mu_l.  Either way the flag is that of the identity itself."""
+        pass, {name: flag}).  Where the Gram identity G B = B^-T G_vw
+        holds (one combination, on G as it is at the call) and B_inv =
+        B^-1 (as built), G = -sqrt(D') B^-T G_0 B^-1: nondegeneracy is
+        then the rank of G_0 (weight_table_counts), and infinitesimal
+        invariance is read off the weight table for each generator l with
+        mu_l B = B A_l (_weight_actions, from mu and B read once per
+        rep).  Otherwise nondegeneracy is G.det() != 0, and any l without
+        these premises gets the combination mu_l^T G + G mu_l.  Either way
+        each flag is that of the identity itself."""
         F = self.field
         checks = {}
-        # antisymmetry and nondegeneracy
         G = self.gram
         checks["antisymmetric"] = _vanishes([(1, G.transpose(), None),
                                              (1, G, None)])
-        checks["nondegenerate"] = not G.det().is_zero()
+        # the Gram identity G B + sqrt(D') B^-T G_0 = 0; with M = -sqrt(D')
+        # != 0 and B invertible, G = M B^-T G_0 B^-1 has the rank of G_0
+        pattern = ExactMatrix.from_rows(F, GRAM_PATTERN, 8)
+        gram_identity = _vanishes([(1, G, self.B),
+                                   (self.sDp, self.B_inv.transpose(),
+                                    pattern)])
+        checks["nondegenerate"] = weight_table_counts()[2] == 8 \
+            if gram_identity else not G.det().is_zero()
         # (i) Galois descent: phi(g u, g v) = g(phi(u, v)) on all pairs of
         # basis vectors is P^T G P = g(G) with P = g(I).  P is a rational
         # involution, so the identity is P g(G) P = G, compared row by row
         checks["descent"] = not any(
             self._galois_mismatches(tag, G.nonzero, G.nonzero)
             for tag in self.galois)
-        # (ii) infinitesimal invariance: under the premises, with G_vw = M
-        # G_0 for M = -sqrt(D') != 0, mu_l^T G + G mu_l is M B^-T (A_l^T G_0
-        # + G_0 A_l) B^-1; the Gram identity is G B + sqrt(D') B^-T G_0 = 0
-        pattern = ExactMatrix.from_rows(F, GRAM_PATTERN, 8)
-        acts = self._weight_actions if _vanishes([
-            (1, G, self.B), (self.sDp, self.B_inv.transpose(), pattern)]) \
-            else {}
+        # (ii) infinitesimal invariance: under the premises mu_l^T G + G
+        # mu_l is M B^-T (A_l^T G_0 + G_0 A_l) B^-1
+        acts = self._weight_actions if gram_identity else {}
         checks["infinitesimal"] = all(
             _keeps_gram_pattern(acts[n]) if n in acts else
             _vanishes([(1, self.mu[n].transpose(), G), (1, G, self.mu[n])])
@@ -634,9 +685,8 @@ class AntiWeilRep:
         when C_g = B^-1 g(B), the matrix of g in the v/w basis, has
         C_g[r][t] = 0 for every t in S and r not in S; none of the 16
         patterns is stable under all three generators.  The J check
-        B^-1 J B = diag(...) runs as J B - B diag(...) = 0."""
-        if not _vanishes([(1, self.J, self.B),
-                          (-1, self.B, _split_scalar(self.field, self.sDp))]):
+        B^-1 J B = diag(...) is _j_splits, decided once per rep."""
+        if not self._j_splits:
             return False
         moved = [(self.B_inv * self.galois_act(tag, self.B)).nonzero
                  for tag in self.galois]
@@ -686,6 +736,12 @@ class AntiWeilRep:
                 raise ValueError(f"the rational model breaks {text}")
         return WeightModule(range(8), [(n, m[n]) for n in
                                        ("i", "j", "Ji", "J")], [])
+
+    def rational_invariant_dims(self) -> tuple:
+        """(End count, ∧² count) of the rational model: the invariants of
+        End(V) and ∧²V under the rational units and J, as ranks over the
+        bracket generators i, j, Ji and J (256 and 112 int rows)."""
+        return _invariant_counts(self.bracket_generators)
 
     def _unit_coefficients(self) -> ExactMatrix:
         """The 6x6 matrix, over the algebra's field, whose column u holds
@@ -788,21 +844,29 @@ def verify_irreducibility(rep: AntiWeilRep) -> bool:
 # degree-2 invariants of the rational model (ranks of int systems)
 # ---------------------------------------------------------------------------
 
+def _invariant_dims(rep: AntiWeilRep) -> tuple:
+    """(End count, ∧² count) of rep: the weight table's counts
+    (weight_table_counts) wherever the premises hold, else the rational
+    route (rep.rational_invariant_dims).  The rational model must exist
+    with its brackets (bracket_generators, which raises ValueError
+    otherwise): its units are then rational and span the same F-space as
+    the six mu_l, their coefficients being invertible.  Where also mu_l B
+    = B A_l for every l (_weight_actions) and J B = B sqrt(D') J_0
+    (_j_splits), conjugation by B carries the mu_l and J to the A_l and
+    sqrt(D') J_0, and a rank over Q is the rank over F."""
+    rep.bracket_generators          # builds the model, or raises
+    if len(rep._weight_actions) == len(GENERATOR_NAMES) and rep._j_splits:
+        return weight_table_counts()[:2]
+    return rep.rational_invariant_dims()
+
+
 def invariant_endomorphisms_dim(rep: AntiWeilRep) -> int:
     """dim of { T in End(V) : T commutes with the rational units and J },
-    as 64 minus the rank of the commutant system T -> m T - T m over the
-    bracket generators i, j, Ji and J (256 int rows); no kernel basis is
-    formed.  Expected 2 (the quadratic field acting)."""
-    w = rep.bracket_generators
-    n = w.dim
-    mats = [w.actions[name] for name in w.generator_names()]
-    return n * n - rational_rank(commutant_rows(mats, n))
+    by _invariant_dims; expected 2 (the quadratic field acting)."""
+    return _invariant_dims(rep)[0]
 
 
 def invariant_wedge2_dim(rep: AntiWeilRep) -> int:
-    """dim of the ∧²V invariants of the rational units and J, as 28 minus
-    the rank of the stacked ∧² actions of the bracket generators i, j, Ji
-    and J (112 rows); expected 1, the line of the symplectic form."""
-    w = wedge2_module(rep.bracket_generators)
-    return w.dim - rational_rank([row for name in w.generator_names()
-                                  for row in w.actions[name]])
+    """dim of the ∧²V invariants of the rational units and J, by
+    _invariant_dims; expected 1, the line of the symplectic form."""
+    return _invariant_dims(rep)[1]

@@ -465,6 +465,29 @@ def test_antiweil_verify_builds_the_extended_algebra_once(monkeypatch,
         "algebra-brackets-15"]
 
 
+@pytest.mark.parametrize("patch", ["weight table", "rational route"])
+def test_rational_invariant_dims_fail_when_the_two_routes_differ(
+        monkeypatch, patch):
+    """The rational-invariant-dims record is OK only when the module
+    functions, which read the weight table's counts on (-1, -2, -3), and
+    the rational route both give (2, 1); its certificate keeps the
+    module functions' counts."""
+    from cmsweep import quatrep
+    from cmsweep.cli import _run_antiweil_verify
+    if patch == "weight table":
+        monkeypatch.setattr(quatrep, "weight_table_counts",
+                            lambda: (3, 1, 8))
+    else:
+        monkeypatch.setattr(quatrep.AntiWeilRep, "rational_invariant_dims",
+                            lambda self: (3, 1))
+    records = {r["case_id"]: r for r in _run_antiweil_verify()}
+    case = records.pop("rational-invariant-dims")
+    assert case["verdict"] == "FAIL"
+    assert case["certificate"] == {
+        "end_dim": 3 if patch == "weight table" else 2, "wedge2_dim": 1}
+    assert all(r["verdict"] == "OK" for r in records.values())
+
+
 # one broken faithfulness check per type: the liereps function replaced,
 # and the source of its replacement as a function of the original
 REP_CLASSIFY_BREAKS = {

@@ -253,8 +253,7 @@ def test_bracket_generator_systems_have_256_and_112_rows(monkeypatch):
         return rank(rows)
     monkeypatch.setattr(quatrep, "rational_rank", counting)
     rep = build_antiweil_rep(-1, -2, -3)
-    assert invariant_endomorphisms_dim(rep) == 2
-    assert invariant_wedge2_dim(rep) == 1
+    assert rep.rational_invariant_dims() == (2, 1)
     assert sizes == [256, 112]
 
 
@@ -726,6 +725,7 @@ def _symplectic_by_products(rep):
     adjoint = rep.J.transpose() * G == -(G * rep.J)
     return {
         "antisymmetric": G.transpose() == G.scale(F.rational(-1)),
+        "nondegenerate": not G.det().is_zero(),
         "descent": all(P.transpose() * G * P == G.galois(rep.galois[tag])
                        for tag in rep.galois
                        for P in [rep.galois_act(tag, identity)]),
@@ -809,6 +809,7 @@ def test_flipped_weight_table_decides_invariance_like_products(
     then decides infinitesimal invariance as the products do."""
     monkeypatch.setattr(quatrep, "WEIGHT_MATRICES",
                         _flipped_weight_matrices())
+    monkeypatch.setattr(quatrep, "_WEIGHT_COUNTS", {})
     rep = build_antiweil_rep(-1, -2, -3)
     assert len(rep._weight_actions) == len(GENERATOR_NAMES)
     want = _symplectic_by_products(rep)["infinitesimal"]
@@ -992,6 +993,143 @@ def test_weight_table_relations_run_once(monkeypatch):
     assert calls == {"module": 1}
 
 
+def test_weight_table_counts_run_once(monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(quatrep, "_WEIGHT_COUNTS", {})
+    monkeypatch.setattr(quatrep, "_invariant_counts", _counting(
+        calls, "counts", quatrep._invariant_counts))
+    reps = [build_antiweil_rep(-1, -2, -3), build_antiweil_rep(-5, -7, -11)]
+    assert calls == {}                       # not at import or build
+    for rep in reps:
+        assert invariant_endomorphisms_dim(rep) == 2
+        assert invariant_wedge2_dim(rep) == 1
+        assert rep.verify_symplectic()[1]["nondegenerate"]
+    assert quatrep.weight_table_counts() == (2, 1, 8)
+    assert calls == {"counts": 1}
+
+
+def _dense(rows):
+    return [[row.get(c, 0) for c in range(8)] for row in rows]
+
+
+def _dense_commutant(m):
+    """The 64x64 matrix of X -> m X - X m on row-major X: entry ((i, j),
+    (k, l)) is m[i][k] [j = l] - [i = k] m[l][j]."""
+    return [[m[i][k] * (j == l) - (i == k) * m[l][j]
+             for k in range(8) for l in range(8)]
+            for i in range(8) for j in range(8)]
+
+
+def _dense_wedge2(m):
+    """The 28x28 matrix of m on ∧²V in the basis e_i ^ e_j, i < j: m e_i ^
+    e_j + e_i ^ m e_j, with e_b ^ e_a = -e_a ^ e_b and e_a ^ e_a = 0."""
+    pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+    out = [[0] * len(pairs) for _ in pairs]
+    for col, (i, j) in enumerate(pairs):
+        for r in range(8):
+            for p, q, x in ((r, j, m[r][i]), (i, r, m[r][j])):
+                if x and p != q:
+                    row = pairs.index((min(p, q), max(p, q)))
+                    out[row][col] += x if p < q else -x
+    return out
+
+
+def test_weight_table_counts_match_sympy_ranks():
+    """64, 28 and 0 plus or minus sympy's Matrix.rank of the same int
+    systems, built densely here: the stacked commutant and ∧² systems of
+    the six A_l and J_0, and G_0."""
+    import sympy
+    mats = [_dense(rows) for rows in
+            [*quatrep.WEIGHT_MATRICES.values(), quatrep.SPLIT_PATTERN]]
+    end = sum((_dense_commutant(m) for m in mats), [])
+    wedge = sum((_dense_wedge2(m) for m in mats), [])
+    assert (len(end), len(wedge)) == (448, 196)
+    assert quatrep.weight_table_counts() == (
+        64 - sympy.Matrix(end).rank(), 28 - sympy.Matrix(wedge).rank(),
+        sympy.Matrix(_dense(quatrep.GRAM_PATTERN)).rank()) == (2, 1, 8)
+
+
+@pytest.mark.parametrize("triple", _sampled_triples(3305, 20))
+def test_invariant_dims_agree_on_both_routes_on_grid_triples(triple,
+                                                            monkeypatch):
+    """On the grid triples every premise holds, so the module functions
+    read the weight table's counts; they equal the rational route over
+    i, j, Ji and J and the ranks over all seven generators."""
+    calls = Counter()
+    monkeypatch.setattr(AntiWeilRep, "rational_invariant_dims", _counting(
+        calls, "rational", AntiWeilRep.rational_invariant_dims))
+    rep = build_antiweil_rep(*triple)
+    dims = (invariant_endomorphisms_dim(rep), invariant_wedge2_dim(rep))
+    assert calls == {}
+    assert dims == rep.rational_invariant_dims() \
+        == invariant_dims_over_all_units(rep) == (2, 1)
+
+
+def _doubled_k(rep):
+    rep._model["k"] = [{c: 2 * x for c, x in row.items()}
+                       for row in rep._model["k"]]
+
+
+# each change to a rep, whether the rational model is built before it, and
+# the route the counts take: the weight table, the rational route, or the
+# ValueError the model raises
+PREMISE_BREAKS = {
+    "intact": (lambda rep: None, False, "table"),
+    # the model was built from the true mu, so only _weight_actions fails
+    "mu_x1 bumped": (lambda rep: rep.mu.update(
+        x1=rep.mu["x1"] + _bump(rep, 2, 5, rep.sa)), True, "rational"),
+    "mu_x1 bumped before the model": (lambda rep: rep.mu.update(
+        x1=rep.mu["x1"] + _bump(rep, 2, 5, rep.sa)), False,
+        "j does not descend to Q"),
+    # 2 sqrt(D') J_0 still descends, but J B = B sqrt(D') J_0 fails
+    "J doubled": (lambda rep: setattr(rep, "J", rep.J.scale(2)), False,
+                  "rational"),
+    "k doubled": (_doubled_k, False, "the rational model breaks [i, j] = 2k"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREMISE_BREAKS))
+def test_broken_premise_takes_the_rational_route_or_raises(name,
+                                                           monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(quatrep, "weight_table_counts", _counting(
+        calls, "table", quatrep.weight_table_counts))
+    monkeypatch.setattr(AntiWeilRep, "rational_invariant_dims", _counting(
+        calls, "rational", AntiWeilRep.rational_invariant_dims))
+    rep = build_antiweil_rep(-1, -2, -3)
+    change, model_first, route = PREMISE_BREAKS[name]
+    if model_first:
+        rep.bracket_generators
+    change(rep)
+    for dim, want in ((invariant_endomorphisms_dim, 2),
+                      (invariant_wedge2_dim, 1)):
+        if route in ("table", "rational"):
+            assert dim(rep) == want
+        else:
+            with pytest.raises(ValueError, match=re.escape(route)):
+                dim(rep)
+    assert calls == ({route: 2} if route in ("table", "rational") else {})
+
+
+def test_nondegenerate_reads_the_gram_pattern_where_the_identity_holds(
+        monkeypatch):
+    """nondegenerate is the rank of G_0 while G B = B^-T G_vw holds, and
+    G.det() != 0 once it fails: a doubled G is nondegenerate, a G of rank
+    2 is not."""
+    calls = Counter()
+    monkeypatch.setattr(ExactMatrix, "det",
+                        _counting(calls, "det", ExactMatrix.det))
+    rep = build_antiweil_rep(-1, -2, -3)
+    assert rep.verify_symplectic()[1]["nondegenerate"]
+    assert calls == {}
+    for gram, want in ((rep.gram.scale(2), True),
+                       (ExactMatrix.from_rows(rep.field, [{1: 1}, {0: -1}]
+                                              + [{}] * 6, 8), False)):
+        rep.gram = gram
+        assert rep.verify_symplectic()[1]["nondegenerate"] is want
+    assert calls == {"det": 2}
+
+
 def test_flipped_weight_sign_fails_the_brackets(monkeypatch):
     """A flipped sign in the weight table fails the relations proof, for
     a rep built from the flipped table; a rep built from the true table
@@ -1027,16 +1165,15 @@ def test_flipped_weight_sign_fails_under_optimize_flag():
 
 def test_non_integral_generator_keeps_the_invariant_dims():
     """A rational model whose generator J has non-integral entries (its
-    rows halved, ±1/2) runs the clearing branch of the ranks and keeps
-    the dimensions, as halving J changes no invariant."""
+    rows halved, ±1/2) runs the clearing branch of the rational route's
+    ranks and keeps the dimensions, as halving J changes no invariant."""
     rep = build_antiweil_rep(-1, -2, -3)
     rep._model["J"] = [{c: x * Fraction(1, 2) for c, x in row.items()}
                        for row in rep._model["J"]]
     assert all(type(x) is Fraction and x.denominator == 2
                for row in rational_module(rep).actions["J"]
                for x in row.values())
-    assert invariant_endomorphisms_dim(rep) == 2
-    assert invariant_wedge2_dim(rep) == 1
+    assert rep.rational_invariant_dims() == (2, 1)
 
 
 def test_structured_factors_build_no_generic_product(monkeypatch):
