@@ -330,12 +330,12 @@ def classify_dim4_faithful():
     must have every factor acting by a faithful irreducible of dimension
     >= 2, so 4 = 2 x 2 forces sl(2) x sl(2), each factor on V(1) (three
     or more factors need dim >= 8).  The D-series starts at
-    dim(D_l) = 2l^2 - 2 > 15.  Each entry carries its realized module
-    under "weight_module" and an "ok" flag: its weight search finds
-    exactly the expected weights, and the generator images of the module
-    span a space of dimension ALGEBRA_DIMS[type], so the algebra acts
-    faithfully.  The highest weight of A1xA1 is its two factors' A1
-    weights."""
+    dim(D_4) = 28 > 15, as dim(D_l) = l(2l - 1).  Each entry carries its
+    realized module under "weight_module" and an "ok" flag: its weight
+    search finds exactly the expected weights, and the generator images
+    of the module span a space of dimension ALGEBRA_DIMS[type], so the
+    algebra acts faithfully.  The highest weight of A1xA1 is its two
+    factors' A1 weights."""
     v1 = sl2_irrep(1)
     table = (
         # type, weight search (type, dimension), the weights it must find,

@@ -7,16 +7,16 @@ irreducibility decision procedure.
 
 Everything is matrix/vector identity checking over multiquadratic fields;
 the hardcoded tables are cross-validated by regenerating them from the
-explicit algebra elements.  Facts of the int weight table that do not
-depend on (D', D, a), its sl(2) x sl(2) relations and its invariant
-counts, are proven once per process; each rep checks only the premises
-that carry them over to its matrices.
+explicit algebra elements.  Facts of the int tables that do not depend
+on (D', D, a), like the weight table's relations, Gram invariance and
+invariant counts, are proven once per process (functools.cache); each
+rep checks only the premises that carry them over to its matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product as iproduct
 
 from .fields import (QQ, DependentGenerators, ExactMatrix, FieldElement,
@@ -110,18 +110,18 @@ def unit_table_associativity(table) -> int:
     return n ** 3
 
 
-_ASSOCIATIVITY = {}
+@cache
+def _associative_triples() -> tuple:
+    """(n, triples) for the 4- and 8-dimensional blocks of UNIT_TABLE."""
+    return tuple((str(n), unit_table_associativity(
+        tuple(row[:n] for row in UNIT_TABLE[:n]))) for n in (4, 8))
 
 
 def algebra_associativity() -> dict:
     """Triples proven associative in the 4- and 8-dimensional algebras,
-    {"4": 64, "8": 512}.  The proof does not depend on (a, b, D), so it
-    runs once per process, at the first call."""
-    if not _ASSOCIATIVITY:
-        for n in (4, 8):
-            block = tuple(row[:n] for row in UNIT_TABLE[:n])
-            _ASSOCIATIVITY[str(n)] = unit_table_associativity(block)
-    return dict(_ASSOCIATIVITY)
+    {"4": 64, "8": 512}, as a dict of the caller's own.  The proof does
+    not depend on (a, b, D), so it runs once per process."""
+    return dict(_associative_triples())
 
 
 def unit_table_text() -> list:
@@ -148,7 +148,7 @@ class QuaternionAlgebra:
         self.b = FieldElement.coerce(field, b)
         self.D = None if D is None else FieldElement.coerce(field, D)
         self.dim = 4 if D is None else 8
-        algebra_associativity()
+        _associative_triples()
         monomials = {}
 
         def coefficient(sign, exps):
@@ -326,21 +326,13 @@ def _weight_matrix(name):
 
 WEIGHT_MATRICES = {name: _weight_matrix(name) for name in GENERATOR_NAMES}
 
-_WEIGHT_RELATIONS = {}
-
-
+@cache
 def weight_table_relations() -> bool:
-    """Whether the weight-table matrices WEIGHT_MATRICES satisfy the
-    sl(2) x sl(2) relations, as a WeightModule on them, whose constructor
-    checks each relation.  The table does not depend on (D', D, a), so
-    the proof runs once per process, at the first call."""
-    if not _WEIGHT_RELATIONS:
-        try:
-            WeightModule(range(8), WEIGHT_MATRICES, TRIPLE_NAMES)
-            _WEIGHT_RELATIONS["ok"] = True
-        except ValueError:
-            _WEIGHT_RELATIONS["ok"] = False
-    return _WEIGHT_RELATIONS["ok"]
+    """Whether the int rows of WEIGHT_MATRICES satisfy the sl(2) x sl(2)
+    relations.  The table does not depend on (D', D, a), so the proof
+    runs once per process, at the first call."""
+    return sl2_relations_hold([[WEIGHT_MATRICES[n] for n in t]
+                               for t in TRIPLE_NAMES], _rows_vanish)
 
 
 # The int pattern G_0 of the symplectic Gram matrix in the v/w basis,
@@ -351,10 +343,12 @@ GRAM_PATTERN = ({5: 1}, {4: 1}, {7: -1}, {6: -1},
                 {1: -1}, {0: -1}, {3: 1}, {2: 1})
 
 
-def _keeps_gram_pattern(A) -> bool:
-    """Whether A^T G_0 + G_0 A = 0 for the int rows A of a weight-table
-    matrix; it does not depend on (D', D, a)."""
-    At = [{} for _ in range(8)]
+@cache
+def _keeps_gram_pattern(name) -> bool:
+    """Whether A^T G_0 + G_0 A = 0 for the weight-table matrix A of the
+    generator name; it does not depend on (D', D, a), so it is decided
+    once per generator per process."""
+    A, At = WEIGHT_MATRICES[name], [{} for _ in range(8)]
     for t, row in enumerate(A):
         for c, x in row.items():
             At[c][t] = x
@@ -364,8 +358,6 @@ def _keeps_gram_pattern(A) -> bool:
 # The int pattern J_0 = diag(I_4, -I_4) of the sqrt(D') action in the v/w
 # basis, B^-1 J B = sqrt(D') J_0, as {col: ±1} rows.
 SPLIT_PATTERN = tuple({r: 1 if r < 4 else -1} for r in range(8))
-
-_WEIGHT_COUNTS = {}
 
 
 def _invariant_counts(w: WeightModule) -> tuple:
@@ -382,18 +374,16 @@ def _invariant_counts(w: WeightModule) -> tuple:
          for row in wedge.actions[name]])
 
 
+@cache
 def weight_table_counts() -> tuple:
     """(End count, ∧² count, rank of G_0) of the weight table: the
     invariant counts of the six WEIGHT_MATRICES A_l and J_0 = SPLIT_PATTERN
     (448 and 196 int rows), and the rank of GRAM_PATTERN.  The table does
     not depend on (D', D, a), so they are computed once per process, at
     the first call; expected (2, 1, 8)."""
-    if not _WEIGHT_COUNTS:
-        w = WeightModule(range(8), [*WEIGHT_MATRICES.items(),
-                                    ("J", SPLIT_PATTERN)], [])
-        _WEIGHT_COUNTS["counts"] = _invariant_counts(w) + (
-            rational_rank(GRAM_PATTERN),)
-    return _WEIGHT_COUNTS["counts"]
+    w = WeightModule(range(8), [*WEIGHT_MATRICES.items(),
+                                ("J", SPLIT_PATTERN)], [])
+    return _invariant_counts(w) + (rational_rank(GRAM_PATTERN),)
 
 
 # Galois action on the v-basis of V_sigma; w entries follow by
@@ -418,10 +408,10 @@ GALOIS_LIE_TABLE = {
 
 
 def _split_scalar(field: MultiQuadField, c) -> ExactMatrix:
-    """diag(c I_4, -c I_4): c on the first block of four coordinates, -c on
-    the second."""
-    return ExactMatrix.from_rows(field, [{r: c if r < 4 else -c}
-                                         for r in range(8)], 8)
+    """c J_0 = diag(c I_4, -c I_4), read off SPLIT_PATTERN."""
+    return ExactMatrix.from_rows(field, [
+        {r: c if s > 0 else -c for r, s in row.items()}
+        for row in SPLIT_PATTERN], 8)
 
 
 def _vanishes(terms) -> bool:
@@ -548,16 +538,15 @@ class AntiWeilRep:
         return bad
 
     @cached_property
-    def _weight_actions(self) -> dict:
-        """{l: A_l} for each generator l with mu_l B = B A_l, A_l its
-        weight-table matrix, one combination each, from mu and B as they
-        are at first use.  B is invertible (B_inv = B^-1 was built from
-        it), so mu_l = B A_l B^-1 for each l it holds."""
-        F = self.field
-        return {n: A for n in GENERATOR_NAMES
-                for A in (WEIGHT_MATRICES[n],)
-                if _vanishes([(1, self.mu[n], self.B),
-                              (-1, self.B, ExactMatrix.from_rows(F, A, 8))])}
+    def _weight_actions(self) -> set:
+        """The generators l with mu_l B = B A_l, A_l the weight-table
+        matrix of l, one combination each, from mu and B as they are at
+        first use.  B is invertible (B_inv = B^-1 was built from it), so
+        mu_l = B A_l B^-1 for each l it holds."""
+        return {n for n in GENERATOR_NAMES if _vanishes([
+            (1, self.mu[n], self.B),
+            (-1, self.B, ExactMatrix.from_rows(self.field,
+                                               WEIGHT_MATRICES[n], 8))])}
 
     # -- verification -------------------------------------------------------
 
@@ -652,9 +641,9 @@ class AntiWeilRep:
             for tag in self.galois)
         # (ii) infinitesimal invariance: under the premises mu_l^T G + G
         # mu_l is M B^-T (A_l^T G_0 + G_0 A_l) B^-1
-        acts = self._weight_actions if gram_identity else {}
+        acts = self._weight_actions if gram_identity else set()
         checks["infinitesimal"] = all(
-            _keeps_gram_pattern(acts[n]) if n in acts else
+            _keeps_gram_pattern(n) if n in acts else
             _vanishes([(1, self.mu[n].transpose(), G), (1, G, self.mu[n])])
             for n in GENERATOR_NAMES)
         # (iii) adjointness of the quadratic generator: phi(Jv, w) =

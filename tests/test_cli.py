@@ -467,7 +467,7 @@ def test_antiweil_verify_builds_the_extended_algebra_once(monkeypatch,
 
 @pytest.mark.parametrize("patch", ["weight table", "rational route"])
 def test_rational_invariant_dims_fail_when_the_two_routes_differ(
-        monkeypatch, patch):
+        weight_table, monkeypatch, patch):
     """The rational-invariant-dims record is OK only when the module
     functions, which read the weight table's counts on (-1, -2, -3), and
     the rational route both give (2, 1); its certificate keeps the

@@ -276,3 +276,63 @@ def test_asserts_are_declared(path):
     tree = ast.parse(path.read_text())
     found = sum(isinstance(node, ast.Assert) for node in ast.walk(tree))
     assert found == ASSERTS.get(path.name, 0)
+
+
+# what the cached table facts of quatrep read: a patch of one of these, or
+# of a fact itself, must go through the weight_table fixture of conftest
+TABLE_NAMES = {"WEIGHT_MATRICES", "GRAM_PATTERN", "SPLIT_PATTERN",
+               "UNIT_TABLE"}
+
+
+def _patches_table(node, guarded) -> bool:
+    """Whether node clears a cache, names a guarded attribute in a
+    setattr/delattr/patch call (as a string, dotted or not), or assigns
+    to a target that reaches a guarded name."""
+    if isinstance(node, ast.Call):
+        called = getattr(node.func, "attr", getattr(node.func, "id", None))
+        return called == "cache_clear" or (
+            called in ("setattr", "delattr", "patch") and any(
+                isinstance(a, ast.Constant) and isinstance(a.value, str)
+                and a.value.rsplit(".", 1)[-1] in guarded
+                for a in node.args))
+    targets = (node.targets if isinstance(node, ast.Assign) else
+               [node.target] if isinstance(node, (ast.AugAssign,
+                                                  ast.AnnAssign)) else [])
+    return any(getattr(sub, "attr", getattr(sub, "id", None)) in guarded
+               for t in targets for sub in ast.walk(t))
+
+
+def test_table_patches_go_through_the_fixture():
+    """No test code sets a table that quatrep's cached facts read, patches
+    or clears a cached fact, except in a test that requests the
+    weight_table fixture, which clears every fact around the test, and in
+    that fixture itself.  Module-level code never may.  Code run in a
+    process of its own, as the source string of
+    test_flipped_weight_sign_fails_under_optimize_flag that flips
+    WEIGHT_MATRICES in place, is not parsed here: its caches die with it."""
+    from cmsweep import quatrep
+    facts = {name for name, f in vars(quatrep).items()
+             if hasattr(f, "cache_clear")}
+    assert {"weight_table_relations", "weight_table_counts",
+            "_keeps_gram_pattern"} <= facts
+    fixture = {("conftest.py", "weight_table"),
+               ("conftest.py", "_clear_table_facts")}
+    found = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(top, ast.FunctionDef) and (
+                    (path.name, top.name) in fixture
+                    or "weight_table" in {a.arg for a in top.args.args}):
+                continue
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                      if _patches_table(node, TABLE_NAMES | facts)]
+    assert not found
+
+
+def test_quatrep_keeps_no_module_cache_dict():
+    """quatrep caches its table facts with functools.cache: no module
+    name is bound to a dict literal that a function would fill."""
+    tree = ast.parse((ROOT / "src" / "cmsweep" / "quatrep.py").read_text())
+    assert not [node.lineno for node in tree.body
+                if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Dict) and not node.value.keys]

@@ -782,7 +782,8 @@ PREMISE_PERTURBATIONS = {
 
 
 @pytest.mark.parametrize("name", sorted(PREMISE_PERTURBATIONS))
-def test_broken_premise_falls_back_to_the_combination(name, monkeypatch):
+def test_broken_premise_falls_back_to_the_combination(name, weight_table,
+                                                      monkeypatch):
     """Where a premise fails, infinitesimal invariance is the combination
     mu_l^T G + G mu_l, and every flag equals the product reference: the
     doubled G or mu_x1 is still invariant, while the brackets fail for
@@ -803,19 +804,17 @@ def test_broken_premise_falls_back_to_the_combination(name, monkeypatch):
 
 
 def test_flipped_weight_table_decides_invariance_like_products(
-        monkeypatch):
+        weight_table):
     """A rep built from a weight table with a flipped sign keeps every
     premise, mu_l = B A_l B^-1 for the flipped A_l, and the int identity
     then decides infinitesimal invariance as the products do."""
-    monkeypatch.setattr(quatrep, "WEIGHT_MATRICES",
-                        _flipped_weight_matrices())
-    monkeypatch.setattr(quatrep, "_WEIGHT_COUNTS", {})
+    weight_table(_flipped_weight_matrices())
     rep = build_antiweil_rep(-1, -2, -3)
     assert len(rep._weight_actions) == len(GENERATOR_NAMES)
     want = _symplectic_by_products(rep)["infinitesimal"]
     assert rep.verify_symplectic()[1]["infinitesimal"] == want
     assert not want
-    assert not quatrep._keeps_gram_pattern(quatrep.WEIGHT_MATRICES["x1"])
+    assert not quatrep._keeps_gram_pattern("x1")
 
 
 def test_passing_identities_build_no_matrix_side(rep, monkeypatch):
@@ -981,21 +980,19 @@ def test_nine_antiweil_checks_pass_on_grid_triples(triple):
     assert invariant_wedge2_dim(rep) == 1
 
 
-def test_weight_table_relations_run_once(monkeypatch):
+def test_weight_table_relations_run_once(weight_table, monkeypatch):
     calls = Counter()
-    monkeypatch.setattr(quatrep, "_WEIGHT_RELATIONS", {})
-    monkeypatch.setattr(quatrep, "WeightModule",
-                        _counting(calls, "module", quatrep.WeightModule))
+    monkeypatch.setattr(quatrep, "sl2_relations_hold", _counting(
+        calls, "relations", quatrep.sl2_relations_hold))
     rep = build_antiweil_rep(-1, -2, -3)
     assert calls == {}                       # not at import or build
     assert rep.verify_matrix_brackets() and rep.verify_matrix_brackets()
     assert build_antiweil_rep(-5, -7, -11).verify_matrix_brackets()
-    assert calls == {"module": 1}
+    assert calls == {"relations": 1}
 
 
-def test_weight_table_counts_run_once(monkeypatch):
+def test_weight_table_counts_run_once(weight_table, monkeypatch):
     calls = Counter()
-    monkeypatch.setattr(quatrep, "_WEIGHT_COUNTS", {})
     monkeypatch.setattr(quatrep, "_invariant_counts", _counting(
         calls, "counts", quatrep._invariant_counts))
     reps = [build_antiweil_rep(-1, -2, -3), build_antiweil_rep(-5, -7, -11)]
@@ -1090,6 +1087,7 @@ PREMISE_BREAKS = {
 
 @pytest.mark.parametrize("name", sorted(PREMISE_BREAKS))
 def test_broken_premise_takes_the_rational_route_or_raises(name,
+                                                           weight_table,
                                                            monkeypatch):
     calls = Counter()
     monkeypatch.setattr(quatrep, "weight_table_counts", _counting(
@@ -1130,21 +1128,53 @@ def test_nondegenerate_reads_the_gram_pattern_where_the_identity_holds(
     assert calls == {"det": 2}
 
 
-def test_flipped_weight_sign_fails_the_brackets(monkeypatch):
+def test_flipped_weight_sign_fails_the_brackets(weight_table, monkeypatch):
     """A flipped sign in the weight table fails the relations proof, for
     a rep built from the flipped table; a rep built from the true table
     fails the identity mu_l B = B A_l against the flipped one."""
     true_rep = build_antiweil_rep(-1, -2, -3)
-    monkeypatch.setattr(quatrep, "WEIGHT_MATRICES",
-                        _flipped_weight_matrices())
-    monkeypatch.setattr(quatrep, "_WEIGHT_RELATIONS", {})
+    weight_table(_flipped_weight_matrices())
     assert not quatrep.weight_table_relations()
     rep = build_antiweil_rep(-1, -2, -3)
     assert not rep.verify_matrix_brackets()
     assert not brackets_by_products(rep)
-    monkeypatch.setattr(quatrep, "_WEIGHT_RELATIONS", {"ok": True})
+    monkeypatch.setattr(quatrep, "weight_table_relations", lambda: True)
     assert not true_rep.verify_matrix_brackets()
     assert brackets_by_products(true_rep)
+
+
+def test_flipped_weight_table_facts(weight_table):
+    """The table facts proven on the flipped table: the relations fail,
+    x1 breaks the Gram pattern and the ∧² count drops to 0."""
+    weight_table(_flipped_weight_matrices())
+    assert not quatrep.weight_table_relations()
+    assert not quatrep._keeps_gram_pattern("x1")
+    assert quatrep.weight_table_counts() == (2, 0, 8)
+
+
+def test_true_table_facts_after_a_flipped_table():
+    """Runs after test_flipped_weight_table_facts: once its weight_table
+    fixture has put the true table back, no fact of the flipped table is
+    left in a cache, and the true rep passes the brackets and the
+    symplectic checks."""
+    assert quatrep.weight_table_relations()
+    assert quatrep.weight_table_counts() == (2, 1, 8)
+    assert all(quatrep._keeps_gram_pattern(n) for n in GENERATOR_NAMES)
+    rep = build_antiweil_rep(-1, -2, -3)
+    assert rep.verify_matrix_brackets() and rep.verify_symplectic()[0]
+
+
+def test_gram_pattern_identity_runs_once_per_generator(weight_table,
+                                                       monkeypatch):
+    """verify_symplectic on two reps evaluates the int identity A_l^T G_0
+    + G_0 A_l = 0 once for each of the six generators, not once per rep:
+    it is the only int row combination those calls make."""
+    calls = Counter()
+    monkeypatch.setattr(quatrep, "_rows_vanish", _counting(
+        calls, "int", quatrep._rows_vanish))
+    for triple in ((-1, -2, -3), (-5, -7, -11)):
+        assert build_antiweil_rep(*triple).verify_symplectic()[0]
+    assert calls == {"int": len(GENERATOR_NAMES)}
 
 
 def test_flipped_weight_sign_fails_under_optimize_flag():
