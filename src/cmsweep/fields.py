@@ -9,7 +9,14 @@ ints; only this module reads ``nums`` and ``den``.  Each field precomputes
 its product table, (i, j) -> (i ^ j, prod_{b in i & j} d_b), and a product
 of two elements is integer arithmetic plus one gcd normalisation.  Every
 sum of products (matrix, quaternion and symplectic products) is one call
-of sum_of_products, which builds no intermediate element.  The
+of sum_of_products, which builds no intermediate element.  Most elements
+are monomials, one numerator over the denominator (every anti-Weil
+matrix has single-radical entries), and the operand's shape selects a
+direct path for them: a product of two, a sum_of_products term of two
+and a one-numerator sum or normalisation are one table read, one
+multiply and one gcd, and the inverse of (x/d) * sqrt(m) is
+d * sqrt(m) / (x * sqrt(m)^2) with the sign moved off the denominator.
+Any other shape runs the general loops.  The
 Galois group is (Z/2)^k acting by sign flips on the generators, which is
 all the field theory the case sweeps need: every algebraic number that
 shows up (roots of unity of order dividing 8, sqrt(a), sqrt(D), sqrt(D'))
@@ -33,20 +40,27 @@ class DoesNotSplit(ValueError):
 
 
 def squarefree_split(r):
-    """r = s^2 * r0 with r0 a square-free integer; returns (s, r0)."""
-    fr = Fraction(r)
-    if fr == 0:
+    """r = s^2 * r0 with r0 a square-free integer, for an int or Fraction r;
+    returns (s, r0) with s a Fraction.  One trial division runs on
+    numerator * denominator, which is r itself for an int; ValueError on
+    0 and on any other type (a float would be trial-divided as the huge
+    numerator of its binary value)."""
+    if isinstance(r, int):
+        n, den = r, 1
+    elif isinstance(r, Fraction):
+        n, den = r.numerator * r.denominator, r.denominator
+    else:
+        raise ValueError(f"{r!r} is not an int or a Fraction")
+    if not n:
         raise ValueError("0 has no square-free part")
-    n = fr.numerator * fr.denominator
-    s = Fraction(1, fr.denominator)
-    s2, n0 = 1, n
+    s, n0 = 1, n
     d = 2
     while d * d <= abs(n0):
         while n0 % (d * d) == 0:
             n0 //= d * d
-            s2 *= d
+            s *= d
         d += 1
-    return s * s2, n0
+    return Fraction(s, den), n0
 
 
 class MultiQuadField:
@@ -233,6 +247,11 @@ def _new(field, nums, den) -> "FieldElement":
 
 def _norm(field, nums, den) -> "FieldElement":
     """An element from zero-free numerators over a positive denominator."""
+    if len(nums) == 1:
+        m, = nums
+        x = nums[m]
+        g = gcd(den, x)
+        return _new(field, {m: x // g} if g != 1 else nums, den // g)
     g = gcd(den, *nums.values())
     if g != 1:
         nums = {m: x // g for m, x in nums.items()}
@@ -241,8 +260,14 @@ def _norm(field, nums, den) -> "FieldElement":
 
 
 def _mul_nums(field, a, b):
-    """The zero-free numerators of the product of two numerator dicts."""
+    """The zero-free numerators of the product of two numerator dicts;
+    two one-numerator dicts make one table read and one multiply."""
     table = field._table
+    if len(a) == 1 and len(b) == 1:
+        i, = a
+        j, = b
+        k, c = table[i][j]
+        return {k: a[i] * b[j] * c}
     out = {}
     for i, x in a.items():
         row = table[i]
@@ -256,12 +281,13 @@ def sum_of_products(field, terms) -> dict:
     """{key: sum x * y * c} over the (key, x, y, c) in terms, for field
     elements x, y and a structure constant c, an int (1 for a plain
     product) or a field element, holding only the keys whose sums are
-    nonzero.  Each key accumulates integer numerators over a running
-    common denominator and is normalised once; an int c only scales the
-    numerators."""
+    nonzero.  Each key keeps one slot, [integer numerators, running common
+    denominator], and is normalised once; an int c only scales the
+    numerators, and a term of two one-numerator elements is one table
+    read."""
     table = field._table
     one = field._one
-    accs, dens = {}, {}
+    slots = {}
     for key, x, y, c in terms:
         a = x.nums
         b = y.nums
@@ -279,16 +305,26 @@ def sum_of_products(field, terms) -> dict:
             if c is not one:
                 a = _mul_nums(field, a, c.nums)
                 d *= c.den
-        acc = accs.setdefault(key, {})
-        den = dens.setdefault(key, d)
-        if d != den:
+        slot = slots.get(key)
+        if slot is None:
+            slots[key] = slot = [{}, d]
+        elif slot[1] != d:
+            den = slot[1]
             g = gcd(den, d)
             grow = d // g
             if grow != 1:
+                acc = slot[0]
                 for k in acc:
                     acc[k] *= grow
-                dens[key] = den * grow
+                slot[1] = den * grow
             scale *= den // g
+        acc = slot[0]
+        if len(a) == 1 and len(b) == 1:
+            i, = a
+            j, = b
+            k, s = table[i][j]
+            acc[k] = acc.get(k, 0) + a[i] * b[j] * s * scale
+            continue
         for i, u in a.items():
             u *= scale
             row = table[i]
@@ -296,12 +332,22 @@ def sum_of_products(field, terms) -> dict:
                 k, s = row[j]
                 acc[k] = acc.get(k, 0) + u * v * s
     out = {}
-    for key, acc in accs.items():
+    for key, (acc, den) in slots.items():
+        # _norm's one-numerator branch inline, without the zero filter
+        # and the call: most keys of a pass end with one numerator
+        if len(acc) == 1:
+            k, = acc
+            u = acc[k]
+            if u:
+                g = gcd(den, u)
+                out[key] = _new(field, {k: u // g} if g != 1 else acc,
+                                den // g)
+            continue
         # filter only a sum with a cancelled numerator: most have none
         if 0 in acc.values():
             acc = {k: u for k, u in acc.items() if u}
         if acc:
-            out[key] = _norm(field, acc, dens[key])
+            out[key] = _norm(field, acc, den)
     return out
 
 
@@ -455,10 +501,17 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("field element is zero")
+        field = self.field
+        if len(self.nums) == 1:
+            # (x / d) * sqrt(m) has inverse d * sqrt(m) / (x * sqrt(m)^2),
+            # and sqrt(m)^2 may be negative: the sign moves to num
+            m, = self.nums
+            q = self.nums[m] * field._table[m][m][1]
+            return _norm(field, {m: self.den if q > 0 else -self.den},
+                         abs(q))
         # rationalize one generator at a time: x * conj_i(x) has no
         # sqrt(d_i) component, so num ends as den / x_nums times the
         # rational q
-        field = self.field
         num = {0: self.den}
         cur = self.nums
         for i in range(field.k):

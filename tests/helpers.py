@@ -12,9 +12,9 @@ eigen_decompose that the int restriction of the rational pair branch is
 checked against; the solve-based rational-unit coefficients and Galois
 Lie table that the anti-Weil chain is checked against; the identity
 matrix; the members the verifier no longer has (an element from its
-numerators, the quotient of two elements, the matrix rank, the stability
-of a mixed family at one point); the product and combination routes of
-the anti-Weil chain (mu as B * A * B^-1, the rational model through
+numerators or from one int draw, the quotient of two elements, the
+matrix rank, the stability of a mixed family at one point); the product
+and combination routes of the anti-Weil chain (mu as B * A * B^-1, the rational model through
 U^-1 M U and U^T G U, the Galois and descent identities with
 P = g(I), and the sl(2) x sl(2) relations of mu as products) that its
 column relabels, signed block sums and conjugation identities are
@@ -397,6 +397,27 @@ def element_from_nums(field, nums, den: int = 1) -> FieldElement:
     if den < 0:
         nums, den = {m: -x for m, x in nums.items()}, -den
     return fields._norm(field, {m: x for m, x in nums.items() if x}, den)
+
+
+# the int draws element_from_code reads: den, count, three (mask, numerator)
+ELEMENT_CODES = 12 * 4 * (8 * 61) ** 3
+
+
+def element_from_code(field, code: int) -> FieldElement:
+    """The element read off one int draw in range(ELEMENT_CODES), taken as
+    mixed-radix digits, lowest first: den - 1 in 0..11, a count in 0..3,
+    then three pairs of a mask in 0..7, taken mod the field's degree, and
+    a digit v in 0..60 for the numerator 0, 1, -1, 2, -2, ..., 30, -30.
+    The first count pairs give the numerators, a repeated mask keeping its
+    first; a small draw is a small element."""
+    code, den = divmod(code, 12)
+    code, count = divmod(code, 4)
+    nums = {}
+    for _ in range(count):
+        code, m = divmod(code, 8)
+        code, v = divmod(code, 61)
+        nums.setdefault(m % field.degree, (v + 1) // 2 * (-1) ** (v + 1))
+    return element_from_nums(field, nums, den + 1)
 
 
 def divide(field, x, y) -> FieldElement:

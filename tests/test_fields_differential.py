@@ -7,7 +7,9 @@ against dense elementwise references and sympy, the sparse rational
 elimination against the dense integer elimination and sympy, unit
 scalars, the canonical element form and the sparse element arithmetic
 against the dense element reference, the sum-of-products kernel against
-plain sums of element products, matrix combinations of products against
+plain sums of element products, its monomial direct paths (products,
+inverses and one sum of monomials in two degree-8 fields) against the
+dense element reference, matrix combinations of products against
 the dense sum, denominator clearing against its rebuild-every-row form,
 the field inclusion against the coordinate route, the commutant rows
 against the End(V) module, and singular inverses over random towers
@@ -29,8 +31,9 @@ from cmsweep.fields import (QQ, DependentGenerators, ExactMatrix,
                             cleared_rows, eigen_decompose, field_create,
                             rational_kernel, rational_rank, sum_of_products)
 from helpers import (DenseElement, dense_det, dense_product, dense_rows,
-                     dense_rref, distinct_rows, element_from_nums,
-                     identity_matrix, integer_rref, matrix_rank)
+                     dense_rref, distinct_rows, ELEMENT_CODES,
+                     element_from_code, element_from_nums, identity_matrix,
+                     integer_rref, matrix_rank)
 
 SQUAREFREE = [d for d in range(-30, 31)
               if d not in (0, 1) and all(d % (p * p) for p in range(2, 6))]
@@ -142,26 +145,31 @@ def test_sparse_elements_match_dense_reference(case):
             _agrees(apply_galois(g, x), rx.galois(g))
 
 
+INT_CONSTANTS = st.sampled_from((0, 1, -1, 2, -2))
+
+
 @st.composite
 def product_terms(draw):
-    """A field and (key, x, y, c) terms over it: sparse elements, zero
-    among them, constants that are the field's one, an element equal to
-    one but not it, zero, general, or an int in {0, +-1, +-2}, and a key
-    "cancel" whose two terms
-    are x * y * c and (-x) * y * c for nonzero x, y and c."""
+    """A field and up to 12 (key, x, y, c) terms over it, keys 0..3, each
+    element one flat int draw (helpers.element_from_code): sparse
+    elements, zero among them, constants that are the field's one, an
+    element equal to one but not it, zero, general, or an int in
+    {0, +-1, +-2}, and a key "cancel" whose two terms are x * y * c and
+    (-x) * y * c for nonzero x, y and c (a zero draw there is taken as
+    the field's one)."""
     field = draw(st.sampled_from(ELEMENT_FIELDS))
-    elements = st.builds(
-        lambda nums, den: element_from_nums(field, nums, den),
-        st.dictionaries(st.integers(0, field.degree - 1),
-                        st.integers(-30, 30), max_size=3),
-        st.integers(1, 12))
-    constants = st.one_of(st.just(field.one()), st.just(field.rational(1)),
-                          st.just(field.zero()), elements,
-                          st.sampled_from((0, 1, -1, 2, -2)))
-    terms = draw(st.lists(st.tuples(st.integers(0, 3), elements, elements,
-                                    constants), max_size=12))
-    x, y, c = (draw(elements.filter(lambda e: not e.is_zero()))
-               for _ in range(3))
+    codes = st.integers(0, ELEMENT_CODES - 1)
+
+    def element(nonzero=False):
+        e = element_from_code(field, draw(codes))
+        return e if e.nums or not nonzero else field.one()
+
+    constants = (field.one, lambda: field.rational(1), field.zero, element,
+                 lambda: draw(INT_CONSTANTS))
+    terms = [(draw(st.integers(0, 3)), element(), element(),
+              constants[draw(st.integers(0, 4))]())
+             for _ in range(draw(st.integers(0, 12)))]
+    x, y, c = (element(True) for _ in range(3))
     cut = draw(st.integers(0, len(terms)))
     return field, terms[:cut] + [("cancel", x, y, c)] + terms[cut:] + \
         [("cancel", -x, y, c)]
@@ -184,6 +192,76 @@ def test_sum_of_products_matches_plain_sums(case):
     for e in got.values():
         assert e.field is field and e.den > 0 and 0 not in e.nums.values()
         assert math.gcd(e.den, *e.nums.values()) == 1
+
+
+# -- the monomial direct paths ------------------------------------------------
+
+# the anti-Weil fields of the fixture triple and of a triple with large |d|
+MONOMIAL_FIELDS = [field_create([-1, -2, -3]), field_create([-7, -17, -29])]
+
+
+def _monomials(field):
+    """(element, dense reference) for every monomial mask of the field with
+    numerators ±1 and ±6 over denominators 1, 4 and 15."""
+    out = []
+    for m in range(field.degree):
+        for x in (1, -1, 6, -6):
+            for d in (1, 4, 15):
+                nums = [0] * field.degree
+                nums[m] = x
+                out.append((element_from_nums(field, {m: x}, d),
+                            DenseElement(field, nums, d)))
+    return out
+
+
+def _dense(field, c):
+    """The dense reference of an int or an element."""
+    if type(c) is int:
+        return DenseElement(field, [c] + [0] * (field.degree - 1))
+    nums = [0] * field.degree
+    for m, x in c.nums.items():
+        nums[m] = x
+    return DenseElement(field, nums, c.den)
+
+
+@pytest.mark.parametrize("field", MONOMIAL_FIELDS, ids=repr)
+def test_monomial_direct_paths_match_dense_reference(field):
+    squares = [field._table[m][m][1] for m in range(field.degree)]
+    # some sqrt(m)^2 are negative: their inverses move the sign
+    assert min(squares) < 0 < max(squares)
+    mono = _monomials(field)
+    for x, rx in mono:
+        _agrees(x, rx)
+        inv = x.inverse()
+        _agrees(inv, rx.inverse())
+        assert x * inv == 1 and inv * x == 1
+    for x, rx in mono:
+        for y, ry in mono:
+            _agrees(x * y, rx * ry)
+    # one sum over these elements: mixed denominators, int and element
+    # constants, a two-numerator term among monomial ones on key 0, a key
+    # whose terms cancel and one whose single term needs a gcd
+    consts = (1, -2, 3, mono[44][0], mono[61][0], field.one())
+    terms = [(t % 5, x, mono[(7 * t + 3) % len(mono)][0],
+              consts[t % len(consts)]) for t, (x, _) in enumerate(mono)]
+    x, y, c = mono[50][0], mono[83][0], mono[20][0]
+    terms += [("cancel", x, y, c), ("cancel", -x, y, c),
+              (0, element_from_nums(field, {0: 1, 5: -3}, 4), x, 2)]
+    six4 = element_from_nums(field, {1: 6}, 4)
+    six15 = element_from_nums(field, {1: 6}, 15)
+    terms.append(("reduce", six4, six15, 1))
+    want = {}
+    for key, x, y, c in terms:
+        term = _dense(field, x) * _dense(field, y) * _dense(field, c)
+        want[key] = want[key] + term if key in want else term
+    got = sum_of_products(field, terms)
+    assert "cancel" not in got and want["cancel"].is_zero()
+    assert got.keys() == {k for k, e in want.items() if not e.is_zero()}
+    for key, e in got.items():
+        _agrees(e, want[key])
+    # 3/2 * 2/5 * sqrt(d_1)^2: 6 * d_1 over 10, reduced by their gcd 2
+    assert (got["reduce"].nums, got["reduce"].den) == \
+        ({0: 3 * field.gens[0]}, 5)
 
 
 def _same_rref(m, red, pivots):

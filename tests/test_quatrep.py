@@ -87,8 +87,29 @@ def test_squarefree_split():
     assert squarefree_split(-12) == (2, -3)
     assert squarefree_split(8) == (2, 2)
     assert squarefree_split(-1) == (1, -1)
-    with pytest.raises(ValueError, match="0 has no square-free part"):
-        squarefree_split(0)
+    assert squarefree_split(Fraction(1, 12)) == (Fraction(1, 6), 3)
+    # an int runs the route of its Fraction, with s a Fraction for both
+    for r in range(-300, 301):
+        if r:
+            s, r0 = squarefree_split(r)
+            assert (s, r0) == squarefree_split(Fraction(r))
+            assert type(s) is Fraction
+            assert type(squarefree_split(Fraction(r))[0]) is Fraction
+            assert s * s * r0 == r
+            assert all(r0 % (d * d) for d in range(2, 18))
+    raised = []
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError,
+                           match="^0 has no square-free part$") as exc:
+            squarefree_split(zero)
+        raised.append((exc.type, str(exc.value)))
+    assert raised[0] == raised[1]
+    # a float is refused by name, not trial-divided as the numerator of
+    # its binary value
+    with pytest.raises(ValueError, match=r"-0\.1 is not an int or a Fraction"):
+        squarefree_split(-0.1)
+    with pytest.raises(ValueError, match=r"-0\.1 is not an int or a Fraction"):
+        build_antiweil_rep(-0.1, -2, -3)
 
 
 def test_dependent_parameters_rejected():
