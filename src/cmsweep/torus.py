@@ -13,7 +13,8 @@ stable sublattice is hunted down exactly:
   second anticommuting lift forces the second line (one projective
   parameter), a commuting one restricts to exact 2x2 eigenline problems;
 * a third matrix imposes homogeneous cubic minor constraints on the
-  projective parameter whose rational roots are found exactly.
+  projective parameter, read off the family's Plücker quadratics, whose
+  rational roots are found on integer candidates.
 
 Rejection criteria: the divisor test (a lattice vector with two zero and
 two +-1 coordinates), rank collapse, or failure of Galois descent.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations, product
 from math import gcd, prod
 
@@ -167,18 +169,32 @@ def divisor_candidates():
 
 
 _DIVISOR_CANDIDATES = divisor_candidates()
+_PAIRS = tuple(combinations(range(4), 2))
+# (complement of pair t of _PAIRS, which is pair 5 - t; the candidates on t)
+_DIVISOR_GROUPS = tuple((kl, _DIVISOR_CANDIDATES[4 * t:4 * t + 4])
+                        for t, kl in enumerate(reversed(_PAIRS)))
 
 
 def divisor_test(lat: IntLattice):
     """True iff the lattice contains a vector with exactly two zero
     coordinates and the other two in {-1,+1}.  Returns (flag, witness);
-    ValueError unless the lattice lies in Z^4."""
+    ValueError unless the lattice lies in Z^4.  The candidates go through
+    lat.contains in order, skipping each pair (i, j) whose span(e_i, e_j)
+    the Q-span misses: at rank 1 when the basis vector is not 0 at the
+    other coordinates k, l, at rank 2 when the basis's minor p_kl is not
+    0.  A skipped candidate is never a member, so the witness is kept."""
     if lat.ambient_rank != 4:
         raise ValueError(f"divisor test needs a lattice in Z^4, got Z^"
                          f"{lat.ambient_rank}")
-    for cand in _DIVISOR_CANDIDATES:
-        if lat.contains(cand):
-            return True, cand
+    rows = lat.basis
+    for (k, l), cands in _DIVISOR_GROUPS:
+        if (len(rows) == 1 and (rows[0][k] or rows[0][l])
+                or len(rows) == 2
+                and rows[0][k] * rows[1][l] != rows[0][l] * rows[1][k]):
+            continue
+        for cand in cands:
+            if lat.contains(cand):
+                return True, cand
     return False, None
 
 
@@ -402,6 +418,15 @@ class MixedFamily:
         self.a, self.b, self.c, self.d = (_integral(v) for v in (a, b, c, d))
         self.matrices = [] if matrices is None else matrices
 
+    @cached_property
+    def plucker(self) -> tuple:
+        """The Plücker coordinates p_ij = u_i*w_j - u_j*w_i of W in _PAIRS
+        order, each an int quadratic [x2^2, x1*x2, x1^2]."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return tuple((b[i] * d[j] - b[j] * d[i],
+                      a[i] * d[j] + b[i] * c[j] - a[j] * d[i] - b[j] * c[i],
+                      a[i] * c[j] - a[j] * c[i]) for i, j in _PAIRS)
+
     def at(self, x1: int, x2: int):
         u = [x1 * p + x2 * q for p, q in zip(self.a, self.b)]
         w = [x1 * p + x2 * q for p, q in zip(self.c, self.d)]
@@ -510,72 +535,66 @@ def pair_analysis(m1: SignedPerm, m2: SignedPerm):
 # homogeneous cubic constraints from a third matrix
 # ---------------------------------------------------------------------------
 
-def _det3(rows):
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-_MINOR_COLUMNS = tuple(combinations(range(4), 3))
-# (x1, x2) points at which family_constraints evaluates every minor
-_CUBIC_NODES = ((0, 1), (1, 0), (1, 1), (1, -1))
+# the minor of rows [u; w; x] on columns a < b < c expanded along x,
+# x_a*p_bc - x_b*p_ac + x_c*p_ab, as (coordinate, sign, index in _PAIRS)
+_MINOR_TERMS = tuple(
+    tuple((k, (-1) ** t, _PAIRS.index(tuple(c for c in cols if c != k)))
+          for t, k in enumerate(cols))
+    for cols in combinations(range(4), 3))
 
 
 def family_constraints(fam: MixedFamily, m3: SignedPerm):
     """All 3x3 minor constraints for m3-stability of the family, as
     homogeneous integer cubics in (x1, x2); coefficient lists [x2^3 ..
-    x1^3].  Each minor f is an integer determinant at the four nodes, and
-    its cubic [c0, c1, c2, c3] is interpolated exactly: c0 = f(0,1),
-    c3 = f(1,0), c1 + c2 = f(1,1) - c0 - c3, c1 - c2 = f(1,-1) + c0 - c3."""
-    images = ((m3.apply(fam.a), m3.apply(fam.b)),
-              (m3.apply(fam.c), m3.apply(fam.d)))
-    values = []
-    for x1, x2 in _CUBIC_NODES:
-        u, w = fam.at(x1, x2)
-        minors = []
-        for p, q in images:
-            img = [x1 * s + x2 * t for s, t in zip(p, q)]
-            for cols in _MINOR_COLUMNS:
-                minors.append(_det3([[u[c] for c in cols], [w[c] for c in cols],
-                                     [img[c] for c in cols]]))
-        values.append(minors)
+    x1^3], image by image, column triple by triple, the zero ones left
+    out.  The image x = m3*u (then m3*w) is x1*P + x2*Q, and the minor of
+    [u; w; x] on columns a < b < c is x_a*p_bc - x_b*p_ac + x_c*p_ab with
+    the family's Plücker quadratics p: three linear-times-quadratic
+    products in ints."""
+    pl = fam.plucker
     out = []
-    for c0, c3, f11, f1m in zip(*values):
-        plus = f11 - c0 - c3
-        minus = f1m + c0 - c3
-        cubic = [c0, (plus + minus) // 2, (plus - minus) // 2, c3]
-        if any(cubic):
-            out.append(cubic)
+    for p, q in ((fam.a, fam.b), (fam.c, fam.d)):
+        xp, xq = m3.apply(p), m3.apply(q)
+        for terms in _MINOR_TERMS:
+            c0 = c1 = c2 = c3 = 0
+            for k, sign, ij in terms:
+                s, t = sign * xq[k], sign * xp[k]  # x2 and x1 coefficients
+                if s or t:
+                    q0, q1, q2 = pl[ij]
+                    c0, c1 = c0 + s * q0, c1 + s * q1 + t * q0
+                    c2, c3 = c2 + s * q2 + t * q1, c3 + t * q2
+            if c0 or c1 or c2 or c3:
+                out.append([c0, c1, c2, c3])
     return out
 
 
 def _rational_projective_roots(polys):
     """Common projective rational roots (x1 : x2) of homogeneous integer
     polynomials given as coefficient lists [x2^d ... x1^d]; ValueError
-    when there are none or the first is identically zero."""
+    when the list is empty or the first is identically zero.  (1 : 0)
+    comes first when every x1^d coefficient is 0.  A finite root x1/x2 = t
+    of the first polynomial is (0, 1) or a coprime pair (+-p, q), p
+    dividing its lowest and q its highest nonzero coefficient; the pairs
+    are tested in ints by Horner's rule, and the roots ordered by t."""
     nz = [j for j, c in enumerate(polys[0]) if c] if polys else []
     if not nz:
         raise ValueError("need a first polynomial that is not zero")
 
-    def value(p, x1, x2):
-        d = len(p) - 1
-        return sum(c * x1 ** j * x2 ** (d - j) for j, c in enumerate(p))
+    def value(p, x1, x2):  # Horner's rule; power is x2^(d - j)
+        acc, power = 0, 1
+        for c in reversed(p):
+            acc, power = acc * x1 + c * power, power * x2
+        return acc
 
-    roots = []
-    # root at infinity (1 : 0): leading x1 coefficient vanishes everywhere
-    if all(p[-1] == 0 for p in polys):
-        roots.append((1, 0))
-    # finite roots x1/x2 = t: rational root candidates of the first poly,
-    # with the powers of t and of x2 that divide it taken out
+    roots = [(1, 0)] if all(p[-1] == 0 for p in polys) else []
     low, high = nz[0], nz[-1]
-    cands = {Fraction(0)} if low > 0 else set()
+    cands = [(0, 1)] if low > 0 else []
     for pnum in _divisors(abs(polys[0][low])):
         for qden in _divisors(abs(polys[0][high])):
-            for s in (1, -1):
-                cands.add(Fraction(s * pnum, qden))
-    for t in sorted(cands):
-        if all(value(p, t.numerator, t.denominator) == 0 for p in polys):
-            roots.append((t.numerator, t.denominator))
-    return roots
+            if gcd(pnum, qden) == 1:
+                cands += [(pnum, qden), (-pnum, qden)]
+    finite = [t for t in cands if all(value(p, *t) == 0 for p in polys)]
+    return roots + sorted(finite, key=lambda t: Fraction(*t))
 
 
 def _divisors(n):

@@ -9,7 +9,10 @@ dual module, whose tensor with V is the End(V) module that the commutant
 rows are checked against; the dense matrix-vector product that
 SignedPerm.apply is checked against; the QQ restriction by solve and
 eigen_decompose that the int restriction of the rational pair branch is
-checked against; the solve-based rational-unit coefficients and Galois
+checked against; the full 24-candidate divisor scan and the Fraction
+candidate root finder that the filtered divisor test and the integer
+root candidates of the torus sweeps are checked against; the
+solve-based rational-unit coefficients and Galois
 Lie table that the anti-Weil chain is checked against; the identity
 matrix; the members the verifier no longer has (an element from its
 numerators or from one int draw, the quotient of two elements, the
@@ -42,8 +45,8 @@ from cmsweep.liereps import (WeightModule, commutant_rows,
 from cmsweep.quatrep import (GALOIS_LIE_TABLE, GENERATOR_NAMES, TRIPLE_NAMES,
                              WEIGHT_MATRICES, AntiWeilRep, _flip_generator,
                              squarefree_split)
-from cmsweep.torus import (MixedFamily, _eigenlines_2x2, _is_stable,
-                           _restrict)
+from cmsweep.torus import (MixedFamily, _divisors, _eigenlines_2x2,
+                           _is_stable, _restrict, divisor_candidates)
 
 
 class DenseElement:
@@ -437,6 +440,43 @@ def family_stable_at(fam: MixedFamily, x1: int, x2: int) -> bool:
     keep it."""
     lat = fam.lattice_at(x1, x2)
     return lat.rank == 2 and _is_stable(lat, fam.matrices)
+
+
+def divisor_test_by_candidates(lat: IntLattice):
+    """The divisor test as the full scan: every candidate of
+    divisor_candidates() through lat.contains, in order."""
+    for cand in divisor_candidates():
+        if lat.contains(cand):
+            return True, cand
+    return False, None
+
+
+def projective_roots_by_fractions(polys):
+    """The common projective rational roots (x1 : x2) of homogeneous int
+    polynomials [x2^d ... x1^d], (1 : 0) first, then every rational root
+    candidate of the first polynomial built as a Fraction, sorted, and
+    kept where each polynomial vanishes."""
+    nz = [j for j, c in enumerate(polys[0]) if c] if polys else []
+    if not nz:
+        raise ValueError("need a first polynomial that is not zero")
+
+    def value(p, x1, x2):
+        d = len(p) - 1
+        return sum(c * x1 ** j * x2 ** (d - j) for j, c in enumerate(p))
+
+    roots = []
+    if all(p[-1] == 0 for p in polys):
+        roots.append((1, 0))
+    low, high = nz[0], nz[-1]
+    cands = {Fraction(0)} if low > 0 else set()
+    for pnum in _divisors(abs(polys[0][low])):
+        for qden in _divisors(abs(polys[0][high])):
+            for s in (1, -1):
+                cands.add(Fraction(s * pnum, qden))
+    for t in sorted(cands):
+        if all(value(p, t.numerator, t.denominator) == 0 for p in polys):
+            roots.append((t.numerator, t.denominator))
+    return roots
 
 
 def mu_by_products(rep: AntiWeilRep) -> dict:

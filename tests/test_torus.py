@@ -1,8 +1,10 @@
 """The signed-permutation sweeps: verdict tables, witnesses, stable
 subspace families, sign-flip symmetry, the integer cubic constraints,
-the signed-permutation type, its eigenvectors and eigenlines read off
-the cycles, the eigenvalue trial scan, the commutant dimensions of the
-case matrices and the survivor demo."""
+the Plücker quadratics, the integer root candidates and the filtered
+divisor test against their references, the signed-permutation type,
+its eigenvectors and eigenlines read off the cycles, the eigenvalue
+trial scan, the commutant dimensions of the case matrices and the
+survivor demo."""
 
 import json
 import os
@@ -16,13 +18,14 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from cmsweep.fields import (DoesNotSplit, ExactMatrix,
                             _eigenvalue_candidates, cleared_rows,
                             eigen_decompose, field_create, rational_kernel,
-                            roots_of_unity)
-from cmsweep.intlat import IntLattice
+                            rational_rank, roots_of_unity)
+from cmsweep.intlat import IntLattice, rational_span_intersect, saturate
 from cmsweep.torus import (ORDER4_FIELD, REJECTED_DIVISOR_TEST,
                            REJECTED_NO_DESCENT, REJECTED_RANK, SURVIVES_D4,
                            A4_Q, A4_QP, M1, M2, MixedFamily,
@@ -30,8 +33,9 @@ from cmsweep.torus import (ORDER4_FIELD, REJECTED_DIVISOR_TEST,
                            QP1, QP2, QP3, QQ0, QQ1, QQ2,
                            R0, R1, R2, R3, R4, R5, R6, R7,
                            SignedGroup, SignedPerm, all_subgroups_s4,
-                           divisor_test, divisor_verdict, family_constraints,
-                           finite_route_verdict, pair_analysis,
+                           divisor_candidates, divisor_test, divisor_verdict,
+                           family_constraints, finite_route_verdict,
+                           pair_analysis,
                            stable_subspaces, stable_subspaces_finite,
                            sweep_a4, sweep_dim1, sweep_klein4, sweep_order4,
                            transitive_subgroups_s4, _one_flip_lifts,
@@ -39,8 +43,10 @@ from cmsweep.torus import (ORDER4_FIELD, REJECTED_DIVISOR_TEST,
                            _order4_lifts, _rational_projective_roots,
                            _rational_restriction, _signed_eigenlines,
                            _square_sign)
-from helpers import (dense_rows, family_stable_at, identity_matrix, mat_apply,
-                     matrix_rank, qq_restriction)
+from helpers import (dense_rows, divisor_test_by_candidates,
+                     family_stable_at, identity_matrix, mat_apply,
+                     matrix_rank, projective_roots_by_fractions,
+                     qq_restriction)
 
 FIXDIR = Path(__file__).resolve().parents[1] / "src" / "cmsweep" / "fixtures"
 
@@ -657,6 +663,266 @@ def test_family_vectors_must_be_integral():
     with pytest.raises(ValueError):
         MixedFamily((Fraction(1, 2), 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
                     (0, 0, 0, 1))
+
+
+# -- the Plücker quadratics, the integer root candidates and the filtered
+# divisor test against their references ------------------------------------
+
+def _hpoly_int_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for a, pa in enumerate(p):
+        for b, qb in enumerate(q):
+            out[a + b] += pa * qb
+    return out
+
+
+def _sweep_families():
+    """The two families the sweep triples constrain, one per second lift."""
+    return [pair_analysis(P0, second)[1]
+            for second in dict.fromkeys(second for second, _ in SWEEP_TRIPLES)]
+
+
+def test_plucker_quadratics_are_the_minors_of_the_family():
+    rng = random.Random(3901)
+    fams = _sweep_families() + [
+        MixedFamily(*[[rng.randint(-6, 6) for _ in range(4)]
+                      for _ in range(4)]) for _ in range(200)]
+    assert len(fams) == 202
+    for fam in fams:
+        assert fam.plucker is fam.plucker  # cached on the family
+        assert all(type(x) is int for quad in fam.plucker for x in quad)
+        for x1, x2 in ((1, 0), (0, 1), (1, 1), (2, -3), (-5, 7)):
+            u, w = fam.at(x1, x2)
+            assert [q0 * x2 * x2 + q1 * x1 * x2 + q2 * x1 * x1
+                    for q0, q1, q2 in fam.plucker] == \
+                [u[i] * w[j] - u[j] * w[i]
+                 for i, j in combinations(range(4), 2)]
+
+
+def _sympy_projective_roots(polys):
+    """The rational roots of the gcd of the polynomials read in
+    t = x1/x2, after (1 : 0) when every x1^d coefficient is 0."""
+    t = sympy.Symbol("t")
+    g = sympy.Poly(0, t)
+    for p in polys:
+        g = sympy.gcd(g, sympy.Poly(list(reversed(p)), t))
+    finite = sorted(-f.all_coeffs()[1] / f.all_coeffs()[0]
+                    for f, _ in g.factor_list()[1] if f.degree() == 1)
+    return [(1, 0)] * all(p[-1] == 0 for p in polys) + \
+        [(r.p, r.q) for r in finite]
+
+
+def test_projective_roots_match_references_on_sweep_triples():
+    with_roots = 0
+    for second, third in SWEEP_TRIPLES:
+        polys = family_constraints(pair_analysis(P0, second)[1], third)
+        roots = _rational_projective_roots(polys)
+        assert roots == projective_roots_by_fractions(polys)
+        assert roots == _sympy_projective_roots(polys)
+        with_roots += bool(roots)
+    # klein4 q2, q3, q2p and q3p; no a4 triple has a root
+    assert with_roots == 4
+
+
+def _planted_cubics(rng, n):
+    """1-3 int cubics [x2^3 .. x1^3] with common planted roots (x1 : x2):
+    (1 : 0) for n % 4 == 0, t = 0 for 1, a double root for 2 and a
+    denominator 2..6 for 3, with up to one more planted root; each cubic
+    is their linear forms q*x1 - p*x2 times random linear forms and a
+    nonzero scale."""
+    def rational(low):  # a reduced p/q with q in low..6
+        q = rng.randint(low, 6)
+        while True:
+            p = rng.randint(-9, 9)
+            if gcd(p, q) == 1:
+                return p, q
+    first = [(1, 0), (0, 1), rational(1), rational(2)][n % 4]
+    planted = [first] * (2 if n % 4 == 2 else 1)
+    if rng.random() < 0.5:
+        planted.append(rational(1))
+    cubics = []
+    for _ in range(rng.randint(1, 3)):
+        cubic = [rng.choice((-3, -2, -1, 1, 2, 3))]
+        for p, q in planted:
+            cubic = _hpoly_int_mul(cubic, [-p, q])
+        while len(cubic) < 4:
+            lin = [rng.randint(-6, 6), rng.randint(-6, 6)]
+            if any(lin):
+                cubic = _hpoly_int_mul(cubic, lin)
+        cubics.append(cubic)
+    return planted, cubics
+
+
+def test_projective_roots_match_fraction_reference_on_planted_cubics():
+    rng = random.Random(3902)
+    for n in range(600):
+        planted, polys = _planted_cubics(rng, n)
+        roots = _rational_projective_roots(polys)
+        assert roots == projective_roots_by_fractions(polys)
+        assert set(planted) <= set(roots)
+        assert ((1, 0) in roots) == all(p[-1] == 0 for p in polys)
+        assert all(type(x) is int for r in roots for x in r)
+
+
+def test_family_stage_builds_no_fraction_beyond_its_sorted_roots(monkeypatch):
+    """The cubic constraints, the root candidates and their tests stay in
+    ints: a sweep-a4 pass, whose constraints have no root, builds no
+    Fraction, and a sweep-klein4 pass builds one per finite root at most,
+    to sort them."""
+    import cmsweep.torus as torus
+    built, found = [], []
+    find = torus._rational_projective_roots
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    def recording(polys):
+        found.append(find(polys))
+        return found[-1]
+
+    monkeypatch.setattr(torus, "Fraction", CountingFraction)
+    monkeypatch.setattr(torus, "_rational_projective_roots", recording)
+    assert {cv["verdict"] for cv in sweep_a4()} == {REJECTED_RANK}
+    assert len(found) == 16 and found == [[]] * 16 and built == []
+    found.clear()
+    sweep_klein4()
+    finite = sum(x2 != 0 for roots in found for _, x2 in roots)
+    assert len(found) == 6 and 0 < len(built) <= finite
+
+
+def _mixed(rng, rows):
+    """rows mixed by an int matrix of determinant +-2 .. +-4: a scaled
+    first row, then unimodular row additions."""
+    r = len(rows)
+    mix = [[int(i == j) for j in range(r)] for i in range(r)]
+    mix[0][0] = rng.choice((-4, -3, -2, 2, 3, 4))
+    for _ in range(3 * r):
+        i, j = rng.randrange(r), rng.randrange(r)
+        if i != j:
+            c = rng.randint(-2, 2)
+            mix[i] = [a + c * b for a, b in zip(mix[i], mix[j])]
+    return [[sum(m * x for m, x in zip(mrow, col)) for col in zip(*rows)]
+            for mrow in mix]
+
+
+def _seeded_lattices(rng, count):
+    """The n-th has rank n % 5 and rows with entries in -2..2; for even n
+    it is their saturation, for odd n their mix by _mixed, which is not
+    saturated (checked on every fifth of them)."""
+    out = []
+    for n in range(count):
+        r = n % 5
+        rows = []
+        while rational_rank(rows) < r:
+            rows = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(r)]
+        if not r:
+            out.append(IntLattice(4, []))
+        elif n % 2 == 0:
+            out.append(rational_span_intersect(rows, 4))
+        else:
+            out.append(IntLattice(4, _mixed(rng, rows)))
+            assert n % 10 != 1 or saturate(out[-1]) != out[-1]
+    return out
+
+
+def _planted_pair_lattices(rng):
+    """Rank-2 lattices holding a candidate, as a basis row beside a random
+    row or twice one, and lattices whose span meets span(e_i, e_j) in
+    a*e_i + b*e_j with (a, b) not a +-1 pair, so the complementary minor
+    is 0 but no candidate of (i, j) is a member."""
+    with_candidate, minor_only = [], []
+    for cand in divisor_candidates():
+        for scale in (1, 2):
+            v = [scale * rng.randint(-3, 3) for _ in range(4)]
+            lat = IntLattice(4, [cand, v])
+            if lat.rank == 2:
+                with_candidate.append((cand, lat))
+    for (i, j), (k, l) in zip(combinations(range(4), 2),
+                              reversed(list(combinations(range(4), 2)))):
+        for a, b in ((2, 2), (1, 2), (-2, 1), (3, -1), (2, 0), (0, -3)):
+            f = [0] * 4
+            f[i], f[j] = a, b
+            v = [rng.randint(-3, 3) for _ in range(4)]
+            v[k] = v[k] or 1
+            minor_only.append(((i, j, k, l), IntLattice(4, [f, v])))
+    return with_candidate, minor_only
+
+
+def _scan_calls(lat):
+    """The contains calls of a scan that tries the candidates of only the
+    pairs (i, j) whose span(e_i, e_j) meets the lattice's Q-span, up to
+    the first member.  A span of rank 3 or 4 meets every such plane, and
+    at rank 0 every pair is tried."""
+    calls = 0
+    for i, j in combinations(range(4), 2):
+        e_ij = [[int(c == t) for c in range(4)] for t in (i, j)]
+        if lat.rank in (1, 2) and \
+                rational_rank(list(lat.basis) + e_ij) == lat.rank + 2:
+            continue
+        for cand in divisor_candidates():
+            if cand[i] and cand[j]:
+                calls += 1
+                if lat.contains(cand):
+                    return calls
+    return calls
+
+
+def _assert_filtered_full_scan(monkeypatch, lattices):
+    """divisor_test gives the full scan's flag and witness on each lattice,
+    with exactly the contains calls of _scan_calls; returns the flags."""
+    calls, flags = [], []
+    contains = IntLattice.contains
+    monkeypatch.setattr(IntLattice, "contains",
+                        lambda lat, v: calls.append(v) or contains(lat, v))
+    for lat in lattices:
+        calls.clear()
+        got = divisor_test(lat)
+        made = len(calls)
+        assert got == divisor_test_by_candidates(lat), lat
+        assert made == _scan_calls(lat), lat
+        flags.append(got[0])
+    monkeypatch.undo()
+    return flags
+
+
+def test_divisor_test_matches_the_full_scan_on_seeded_lattices(monkeypatch):
+    rng = random.Random(3903)
+    lattices = _seeded_lattices(rng, 2000)
+    with_candidate, minor_only = _planted_pair_lattices(rng)
+    assert len(with_candidate) >= 40 and len(minor_only) == 36
+    for cand, lat in with_candidate:
+        assert lat.contains(cand)
+    for (i, j, k, l), lat in minor_only:
+        (r, s) = lat.basis
+        assert r[k] * s[l] == r[l] * s[k]
+        assert not any(lat.contains(c) for c in divisor_candidates()
+                       if c[i] and c[j])
+    lattices += [lat for _, lat in with_candidate + minor_only]
+    assert {r: sum(lat.rank == r for lat in lattices) for r in range(5)} \
+        == {0: 400, 1: 400, 2: 400 + len(with_candidate) + 36, 3: 400,
+            4: 400}
+    flags = _assert_filtered_full_scan(monkeypatch, lattices)
+    assert 500 < sum(flags) < len(flags) - 500
+
+
+def test_divisor_test_matches_the_full_scan_on_sweep_lattices(monkeypatch):
+    import cmsweep.torus as torus
+    seen = []
+    test = torus.divisor_test
+
+    def recording(lat):
+        seen.append(lat)
+        return test(lat)
+
+    monkeypatch.setattr(torus, "divisor_test", recording)
+    for sweep in (sweep_dim1, sweep_order4, sweep_klein4, sweep_a4):
+        sweep()
+    monkeypatch.undo()
+    assert len(seen) == 64 and {lat.rank for lat in seen} == {1, 2}
+    assert set(_assert_filtered_full_scan(monkeypatch, seen)) == \
+        {True, False}
 
 
 # -- the eigenvalue trial scan --------------------------------------------
