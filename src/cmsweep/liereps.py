@@ -1,14 +1,17 @@
 """
-Small-dimensional representation bookkeeping: Weyl dimension formulas for
-rank <= 3 types, explicit sl(2) weight modules and their tensor and wedge
-constructions, the commutant system of a set of matrices, exact
-invariant-vector solving, and the sp(4) standard module built from its
-symplectic form.
+Small-dimensional representation bookkeeping: Weyl dimensions from the
+Cartan matrices of rank <= 3 types, explicit sl(2) weight modules and
+their tensor and wedge constructions, the commutant system of a set of
+matrices, exact invariant-vector solving, and the sp(4) standard module
+built from its symplectic form.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, product
+from math import inf, prod
+from operator import mul
 
 from .fields import rational_kernel, rational_rank
 
@@ -208,70 +211,94 @@ def invariant_space(w: WeightModule):
 
 
 # ---------------------------------------------------------------------------
-# Weyl dimension formulas and the dimension-4 classification
+# Weyl dimensions from Cartan matrices and the dimension-4 classification
 # ---------------------------------------------------------------------------
 
-ALGEBRA_DIMS = {"A1": 3, "A1xA1": 6, "A2": 8, "B2": 10, "G2": 14, "A3": 15}
-
-_WEIGHT_ARITY = {"A1": 1, "A2": 2, "B2": 2, "G2": 2, "A3": 3}
-
-# the Weyl product over the positive roots and its denominator, the
-# product of the positive roots' heights
-_WEYL_FORMS = {
-    "A1": (lambda m: m + 1, 1),
-    "A2": (lambda m1, m2: (m1 + 1) * (m2 + 1) * (m1 + m2 + 2), 2),
-    "B2": (lambda m1, m2: (m1 + 1) * (m2 + 1) * (m1 + m2 + 2)
-           * (2 * m1 + m2 + 3), 6),
-    "G2": (lambda m1, m2: (m1 + 1) * (m2 + 1) * (m1 + m2 + 2)
-           * (m1 + 2 * m2 + 3) * (m1 + 3 * m2 + 4)
-           * (2 * m1 + 3 * m2 + 5), 120),
-    "A3": (lambda m1, m2, m3: (m1 + 1) * (m2 + 1) * (m3 + 1)
-           * (m1 + m2 + 2) * (m2 + m3 + 2) * (m1 + m2 + m3 + 3), 12),
-}
+# A[i][j] = <alpha_i^vee, alpha_j> = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i),
+# numbered as in Bourbaki: alpha_1 is long in B2 and B3, short in C3 and G2
+CARTAN = {"A1": ((2,),), "A2": ((2, -1), (-1, 2)),
+          "A3": ((2, -1, 0), (-1, 2, -1), (0, -1, 2)), "B2": ((2, -1), (-2, 2)),
+          "B3": ((2, -1, 0), (-1, 2, -1), (0, -2, 2)),
+          "C3": ((2, -1, 0), (-1, 2, -2), (0, -1, 2)), "G2": ((2, -3), (-1, 2))}
 
 
-def _arity(algebra_type: str, weight=None) -> int:
-    """The number of entries of a highest weight of the type; ValueError
-    for a type with no Weyl form, or a weight of another length."""
-    if algebra_type not in _WEIGHT_ARITY:
+@cache
+def positive_coroots(algebra_type: str) -> tuple:
+    """The positive coroots in simple-coroot coordinates, simple ones
+    first: the positive roots of the transposed Cartan matrix, height by
+    height, by alpha-strings (Humphreys, 9.4): with beta - r alpha_i the
+    last root below beta, beta + alpha_i is a root exactly when
+    r > <beta, alpha_i^vee>.  ValueError for a type not in CARTAN."""
+    if algebra_type not in CARTAN:
         raise ValueError(f"unknown algebra type {algebra_type!r}, not one "
-                         f"of {', '.join(_WEIGHT_ARITY)}")
-    arity = _WEIGHT_ARITY[algebra_type]
-    if weight is not None and len(weight) != arity:
-        raise ValueError(f"a highest weight of {algebra_type} has {arity} "
-                         f"entries, not {len(weight)}")
-    return arity
+                         f"of {', '.join(CARTAN)}")
+    dual = tuple(zip(*CARTAN[algebra_type]))
+    roots = [tuple(int(i == j) for j in range(len(dual)))
+             for i in range(len(dual))]
+    for beta in roots:   # roots grows behind beta, one height after another
+        for i, row in enumerate(dual):
+            r = sum(beta[:i] + (beta[i] - k,) + beta[i + 1:] in roots
+                    for k in range(1, beta[i] + 1))
+            up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+            if r > sum(map(mul, row, beta)) and up not in roots:
+                roots.append(up)
+    return tuple(roots)
+
+
+def algebra_dim(algebra_type: str) -> int:
+    """2 |positive roots| + rank, summed over the factors of A1xA1."""
+    return sum(2 * len(c) + len(c[0])
+               for c in map(positive_coroots, algebra_type.split("x")))
+
+
+def _weyl_dims(algebra_type, coroots, weights) -> list:
+    """dim V(w) for each weight w of the list: the product over the
+    coroots c of sum c_i (w_i + 1), one coroot at a time over the whole
+    list, divided by its value at w = 0 by an exact divmod (ValueError on
+    a remainder)."""
+    den, products = prod(map(sum, coroots)), [1] * len(weights)
+    for c in coroots:
+        h = sum(c)
+        products = [p * (sum(map(mul, c, w)) + h)
+                    for p, w in zip(products, weights)]
+    for w, p in zip(weights, products):
+        if p % den:
+            raise ValueError(f"the Weyl product of {algebra_type}{w} is "
+                             f"not divisible by {den}")
+    return [p // den for p in products]
 
 
 def weyl_dim(algebra_type: str, *weights) -> int:
-    """Exact closed-form dimension of the irreducible module with the
-    given highest weight."""
-    w = tuple(int(m) for m in weights)
+    """dim V(m_1 omega_1 + ... + m_n omega_n), numbered as in CARTAN, by
+    Weyl's formula over positive_coroots(algebra_type), in ints.
+    ValueError for a type not in CARTAN, a weight whose length is not the
+    rank, or a non-integral (inf and nan too) or negative entry."""
+    coroots = positive_coroots(algebra_type)
+    w = tuple(None if m != m or m in (inf, -inf) else int(m) for m in weights)
     if w != weights:
-        raise ValueError(f"highest weight {weights} has a non-integral "
-                         "entry")
-    _arity(algebra_type, w)
+        raise ValueError(f"highest weight {weights} has a non-integral entry")
+    if len(w) != len(coroots[0]):
+        raise ValueError(f"a highest weight of {algebra_type} has "
+                         f"{len(coroots[0])} entries, not {len(w)}")
     if any(m < 0 for m in w):
         raise ValueError(f"highest weight {w} has a negative entry")
-    form, denominator = _WEYL_FORMS[algebra_type]
-    dim, rest = divmod(form(*w), denominator)
-    if rest:
-        raise ValueError(f"the Weyl product of {algebra_type}{w} is not "
-                         f"divisible by {denominator}")
-    return dim
+    return _weyl_dims(algebra_type, coroots, [w])[0]
 
 
 def search_dim(algebra_type: str, target: int):
-    """All highest weights of the given type with the target dimension.
-    The search grid m_i <= target is safe because every factor of the
-    closed forms is strictly increasing in each coordinate."""
-    arity = _arity(algebra_type)
-    if target < 1:
-        raise ValueError(f"target dimension {target} is below 1")
-    sols = [w for w in product(range(target + 1), repeat=arity)
-            if weyl_dim(algebra_type, *w) == target]
-    return {"algebra_type": algebra_type, "target": target,
-            "solutions": sols}
+    """The highest weights of the type with the target dimension, over the
+    grid 0 <= m_i <= target: each Weyl factor is >= 1 and that of
+    alpha_i^vee is m_i + 1, so dim >= m_i + 1.  The type and the target
+    are checked once (ValueError for a type not in CARTAN or a target that
+    is no int >= 1, a bool or a float); each grid point only multiplies."""
+    coroots = positive_coroots(algebra_type)
+    if type(target) is not int or target < 1:
+        raise ValueError(f"target dimension {target!r} is " + (
+            "below 1" if type(target) is int else "not an int"))
+    grid = list(product(range(target + 1), repeat=len(coroots[0])))
+    return {"algebra_type": algebra_type, "target": target, "solutions": [
+        w for w, dim in zip(grid, _weyl_dims(algebra_type, coroots, grid))
+        if dim == target]}
 
 
 SP4_FORM = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
@@ -322,20 +349,16 @@ def sl4_basis():
 
 
 def classify_dim4_faithful():
-    """The four semisimple Lie algebra types with a faithful irreducible
-    4-dimensional representation, each with the check that makes it one.
-
-    Simple types are included by search_dim (A2 and G2 have no
-    4-dimensional module, the no-dim4 records of rep-classify); products
-    must have every factor acting by a faithful irreducible of dimension
-    >= 2, so 4 = 2 x 2 forces sl(2) x sl(2), each factor on V(1) (three
-    or more factors need dim >= 8).  The D-series starts at
-    dim(D_4) = 28 > 15, as dim(D_l) = l(2l - 1).  Each entry carries its
-    realized module under "weight_module" and an "ok" flag: its weight
-    search finds exactly the expected weights, and the generator images
-    of the module span a space of dimension ALGEBRA_DIMS[type], so the
-    algebra acts faithfully.  The highest weight of A1xA1 is its two
-    factors' A1 weights."""
+    """The four semisimple types with a faithful irreducible 4-dimensional
+    module, each with the check that makes it one.  Simple types come from
+    search_dim over CARTAN (A2 and G2 have no 4-dimensional module, the
+    no-dim4 records of rep-classify); in a product every factor acts by a
+    faithful irreducible of dimension >= 2, so 4 = 2 x 2 (three factors
+    need 8) forces A1xA1 on V(1) boxtimes V(1), its highest weight the two
+    A1 weights.  D_l starts at dim D_4 = 28 > 15, as dim D_l = l(2l - 1).
+    An entry is "ok" when its search finds exactly the expected weights
+    and the generator images of its "weight_module" span algebra_dim(type)
+    dimensions, so the algebra acts faithfully."""
     v1 = sl2_irrep(1)
     table = (
         # type, weight search (type, dimension), the weights it must find,
@@ -359,5 +382,5 @@ def classify_dim4_faithful():
             "algebra_type": typ, "highest_weight": weight, "module": name,
             "weight_module": module,
             "ok": search_dim(*search)["solutions"] == expected
-            and rational_rank(images) == ALGEBRA_DIMS[typ]})
+            and rational_rank(images) == algebra_dim(typ)})
     return results

@@ -6,10 +6,11 @@ against; the dense Gauss-Jordan elimination and determinant that the
 sparse elimination is checked against; the dense integer elimination and
 distinct-row pass that the sparse rational core is checked against; the
 dual module, whose tensor with V is the End(V) module that the commutant
-rows are checked against; the dense matrix-vector product that
-SignedPerm.apply is checked against; the QQ restriction by solve and
-eigen_decompose that the int restriction of the rational pair branch is
-checked against; the full 24-candidate divisor scan and the Fraction
+rows are checked against; the five hand-typed Weyl products that the
+Weyl dimensions from the Cartan matrices are checked against; the dense
+matrix-vector product that SignedPerm.apply is checked against; the QQ
+restriction by solve and eigen_decompose that the int restriction of the
+rational pair branch is checked against; the full 24-candidate divisor scan and the Fraction
 candidate root finder that the filtered divisor test and the integer
 root candidates of the torus sweeps are checked against; the
 solve-based rational-unit coefficients and Galois
@@ -317,6 +318,32 @@ def dual_module(w: WeightModule) -> WeightModule:
                 out[j][i] = -x
         acts.append((name, out))
     return WeightModule(w.basis_labels, acts, w.triples)
+
+
+# the hand-typed Weyl product of each type over its positive roots, in
+# the fundamental weights of liereps.CARTAN's numbering, and its
+# denominator, the product of the positive roots' heights
+WEYL_FORMS = {
+    "A1": (lambda m: m + 1, 1),
+    "A2": (lambda m1, m2: (m1 + 1) * (m2 + 1) * (m1 + m2 + 2), 2),
+    "B2": (lambda m1, m2: (m1 + 1) * (m2 + 1) * (m1 + m2 + 2)
+           * (2 * m1 + m2 + 3), 6),
+    "G2": (lambda m1, m2: (m1 + 1) * (m2 + 1) * (m1 + m2 + 2)
+           * (m1 + 2 * m2 + 3) * (m1 + 3 * m2 + 4)
+           * (2 * m1 + 3 * m2 + 5), 120),
+    "A3": (lambda m1, m2, m3: (m1 + 1) * (m2 + 1) * (m3 + 1)
+           * (m1 + m2 + 2) * (m2 + m3 + 2) * (m1 + m2 + m3 + 3), 12),
+}
+
+
+def weyl_dim_by_form(algebra_type: str, *weight) -> int:
+    """The dimension from WEYL_FORMS; ValueError when the denominator does
+    not divide the product."""
+    form, denominator = WEYL_FORMS[algebra_type]
+    dim, rest = divmod(form(*weight), denominator)
+    if rest:
+        raise ValueError(f"{algebra_type}{weight}: remainder {rest}")
+    return dim
 
 
 def stacked_rows(w: WeightModule) -> list:

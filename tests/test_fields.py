@@ -13,7 +13,8 @@ from cmsweep.fields import (QQ, DependentGenerators, DoesNotSplit,
                             apply_galois, complex_conjugation,
                             eigen_decompose, field_create, form_value,
                             roots_of_unity)
-from helpers import divide, element_from_nums, is_identity, matrix_rank
+from helpers import (ELEMENT_CODES, divide, element_from_code,
+                     element_from_nums, is_identity, matrix_rank)
 
 F2 = field_create([2])
 F = field_create([-1, 2])
@@ -161,11 +162,14 @@ def _to_sympy(m):
 @st.composite
 def forms(draw):
     """Vectors u, v of F3 elements, some zero, and a Gram matrix as
-    {col: value} rows of nonzero ints or elements, some rows empty."""
+    {col: value} rows of nonzero ints or elements, some rows empty; each
+    element one flat int draw (helpers.element_from_code)."""
     n = draw(st.integers(0, 4))
-    entry = st.one_of(st.just(F3.zero()), elements())
+    drawn = st.integers(0, ELEMENT_CODES - 1).map(
+        lambda code: element_from_code(F3, code))
+    entry = st.one_of(st.just(F3.zero()), drawn)
     u, v = (draw(st.lists(entry, min_size=n, max_size=n)) for _ in "uv")
-    value = st.one_of(st.integers(-3, 3).filter(bool), elements())
+    value = st.one_of(st.integers(-3, 3).filter(bool), drawn)
     gram = [draw(st.dictionaries(st.integers(0, n - 1), value, max_size=n))
             if n else {} for _ in range(n)]
     return u, gram, v

@@ -116,6 +116,25 @@ def test_liereps_computes_in_ints():
     assert "Fraction" not in names
 
 
+def test_liereps_derives_weyl_data_from_cartan():
+    """Weyl dimensions, ranks and algebra dimensions come from
+    liereps.CARTAN alone: liereps defines no typed Weyl products
+    (_WEYL_FORMS), no arity table (_WEIGHT_ARITY) and no _arity, and
+    binds ALGEBRA_DIMS, if at all, to no dict literal.
+    test_liereps_computes_in_ints keeps it free of fractions."""
+    tree = ast.parse((ROOT / "src" / "cmsweep" / "liereps.py").read_text())
+    bound = {t.id: node.value for node in tree.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for t in (node.targets if isinstance(node, ast.Assign)
+                       else [node.target]) if isinstance(t, ast.Name)}
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not {"_WEYL_FORMS", "_WEIGHT_ARITY", "_arity"} & \
+        (set(bound) | defined)
+    assert not isinstance(bound.get("ALGEBRA_DIMS"), ast.Dict)
+    assert isinstance(bound["CARTAN"], ast.Dict)
+
+
 def test_every_package_data_glob_matches_a_file():
     tomllib = pytest.importorskip("tomllib")
     meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
@@ -278,54 +297,69 @@ def test_asserts_are_declared(path):
     assert found == ASSERTS.get(path.name, 0)
 
 
-# what the cached table facts of quatrep read: a patch of one of these, or
-# of a fact itself, must go through the weight_table fixture of conftest
-TABLE_NAMES = {"WEIGHT_MATRICES", "GRAM_PATTERN", "SPLIT_PATTERN",
-               "UNIT_TABLE"}
+# what the cached table facts read, per fixture of conftest that guards
+# them: a patch of one of these, or of a fact itself, must go through it
+TABLE_NAMES = {"weight_table": {"WEIGHT_MATRICES", "GRAM_PATTERN",
+                                "SPLIT_PATTERN", "UNIT_TABLE"},
+               "cartan_table": {"CARTAN"}}
 
 
-def _patches_table(node, guarded) -> bool:
-    """Whether node clears a cache, names a guarded attribute in a
-    setattr/delattr/patch call (as a string, dotted or not), or assigns
-    to a target that reaches a guarded name."""
+def _patches_table(node, guarded, may_clear) -> bool:
+    """Whether node clears a cache (unless may_clear), names a guarded
+    attribute in a setattr/delattr/patch call (as a string, dotted or
+    not), sets or deletes an item of a guarded name (setitem/delitem), or
+    assigns to a target that reaches a guarded name."""
+    def reaches(tree):
+        return any(getattr(sub, "attr", getattr(sub, "id", None)) in guarded
+                   for sub in ast.walk(tree))
+
     if isinstance(node, ast.Call):
         called = getattr(node.func, "attr", getattr(node.func, "id", None))
-        return called == "cache_clear" or (
+        return (called == "cache_clear" and not may_clear) or (
             called in ("setattr", "delattr", "patch") and any(
                 isinstance(a, ast.Constant) and isinstance(a.value, str)
                 and a.value.rsplit(".", 1)[-1] in guarded
-                for a in node.args))
+                for a in node.args)) or (
+            called in ("setitem", "delitem") and bool(node.args)
+            and reaches(node.args[0]))
     targets = (node.targets if isinstance(node, ast.Assign) else
                [node.target] if isinstance(node, (ast.AugAssign,
                                                   ast.AnnAssign)) else [])
-    return any(getattr(sub, "attr", getattr(sub, "id", None)) in guarded
-               for t in targets for sub in ast.walk(t))
+    return any(reaches(t) for t in targets)
 
 
 def test_table_patches_go_through_the_fixture():
-    """No test code sets a table that quatrep's cached facts read, patches
-    or clears a cached fact, except in a test that requests the
-    weight_table fixture, which clears every fact around the test, and in
-    that fixture itself.  Module-level code never may.  Code run in a
-    process of its own, as the source string of
+    """No test code sets a table that the cached facts of quatrep or
+    liereps read, patches or clears a cached fact, except in a test that
+    requests the fixture guarding that table (weight_table for quatrep,
+    cartan_table for liereps), which clears every fact around the test,
+    and in the fixtures themselves.  Module-level code never may.  Code
+    run in a process of its own, as the source string of
     test_flipped_weight_sign_fails_under_optimize_flag that flips
     WEIGHT_MATRICES in place, is not parsed here: its caches die with it."""
-    from cmsweep import quatrep
-    facts = {name for name, f in vars(quatrep).items()
-             if hasattr(f, "cache_clear")}
+    from cmsweep import liereps, quatrep
+    guarded = {fixture: TABLE_NAMES[fixture] | {
+        name for name, f in vars(module).items() if hasattr(f, "cache_clear")}
+        for fixture, module in (("weight_table", quatrep),
+                                ("cartan_table", liereps))}
     assert {"weight_table_relations", "weight_table_counts",
-            "_keeps_gram_pattern"} <= facts
-    fixture = {("conftest.py", "weight_table"),
-               ("conftest.py", "_clear_table_facts")}
+            "_keeps_gram_pattern"} <= guarded["weight_table"]
+    assert {"CARTAN", "positive_coroots"} <= guarded["cartan_table"]
+    fixture = {("conftest.py", name) for name in
+               ("weight_table", "cartan_table", "_guarded",
+                "_clear_table_facts")}
     found = []
     for path in sorted((ROOT / "tests").glob("*.py")):
         for top in ast.parse(path.read_text(), str(path)).body:
-            if isinstance(top, ast.FunctionDef) and (
-                    (path.name, top.name) in fixture
-                    or "weight_table" in {a.arg for a in top.args.args}):
-                continue
+            args = set()
+            if isinstance(top, ast.FunctionDef):
+                if (path.name, top.name) in fixture:
+                    continue
+                args = {a.arg for a in top.args.args} & set(guarded)
+            names = set().union(*(guarded[f] for f in guarded
+                                  if f not in args))
             found += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
-                      if _patches_table(node, TABLE_NAMES | facts)]
+                      if _patches_table(node, names, bool(args))]
     assert not found
 
 

@@ -5,22 +5,23 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmsweep.fields import QQ, ExactMatrix, rational_kernel, rational_rank
-from cmsweep.liereps import (WeightModule, _vanishes,
+from cmsweep.liereps import (CARTAN, WeightModule, _vanishes, algebra_dim,
                              classify_dim4_faithful, commutant_rows,
-                             external_product,
-                             invariant_space, search_dim, sl2_irrep,
+                             external_product, invariant_space,
+                             positive_coroots, search_dim, sl2_irrep,
                              sl2_relations_hold, sl4_basis, sp4_basis,
                              sp4_standard_module, tensor_module,
                              wedge2_module, weyl_dim)
-from helpers import (dense_rows, dual_module,
+from helpers import (WEYL_FORMS, dense_rows, dual_module,
                      invariant_space_over_all_generators, matrix_rank,
-                     weil_layer_identity)
+                     weil_layer_identity, weyl_dim_by_form)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,6 +41,65 @@ def test_search_dim():
     assert search_dim("G2", 4)["solutions"] == []
     assert search_dim("A1", 4)["solutions"] == [(3,)]
     assert search_dim("B2", 4)["solutions"] == [(0, 1)]
+
+
+@pytest.mark.parametrize("typ", sorted(WEYL_FORMS))
+def test_weyl_dim_matches_the_typed_forms(typ):
+    """The Weyl product over the coroots derived from CARTAN equals the
+    hand-typed product of helpers.WEYL_FORMS on every weight in [0, 6]^n,
+    and search_dim finds what a scan of the typed form finds."""
+    rank = len(CARTAN[typ])
+    grid = list(product(range(7), repeat=rank))
+    assert [weyl_dim(typ, *w) for w in grid] == \
+        [weyl_dim_by_form(typ, *w) for w in grid]
+    for target in (1, 4, 7, 8):
+        assert search_dim(typ, target)["solutions"] == [
+            w for w in product(range(target + 1), repeat=rank)
+            if weyl_dim_by_form(typ, *w) == target]
+
+
+# the highest root in fundamental weights, numbered as in CARTAN: the
+# highest weight of the adjoint module
+ADJOINT = {"A1": (2,), "A2": (1, 1), "A3": (1, 0, 1), "B2": (0, 2),
+           "B3": (0, 1, 0), "C3": (2, 0, 0), "G2": (0, 1)}
+
+
+def test_rank_three_types_and_adjoint_dimensions():
+    """B3 has fundamental dimensions 7, 21 and 8 and C3 has 6, 14 and 14,
+    neither has a 4-dimensional irreducible, and the adjoint module of
+    every type has dimension 2 |positive roots| + rank, the dimensions
+    rep-classify checks faithfulness against, A1xA1 as 2 x A1."""
+    fundamental = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert [weyl_dim("B3", *w) for w in fundamental] == [7, 21, 8]
+    assert [weyl_dim("C3", *w) for w in fundamental] == [6, 14, 14]
+    assert search_dim("B3", 4)["solutions"] == []
+    assert search_dim("C3", 4)["solutions"] == []
+    assert list(CARTAN) == list(ADJOINT)
+    dims = {typ: algebra_dim(typ) for typ in [*CARTAN, "A1xA1"]}
+    assert dims == {"A1": 3, "A2": 8, "A3": 15, "B2": 10, "B3": 21,
+                    "C3": 21, "G2": 14, "A1xA1": 6}
+    assert all(weyl_dim(typ, *ADJOINT[typ]) == dims[typ] for typ in CARTAN)
+
+
+def test_transposed_cartan_matrices_disagree(cartan_table):
+    """The convention is A[i][j] = <alpha_i^vee, alpha_j>: entered
+    transposed, B2 gives dimension 5 at (0, 1), the weight of the
+    4-dimensional spin module, and G2 gives 14 at (1, 0), the weight of
+    the 7-dimensional module, against the typed forms' 4 and 7."""
+    cartan_table("B2", ((2, -2), (-1, 2)))
+    cartan_table("G2", ((2, -1), (-3, 2)))
+    assert weyl_dim("B2", 0, 1) == 5 != weyl_dim_by_form("B2", 0, 1)
+    assert weyl_dim("G2", 1, 0) == 14 != weyl_dim_by_form("G2", 1, 0)
+    assert search_dim("B2", 4)["solutions"] == [(1, 0)]
+
+
+def test_cartan_patches_leave_no_stale_coroots():
+    """Runs after test_transposed_cartan_matrices_disagree: once its
+    cartan_table fixture is torn down, the coroots are those of CARTAN
+    again."""
+    assert weyl_dim("B2", 0, 1) == 4
+    assert weyl_dim("G2", 1, 0) == 7
+    assert positive_coroots("B2") == ((1, 0), (0, 1), (1, 1), (2, 1))
 
 
 def test_classification_dim4():
@@ -468,8 +528,14 @@ BAD_INPUTS = {
     "weyl_dim": (lambda: weyl_dim("A1", -1), "negative entry"),
     "search_dim": (lambda: search_dim("A1", 0), "below 1"),
     "search_dim_type": (lambda: search_dim("D4", 4),
-                        "unknown algebra type 'D4', not one of A1, A2, B2, "
-                        "G2, A3"),
+                        "unknown algebra type 'D4', not one of A1, A2, A3, "
+                        "B2, B3, C3, G2"),
+    "search_dim_float": (lambda: search_dim("A1", 4.0),
+                         "target dimension 4.0 is not an int"),
+    "search_dim_bool": (lambda: search_dim("A1", True),
+                        "target dimension True is not an int"),
+    "weyl_dim_inf": (lambda: weyl_dim("A1", float("inf")),
+                     r"highest weight \(inf,\) has a non-integral"),
     "weyl_dim_arity": (lambda: weyl_dim("B2", 1),
                        "a highest weight of B2 has 2 entries, not 1"),
     "weyl_dim_fraction": (lambda: weyl_dim("A1", 2.5),
@@ -488,23 +554,32 @@ def test_bad_inputs_raise_value_error(name):
 
 
 def test_weyl_dim_refuses_a_product_its_denominator_does_not_divide(
-        monkeypatch):
+        cartan_table):
     """The quotient is an exact divmod: a remainder raises, where an int
-    division would round it away."""
-    from cmsweep import liereps
-    monkeypatch.setitem(liereps._WEYL_FORMS, "A1", (lambda m: m + 1, 2))
-    assert weyl_dim("A1", 1) == 1
-    with pytest.raises(ValueError, match=r"A1\(2,\) is not divisible by 2"):
-        weyl_dim("A1", 2)
+    division would round it away.  ((2, -3), (0, 2)) is no Cartan matrix
+    (one off-diagonal entry is 0, the other not); its alpha-strings give
+    the coroots (1, 0), (0, 1), (1, 1), (1, 2), (1, 3), so the
+    denominator is 24, which divides the product 120 at (1, 0) but not
+    the product 210 at (0, 1)."""
+    cartan_table("A2", ((2, -3), (0, 2)))
+    assert positive_coroots("A2") == ((1, 0), (0, 1), (1, 1), (1, 2),
+                                      (1, 3))
+    assert weyl_dim("A2", 1, 0) == 5
+    with pytest.raises(ValueError,
+                       match=r"A2\(0, 1\) is not divisible by 24"):
+        weyl_dim("A2", 0, 1)
+    with pytest.raises(ValueError, match="is not divisible by 24"):
+        search_dim("A2", 5)
 
 
 def test_input_checks_survive_optimize_flag():
     """Under python -O a negative highest weight, mismatched tensor
     factors, a target dimension below 1, an unknown algebra type, a
-    weight of the wrong length and non-integral weights are still
-    refused, where an assert would let weyl_dim("A1", -1) return 0 and
-    sl2_irrep(-1) build a 0-dimensional module, and truncating each entry
-    would let weyl_dim("A1", 2.5) return 3."""
+    weight of the wrong length, non-integral weights (inf among them) and
+    a target that is a float or a bool are still refused, where an assert
+    would let weyl_dim("A1", -1) return 0 and sl2_irrep(-1) build a
+    0-dimensional module, and truncating each entry would let
+    weyl_dim("A1", 2.5) return 3."""
     code = ("from cmsweep.liereps import (WeightModule, search_dim,\n"
             "    sl2_irrep, sp4_standard_module, tensor_module, weyl_dim)\n"
             "v1 = sl2_irrep(1)\n"
@@ -517,7 +592,10 @@ def test_input_checks_survive_optimize_flag():
             "             lambda: search_dim('D4', 4),\n"
             "             lambda: weyl_dim('B2', 1),\n"
             "             lambda: weyl_dim('A1', 2.5),\n"
-            "             lambda: weyl_dim('B2', 0.9, 1.2)):\n"
+            "             lambda: weyl_dim('B2', 0.9, 1.2),\n"
+            "             lambda: weyl_dim('A1', float('inf')),\n"
+            "             lambda: search_dim('A1', 4.0),\n"
+            "             lambda: search_dim('A1', True)):\n"
             "    try:\n"
             "        print('accepted:', make())\n"
             "    except ValueError as exc:\n"
@@ -533,8 +611,12 @@ def test_input_checks_survive_optimize_flag():
         "refused: triples (('h', 'x', 'y'),) and () differ",
         "refused: highest weight (-1,) has a negative entry",
         "refused: target dimension 0 is below 1",
-        "refused: unknown algebra type 'D4', not one of A1, A2, B2, G2, A3",
+        "refused: unknown algebra type 'D4', not one of A1, A2, A3, B2, "
+        "B3, C3, G2",
         "refused: a highest weight of B2 has 2 entries, not 1",
         "refused: highest weight (2.5,) has a non-integral entry",
         "refused: highest weight (0.9, 1.2) has a non-integral entry",
+        "refused: highest weight (inf,) has a non-integral entry",
+        "refused: target dimension 4.0 is not an int",
+        "refused: target dimension True is not an int",
     ]
